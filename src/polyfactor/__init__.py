@@ -16,6 +16,7 @@ from .errors import (
     NotInCodomain,
     PolyError,
     PromiseViolation,
+    VerificationError,
 )
 from .pit import (
     find_nonzero_point,
@@ -81,6 +82,7 @@ __all__ = [
     "NotInCodomain",
     "PolyError",
     "PromiseViolation",
+    "VerificationError",
     "find_nonzero_point",
     "interpolation_plan",
     "sparse_interpolate",

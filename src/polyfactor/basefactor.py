@@ -20,11 +20,11 @@ point can only cost time, never correctness.
 import math
 from itertools import combinations
 
-from .rational import Q, ONE, ZERO
+from .rational import Q, ONE, ZERO, clear_denominators
 from .sparse import SparsePoly, grlex_key
 from .dense import DensePoly3, from_dense
 from .factors import FactorList, factor_sort_key
-from .errors import LiftFailure, PolyError, ZeroPolynomialError
+from .errors import LiftFailure, PolyError, VerificationError, ZeroPolynomialError
 
 
 class _AttemptFailed(Exception):
@@ -557,14 +557,6 @@ def _uq_to_sparse(coeffs, n=1, slot=0):
     return SparsePoly(n, terms)
 
 
-def _uq_clear_denominators(f):
-    """(int list, denominator lcm) with int list = den * f."""
-    den = 1
-    for c in f:
-        den = den * c.denominator // math.gcd(den, int(c.denominator))
-    return [int(c.numerator) * (den // int(c.denominator)) for c in f], den
-
-
 def _factor_univariate_pairs(f):
     """[(canonical irreducible, multiplicity)] for a univariate SparsePoly."""
     coeffs = _sparse_to_uq(f)
@@ -575,7 +567,7 @@ def _factor_univariate_pairs(f):
     monic = [c / coeffs[-1] for c in coeffs]
     pairs = []
     for part, mult in _yun_q(monic):
-        ints, _ = _uq_clear_denominators(part)
+        ints, _ = clear_denominators(part)
         ints = _up_primitive_z(ints)
         for fac in _zassenhaus(ints):
             poly = _uq_to_sparse([Q(c) for c in fac], n=f.n, slot=0)
@@ -592,7 +584,8 @@ def factor_univariate_q(f):
         return FactorList.build(f.constant_value(), [])
     pairs = _factor_univariate_pairs(f)
     result = FactorList.build(f.leading_coefficient(), pairs)
-    assert result.recompose() == f, "univariate recomposition failed"
+    if result.recompose() != f:
+        raise VerificationError("univariate recomposition failed")
     return result
 
 
@@ -959,15 +952,6 @@ def _cd_from_qpoly(f2, m):
     return {k: v for k, v in out.items() if v}
 
 
-def _den_lcm(polys):
-    den = 1
-    for f in polys:
-        for c in f.terms.values():
-            d = int(c.denominator)
-            den = den * d // math.gcd(den, d)
-    return den
-
-
 def _attempt_lift(f, v, w, v0, base, k_boost):
     """One (v0, modulus) attempt; returns [(factor, mult)] or None to retry
     with a larger modulus.  Raises _AttemptFailed on structural failure."""
@@ -990,7 +974,9 @@ def _attempt_lift(f, v, w, v0, base, k_boost):
                 lc = c
         groups.append((u.scale(ONE / lc), mult))
     cs = [u**mult for u, mult in groups]
-    denom = _den_lcm([f] + [u for u, _ in groups])
+    _, denom = clear_denominators(
+        c for poly in [f] + [u for u, _ in groups] for c in poly.terms.values()
+    )
     # prime: must avoid denominators and give pairwise-coprime base images
     chosen = None
     for p in _primes(3):
@@ -1244,7 +1230,8 @@ def factor_monic(f):
     _require_monic_in_x(f)
     pairs = _factor_monic_sparse(f)
     result = FactorList.build(f.leading_coefficient(), pairs)
-    assert result.recompose() == f, "recomposition failed"
+    if result.recompose() != f:
+        raise VerificationError("recomposition failed")
     return result
 
 
@@ -1309,7 +1296,8 @@ def factor_lowvar(f):
         back.append(img)
     restored = [(g.substitute(back, m=f.n).canonical(), mult) for g, mult in pairs]
     result = FactorList.build(f.leading_coefficient(), restored)
-    assert result.recompose() == f, "recomposition failed"
+    if result.recompose() != f:
+        raise VerificationError("recomposition failed")
     return result
 
 
@@ -1365,5 +1353,6 @@ def squarefree_decomposition(f):
         by_mult[mult] = poly if acc is None else acc * poly
     parts = tuple((by_mult[mult], mult) for mult in sorted(by_mult))
     result = SquarefreeDecomposition(parts, fl.scalar)
-    assert result.recompose() == f, "squarefree recomposition failed"
+    if result.recompose() != f:
+        raise VerificationError("squarefree recomposition failed")
     return result

@@ -23,6 +23,7 @@ from .errors import (
     NotInCodomain,
     PolyError,
     PromiseViolation,
+    VerificationError,
 )
 from .pit import find_nonzero_point, interpolation_plan, sparse_interpolate
 from .isolation import psi_map, psi_invert, scheme_ladder
@@ -384,7 +385,8 @@ def sparse_factors(f, s, oracle, config=None):
         for g, e in found.items():
             product = product * g**e
         quotient = f.exact_divide(product)
-        assert quotient is not None
+        if quotient is None:
+            raise VerificationError("accepted factors do not divide the input")
         return quotient
 
     def probe_direct(h):

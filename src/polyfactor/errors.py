@@ -41,5 +41,13 @@ class CapError(PolyError):
         self.limit = limit
 
 
+class VerificationError(PolyError):
+    """A result failed its exact check (recomposition or division).
+
+    Raised instead of returning factors that were not verified; it signals
+    a bug, never a property of the input.
+    """
+
+
 class LiftFailure(PolyError):
     """Internal: no evaluation point admitted a verified lift (bug assertion)."""

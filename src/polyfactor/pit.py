@@ -11,7 +11,7 @@ the univariate factorizer for the locator roots.
 from dataclasses import dataclass
 from itertools import product
 
-from .rational import Q, ONE, ZERO
+from .rational import Q, ONE, ZERO, clear_denominators
 from .sparse import SparsePoly
 from .errors import CapError, InterpolationFailure, ZeroPolynomialError
 
@@ -212,11 +212,7 @@ def _integer_roots(char_coeffs, primes, d):
     when the locator does not split into distinct such roots.
     """
     L = len(char_coeffs) - 1
-    den = 1
-    for c in char_coeffs:
-        cd = int(c.denominator)
-        den = den * cd // _gcd(den, cd)
-    ints = [int(c.numerator) * (den // int(c.denominator)) for c in char_coeffs]
+    ints, _ = clear_denominators(char_coeffs)
     c0 = ints[0]
     if c0 == 0:
         return None
@@ -255,12 +251,6 @@ def _integer_roots(char_coeffs, primes, d):
     if len(roots) != L:
         return None
     return sorted(roots)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _integer_roots_by_factoring(char_coeffs):

@@ -1,14 +1,17 @@
 """Exact rational arithmetic backend.
 
-gmpy2.mpq when available (much faster on large corpora), fractions.Fraction
-otherwise.  Everything downstream only relies on the common surface:
-two-argument constructor, numerator/denominator, arithmetic with ints,
-hashing, and str() rendering as "a/b" or "a".
+fractions.Fraction by default; gmpy2.mpq when the optional `fast` extra
+(`pip install polyfactor[fast]`) has installed gmpy2.  Everything downstream
+only relies on the common surface: two-argument constructor,
+numerator/denominator, arithmetic with ints, hashing, and str() rendering as
+"a/b" or "a".
 """
+
+import math
 
 try:
     from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover
+except ImportError:
     from fractions import Fraction as Q
 
 ZERO = Q(0)
@@ -23,6 +26,17 @@ def as_int(q) -> int:
     if q.denominator != 1:
         raise ValueError("not an integer: %s" % (q,))
     return int(q.numerator)
+
+
+def clear_denominators(coeffs):
+    """(ints, den): den is the lcm of the coefficients' denominators and
+    ints[i] == den * coeffs[i] as a Python int.  Accepts rationals and ints."""
+    coeffs = list(coeffs)
+    den = 1
+    for c in coeffs:
+        d = int(c.denominator)
+        den = den * d // math.gcd(den, d)
+    return [int(c.numerator) * (den // int(c.denominator)) for c in coeffs], den
 
 
 def q_str(q) -> str:

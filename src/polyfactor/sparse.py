@@ -8,7 +8,10 @@ The monomial order used everywhere (leading terms, canonical scaling) is
 graded lexicographic: compare total degree first, then the exponent tuple.
 """
 
-from .rational import Q, ZERO, ONE
+import math
+from heapq import heapify, heappop, heappush
+
+from .rational import Q, ZERO, ONE, clear_denominators
 from .errors import VariableCountMismatch, ZeroDivisorError
 
 
@@ -339,9 +342,15 @@ class SparsePoly:
     def exact_divide(self, g):
         """Quotient h with self = g*h, or None when g does not divide.
 
-        Single-divisor multivariate division by leading-term elimination
-        under graded lex; for an actual divisor the reduction always runs to
-        a zero remainder.
+        Single-divisor division by leading-term elimination under graded
+        lex, run over Z by Gauss's lemma: the dividend is scaled to integer
+        coefficients and the divisor to a primitive integer polynomial, so
+        the integer quotient exists exactly when a rational one does, and a
+        quotient coefficient that is not an integer already proves that g
+        does not divide.  Monomials are packed into ints whose order is
+        graded lex and whose sum is the monomial product; the remainder's
+        leading term comes off a max-heap of its keys (Johnson 1974; Monagan
+        & Pearce, JSC 2011).  The quotient is scaled back to Q once.
         """
         if not isinstance(g, SparsePoly):
             raise TypeError("divisor must be a SparsePoly")
@@ -350,31 +359,74 @@ class SparsePoly:
             raise ZeroDivisorError("division by the zero polynomial")
         if self.is_zero():
             return SparsePoly.zero(self.n)
-        g_lt_exps, g_lt_coeff = g.leading_term()
-        rem = dict(self.terms)
+        deg = self.degree()
+        if g.degree() > deg:
+            return None
+        # One field per slot, total degree on top, so int order is graded
+        # lex.  Every remainder and quotient exponent is at most deg, which
+        # leaves each field a free top bit: a field-wise lt(g) | lt(r) test
+        # is then one subtraction, borrowing into no neighbouring field.
+        n = self.n
+        bits = deg.bit_length() + 1
+        guard = 0
+        for _ in range(n + 1):
+            guard = (guard << bits) | (1 << (bits - 1))
+
+        def pack(exps):
+            key = sum(exps)
+            for e in exps:
+                key = (key << bits) | e
+            return key
+
+        f_ints, f_den = clear_denominators(self.terms.values())
+        g_ints, g_den = clear_denominators(g.terms.values())
+        content = 0
+        for c in g_ints:
+            content = math.gcd(content, c)
+        divisor = sorted(
+            ((pack(e), c // content) for e, c in zip(g.terms, g_ints)), reverse=True
+        )
+        lt_key, lt_coeff = divisor[0]
+        tail = divisor[1:]  # q * lt(g) cancels the popped term exactly
+        rem = {pack(e): c for e, c in zip(self.terms, f_ints)}
+        heap = [-key for key in rem]
+        heapify(heap)
         quot = {}
-        g_items = list(g.terms.items())
-        while rem:
-            r_exps = max(rem, key=grlex_key)
-            r_coeff = rem[r_exps]
-            q_exps = tuple(a - b for a, b in zip(r_exps, g_lt_exps))
-            if any(e < 0 for e in q_exps):
+        while heap:
+            key = -heappop(heap)
+            coeff = rem.pop(key, None)
+            if coeff is None:  # cancelled after it was pushed
+                continue
+            if ((key | guard) - lt_key) & guard != guard:
                 return None
-            q_coeff = r_coeff / g_lt_coeff
-            quot[q_exps] = q_coeff
-            for e2, c2 in g_items:
-                exps = tuple(a + b for a, b in zip(q_exps, e2))
-                acc = rem.get(exps)
-                sub = q_coeff * c2
+            q_coeff, r = divmod(coeff, lt_coeff)
+            if r:
+                return None
+            q_key = key - lt_key
+            quot[q_key] = q_coeff
+            for key2, c2 in tail:
+                key = q_key + key2
+                acc = rem.get(key)
                 if acc is None:
-                    rem[exps] = -sub
+                    rem[key] = -q_coeff * c2
+                    heappush(heap, -key)
                 else:
-                    acc = acc - sub
+                    acc -= q_coeff * c2
                     if acc:
-                        rem[exps] = acc
+                        rem[key] = acc
                     else:
-                        del rem[exps]
-        return SparsePoly(self.n, quot)
+                        del rem[key]
+        # h = (g_den / (f_den * content)) * quot
+        field = (1 << bits) - 1
+        den = f_den * content
+        terms = {}
+        for key, c in quot.items():
+            exps = [0] * n
+            for i in range(n - 1, -1, -1):
+                exps[i] = key & field
+                key >>= bits
+            terms[tuple(exps)] = Q(g_den * c, den)
+        return SparsePoly(n, terms)
 
     def divides(self, other):
         return other.exact_divide(self) is not None
@@ -415,8 +467,6 @@ class SparsePoly:
         # k * LT(root)^(k-1) * (next missing root term), with no cancellation
         # possible at that key.  Iterations are bounded by the monomial count
         # of the candidate root's degree range.
-        import math
-
         max_iters = math.comb(d // k + self.n, self.n) + 1
         guard = 0
         lead_part = tuple(e * (k - 1) for e in root_lt)

@@ -1,5 +1,9 @@
 """Dense base factorizer: univariate, bivariate, trivariate."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 import sympy
 
@@ -161,3 +165,28 @@ def test_shift_preserves_irreducibility():
         shifted = g.substitute(assignment, m=m)
         assert is_irreducible_lowvar(shifted)
         checked += 1
+
+
+def test_recomposition_gate_holds_under_optimize_flag():
+    """The gate is an explicit check, so python -O keeps it."""
+    import polyfactor
+
+    script = (
+        "import polyfactor.basefactor as bf\n"
+        "from polyfactor.parse import parse_poly\n"
+        "from polyfactor.errors import VerificationError\n"
+        "assert False, 'asserts are on'\n"
+        "bf._factor_monic_sparse = lambda f: [(parse_poly('z1 + z2'), 2)]\n"
+        "try:\n"
+        "    bf.factor_monic(parse_poly('z1^2 + z2'))\n"
+        "except VerificationError:\n"
+        "    print('verification error')\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(polyfactor.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "verification error"

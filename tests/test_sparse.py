@@ -1,5 +1,8 @@
 """Core sparse arithmetic: ring axioms, division, calculus, structure."""
 
+import math
+from fractions import Fraction
+
 import pytest
 
 from polyfactor.rational import Q
@@ -123,6 +126,83 @@ def test_exact_divide_closure():
         g = random_poly(rng, n, 3, 3)
         h = random_poly(rng, n, 3, 3)
         assert (g * h).exact_divide(g) == h
+
+
+def reference_divide(f, g):
+    """Max-scan leading-term division on Fractions: the reference the
+    integer heap kernel must agree with."""
+    g_lt = max(g.terms, key=lambda e: (sum(e), e))
+    g_lc = Fraction(g.terms[g_lt])
+    rem = {e: Fraction(c) for e, c in f.terms.items()}
+    quot = {}
+    while rem:
+        r_exps = max(rem, key=lambda e: (sum(e), e))
+        q_exps = tuple(a - b for a, b in zip(r_exps, g_lt))
+        if any(e < 0 for e in q_exps):
+            return None
+        q_coeff = rem[r_exps] / g_lc
+        quot[q_exps] = q_coeff
+        for e2, c2 in g.terms.items():
+            exps = tuple(a + b for a, b in zip(q_exps, e2))
+            acc = rem.get(exps, 0) - q_coeff * c2
+            if acc:
+                rem[exps] = acc
+            else:
+                rem.pop(exps, None)
+    return SparsePoly(f.n, quot)
+
+
+def random_rational_poly(rng, n, d, terms):
+    table = {}
+    for _ in range(terms):
+        exps = [0] * n
+        budget = rng.randint(0, d)
+        for i in rng.sample(range(n), n):
+            exps[i] = rng.randint(0, budget)
+            budget -= exps[i]
+        table[tuple(exps)] = Q(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 6))
+    return SparsePoly(n, table)
+
+
+def test_exact_divide_matches_reference_division():
+    rng = rng_for("divide-reference")
+    for trial in range(150):
+        n = rng.randint(1, 5)
+        g = random_rational_poly(rng, n, rng.randint(1, 4), rng.randint(1, 4))
+        if trial % 3 == 0:  # integer divisor with content, lc of either sign
+            den = math.lcm(*(c.denominator for c in g.terms.values()))
+            g = g.scale(rng.choice([-6, -2, 3, 4, 10]) * den)
+        h = random_rational_poly(rng, n, rng.randint(0, 5), rng.randint(1, 5))
+        f = g * h
+        assert f.exact_divide(g) == h == reference_divide(f, g)
+        mono = SparsePoly.monomial(n, [rng.randint(0, 3) for _ in range(n)], Q(1, 7))
+        assert (f + mono).exact_divide(g) == reference_divide(f + mono, g)
+        if not g.is_constant():
+            assert (f + mono).exact_divide(g) is None or mono.exact_divide(g) is not None
+
+
+def test_exact_divide_int_coefficients_and_non_primitive_divisor():
+    g = SparsePoly(2, {(1, 0): 6, (0, 1): 4})  # 6*z1 + 4*z2, plain ints
+    h = parse_poly("1/3*z1^2 - 5/2*z2 + 7")
+    assert (g * h).exact_divide(g) == h
+    assert (g * h + parse_poly("z1*z2")).exact_divide(g) is None
+    f = SparsePoly(1, {(2,): 6, (0,): -6})
+    assert f.exact_divide(parse_poly("2*z1 + 2")) == parse_poly("3*z1 - 3")
+
+
+def test_exact_divide_non_integral_step():
+    g = parse_poly("2*z1 + 1")
+    assert parse_poly("z1^2 + z1").exact_divide(g) is None
+    h = parse_poly("1/3*z1 + 1/5")
+    assert (g * h).exact_divide(g) == h
+
+
+def test_exact_divide_high_degree_and_constant_divisor():
+    f = parse_product("(z1^40 + z2^3*z3 - 2)*(z1^35 - 3*z3^2)")
+    assert f.exact_divide(parse_poly("z1^35 - 3*z3^2")) == parse_poly("z1^40 + z2^3*z3 - 2")
+    assert f.exact_divide(parse_poly("z1^41 + z2*z3")) is None
+    assert parse_poly("z1 + 1").exact_divide(parse_poly("z1^2")) is None
+    assert f.exact_divide(SparsePoly.const(3, Q(-4, 3))) == f.scale(Q(-3, 4))
 
 
 def test_divide_by_zero_raises():
