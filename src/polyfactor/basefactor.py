@@ -20,7 +20,7 @@ point can only cost time, never correctness.
 import math
 from itertools import combinations
 
-from .rational import Q, ONE, ZERO, clear_denominators
+from .rational import Q, ONE, ZERO, clear_denominators, primes
 from .sparse import SparsePoly, grlex_key
 from .dense import DensePoly3, from_dense
 from .factors import FactorList, factor_sort_key
@@ -33,27 +33,6 @@ class _AttemptFailed(Exception):
 
 # ---------------------------------------------------------------------------
 # small number theory
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-    return True
-
-
-def _primes(start=2):
-    n = max(2, start)
-    while True:
-        if _is_prime(n):
-            yield n
-        n += 1
 
 
 def _ratrec(c, m):
@@ -400,7 +379,7 @@ def _zassenhaus(F):
     A = max(abs(c) for c in F)
     B = (math.isqrt(n + 1) + 1) * (2**n) * A * abs(lc)
     chosen = None
-    for p in _primes(3):
+    for p in primes(3):
         if lc % p == 0:
             continue
         if up_sqf_p(F, p):
@@ -838,24 +817,6 @@ def _lift_tree(Fser, groups, K, m, p, make_dioph):
 # multivariate attempt driver
 
 
-def _eval_var(f, var, value):
-    """Substitute z_var := value (int) and drop the slot."""
-    i = var - 1
-    terms = {}
-    vq = Q(value)
-    for exps, c in f.terms.items():
-        e = exps[i]
-        reduced = exps[:i] + exps[i + 1 :]
-        contrib = c if not e else c * vq**e
-        acc = terms.get(reduced)
-        acc = contrib if acc is None else acc + contrib
-        if acc:
-            terms[reduced] = acc
-        else:
-            terms.pop(reduced, None)
-    return SparsePoly(f.n - 1, terms)
-
-
 def _eval_points():
     yield 0
     k = 1
@@ -979,7 +940,7 @@ def _attempt_lift(f, v, w, v0, base, k_boost):
     )
     # prime: must avoid denominators and give pairwise-coprime base images
     chosen = None
-    for p in _primes(3):
+    for p in primes(3):
         if denom % p == 0:
             continue
         w0_range = range(2 * dw * len(cs) * len(cs) + 3) if w is not None else (0,)
@@ -988,7 +949,7 @@ def _attempt_lift(f, v, w, v0, base, k_boost):
             ok = True
             for u, _ in groups:
                 if w is not None:
-                    g1 = _eval_var(u, 2, w0)  # slot 1 is w in the base polys
+                    g1 = u.eval_var(2, w0)  # slot 1 is w in the base polys
                 else:
                     g1 = u
                 lst = up_trim(_uq_ints(_sparse_to_uq(g1), p))
@@ -1134,11 +1095,10 @@ def _factor_monic_sparse(f):
         if w is None:
             # only two effective variables; drop the dead slot and recurse
             dead = others[0]
-            reduced = _drop_dead_var(f, dead)
-            pairs = _factor_monic_sparse(reduced)
+            pairs = _factor_monic_sparse(f.eval_var(dead, 0))
+            slots = [i for i in range(n) if i != dead - 1]
             return [
-                (_restore_dead_var(g, dead, n).canonical(), mult)
-                for g, mult in pairs
+                (g.map_variables(slots, n).canonical(), mult) for g, mult in pairs
             ]
     survivors = [i for i in range(2, n + 1) if i != v]
     point_iter = _eval_points()
@@ -1153,7 +1113,7 @@ def _factor_monic_sparse(f):
         while len(probes) < window and consumed < _MAX_EVAL_ATTEMPTS:
             v0 = next(point_iter)
             consumed += 1
-            f0 = _eval_var(f, v, v0)
+            f0 = f.eval_var(v, v0)
             # points that drop a surviving variable's degree force a finer
             # base split and a doomed lift; skip them before factoring
             degraded = False
@@ -1192,23 +1152,6 @@ def _factor_monic_sparse(f):
         if needk_points >= 2 and boost < 3:
             boost += 1
             needk_points = 0
-
-
-def _drop_dead_var(f, dead):
-    i = dead - 1
-    terms = {}
-    for exps, c in f.terms.items():
-        assert exps[i] == 0
-        terms[exps[:i] + exps[i + 1 :]] = c
-    return SparsePoly(f.n - 1, terms)
-
-
-def _restore_dead_var(g, dead, n):
-    i = dead - 1
-    terms = {}
-    for exps, c in g.terms.items():
-        terms[exps[:i] + (0,) + exps[i:]] = c
-    return SparsePoly(n, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -1278,22 +1221,19 @@ def factor_lowvar(f):
                 break
         if shear is not None:
             break
-    assignment = [SparsePoly.variable(f.n, 1)]
-    for j, c in enumerate(shear, start=2):
-        img = SparsePoly.variable(f.n, j)
-        if c:
-            img = img + SparsePoly.variable(f.n, 1).scale(c)
-        assignment.append(img)
-    sheared = f.substitute(assignment, m=f.n)
+
+    def shear_map(sign):
+        """z_1 -> z_1 and z_j -> z_j + sign * c_j z_1."""
+        x = SparsePoly.variable(f.n, 1)
+        return [x] + [
+            SparsePoly.variable(f.n, j) + x.scale(sign * c)
+            for j, c in enumerate(shear, start=2)
+        ]
+
+    sheared = f.substitute(shear_map(1), m=f.n)
     lc = sheared.terms[(d,) + (0,) * (f.n - 1)]
-    monic = sheared.scale(ONE / lc)
-    pairs = _factor_monic_sparse(monic)
-    back = [SparsePoly.variable(f.n, 1)]
-    for j, c in enumerate(shear, start=2):
-        img = SparsePoly.variable(f.n, j)
-        if c:
-            img = img - SparsePoly.variable(f.n, 1).scale(c)
-        back.append(img)
+    pairs = _factor_monic_sparse(sheared.scale(ONE / lc))
+    back = shear_map(-1)
     restored = [(g.substitute(back, m=f.n).canonical(), mult) for g, mult in pairs]
     result = FactorList.build(f.leading_coefficient(), restored)
     if result.recompose() != f:

@@ -63,7 +63,6 @@ def build_parser():
     )
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--config", help="key=value configuration file")
-    parser.add_argument("--jobs", type=int, default=1, help="worker threads")
     parser.add_argument(
         "--expand",
         action="store_true",
@@ -118,8 +117,6 @@ def run(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     config = Config.from_file(args.config) if args.config else DEFAULT
-    if args.jobs != 1:
-        config = Config(**{**config.__dict__, "jobs": args.jobs})
 
     if args.command == "factor-cd":
         f = _read_poly(args, args.poly)

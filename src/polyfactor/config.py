@@ -23,8 +23,6 @@ class Config:
     su_stall: int = 250
     # Raise CapError instead of sampling a grid prefix when a budget binds.
     strict_caps: bool = False
-    # Worker threads for the loops declared order-independent.
-    jobs: int = 1
 
     @classmethod
     def from_file(cls, path):

@@ -112,8 +112,8 @@ def divisibility_witness(f, g, degree_bound=None):
             for i in range(d + 1):
                 constants[(beta, i)] = ZERO
             continue
-        f_beta = _scale_shift(f, beta, alpha)
-        g_beta = _scale_shift(g, beta, alpha)
+        f_beta = f.shift(alpha, beta)
+        g_beta = g.shift(alpha, beta)
         inner = SparsePoly.zero(n)
         power = SparsePoly.const(n, 1)
         for i in range(d + 1):
@@ -128,15 +128,6 @@ def divisibility_witness(f, g, degree_bound=None):
     rhs = g.shift(alpha) * h_tilde
     holds = (lhs - rhs).is_zero()
     return WitnessIdentity(tuple(alpha), h_tilde, holds, constants)
-
-
-def _scale_shift(f, beta, alpha):
-    """f(beta * z + alpha)."""
-    assignment = [
-        SparsePoly.variable(f.n, i).scale(beta) + SparsePoly.const(f.n, alpha[i - 1])
-        for i in range(1, f.n + 1)
-    ]
-    return f.substitute(assignment, m=f.n)
 
 
 def quotient_from_witness(witness):

@@ -48,6 +48,18 @@ class ProjectedFactorSet:
     scheme: object
 
 
+def _project(f, alpha, directions, gamma, normalizer):
+    """f(alpha x + sum_k directions[k] t_k + gamma) / normalizer over the
+    variables (x, t_1, ..): with one direction the bivariate projection,
+    with two the trivariate slice family, with the unit vectors the monic
+    shift."""
+    assignment = [
+        SparsePoly.linear((alpha[i],) + tuple(d[i] for d in directions), gamma[i])
+        for i in range(f.n)
+    ]
+    return f.substitute(assignment, m=1 + len(directions)).scale(ONE / normalizer)
+
+
 def monicize(f):
     """(MonicShift, f_alpha) with f_alpha = f(alpha x + z)/Hom[f](alpha),
     monic in the fresh variable x (slot 0 of the result)."""
@@ -57,12 +69,8 @@ def monicize(f):
     top = f.hom_component(d)
     alpha = find_nonzero_point(top, f.n, d, mode="whitebox")
     normalizer = top.eval_point(alpha)
-    m = f.n + 1
-    assignment = [
-        SparsePoly.variable(m, i + 1) + SparsePoly.variable(m, 1).scale(alpha[i - 1])
-        for i in range(1, f.n + 1)
-    ]
-    f_alpha = f.substitute(assignment, m=m).scale(ONE / normalizer)
+    units = [[int(i == j) for i in range(f.n)] for j in range(f.n)]
+    f_alpha = _project(f, alpha, units, (0,) * f.n, normalizer)
     assert f_alpha.degree_in(1) == d
     assert f_alpha.terms.get((d,) + (0,) * f.n) == ONE
     return MonicShift(tuple(alpha), normalizer, f.n, d), f_alpha
@@ -76,18 +84,13 @@ def unmonicize(g_hat, shift):
     for the divisibility gate to reject.
     """
     m = shift.n + 1
-    assignment = [SparsePoly.variable(m, 1)]
-    for i in range(1, shift.n + 1):
-        assignment.append(
-            SparsePoly.variable(m, i + 1)
-            - SparsePoly.variable(m, 1).scale(shift.alpha[i - 1])
-        )
+    x = SparsePoly.variable(m, 1)
+    assignment = [x] + [
+        SparsePoly.variable(m, i) - x.scale(a)
+        for i, a in enumerate(shift.alpha, start=2)
+    ]
     sheared = g_hat.substitute(assignment, m=m)
-    terms = {}
-    for exps, c in sheared.terms.items():
-        if exps[0] == 0:
-            terms[exps[1:]] = c
-    return SparsePoly(shift.n, terms), 1 in sheared.var_support()
+    return sheared.eval_var(1, 0), 1 in sheared.var_support()
 
 
 def projected_factoring(f, delta, scheme=None, config=None):
@@ -233,36 +236,6 @@ def constant_degree_factors(f, delta, config=None):
 # interpolate, verify")
 
 
-def _project_bivariate(f, alpha, beta, gamma, normalizer):
-    """f(alpha x + beta t + gamma) / normalizer over (x, t)."""
-    m = 2
-    assignment = []
-    for i in range(1, f.n + 1):
-        img = SparsePoly.variable(m, 1).scale(alpha[i - 1])
-        if beta[i - 1]:
-            img = img + SparsePoly.variable(m, 2).scale(beta[i - 1])
-        if gamma[i - 1]:
-            img = img + SparsePoly.const(m, gamma[i - 1])
-        assignment.append(img)
-    return f.substitute(assignment, m=m).scale(ONE / normalizer)
-
-
-def _project_trivariate(f, alpha, beta, secondary, gamma, normalizer):
-    """f(alpha x + beta t1 + secondary t2 + gamma) / normalizer."""
-    m = 3
-    assignment = []
-    for i in range(1, f.n + 1):
-        img = SparsePoly.variable(m, 1).scale(alpha[i - 1])
-        if beta[i - 1]:
-            img = img + SparsePoly.variable(m, 2).scale(beta[i - 1])
-        if secondary[i - 1]:
-            img = img + SparsePoly.variable(m, 3).scale(secondary[i - 1])
-        if gamma[i - 1]:
-            img = img + SparsePoly.const(m, gamma[i - 1])
-        assignment.append(img)
-    return f.substitute(assignment, m=m).scale(ONE / normalizer)
-
-
 def sparse_irreducible_test(f, oracle, config=None):
     """Irreducibility for f in the oracle's class: f is reducible iff every
     projection f(alpha x + beta t + gamma) is reducible."""
@@ -274,9 +247,7 @@ def sparse_irreducible_test(f, oracle, config=None):
         return True
     shift, _ = monicize(f)
     for pair in oracle.pairs(shift.alpha):
-        image = _project_bivariate(
-            f, shift.alpha, pair.beta, pair.gamma, shift.normalizer
-        )
+        image = _project(f, shift.alpha, [pair.beta], pair.gamma, shift.normalizer)
         fl = factor_monic(image)
         if len(fl.factors) == 1 and fl.factors[0][1] == 1:
             return True
@@ -331,24 +302,6 @@ def _certify_irreducible(g, oracle, config):
     if d == 2:
         return _quadratic_irreducible(g)
     return sparse_irreducible_test(g, oracle, config)
-
-
-def _slice_t2_zero(h):
-    """Trivariate (x, t1, t2) -> bivariate (x, t1) at t2 = 0."""
-    terms = {}
-    for exps, c in h.terms.items():
-        if exps[2] == 0:
-            terms[(exps[0], exps[1])] = c
-    return SparsePoly(2, terms)
-
-
-def _eval_001(h):
-    """Value of a trivariate (x, t1, t2) polynomial at (0, 0, 1)."""
-    total = Q(0)
-    for exps, c in h.terms.items():
-        if exps[0] == 0 and exps[1] == 0:
-            total = total + c
-    return total
 
 
 def sparse_factors(f, s, oracle, config=None):
@@ -425,16 +378,16 @@ def sparse_factors(f, s, oracle, config=None):
             break
         if stall >= config.su_stall:
             break
-        f_hat = _project_bivariate(f, alpha, pair.beta, pair.gamma, shift.normalizer)
+        f_hat = _project(f, alpha, [pair.beta], pair.gamma, shift.normalizer)
         bivariate = factor_monic(f_hat)
         images = set()
         for g in found:
-            img = _project_bivariate(g, alpha, pair.beta, pair.gamma, ONE)
+            img = _project(g, alpha, [pair.beta], pair.gamma, ONE)
             if not img.is_zero():
                 images.add(img.canonical())
         residual_img = None
         if not remaining.is_constant():
-            img = _project_bivariate(remaining, alpha, pair.beta, pair.gamma, ONE)
+            img = _project(remaining, alpha, [pair.beta], pair.gamma, ONE)
             if not img.is_zero():
                 residual_img = img.canonical()
         deg_remaining = remaining.degree() or 0
@@ -464,30 +417,20 @@ def sparse_factors(f, s, oracle, config=None):
         plan = interpolation_plan((max_points + 1) // 2, n, d)
         point_lists = {j: [] for j in range(len(refs))}
         pair_ok = True
-
-        def omega_slices(omega):
+        all_slices = []
+        for omega in plan.points[:max_points]:
             secondary = tuple(omega[i] - pair.gamma[i] for i in range(n))
-            f_omega = _project_trivariate(
-                f, alpha, pair.beta, secondary, pair.gamma, shift.normalizer
+            f_omega = _project(
+                f, alpha, [pair.beta, secondary], pair.gamma, shift.normalizer
             )
-            trivariate = factor_monic(f_omega)
             slices = []
-            for h3, e3 in trivariate.factors:
-                raw = _slice_t2_zero(h3)
+            for h3, e3 in factor_monic(f_omega).factors:
+                raw = h3.eval_var(3, 0)
                 if raw.is_zero():
                     continue
                 unit = raw.leading_coefficient()
                 slices.append((raw.scale(ONE / unit), unit, h3, e3))
-            return slices
-
-        points = plan.points[:max_points]
-        if config.jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-                all_slices = list(pool.map(omega_slices, points))
-        else:
-            all_slices = [omega_slices(omega) for omega in points]
+            all_slices.append(slices)
         for w_idx, slices in enumerate(all_slices):
             for j, (h2, e2, _, s_slot) in enumerate(refs):
                 if w_idx >= 2 * s_slot:
@@ -499,7 +442,7 @@ def sparse_factors(f, s, oracle, config=None):
                     pair_ok = False
                     break
                 _, unit, h3, _ = matches[0]
-                point_lists[j].append(_eval_001(h3) / unit)
+                point_lists[j].append(h3.eval_point((0, 0, 1)) / unit)
             if not pair_ok:
                 break
         if not pair_ok:

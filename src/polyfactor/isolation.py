@@ -19,11 +19,9 @@ by the factoring engine:
 """
 
 import json
-import math
 from dataclasses import dataclass
-from itertools import count
 
-from .rational import Q, ONE
+from .rational import ONE, primes
 from .sparse import SparsePoly
 from .dense import DensePoly3
 from .errors import CapError, NotInCodomain, PolyError
@@ -103,17 +101,6 @@ class IsolationScheme:
         )
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
-
-
 def find_isolating_prime(n, delta, extra_capacity=1):
     """Smallest prime p making w_i = (delta+1)^(i-1) mod p injective on the
     degree-<=delta monomials, scanning upward; extra_capacity > 1 starts the
@@ -121,10 +108,7 @@ def find_isolating_prime(n, delta, extra_capacity=1):
     separated simultaneously."""
     if n < 1 or delta < 1:
         raise ValueError("need n >= 1 and delta >= 1")
-    start = max(2, extra_capacity)
-    for p in count(start):
-        if not _is_prime(p):
-            continue
+    for p in primes(extra_capacity):
         w = tuple(pow(delta + 1, i, p) for i in range(n))
         if weights_injective(w, delta, modulus=p):
             if n == 1:
@@ -147,9 +131,7 @@ def compact_scheme(n, delta):
         w.append(c)
     w = tuple(w)
     wp = (w[0] + 1,) if n == 1 else tuple(reversed(w))
-    p = w[-1] * delta + 1
-    while not _is_prime(p):
-        p += 1
+    p = next(primes(w[-1] * delta + 1))
     return IsolationScheme(n, delta, p, w, wp)
 
 
@@ -202,18 +184,10 @@ def apply_phi(f, scheme, x_vars=0):
     if f.n != x_vars + scheme.n:
         raise PolyError("variable count does not match the scheme")
     m = x_vars + 1
-    terms = {}
-    for exps, c in f.terms.items():
-        head = exps[:x_vars]
-        yexp = sum(e * wi for e, wi in zip(exps[x_vars:], scheme.w))
-        key = head + (yexp,)
-        acc = terms.get(key)
-        acc = c if acc is None else acc + c
-        if acc:
-            terms[key] = acc
-        else:
-            terms.pop(key, None)
-    return SparsePoly(m, terms)
+    assignment = [SparsePoly.variable(m, j) for j in range(1, m)] + [
+        SparsePoly.monomial(m, (0,) * x_vars + (wi,)) for wi in scheme.w
+    ]
+    return f.substitute(assignment, m=m)
 
 
 def recover_from_phi(h, scheme, delta, x_vars=0):
@@ -236,39 +210,14 @@ def psi_map(f, scheme, max_cells=None):
     """g(x, z) -> g(x, y^{w_i} t + y^{w'_i}) as a dense (x, y, t) grid."""
     if f.n != scheme.n + 1:
         raise PolyError("expected variables (x, z_1..z_n)")
-    acc = {}
-    for exps, c in f.terms.items():
-        k = exps[0]
-        part = {(0, 0): ONE}  # (t-exp, y-exp) -> coefficient
-        for e, wi, wpi in zip(exps[1:], scheme.w, scheme.w_prime):
-            if not e:
-                continue
-            expanded = {}
-            for j in range(e + 1):
-                binom = math.comb(e, j)
-                ty = (j, j * wi + (e - j) * wpi)
-                expanded[ty] = Q(binom)
-            new = {}
-            for (t1, y1), c1 in part.items():
-                for (t2, y2), c2 in expanded.items():
-                    key = (t1 + t2, y1 + y2)
-                    prod = c1 * c2
-                    acc2 = new.get(key)
-                    new[key] = prod if acc2 is None else acc2 + prod
-            part = new
-        for (tj, yj), cj in part.items():
-            key = (k, yj, tj)
-            prev = acc.get(key)
-            val = c * cj if prev is None else prev + c * cj
-            if val:
-                acc[key] = val
-            else:
-                acc.pop(key, None)
-    dx = max((k[0] for k in acc), default=0)
-    dy = max((k[1] for k in acc), default=0)
-    dt = max((k[2] for k in acc), default=0)
-    grid = DensePoly3.zeros((dx, dy, dt), max_cells=max_cells)
-    for (i, j, k), c in acc.items():
+    assignment = [SparsePoly.variable(3, 1)] + [
+        SparsePoly(3, {(0, wi, 1): ONE, (0, wpi, 0): ONE})
+        for wi, wpi in zip(scheme.w, scheme.w_prime)
+    ]
+    image = f.substitute(assignment, m=3)
+    bounds = [max(col) for col in zip(*image.terms)] or [0, 0, 0]
+    grid = DensePoly3.zeros(tuple(bounds), max_cells=max_cells)
+    for (i, j, k), c in image.terms.items():
         grid.coeffs[i][j][k] = c
     return grid
 

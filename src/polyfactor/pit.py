@@ -9,9 +9,9 @@ the univariate factorizer for the locator roots.
 """
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 
-from .rational import Q, ONE, ZERO, clear_denominators
+from .rational import Q, ONE, ZERO, clear_denominators, primes
 from .sparse import SparsePoly
 from .errors import CapError, InterpolationFailure, ZeroPolynomialError
 
@@ -71,17 +71,19 @@ def find_nonzero_point(f, n, d, mode="whitebox", hitting_set=None, counter=None)
             raise TypeError("whitebox mode needs a SparsePoly")
         if f.is_zero():
             raise ZeroPolynomialError("no nonzero point: polynomial is zero")
+        # the variable being assigned is always slot 1 of what is left
         current = f
         point = []
-        for i in range(1, n + 1):
-            if i not in current.var_support():
+        for _ in range(n):
+            if not current.degree_in(1):
                 point.append(ONE)
+                current = current.eval_var(1, ONE)
                 continue
             chosen = None
             for v in range(1, d + 2):
                 if counter is not None:
                     counter.count += 1
-                candidate = _assign_var(current, i, Q(v))
+                candidate = current.eval_var(1, v)
                 if not candidate.is_zero():
                     chosen = (Q(v), candidate)
                     break
@@ -119,37 +121,9 @@ def find_nonzero_point(f, n, d, mode="whitebox", hitting_set=None, counter=None)
     raise ValueError("mode must be whitebox or blackbox")
 
 
-def _assign_var(f, var, value):
-    """Substitute z_var with a constant, keeping the ambient variable count."""
-    terms = {}
-    i = var - 1
-    for exps, c in f.terms.items():
-        contrib = c * value ** exps[i] if exps[i] else c
-        reduced = exps[:i] + (0,) + exps[i + 1 :]
-        acc = terms.get(reduced)
-        acc = contrib if acc is None else acc + contrib
-        if acc:
-            terms[reduced] = acc
-        else:
-            terms.pop(reduced, None)
-    return SparsePoly(f.n, terms)
-
-
 def sparse_pit(f):
     """True iff f is identically zero (immediate on the canonical table)."""
     return f.is_zero()
-
-
-_PRIME_CACHE = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
-
-
-def _first_primes(n):
-    while len(_PRIME_CACHE) < n:
-        c = _PRIME_CACHE[-1] + 2
-        while any(c % p == 0 for p in _PRIME_CACHE if p * p <= c):
-            c += 2
-        _PRIME_CACHE.append(c)
-    return _PRIME_CACHE[:n]
 
 
 def interpolation_plan(s, n, d):
@@ -157,9 +131,9 @@ def interpolation_plan(s, n, d):
     sparsity bounds extend smaller ones."""
     if s < 1:
         raise ValueError("sparsity bound must be >= 1")
-    primes = _first_primes(n)
+    bases = list(islice(primes(), n))
     points = tuple(
-        tuple(Q(p**i) for p in primes) for i in range(2 * s)
+        tuple(Q(p**i) for p in bases) for i in range(2 * s)
     )
     return EvaluationPlan(points, s, n, d)
 
@@ -300,13 +274,13 @@ def sparse_interpolate(values, s, n, d):
     char, L = berlekamp_massey(values)
     if L > s or L == 0:
         raise InterpolationFailure("recovered sparsity exceeds the bound")
-    primes = _first_primes(n)
-    roots = _integer_roots(char, primes, d)
+    bases = list(islice(primes(), n))
+    roots = _integer_roots(char, bases, d)
     if roots is None:
         raise InterpolationFailure("locator polynomial does not split over Z")
     monomials = []
     for root in roots:
-        mono = _monomial_from_locator(root, primes, d)
+        mono = _monomial_from_locator(root, bases, d)
         if mono is None:
             raise InterpolationFailure(
                 "locator root %d is not a bounded prime-power product" % root

@@ -39,6 +39,28 @@ def clear_denominators(coeffs):
     return [int(c.numerator) * (den // int(c.denominator)) for c in coeffs], den
 
 
+def is_prime(n) -> bool:
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    i = 3
+    while i * i <= n:
+        if n % i == 0:
+            return False
+        i += 2
+    return True
+
+
+def primes(start=2):
+    """The primes >= start, ascending, without end."""
+    n = max(2, start)
+    while True:
+        if is_prime(n):
+            yield n
+        n += 1
+
+
 def q_str(q) -> str:
     return str(q)
 

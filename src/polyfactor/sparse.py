@@ -19,6 +19,40 @@ def grlex_key(exps):
     return (sum(exps), exps)
 
 
+def _packing(n, deg):
+    """(bits, pack, unpack) for exponent tuples of n slots and total degree
+    at most deg.  A key holds one field per slot under a top field with the
+    total degree, so int order is graded lex and, while totals stay <= deg,
+    adding keys multiplies monomials.  Each field has a free top bit."""
+    bits = deg.bit_length() + 1
+    field = (1 << bits) - 1
+
+    def pack(exps):
+        key = sum(exps)
+        for e in exps:
+            key = (key << bits) | e
+        return key
+
+    def unpack(key):
+        exps = [0] * n
+        for i in range(n - 1, -1, -1):
+            exps[i] = key & field
+            key >>= bits
+        return tuple(exps)
+
+    return bits, pack, unpack
+
+
+def _mul_into(acc, a, b):
+    """acc += a * b on {packed key: int} tables; returns acc."""
+    get = acc.get
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            key = k1 + k2
+            acc[key] = get(key, 0) + c1 * c2
+    return acc
+
+
 class SparsePoly:
     __slots__ = ("n", "terms", "_hash")
 
@@ -60,6 +94,15 @@ class SparsePoly:
         exps = [0] * n
         exps[i - 1] = 1
         return cls(n, {tuple(exps): ONE})
+
+    @classmethod
+    def linear(cls, coeffs, constant=ZERO):
+        """c_1 z_1 + ... + c_m z_m + constant, with m = len(coeffs)."""
+        m = len(coeffs)
+        terms = {(0,) * m: Q(constant)}
+        for j, c in enumerate(coeffs):
+            terms[(0,) * j + (1,) + (0,) * (m - j - 1)] = Q(c)
+        return cls(m, terms)
 
     @classmethod
     def monomial(cls, n, exps, coeff=ONE):
@@ -279,7 +322,11 @@ class SparsePoly:
 
         assignment: sequence of length n of SparsePoly over a common variable
         count m (taken from the first entry when m is None).  Constants are
-        also accepted.
+        also accepted.  This is the one change-of-variables kernel: the
+        denominators of self and of every image are cleared once, each
+        image's powers are tabulated as integer polynomials on packed
+        monomial keys, every term's expansion lands in one table, and each
+        output coefficient becomes a rational once.
         """
         if len(assignment) != self.n:
             raise VariableCountMismatch(
@@ -300,31 +347,86 @@ class SparsePoly:
                 images.append(img)
             else:
                 images.append(SparsePoly.const(m, img))
-        power_cache = [[SparsePoly.const(m, 1)] for _ in range(self.n)]
-
-        def power(i, e):
-            cache = power_cache[i]
-            while len(cache) <= e:
-                cache.append(cache[-1] * images[i])
-            return cache[e]
-
-        total = SparsePoly.zero(m)
-        for exps, coeff in self.terms.items():
-            acc = SparsePoly.const(m, coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    acc = acc * power(i, e)
-            total = total + acc
-        return total
-
-    def shift(self, offsets):
-        """Translate z_i -> z_i + offsets[i]."""
-        assignment = []
-        for i, off in enumerate(offsets, start=1):
-            assignment.append(
-                SparsePoly.variable(self.n, i) + SparsePoly.const(self.n, off)
+        tops = [max(col) for col in zip(*self.terms)] if self.terms else [0] * self.n
+        img_degs = [img.degree() or 0 for img in images]
+        deg = max(
+            (sum(e * d for e, d in zip(exps, img_degs)) for exps in self.terms),
+            default=0,
+        )
+        _, pack, unpack = _packing(m, deg)
+        f_ints, den = clear_denominators(self.terms.values())
+        # powers[i][e] = (img_den_i * image_i)^e; a term with z_i^e is scaled
+        # by img_den_i^(top_i - e), so every term shares the denominator
+        # den = f_den * prod img_den_i^top_i
+        powers = []
+        scales = []
+        for img, top in zip(images, tops):
+            if not top:
+                powers.append(None)
+                scales.append(None)
+                continue
+            ints, img_den = clear_denominators(img.terms.values())
+            table = [{0: 1}, {pack(e): c for e, c in zip(img.terms, ints)}]
+            while len(table) <= top:
+                table.append(_mul_into({}, table[-1], table[1]))
+            powers.append(table)
+            scales.append(
+                None if img_den == 1 else [img_den ** (top - e) for e in range(top + 1)]
             )
-        return self.substitute(assignment, m=self.n)
+            den *= img_den**top
+        total = {}
+        for exps, c in zip(self.terms, f_ints):
+            factors = []
+            for i, e in enumerate(exps):
+                if scales[i] is not None:
+                    c *= scales[i][e]
+                if e:
+                    factors.append(powers[i][e])
+            part = {0: c}
+            for table in factors[:-1]:
+                part = _mul_into({}, part, table)
+            _mul_into(total, part, factors[-1] if factors else {0: 1})
+        return SparsePoly(
+            m, {unpack(key): Q(c, den) for key, c in total.items() if c}
+        )
+
+    def shift(self, offsets, scale=1):
+        """Translate z_i -> scale * z_i + offsets[i]."""
+        n = self.n
+        return self.substitute(
+            [
+                SparsePoly.linear([scale if j == i else 0 for j in range(n)], off)
+                for i, off in enumerate(offsets)
+            ],
+            m=n,
+        )
+
+    def eval_var(self, var, value):
+        """Substitute z_var := value (1-based) and drop the slot."""
+        i = var - 1
+        value = Q(value)
+        powers = {}
+        terms = {}
+        for exps, c in self.terms.items():
+            e = exps[i]
+            if e:
+                if not value:
+                    continue
+                p = powers.get(e)
+                if p is None:
+                    p = powers[e] = value**e
+                c = c * p
+            reduced = exps[:i] + exps[i + 1 :]
+            acc = terms.get(reduced)
+            if acc is None:
+                terms[reduced] = c
+            else:
+                acc = acc + c
+                if acc:
+                    terms[reduced] = acc
+                else:
+                    del terms[reduced]
+        return SparsePoly(self.n - 1, terms)
 
     def map_variables(self, positions, m):
         """Re-embed into m variables, sending slot i to slot positions[i]."""
@@ -362,22 +464,14 @@ class SparsePoly:
         deg = self.degree()
         if g.degree() > deg:
             return None
-        # One field per slot, total degree on top, so int order is graded
-        # lex.  Every remainder and quotient exponent is at most deg, which
-        # leaves each field a free top bit: a field-wise lt(g) | lt(r) test
-        # is then one subtraction, borrowing into no neighbouring field.
+        # Every remainder and quotient exponent is at most deg, so each
+        # field keeps its free top bit: a field-wise lt(g) | lt(r) test is
+        # then one subtraction, borrowing into no neighbouring field.
         n = self.n
-        bits = deg.bit_length() + 1
+        bits, pack, unpack = _packing(n, deg)
         guard = 0
         for _ in range(n + 1):
             guard = (guard << bits) | (1 << (bits - 1))
-
-        def pack(exps):
-            key = sum(exps)
-            for e in exps:
-                key = (key << bits) | e
-            return key
-
         f_ints, f_den = clear_denominators(self.terms.values())
         g_ints, g_den = clear_denominators(g.terms.values())
         content = 0
@@ -417,16 +511,10 @@ class SparsePoly:
                     else:
                         del rem[key]
         # h = (g_den / (f_den * content)) * quot
-        field = (1 << bits) - 1
         den = f_den * content
-        terms = {}
-        for key, c in quot.items():
-            exps = [0] * n
-            for i in range(n - 1, -1, -1):
-                exps[i] = key & field
-                key >>= bits
-            terms[tuple(exps)] = Q(g_den * c, den)
-        return SparsePoly(n, terms)
+        return SparsePoly(
+            n, {unpack(key): Q(g_den * c, den) for key, c in quot.items()}
+        )
 
     def divides(self, other):
         return other.exact_divide(self) is not None

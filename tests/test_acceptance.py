@@ -343,7 +343,7 @@ def test_criterion_9_su_pipeline():
         assert is_irreducible_lowvar(f)
         done += 1
     # d=1 oracle contract, exhaustive over small coefficient patterns on n=4
-    from polyfactor.engine import monicize, _project_bivariate
+    from polyfactor.engine import monicize, _project
 
     oracle = su_oracle(4, 1)
     for c1 in (-1, 0, 1):
@@ -363,8 +363,8 @@ def test_criterion_9_su_pipeline():
                     shift, _ = monicize(g)
                     preserved = False
                     for pair in oracle.pairs(shift.alpha):
-                        image = _project_bivariate(
-                            g, shift.alpha, pair.beta, pair.gamma, shift.normalizer
+                        image = _project(
+                            g, shift.alpha, [pair.beta], pair.gamma, shift.normalizer
                         )
                         fl = factor_monic(image)
                         if len(fl.factors) == 1 and fl.factors[0][1] == 1:

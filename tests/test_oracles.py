@@ -13,7 +13,7 @@ from polyfactor.oracles import (
     su_membership,
     su_oracle,
 )
-from polyfactor.engine import monicize, _project_bivariate
+from polyfactor.engine import monicize, _project
 from polyfactor.basefactor import factor_monic, is_irreducible_lowvar
 from polyfactor.config import Config
 
@@ -64,7 +64,7 @@ def preserving_pair_exists(g, oracle, limit=None):
     for idx, pair in enumerate(oracle.pairs(shift.alpha)):
         if limit is not None and idx >= limit:
             return False
-        image = _project_bivariate(g, shift.alpha, pair.beta, pair.gamma, shift.normalizer)
+        image = _project(g, shift.alpha, [pair.beta], pair.gamma, shift.normalizer)
         fl = factor_monic(image)
         if len(fl.factors) == 1 and fl.factors[0][1] == 1:
             return True

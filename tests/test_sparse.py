@@ -64,6 +64,100 @@ def test_substitute_to_zero():
     assert f.substitute([SparsePoly.zero(1)], m=1).is_zero()
 
 
+def reference_substitute(f, assignment, m=None):
+    """Composition by whole-polynomial products on Fractions: the reference
+    the integer substitution kernel must agree with."""
+    if m is None:
+        m = next(img.n for img in assignment if isinstance(img, SparsePoly))
+    images = [
+        img if isinstance(img, SparsePoly) else SparsePoly.const(m, img)
+        for img in assignment
+    ]
+    power_cache = [[SparsePoly.const(m, 1)] for _ in range(f.n)]
+
+    def power(i, e):
+        cache = power_cache[i]
+        while len(cache) <= e:
+            cache.append(cache[-1] * images[i])
+        return cache[e]
+
+    total = SparsePoly.zero(m)
+    for exps, coeff in f.terms.items():
+        acc = SparsePoly.const(m, coeff)
+        for i, e in enumerate(exps):
+            if e:
+                acc = acc * power(i, e)
+        total = total + acc
+    return total
+
+
+def random_image(rng, m):
+    kind = rng.randrange(6)
+    if kind == 0:  # a plain constant, rational or int
+        return rng.choice([Q(-3, 4), Q(5, 2), 0, 7, -1])
+    if kind == 1:
+        return SparsePoly.zero(m)
+    if kind == 2:
+        return SparsePoly.const(m, Q(rng.randint(-9, 9), rng.randint(1, 5)))
+    if kind == 3:  # affine, rational and negative coefficients
+        return SparsePoly.linear(
+            [Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(m)],
+            Q(rng.randint(-5, 5), rng.randint(1, 3)),
+        )
+    if kind == 4:  # nonlinear, plain int coefficients
+        g = random_poly(rng, m, 3, 3, ensure_nonzero=False)
+        return SparsePoly(m, {e: int(c) for e, c in g.terms.items()})
+    return random_rational_poly(rng, m, rng.randint(1, 3), rng.randint(1, 3))
+
+
+def test_substitute_matches_reference_composition():
+    rng = rng_for("substitute-reference")
+    for trial in range(200):
+        n = rng.randint(1, 5)
+        m = rng.randint(1, 3)
+        f = random_rational_poly(rng, n, rng.randint(0, 4), rng.randint(1, 6))
+        if trial % 4 == 0:  # plain int coefficients
+            f = SparsePoly(n, {e: int(c.numerator) for e, c in f.terms.items()})
+        if trial % 5 == 0:  # a variable absent from f
+            k = rng.randrange(n)
+            f = SparsePoly(n, {e[:k] + (0,) + e[k + 1 :]: c for e, c in f.terms.items()})
+        assignment = [random_image(rng, m) for _ in range(n)]
+        if trial % 7 == 0:  # m inferred from the first polynomial image
+            assignment[0] = Q(2, 3)
+            assignment[-1] = SparsePoly.variable(m, m)
+            got = f.substitute(assignment)
+        else:
+            got = f.substitute(assignment, m=m)
+        assert got == reference_substitute(f, assignment, m)
+        assert got.n == m
+        assert all(type(c) is type(Q(1)) for c in got.terms.values())
+
+
+def test_substitute_high_degree_images():
+    f = parse_poly("z1^5*z2 - 3/4*z2^7 + z1")
+    y = SparsePoly.variable(2, 2)
+    t = SparsePoly.variable(2, 1)
+    assignment = [y**9 * t + y**4, SparsePoly.const(2, Q(1, 3)) - y**11]
+    assert f.substitute(assignment) == reference_substitute(f, assignment)
+
+
+def test_successive_eval_var_equals_eval_point():
+    rng = rng_for("eval-var")
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        f = random_rational_poly(rng, n, rng.randint(0, 5), rng.randint(1, 8))
+        point = [rng.choice([0, 1, -2, Q(3, 5), Q(-7, 2)]) for _ in range(n)]
+        value = f.eval_point(point)
+        current, slots = f, list(range(n))  # slots[k]: variable left in slot k+1
+        for i in rng.sample(range(n), n):
+            k = slots.index(i)
+            current = current.eval_var(k + 1, point[i])
+            del slots[k]
+            assert current.n == len(slots)
+            assert current.eval_point([point[j] for j in slots]) == value
+        assert current == SparsePoly.const(0, value)
+
+
 def test_hom_component_filters_degree():
     f = parse_poly("z1*z2 + z1")
     assert f.hom_component(2) == parse_poly("z1*z2")
