@@ -1,10 +1,10 @@
 """Exact factorization of univariate, bivariate and trivariate polynomials
 over Q in dense representation.
 
-Univariate: clear denominators, Yun squarefree decomposition, then a
-deterministic Zassenhaus pass per squarefree part (smallest usable prime,
-Berlekamp modulo p, quadratic Hensel lifting to a Landau-Mignotte bound,
-subset recombination).
+Univariate: clear denominators once, take the primitive integer part, run
+Yun's squarefree decomposition over Z, then a deterministic Zassenhaus pass
+per squarefree part (smallest usable prime, Berlekamp modulo p, quadratic
+Hensel lifting to a Landau-Mignotte bound, subset recombination).
 
 Two and three variables, monic in x: evaluate the largest-degree non-main
 variable at points 0, 1, -1, 2, ... scanned deterministically, factor the
@@ -20,8 +20,8 @@ point can only cost time, never correctness.
 import math
 from itertools import combinations
 
-from .rational import Q, ONE, ZERO, clear_denominators, primes
-from .sparse import SparsePoly, grlex_key
+from .rational import Q, ONE, clear_denominators, primes
+from .sparse import SparsePoly
 from .dense import DensePoly3, from_dense
 from .factors import FactorList, factor_sort_key
 from .errors import LiftFailure, PolyError, VerificationError, ZeroPolynomialError
@@ -430,127 +430,64 @@ def _zassenhaus(F):
 
 
 # ---------------------------------------------------------------------------
-# univariate over Q
+# univariate over Q, factored as its primitive integer part
 
 
-def _uq_trim(f):
-    while f and not f[-1]:
-        f.pop()
-    return f
-
-
-def _uq_divmod(f, g):
+def _up_prem(f, g):
+    """Pseudo-remainder in Z[x]: lc(g)^k * f mod g, k the steps taken."""
     rem = list(f)
-    quot = [ZERO] * max(0, len(rem) - len(g) + 1)
-    inv = ONE / g[-1]
-    for k in range(len(rem) - len(g), -1, -1):
-        c = rem[k + len(g) - 1]
-        if not c:
-            continue
-        q = c * inv
-        quot[k] = q
-        for j, b in enumerate(g):
-            rem[k + j] = rem[k + j] - q * b
-    return _uq_trim(quot), _uq_trim(rem)
+    lc, dg = g[-1], len(g) - 1
+    while len(rem) > dg:
+        c = rem.pop()
+        shift = len(rem) - dg
+        if lc != 1:
+            rem = [a * lc for a in rem]
+        for j in range(dg):
+            rem[shift + j] -= c * g[j]
+        up_trim(rem)
+    return rem
 
 
-def _uq_gcd(f, g):
-    a, b = _uq_trim(list(f)), _uq_trim(list(g))
+def _up_gcd_z(f, g):
+    """Primitive gcd in Z[x], leading coefficient positive (primitive PRS)."""
+    a, b = _up_primitive_z(f), _up_primitive_z(g)
     while b:
-        _, r = _uq_divmod(a, b)
-        a, b = b, r
-    if a:
-        inv = ONE / a[-1]
-        a = [c * inv for c in a]
+        a, b = b, _up_primitive_z(_up_prem(a, b))
     return a
 
 
-def _uq_deriv(f):
-    return _uq_trim([c * i for i, c in enumerate(f)][1:])
-
-
-def _uq_mul(f, g):
-    if not f or not g:
-        return []
-    out = [ZERO] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if not a:
-            continue
-        for j, b in enumerate(g):
-            out[i + j] = out[i + j] + a * b
-    return _uq_trim(out)
-
-
-def _uq_sub(f, g):
-    out = [ZERO] * max(len(f), len(g))
-    for i, c in enumerate(f):
-        out[i] = c
-    for i, c in enumerate(g):
-        out[i] = out[i] - c
-    return _uq_trim(out)
-
-
-def _yun_q(f):
-    """Squarefree decomposition [(monic part, multiplicity)] of monic f."""
-    fp = _uq_deriv(f)
-    u = _uq_gcd(f, fp)
-    if not u or len(u) == 1:
-        return [(f, 1)]
-    v, _ = _uq_divmod(f, u)
-    w, _ = _uq_divmod(fp, u)
-    out = []
-    i = 1
-    guard = len(f) + 2
-    while len(v) > 1:
-        guard -= 1
-        if guard < 0:  # pragma: no cover
-            raise LiftFailure("squarefree decomposition did not terminate")
-        z = _uq_sub(w, _uq_deriv(v))
-        if not z:
-            out.append(([c / v[-1] for c in v], i))
-            break
-        h = _uq_gcd(v, z)
-        if len(h) > 1:
-            out.append((h, i))
-        v, _ = _uq_divmod(v, h)
-        w, _ = _uq_divmod(z, h)
-        i += 1
+def _coeff_list(f):
+    """Ascending coefficients of a univariate SparsePoly, gaps as 0."""
+    out = [0] * ((f.degree() or 0) + 1)
+    for exps, c in f.terms.items():
+        out[exps[0]] = c
     return out
 
 
-def _sparse_to_uq(f):
-    d = f.degree() or 0
-    out = [ZERO] * (d + 1)
-    for exps, c in f.terms.items():
-        out[exps[0]] = c
-    return _uq_trim(out)
-
-
-def _uq_to_sparse(coeffs, n=1, slot=0):
-    terms = {}
-    for i, c in enumerate(coeffs):
-        if c:
-            e = [0] * n
-            e[slot] = i
-            terms[tuple(e)] = c
-    return SparsePoly(n, terms)
-
-
 def _factor_univariate_pairs(f):
-    """[(canonical irreducible, multiplicity)] for a univariate SparsePoly."""
-    coeffs = _sparse_to_uq(f)
-    if not coeffs:
+    """[(canonical irreducible, multiplicity)] for a univariate SparsePoly.
+
+    Yun's squarefree decomposition runs on the primitive integer part F of f.
+    By Gauss's lemma every quotient stays in Z[x], and every part comes out
+    primitive with a positive leading coefficient, ready for Zassenhaus.
+    """
+    F = _up_primitive_z(clear_denominators(_coeff_list(f))[0])
+    if not F:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
-    if len(coeffs) == 1:
-        return []
-    monic = [c / coeffs[-1] for c in coeffs]
+    dF = up_deriv(F)
+    u = _up_gcd_z(F, dF)
+    v, w = _up_div_exact_z(F, u), _up_div_exact_z(dF, u)
     pairs = []
-    for part, mult in _yun_q(monic):
-        ints, _ = clear_denominators(part)
-        ints = _up_primitive_z(ints)
-        for fac in _zassenhaus(ints):
-            poly = _uq_to_sparse([Q(c) for c in fac], n=f.n, slot=0)
-            pairs.append((poly.canonical(), mult))
+    mult = 1
+    while len(v) > 1:
+        z = up_sub(w, up_deriv(v))
+        h = _up_gcd_z(v, z) if z else _up_primitive_z(v)
+        if len(h) > 1:
+            for fac in _zassenhaus(h):
+                terms = {(i,) + (0,) * (f.n - 1): Q(c) for i, c in enumerate(fac) if c}
+                pairs.append((SparsePoly(f.n, terms).canonical(), mult))
+        v, w = _up_div_exact_z(v, h), _up_div_exact_z(z, h)
+        mult += 1
     pairs.sort(key=lambda pm: factor_sort_key(pm[0]))
     return pairs
 
@@ -894,9 +831,10 @@ def _series_to_qpoly(ser, v, w, v0, n, m):
     return SparsePoly(n, terms)
 
 
-def _series_order_reconstructs(ser, j, m):
-    """Cheap gate: can the single u-order j of a subset product be rationally
-    reconstructed?  Junk subsets fail here long before a full product."""
+def _series_order_reconstructs(ser, m):
+    """Cheap gate: can every coefficient of one u-order of a subset product
+    be rationally reconstructed?  Junk subsets fail here long before a full
+    product."""
     for val in ser.values():
         if _ratrec(val % m, m) is None:
             return False
@@ -952,7 +890,7 @@ def _attempt_lift(f, v, w, v0, base, k_boost):
                     g1 = u.eval_var(2, w0)  # slot 1 is w in the base polys
                 else:
                     g1 = u
-                lst = up_trim(_uq_ints(_sparse_to_uq(g1), p))
+                lst = up_trim([_q_mod(c, p) for c in _coeff_list(g1)])
                 if up_deg(lst) != u.degree_in(1):
                     ok = False
                     break
@@ -1019,7 +957,7 @@ def _attempt_lift(f, v, w, v0, base, k_boost):
                         prefix = _series_mul(prefix, leaves[i][:3], 3, m)
                     bad = False
                     for row in prefix[1:]:
-                        if not _series_order_reconstructs(row, 0, m):
+                        if not _series_order_reconstructs(row, m):
                             bad = True
                             break
                     if bad:
@@ -1060,13 +998,6 @@ def _attempt_lift(f, v, w, v0, base, k_boost):
     return results
 
 
-def _uq_ints(coeffs, p):
-    out = []
-    for c in coeffs:
-        out.append(_q_mod(c, p))
-    return out
-
-
 _MAX_EVAL_ATTEMPTS = 400
 
 
@@ -1079,28 +1010,20 @@ def _factor_monic_sparse(f):
     if dx is None or dx == 0:
         raise PolyError("input not monic in its main variable")
     side_degs = {i: (f.degree_in(i) or 0) for i in range(2, n + 1)}
-    live = [i for i, d in side_degs.items() if d > 0]
-    if not live:
-        # really univariate in x; factor the profile and re-embed
-        profile = SparsePoly(1, {(e[0],): c for e, c in f.terms.items()})
-        pairs = _factor_univariate_pairs(profile)
+    dead = [i for i, d in side_degs.items() if d == 0]
+    if dead:
+        # drop the side variables f does not use, recurse and re-embed
+        low = f
+        for i in reversed(dead):
+            low = low.eval_var(i, 0)
+        slots = [i - 1 for i in range(1, n + 1) if i not in dead]
         return [
-            (g.map_variables([0], n).canonical(), mult) for g, mult in pairs
+            (g.map_variables(slots, n).canonical(), mult)
+            for g, mult in _factor_monic_sparse(low)
         ]
-    v = max(live, key=lambda i: (side_degs[i], -i))
-    w = None
-    if n == 3:
-        others = [i for i in (2, 3) if i != v]
-        w = others[0] if side_degs.get(others[0], 0) > 0 else None
-        if w is None:
-            # only two effective variables; drop the dead slot and recurse
-            dead = others[0]
-            pairs = _factor_monic_sparse(f.eval_var(dead, 0))
-            slots = [i for i in range(n) if i != dead - 1]
-            return [
-                (g.map_variables(slots, n).canonical(), mult) for g, mult in pairs
-            ]
-    survivors = [i for i in range(2, n + 1) if i != v]
+    v = max(side_degs, key=lambda i: (side_degs[i], -i))
+    survivors = [i for i in side_degs if i != v]
+    w = survivors[0] if survivors else None
     point_iter = _eval_points()
     consumed = 0
     boost = 0

@@ -15,7 +15,6 @@ from .rational import q_str
 from .config import Config, DEFAULT
 from .errors import CapError, PolyError, PromiseViolation
 from .parse import ParseError, parse_poly, parse_product
-from .factors import FactorList
 from . import engine, oracles, isolation
 from .divisibility import divides_exact, divisibility_witness, quotient_from_witness
 from .parse import render_poly

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .rational import Q, ONE, ZERO
 from .sparse import SparsePoly
+from .basefactor import _up_div_exact_z, up_eval, up_mul
 from .errors import ZeroDivisorError
 from .pit import find_nonzero_point
 
@@ -44,47 +45,16 @@ def divides_exact(f, g):
 def truncation_weights(d, D):
     """lambda_beta over beta = 1..D+1 with sum_beta lambda_beta q(beta)
     = sum of q's coefficients of degree <= d, for every q of degree <= D."""
-    betas = list(range(1, D + 2))
-    master = [ONE]
+    betas = range(1, D + 2)
+    master = [1]
     for b in betas:
-        master = _uq_mul_linear(master, b)
+        master = up_mul(master, [-b, 1])
     weights = {}
     for b in betas:
-        num = _uq_deflate(master, b)
-        den = ZERO
-        acc = ONE
+        num = _up_div_exact_z(master, [-b, 1])
         # num evaluated at b gives prod_{b' != b} (b - b')
-        den = _uq_eval(num, Q(b))
-        inv = ONE / den
-        weights[b] = sum(num[k] for k in range(0, min(d, len(num) - 1) + 1)) * inv
+        weights[b] = Q(sum(num[: d + 1]), up_eval(num, b))
     return weights
-
-
-def _uq_mul_linear(poly, root):
-    # poly * (X - root)
-    out = [ZERO] * (len(poly) + 1)
-    for i, c in enumerate(poly):
-        out[i + 1] = out[i + 1] + c
-        out[i] = out[i] - c * root
-    return out
-
-
-def _uq_deflate(poly, root):
-    # poly / (X - root), exact
-    n = len(poly) - 1
-    out = [ZERO] * n
-    acc = ZERO
-    for i in range(n - 1, -1, -1):
-        acc = poly[i + 1] + acc * root
-        out[i] = acc
-    return out
-
-
-def _uq_eval(poly, x):
-    acc = ZERO
-    for c in reversed(poly):
-        acc = acc * x + c
-    return acc
 
 
 def divisibility_witness(f, g, degree_bound=None):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .rational import Q, ONE
 from .sparse import SparsePoly
 from .dense import to_dense
-from .factors import FactorList, factor_sort_key
+from .factors import FactorList
 from .errors import (
     CapError,
     InterpolationFailure,

@@ -7,7 +7,7 @@ stripped content is absorbed into the scalar.  Factor order is canonical
 
 from dataclasses import dataclass
 
-from .rational import Q, ONE, q_str
+from .rational import Q, q_str
 from .sparse import SparsePoly, grlex_key
 from .parse import render_poly
 
@@ -51,9 +51,6 @@ class FactorList:
         for poly, mult in self.factors:
             total = total * poly**mult
         return total
-
-    def as_pairs(self):
-        return {poly: mult for poly, mult in self.factors}
 
     def __len__(self):
         return len(self.factors)

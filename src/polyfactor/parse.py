@@ -12,7 +12,7 @@ base grammar, e.g. "(z1+z2)^2*(z1-1)"; the CLI exposes it as --expand.
 
 import re
 
-from .rational import Q, ONE
+from .rational import Q
 from .sparse import SparsePoly
 from .errors import PolyError
 
@@ -153,7 +153,10 @@ class _Parser:
     def parse_atom(self):
         kind, value, pos = self.next()
         if kind == "number":
-            return SparsePoly.const(self.n, Q(*map(int, value.split("/"))) if "/" in value else Q(int(value)))
+            num, _, den = value.partition("/")
+            if den and not int(den):
+                raise ParseError("zero denominator in %s" % value, pos)
+            return SparsePoly.const(self.n, Q(int(num), int(den or 1)))
         if kind == "var":
             slot = _var_slot(value, self.n, pos)
             return SparsePoly.variable(self.n, slot + 1)
@@ -166,30 +169,25 @@ class _Parser:
         raise ParseError("unexpected token %r" % (value or "end of input"), pos)
 
 
-def parse_poly(text, n=None):
-    """Parse the flat term grammar into a canonical SparsePoly."""
+def _parse(text, n, products):
     if n is None:
         n = infer_arity(text)
-    tokens = tokenize(text)
-    parser = _Parser(tokens, n, products=False)
+    parser = _Parser(tokenize(text), n, products)
     poly = parser.parse_sum()
     kind, value, pos = parser.peek()
     if kind != "end":
         raise ParseError("trailing input %r" % value, pos)
     return poly
+
+
+def parse_poly(text, n=None):
+    """Parse the flat term grammar into a canonical SparsePoly."""
+    return _parse(text, n, products=False)
 
 
 def parse_product(text, n=None):
     """Parse the extended grammar with parentheses and products (--expand)."""
-    if n is None:
-        n = infer_arity(text)
-    tokens = tokenize(text)
-    parser = _Parser(tokens, n, products=True)
-    poly = parser.parse_sum()
-    kind, value, pos = parser.peek()
-    if kind != "end":
-        raise ParseError("trailing input %r" % value, pos)
-    return poly
+    return _parse(text, n, products=True)
 
 
 def _var_name(slot, n, reserved):

@@ -13,6 +13,7 @@ from itertools import islice, product
 
 from .rational import Q, ONE, ZERO, clear_denominators, primes
 from .sparse import SparsePoly
+from .basefactor import factor_univariate_q, up_eval
 from .errors import CapError, InterpolationFailure, ZeroPolynomialError
 
 
@@ -210,10 +211,7 @@ def _integer_roots(char_coeffs, primes, d):
 
     def walk(idx, value):
         if idx == len(primes):
-            acc = 0
-            for c in reversed(ints):
-                acc = acc * value + c
-            if acc == 0:
+            if up_eval(ints, value) == 0:
                 roots.append(value)
             return
         v = value
@@ -229,8 +227,6 @@ def _integer_roots(char_coeffs, primes, d):
 
 def _integer_roots_by_factoring(char_coeffs):
     """Fallback: factor the locator and read off linear roots."""
-    from .basefactor import factor_univariate_q
-
     poly = SparsePoly(1, {(i,): c for i, c in enumerate(char_coeffs) if c})
     roots = []
     for factor, mult in factor_univariate_q(poly).factors:

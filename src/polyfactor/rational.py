@@ -18,16 +18,6 @@ ZERO = Q(0)
 ONE = Q(1)
 
 
-def is_integer(q) -> bool:
-    return q.denominator == 1
-
-
-def as_int(q) -> int:
-    if q.denominator != 1:
-        raise ValueError("not an integer: %s" % (q,))
-    return int(q.numerator)
-
-
 def clear_denominators(coeffs):
     """(ints, den): den is the lcm of the coefficients' denominators and
     ints[i] == den * coeffs[i] as a Python int.  Accepts rationals and ints."""
@@ -63,12 +53,3 @@ def primes(start=2):
 
 def q_str(q) -> str:
     return str(q)
-
-
-def parse_q(text: str):
-    """Parse "a" or "a/b" into a rational."""
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Q(int(num), int(den))
-    return Q(int(text))

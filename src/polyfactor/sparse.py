@@ -268,12 +268,6 @@ class SparsePoly:
             self.n, {e: c for e, c in self.terms.items() if sum(e) == k}
         )
 
-    def top_component(self):
-        d = self.degree()
-        if d is None:
-            return self
-        return self.hom_component(d)
-
     def derivative(self, var, order=1):
         """order-th partial derivative in variable var (1-based)."""
         if not 1 <= var <= self.n:
@@ -572,13 +566,3 @@ class SparsePoly:
             root = root + SparsePoly.monomial(self.n, q_exps, coeff)
             remainder = self - root**k
         return root
-
-
-def poly_from_terms(n, pairs):
-    """Sum duplicate exponent tuples; pairs is an iterable of (exps, coeff)."""
-    terms = {}
-    for exps, coeff in pairs:
-        exps = tuple(exps)
-        acc = terms.get(exps)
-        terms[exps] = coeff if acc is None else acc + coeff
-    return SparsePoly(n, terms)

@@ -7,8 +7,9 @@ import sys
 import pytest
 import sympy
 
-from polyfactor.rational import Q
+from polyfactor.rational import Q, ONE, ZERO, clear_denominators
 from polyfactor.sparse import SparsePoly
+from polyfactor.factors import factor_sort_key
 from polyfactor.parse import parse_poly, parse_product, render_poly
 from polyfactor.basefactor import (
     factor_univariate_q,
@@ -18,6 +19,9 @@ from polyfactor.basefactor import (
     factor_lowvar,
     is_irreducible_lowvar,
     squarefree_decomposition,
+    _factor_univariate_pairs,
+    _up_primitive_z,
+    _zassenhaus,
 )
 from polyfactor.errors import PolyError, ZeroPolynomialError
 
@@ -190,3 +194,130 @@ def test_recomposition_gate_holds_under_optimize_flag():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "verification error"
+
+
+# ---------------------------------------------------------------------------
+# Fraction reference: the squarefree decomposition over Q that the integer
+# path replaced, kept here to check it part for part
+
+
+def _uq_trim(f):
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _uq_divmod(f, g):
+    rem = list(f)
+    quot = [ZERO] * max(0, len(rem) - len(g) + 1)
+    inv = ONE / g[-1]
+    for k in range(len(rem) - len(g), -1, -1):
+        c = rem[k + len(g) - 1]
+        if not c:
+            continue
+        q = c * inv
+        quot[k] = q
+        for j, b in enumerate(g):
+            rem[k + j] = rem[k + j] - q * b
+    return _uq_trim(quot), _uq_trim(rem)
+
+
+def _uq_gcd(f, g):
+    a, b = _uq_trim(list(f)), _uq_trim(list(g))
+    while b:
+        _, r = _uq_divmod(a, b)
+        a, b = b, r
+    if a:
+        inv = ONE / a[-1]
+        a = [c * inv for c in a]
+    return a
+
+
+def _uq_deriv(f):
+    return _uq_trim([c * i for i, c in enumerate(f)][1:])
+
+
+def _uq_sub(f, g):
+    out = [ZERO] * max(len(f), len(g))
+    for i, c in enumerate(f):
+        out[i] = c
+    for i, c in enumerate(g):
+        out[i] = out[i] - c
+    return _uq_trim(out)
+
+
+def _yun_q(f):
+    """Squarefree decomposition [(monic part, multiplicity)] of monic f."""
+    fp = _uq_deriv(f)
+    u = _uq_gcd(f, fp)
+    if not u or len(u) == 1:
+        return [(f, 1)]
+    v, _ = _uq_divmod(f, u)
+    w, _ = _uq_divmod(fp, u)
+    out = []
+    i = 1
+    while len(v) > 1:
+        z = _uq_sub(w, _uq_deriv(v))
+        if not z:
+            out.append(([c / v[-1] for c in v], i))
+            break
+        h = _uq_gcd(v, z)
+        if len(h) > 1:
+            out.append((h, i))
+        v, _ = _uq_divmod(v, h)
+        w, _ = _uq_divmod(z, h)
+        i += 1
+    return out
+
+
+def _random_repeated_product(rng):
+    """c * prod g_i^e_i over Q, degree <= 40, repeated and shared factors."""
+    coeff = lambda: Q(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7]))
+    f = SparsePoly.const(1, Q(rng.choice([1, -1, 2, -6, 15]), rng.choice([1, 4, 9])))
+    bases = []
+    while True:
+        if bases and rng.random() < 0.25:
+            g = rng.choice(bases)  # the same factor again, other exponent
+        else:
+            deg = rng.randint(1, 5)
+            terms = {(i,): coeff() for i in range(deg)}
+            terms[(deg,)] = Q(rng.choice([1, -1, 3, -2, 5]), rng.choice([1, 2]))
+            g = SparsePoly(1, terms)
+            bases.append(g)
+        e = rng.randint(1, 4)
+        if (f.degree() or 0) + e * g.degree() > 40:
+            return f
+        f = f * g**e
+
+
+def test_univariate_squarefree_parts_match_fraction_yun():
+    rng = rng_for("univariate-yun-over-z")
+    top = 0
+    for _ in range(40):
+        f = _random_repeated_product(rng)
+        top = max(top, f.degree() or 0)
+        pairs = _factor_univariate_pairs(f)
+        # the product of the factors of each multiplicity, made monic, is
+        # Yun's part of that multiplicity over Q
+        parts = {}
+        for g, mult in pairs:
+            parts[mult] = parts.get(mult, SparsePoly.const(1, 1)) * g
+        got = {
+            mult: [p.terms.get((i,), ZERO) / p.leading_coefficient()
+                   for i in range(p.degree() + 1)]
+            for mult, p in parts.items()
+        }
+        coeffs = [f.terms.get((i,), ZERO) for i in range(f.degree() + 1)]
+        monic = [c / coeffs[-1] for c in coeffs]
+        reference = _yun_q(monic)
+        assert got == dict((m, part) for part, m in reference)
+        # and the factors themselves are those Zassenhaus gave the old path
+        expected = []
+        for part, mult in reference:
+            ints = _up_primitive_z(clear_denominators(part)[0])
+            for fac in _zassenhaus(ints):
+                g = SparsePoly(1, {(i,): Q(c) for i, c in enumerate(fac) if c})
+                expected.append((g.canonical(), mult))
+        expected.sort(key=lambda pm: factor_sort_key(pm[0]))
+        assert pairs == expected
+    assert top >= 30

@@ -145,3 +145,9 @@ def test_stdin_input(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "pit", "-")
     assert code == 0
     assert json.loads(out)["zero"] is False
+
+
+def test_zero_denominator_exit_code(capsys):
+    code, _, err = run_cli(capsys, "pit", "1/0")
+    assert code == 1
+    assert err.startswith("error: ")

@@ -11,6 +11,7 @@ from polyfactor.divisibility import (
     divisibility_witness,
     quotient_from_witness,
     truncated_series_quotient,
+    truncation_weights,
 )
 from polyfactor.errors import ZeroDivisorError
 
@@ -108,3 +109,14 @@ def test_constant_degree_wrapper_backends_agree():
         assert constant_degree_divides(spoiled, g) == constant_degree_divides(
             spoiled, g, use_witness=True
         )
+
+
+def test_truncation_weights_defining_property():
+    # sum_b lambda_b q(b) = sum of q's coefficients of degree <= d for every
+    # q of degree <= D; by linearity it suffices to check q = X^k
+    for d, D in [(0, 0), (1, 2), (2, 8), (3, 18), (4, 32), (2, 5)]:
+        lam = truncation_weights(d, D)
+        assert sorted(lam) == list(range(1, D + 2))
+        for k in range(D + 1):
+            total = sum(weight * Q(b) ** k for b, weight in lam.items())
+            assert total == (1 if k <= d else 0), (d, D, k)

@@ -62,3 +62,12 @@ def test_fuzzed_round_trip():
 def test_zero_renders():
     assert render_poly(SparsePoly.zero(2)) == "0"
     assert parse_poly("0", n=2).is_zero()
+
+
+def test_zero_denominator_is_a_parse_error():
+    text = "z1 + 3/0"
+    with pytest.raises(ParseError) as info:
+        parse_poly(text)
+    assert text[info.value.position :].strip() == "3/0"
+    with pytest.raises(ParseError):
+        parse_product("(z1 + 2/0)^2")
