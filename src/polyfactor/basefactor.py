@@ -9,21 +9,24 @@ Hensel lifting to a Landau-Mignotte bound, subset recombination).
 Two and three variables, monic in x: evaluate the largest-degree non-main
 variable at points 0, 1, -1, 2, ... scanned deterministically, factor the
 image recursively, group the image factorization into pairwise-coprime
-prime powers, Hensel-lift the groups (coefficients mod p^k, series in the
-evaluated variable), and recombine subsets of lifted groups; repeated
-factors come back as exact m-th roots of reconstructed subset products.
+prime powers, translate the evaluation point to the origin, Hensel-lift the
+groups there (coefficients mod p^k, series in the evaluated variable), and
+recombine subsets of lifted groups, each translated back before it is
+tested; repeated factors come back as exact m-th roots of reconstructed
+subset products.
 Every accepted factor is verified by exact division over Q, and a final
 recomposition check guards the whole attempt, so a degenerate evaluation
 point can only cost time, never correctness.
 """
 
 import math
+from dataclasses import dataclass
 from itertools import combinations
 
 from .rational import Q, ONE, clear_denominators, primes
 from .sparse import SparsePoly
 from .dense import DensePoly3, from_dense
-from .factors import FactorList, factor_sort_key
+from .factors import FactorList, factor_sort_key, product_of_powers
 from .errors import LiftFailure, PolyError, VerificationError, ZeroPolynomialError
 
 
@@ -581,74 +584,50 @@ class _UniDioph:
         return da, db
 
 
-def _cd_to_tau_series(d, w0, length, m):
-    """(x, w) dict -> list over (w - w0)-order of x coefficient lists."""
+def _cd_to_tau_series(d, length):
+    """(x, w) dict -> list over w-order of x coefficient lists."""
     rows = [dict() for _ in range(length)]
     for key, v in d.items():
         ex, ew = cd_unpack(key)
-        if w0 == 0:
-            if ew < length:
-                row = rows[ew]
-                row[ex] = (row.get(ex, 0) + v) % m
-        else:
-            for ordv in range(min(ew, length - 1) + 1):
-                contrib = (v * math.comb(ew, ordv)) % m * pow(w0 % m, ew - ordv, m) % m
-                if contrib:
-                    row = rows[ordv]
-                    row[ex] = (row.get(ex, 0) + contrib) % m
+        if ew < length:
+            rows[ew][ex] = v
     out = []
     for row in rows:
-        if row:
-            lst = [0] * (max(row) + 1)
-            for ex, v in row.items():
-                lst[ex] = v
-            out.append(up_trim(lst))
-        else:
-            out.append([])
+        lst = [0] * (max(row, default=-1) + 1)
+        for ex, v in row.items():
+            lst[ex] = v
+        out.append(up_trim(lst))
     return out
 
 
-def _tau_series_to_cd(series, w0, m):
-    """Inverse of _cd_to_tau_series: sum_ord coeffs * (w - w0)^ord."""
-    out = {}
-    for ordv, coeffs in enumerate(series):
-        if not coeffs:
-            continue
-        if w0 == 0:
-            for ex, v in enumerate(coeffs):
-                if v:
-                    key = cd_pack(ex, ordv)
-                    out[key] = (out.get(key, 0) + v) % m
-        else:
-            for b in range(ordv + 1):
-                scale = (math.comb(ordv, b) * pow(-w0 % m, ordv - b, m)) % m
-                if not scale:
-                    continue
-                for ex, v in enumerate(coeffs):
-                    if v:
-                        key = cd_pack(ex, b)
-                        out[key] = (out.get(key, 0) + v * scale) % m
-    return {k: v for k, v in out.items() if v}
+def _tau_series_to_cd(series):
+    """Inverse of _cd_to_tau_series."""
+    return {
+        cd_pack(ex, ordv): v
+        for ordv, coeffs in enumerate(series)
+        for ex, v in enumerate(coeffs)
+        if v
+    }
 
 
 class _BiDioph:
-    """Solve dA*B0 + dB*A0 = e for (x, w) dicts via (w - w0)-adic expansion."""
+    """Solve dA*B0 + dB*A0 = e for (x, w) dicts via w-adic expansion."""
 
-    def __init__(self, A0, B0, w0, wdeg, p, m):
+    def __init__(self, A0, B0, wdeg, p, m):
         self.m = m
-        self.w0 = w0
         self.length = 2 * wdeg + 3
-        self.A0tau = _cd_to_tau_series(A0, w0, self.length, m)
-        self.B0tau = _cd_to_tau_series(B0, w0, self.length, m)
-        a0 = self.A0tau[0]
-        b0 = self.B0tau[0]
-        self.uni = _UniDioph(a0, b0, p, m)
-        self.A0, self.B0 = A0, B0
+        self.A0tau = _cd_to_tau_series(A0, self.length)
+        self.B0tau = _cd_to_tau_series(B0, self.length)
+        self.uni = _UniDioph(self.A0tau[0], self.B0tau[0], p, m)
+        # w-orders past both bases' w-degrees add nothing to the residual
+        self.span = 1 + max(
+            j for j in range(self.length) if self.A0tau[j] or self.B0tau[j]
+        )
 
     def solve(self, e):
         m = self.m
         L = self.length
-        residual = _cd_to_tau_series(e, self.w0, L, m)
+        residual = _cd_to_tau_series(e, L)
         dA = [[] for _ in range(L)]
         dB = [[] for _ in range(L)]
         for ordv in range(L):
@@ -658,7 +637,7 @@ class _BiDioph:
             da, db = self.uni.solve(c)
             dA[ordv] = da
             dB[ordv] = db
-            for jj in range(L - ordv):
+            for jj in range(min(L - ordv, self.span)):
                 upd = up_add(
                     up_mul(da, self.B0tau[jj], m), up_mul(db, self.A0tau[jj], m), m
                 )
@@ -666,28 +645,7 @@ class _BiDioph:
                     residual[ordv + jj] = up_sub(residual[ordv + jj], upd, m)
         if any(residual):
             raise _AttemptFailed("diophantine residual nonzero")
-        return (
-            _tau_series_to_cd(dA, self.w0, m),
-            _tau_series_to_cd(dB, self.w0, m),
-        )
-
-
-class _UniDiophAdapter:
-    """Present _UniDioph over (x, w=absent) coefficient dicts."""
-
-    def __init__(self, A0, B0, p, m):
-        a0 = _cd_to_tau_series(A0, 0, 1, m)[0]
-        b0 = _cd_to_tau_series(B0, 0, 1, m)[0]
-        self.uni = _UniDioph(a0, b0, p, m)
-        self.m = m
-
-    def solve(self, e):
-        c = _cd_to_tau_series(e, 0, 1, self.m)[0]
-        da, db = self.uni.solve(c)
-        return (
-            {cd_pack(i, 0): v for i, v in enumerate(da) if v},
-            {cd_pack(i, 0): v for i, v in enumerate(db) if v},
-        )
+        return _tau_series_to_cd(dA), _tau_series_to_cd(dB)
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +690,7 @@ def _lift_pair(Fser, A0, B0, K, m, dioph):
     return A, B
 
 
-def _lift_tree(Fser, groups, K, m, p, make_dioph):
+def _lift_tree(Fser, groups, K, wdeg, p, m):
     """groups: list of (x, w) dicts at the base point; returns lifted series."""
     if len(groups) == 1:
         return [Fser]
@@ -743,10 +701,9 @@ def _lift_tree(Fser, groups, K, m, p, make_dioph):
     B0 = groups[h]
     for g in groups[h + 1 :]:
         B0 = cd_mul(B0, g, m)
-    dioph = make_dioph(A0, B0)
-    Aser, Bser = _lift_pair(Fser, A0, B0, K, m, dioph)
-    return _lift_tree(Aser, groups[:h], K, m, p, make_dioph) + _lift_tree(
-        Bser, groups[h:], K, m, p, make_dioph
+    Aser, Bser = _lift_pair(Fser, A0, B0, K, m, _BiDioph(A0, B0, wdeg, p, m))
+    return _lift_tree(Aser, groups[:h], K, wdeg, p, m) + _lift_tree(
+        Bser, groups[h:], K, wdeg, p, m
     )
 
 
@@ -763,71 +720,39 @@ def _eval_points():
         k += 1
 
 
-def _q_mod(c, m):
-    den = int(c.denominator)
-    num = int(c.numerator)
-    return (num % m) * pow(den % m, -1, m) % m
+def _reduce_mod(coeffs, m):
+    """Rationals mod m: denominators cleared once, one modular inverse."""
+    ints, den = clear_denominators(coeffs)
+    inv = pow(den, -1, m)
+    return [c * inv % m for c in ints]
 
 
-def _poly_to_series(f, v, w, v0, K, m):
-    """f (n vars, slots x=0, v, w opt) -> series in u=(z_v - v0) of (x,w) dicts."""
-    iv = v - 1
+def _poly_to_series(f, v, w, K, m):
+    """f (n vars, slots x=0, v, w opt) -> series in z_v of (x, w) dicts."""
     iw = None if w is None else w - 1
     ser = [dict() for _ in range(K)]
-    for exps, c in f.terms.items():
-        cm = _q_mod(c, m)
-        ex = exps[0]
-        ew = exps[iw] if iw is not None else 0
-        ev = exps[iv]
-        key = cd_pack(ex, ew)
-        if v0 == 0:
-            if ev < K:
-                d = ser[ev]
-                d[key] = (d.get(key, 0) + cm) % m
-        else:
-            for j in range(min(ev, K - 1) + 1):
-                contrib = (cm * math.comb(ev, j)) % m * pow(v0 % m, ev - j, m) % m
-                if contrib:
-                    d = ser[j]
-                    d[key] = (d.get(key, 0) + contrib) % m
-    return [{k: val for k, val in d.items() if val} for d in ser]
+    for exps, cm in zip(f.terms, _reduce_mod(f.terms.values(), m)):
+        if cm:
+            ew = exps[iw] if iw is not None else 0
+            ser[exps[v - 1]][cd_pack(exps[0], ew)] = cm
+    return ser
 
 
-def _series_to_qpoly(ser, v, w, v0, n, m):
-    """u-series of (x, w) dicts back to an n-variable SparsePoly over Q."""
-    ints = {}
-    for j, d in enumerate(ser):
-        if not d:
-            continue
-        if v0 == 0:
-            for packed, val in d.items():
-                key = (packed, j)
-                ints[key] = (ints.get(key, 0) + val) % m
-        else:
-            for b in range(j + 1):
-                scale = (math.comb(j, b) * pow(-v0 % m, j - b, m)) % m
-                if not scale:
-                    continue
-                for packed, val in d.items():
-                    key = (packed, b)
-                    ints[key] = (ints.get(key, 0) + val * scale) % m
-    iv = v - 1
-    iw = None if w is None else w - 1
+def _series_to_qpoly(ser, v, w, n, m):
+    """z_v-series of (x, w) dicts back to an n-variable SparsePoly over Q."""
     terms = {}
-    for (packed, ev), val in ints.items():
-        val %= m
-        if not val:
-            continue
-        q = _ratrec(val, m)
-        if q is None:
-            return None
-        ex, ew = cd_unpack(packed)
-        exps = [0] * n
-        exps[0] = ex
-        exps[iv] = ev
-        if iw is not None:
-            exps[iw] = ew
-        terms[tuple(exps)] = q
+    for ev, d in enumerate(ser):
+        for packed, val in d.items():
+            q = _ratrec(val, m)
+            if q is None:
+                return None
+            ex, ew = cd_unpack(packed)
+            exps = [0] * n
+            exps[0] = ex
+            exps[v - 1] = ev
+            if w is not None:
+                exps[w - 1] = ew
+            terms[tuple(exps)] = q
     return SparsePoly(n, terms)
 
 
@@ -844,11 +769,10 @@ def _series_order_reconstructs(ser, m):
 def _cd_from_qpoly(f2, m):
     """(x, w) SparsePoly (2 or 1 vars) -> coefficient dict mod m."""
     out = {}
-    for exps, c in f2.terms.items():
-        ex = exps[0]
-        ew = exps[1] if len(exps) > 1 else 0
-        out[cd_pack(ex, ew)] = _q_mod(c, m)
-    return {k: v for k, v in out.items() if v}
+    for exps, cm in zip(f2.terms, _reduce_mod(f2.terms.values(), m)):
+        if cm:
+            out[cd_pack(exps[0], exps[1] if len(exps) > 1 else 0)] = cm
+    return out
 
 
 def _attempt_lift(f, v, w, v0, base, k_boost):
@@ -872,7 +796,6 @@ def _attempt_lift(f, v, w, v0, base, k_boost):
                     raise _AttemptFailed("non-constant x-leading coefficient")
                 lc = c
         groups.append((u.scale(ONE / lc), mult))
-    cs = [u**mult for u, mult in groups]
     _, denom = clear_denominators(
         c for poly in [f] + [u for u, _ in groups] for c in poly.terms.values()
     )
@@ -881,16 +804,13 @@ def _attempt_lift(f, v, w, v0, base, k_boost):
     for p in primes(3):
         if denom % p == 0:
             continue
-        w0_range = range(2 * dw * len(cs) * len(cs) + 3) if w is not None else (0,)
+        w0_range = range(2 * dw * len(groups) ** 2 + 3) if w is not None else (0,)
         for w0 in w0_range:
             imgs = []
             ok = True
             for u, _ in groups:
-                if w is not None:
-                    g1 = u.eval_var(2, w0)  # slot 1 is w in the base polys
-                else:
-                    g1 = u
-                lst = up_trim([_q_mod(c, p) for c in _coeff_list(g1)])
+                g1 = u.eval_var(2, w0) if w is not None else u  # w is variable 2
+                lst = up_trim(_reduce_mod(_coeff_list(g1), p))
                 if up_deg(lst) != u.degree_in(1):
                     ok = False
                     break
@@ -914,7 +834,8 @@ def _attempt_lift(f, v, w, v0, base, k_boost):
             raise LiftFailure("no usable prime for multivariate lift")
     p, w0 = chosen
     # modulus size: coefficient-magnitude heuristic, doubled on reconstruction
-    # failure by the caller via k_boost
+    # failure by the caller via k_boost; shift_bits covers the growth of the
+    # coefficients under the translation below
     hbits = 1
     for c in f.terms.values():
         hbits = max(hbits, int(c.numerator).bit_length() + int(c.denominator).bit_length())
@@ -924,15 +845,16 @@ def _attempt_lift(f, v, w, v0, base, k_boost):
     k = max(2, (bits_needed + p.bit_length() - 1) // p.bit_length())
     m = p**k
 
-    Fser = _poly_to_series(f, v, w, v0, K, m)
-    group_cds = [_cd_from_qpoly(c, m) for c in cs]
-
-    if w is None:
-        make_dioph = lambda A0, B0: _UniDiophAdapter(A0, B0, p, m)
-    else:
-        make_dioph = lambda A0, B0: _BiDioph(A0, B0, w0, dw, p, m)
-
-    leaves = _lift_tree(Fser, group_cds, K, m, p, make_dioph)
+    # translate once so the lift and the reconstruction run at the origin
+    offsets = [0] * n
+    offsets[v - 1] = v0
+    if w is not None:
+        offsets[w - 1] = w0
+        groups = [(u.shift((0, w0)), mult) for u, mult in groups]
+    back = [-o for o in offsets]
+    Fser = _poly_to_series(f.shift(offsets), v, w, K, m)
+    group_cds = [_cd_from_qpoly(u**mult, m) for u, mult in groups]
+    leaves = _lift_tree(Fser, group_cds, K, dw, p, m)
 
     indices = list(range(len(groups)))
     remaining = f
@@ -966,11 +888,13 @@ def _attempt_lift(f, v, w, v0, base, k_boost):
                 Wser = leaves[S[0]]
                 for i in S[1:]:
                     Wser = _series_mul(Wser, leaves[i], K, m)
-                Wq = _series_to_qpoly(Wser, v, w, v0, n, m)
+                Wq = _series_to_qpoly(Wser, v, w, n, m)
                 if Wq is None:
                     need_bigger = True
                     continue
-                Wq = Wq.canonical()
+                # back to the original coordinates before any division: the
+                # translated f is dense
+                Wq = Wq.shift(back).canonical()
                 P = Wq.integer_root(mult) if mult > 1 else Wq
                 if P is None:
                     continue
@@ -1188,23 +1112,13 @@ def is_irreducible_lowvar(f):
 # squarefree decomposition, derived from the factorization
 
 
-from dataclasses import dataclass
-
-
 @dataclass(frozen=True)
 class SquarefreeDecomposition:
     parts: tuple  # of (SparsePoly, exponent), exponents strictly increasing
     content: object
 
     def recompose(self):
-        if not self.parts:
-            n = 1
-        else:
-            n = self.parts[0][0].n
-        total = SparsePoly.const(n, self.content)
-        for poly, e in self.parts:
-            total = total * poly**e
-        return total
+        return product_of_powers(self.content, self.parts)
 
 
 def squarefree_decomposition(f):

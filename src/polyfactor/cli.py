@@ -115,7 +115,12 @@ def build_parser():
 def run(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = Config.from_file(args.config) if args.config else DEFAULT
+    config = DEFAULT
+    if args.config:
+        try:
+            config = Config.from_file(args.config)
+        except OSError as exc:
+            raise ValueError("cannot read config %s: %s" % (args.config, exc.strerror))
 
     if args.command == "factor-cd":
         f = _read_poly(args, args.poly)

@@ -2,6 +2,9 @@
 
 from dataclasses import dataclass, fields
 
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("0", "false", "no", "off")
+
 
 @dataclass
 class Config:
@@ -39,9 +42,21 @@ class Config:
                 if key not in names:
                     raise ValueError("%s:%d: unknown key %r" % (path, lineno, key))
                 if names[key] in ("bool", bool):
-                    values[key] = value.lower() in ("1", "true", "yes", "on")
+                    flag = value.lower()
+                    if flag not in _TRUE + _FALSE:
+                        raise ValueError(
+                            "%s:%d: %s expects one of %s, got %r"
+                            % (path, lineno, key, "/".join(_TRUE + _FALSE), value)
+                        )
+                    values[key] = flag in _TRUE
                 else:
-                    values[key] = int(value)
+                    try:
+                        values[key] = int(value)
+                    except ValueError:
+                        raise ValueError(
+                            "%s:%d: %s expects an integer, got %r"
+                            % (path, lineno, key, value)
+                        ) from None
         return cls(**values)
 
 

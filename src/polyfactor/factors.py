@@ -12,6 +12,15 @@ from .sparse import SparsePoly, grlex_key
 from .parse import render_poly
 
 
+def product_of_powers(scalar, pairs):
+    """scalar * product(poly^e) over (poly, e) pairs; univariate when empty."""
+    n = pairs[0][0].n if pairs else 1
+    total = SparsePoly.const(n, scalar)
+    for poly, e in pairs:
+        total = total * poly**e
+    return total
+
+
 def factor_sort_key(f):
     items = sorted(f.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
     return (
@@ -43,14 +52,7 @@ class FactorList:
 
     def recompose(self):
         """scalar * product(factor^mult); equals the input when complete."""
-        if not self.factors:
-            n = 1
-        else:
-            n = self.factors[0][0].n
-        total = SparsePoly.const(n, self.scalar)
-        for poly, mult in self.factors:
-            total = total * poly**mult
-        return total
+        return product_of_powers(self.scalar, self.factors)
 
     def __len__(self):
         return len(self.factors)

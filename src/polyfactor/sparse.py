@@ -386,6 +386,8 @@ class SparsePoly:
 
     def shift(self, offsets, scale=1):
         """Translate z_i -> scale * z_i + offsets[i]."""
+        if scale == 1 and not any(offsets):
+            return self
         n = self.n
         return self.substitute(
             [

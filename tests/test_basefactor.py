@@ -19,6 +19,9 @@ from polyfactor.basefactor import (
     factor_lowvar,
     is_irreducible_lowvar,
     squarefree_decomposition,
+    _AttemptFailed,
+    _attempt_lift,
+    _factor_monic_sparse,
     _factor_univariate_pairs,
     _up_primitive_z,
     _zassenhaus,
@@ -169,6 +172,45 @@ def test_shift_preserves_irreducibility():
         shifted = g.substitute(assignment, m=m)
         assert is_irreducible_lowvar(shifted)
         checked += 1
+
+
+# (product, variable count, v, w): lifted in z_v, with z_w kept in the base
+LIFT_CASES = [
+    ("(z1 + z2^2 + 1)*(z1 - 3*z2 + 2)", 2, 2, None),
+    ("(z1 + z2)^2*(z1^2 - z2 + 1/2)", 2, 2, None),
+    ("(z1 + z2 + z3)*(z1 - z2 + 2*z3)", 3, 3, 2),
+    ("(z1 + z3 + z2)*(z1 - z3 + 2*z2)", 3, 2, 3),
+    ("(z1^2 + z2*z3 + z2^2 - 1)*(z1 + z2^2 - 2*z3)^2", 3, 2, 3),
+    ("(z1 + 2*z2*z3 + z3^2)*(z1^2 - z2 + z3 + 3)*(z1 - z2^2)", 3, 2, 3),
+]
+
+
+@pytest.mark.parametrize("text, n, v, w", LIFT_CASES)
+def test_attempt_lift_away_from_the_origin(text, n, v, w):
+    """The lift translates its evaluation point to the origin and back: at
+    every point that yields a result it is the complete factorization."""
+    f = parse_product(text, n)
+    want = list(factor_monic(f).factors)
+    lifted = []
+    for v0 in (0, 1, -1, 2):
+        base = _factor_monic_sparse(f.eval_var(v, v0))
+        try:
+            result = _attempt_lift(f, v, w, v0, base, 0)
+        except _AttemptFailed:
+            continue
+        if result is not None:
+            assert result == want, (v0, result)
+            lifted.append(v0)
+    assert set(lifted) - {0}, "no lift away from the origin: %s" % lifted
+
+
+def test_attempt_lift_with_a_nonzero_w_point():
+    # at v0 = 0 the base images (x + w) and (x - w) meet at w = 0, so the
+    # lift must evaluate the base at some w0 != 0
+    f = parse_product("(z1 + z3 + z2)*(z1 - z3 + 2*z2)", 3)
+    base = _factor_monic_sparse(f.eval_var(2, 0))
+    assert [u.eval_var(2, 0) for u, _ in base] == [parse_poly("z1")] * 2
+    assert _attempt_lift(f, 2, 3, 0, base, 0) == list(factor_monic(f).factors)
 
 
 def test_recomposition_gate_holds_under_optimize_flag():

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from polyfactor.cli import main
+from polyfactor.config import Config
 
 
 def run_cli(capsys, *argv):
@@ -151,3 +152,33 @@ def test_zero_denominator_exit_code(capsys):
     code, _, err = run_cli(capsys, "pit", "1/0")
     assert code == 1
     assert err.startswith("error: ")
+
+
+def test_config_bad_bool_names_its_line(tmp_path, capsys):
+    cfg = tmp_path / "caps.cfg"
+    cfg.write_text("max_delta = 3\nstrict_caps = ture\n")
+    code, _, err = run_cli(capsys, "--config", str(cfg), "pit", "z1")
+    assert code == 1
+    assert err.startswith("error: %s:2: strict_caps" % cfg)
+    for spelling, flag in (("Off", False), ("no", False), ("YES", True), ("1", True)):
+        cfg.write_text("strict_caps = %s\n" % spelling)
+        assert Config.from_file(str(cfg)).strict_caps is flag
+
+
+def test_config_bad_int_names_its_line(tmp_path, capsys):
+    cfg = tmp_path / "caps.cfg"
+    cfg.write_text("# caps\nmax_delta = three\n")
+    code, _, err = run_cli(capsys, "--config", str(cfg), "pit", "z1")
+    assert code == 1
+    assert err.startswith("error: %s:2: max_delta expects an integer" % cfg)
+
+
+def test_config_missing_file_exit_code(tmp_path, capsys):
+    missing = tmp_path / "nope.cfg"
+    code, _, err = run_cli(capsys, "--config", str(missing), "pit", "z1")
+    assert code == 1
+    assert err.startswith("error: cannot read config %s" % missing)
+    assert "Traceback" not in err
+    code, _, err = run_cli(capsys, "--config", str(tmp_path), "pit", "z1")
+    assert code == 1
+    assert err.startswith("error: cannot read config")
