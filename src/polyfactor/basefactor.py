@@ -26,7 +26,7 @@ from itertools import combinations
 from .rational import Q, ONE, clear_denominators, primes
 from .sparse import SparsePoly
 from .dense import DensePoly3, from_dense
-from .factors import FactorList, factor_sort_key, product_of_powers
+from .factors import FactorList, divide_out, factor_sort_key, product_of_powers
 from .errors import LiftFailure, PolyError, VerificationError, ZeroPolynomialError
 
 
@@ -898,18 +898,11 @@ def _attempt_lift(f, v, w, v0, base, k_boost):
                 P = Wq.integer_root(mult) if mult > 1 else Wq
                 if P is None:
                     continue
-                count = 0
-                cur = remaining
-                while True:
-                    quotient = cur.exact_divide(P)
-                    if quotient is None:
-                        break
-                    cur = quotient
-                    count += 1
+                quotient, count = divide_out(remaining, P)
                 if count == 0:
                     continue
                 results.append((P.canonical(), count))
-                remaining = cur
+                remaining = quotient
                 indices = [i for i in indices if i not in S]
                 progressed = True
                 break

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .rational import Q, ONE, ZERO
 from .sparse import SparsePoly
 from .basefactor import _up_div_exact_z, up_eval, up_mul
-from .errors import ZeroDivisorError
+from .errors import VerificationError, ZeroDivisorError
 from .pit import find_nonzero_point
 
 
@@ -67,7 +67,8 @@ def divisibility_witness(f, g, degree_bound=None):
         d = max(f.degree() or 0, g.degree() or 0, 1)
     alpha = find_nonzero_point(g, n, g.degree() or 0, mode="whitebox")
     g_alpha = g.eval_point(alpha)
-    assert g_alpha != 0
+    if g_alpha == 0:
+        raise VerificationError("nonzero-point search returned a root of g")
     D = 2 * d * d
     lam = truncation_weights(d, D)
     a = [
@@ -108,11 +109,13 @@ def quotient_from_witness(witness):
 
 def truncated_series_quotient(f, g, alpha, d):
     """Brute-force oracle: degree-<=d truncation of f(z+alpha)/g(z+alpha)
-    computed by term-by-term power series division."""
+    computed by term-by-term power series division; ValueError when
+    g(alpha) = 0."""
     F = f.shift(alpha)
     G = g.shift(alpha)
     g0 = G.constant_value()
-    assert g0 != 0
+    if g0 == 0:
+        raise ValueError("g vanishes at alpha: the series f/g does not exist")
     u = SparsePoly.const(f.n, 1) - G.scale(ONE / g0)  # no constant term
     inv = SparsePoly.zero(f.n)
     upow = SparsePoly.const(f.n, 1)

@@ -2,13 +2,16 @@
 constant-degree factor algorithms, and oracle-driven sparse factor
 extraction.
 
+Every pipeline keeps one residual: the input with each accepted factor
+divided out, changed only by replacing it with an exact quotient.
 Projection schemes cannot be certified analytically at desk scale, so the
-constant-degree pipelines walk a deterministic scheme ladder: a lost factor
-shows up either as a failed recomposition (promise path) or as a nonconstant
-residual that the next rung gets to work on.  Soundness never depends on the
-scheme: every emitted factor passed an exact divisibility gate, and inverted
-candidates whose inverse shift still involves x are discarded, which makes
-every survivor provably irreducible.
+constant-degree pipelines walk a deterministic scheme ladder on the
+residual: a factor one rung loses stays in the residual for the next rung,
+and under the promise a residual still nonconstant when the ladder stops is
+a violation.  Soundness never depends on the scheme: every emitted factor
+passed an exact divisibility gate, and inverted candidates whose inverse
+shift still involves x are discarded, which makes every survivor provably
+irreducible.
 """
 
 from dataclasses import dataclass
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from .rational import Q, ONE
 from .sparse import SparsePoly
 from .dense import to_dense
-from .factors import FactorList
+from .factors import FactorList, divide_out
 from .errors import (
     CapError,
     InterpolationFailure,
@@ -71,8 +74,8 @@ def monicize(f):
     normalizer = top.eval_point(alpha)
     units = [[int(i == j) for i in range(f.n)] for j in range(f.n)]
     f_alpha = _project(f, alpha, units, (0,) * f.n, normalizer)
-    assert f_alpha.degree_in(1) == d
-    assert f_alpha.terms.get((d,) + (0,) * f.n) == ONE
+    if f_alpha.degree_in(1) != d or f_alpha.terms.get((d,) + (0,) * f.n) != ONE:
+        raise VerificationError("monic shift is not monic in x")
     return MonicShift(tuple(alpha), normalizer, f.n, d), f_alpha
 
 
@@ -109,8 +112,8 @@ def projected_factoring(f, delta, scheme=None, config=None):
             f.n, delta, shift.degree, config.psi_g_degree_cap
         )[0]
     grid = psi_map(f_alpha, scheme, max_cells=config.max_dense_cells)
-    degs = grid.true_degrees()
-    assert degs[0] == shift.degree, "psi must preserve the x-degree"
+    if grid.true_degrees()[0] != shift.degree:
+        raise VerificationError("psi must preserve the x-degree")
     factor_list = factor_monic(grid.to_sparse())
     proj = []
     proj_mult = []
@@ -135,38 +138,53 @@ def _invert_candidate(h, proj, delta):
     return g.canonical()
 
 
-def factor_constant_degree_promise(f, delta, config=None):
-    """Complete factorization under the promise that every irreducible factor
-    has degree <= delta; PromiseViolation when the output cannot recompose."""
-    config = config or DEFAULT_CONFIG
+def _constant_degree_search(f, delta, config):
+    """(found, residual): walk the scheme ladder, projecting the residual and
+    dividing out every inverted candidate that divides it.  The residual
+    only ever changes by an exact quotient, and the found factors are
+    distinct irreducibles, so a candidate's count in the residual is its
+    multiplicity in f."""
     if f.is_constant():
         raise PolyError("cannot factor a constant")
-    last_error = None
+    found = []
+    residual = f
+    passes = 0
     for scheme in scheme_ladder(
         f.n, delta, f.degree(), config.psi_g_degree_cap
     ):
-        try:
-            proj = projected_factoring(f, delta, scheme, config)
-        except CapError:
-            raise
-        pairs = []
-        ok = True
-        for h, e in proj.s_proj_fac_mult:
+        if residual.is_constant():
+            break
+        passes += 1
+        proj = projected_factoring(residual, delta, scheme, config)
+        progressed = False
+        for h in proj.s_proj_fac:
             g = _invert_candidate(h, proj, delta)
             if g is None:
-                ok = False
-                last_error = "projected factor was not invertible"
-                break
-            pairs.append((g, e))
-        if not ok:
-            continue
-        result = FactorList.build(f.leading_coefficient(), pairs)
-        if result.recompose() == f:
-            return result
-        last_error = "recomposition mismatch"
-    raise PromiseViolation(
-        "input has a factor of degree > %d (%s)" % (delta, last_error)
-    )
+                continue
+            residual, e = divide_out(residual, g)
+            if e:
+                found.append((g, e))
+                progressed = True
+        # one rung may confirm another: stop after two passes in a row with
+        # nothing new; a factor invisible to two schemes is past the
+        # empirical design point (the divisibility gate keeps this sound)
+        if not progressed and passes >= 2:
+            break
+    return found, residual
+
+
+def factor_constant_degree_promise(f, delta, config=None):
+    """Complete factorization under the promise that every irreducible factor
+    has degree <= delta; PromiseViolation when the ladder search leaves a
+    nonconstant residual."""
+    found, residual = _constant_degree_search(f, delta, config or DEFAULT_CONFIG)
+    if not residual.is_constant():
+        raise PromiseViolation("input has a factor of degree > %d" % delta)
+    # lc(f) = c * prod lc(g)^e with every g canonical, so c is the scalar
+    result = FactorList.build(residual.constant_value(), found)
+    if result.recompose() != f:
+        raise VerificationError("promise factorization does not recompose")
+    return result
 
 
 def factor_multiplicity(f, g):
@@ -188,47 +206,8 @@ def factor_multiplicity(f, g):
 def constant_degree_factors(f, delta, config=None):
     """All irreducible factors of f of degree <= delta with multiplicities
     (no promise); factors outside the degree bound are left in the residual."""
-    config = config or DEFAULT_CONFIG
-    if f.is_constant():
-        raise PolyError("cannot factor a constant")
-    found = {}
-    remaining = f
-    passes = 0
-    for scheme in scheme_ladder(
-        f.n, delta, f.degree(), config.psi_g_degree_cap
-    ):
-        if remaining.is_constant() or (remaining.degree() or 0) < 1:
-            break
-        passes += 1
-        proj = projected_factoring(remaining, delta, scheme, config)
-        candidates = []
-        seen = set()
-        for h in proj.s_proj_fac:
-            g = _invert_candidate(h, proj, delta)
-            if g is not None and g not in seen:
-                seen.add(g)
-                candidates.append(g)
-        progressed = False
-        for g in candidates:
-            if g in found:
-                continue
-            if not constant_degree_divides(f, g):
-                continue
-            e = factor_multiplicity(f, g)
-            assert e >= 1
-            found[g] = e
-            progressed = True
-            for _ in range(e):
-                quotient = remaining.exact_divide(g)
-                if quotient is None:
-                    break
-                remaining = quotient
-        # one rung may confirm another: stop after two passes in a row with
-        # nothing new; a factor invisible to two schemes is past the
-        # empirical design point (the divisibility gate keeps this sound)
-        if not progressed and passes >= 2:
-            break
-    return FactorList.build(ONE, list(found.items()))
+    found, _ = _constant_degree_search(f, delta, config or DEFAULT_CONFIG)
+    return FactorList.build(ONE, found)
 
 
 # ---------------------------------------------------------------------------
@@ -309,20 +288,23 @@ def sparse_factors(f, s, oracle, config=None):
     <= s, with multiplicities.  The divisibility gate is unconditional: a
     degraded oracle can only lose factors, never emit a wrong one.
 
-    Bookkeeping keeps the search affordable: projection pairs whose bivariate
-    factors are all images of already-found factors (or the residual cofactor
-    staying irreducible) cannot contribute and are skipped after one cheap
-    factorization, and the residual itself is probed directly whenever it
-    shrinks, which ends fully-in-class runs without exhausting the grid.
+    The search runs on one residual, f with every accepted factor divided
+    out: each oracle pair projects and slices the residual, normalized by
+    Hom[residual](alpha), which is nonzero because Hom is multiplicative and
+    Hom[f](alpha) != 0.  A certified candidate is divided out of the
+    residual, and its count there is its multiplicity in f, since the
+    accepted factors are distinct irreducibles.  The residual itself is
+    probed directly whenever it shrinks, which ends fully-in-class runs
+    without exhausting the grid.
     """
     config = config or DEFAULT_CONFIG
     if f.is_constant():
         raise PolyError("cannot factor a constant")
     n = f.n
     d = f.degree()
-    shift, _ = monicize(f)
-    alpha = shift.alpha
-    found = {}
+    alpha = monicize(f)[0].alpha
+    found = []
+    residual = f
 
     def slot_sparsity(deg):
         """Sparsity ceiling for a class factor of the given degree; None
@@ -333,70 +315,50 @@ def sparse_factors(f, s, oracle, config=None):
             return min(s, oracle.sparsity_for_degree(deg))
         return s
 
-    def residual():
-        product = SparsePoly.const(n, ONE)
-        for g, e in found.items():
-            product = product * g**e
-        quotient = f.exact_divide(product)
-        if quotient is None:
-            raise VerificationError("accepted factors do not divide the input")
-        return quotient
+    def accept(g):
+        nonlocal residual
+        residual, e = divide_out(residual, g)
+        found.append((g, e))
 
-    def probe_direct(h):
+    def probe_direct():
         """Admit the residual itself when it is an in-class irreducible."""
-        if h.is_constant():
-            return False
-        hc = h.canonical()
-        if hc in found or hc.sparsity() > s or not oracle.contains(hc):
-            return False
-        if not _certify_irreducible(hc, oracle, config):
-            return False
-        found[hc] = factor_multiplicity(f, hc)
-        return True
+        if residual.is_constant():
+            return
+        hc = residual.canonical()
+        if hc.sparsity() > s or not oracle.contains(hc):
+            return
+        if _certify_irreducible(hc, oracle, config):
+            accept(hc)
 
-    def residual_exhausted(h):
+    def residual_exhausted():
         """True when the residual provably holds no unfound class factor:
         every factor of f outside `found` divides it, so a certified
         irreducible residual (itself already probed) ends the search."""
-        if h.is_constant():
+        if residual.is_constant():
             return True
-        deg_h = h.degree() or 0
-        if deg_h == 1:
+        deg = residual.degree()
+        if deg == 1:
             return True
-        if deg_h == 2:
-            return _quadratic_irreducible(h)
-        if oracle.decide_irreducible is not None and oracle.contains(h):
-            return oracle.decide_irreducible(h)
+        if deg == 2:
+            return _quadratic_irreducible(residual)
+        if oracle.decide_irreducible is not None and oracle.contains(residual):
+            return oracle.decide_irreducible(residual)
         return False
 
-    remaining = residual()
-    while probe_direct(remaining):
-        remaining = residual()
+    probe_direct()
     stall = 0
     for pair in oracle.pairs(alpha):
-        if residual_exhausted(remaining):
+        if residual_exhausted():
             break
         if stall >= config.su_stall:
             break
-        f_hat = _project(f, alpha, [pair.beta], pair.gamma, shift.normalizer)
-        bivariate = factor_monic(f_hat)
-        images = set()
-        for g in found:
-            img = _project(g, alpha, [pair.beta], pair.gamma, ONE)
-            if not img.is_zero():
-                images.add(img.canonical())
-        residual_img = None
-        if not remaining.is_constant():
-            img = _project(remaining, alpha, [pair.beta], pair.gamma, ONE)
-            if not img.is_zero():
-                residual_img = img.canonical()
-        deg_remaining = remaining.degree() or 0
+        deg_residual = residual.degree()
+        normalizer = residual.hom_component(deg_residual).eval_point(alpha)
+        r_hat = _project(residual, alpha, [pair.beta], pair.gamma, normalizer)
         refs = []
-        for h, e in bivariate.factors:
-            if h in images:
-                continue
+        for h, e in factor_monic(r_hat).factors:
             deg_slot = h.degree_in(1) or 0
-            if deg_slot == deg_remaining:
+            if deg_slot == deg_residual:
                 # a full-degree candidate could only be the residual itself,
                 # which the direct probe has already ruled on
                 continue
@@ -404,11 +366,7 @@ def sparse_factors(f, s, oracle, config=None):
             if s_slot is None:
                 continue  # no class member has this degree
             refs.append((h, e, deg_slot, s_slot))
-        if not refs or (
-            residual_img is not None
-            and len(refs) == 1
-            and refs[0][0] == residual_img
-        ):
+        if not refs:
             stall += 1
             continue
         # one shared point sequence; each slot consumes the prefix its own
@@ -420,11 +378,11 @@ def sparse_factors(f, s, oracle, config=None):
         all_slices = []
         for omega in plan.points[:max_points]:
             secondary = tuple(omega[i] - pair.gamma[i] for i in range(n))
-            f_omega = _project(
-                f, alpha, [pair.beta, secondary], pair.gamma, shift.normalizer
+            r_omega = _project(
+                residual, alpha, [pair.beta, secondary], pair.gamma, normalizer
             )
             slices = []
-            for h3, e3 in factor_monic(f_omega).factors:
+            for h3, e3 in factor_monic(r_omega).factors:
                 raw = h3.eval_var(3, 0)
                 if raw.is_zero():
                     continue
@@ -459,26 +417,22 @@ def sparse_factors(f, s, oracle, config=None):
             if candidate.is_zero() or candidate.is_constant():
                 continue
             candidate = candidate.canonical()
-            if candidate in found:
-                continue
             if candidate.sparsity() > s:
                 continue
             if not oracle.contains(candidate):
                 continue
-            if f.exact_divide(candidate) is None:
+            if residual.exact_divide(candidate) is None:
                 continue
             if not _certify_irreducible(candidate, oracle, config):
                 continue
-            found[candidate] = factor_multiplicity(f, candidate)
+            accept(candidate)
             added = True
         if added:
             stall = 0
-            remaining = residual()
-            while probe_direct(remaining):
-                remaining = residual()
+            probe_direct()
         else:
             stall += 1
-    return FactorList.build(ONE, list(found.items()))
+    return FactorList.build(ONE, found)
 
 
 def factor_su(f, config=None):

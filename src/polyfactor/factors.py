@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from .rational import Q, q_str
 from .sparse import SparsePoly, grlex_key
 from .parse import render_poly
+from .errors import PolyError
 
 
 def product_of_powers(scalar, pairs):
@@ -67,14 +68,16 @@ class FactorList:
         }
 
 
-def multiplicity_by_division(f, g):
-    """Repeated exact division; the independent oracle for Lemma-style
-    multiplicity computations in tests."""
+def divide_out(f, g):
+    """(f / g^count, count) with count the largest power of g dividing f,
+    found by repeated exact division; for an irreducible g, count is its
+    multiplicity in f."""
+    if g.is_constant():
+        raise PolyError("cannot divide out a constant")
     count = 0
-    current = f
     while True:
-        quotient = current.exact_divide(g)
+        quotient = f.exact_divide(g)
         if quotient is None:
-            return count
+            return f, count
+        f = quotient
         count += 1
-        current = quotient

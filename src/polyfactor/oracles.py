@@ -140,14 +140,6 @@ def su_decide_irreducible(f):
     return is_irreducible_lowvar(SparsePoly(len(support), terms))
 
 
-def _graded_tuples(width, radius_bound):
-    """All tuples in {1..radius_bound}^width, by max coordinate then lex."""
-    for radius in range(1, radius_bound + 1):
-        for combo in _tuples_up_to(width, radius):
-            if max(combo) == radius:
-                yield combo
-
-
 def _tuples_up_to(width, radius):
     if width == 0:
         yield ()

@@ -39,7 +39,7 @@ from polyfactor.divisibility import (
     quotient_from_witness,
 )
 from polyfactor.pit import interpolation_plan, sparse_interpolate
-from polyfactor.factors import multiplicity_by_division
+from polyfactor.factors import divide_out
 from polyfactor.dense import to_dense
 from polyfactor.errors import NotInCodomain, PromiseViolation
 
@@ -139,7 +139,7 @@ def test_criterion_3_multiplicity():
     # the worked case first
     f = parse_product("(z1+z2)^2*z1")
     g = parse_poly("z1+z2")
-    assert factor_multiplicity(f, g) == 2 == multiplicity_by_division(f, g)
+    assert factor_multiplicity(f, g) == 2 == divide_out(f, g)[1]
     rng = rng_for("acceptance-3")
     done = 0
     while done < 200:
@@ -151,7 +151,7 @@ def test_criterion_3_multiplicity():
         k = rng.randint(0, 4)
         f = g**k * h
         m1 = factor_multiplicity(f, g)
-        m2 = multiplicity_by_division(f, g)
+        m2 = divide_out(f, g)[1]
         assert m1 == m2 == k
         done += 1
 

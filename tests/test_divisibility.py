@@ -97,6 +97,13 @@ def test_constants_match_series_oracle():
         assert w.h_tilde == oracle
 
 
+def test_series_quotient_rejects_a_root_of_g():
+    f = parse_poly("z1^2 + z2")
+    g = parse_poly("z1 - z2")
+    with pytest.raises(ValueError):
+        truncated_series_quotient(f, g, (1, 1), 2)
+
+
 def test_constant_degree_wrapper_backends_agree():
     rng = rng_for("cd-divides")
     for _ in range(40):

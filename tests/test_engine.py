@@ -17,7 +17,7 @@ from polyfactor.engine import (
     unmonicize,
 )
 from polyfactor.oracles import constant_degree_oracle, su_oracle
-from polyfactor.factors import multiplicity_by_division
+from polyfactor.factors import divide_out
 from polyfactor.errors import PolyError, PromiseViolation
 
 from conftest import (
@@ -130,6 +130,26 @@ def test_promise_violation():
         factor_constant_degree_promise(f, 2)
 
 
+def test_promise_violation_fails_fast(monkeypatch):
+    # the cubic survives the first pass and the second adds nothing, so the
+    # ladder stops there rather than trying every rung
+    import polyfactor.engine as engine
+
+    calls = 0
+    original = engine.projected_factoring
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "projected_factoring", counted)
+    f = parse_product("(z1^3 + z2 + 5)*(z1 + z2)")
+    with pytest.raises(PromiseViolation):
+        factor_constant_degree_promise(f, 2)
+    assert calls <= 2
+
+
 def test_constant_degree_factors_worked_example():
     f = parse_product("(z1+z2)^2*(z1^2+z2^2+1)*(z1^3+z2+5)")
     fl = constant_degree_factors(f, 2)
@@ -170,12 +190,16 @@ def test_multiplicity_matches_division_oracle():
             continue
         k = rng.randint(1, 4)
         f = g**k * h
-        assert factor_multiplicity(f, g) == k == multiplicity_by_division(f, g)
+        assert factor_multiplicity(f, g) == k == divide_out(f, g)[1]
+        for j in range(4):
+            assert divide_out(g**j * h, g) == (h, j)
 
 
 def test_multiplicity_constant_rejected():
     with pytest.raises(PolyError):
         factor_multiplicity(parse_poly("z1"), SparsePoly.const(1, 2))
+    with pytest.raises(PolyError):
+        divide_out(parse_poly("z1"), SparsePoly.const(1, 2))
 
 
 def test_sparse_irreducible_test():
