@@ -21,10 +21,10 @@ point can only cost time, never correctness.
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .rational import Q, ONE, clear_denominators, primes
-from .sparse import SparsePoly
+from .sparse import SparsePoly, _mul_into
 from .dense import DensePoly3, from_dense
 from .factors import FactorList, divide_out, factor_sort_key, product_of_powers
 from .errors import LiftFailure, PolyError, VerificationError, ZeroPolynomialError
@@ -510,8 +510,9 @@ def factor_univariate_q(f):
 
 # ---------------------------------------------------------------------------
 # coefficient dictionaries for the multivariate lift: {ex*STRIDE + ew: int}
-# (packed keys add componentwise under integer addition; reductions mod m are
-# deferred to the end of each product)
+# (packed keys add componentwise under integer addition, so products run on
+# the sparse kernel _mul_into; sums accumulate unreduced and each value is
+# reduced mod m once, where it is read)
 
 STRIDE = 1 << 20
 
@@ -524,34 +525,21 @@ def cd_unpack(key):
     return key // STRIDE, key % STRIDE
 
 
-def cd_mul(a, b, m):
+def cd_reduce(a, m):
+    """The nonzero entries of a mod m."""
     out = {}
-    get = out.get
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = ka + kb
-            out[k] = get(k, 0) + va * vb
-    result = {}
-    for k, v in out.items():
+    for k, v in a.items():
         v %= m
         if v:
-            result[k] = v
-    return result
-
-
-def cd_add_into(acc, a, m, scale=1):
-    for k, v in a.items():
-        nv = (acc.get(k, 0) + scale * v) % m
-        if nv:
-            acc[k] = nv
-        else:
-            acc.pop(k, None)
+            out[k] = v
+    return out
 
 
 def cd_sub(a, b, m):
     out = dict(a)
-    cd_add_into(out, b, m, scale=-1)
-    return out
+    for k, v in b.items():
+        out[k] = out.get(k, 0) - v
+    return cd_reduce(out, m)
 
 
 # ---------------------------------------------------------------------------
@@ -655,36 +643,27 @@ class _BiDioph:
 def _series_mul(A, B, K, m):
     out = [dict() for _ in range(K)]
     for i, ai in enumerate(A):
-        if not ai:
-            continue
-        for j, bj in enumerate(B):
-            if i + j >= K:
-                break
-            if not bj:
-                continue
-            cd_add_into(out[i + j], cd_mul(ai, bj, m), m)
-    return out
+        for j, bj in enumerate(B[: K - i]):
+            _mul_into(out[i + j], ai, bj)
+    return [cd_reduce(row, m) for row in out]
 
 
 def _lift_pair(Fser, A0, B0, K, m, dioph):
     A = [dict(A0)] + [dict() for _ in range(K - 1)]
     B = [dict(B0)] + [dict() for _ in range(K - 1)]
-    AB = [dict() for _ in range(K)]
-    AB[0] = cd_mul(A0, B0, m)
-    if cd_sub(AB[0], Fser[0], m):
+    AB = [dict() for _ in range(K)]  # unreduced; read through cd_sub
+    if cd_sub(_mul_into({}, A0, B0), Fser[0], m):
         raise _AttemptFailed("base product mismatch")
     for j in range(1, K):
         E = cd_sub(Fser[j], AB[j], m)
         if not E:
             continue
         dA, dB = dioph.solve(E)
-        for i in range(K - j):
-            if A[i] and dB:
-                cd_add_into(AB[i + j], cd_mul(dB, A[i], m), m)
-            if B[i] and dA:
-                cd_add_into(AB[i + j], cd_mul(dA, B[i], m), m)
-        if 2 * j < K and dA and dB:
-            cd_add_into(AB[2 * j], cd_mul(dA, dB, m), m)
+        for i in range(min(j, K - j)):  # A[i], B[i] are still zero for i >= j
+            _mul_into(AB[i + j], dB, A[i])
+            _mul_into(AB[i + j], dA, B[i])
+        if 2 * j < K:
+            _mul_into(AB[2 * j], dA, dB)
         A[j] = dA
         B[j] = dB
     return A, B
@@ -697,10 +676,10 @@ def _lift_tree(Fser, groups, K, wdeg, p, m):
     h = len(groups) // 2
     A0 = groups[0]
     for g in groups[1:h]:
-        A0 = cd_mul(A0, g, m)
+        A0 = cd_reduce(_mul_into({}, A0, g), m)
     B0 = groups[h]
     for g in groups[h + 1 :]:
-        B0 = cd_mul(B0, g, m)
+        B0 = cd_reduce(_mul_into({}, B0, g), m)
     Aser, Bser = _lift_pair(Fser, A0, B0, K, m, _BiDioph(A0, B0, wdeg, p, m))
     return _lift_tree(Aser, groups[:h], K, wdeg, p, m) + _lift_tree(
         Bser, groups[h:], K, wdeg, p, m
@@ -761,7 +740,7 @@ def _series_order_reconstructs(ser, m):
     be rationally reconstructed?  Junk subsets fail here long before a full
     product."""
     for val in ser.values():
-        if _ratrec(val % m, m) is None:
+        if _ratrec(val, m) is None:
             return False
     return True
 
@@ -1054,7 +1033,9 @@ def factor_lowvar(f):
     top = f.hom_component(d)
     shear = None
     for total in range(0, d * f.n + 2):
-        for combo in _tuples_with_sum(f.n - 1, total):
+        for combo in product(range(total + 1), repeat=f.n - 1):
+            if sum(combo) != total:
+                continue
             point = (ONE,) + tuple(Q(c) for c in combo)
             if top.eval_point(point):
                 shear = combo
@@ -1079,16 +1060,6 @@ def factor_lowvar(f):
     if result.recompose() != f:
         raise VerificationError("recomposition failed")
     return result
-
-
-def _tuples_with_sum(k, total):
-    if k == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _tuples_with_sum(k - 1, total - first):
-            yield (first,) + rest
 
 
 def is_irreducible_lowvar(f):

@@ -20,12 +20,12 @@ from .divisibility import divides_exact, divisibility_witness, quotient_from_wit
 from .parse import render_poly
 
 
-def _read_poly(args, text, expand=False):
+def _read_poly(args, text, n=None):
     if text == "-":
         text = sys.stdin.read()
-    if expand or getattr(args, "expand", False):
-        return parse_product(text)
-    return parse_poly(text)
+    if args.expand:
+        return parse_product(text, n=n)
+    return parse_poly(text, n=n)
 
 
 def _emit(args, payload, text_body=None):
@@ -149,7 +149,7 @@ def run(argv=None):
 
     if args.command == "divides":
         f = _read_poly(args, args.f)
-        g = parse_poly(args.g, n=f.n)
+        g = _read_poly(args, args.g, n=f.n)
         if args.witness:
             w = divisibility_witness(f, g)
             payload = {
@@ -170,7 +170,7 @@ def run(argv=None):
 
     if args.command == "multiplicity":
         f = _read_poly(args, args.f)
-        g = parse_poly(args.g, n=f.n)
+        g = _read_poly(args, args.g, n=f.n)
         e = engine.factor_multiplicity(f, g)
         _emit(args, {"multiplicity": e}, str(e))
         return 0

@@ -16,10 +16,6 @@ class Config:
     su_budget: int = 30_000
     # Budget on pairs drawn from the constant-degree projection oracle.
     oracle_points: int = 5_000
-    # Degree bound used when sizing the split isolation scheme for the
-    # certifying polynomial (its analytic value 2*delta^5 is unreachable at
-    # desk scale; the capped instance is one rung of the scheme ladder).
-    psi_g_degree_cap: int = 2
     # Stop the sparse-factor search after this many consecutive projection
     # pairs whose bivariate factors are all accounted for (desk-scale
     # heuristic; soundness is unaffected, only completeness can degrade).

@@ -14,6 +14,7 @@ shift still involves x are discarded, which makes every survivor provably
 irreducible.
 """
 
+import math
 from dataclasses import dataclass
 
 from .rational import Q, ONE
@@ -29,7 +30,7 @@ from .errors import (
     VerificationError,
 )
 from .pit import find_nonzero_point, interpolation_plan, sparse_interpolate
-from .isolation import psi_map, psi_invert, scheme_ladder
+from .isolation import compact_scheme, psi_map, psi_invert, scheme_ladder
 from .basefactor import factor_monic
 from .divisibility import constant_degree_divides
 from .config import DEFAULT as DEFAULT_CONFIG
@@ -108,9 +109,7 @@ def projected_factoring(f, delta, scheme=None, config=None):
         raise PolyError("cannot factor a constant")
     shift, f_alpha = monicize(f)
     if scheme is None:
-        scheme = scheme_ladder(
-            f.n, delta, shift.degree, config.psi_g_degree_cap
-        )[0]
+        scheme = compact_scheme(f.n, delta)
     grid = psi_map(f_alpha, scheme, max_cells=config.max_dense_cells)
     if grid.true_degrees()[0] != shift.degree:
         raise VerificationError("psi must preserve the x-degree")
@@ -148,13 +147,7 @@ def _constant_degree_search(f, delta, config):
         raise PolyError("cannot factor a constant")
     found = []
     residual = f
-    passes = 0
-    for scheme in scheme_ladder(
-        f.n, delta, f.degree(), config.psi_g_degree_cap
-    ):
-        if residual.is_constant():
-            break
-        passes += 1
+    for passes, scheme in enumerate(scheme_ladder(f.n, delta, f.degree()), 1):
         proj = projected_factoring(residual, delta, scheme, config)
         progressed = False
         for h in proj.s_proj_fac:
@@ -167,8 +160,9 @@ def _constant_degree_search(f, delta, config):
                 progressed = True
         # one rung may confirm another: stop after two passes in a row with
         # nothing new; a factor invisible to two schemes is past the
-        # empirical design point (the divisibility gate keeps this sound)
-        if not progressed and passes >= 2:
+        # empirical design point (the divisibility gate keeps this sound);
+        # both stops come before the lazy ladder builds the next rung
+        if residual.is_constant() or (not progressed and passes >= 2):
             break
     return found, residual
 
@@ -244,8 +238,6 @@ def _rational_square_root(q):
 
 
 def _isqrt(v):
-    import math
-
     r = math.isqrt(v)
     return r if r * r == v else None
 

@@ -156,23 +156,26 @@ def split_scheme(n, delta, extra_capacity=1, g_degree_cap=2):
     return IsolationScheme(n, delta, big.p, w, wp)
 
 
-def scheme_ladder(n, delta, extra_capacity=1, g_degree_cap=2):
-    """Deterministic sequence of schemes of increasing strength; consumers
-    retry down the ladder when a projection turns out to lose a factor."""
-    schemes = [compact_scheme(n, delta)]
-    reduced = find_isolating_prime(n, delta, extra_capacity)
-    if reduced not in schemes:
-        schemes.append(reduced)
-    off = offset_scheme(n, delta)
-    if off not in schemes:
-        schemes.append(off)
-    try:
-        split = split_scheme(n, delta, extra_capacity, g_degree_cap)
-        if split not in schemes:
-            schemes.append(split)
-    except (CapError, PolyError):
-        pass
-    return schemes
+def scheme_ladder(n, delta, extra_capacity=1):
+    """Deterministic sequence of distinct schemes of increasing strength,
+    each built only when the consumer asks for it; consumers retry down the
+    ladder when a projection turns out to lose a factor."""
+
+    def rungs():
+        yield compact_scheme(n, delta)
+        yield find_isolating_prime(n, delta, extra_capacity)
+        yield offset_scheme(n, delta)
+        try:
+            split = split_scheme(n, delta, extra_capacity)
+        except (CapError, PolyError):
+            return
+        yield split
+
+    seen = []
+    for scheme in rungs():
+        if scheme not in seen:
+            seen.append(scheme)
+            yield scheme
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ gate never admits a wrong factor; only completeness degrades), or raises
 CapError in strict mode.
 """
 
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
+from itertools import combinations, product
 
 from .rational import Q, ZERO, ONE
 from .sparse import SparsePoly
@@ -33,10 +33,6 @@ from .config import DEFAULT as DEFAULT_CONFIG
 class ProjectionPair:
     beta: tuple
     gamma: tuple
-    absorbed: frozenset = field(default_factory=frozenset)
-    # absorbed: variables whose beta/gamma coordinates are zero so that the
-    # projection sends them to alpha_i * x, as in the support-restricted
-    # hitting sets; informational, application is uniform.
 
 
 @dataclass(frozen=True)
@@ -140,15 +136,6 @@ def su_decide_irreducible(f):
     return is_irreducible_lowvar(SparsePoly(len(support), terms))
 
 
-def _tuples_up_to(width, radius):
-    if width == 0:
-        yield ()
-        return
-    for first in range(1, radius + 1):
-        for rest in _tuples_up_to(width - 1, radius):
-            yield (first,) + rest
-
-
 def su_oracle(n, d, config=None):
     """Support-grid oracle for sum-of-univariate factors.
 
@@ -172,7 +159,7 @@ def su_oracle(n, d, config=None):
                 (b, 6) for b in triple_branches
             ]:
                 k = width // 2
-                for combo in _tuples_up_to(width, r):
+                for combo in product(range(1, r + 1), repeat=width):
                     if max(combo) != r:
                         continue
                     if emitted >= budget:
@@ -182,11 +169,8 @@ def su_oracle(n, d, config=None):
                     for idx, var in enumerate(support):
                         beta[var - 1] = Q(combo[idx])
                         gamma[var - 1] = Q(combo[k + idx])
-                    absorbed = frozenset(
-                        v for v in range(1, n + 1) if v not in support
-                    )
                     emitted += 1
-                    yield ProjectionPair(tuple(beta), tuple(gamma), absorbed)
+                    yield ProjectionPair(tuple(beta), tuple(gamma))
         if n == 1:
             # a univariate g(alpha x + beta t + gamma) factors exactly as g
             yield ProjectionPair((ONE,), (ONE,))

@@ -11,9 +11,9 @@ the univariate factorizer for the locator roots.
 from dataclasses import dataclass
 from itertools import islice, product
 
-from .rational import Q, ONE, ZERO, clear_denominators, primes
+from .rational import Q, ONE, ZERO, primes
 from .sparse import SparsePoly
-from .basefactor import factor_univariate_q, up_eval
+from .basefactor import factor_univariate_q
 from .errors import CapError, InterpolationFailure, ZeroPolynomialError
 
 
@@ -177,56 +177,10 @@ def berlekamp_massey(values):
     return char, L
 
 
-def _integer_roots(char_coeffs, primes, d):
-    """Distinct positive-integer roots of the locator polynomial.
-
-    The roots of an on-promise locator are products of the designated primes
-    with exponents <= d, so the search walks the smooth divisors of the
-    constant term (rational root theorem); a full univariate factorization is
-    the fallback when that walk would blow past its budget.  Returns None
-    when the locator does not split into distinct such roots.
-    """
-    L = len(char_coeffs) - 1
-    ints, _ = clear_denominators(char_coeffs)
-    c0 = ints[0]
-    if c0 == 0:
-        return None
-    smooth = abs(c0)
-    caps = []
-    for p in primes:
-        e = 0
-        while smooth % p == 0 and e <= L * d:
-            smooth //= p
-            e += 1
-        caps.append(min(e, d))
-    budget = 50_000
-    total = 1
-    for e in caps:
-        total *= e + 1
-        if total > budget:
-            break
-    if total > budget:
-        return _integer_roots_by_factoring(char_coeffs)
-    roots = []
-
-    def walk(idx, value):
-        if idx == len(primes):
-            if up_eval(ints, value) == 0:
-                roots.append(value)
-            return
-        v = value
-        for _ in range(caps[idx] + 1):
-            walk(idx + 1, v)
-            v *= primes[idx]
-
-    walk(0, 1)
-    if len(roots) != L:
-        return None
-    return sorted(roots)
-
-
-def _integer_roots_by_factoring(char_coeffs):
-    """Fallback: factor the locator and read off linear roots."""
+def _integer_roots(char_coeffs):
+    """Distinct integer roots of the locator polynomial, read off its
+    univariate factorization; None when it does not split into distinct
+    linear factors over Z."""
     poly = SparsePoly(1, {(i,): c for i, c in enumerate(char_coeffs) if c})
     roots = []
     for factor, mult in factor_univariate_q(poly).factors:
@@ -271,7 +225,7 @@ def sparse_interpolate(values, s, n, d):
     if L > s or L == 0:
         raise InterpolationFailure("recovered sparsity exceeds the bound")
     bases = list(islice(primes(), n))
-    roots = _integer_roots(char, bases, d)
+    roots = _integer_roots(char)
     if roots is None:
         raise InterpolationFailure("locator polynomial does not split over Z")
     monomials = []

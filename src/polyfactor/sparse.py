@@ -53,6 +53,13 @@ def _mul_into(acc, a, b):
     return acc
 
 
+def _int_table(poly, pack):
+    """({pack(exps): int}, den) with poly == table / den: the denominators
+    are cleared once and every exponent tuple is packed."""
+    ints, den = clear_denominators(poly.terms.values())
+    return {pack(e): c for e, c in zip(poly.terms, ints)}, den
+
+
 class SparsePoly:
     __slots__ = ("n", "terms", "_hash")
 
@@ -215,28 +222,21 @@ class SparsePoly:
         return self + (-other)
 
     def __mul__(self, other):
+        """Product on the packed-integer kernel: denominators cleared once,
+        one rational per output term."""
         if not isinstance(other, SparsePoly):
             return NotImplemented
         self._check(other)
-        if len(self.terms) > len(other.terms):
-            big, small = self.terms, other.terms
-        else:
-            big, small = other.terms, self.terms
-        terms = {}
-        for e1, c1 in small.items():
-            for e2, c2 in big.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                acc = terms.get(exps)
-                prod = c1 * c2
-                if acc is None:
-                    terms[exps] = prod
-                else:
-                    acc = acc + prod
-                    if acc:
-                        terms[exps] = acc
-                    else:
-                        del terms[exps]
-        return SparsePoly(self.n, terms)
+        if not self.terms or not other.terms:
+            return SparsePoly.zero(self.n)
+        _, pack, unpack = _packing(self.n, self.degree() + other.degree())
+        a, a_den = _int_table(self, pack)
+        b, b_den = _int_table(other, pack)
+        den = a_den * b_den
+        return SparsePoly(
+            self.n,
+            {unpack(key): Q(c, den) for key, c in _mul_into({}, a, b).items() if c},
+        )
 
     def scale(self, c):
         c = Q(c)
@@ -245,18 +245,22 @@ class SparsePoly:
         return SparsePoly(self.n, {e: c * v for e, v in self.terms.items()})
 
     def __pow__(self, k):
+        """Square-and-multiply on the packed-integer kernel."""
         if k < 0:
             raise ValueError("negative power")
-        result = SparsePoly.const(self.n, 1)
-        base = self
+        _, pack, unpack = _packing(self.n, k * (self.degree() or 0))
+        base, den = _int_table(self, pack)
+        den **= k
+        result = {0: 1}
         while k:
             if k & 1:
-                result = result * base
-            base_needed = k >> 1
-            if base_needed:
-                base = base * base
-            k = base_needed
-        return result
+                result = _mul_into({}, result, base)
+            k >>= 1
+            if k:
+                base = _mul_into({}, base, base)
+        return SparsePoly(
+            self.n, {unpack(key): Q(c, den) for key, c in result.items() if c}
+        )
 
     # -- calculus and structure ---------------------------------------------
 
@@ -359,8 +363,8 @@ class SparsePoly:
                 powers.append(None)
                 scales.append(None)
                 continue
-            ints, img_den = clear_denominators(img.terms.values())
-            table = [{0: 1}, {pack(e): c for e, c in zip(img.terms, ints)}]
+            packed, img_den = _int_table(img, pack)
+            table = [{0: 1}, packed]
             while len(table) <= top:
                 table.append(_mul_into({}, table[-1], table[1]))
             powers.append(table)
@@ -468,17 +472,14 @@ class SparsePoly:
         guard = 0
         for _ in range(n + 1):
             guard = (guard << bits) | (1 << (bits - 1))
-        f_ints, f_den = clear_denominators(self.terms.values())
-        g_ints, g_den = clear_denominators(g.terms.values())
-        content = 0
-        for c in g_ints:
-            content = math.gcd(content, c)
+        rem, f_den = _int_table(self, pack)
+        g_table, g_den = _int_table(g, pack)
+        content = math.gcd(*g_table.values())
         divisor = sorted(
-            ((pack(e), c // content) for e, c in zip(g.terms, g_ints)), reverse=True
+            ((key, c // content) for key, c in g_table.items()), reverse=True
         )
         lt_key, lt_coeff = divisor[0]
         tail = divisor[1:]  # q * lt(g) cancels the popped term exactly
-        rem = {pack(e): c for e, c in zip(self.terms, f_ints)}
         heap = [-key for key in rem]
         heapify(heap)
         quot = {}
@@ -511,9 +512,6 @@ class SparsePoly:
         return SparsePoly(
             n, {unpack(key): Q(g_den * c, den) for key, c in quot.items()}
         )
-
-    def divides(self, other):
-        return other.exact_divide(self) is not None
 
     # -- normalization -------------------------------------------------------
 

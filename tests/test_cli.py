@@ -38,6 +38,19 @@ def test_multiplicity(capsys):
     assert json.loads(out)["multiplicity"] == 2
 
 
+def test_expand_reads_both_operands(capsys):
+    code, out, _ = run_cli(
+        capsys, "--expand", "divides", "(z1+1)^2*(z1-2)", "(z1+1)"
+    )
+    assert code == 0
+    assert json.loads(out) == {"divides": True, "quotient": "z1^2 - z1 - 2"}
+    code, out, _ = run_cli(
+        capsys, "--expand", "multiplicity", "(z1+1)^2*(z1-2)", "(z1+1)"
+    )
+    assert code == 0
+    assert json.loads(out)["multiplicity"] == 2
+
+
 def test_pit_text(capsys):
     code, out, _ = run_cli(capsys, "--format", "text", "pit", "z1 - z1")
     assert code == 0

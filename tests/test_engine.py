@@ -150,6 +150,25 @@ def test_promise_violation_fails_fast(monkeypatch):
     assert calls <= 2
 
 
+def test_ladder_builds_only_the_rungs_it_uses(monkeypatch):
+    # entry 9 of the cd benchmark pool: the first two rungs settle it, so
+    # the offset and split rungs must never be built
+    import polyfactor.isolation as isolation
+
+    def unused_rung(*args, **kwargs):
+        raise AssertionError("a rung past the second was built")
+
+    monkeypatch.setattr(isolation, "offset_scheme", unused_rung)
+    monkeypatch.setattr(isolation, "split_scheme", unused_rung)
+    f = parse_poly(
+        "-3*z1^3*z2 + z2*z4^3 + 4*z1^3 - 4/3*z4^3 + 7*z2 - 28/3", 4
+    )
+    assert constant_degree_factors(f, 2).to_json_dict() == {
+        "factors": [{"multiplicity": 1, "poly": "z2 - 4/3"}],
+        "scalar": "1",
+    }
+
+
 def test_constant_degree_factors_worked_example():
     f = parse_product("(z1+z2)^2*(z1^2+z2^2+1)*(z1^3+z2+5)")
     fl = constant_degree_factors(f, 2)

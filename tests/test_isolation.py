@@ -11,6 +11,7 @@ from polyfactor.isolation import (
     compact_scheme,
     find_isolating_prime,
     monomials_up_to,
+    offset_scheme,
     psi_invert,
     psi_map,
     recover_from_phi,
@@ -19,7 +20,7 @@ from polyfactor.isolation import (
     weights_injective,
 )
 from polyfactor.basefactor import factor_monic, is_irreducible_lowvar
-from polyfactor.errors import NotInCodomain
+from polyfactor.errors import CapError, NotInCodomain, PolyError
 from polyfactor.dense import to_dense
 
 from conftest import rng_for, random_poly, sympy_irreducible
@@ -190,6 +191,34 @@ def test_psi_preserves_irreducibility_empirically():
 def test_split_scheme_shape():
     s = split_scheme(2, 2, g_degree_cap=2)
     assert len(s.w) == 2 and len(s.w_prime) == 2
+
+
+def eager_ladder(n, delta, extra_capacity):
+    """Every rung built up front, duplicates dropped: the lazy ladder must
+    yield exactly these schemes, in this order."""
+    schemes = [compact_scheme(n, delta)]
+    for scheme in (
+        find_isolating_prime(n, delta, extra_capacity),
+        offset_scheme(n, delta),
+    ):
+        if scheme not in schemes:
+            schemes.append(scheme)
+    try:
+        split = split_scheme(n, delta, extra_capacity)
+    except (CapError, PolyError):
+        return schemes
+    if split not in schemes:
+        schemes.append(split)
+    return schemes
+
+
+def test_lazy_ladder_lists_the_eager_schemes():
+    for n in range(1, 6):
+        for delta in range(1, 4):
+            for capacity in (1, 7):
+                assert list(scheme_ladder(n, delta, capacity)) == eager_ladder(
+                    n, delta, capacity
+                )
 
 
 def test_scheme_json_round_trip():

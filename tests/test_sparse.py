@@ -64,6 +64,70 @@ def test_substitute_to_zero():
     assert f.substitute([SparsePoly.zero(1)], m=1).is_zero()
 
 
+def reference_mul(f, g):
+    """The Fraction double loop SparsePoly.__mul__ ran before products moved
+    to the packed-integer kernel: the reference products and powers must
+    agree with."""
+    if len(f.terms) > len(g.terms):
+        big, small = f.terms, g.terms
+    else:
+        big, small = g.terms, f.terms
+    terms = {}
+    for e1, c1 in small.items():
+        for e2, c2 in big.items():
+            exps = tuple(a + b for a, b in zip(e1, e2))
+            acc = terms.get(exps)
+            prod = c1 * c2
+            if acc is None:
+                terms[exps] = prod
+            else:
+                acc = acc + prod
+                if acc:
+                    terms[exps] = acc
+                else:
+                    del terms[exps]
+    return SparsePoly(f.n, terms)
+
+
+def reference_pow(f, k):
+    result = SparsePoly.const(f.n, 1)
+    for _ in range(k):
+        result = reference_mul(result, f)
+    return result
+
+
+def random_operand(rng, n):
+    kind = rng.randrange(6)
+    if kind == 0:
+        return SparsePoly.zero(n)
+    if kind == 1:
+        return SparsePoly.const(n, Q(rng.randint(-9, 9), rng.randint(1, 5)))
+    if kind == 2:  # plain int coefficients, negative ones included
+        g = random_poly(rng, n, rng.randint(1, 5), rng.randint(1, 5))
+        return SparsePoly(n, {e: int(c) for e, c in g.terms.items()})
+    return random_rational_poly(rng, n, rng.randint(1, 5), rng.randint(1, 6))
+
+
+def test_mul_and_pow_match_fraction_reference():
+    rng = rng_for("mul-reference")
+    for trial in range(240):
+        n = rng.randint(1, 5)
+        f = random_operand(rng, n)
+        g = random_operand(rng, n)
+        product = f * g
+        assert product == reference_mul(f, g)
+        assert all(type(c) is type(Q(1)) for c in product.terms.values())
+        k = trial % 7
+        assert f**k == reference_pow(f, k)
+    # a linear factor against a high-degree one: the packing must fit the
+    # sum of the degrees, not either one
+    f = parse_poly("z1 - 1/2*z2")
+    g = parse_poly("z1^9*z2^4 + 3*z2^13 - 1")
+    assert f * g == reference_mul(f, g) == g * f
+    assert f**6 == reference_pow(f, 6)
+    assert SparsePoly.zero(3) ** 0 == SparsePoly.const(3, 1)
+
+
 def reference_substitute(f, assignment, m=None):
     """Composition by whole-polynomial products on Fractions: the reference
     the integer substitution kernel must agree with."""
@@ -78,7 +142,7 @@ def reference_substitute(f, assignment, m=None):
     def power(i, e):
         cache = power_cache[i]
         while len(cache) <= e:
-            cache.append(cache[-1] * images[i])
+            cache.append(reference_mul(cache[-1], images[i]))
         return cache[e]
 
     total = SparsePoly.zero(m)
@@ -86,7 +150,7 @@ def reference_substitute(f, assignment, m=None):
         acc = SparsePoly.const(m, coeff)
         for i, e in enumerate(exps):
             if e:
-                acc = acc * power(i, e)
+                acc = reference_mul(acc, power(i, e))
         total = total + acc
     return total
 
