@@ -34,13 +34,9 @@ from .isolation import (
     recover_from_phi,
 )
 from .basefactor import (
-    SquarefreeDecomposition,
-    factor_bivariate,
     factor_lowvar,
-    factor_trivariate,
     factor_univariate_q,
     is_irreducible_lowvar,
-    squarefree_decomposition,
 )
 from .divisibility import (
     constant_degree_divides,
@@ -94,13 +90,9 @@ __all__ = [
     "psi_invert",
     "psi_map",
     "recover_from_phi",
-    "SquarefreeDecomposition",
-    "factor_bivariate",
     "factor_lowvar",
-    "factor_trivariate",
     "factor_univariate_q",
     "is_irreducible_lowvar",
-    "squarefree_decomposition",
     "constant_degree_divides",
     "divides_exact",
     "divisibility_witness",

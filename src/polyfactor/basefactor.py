@@ -1,32 +1,33 @@
-"""Exact factorization of univariate, bivariate and trivariate polynomials
-over Q in dense representation.
+"""Exact factorization of univariate, bivariate and trivariate SparsePoly
+polynomials over Q.
 
 Univariate: clear denominators once, take the primitive integer part, run
 Yun's squarefree decomposition over Z, then a deterministic Zassenhaus pass
 per squarefree part (smallest usable prime, Berlekamp modulo p, quadratic
-Hensel lifting to a Landau-Mignotte bound, subset recombination).
+Hensel lifting to a Landau-Mignotte bound, subset recombination).  These
+tools work on ascending integer coefficient lists.
 
 Two and three variables, monic in x: evaluate the largest-degree non-main
 variable at points 0, 1, -1, 2, ... scanned deterministically, factor the
 image recursively, group the image factorization into pairwise-coprime
 prime powers, translate the evaluation point to the origin, Hensel-lift the
-groups there (coefficients mod p^k, series in the evaluated variable), and
-recombine subsets of lifted groups, each translated back before it is
-tested; repeated factors come back as exact m-th roots of reconstructed
-subset products.
+groups there, and recombine subsets of lifted groups, each translated back
+before it is tested; repeated factors come back as exact m-th roots of
+reconstructed subset products.  A lifted factor is a series in the
+evaluated variable whose coefficients are packed (x, w) dicts mod p^k, w
+the remaining side variable; each lift step solves one Diophantine
+equation, w-adically from a Bezout pair at w = 0.
 Every accepted factor is verified by exact division over Q, and a final
 recomposition check guards the whole attempt, so a degenerate evaluation
 point can only cost time, never correctness.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, product
 
 from .rational import Q, ONE, clear_denominators, primes
 from .sparse import SparsePoly, _mul_into
-from .dense import DensePoly3, from_dense
-from .factors import FactorList, divide_out, factor_sort_key, product_of_powers
+from .factors import FactorList, divide_out, factor_sort_key
 from .errors import LiftFailure, PolyError, VerificationError, ZeroPolynomialError
 
 
@@ -290,6 +291,16 @@ def berlekamp(f, p):
 # Hensel machinery over Z (univariate)
 
 
+def _bezout_step(M, a, b, s, t):
+    """(S, T) with S*a + T*b = 1 mod M, from s*a + t*b = 1 mod a square root
+    of M; b monic."""
+    e = up_mod(up_sub(up_add(up_mul(s, a), up_mul(t, b)), [1]), M)
+    c, d = up_divmod(up_mul(s, e), b, M)
+    S = up_mod(up_sub(s, d), M)
+    T = up_mod(up_sub(t, up_add(up_mul(t, e), up_mul(c, a))), M)
+    return S, T
+
+
 def _hensel_step(m, f, g, h, s, t):
     """m -> m^2 quadratic step: f = g*h, s*g + t*h = 1, h monic."""
     M = m * m
@@ -298,11 +309,7 @@ def _hensel_step(m, f, g, h, s, t):
     u = up_add(up_mul(t, e), up_mul(q, g))
     G = up_mod(up_add(g, u), M)
     H = up_mod(up_add(h, r), M)
-    b = up_mod(up_sub(up_add(up_mul(s, G), up_mul(t, H)), [1]), M)
-    c, d = up_divmod(up_mul(s, b), H, M)
-    S = up_mod(up_sub(s, d), M)
-    T = up_mod(up_sub(t, up_add(up_mul(t, b), up_mul(c, G))), M)
-    return G, H, S, T
+    return (G, H) + _bezout_step(M, G, H, s, t)
 
 
 def _hensel_lift_univ(p, f, f_list, l):
@@ -405,28 +412,23 @@ def _zassenhaus(F):
     current = F
     s = 1
     while 2 * s <= len(indices):
-        found = True
-        while found:
-            found = False
-            for S in combinations(indices, s):
-                G = [current[-1] % pl]
-                for i in S:
-                    G = up_mul(G, lifted[i], pl)
-                G = [_symmetric(c, pl) for c in G]
-                up_trim(G)
-                G = _up_primitive_z(G)
-                if not G or up_deg(G) < 1:
-                    continue
-                quotient = _up_div_exact_z(current, G)
-                if quotient is not None:
-                    factors.append(G)
-                    current = quotient
-                    indices = [i for i in indices if i not in S]
-                    found = True
-                    break
-            if 2 * s > len(indices):
+        for S in combinations(indices, s):
+            G = [current[-1] % pl]
+            for i in S:
+                G = up_mul(G, lifted[i], pl)
+            G = [_symmetric(c, pl) for c in G]
+            up_trim(G)
+            G = _up_primitive_z(G)
+            if not G or up_deg(G) < 1:
+                continue
+            quotient = _up_div_exact_z(current, G)
+            if quotient is not None:
+                factors.append(G)
+                current = quotient
+                indices = [i for i in indices if i not in S]
                 break
-        s += 1
+        else:
+            s += 1
     if up_deg(current) >= 1:
         factors.append(_up_primitive_z(current))
     return factors
@@ -546,32 +548,6 @@ def cd_sub(a, b, m):
 # diophantine solvers
 
 
-class _UniDioph:
-    """Solve dA*b0 + dB*a0 = c mod m with deg dA < deg a0, for monic a0, b0."""
-
-    def __init__(self, a0, b0, p, m):
-        s, t, g = up_xgcd_p(a0, b0, p)
-        if up_deg(g) != 0:
-            raise _AttemptFailed("base factors not coprime mod p")
-        self.a0, self.b0, self.m = a0, b0, m
-        mu = p
-        while mu < m:
-            mu2 = mu * mu
-            berr = up_mod(up_sub(up_add(up_mul(s, a0), up_mul(t, b0)), [1]), mu2)
-            c, d = up_divmod(up_mul(s, berr), b0, mu2)
-            s = up_mod(up_sub(s, d), mu2)
-            t = up_mod(up_sub(t, up_add(up_mul(t, berr), up_mul(c, a0))), mu2)
-            mu = mu2
-        self.s = up_mod(s, m)
-        self.t = up_mod(t, m)
-
-    def solve(self, c):
-        m = self.m
-        q, da = up_divmod(up_mul(self.t, c, m), self.a0, m)
-        db = up_add(up_mul(self.s, c, m), up_mul(q, self.b0, m), m)
-        return da, db
-
-
 def _cd_to_tau_series(d, length):
     """(x, w) dict -> list over w-order of x coefficient lists."""
     rows = [dict() for _ in range(length)]
@@ -598,23 +574,35 @@ def _tau_series_to_cd(series):
     }
 
 
-class _BiDioph:
-    """Solve dA*B0 + dB*A0 = e for (x, w) dicts via w-adic expansion."""
+class _Dioph:
+    """Solve dA*B0 + dB*A0 = e mod m for (x, w) dicts, A0 and B0 monic in x,
+    deg_x dA < deg_x A0: a Bezout pair of the w = 0 rows, then w-adic
+    expansion over `length` w-orders."""
 
-    def __init__(self, A0, B0, wdeg, p, m):
+    def __init__(self, A0, B0, length, p, m):
         self.m = m
-        self.length = 2 * wdeg + 3
-        self.A0tau = _cd_to_tau_series(A0, self.length)
-        self.B0tau = _cd_to_tau_series(B0, self.length)
-        self.uni = _UniDioph(self.A0tau[0], self.B0tau[0], p, m)
+        self.length = length
+        self.A0tau = _cd_to_tau_series(A0, length)
+        self.B0tau = _cd_to_tau_series(B0, length)
+        a0, b0 = self.A0tau[0], self.B0tau[0]
+        s, t, g = up_xgcd_p(a0, b0, p)
+        if up_deg(g) != 0:
+            raise _AttemptFailed("base factors not coprime mod p")
+        mu = p
+        while mu < m:
+            mu *= mu
+            s, t = _bezout_step(mu, a0, b0, s, t)
+        self.s = up_mod(s, m)
+        self.t = up_mod(t, m)
         # w-orders past both bases' w-degrees add nothing to the residual
         self.span = 1 + max(
-            j for j in range(self.length) if self.A0tau[j] or self.B0tau[j]
+            j for j in range(length) if self.A0tau[j] or self.B0tau[j]
         )
 
     def solve(self, e):
         m = self.m
         L = self.length
+        a0, b0 = self.A0tau[0], self.B0tau[0]
         residual = _cd_to_tau_series(e, L)
         dA = [[] for _ in range(L)]
         dB = [[] for _ in range(L)]
@@ -622,7 +610,8 @@ class _BiDioph:
             c = residual[ordv]
             if not c:
                 continue
-            da, db = self.uni.solve(c)
+            q, da = up_divmod(up_mul(self.t, c, m), a0, m)
+            db = up_add(up_mul(self.s, c, m), up_mul(q, b0, m), m)
             dA[ordv] = da
             dB[ordv] = db
             for jj in range(min(L - ordv, self.span)):
@@ -669,8 +658,9 @@ def _lift_pair(Fser, A0, B0, K, m, dioph):
     return A, B
 
 
-def _lift_tree(Fser, groups, K, wdeg, p, m):
-    """groups: list of (x, w) dicts at the base point; returns lifted series."""
+def _lift_tree(Fser, groups, K, wlen, p, m):
+    """groups: list of (x, w) dicts at the base point; returns lifted series.
+    wlen: the w-orders each Diophantine solve carries."""
     if len(groups) == 1:
         return [Fser]
     h = len(groups) // 2
@@ -680,9 +670,9 @@ def _lift_tree(Fser, groups, K, wdeg, p, m):
     B0 = groups[h]
     for g in groups[h + 1 :]:
         B0 = cd_reduce(_mul_into({}, B0, g), m)
-    Aser, Bser = _lift_pair(Fser, A0, B0, K, m, _BiDioph(A0, B0, wdeg, p, m))
-    return _lift_tree(Aser, groups[:h], K, wdeg, p, m) + _lift_tree(
-        Bser, groups[h:], K, wdeg, p, m
+    Aser, Bser = _lift_pair(Fser, A0, B0, K, m, _Dioph(A0, B0, wlen, p, m))
+    return _lift_tree(Aser, groups[:h], K, wlen, p, m) + _lift_tree(
+        Bser, groups[h:], K, wlen, p, m
     )
 
 
@@ -733,16 +723,6 @@ def _series_to_qpoly(ser, v, w, n, m):
                 exps[w - 1] = ew
             terms[tuple(exps)] = q
     return SparsePoly(n, terms)
-
-
-def _series_order_reconstructs(ser, m):
-    """Cheap gate: can every coefficient of one u-order of a subset product
-    be rationally reconstructed?  Junk subsets fail here long before a full
-    product."""
-    for val in ser.values():
-        if _ratrec(val, m) is None:
-            return False
-    return True
 
 
 def _cd_from_qpoly(f2, m):
@@ -833,59 +813,43 @@ def _attempt_lift(f, v, w, v0, base, k_boost):
     back = [-o for o in offsets]
     Fser = _poly_to_series(f.shift(offsets), v, w, K, m)
     group_cds = [_cd_from_qpoly(u**mult, m) for u, mult in groups]
-    leaves = _lift_tree(Fser, group_cds, K, dw, p, m)
+    # w-orders the Diophantine solves carry; a bivariate lift has only w^0
+    wlen = 2 * dw + 3 if w is not None else 1
+    leaves = _lift_tree(Fser, group_cds, K, wlen, p, m)
 
     indices = list(range(len(groups)))
     remaining = f
     results = []
     need_bigger = False
     size = 1
-    while indices and size <= len(indices):
-        progressed = True
-        while progressed and size <= len(indices):
-            progressed = False
-            for S in combinations(indices, size):
-                mults = {groups[i][1] for i in S}
-                if len(mults) != 1:
-                    continue
-                mult = mults.pop()
-                if size > 1:
-                    # junk subsets have power-series tails already at low
-                    # orders; reject them on a 3-order prefix product before
-                    # paying for the full one
-                    prefix = leaves[S[0]][:3]
-                    for i in S[1:]:
-                        prefix = _series_mul(prefix, leaves[i][:3], 3, m)
-                    bad = False
-                    for row in prefix[1:]:
-                        if not _series_order_reconstructs(row, m):
-                            bad = True
-                            break
-                    if bad:
-                        need_bigger = True
-                        continue
-                Wser = leaves[S[0]]
-                for i in S[1:]:
-                    Wser = _series_mul(Wser, leaves[i], K, m)
-                Wq = _series_to_qpoly(Wser, v, w, n, m)
-                if Wq is None:
-                    need_bigger = True
-                    continue
-                # back to the original coordinates before any division: the
-                # translated f is dense
-                Wq = Wq.shift(back).canonical()
-                P = Wq.integer_root(mult) if mult > 1 else Wq
-                if P is None:
-                    continue
-                quotient, count = divide_out(remaining, P)
-                if count == 0:
-                    continue
-                results.append((P.canonical(), count))
-                remaining = quotient
-                indices = [i for i in indices if i not in S]
-                progressed = True
-                break
-        size += 1
+    while size <= len(indices):
+        for S in combinations(indices, size):
+            mults = {groups[i][1] for i in S}
+            if len(mults) != 1:
+                continue
+            mult = mults.pop()
+            Wser = leaves[S[0]]
+            for i in S[1:]:
+                Wser = _series_mul(Wser, leaves[i], K, m)
+            Wq = _series_to_qpoly(Wser, v, w, n, m)
+            if Wq is None:
+                need_bigger = True
+                continue
+            # back to the original coordinates before any division: the
+            # translated f is dense
+            Wq = Wq.shift(back).canonical()
+            P = Wq.integer_root(mult) if mult > 1 else Wq
+            if P is None:
+                continue
+            quotient, count = divide_out(remaining, P)
+            if count == 0:
+                continue
+            results.append((P.canonical(), count))
+            remaining = quotient
+            indices = [i for i in indices if i not in S]
+            break
+        else:
+            size += 1
     if indices or not remaining.is_constant():
         if need_bigger:
             return None
@@ -997,24 +961,6 @@ def factor_monic(f):
     return result
 
 
-def factor_bivariate(f):
-    """Complete factorization of a bivariate polynomial monic in x."""
-    if isinstance(f, DensePoly3):
-        f = from_dense(f, n=2)
-    if f.n != 2:
-        raise PolyError("expected a bivariate polynomial")
-    return factor_monic(f)
-
-
-def factor_trivariate(f):
-    """Complete factorization of a trivariate polynomial monic in x."""
-    if isinstance(f, DensePoly3):
-        f = f.to_sparse()
-    if f.n != 3:
-        raise PolyError("expected a trivariate polynomial")
-    return factor_monic(f)
-
-
 def factor_lowvar(f):
     """Complete factorization of any nonconstant SparsePoly in <=3 variables.
 
@@ -1064,36 +1010,8 @@ def factor_lowvar(f):
 
 def is_irreducible_lowvar(f):
     """True iff the (<=3 variable, nonconstant) polynomial is irreducible."""
-    if isinstance(f, DensePoly3):
-        f = f.to_sparse()
     if f.is_constant():
         raise PolyError("irreducibility is for nonconstant polynomials")
     fl = factor_lowvar(f)
     return len(fl.factors) == 1 and fl.factors[0][1] == 1
 
-
-# ---------------------------------------------------------------------------
-# squarefree decomposition, derived from the factorization
-
-
-@dataclass(frozen=True)
-class SquarefreeDecomposition:
-    parts: tuple  # of (SparsePoly, exponent), exponents strictly increasing
-    content: object
-
-    def recompose(self):
-        return product_of_powers(self.content, self.parts)
-
-
-def squarefree_decomposition(f):
-    """Group the complete factorization by multiplicity."""
-    fl = factor_lowvar(f)
-    by_mult = {}
-    for poly, mult in fl.factors:
-        acc = by_mult.get(mult)
-        by_mult[mult] = poly if acc is None else acc * poly
-    parts = tuple((by_mult[mult], mult) for mult in sorted(by_mult))
-    result = SquarefreeDecomposition(parts, fl.scalar)
-    if result.recompose() != f:
-        raise VerificationError("squarefree recomposition failed")
-    return result

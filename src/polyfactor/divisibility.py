@@ -130,9 +130,6 @@ def _truncate(f, d):
     return SparsePoly(f.n, {e: c for e, c in f.terms.items() if sum(e) <= d})
 
 
-def constant_degree_divides(f, g, use_witness=False):
-    """Divisibility of f by a constant-degree g; exact division by default,
-    the witness identity behind a flag."""
-    if use_witness:
-        return divisibility_witness(f, g).holds
+def constant_degree_divides(f, g):
+    """Divisibility of f by a constant-degree g, by exact division."""
     return divides_exact(f, g)[0]

@@ -367,8 +367,7 @@ def sparse_factors(f, s, oracle, config=None):
         plan = interpolation_plan((max_points + 1) // 2, n, d)
         point_lists = {j: [] for j in range(len(refs))}
         pair_ok = True
-        all_slices = []
-        for omega in plan.points[:max_points]:
+        for w_idx, omega in enumerate(plan.points[:max_points]):
             secondary = tuple(omega[i] - pair.gamma[i] for i in range(n))
             r_omega = _project(
                 residual, alpha, [pair.beta, secondary], pair.gamma, normalizer
@@ -380,8 +379,6 @@ def sparse_factors(f, s, oracle, config=None):
                     continue
                 unit = raw.leading_coefficient()
                 slices.append((raw.scale(ONE / unit), unit, h3, e3))
-            all_slices.append(slices)
-        for w_idx, slices in enumerate(all_slices):
             for j, (h2, e2, _, s_slot) in enumerate(refs):
                 if w_idx >= 2 * s_slot:
                     continue

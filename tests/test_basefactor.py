@@ -1,34 +1,42 @@
-"""Dense base factorizer: univariate, bivariate, trivariate."""
+"""Base factorizer: univariate, bivariate, trivariate."""
 
 import os
 import subprocess
 import sys
 
 import pytest
-import sympy
 
 from polyfactor.rational import Q, ONE, ZERO, clear_denominators
-from polyfactor.sparse import SparsePoly
+from polyfactor.sparse import SparsePoly, _mul_into
 from polyfactor.factors import factor_sort_key
 from polyfactor.parse import parse_poly, parse_product, render_poly
 from polyfactor.basefactor import (
     factor_univariate_q,
-    factor_bivariate,
-    factor_trivariate,
     factor_monic,
     factor_lowvar,
     is_irreducible_lowvar,
-    squarefree_decomposition,
     _AttemptFailed,
+    _Dioph,
     _attempt_lift,
+    _bezout_step,
+    _cd_to_tau_series,
     _factor_monic_sparse,
     _factor_univariate_pairs,
     _up_primitive_z,
     _zassenhaus,
+    cd_pack,
+    cd_reduce,
+    up_add,
+    up_deg,
+    up_gcd_p,
+    up_mod,
+    up_mul,
+    up_sub,
+    up_xgcd_p,
 )
 from polyfactor.errors import PolyError, ZeroPolynomialError
 
-from conftest import rng_for, random_poly, to_sympy, sympy_irreducible
+from conftest import rng_for, random_poly, sympy_irreducible
 
 
 def pairs(fl):
@@ -64,13 +72,13 @@ def test_univariate_random_products_recompose():
 
 
 def test_bivariate_difference_of_squares():
-    fl = factor_bivariate(parse_poly("z1^2 - z2^2"))
+    fl = factor_monic(parse_poly("z1^2 - z2^2"))
     assert pairs(fl) == [("z1 - z2", 1), ("z1 + z2", 1)]
 
 
 def test_bivariate_quartic_split():
     # the reducible Kronecker image x^2 - y^4
-    fl = factor_bivariate(parse_poly("z1^2 - z2^4"))
+    fl = factor_monic(parse_poly("z1^2 - z2^4"))
     assert len(fl.factors) == 2
     assert fl.recompose() == parse_poly("z1^2 - z2^4")
 
@@ -90,7 +98,7 @@ def test_bivariate_random_monic_products():
 
 
 def test_trivariate_product_of_conjugates():
-    fl = factor_trivariate(parse_product("(z1 - z2*z3)*(z1 + z2*z3)"))
+    fl = factor_monic(parse_product("(z1 - z2*z3)*(z1 + z2*z3)"))
     assert len(fl.factors) == 2
     for p, m in fl.factors:
         assert m == 1
@@ -98,7 +106,7 @@ def test_trivariate_product_of_conjugates():
 
 def test_trivariate_multiplicities():
     f = parse_product("(z1 - z2 - z3)^2*(z1 + z2)")
-    fl = factor_trivariate(f)
+    fl = factor_monic(f)
     assert sorted(m for _, m in fl.factors) == [1, 2]
     assert fl.recompose() == f
 
@@ -138,21 +146,6 @@ def test_determinism():
     a = factor_monic(f)
     b = factor_monic(f)
     assert a == b
-
-
-def test_squarefree_decomposition():
-    f = parse_product("(z1 + z2)^3*(z1^2 + z2^2 + 1)")
-    dec = squarefree_decomposition(f)
-    assert dec.recompose() == f
-    exps = [e for _, e in dec.parts]
-    assert exps == sorted(exps)
-    # parts pairwise coprime (independent gcd check)
-    syms = sympy.symbols("z1:3")
-    for i in range(len(dec.parts)):
-        for j in range(i + 1, len(dec.parts)):
-            a, _ = to_sympy(dec.parts[i][0], syms)
-            b, _ = to_sympy(dec.parts[j][0], syms)
-            assert sympy.gcd(a, b) == 1
 
 
 def test_shift_preserves_irreducibility():
@@ -211,6 +204,72 @@ def test_attempt_lift_with_a_nonzero_w_point():
     base = _factor_monic_sparse(f.eval_var(2, 0))
     assert [u.eval_var(2, 0) for u, _ in base] == [parse_poly("z1")] * 2
     assert _attempt_lift(f, 2, 3, 0, base, 0) == list(factor_monic(f).factors)
+
+
+def _random_monic_cd(rng, dx, dw, m):
+    """x^dx plus lower x-terms whose coefficients have w-degree <= dw, mod m."""
+    d = {cd_pack(dx, 0): 1}
+    for ex in range(dx):
+        for ew in range(dw + 1):
+            d[cd_pack(ex, ew)] = rng.randint(-5, 5)
+    return cd_reduce(d, m)
+
+
+def _random_cd(rng, dx, dw, m):
+    """Random (x, w) dict mod m with x-degree < dx and w-degree <= dw."""
+    d = {}
+    for ex in range(dx):
+        for ew in range(dw + 1):
+            d[cd_pack(ex, ew)] = rng.randrange(m)
+    return cd_reduce(d, m)
+
+
+def _coprime_monic_pair(rng, dxa, dxb, dw, p, m):
+    """(A0, B0) monic in x whose w = 0 rows are coprime mod p."""
+    while True:
+        A0 = _random_monic_cd(rng, dxa, dw, m)
+        B0 = _random_monic_cd(rng, dxb, dw, m)
+        a0, b0 = (_cd_to_tau_series(d, 1)[0] for d in (A0, B0))
+        if up_deg(up_gcd_p(a0, b0, p)) == 0:
+            return A0, B0
+
+
+@pytest.mark.parametrize("wdeg", [None, 1, 2])
+def test_diophantine_solver_returns_the_known_corrections(wdeg):
+    """e = dA*B0 + dB*A0 with deg_x dA < deg_x A0 and deg_x dB < deg_x B0
+    has exactly one solution mod m; the solver must return it.  wdeg None is
+    a bivariate lift: polynomials in x alone, one w-order."""
+    rng = rng_for("diophantine-%s" % wdeg)
+    p = 7
+    m = p**9
+    dw = wdeg or 0
+    length = 1 if wdeg is None else 2 * wdeg + 3
+    for _ in range(25):
+        dxa, dxb = rng.randint(1, 3), rng.randint(1, 3)
+        A0, B0 = _coprime_monic_pair(rng, dxa, dxb, dw, p, m)
+        # w-degrees up to length - 1 - dw keep every product inside the solve
+        dA = _random_cd(rng, dxa, length - 1 - dw, m)
+        dB = _random_cd(rng, dxb, length - 1 - dw, m)
+        e = cd_reduce(_mul_into(_mul_into({}, dA, B0), dB, A0), m)
+        assert _Dioph(A0, B0, length, p, m).solve(e) == (dA, dB)
+
+
+def test_bezout_step_keeps_the_identity():
+    rng = rng_for("bezout-step")
+    p = 5
+    checked = 0
+    while checked < 20:
+        a = [rng.randint(-9, 9) for _ in range(rng.randint(1, 4))] + [1]
+        b = [rng.randint(-9, 9) for _ in range(rng.randint(1, 4))] + [1]
+        s, t, g = up_xgcd_p(a, b, p)
+        if up_deg(g) != 0:
+            continue
+        M = p
+        for _ in range(4):
+            M *= M
+            s, t = _bezout_step(M, a, b, s, t)
+            assert up_mod(up_sub(up_add(up_mul(s, a), up_mul(t, b)), [1]), M) == []
+        checked += 1
 
 
 def test_recomposition_gate_holds_under_optimize_flag():

@@ -111,10 +111,11 @@ def test_constant_degree_wrapper_backends_agree():
         g = random_poly(rng, n, 2, 2)
         f = g * random_poly(rng, n, 2, 3)
         assert constant_degree_divides(f, g)
-        assert constant_degree_divides(f, g, use_witness=True)
+        assert divisibility_witness(f, g).holds
         spoiled = f + SparsePoly.const(n, 3)
-        assert constant_degree_divides(spoiled, g) == constant_degree_divides(
-            spoiled, g, use_witness=True
+        assert (
+            constant_degree_divides(spoiled, g)
+            == divisibility_witness(spoiled, g).holds
         )
 
 
