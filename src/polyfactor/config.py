@@ -53,6 +53,11 @@ class Config:
                             "%s:%d: %s expects an integer, got %r"
                             % (path, lineno, key, value)
                         ) from None
+                    if values[key] < 0:
+                        raise ValueError(
+                            "%s:%d: %s expects a non-negative integer, got %r"
+                            % (path, lineno, key, value)
+                        )
         return cls(**values)
 
 

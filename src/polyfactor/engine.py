@@ -17,7 +17,7 @@ irreducible.
 import math
 from dataclasses import dataclass
 
-from .rational import Q, ONE
+from .rational import ONE
 from .sparse import SparsePoly
 from .dense import to_dense
 from .factors import FactorList, divide_out
@@ -227,52 +227,96 @@ def sparse_irreducible_test(f, oracle, config=None):
     return False
 
 
-def _rational_square_root(q):
-    if q < 0:
-        return None
-    num, den = int(q.numerator), int(q.denominator)
-    rn, rd = _isqrt(num), _isqrt(den)
-    if rn is None or rd is None:
-        return None
-    return Q(rn, rd)
-
-
-def _isqrt(v):
-    r = math.isqrt(v)
-    return r if r * r == v else None
-
-
-def _poly_is_square(f):
-    if f.is_zero():
-        return True
+def _is_square(f):
+    """True when f is the square of a polynomial over Q."""
     canon, unit = f.canonical_with_unit()
-    if _rational_square_root(unit) is None:
+    if unit < 0:
         return False
+    for v in (int(unit.numerator), int(unit.denominator)):
+        if math.isqrt(v) ** 2 != v:
+            return False
     return canon.integer_root(2) is not None
 
 
-def _quadratic_irreducible(g):
-    """Exact irreducibility of a total-degree-2 polynomial: monic-shift to
-    x^2 + b x + c and test whether b^2 - 4c is a perfect square."""
-    shift, g_hat = monicize(g)
-    n = g.n
-    b = SparsePoly(n, {e[1:]: c for e, c in g_hat.terms.items() if e[0] == 1})
-    c0 = SparsePoly(n, {e[1:]: c for e, c in g_hat.terms.items() if e[0] == 0})
-    disc = b * b - c0.scale(4)
-    return not _poly_is_square(disc)
-
-
-def _certify_irreducible(g, oracle, config):
-    """Irreducibility gate with exact fast paths; falls back to the
-    projection-based test of the oracle's class."""
-    d = g.degree() or 0
+def _exact_irreducible(g, oracle):
+    """Exact irreducibility of the nonconstant g, checked in a fixed order:
+    degree 1; the oracle's own decision procedure when g is in its class;
+    in degree 2, g monic-shifted to x^2 + b x + c is irreducible iff
+    b^2 - 4c is not a square.  None when only the projection test of the
+    oracle's class can decide."""
+    d = g.degree()
     if d == 1:
         return True
-    if oracle.decide_irreducible is not None:
+    if oracle.decide_irreducible is not None and oracle.contains(g):
         return oracle.decide_irreducible(g)
     if d == 2:
-        return _quadratic_irreducible(g)
-    return sparse_irreducible_test(g, oracle, config)
+        g_hat = monicize(g)[1]
+        b = SparsePoly(g.n, {e[1:]: c for e, c in g_hat.terms.items() if e[0] == 1})
+        c0 = SparsePoly(g.n, {e[1:]: c for e, c in g_hat.terms.items() if e[0] == 0})
+        return not _is_square(b * b - c0.scale(4))
+    return None
+
+
+def _pair_candidates(residual, alpha, pair, s, oracle):
+    """Candidate factors from one oracle pair: factor the bivariate
+    projection of the residual, and for each factor whose degree and
+    sparsity ceiling the class allows, match it at the t2 = 0 slice of the
+    trivariate projections through the interpolation points, collect the
+    hidden factor's values there and interpolate them.  Canonical
+    nonconstant candidates, or None at the first slice mismatch."""
+    n = residual.n
+    deg_residual = residual.degree()
+    normalizer = residual.hom_component(deg_residual).eval_point(alpha)
+    r_hat = _project(residual, alpha, [pair.beta], pair.gamma, normalizer)
+    refs = []
+    for h, e in factor_monic(r_hat).factors:
+        deg = h.degree_in(1) or 0
+        if deg == deg_residual:
+            # a full-degree candidate could only be the residual itself,
+            # which the settle step has already ruled on
+            continue
+        if oracle.class_degree_bound is not None and deg > oracle.class_degree_bound:
+            continue  # no class member has this degree
+        ceiling = s
+        if oracle.sparsity_for_degree is not None:
+            ceiling = min(s, oracle.sparsity_for_degree(deg))
+        refs.append((h, e, deg, ceiling, []))
+    if not refs:
+        return []
+    # one shared point sequence; each ref consumes the prefix its own
+    # sparsity ceiling requires (plans are nested by construction)
+    plan = interpolation_plan(max(ref[3] for ref in refs), n, deg_residual)
+    for w_idx, omega in enumerate(plan.points):
+        secondary = tuple(omega[i] - pair.gamma[i] for i in range(n))
+        r_omega = _project(
+            residual, alpha, [pair.beta, secondary], pair.gamma, normalizer
+        )
+        slices = []
+        for h3, e3 in factor_monic(r_omega).factors:
+            raw = h3.eval_var(3, 0)
+            if raw.is_zero():
+                continue
+            unit = raw.leading_coefficient()
+            slices.append((raw.scale(ONE / unit), unit, h3, e3))
+        for h2, e2, _, ceiling, values in refs:
+            if w_idx >= 2 * ceiling:
+                continue
+            matches = [entry for entry in slices if entry[0] == h2]
+            if len(matches) > 1:
+                matches = [entry for entry in matches if entry[3] == e2]
+            if len(matches) != 1:
+                return None
+            _, unit, h3, _ = matches[0]
+            values.append(h3.eval_point((0, 0, 1)) / unit)
+    candidates = []
+    for _, _, deg, ceiling, values in refs:
+        try:
+            candidate = sparse_interpolate(values, ceiling, n, deg)
+        except InterpolationFailure:
+            continue
+        if not candidate.is_constant():
+            candidates.append(candidate.canonical())
+    return candidates
 
 
 def sparse_factors(f, s, oracle, config=None):
@@ -283,142 +327,61 @@ def sparse_factors(f, s, oracle, config=None):
     The search runs on one residual, f with every accepted factor divided
     out: each oracle pair projects and slices the residual, normalized by
     Hom[residual](alpha), which is nonzero because Hom is multiplicative and
-    Hom[f](alpha) != 0.  A certified candidate is divided out of the
-    residual, and its count there is its multiplicity in f, since the
-    accepted factors are distinct irreducibles.  The residual itself is
-    probed directly whenever it shrinks, which ends fully-in-class runs
-    without exhausting the grid.
+    Hom[f](alpha) != 0.  A candidate passes the sparsity, membership, exact
+    division and irreducibility gates in that order, and is divided out of
+    the residual; its count there is its multiplicity in f, since the
+    accepted factors are distinct irreducibles.  Irreducibility is the
+    verdict of `_exact_irreducible`, checked in its fixed order, and the
+    projection test only where that verdict is None.  The residual is
+    settled only when it changes: an in-class irreducible residual is
+    admitted directly, and a residual that is constant or proved
+    irreducible ends the search without exhausting the grid.
     """
     config = config or DEFAULT_CONFIG
     if f.is_constant():
         raise PolyError("cannot factor a constant")
-    n = f.n
-    d = f.degree()
     alpha = monicize(f)[0].alpha
     found = []
     residual = f
 
-    def slot_sparsity(deg):
-        """Sparsity ceiling for a class factor of the given degree; None
-        when the class has no member of that degree."""
-        if oracle.class_degree_bound is not None and deg > oracle.class_degree_bound:
-            return None
-        if oracle.sparsity_for_degree is not None:
-            return min(s, oracle.sparsity_for_degree(deg))
-        return s
-
-    def accept(g):
+    def admit(g, verdict):
         nonlocal residual
-        residual, e = divide_out(residual, g)
-        found.append((g, e))
+        if verdict is None:
+            verdict = sparse_irreducible_test(g, oracle, config)
+        if verdict:
+            residual, e = divide_out(residual, g)
+            found.append((g, e))
+        return verdict
 
-    def probe_direct():
-        """Admit the residual itself when it is an in-class irreducible."""
-        if residual.is_constant():
-            return
-        hc = residual.canonical()
-        if hc.sparsity() > s or not oracle.contains(hc):
-            return
-        if _certify_irreducible(hc, oracle, config):
-            accept(hc)
-
-    def residual_exhausted():
-        """True when the residual provably holds no unfound class factor:
-        every factor of f outside `found` divides it, so a certified
-        irreducible residual (itself already probed) ends the search."""
+    def settle():
+        """Admit the residual when it is an in-class irreducible, and say
+        whether it provably holds no unfound class factor: every factor of
+        f outside `found` divides it, so an irreducible residual ends the
+        search."""
         if residual.is_constant():
             return True
-        deg = residual.degree()
-        if deg == 1:
-            return True
-        if deg == 2:
-            return _quadratic_irreducible(residual)
-        if oracle.decide_irreducible is not None and oracle.contains(residual):
-            return oracle.decide_irreducible(residual)
-        return False
+        g = residual.canonical()
+        verdict = _exact_irreducible(g, oracle)
+        if g.sparsity() <= s and oracle.contains(g):
+            return admit(g, verdict)
+        return bool(verdict)
 
-    probe_direct()
+    exhausted = settle()
     stall = 0
     for pair in oracle.pairs(alpha):
-        if residual_exhausted():
+        if exhausted or stall >= config.su_stall:
             break
-        if stall >= config.su_stall:
-            break
-        deg_residual = residual.degree()
-        normalizer = residual.hom_component(deg_residual).eval_point(alpha)
-        r_hat = _project(residual, alpha, [pair.beta], pair.gamma, normalizer)
-        refs = []
-        for h, e in factor_monic(r_hat).factors:
-            deg_slot = h.degree_in(1) or 0
-            if deg_slot == deg_residual:
-                # a full-degree candidate could only be the residual itself,
-                # which the direct probe has already ruled on
-                continue
-            s_slot = slot_sparsity(deg_slot)
-            if s_slot is None:
-                continue  # no class member has this degree
-            refs.append((h, e, deg_slot, s_slot))
-        if not refs:
-            stall += 1
-            continue
-        # one shared point sequence; each slot consumes the prefix its own
-        # sparsity ceiling requires (plans are nested by construction)
-        max_points = 2 * max(entry[3] for entry in refs)
-        plan = interpolation_plan((max_points + 1) // 2, n, d)
-        point_lists = {j: [] for j in range(len(refs))}
-        pair_ok = True
-        for w_idx, omega in enumerate(plan.points[:max_points]):
-            secondary = tuple(omega[i] - pair.gamma[i] for i in range(n))
-            r_omega = _project(
-                residual, alpha, [pair.beta, secondary], pair.gamma, normalizer
-            )
-            slices = []
-            for h3, e3 in factor_monic(r_omega).factors:
-                raw = h3.eval_var(3, 0)
-                if raw.is_zero():
-                    continue
-                unit = raw.leading_coefficient()
-                slices.append((raw.scale(ONE / unit), unit, h3, e3))
-            for j, (h2, e2, _, s_slot) in enumerate(refs):
-                if w_idx >= 2 * s_slot:
-                    continue
-                matches = [entry for entry in slices if entry[0] == h2]
-                if len(matches) > 1:
-                    matches = [entry for entry in matches if entry[3] == e2]
-                if len(matches) != 1:
-                    pair_ok = False
-                    break
-                _, unit, h3, _ = matches[0]
-                point_lists[j].append(h3.eval_point((0, 0, 1)) / unit)
-            if not pair_ok:
-                break
-        if not pair_ok:
-            stall += 1
-            continue
         added = False
-        for j, (h2, e2, deg_slot, s_slot) in enumerate(refs):
-            try:
-                candidate = sparse_interpolate(
-                    point_lists[j], s_slot, n, deg_slot
-                )
-            except InterpolationFailure:
+        for g in _pair_candidates(residual, alpha, pair, s, oracle) or ():
+            if g.sparsity() > s or not oracle.contains(g):
                 continue
-            if candidate.is_zero() or candidate.is_constant():
+            if residual.exact_divide(g) is None:
                 continue
-            candidate = candidate.canonical()
-            if candidate.sparsity() > s:
-                continue
-            if not oracle.contains(candidate):
-                continue
-            if residual.exact_divide(candidate) is None:
-                continue
-            if not _certify_irreducible(candidate, oracle, config):
-                continue
-            accept(candidate)
-            added = True
+            if admit(g, _exact_irreducible(g, oracle)):
+                added = True
         if added:
             stall = 0
-            probe_direct()
+            exhausted = settle()
         else:
             stall += 1
     return FactorList.build(ONE, found)

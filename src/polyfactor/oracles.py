@@ -19,11 +19,11 @@ gate never admits a wrong factor; only completeness degrades), or raises
 CapError in strict mode.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import combinations, product
 
 from .rational import Q, ZERO, ONE
-from .sparse import SparsePoly
 from .errors import CapError
 from .isolation import compact_scheme
 from .config import DEFAULT as DEFAULT_CONFIG
@@ -79,8 +79,6 @@ def constant_degree_oracle(delta, n, d, config=None, scheme=None):
             gamma = tuple(Q(a) ** wi for wi in scheme.w_prime)
             yield ProjectionPair(beta, gamma)
 
-    import math
-
     return IrredProjOracle(
         "constant-degree:%d" % delta,
         n,
@@ -125,15 +123,8 @@ def su_decide_irreducible(f):
     support = sorted(f.var_support())
     if not support:
         return False
-    compact = {var: slot for slot, var in enumerate(support)}
-    terms = {}
-    for exps, c in f.terms.items():
-        new = [0] * len(support)
-        for i, e in enumerate(exps):
-            if e:
-                new[compact[i + 1]] = e
-        terms[tuple(new)] = c
-    return is_irreducible_lowvar(SparsePoly(len(support), terms))
+    positions = {var - 1: slot for slot, var in enumerate(support)}
+    return is_irreducible_lowvar(f.map_variables(positions, len(support)))
 
 
 def su_oracle(n, d, config=None):

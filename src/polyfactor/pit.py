@@ -32,11 +32,6 @@ class EvaluationPlan:
     n: int
     d: int
 
-    def to_json(self):
-        import json
-
-        return json.dumps([[str(c) for c in point] for point in self.points])
-
 
 def trivial_hitting_set(n, d, max_size=None):
     """The grid {1..d+1}^n; exponential in n, usable for constant n."""

@@ -186,6 +186,19 @@ def test_config_bad_int_names_its_line(tmp_path, capsys):
     assert err.startswith("error: %s:2: max_delta expects an integer" % cfg)
 
 
+def test_config_negative_int_names_its_line(tmp_path, capsys):
+    # a negative cap would switch the search off without a word
+    cfg = tmp_path / "caps.cfg"
+    for key in ("su_stall", "oracle_points"):
+        cfg.write_text("max_delta = 3\n%s = -1\n" % key)
+        code, out, err = run_cli(capsys, "--config", str(cfg), "factor-su", "z1^2 - z2^2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: %s:2: %s expects a non-negative integer" % (cfg, key))
+    cfg.write_text("su_stall = 0\n")
+    assert Config.from_file(str(cfg)).su_stall == 0
+
+
 def test_config_missing_file_exit_code(tmp_path, capsys):
     missing = tmp_path / "nope.cfg"
     code, _, err = run_cli(capsys, "--config", str(missing), "pit", "z1")

@@ -6,6 +6,7 @@ from polyfactor.rational import Q, ONE
 from polyfactor.sparse import SparsePoly
 from polyfactor.parse import parse_poly, parse_product, render_poly
 from polyfactor.engine import (
+    _exact_irreducible,
     constant_degree_factors,
     factor_constant_degree_promise,
     factor_multiplicity,
@@ -26,6 +27,7 @@ from conftest import (
     random_irreducible_cubic,
     random_poly,
     random_su,
+    sympy_irreducible,
 )
 
 
@@ -231,6 +233,56 @@ def test_sparse_irreducible_test():
         parse_product("(z1+1)*(z2+1)"), su_oracle(2, 2, tight)
     )
     assert sparse_irreducible_test(parse_poly("z1 + 5*z2"), su_oracle(2, 1))
+
+
+def test_quadratic_verdict_is_the_discriminant_test():
+    # the constant-degree oracle has no decision procedure of its own, so
+    # a quadratic is decided by the discriminant of its monic shift
+    for text, irreducible in (
+        ("z1^2 - 2", True),
+        ("z1^2 + z2^2", True),
+        ("2*z1^2 - z2^2", True),
+        ("2*z1*z2 + z3^2", True),
+        ("z1^2 - z2^2", False),
+        ("(z1 + z2 + 1)^2", False),
+        ("4*z1^2 - 9*z2^2", False),
+        ("z1^2 - 1/4", False),
+    ):
+        g = parse_product(text)
+        assert _exact_irreducible(g, constant_degree_oracle(2, g.n, 2)) is irreducible, text
+
+
+def test_quadratic_verdict_matches_sympy():
+    rng = rng_for("quadratic-verdict")
+    checked = 0
+    while checked < 60:
+        n = rng.randint(1, 3)
+        g = random_poly(rng, n, 2, rng.randint(2, 5), coeff_bound=4)
+        if g.degree() != 2:
+            continue
+        verdict = _exact_irreducible(g, constant_degree_oracle(2, n, 2))
+        assert verdict is sympy_irreducible(g), g
+        checked += 1
+
+
+def test_unchanged_residual_is_decided_once(monkeypatch):
+    # the input is in the SU class and reducible; once z1 + z2 is divided
+    # out, the cofactor leaves the class and its discriminant ends the
+    # search, so the SU decision runs only on the input itself
+    import polyfactor.oracles as oracles
+
+    calls = 0
+    original = oracles.su_decide_irreducible
+
+    def counted(g):
+        nonlocal calls
+        calls += 1
+        return original(g)
+
+    monkeypatch.setattr(oracles, "su_decide_irreducible", counted)
+    fl = factor_su(parse_poly("2*z1^3 + 2*z2^3 + 2*z1 + 2*z2"))
+    assert [(render_poly(p), m) for p, m in fl.factors] == [("z1 + z2", 1)]
+    assert calls == 1
 
 
 def test_sparse_factors_with_su_oracle():

@@ -5,10 +5,16 @@ The pools under perfbench/corpus/ were certified by sympy when they were
 frozen; each entry carries its expected output and its cost at reference
 speed.  This re-runs the entries that cost under 0.1 s, through the same
 pipeline calls as perfbench/run.py, and only reads the corpus.
+
+Run as a script, it checks every entry of the named pools, whatever its
+cost, prints each entry whose output differs and exits 1 if there is one:
+
+    python tests/test_golden.py [workload ...]    # default: every pool
 """
 
 import json
 import os
+import sys
 
 import pytest
 
@@ -32,9 +38,13 @@ PIPELINES = {
 }
 
 
-def fast_entries(workload):
+def load_pool(workload):
     with open(os.path.join(CORPUS, workload + ".jsonl")) as fh:
-        pool = [json.loads(line) for line in fh]
+        return [json.loads(line) for line in fh]
+
+
+def fast_entries(workload):
+    pool = load_pool(workload)
     with open(os.path.join(CORPUS, workload + ".costs.json")) as fh:
         costs = json.load(fh)
     assert len(costs) == len(pool)
@@ -45,14 +55,37 @@ def canonical(obj):
     return json.dumps(obj, sort_keys=True)
 
 
+def differing_output(workload, item):
+    """The entry's canonical output when it differs from the expected one,
+    else None."""
+    out = canonical(PIPELINES[workload](parse_poly(item["poly"], item["n"])).to_json_dict())
+    return None if out == canonical(item["expected"]) else out
+
+
 @pytest.mark.parametrize("workload", sorted(PIPELINES))
 def test_fast_pool_entries_reproduce_expected_output(workload):
-    call = PIPELINES[workload]
     entries = fast_entries(workload)
     assert entries
-    wrong = []
-    for i, item in entries:
-        out = call(parse_poly(item["poly"], item["n"])).to_json_dict()
-        if canonical(out) != canonical(item["expected"]):
-            wrong.append(i)
+    wrong = [i for i, item in entries if differing_output(workload, item) is not None]
     assert not wrong, "%s entries %s differ from their expected output" % (workload, wrong)
+
+
+def main(workloads):
+    unknown = sorted(set(workloads) - set(PIPELINES))
+    if unknown:
+        print("unknown workload %s; choose from %s"
+              % (", ".join(unknown), ", ".join(sorted(PIPELINES))), file=sys.stderr)
+        return 2
+    wrong = 0
+    for workload in workloads or sorted(PIPELINES):
+        for i, item in enumerate(load_pool(workload)):
+            out = differing_output(workload, item)
+            if out is not None:
+                wrong += 1
+                print("%s entry %d: got %s, expected %s"
+                      % (workload, i, out, canonical(item["expected"])), flush=True)
+    return 1 if wrong else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
