@@ -6,7 +6,7 @@ identical inputs always produce identical outputs (including factor order).
 
 from .rational import Q
 from .sparse import SparsePoly
-from .dense import DensePoly3, to_dense, from_dense
+from .dense import DensePoly3, to_dense
 from .factors import FactorList
 from .parse import parse_poly, parse_product, render_poly
 from .config import Config
@@ -35,7 +35,6 @@ from .isolation import (
 )
 from .basefactor import (
     factor_lowvar,
-    factor_univariate_q,
     is_irreducible_lowvar,
 )
 from .divisibility import (
@@ -67,7 +66,6 @@ __all__ = [
     "SparsePoly",
     "DensePoly3",
     "to_dense",
-    "from_dense",
     "FactorList",
     "parse_poly",
     "parse_product",
@@ -91,7 +89,6 @@ __all__ = [
     "psi_map",
     "recover_from_phi",
     "factor_lowvar",
-    "factor_univariate_q",
     "is_irreducible_lowvar",
     "constant_degree_divides",
     "divides_exact",

@@ -497,19 +497,6 @@ def _factor_univariate_pairs(f):
     return pairs
 
 
-def factor_univariate_q(f):
-    """Complete factorization over Q of a nonzero univariate SparsePoly."""
-    if f.is_zero():
-        raise ZeroPolynomialError("cannot factor the zero polynomial")
-    if f.is_constant():
-        return FactorList.build(f.constant_value(), [])
-    pairs = _factor_univariate_pairs(f)
-    result = FactorList.build(f.leading_coefficient(), pairs)
-    if result.recompose() != f:
-        raise VerificationError("univariate recomposition failed")
-    return result
-
-
 # ---------------------------------------------------------------------------
 # coefficient dictionaries for the multivariate lift: {ex*STRIDE + ew: int}
 # (packed keys add componentwise under integer addition, so products run on
@@ -951,21 +938,27 @@ def _require_monic_in_x(f):
                 raise PolyError("polynomial is not monic in x")
 
 
-def factor_monic(f):
-    """FactorList of a SparsePoly (<=3 vars) monic in variable 1."""
-    _require_monic_in_x(f)
-    pairs = _factor_monic_sparse(f)
+def _verified(f, pairs):
+    """The FactorList of f from its (factor, multiplicity) pairs, checked by
+    recomposition."""
     result = FactorList.build(f.leading_coefficient(), pairs)
     if result.recompose() != f:
         raise VerificationError("recomposition failed")
     return result
 
 
+def factor_monic(f):
+    """FactorList of a SparsePoly (<=3 vars) monic in variable 1."""
+    _require_monic_in_x(f)
+    return _verified(f, _factor_monic_sparse(f))
+
+
 def factor_lowvar(f):
     """Complete factorization of any nonconstant SparsePoly in <=3 variables.
 
-    Non-monic inputs are sheared (z_j += c_j * z_1) until the z1-leading
-    coefficient is constant, factored, and sheared back.
+    Univariate input goes straight to Yun and Zassenhaus.  Non-monic inputs
+    are sheared (z_j += c_j * z_1) until the z1-leading coefficient is
+    constant, factored, and sheared back.
     """
     if f.n > 3:
         raise PolyError("dense factorization supports at most 3 variables")
@@ -974,7 +967,7 @@ def factor_lowvar(f):
     if f.is_constant():
         return FactorList.build(f.constant_value(), [])
     if f.n == 1:
-        return factor_univariate_q(f)
+        return _verified(f, _factor_univariate_pairs(f))
     d = f.degree()
     top = f.hom_component(d)
     shear = None
@@ -1001,11 +994,9 @@ def factor_lowvar(f):
     lc = sheared.terms[(d,) + (0,) * (f.n - 1)]
     pairs = _factor_monic_sparse(sheared.scale(ONE / lc))
     back = shear_map(-1)
-    restored = [(g.substitute(back, m=f.n).canonical(), mult) for g, mult in pairs]
-    result = FactorList.build(f.leading_coefficient(), restored)
-    if result.recompose() != f:
-        raise VerificationError("recomposition failed")
-    return result
+    return _verified(
+        f, [(g.substitute(back, m=f.n).canonical(), mult) for g, mult in pairs]
+    )
 
 
 def is_irreducible_lowvar(f):

@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 
-from .rational import q_str
 from .config import Config, DEFAULT
 from .errors import CapError, PolyError, PromiseViolation
 from .parse import ParseError, parse_poly, parse_product
@@ -35,12 +34,8 @@ def _emit(args, payload, text_body=None):
         print(text_body if text_body is not None else payload)
 
 
-def _factor_payload(fl):
-    return fl.to_json_dict()
-
-
 def _factor_text(fl):
-    lines = ["scalar %s" % q_str(fl.scalar)]
+    lines = ["scalar %s" % fl.scalar]
     for poly, mult in fl.factors:
         lines.append("%s  ^%d" % (render_poly(poly), mult))
     return "\n".join(lines)
@@ -125,26 +120,26 @@ def run(argv=None):
     if args.command == "factor-cd":
         f = _read_poly(args, args.poly)
         fl = engine.constant_degree_factors(f, args.delta, config)
-        _emit(args, _factor_payload(fl), _factor_text(fl))
+        _emit(args, fl.to_json_dict(), _factor_text(fl))
         return 0
 
     if args.command == "factor-cd-promise":
         f = _read_poly(args, args.poly)
         fl = engine.factor_constant_degree_promise(f, args.delta, config)
-        _emit(args, _factor_payload(fl), _factor_text(fl))
+        _emit(args, fl.to_json_dict(), _factor_text(fl))
         return 0
 
     if args.command == "factor-sparse":
         f = _read_poly(args, args.poly)
         oracle = _make_oracle(args.oracle, f.n, f.degree() or 0, config)
         fl = engine.sparse_factors(f, args.sparsity, oracle, config)
-        _emit(args, _factor_payload(fl), _factor_text(fl))
+        _emit(args, fl.to_json_dict(), _factor_text(fl))
         return 0
 
     if args.command == "factor-su":
         f = _read_poly(args, args.poly)
         fl = engine.factor_su(f, config)
-        _emit(args, _factor_payload(fl), _factor_text(fl))
+        _emit(args, fl.to_json_dict(), _factor_text(fl))
         return 0
 
     if args.command == "divides":
@@ -154,7 +149,7 @@ def run(argv=None):
             w = divisibility_witness(f, g)
             payload = {
                 "divides": w.holds,
-                "alpha": [q_str(a) for a in w.alpha],
+                "alpha": [str(a) for a in w.alpha],
                 "h_tilde": render_poly(w.h_tilde),
             }
             if w.holds:

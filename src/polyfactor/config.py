@@ -6,6 +6,18 @@ _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off")
 
 
+def _check_field(name, kind, value):
+    """ValueError unless value fits the field: a bool for a bool field, a
+    non-negative int (not a bool) for every other field."""
+    if kind in ("bool", bool):
+        ok, want = isinstance(value, bool), "a bool"
+    else:
+        ok = isinstance(value, int) and not isinstance(value, bool) and value >= 0
+        want = "a non-negative integer"
+    if not ok:
+        raise ValueError("%s expects %s, got %r" % (name, want, value))
+
+
 @dataclass
 class Config:
     # Hard ceiling on dense (x, y, t) grid cells allocated by the psi map.
@@ -22,6 +34,12 @@ class Config:
     su_stall: int = 250
     # Raise CapError instead of sampling a grid prefix when a budget binds.
     strict_caps: bool = False
+
+    def __post_init__(self):
+        # a negative cap would switch the search off without a word, and a
+        # non-bool strict_caps would be read by truthiness
+        for field in fields(self):
+            _check_field(field.name, field.type, getattr(self, field.name))
 
     @classmethod
     def from_file(cls, path):
@@ -53,11 +71,10 @@ class Config:
                             "%s:%d: %s expects an integer, got %r"
                             % (path, lineno, key, value)
                         ) from None
-                    if values[key] < 0:
-                        raise ValueError(
-                            "%s:%d: %s expects a non-negative integer, got %r"
-                            % (path, lineno, key, value)
-                        )
+                try:
+                    _check_field(key, names[key], values[key])
+                except ValueError as exc:
+                    raise ValueError("%s:%d: %s" % (path, lineno, exc)) from None
         return cls(**values)
 
 

@@ -36,17 +36,6 @@ class DensePoly3:
         coeffs = [[[ZERO] * (dt + 1) for _ in range(dy + 1)] for _ in range(dx + 1)]
         return cls(bounds, coeffs)
 
-    def get(self, i, j, k):
-        dx, dy, dt = self.bounds
-        if i > dx or j > dy or k > dt:
-            return ZERO
-        return self.coeffs[i][j][k]
-
-    def is_zero(self):
-        return all(
-            not c for plane in self.coeffs for row in plane for c in row
-        )
-
     def true_degrees(self):
         """(deg_x, deg_y, deg_t) actual degrees, or None if zero."""
         dx = dy = dt = -1
@@ -62,16 +51,6 @@ class DensePoly3:
         if total < 0:
             return None
         return dx, dy, dt
-
-    def degree(self):
-        """Total degree; None for the zero polynomial."""
-        best = None
-        for i, plane in enumerate(self.coeffs):
-            for j, row in enumerate(plane):
-                for k, c in enumerate(row):
-                    if c and (best is None or i + j + k > best):
-                        best = i + j + k
-        return best
 
     def __eq__(self, other):
         if not isinstance(other, DensePoly3):
@@ -107,19 +86,3 @@ def to_dense(f, max_cells=None):
         grid.coeffs[i][j][k] = coeff
     return grid
 
-
-def from_dense(g, n=3):
-    """DensePoly3 -> SparsePoly over n >= (number of meaningful axes)."""
-    sparse3 = g.to_sparse()
-    if n == 3:
-        return sparse3
-    if n > 3:
-        return sparse3.map_variables([0, 1, 2], n)
-    terms = {}
-    for exps, coeff in sparse3.terms.items():
-        if any(exps[n:]):
-            raise VariableCountMismatch(
-                "grid has degree in axis beyond the requested %d variables" % n
-            )
-        terms[exps[:n]] = coeff
-    return SparsePoly(n, terms)

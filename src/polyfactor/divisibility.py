@@ -57,14 +57,12 @@ def truncation_weights(d, D):
     return weights
 
 
-def divisibility_witness(f, g, degree_bound=None):
+def divisibility_witness(f, g):
     """The full witness record for the identity-based divisibility test."""
     if g.is_zero():
         raise ZeroDivisorError("zero divisor")
     n = f.n
-    d = degree_bound
-    if d is None:
-        d = max(f.degree() or 0, g.degree() or 0, 1)
+    d = max(f.degree() or 0, g.degree() or 0, 1)
     alpha = find_nonzero_point(g, n, g.degree() or 0, mode="whitebox")
     g_alpha = g.eval_point(alpha)
     if g_alpha == 0:

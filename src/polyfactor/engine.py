@@ -46,8 +46,7 @@ class MonicShift:
 
 @dataclass(frozen=True)
 class ProjectedFactorSet:
-    s_proj_fac: tuple
-    s_proj_fac_mult: tuple
+    s_proj_fac_mult: tuple  # of (factor, multiplicity)
     shift: object
     scheme: object
 
@@ -113,14 +112,12 @@ def projected_factoring(f, delta, scheme=None, config=None):
     grid = psi_map(f_alpha, scheme, max_cells=config.max_dense_cells)
     if grid.true_degrees()[0] != shift.degree:
         raise VerificationError("psi must preserve the x-degree")
-    factor_list = factor_monic(grid.to_sparse())
-    proj = []
-    proj_mult = []
-    for h, e in factor_list.factors:
-        if (h.degree_in(1) or 0) <= delta:
-            proj.append(h)
-            proj_mult.append((h, e))
-    return ProjectedFactorSet(tuple(proj), tuple(proj_mult), shift, scheme)
+    proj_mult = tuple(
+        (h, e)
+        for h, e in factor_monic(grid.to_sparse()).factors
+        if (h.degree_in(1) or 0) <= delta
+    )
+    return ProjectedFactorSet(proj_mult, shift, scheme)
 
 
 def _invert_candidate(h, proj, delta):
@@ -150,7 +147,7 @@ def _constant_degree_search(f, delta, config):
     for passes, scheme in enumerate(scheme_ladder(f.n, delta, f.degree()), 1):
         proj = projected_factoring(residual, delta, scheme, config)
         progressed = False
-        for h in proj.s_proj_fac:
+        for h, _ in proj.s_proj_fac_mult:
             g = _invert_candidate(h, proj, delta)
             if g is None:
                 continue
@@ -285,8 +282,8 @@ def _pair_candidates(residual, alpha, pair, s, oracle):
         return []
     # one shared point sequence; each ref consumes the prefix its own
     # sparsity ceiling requires (plans are nested by construction)
-    plan = interpolation_plan(max(ref[3] for ref in refs), n, deg_residual)
-    for w_idx, omega in enumerate(plan.points):
+    plan = interpolation_plan(max(ref[3] for ref in refs), n)
+    for w_idx, omega in enumerate(plan):
         secondary = tuple(omega[i] - pair.gamma[i] for i in range(n))
         r_omega = _project(
             residual, alpha, [pair.beta, secondary], pair.gamma, normalizer

@@ -7,19 +7,10 @@ stripped content is absorbed into the scalar.  Factor order is canonical
 
 from dataclasses import dataclass
 
-from .rational import Q, q_str
+from .rational import Q
 from .sparse import SparsePoly, grlex_key
 from .parse import render_poly
 from .errors import PolyError
-
-
-def product_of_powers(scalar, pairs):
-    """scalar * product(poly^e) over (poly, e) pairs; univariate when empty."""
-    n = pairs[0][0].n if pairs else 1
-    total = SparsePoly.const(n, scalar)
-    for poly, e in pairs:
-        total = total * poly**e
-    return total
 
 
 def factor_sort_key(f):
@@ -52,17 +43,19 @@ class FactorList:
         return cls(scalar, ordered)
 
     def recompose(self):
-        """scalar * product(factor^mult); equals the input when complete."""
-        return product_of_powers(self.scalar, self.factors)
+        """scalar * product(factor^mult); equals the input when complete
+        (a univariate constant when there are no factors)."""
+        n = self.factors[0][0].n if self.factors else 1
+        total = SparsePoly.const(n, self.scalar)
+        for poly, mult in self.factors:
+            total = total * poly**mult
+        return total
 
-    def __len__(self):
-        return len(self.factors)
-
-    def to_json_dict(self, reserved=False):
+    def to_json_dict(self):
         return {
-            "scalar": q_str(self.scalar),
+            "scalar": str(self.scalar),
             "factors": [
-                {"poly": render_poly(poly, reserved=reserved), "multiplicity": mult}
+                {"poly": render_poly(poly), "multiplicity": mult}
                 for poly, mult in self.factors
             ],
         }

@@ -143,16 +143,21 @@ def offset_scheme(n, delta):
     return IsolationScheme(n, delta, base.p, base.w, wp)
 
 
-def split_scheme(n, delta, extra_capacity=1, g_degree_cap=2):
+# the degree bound on the split scheme's hidden certifying polynomial; the
+# analytic 2*delta^5 is out of reach at desk scale
+_SPLIT_G_DEGREE = 2
+
+
+def split_scheme(n, delta, extra_capacity=1):
     """One isolation instance over 2n formal variables, weight vector split
     into (w, w'); the degree bound for the hidden certifying polynomial is
-    min(2*delta^5, g_degree_cap)."""
-    g_degree = min(2 * delta**5, max(1, g_degree_cap))
+    min(2*delta^5, _SPLIT_G_DEGREE)."""
+    g_degree = min(2 * delta**5, _SPLIT_G_DEGREE)
     big = find_isolating_prime(2 * n, g_degree, extra_capacity)
     w = big.w[:n]
     wp = big.w[n:]
     if not (weights_injective(w, delta) and weights_injective(wp, delta)):
-        raise CapError("split_scheme_injectivity", g_degree, g_degree_cap)
+        raise CapError("split_scheme_injectivity", g_degree, _SPLIT_G_DEGREE)
     return IsolationScheme(n, delta, big.p, w, wp)
 
 
@@ -193,9 +198,9 @@ def apply_phi(f, scheme, x_vars=0):
     return f.substitute(assignment, m=m)
 
 
-def recover_from_phi(h, scheme, delta, x_vars=0):
-    """Unique degree-<=delta preimage under apply_phi; NotInCodomain on a
-    y-exponent outside the scheme's monomial table."""
+def recover_from_phi(h, scheme, x_vars=0):
+    """Unique preimage of degree <= scheme.delta under apply_phi;
+    NotInCodomain on a y-exponent outside the scheme's monomial table."""
     if h.n != x_vars + 1:
         raise PolyError("image must have exactly one y variable")
     table = scheme.monomial_table(primary=True)

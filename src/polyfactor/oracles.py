@@ -37,8 +37,6 @@ class ProjectionPair:
 
 @dataclass(frozen=True)
 class IrredProjOracle:
-    name: str
-    n: int
     membership: object  # SparsePoly -> bool
     generator: object  # alpha -> iterator of ProjectionPair
     decide_irreducible: object = None  # optional direct decision procedure
@@ -56,13 +54,13 @@ class IrredProjOracle:
 # constant-degree classes
 
 
-def constant_degree_oracle(delta, n, d, config=None, scheme=None):
-    """Projection pairs along the weight curve a -> (a^w, a^w')."""
+def constant_degree_oracle(delta, n, d, config=None):
+    """Projection pairs along the weight curve a -> (a^w, a^w') of the
+    compact scheme; d, the input's degree, does not enter the curve."""
     config = config or DEFAULT_CONFIG
     if delta > config.max_delta:
         raise CapError("max_delta", delta, config.max_delta)
-    if scheme is None:
-        scheme = compact_scheme(n, delta)
+    scheme = compact_scheme(n, delta)
     curve_bound = 2 * delta**5 * max(max(scheme.w), max(scheme.w_prime))
     points = curve_bound + 1
     if points > config.oracle_points:
@@ -80,8 +78,6 @@ def constant_degree_oracle(delta, n, d, config=None, scheme=None):
             yield ProjectionPair(beta, gamma)
 
     return IrredProjOracle(
-        "constant-degree:%d" % delta,
-        n,
         membership,
         generator,
         None,
@@ -167,8 +163,6 @@ def su_oracle(n, d, config=None):
             yield ProjectionPair((ONE,), (ONE,))
 
     return IrredProjOracle(
-        "su",
-        n,
         su_membership,
         generator,
         su_decide_irreducible,

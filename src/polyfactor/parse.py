@@ -52,20 +52,19 @@ def tokenize(text):
     return tokens
 
 
-def infer_arity(text, reserved_ok=True):
-    """Variable count implied by the mention set: max z index, or the
-    reserved-name convention (x,y,t -> slots 0,1,2) when only those occur."""
+def infer_arity(tokens):
+    """Variable count implied by the tokens' mention set: max z index, or
+    the reserved-name convention (x,y,t -> slots 0,1,2) when only those
+    occur."""
     zmax = 0
     reserved = False
-    for kind, value, _ in tokenize(text)[:-1]:
+    for kind, value, _ in tokens:
         if kind == "var":
             if value in RESERVED:
                 reserved = True
             else:
                 zmax = max(zmax, int(value[1:]))
     if reserved:
-        if not reserved_ok:
-            raise ParseError("reserved variable used where z-variables expected", 0)
         if zmax:
             raise ParseError("cannot mix reserved names with z-variables", 0)
         return 3
@@ -170,9 +169,10 @@ class _Parser:
 
 
 def _parse(text, n, products):
+    tokens = tokenize(text)
     if n is None:
-        n = infer_arity(text)
-    parser = _Parser(tokenize(text), n, products)
+        n = infer_arity(tokens)
+    parser = _Parser(tokens, n, products)
     poly = parser.parse_sum()
     kind, value, pos = parser.peek()
     if kind != "end":
@@ -190,20 +190,18 @@ def parse_product(text, n=None):
     return _parse(text, n, products=True)
 
 
-def _var_name(slot, n, reserved):
+def _var_name(slot, reserved):
     if reserved:
         return "xyt"[slot]
     return "z%d" % (slot + 1)
 
 
-def render_poly(f, reserved=None):
+def render_poly(f, reserved=False):
     """Canonical text form; graded-lex descending term order.
 
-    reserved=True uses x,y,t names (3-variable grids); default uses z1..zn
-    except for 3-variable polynomials explicitly flagged.
+    reserved=True uses the x,y,t names of 3-variable grids; the default
+    uses z1..zn.
     """
-    if reserved is None:
-        reserved = False
     if f.is_zero():
         return "0"
     parts = []
@@ -212,7 +210,7 @@ def render_poly(f, reserved=None):
     for exps in sorted(f.terms, key=grlex_key, reverse=True):
         coeff = f.terms[exps]
         mono = "*".join(
-            _var_name(i, f.n, reserved) + ("^%d" % e if e > 1 else "")
+            _var_name(i, reserved) + ("^%d" % e if e > 1 else "")
             for i, e in enumerate(exps)
             if e
         )

@@ -8,42 +8,25 @@ evaluate-then-solve contract as the Klivans-Spielman construction and reuses
 the univariate factorizer for the locator roots.
 """
 
-from dataclasses import dataclass
 from itertools import islice, product
 
 from .rational import Q, ONE, ZERO, primes
 from .sparse import SparsePoly
-from .basefactor import factor_univariate_q
+from .basefactor import factor_lowvar
 from .errors import CapError, InterpolationFailure, ZeroPolynomialError
 
 
-@dataclass(frozen=True)
-class HittingSet:
-    points: tuple
-    n: int
-    d: int
-    descriptor: str
-
-
-@dataclass(frozen=True)
-class EvaluationPlan:
-    points: tuple
-    s: int
-    n: int
-    d: int
-
-
 def trivial_hitting_set(n, d, max_size=None):
-    """The grid {1..d+1}^n; exponential in n, usable for constant n."""
+    """The grid {1..d+1}^n as a tuple of points; exponential in n, usable
+    for constant n."""
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
     size = (d + 1) ** n
     if max_size is not None and size > max_size:
         raise CapError("hitting_set_size", size, max_size)
-    points = tuple(
+    return tuple(
         tuple(Q(v) for v in combo) for combo in product(range(1, d + 2), repeat=n)
     )
-    return HittingSet(points, n, d, "all degree-%d in %d vars" % (d, n))
 
 
 class ProbeCounter:
@@ -58,7 +41,8 @@ def find_nonzero_point(f, n, d, mode="whitebox", hitting_set=None, counter=None)
 
     Whitebox mode takes a SparsePoly and assigns variables one at a time,
     scanning candidate values 1..d+1 (at most n*(d+1) probes).  Blackbox mode
-    takes an evaluation callable plus a hitting set for f's class; a hit with
+    takes an evaluation callable plus a hitting set for f's class (a tuple
+    of points, e.g. trivial_hitting_set(n, d)); a hit with
     zero coordinates is repaired by scanning the diagonal shifts
     a + (M+1+j), j = 0..d, with M the magnitude of the smallest coordinate.
     """
@@ -94,7 +78,7 @@ def find_nonzero_point(f, n, d, mode="whitebox", hitting_set=None, counter=None)
             raise ValueError("blackbox mode needs a hitting set")
         evaluate = f if callable(f) else f.eval_point
         hit = None
-        for a in hitting_set.points:
+        for a in hitting_set:
             if counter is not None:
                 counter.count += 1
             if evaluate(a):
@@ -122,16 +106,14 @@ def sparse_pit(f):
     return f.is_zero()
 
 
-def interpolation_plan(s, n, d):
-    """2s evaluation points (p_1^i, ..., p_n^i), i = 0..2s-1; plans for larger
-    sparsity bounds extend smaller ones."""
+def interpolation_plan(s, n):
+    """The plan: a tuple of 2s evaluation points (p_1^i, ..., p_n^i),
+    i = 0..2s-1, p_j the j-th prime; plans for larger sparsity bounds
+    extend smaller ones."""
     if s < 1:
         raise ValueError("sparsity bound must be >= 1")
     bases = list(islice(primes(), n))
-    points = tuple(
-        tuple(Q(p**i) for p in bases) for i in range(2 * s)
-    )
-    return EvaluationPlan(points, s, n, d)
+    return tuple(tuple(Q(p**i) for p in bases) for i in range(2 * s))
 
 
 def berlekamp_massey(values):
@@ -178,7 +160,7 @@ def _integer_roots(char_coeffs):
     linear factors over Z."""
     poly = SparsePoly(1, {(i,): c for i, c in enumerate(char_coeffs) if c})
     roots = []
-    for factor, mult in factor_univariate_q(poly).factors:
+    for factor, mult in factor_lowvar(poly).factors:
         if factor.degree() != 1 or mult != 1:
             return None
         a1 = factor.terms.get((1,), ZERO)
@@ -210,7 +192,7 @@ def _monomial_from_locator(value, primes, d):
 
 def sparse_interpolate(values, s, n, d):
     """Recover the unique polynomial of sparsity <= s and degree <= d from its
-    evaluations on interpolation_plan(s, n, d)."""
+    evaluations on the points of interpolation_plan(s, n)."""
     values = [Q(v) for v in values]
     if len(values) != 2 * s:
         raise InterpolationFailure("expected exactly 2s evaluation values")
@@ -245,8 +227,7 @@ def sparse_interpolate(values, s, n, d):
     if result.sparsity() > s or (result.degree() or 0) > d:
         raise InterpolationFailure("result violates the promised class")
     # residual check over all supplied points
-    plan = interpolation_plan(s, n, d)
-    for point, expected in zip(plan.points, values):
+    for point, expected in zip(interpolation_plan(s, n), values):
         if result.eval_point(point) != expected:
             raise InterpolationFailure("residual mismatch: input was off-promise")
     return result

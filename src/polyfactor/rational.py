@@ -50,6 +50,3 @@ def primes(start=2):
             yield n
         n += 1
 
-
-def q_str(q) -> str:
-    return str(q)

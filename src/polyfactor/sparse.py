@@ -402,31 +402,33 @@ class SparsePoly:
         )
 
     def eval_var(self, var, value):
-        """Substitute z_var := value (1-based) and drop the slot."""
+        """Substitute z_var := value (1-based) and drop the slot.
+
+        Runs on integers: with self = F / den and value = a / b, a term
+        c z_var^e of F contributes c * a^e * b^(top - e) over the shared
+        denominator den * b^top, top the largest exponent of z_var, and
+        each output coefficient becomes a rational once.
+        """
         i = var - 1
         value = Q(value)
-        powers = {}
-        terms = {}
-        for exps, c in self.terms.items():
+        a, b = int(value.numerator), int(value.denominator)
+        ints, den = clear_denominators(self.terms.values())
+        top = max((exps[i] for exps in self.terms), default=0)
+        scales = {}
+        total = {}
+        get = total.get
+        for exps, c in zip(self.terms, ints):
             e = exps[i]
-            if e:
-                if not value:
-                    continue
-                p = powers.get(e)
-                if p is None:
-                    p = powers[e] = value**e
-                c = c * p
-            reduced = exps[:i] + exps[i + 1 :]
-            acc = terms.get(reduced)
-            if acc is None:
-                terms[reduced] = c
-            else:
-                acc = acc + c
-                if acc:
-                    terms[reduced] = acc
-                else:
-                    del terms[reduced]
-        return SparsePoly(self.n - 1, terms)
+            scale = scales.get(e)
+            if scale is None:
+                scale = scales[e] = a**e * b ** (top - e)
+            if scale:
+                reduced = exps[:i] + exps[i + 1 :]
+                total[reduced] = get(reduced, 0) + c * scale
+        den *= b**top
+        return SparsePoly(
+            self.n - 1, {e: Q(c, den) for e, c in total.items() if c}
+        )
 
     def map_variables(self, positions, m):
         """Re-embed into m variables, sending slot i to slot positions[i]."""

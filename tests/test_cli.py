@@ -199,6 +199,24 @@ def test_config_negative_int_names_its_line(tmp_path, capsys):
     assert Config.from_file(str(cfg)).su_stall == 0
 
 
+def test_config_constructor_rejects_bad_caps():
+    # Config(su_stall=-1) used to switch the su search off without a word
+    for key in ("max_dense_cells", "max_delta", "su_budget", "oracle_points", "su_stall"):
+        for bad in (-1, True, 2.0, "5", None):
+            with pytest.raises(ValueError, match="%s expects a non-negative integer" % key):
+                Config(**{key: bad})
+        assert getattr(Config(**{key: 0}), key) == 0
+
+
+def test_config_constructor_rejects_non_bool_strict_caps():
+    # Config(strict_caps="no") used to turn strict mode on by truthiness
+    for bad in ("no", "false", 0, 1, None):
+        with pytest.raises(ValueError, match="strict_caps expects a bool"):
+            Config(strict_caps=bad)
+    assert Config(strict_caps=True).strict_caps is True
+    assert Config().strict_caps is False
+
+
 def test_config_missing_file_exit_code(tmp_path, capsys):
     missing = tmp_path / "nope.cfg"
     code, _, err = run_cli(capsys, "--config", str(missing), "pit", "z1")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from polyfactor.dense import DensePoly3, to_dense, from_dense
+from polyfactor.dense import DensePoly3, to_dense
 from polyfactor.parse import parse_poly
 from polyfactor.sparse import SparsePoly
 from polyfactor.errors import CapError, VariableCountMismatch
@@ -14,22 +14,21 @@ def test_round_trip_x2_y4():
     f = parse_poly("x^2 - y^4")
     grid = to_dense(f)
     assert grid.bounds == (2, 4, 0)
-    assert from_dense(grid) == f
+    assert grid.to_sparse() == f
 
 
 def test_zero_round_trips_with_marker():
     z = SparsePoly.zero(3)
     grid = to_dense(z)
-    assert grid.is_zero()
-    assert grid.degree() is None
-    assert from_dense(grid).is_zero()
+    assert grid.to_sparse().is_zero()
+    assert grid.true_degrees() is None
 
 
 def test_random_trivariate_round_trips():
     rng = rng_for("dense-round-trip")
     for _ in range(100):
         f = random_poly(rng, 3, 6, 10, ensure_nonzero=False)
-        assert from_dense(to_dense(f)) == f
+        assert to_dense(f).to_sparse() == f
 
 
 def test_true_degrees_ignore_padding():

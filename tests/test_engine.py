@@ -94,21 +94,21 @@ def test_unmonicize_flags_junk():
 def test_projected_factoring_splits():
     f = parse_product("(z1+z2)*(z1-z2)")
     proj = projected_factoring(f, 1)
-    assert len(proj.s_proj_fac) == 2
+    assert len(proj.s_proj_fac_mult) == 2
     assert all(e == 1 for _, e in proj.s_proj_fac_mult)
 
 
 def test_projected_factoring_multiplicity():
     f = parse_product("(z1+z2)^2")
     proj = projected_factoring(f, 1)
-    assert len(proj.s_proj_fac) == 1
+    assert len(proj.s_proj_fac_mult) == 1
     assert proj.s_proj_fac_mult[0][1] == 2
 
 
 def test_projected_factoring_excludes_high_degree():
     f = parse_poly("z1^3 + z2^3 + 1")  # irreducible cubic
     proj = projected_factoring(f, 2)
-    assert proj.s_proj_fac == ()
+    assert proj.s_proj_fac_mult == ()
 
 
 def test_promise_two_factors():

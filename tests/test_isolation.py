@@ -98,18 +98,18 @@ def test_recover_round_trip():
     rng = rng_for("phi-recover")
     s = find_isolating_prime(3, 2)
     y4 = apply_phi(parse_poly("z1*z2", n=3), s)
-    assert recover_from_phi(y4, s, 2) == parse_poly("z1*z2", n=3)
-    assert recover_from_phi(SparsePoly.const(1, 1), s, 2) == SparsePoly.const(3, 1)
+    assert recover_from_phi(y4, s) == parse_poly("z1*z2", n=3)
+    assert recover_from_phi(SparsePoly.const(1, 1), s) == SparsePoly.const(3, 1)
     for _ in range(100):
         g = bounded_random(rng, 3, 2)
-        assert recover_from_phi(apply_phi(g, s), s, 2) == g
+        assert recover_from_phi(apply_phi(g, s), s) == g
 
 
 def test_recover_rejects_out_of_table():
     s = find_isolating_prime(2, 2)
     bad = SparsePoly(1, {(97,): Q(1)})
     with pytest.raises(NotInCodomain):
-        recover_from_phi(bad, s, 2)
+        recover_from_phi(bad, s)
 
 
 def test_psi_fixes_x():
@@ -189,7 +189,7 @@ def test_psi_preserves_irreducibility_empirically():
 
 
 def test_split_scheme_shape():
-    s = split_scheme(2, 2, g_degree_cap=2)
+    s = split_scheme(2, 2)
     assert len(s.w) == 2 and len(s.w_prime) == 2
 
 

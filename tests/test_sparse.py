@@ -222,6 +222,59 @@ def test_successive_eval_var_equals_eval_point():
         assert current == SparsePoly.const(0, value)
 
 
+def reference_eval_var(f, var, value):
+    """The Fraction loop SparsePoly.eval_var ran before it moved to
+    integers: one multiply and one add per term."""
+    i = var - 1
+    value = Fraction(value)
+    powers = {}
+    terms = {}
+    for exps, c in f.terms.items():
+        e = exps[i]
+        if e:
+            if not value:
+                continue
+            p = powers.get(e)
+            if p is None:
+                p = powers[e] = value**e
+            c = c * p
+        reduced = exps[:i] + exps[i + 1 :]
+        acc = terms.get(reduced)
+        if acc is None:
+            terms[reduced] = c
+        else:
+            acc = acc + c
+            if acc:
+                terms[reduced] = acc
+            else:
+                del terms[reduced]
+    return SparsePoly(f.n - 1, terms)
+
+
+def test_eval_var_matches_fraction_reference():
+    rng = rng_for("eval-var-reference")
+    values = [0, 1, -1, 2, -3, Q(1, 2), Q(-7, 3), Q(5, 4), Fraction(-2, 9)]
+    seen = set()
+    for trial in range(300):
+        n = 1 if trial % 5 == 0 else rng.randint(2, 5)
+        f = random_operand(rng, n)
+        var = rng.randint(1, n)
+        if trial % 7 == 0:  # the variable absent from f
+            f = f.eval_var(var, 1).map_variables(
+                [j if j < var - 1 else j + 1 for j in range(n - 1)], n
+            )
+        value = rng.choice(values)
+        got = f.eval_var(var, value)
+        assert got == reference_eval_var(f, var, value), (f, var, value)
+        assert got.n == n - 1
+        assert all(type(c) is type(Q(1)) for c in got.terms.values())
+        seen.add((n == 1, f.degree_in(var) in (None, 0), value == 0, Q(value).denominator > 1))
+    # value 0, rational values, n = 1 and an absent variable all came up
+    assert {key[0] for key in seen} == {True, False}
+    assert any(key[1] for key in seen) and any(key[2] for key in seen)
+    assert any(key[3] for key in seen)
+
+
 def test_hom_component_filters_degree():
     f = parse_poly("z1*z2 + z1")
     assert f.hom_component(2) == parse_poly("z1*z2")
