@@ -16,7 +16,10 @@ before it is tested; repeated factors come back as exact m-th roots of
 reconstructed subset products.  A lifted factor is a series in the
 evaluated variable whose coefficients are packed (x, w) dicts mod p^k, w
 the remaining side variable; each lift step solves one Diophantine
-equation, w-adically from a Bezout pair at w = 0.
+equation, w-adically from a Bezout pair at w = 0.  When the factorization
+at one point is already known (a trivariate slice whose t2 = 0 image was
+factored before), `lift_factorization` lifts from that point directly,
+after a degree sieve that can prove the slice irreducible without lifting.
 Every accepted factor is verified by exact division over Q, and a final
 recomposition check guards the whole attempt, so a degenerate evaluation
 point can only cost time, never correctness.
@@ -953,6 +956,40 @@ def factor_monic(f):
     return _verified(f, _factor_monic_sparse(f))
 
 
+def _degree_sums(pairs):
+    """Every x-degree a product of some of the factors can have, each factor
+    counted with its multiplicity."""
+    sums = {0}
+    for u, mult in pairs:
+        d = u.degree_in(1)
+        for _ in range(mult):
+            sums |= {s + d for s in sums}
+    return sums
+
+
+def lift_factorization(f, base):
+    """FactorList of f(x, t1, t2), monic in x, lifted from `base`, the
+    complete factorization pairs of f(x, t1, 0): Wang's lift from a known
+    evaluation point (Math. Comp. 1978).  A degree sieve runs first: every
+    factor of f has an x-degree that is a subset sum both of the factor
+    degrees of f(x, 1, 2) and of the base's, so when these share only 0 and
+    deg_x f, f is irreducible and nothing is lifted.  None when the lift
+    cannot decide (the t1-degree drops at t2 = 0, or the lift fails); the
+    caller then factors f with `factor_monic`."""
+    _require_monic_in_x(f)
+    image = f.eval_var(3, 2).eval_var(2, 1)
+    common = _degree_sums(_factor_univariate_pairs(image)) & _degree_sums(base)
+    if common == {0, f.degree_in(1)}:
+        return _verified(f, [(f.canonical(), 1)])
+    if sum((u.degree_in(2) or 0) * mult for u, mult in base) != (f.degree_in(2) or 0):
+        return None
+    try:
+        pairs = _attempt_lift(f, 3, 2, 0, base, 0)
+    except _AttemptFailed:
+        return None
+    return None if pairs is None else _verified(f, pairs)
+
+
 def factor_lowvar(f):
     """Complete factorization of any nonconstant SparsePoly in <=3 variables.
 
@@ -1000,9 +1037,13 @@ def factor_lowvar(f):
 
 
 def is_irreducible_lowvar(f):
-    """True iff the (<=3 variable, nonconstant) polynomial is irreducible."""
-    if f.is_constant():
+    """True iff the nonconstant polynomial, which depends on at most 3 of its
+    variables, is irreducible; the variables it depends on are compacted
+    into the first slots before it is factored."""
+    support = sorted(f.var_support())
+    if not support:
         raise PolyError("irreducibility is for nonconstant polynomials")
-    fl = factor_lowvar(f)
+    positions = {var - 1: slot for slot, var in enumerate(support)}
+    fl = factor_lowvar(f.map_variables(positions, len(support)))
     return len(fl.factors) == 1 and fl.factors[0][1] == 1
 

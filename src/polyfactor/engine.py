@@ -31,7 +31,7 @@ from .errors import (
 )
 from .pit import find_nonzero_point, interpolation_plan, sparse_interpolate
 from .isolation import compact_scheme, psi_map, psi_invert, scheme_ladder
-from .basefactor import factor_monic
+from .basefactor import factor_monic, is_irreducible_lowvar, lift_factorization
 from .divisibility import constant_degree_divides
 from .config import DEFAULT as DEFAULT_CONFIG
 
@@ -239,7 +239,8 @@ def _exact_irreducible(g, oracle):
     """Exact irreducibility of the nonconstant g, checked in a fixed order:
     degree 1; the oracle's own decision procedure when g is in its class;
     in degree 2, g monic-shifted to x^2 + b x + c is irreducible iff
-    b^2 - 4c is not a square.  None when only the projection test of the
+    b^2 - 4c is not a square; when g depends on at most 3 variables, the
+    low-variable factorizer.  None when only the projection test of the
     oracle's class can decide."""
     d = g.degree()
     if d == 1:
@@ -251,22 +252,29 @@ def _exact_irreducible(g, oracle):
         b = SparsePoly(g.n, {e[1:]: c for e, c in g_hat.terms.items() if e[0] == 1})
         c0 = SparsePoly(g.n, {e[1:]: c for e, c in g_hat.terms.items() if e[0] == 0})
         return not _is_square(b * b - c0.scale(4))
+    if len(g.var_support()) <= 3:
+        return is_irreducible_lowvar(g)
     return None
 
 
 def _pair_candidates(residual, alpha, pair, s, oracle):
     """Candidate factors from one oracle pair: factor the bivariate
-    projection of the residual, and for each factor whose degree and
+    projection r_hat of the residual, and for each factor whose degree and
     sparsity ceiling the class allows, match it at the t2 = 0 slice of the
-    trivariate projections through the interpolation points, collect the
-    hidden factor's values there and interpolate them.  Canonical
-    nonconstant candidates, or None at the first slice mismatch."""
+    trivariate projections r_omega through the interpolation points, collect
+    the hidden factor's values there and interpolate them.  Each r_omega is
+    r_hat at t2 = 0, so its factorization is lifted from r_hat's
+    (`lift_factorization`, whose degree sieve can prove a slice irreducible
+    without lifting) and computed from scratch by `factor_monic` only when
+    the lift cannot decide.  Canonical nonconstant candidates, or None at
+    the first slice mismatch."""
     n = residual.n
     deg_residual = residual.degree()
     normalizer = residual.hom_component(deg_residual).eval_point(alpha)
     r_hat = _project(residual, alpha, [pair.beta], pair.gamma, normalizer)
+    base = factor_monic(r_hat).factors
     refs = []
-    for h, e in factor_monic(r_hat).factors:
+    for h, e in base:
         deg = h.degree_in(1) or 0
         if deg == deg_residual:
             # a full-degree candidate could only be the residual itself,
@@ -288,8 +296,9 @@ def _pair_candidates(residual, alpha, pair, s, oracle):
         r_omega = _project(
             residual, alpha, [pair.beta, secondary], pair.gamma, normalizer
         )
+        fl = lift_factorization(r_omega, base) or factor_monic(r_omega)
         slices = []
-        for h3, e3 in factor_monic(r_omega).factors:
+        for h3, e3 in fl.factors:
             raw = h3.eval_var(3, 0)
             if raw.is_zero():
                 continue

@@ -116,11 +116,7 @@ def su_decide_irreducible(f):
         return by_support
     from .basefactor import is_irreducible_lowvar
 
-    support = sorted(f.var_support())
-    if not support:
-        return False
-    positions = {var - 1: slot for slot, var in enumerate(support)}
-    return is_irreducible_lowvar(f.map_variables(positions, len(support)))
+    return is_irreducible_lowvar(f)
 
 
 def su_oracle(n, d, config=None):

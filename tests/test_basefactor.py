@@ -16,6 +16,7 @@ from polyfactor.basefactor import (
     factor_monic,
     factor_lowvar,
     is_irreducible_lowvar,
+    lift_factorization,
     _AttemptFailed,
     _Dioph,
     _attempt_lift,
@@ -205,6 +206,80 @@ def test_attempt_lift_with_a_nonzero_w_point():
     base = _factor_monic_sparse(f.eval_var(2, 0))
     assert [u.eval_var(2, 0) for u, _ in base] == [parse_poly("z1")] * 2
     assert _attempt_lift(f, 2, 3, 0, base, 0) == list(factor_monic(f).factors)
+
+
+@st.composite
+def trivariate_monic_products(draw):
+    """(f, t1-degree drops at t2 = 0): a product of 1-3 factors
+    x^d + lower x-terms in (x, t1, t2), d <= 2, one of them possibly
+    repeated; in some draws t2 is absent, in others the first factor gains
+    the term t1^3 t2, so the t1-degree drops at t2 = 0."""
+    no_t2 = draw(st.booleans())
+    drop = not no_t2 and draw(st.booleans())
+
+    @st.composite
+    def factor(draw):
+        d = draw(st.integers(1, 2))
+        lower = st.tuples(
+            st.integers(0, d - 1), st.integers(0, 2), st.integers(0, 0 if no_t2 else 2)
+        ).filter(lambda e: e[1] + e[2] <= 2)
+        coeff = st.integers(-3, 3).filter(bool)
+        table = draw(st.dictionaries(lower, coeff, max_size=3))
+        table[(d, 0, 0)] = 1
+        return SparsePoly(3, {e: Q(c) for e, c in table.items()})
+
+    parts = draw(st.lists(factor(), min_size=1, max_size=3))
+    if drop:
+        parts[0] = parts[0] + parse_poly("z2^3*z3", 3)
+    f = SparsePoly.const(3, 1)
+    for g in parts:
+        f = f * g
+    if draw(st.booleans()):
+        f = f * parts[-1]
+    return f, drop
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(trivariate_monic_products())
+def test_lift_factorization_matches_factor_monic(case):
+    f, drop = case
+    base = factor_monic(f.eval_var(3, 0)).factors
+    result = lift_factorization(f, base)
+    want = factor_monic(f)
+    if drop and want.factors != ((f.canonical(), 1),):
+        # reducible, so the sieve cannot decide, and no lift runs
+        assert result is None
+    if result is not None:
+        assert result == want
+
+
+def test_lift_factorization_lifts_from_the_base():
+    f = parse_product("(z1 - z2 - z3)*(z1 + z2 + z3^2)*(z1 + z3)^2", 3)
+    base = factor_monic(f.eval_var(3, 0)).factors
+    assert lift_factorization(f, base) == factor_monic(f)
+
+
+@pytest.mark.parametrize(
+    "text, base_text",
+    [
+        # base degrees 1, 1; f(x, 1, 2) = x^2 + 1 has degree 2 only
+        ("z1^2 - z2^2 + z3", "z1^2 - z2^2"),
+        # base x with multiplicity 2; f(x, 1, 2) = x^2 + 2
+        ("z1^2 + z3", "z1^2"),
+    ],
+)
+def test_lift_factorization_sieve_proves_irreducible(monkeypatch, text, base_text):
+    # the only subset sums the image's and the base's factor degrees share
+    # are 0 and 2, so f is irreducible without a lift
+    import polyfactor.basefactor as basefactor
+
+    def no_lift(*args):
+        raise AssertionError("the sieve should decide without lifting")
+
+    f = parse_poly(text, 3)
+    base = factor_monic(parse_poly(base_text, 2)).factors
+    monkeypatch.setattr(basefactor, "_attempt_lift", no_lift)
+    assert lift_factorization(f, base).factors == ((f, 1),)
 
 
 def _random_monic_cd(rng, dx, dw, m):

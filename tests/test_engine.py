@@ -285,6 +285,19 @@ def test_unchanged_residual_is_decided_once(monkeypatch):
     assert calls == 1
 
 
+def test_low_variable_residual_is_settled_exactly(monkeypatch):
+    # not in the SU class and irreducible: the low-variable verdict proves
+    # it before any oracle pair is projected
+    import polyfactor.engine as engine
+
+    def no_pairs(*args):
+        raise AssertionError("the residual should settle without oracle pairs")
+
+    monkeypatch.setattr(engine, "_pair_candidates", no_pairs)
+    fl = factor_su(parse_poly("z1^30*z2 + z2^2 + 1"))
+    assert fl.factors == ()
+
+
 def test_sparse_factors_with_su_oracle():
     f = parse_product("(z1^2+z2^2+z3^2)*(z1+1)")
     fl = factor_su(f)
