@@ -14,7 +14,6 @@ shift still involves x are discarded, which makes every survivor provably
 irreducible.
 """
 
-import math
 from dataclasses import dataclass
 
 from .rational import ONE
@@ -31,7 +30,7 @@ from .errors import (
 )
 from .pit import find_nonzero_point, interpolation_plan, sparse_interpolate
 from .isolation import compact_scheme, psi_map, psi_invert, scheme_ladder
-from .basefactor import factor_monic, is_irreducible_lowvar, lift_factorization
+from .basefactor import factor_monic, lift_factorization
 from .divisibility import constant_degree_divides
 from .config import DEFAULT as DEFAULT_CONFIG
 
@@ -224,62 +223,33 @@ def sparse_irreducible_test(f, oracle, config=None):
     return False
 
 
-def _is_square(f):
-    """True when f is the square of a polynomial over Q."""
-    canon, unit = f.canonical_with_unit()
-    if unit < 0:
-        return False
-    for v in (int(unit.numerator), int(unit.denominator)):
-        if math.isqrt(v) ** 2 != v:
-            return False
-    return canon.integer_root(2) is not None
-
-
-def _exact_irreducible(g, oracle):
-    """Exact irreducibility of the nonconstant g, checked in a fixed order:
-    degree 1; the oracle's own decision procedure when g is in its class;
-    in degree 2, g monic-shifted to x^2 + b x + c is irreducible iff
-    b^2 - 4c is not a square; when g depends on at most 3 variables, the
-    low-variable factorizer.  None when only the projection test of the
-    oracle's class can decide."""
-    d = g.degree()
-    if d == 1:
-        return True
-    if oracle.decide_irreducible is not None and oracle.contains(g):
-        return oracle.decide_irreducible(g)
-    if d == 2:
-        g_hat = monicize(g)[1]
-        b = SparsePoly(g.n, {e[1:]: c for e, c in g_hat.terms.items() if e[0] == 1})
-        c0 = SparsePoly(g.n, {e[1:]: c for e, c in g_hat.terms.items() if e[0] == 0})
-        return not _is_square(b * b - c0.scale(4))
-    if len(g.var_support()) <= 3:
-        return is_irreducible_lowvar(g)
-    return None
-
-
 def _pair_candidates(residual, alpha, pair, s, oracle):
-    """Candidate factors from one oracle pair: factor the bivariate
-    projection r_hat of the residual, and for each factor whose degree and
-    sparsity ceiling the class allows, match it at the t2 = 0 slice of the
-    trivariate projections r_omega through the interpolation points, collect
-    the hidden factor's values there and interpolate them.  Each r_omega is
-    r_hat at t2 = 0, so its factorization is lifted from r_hat's
+    """Certified irreducible candidate factors from one oracle pair, or None
+    when the pair proves the residual irreducible.
+
+    The bivariate projection r_hat of the residual, normalized by
+    Hom[residual](alpha) != 0, keeps the residual's degree, so a
+    factorization of the residual would factor r_hat: an irreducible r_hat
+    gives None.  Otherwise each factor h2 of r_hat whose degree and sparsity
+    ceiling the class allows is matched at the t2 = 0 slice of the
+    trivariate projections r_omega through the interpolation points, and
+    the hidden factor's values there are collected and interpolated.  Each
+    r_omega is r_hat at t2 = 0, so its factorization is lifted from r_hat's
     (`lift_factorization`, whose degree sieve can prove a slice irreducible
     without lifting) and computed from scratch by `factor_monic` only when
-    the lift cannot decide.  Canonical nonconstant candidates, or None at
-    the first slice mismatch."""
+    the lift cannot decide.  An interpolated g is kept only when it has the
+    degree of h2 and its own projection, normalized by Hom[g](alpha), is
+    h2: a factorization of g would then factor h2, so g is irreducible.
+    Canonical candidates, or [] at the first slice mismatch."""
     n = residual.n
-    deg_residual = residual.degree()
-    normalizer = residual.hom_component(deg_residual).eval_point(alpha)
+    normalizer = residual.hom_component(residual.degree()).eval_point(alpha)
     r_hat = _project(residual, alpha, [pair.beta], pair.gamma, normalizer)
     base = factor_monic(r_hat).factors
+    if len(base) == 1 and base[0][1] == 1:
+        return None
     refs = []
     for h, e in base:
-        deg = h.degree_in(1) or 0
-        if deg == deg_residual:
-            # a full-degree candidate could only be the residual itself,
-            # which the settle step has already ruled on
-            continue
+        deg = h.degree_in(1)
         if oracle.class_degree_bound is not None and deg > oracle.class_degree_bound:
             continue  # no class member has this degree
         ceiling = s
@@ -311,17 +281,20 @@ def _pair_candidates(residual, alpha, pair, s, oracle):
             if len(matches) > 1:
                 matches = [entry for entry in matches if entry[3] == e2]
             if len(matches) != 1:
-                return None
+                return []
             _, unit, h3, _ = matches[0]
             values.append(h3.eval_point((0, 0, 1)) / unit)
     candidates = []
-    for _, _, deg, ceiling, values in refs:
+    for h2, _, deg, ceiling, values in refs:
         try:
-            candidate = sparse_interpolate(values, ceiling, n, deg)
+            g = sparse_interpolate(values, ceiling, n, deg)
         except InterpolationFailure:
             continue
-        if not candidate.is_constant():
-            candidates.append(candidate.canonical())
+        if g.degree() != deg:
+            continue
+        top = g.hom_component(deg).eval_point(alpha)
+        if top and _project(g, alpha, [pair.beta], pair.gamma, top) == h2:
+            candidates.append(g.canonical())
     return candidates
 
 
@@ -333,14 +306,16 @@ def sparse_factors(f, s, oracle, config=None):
     The search runs on one residual, f with every accepted factor divided
     out: each oracle pair projects and slices the residual, normalized by
     Hom[residual](alpha), which is nonzero because Hom is multiplicative and
-    Hom[f](alpha) != 0.  A candidate passes the sparsity, membership, exact
-    division and irreducibility gates in that order, and is divided out of
-    the residual; its count there is its multiplicity in f, since the
-    accepted factors are distinct irreducibles.  Irreducibility is the
-    verdict of `_exact_irreducible`, checked in its fixed order, and the
-    projection test only where that verdict is None.  The residual is
-    settled only when it changes: an in-class irreducible residual is
-    admitted directly, and a residual that is constant or proved
+    Hom[f](alpha) != 0.  Every emitted factor is certified irreducible in
+    one of two ways: by the oracle's decision procedure on an in-class
+    residual, or by a degree-keeping projection that is an irreducible
+    factor of the pair's projection r_hat (all of r_hat for the residual
+    itself, the factor its slices were matched to for an interpolated
+    candidate).  A certified factor passes the sparsity and membership
+    gates and is divided out of the residual; its count there is its
+    multiplicity in f, since the accepted factors are distinct
+    irreducibles, and a count of 0 rejects it.  Every factor of f outside
+    `found` divides the residual, so a residual that is constant or proved
     irreducible ends the search without exhausting the grid.
     """
     config = config or DEFAULT_CONFIG
@@ -350,41 +325,42 @@ def sparse_factors(f, s, oracle, config=None):
     found = []
     residual = f
 
-    def admit(g, verdict):
+    def admit(g):
+        """Divide the certified irreducible g out of the residual when it is
+        a class member within the sparsity bound; True when it divided."""
         nonlocal residual
-        if verdict is None:
-            verdict = sparse_irreducible_test(g, oracle, config)
-        if verdict:
-            residual, e = divide_out(residual, g)
+        if g.sparsity() > s or not oracle.contains(g):
+            return False
+        residual, e = divide_out(residual, g)
+        if e:
             found.append((g, e))
-        return verdict
+        return e > 0
 
     def settle():
-        """Admit the residual when it is an in-class irreducible, and say
-        whether it provably holds no unfound class factor: every factor of
-        f outside `found` divides it, so an irreducible residual ends the
-        search."""
+        """True when the residual is constant, or an in-class residual the
+        oracle decides irreducible, which is then admitted."""
         if residual.is_constant():
             return True
         g = residual.canonical()
-        verdict = _exact_irreducible(g, oracle)
-        if g.sparsity() <= s and oracle.contains(g):
-            return admit(g, verdict)
-        return bool(verdict)
+        if oracle.decide_irreducible is None or not oracle.contains(g):
+            return False
+        if not oracle.decide_irreducible(g):
+            return False
+        admit(g)
+        return True
 
     exhausted = settle()
     stall = 0
     for pair in oracle.pairs(alpha):
         if exhausted or stall >= config.su_stall:
             break
+        candidates = _pair_candidates(residual, alpha, pair, s, oracle)
+        if candidates is None:
+            admit(residual.canonical())
+            break
         added = False
-        for g in _pair_candidates(residual, alpha, pair, s, oracle) or ():
-            if g.sparsity() > s or not oracle.contains(g):
-                continue
-            if residual.exact_divide(g) is None:
-                continue
-            if admit(g, _exact_irreducible(g, oracle)):
-                added = True
+        for g in candidates:
+            added = admit(g) or added
         if added:
             stall = 0
             exhausted = settle()

@@ -9,6 +9,7 @@ import random
 
 import pytest
 import sympy
+from hypothesis import assume, strategies as st
 
 from polyfactor.rational import Q
 from polyfactor.sparse import SparsePoly
@@ -164,6 +165,47 @@ def random_su(rng, n, d, certified_irreducible=False):
             continue
         if not certified_irreducible or sympy_irreducible(f):
             return f
+
+
+@st.composite
+def lowvar_products(draw):
+    """scalar * prod g_i^e_i with small nonconstant factors g_i in 1-3
+    variables: total degree <= 4 in one variable, <= 2 in more."""
+    n = draw(st.integers(1, 3))
+    monomial = st.lists(st.integers(0, n - 1), max_size=4 if n == 1 else 2).map(
+        lambda slots: tuple(slots.count(i) for i in range(n))
+    )
+    factor = st.dictionaries(
+        monomial, st.integers(-4, 4).filter(bool), min_size=2, max_size=4
+    ).map(lambda table: SparsePoly(n, {e: Q(c) for e, c in table.items()}))
+    parts = draw(
+        st.lists(
+            st.tuples(factor.filter(lambda g: not g.is_constant()), st.integers(1, 2)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    assume(sum(g.degree() * e for g, e in parts) <= 8)
+    f = SparsePoly.const(n, draw(st.sampled_from([Q(1), Q(-2), Q(3, 5)])))
+    for g, e in parts:
+        f = f * g**e
+    return f
+
+
+def sympy_factorization(f):
+    """(scalar, {canonical factor: multiplicity}) from sympy.factor_list."""
+    expr, syms = to_sympy(f)
+    coeff, factors = sympy.factor_list(expr, *syms)
+    scalar = Q(int(coeff.p), int(coeff.q))
+    mults = {}
+    for base, e in factors:
+        terms = {
+            exps: Q(int(c.p), int(c.q)) for exps, c in sympy.Poly(base, *syms).terms()
+        }
+        canon, unit = SparsePoly(f.n, terms).canonical_with_unit()
+        scalar *= unit**e
+        mults[canon] = mults.get(canon, 0) + e
+    return scalar, mults
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Factoring pipelines: monic transforms and the four algorithms."""
 
 import pytest
+from hypothesis import given, settings
 
 from polyfactor.rational import Q, ONE
 from polyfactor.sparse import SparsePoly
 from polyfactor.parse import parse_poly, parse_product, render_poly
 from polyfactor.engine import (
-    _exact_irreducible,
     constant_degree_factors,
     factor_constant_degree_promise,
     factor_multiplicity,
@@ -19,14 +19,16 @@ from polyfactor.engine import (
 )
 from polyfactor.oracles import constant_degree_oracle, su_oracle
 from polyfactor.factors import divide_out
-from polyfactor.errors import PolyError, PromiseViolation
+from polyfactor.errors import InterpolationFailure, PolyError, PromiseViolation
 
 from conftest import (
+    lowvar_products,
     rng_for,
     random_irreducible,
     random_irreducible_cubic,
     random_poly,
     random_su,
+    sympy_factorization,
     sympy_irreducible,
 )
 
@@ -235,40 +237,24 @@ def test_sparse_irreducible_test():
     assert sparse_irreducible_test(parse_poly("z1 + 5*z2"), su_oracle(2, 1))
 
 
-def test_quadratic_verdict_is_the_discriminant_test():
-    # the constant-degree oracle has no decision procedure of its own, so
-    # a quadratic is decided by the discriminant of its monic shift
-    for text, irreducible in (
-        ("z1^2 - 2", True),
-        ("z1^2 + z2^2", True),
-        ("2*z1^2 - z2^2", True),
-        ("2*z1*z2 + z3^2", True),
-        ("z1^2 - z2^2", False),
-        ("(z1 + z2 + 1)^2", False),
-        ("4*z1^2 - 9*z2^2", False),
-        ("z1^2 - 1/4", False),
-    ):
-        g = parse_product(text)
-        assert _exact_irreducible(g, constant_degree_oracle(2, g.n, 2)) is irreducible, text
-
-
-def test_quadratic_verdict_matches_sympy():
-    rng = rng_for("quadratic-verdict")
-    checked = 0
-    while checked < 60:
-        n = rng.randint(1, 3)
-        g = random_poly(rng, n, 2, rng.randint(2, 5), coeff_bound=4)
-        if g.degree() != 2:
-            continue
-        verdict = _exact_irreducible(g, constant_degree_oracle(2, n, 2))
-        assert verdict is sympy_irreducible(g), g
-        checked += 1
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(lowvar_products())
+def test_sparse_factors_matches_sympy(f):
+    # the constant-degree class at delta = 2 holds exactly the factors of
+    # degree <= 2; the search keeps those with sparsity <= 12
+    fl = sparse_factors(f, 12, constant_degree_oracle(2, f.n, f.degree()))
+    _, mults = sympy_factorization(f)
+    expected = {
+        g: e for g, e in mults.items() if g.degree() <= 2 and g.sparsity() <= 12
+    }
+    assert dict(fl.factors) == expected
 
 
 def test_unchanged_residual_is_decided_once(monkeypatch):
     # the input is in the SU class and reducible; once z1 + z2 is divided
-    # out, the cofactor leaves the class and its discriminant ends the
-    # search, so the SU decision runs only on the input itself
+    # out, the cofactor leaves the class and its first irreducible
+    # projection ends the search, so the SU decision runs only on the input
+    # itself
     import polyfactor.oracles as oracles
 
     calls = 0
@@ -285,17 +271,58 @@ def test_unchanged_residual_is_decided_once(monkeypatch):
     assert calls == 1
 
 
-def test_low_variable_residual_is_settled_exactly(monkeypatch):
-    # not in the SU class and irreducible: the low-variable verdict proves
-    # it before any oracle pair is projected
+def test_irreducible_projection_settles_the_residual(monkeypatch):
+    # neither input is in the SU class, and both are irreducible: the first
+    # irreducible projection of the residual proves it and ends the search
+    import polyfactor.oracles as oracles
+
+    drawn = 0
+    original = oracles.IrredProjOracle.pairs
+
+    def counted(oracle, alpha):
+        nonlocal drawn
+        for pair in original(oracle, alpha):
+            drawn += 1
+            yield pair
+
+    monkeypatch.setattr(oracles.IrredProjOracle, "pairs", counted)
+    for text in ("z1^30*z2 + z2^2 + 1", "z1^30*z2 + z2^2 + z3*z4 + 1"):
+        drawn = 0
+        assert factor_su(parse_poly(text)).factors == (), text
+        assert drawn <= 2, text
+
+
+def test_reducible_candidate_fails_the_certificate(monkeypatch):
+    # every degree-2 interpolation yields l1 * l2, which divides f; the
+    # linear references fail to interpolate until that product has been
+    # offered once, so it reaches the search while it still divides the
+    # residual, and only the projection certificate can turn it away
     import polyfactor.engine as engine
 
-    def no_pairs(*args):
-        raise AssertionError("the residual should settle without oracle pairs")
+    l1, l2, q = (parse_poly(t) for t in ("z1 + 2*z2 + 1", "z1 - z2 + 3", "z1^2 + z2^2 + 3"))
+    f = l1 * l2 * q
+    product = l1 * l2
+    original = engine.sparse_interpolate
+    offered = False
 
-    monkeypatch.setattr(engine, "_pair_candidates", no_pairs)
-    fl = factor_su(parse_poly("z1^30*z2 + z2^2 + 1"))
-    assert fl.factors == ()
+    def rigged(values, ceiling, n, deg):
+        nonlocal offered
+        if deg == 2:
+            offered = True
+            return product
+        if not offered:
+            raise InterpolationFailure("held back")
+        return original(values, ceiling, n, deg)
+
+    monkeypatch.setattr(engine, "sparse_interpolate", rigged)
+    fl = sparse_factors(f, 12, constant_degree_oracle(2, 2, f.degree()))
+    assert offered
+    assert product.canonical() not in dict(fl.factors)
+    _, mults = sympy_factorization(f)
+    for g, e in fl.factors:
+        assert sympy_irreducible(g), g
+        assert mults[g] == e, g
+    assert dict(fl.factors) == mults
 
 
 def test_sparse_factors_with_su_oracle():
