@@ -10,16 +10,17 @@ tools work on ascending integer coefficient lists.
 Two and three variables, monic in x: evaluate the largest-degree non-main
 variable at points 0, 1, -1, 2, ... scanned deterministically, factor the
 image recursively, group the image factorization into pairwise-coprime
-prime powers, translate the evaluation point to the origin, Hensel-lift the
-groups there, and recombine subsets of lifted groups, each translated back
-before it is tested; repeated factors come back as exact m-th roots of
-reconstructed subset products.  A lifted factor is a series in the
-evaluated variable whose coefficients are packed (x, w) dicts mod p^k, w
-the remaining side variable; each lift step solves one Diophantine
-equation, w-adically from a Bezout pair at w = 0.  When the factorization
-at one point is already known (a trivariate slice whose t2 = 0 image was
-factored before), `lift_factorization` lifts from that point directly,
-after a degree sieve that can prove the slice irreducible without lifting.
+prime powers, translate the evaluation point to the origin mod p^k,
+Hensel-lift the groups there, and recombine subsets of lifted groups, each
+translated back mod p^k before its coefficients are reconstructed; repeated
+factors come back as exact m-th roots of reconstructed subset products.  A
+lifted factor is a series in the evaluated variable whose coefficients are
+packed (x, w) dicts mod p^k, w the remaining side variable; each lift step
+solves one Diophantine equation, w-adically from a Bezout pair at w = 0.
+When the factorization at one point is already known (a trivariate slice
+whose t2 = 0 image was factored before), `lift_factorization` lifts from
+that point directly, after a degree sieve that can prove the slice
+irreducible without lifting.
 Every accepted factor is verified by exact division over Q, and a final
 recomposition check guards the whole attempt, so a degenerate evaluation
 point can only cost time, never correctness.
@@ -343,6 +344,15 @@ def _hensel_lift_univ(p, f, f_list, l):
     )
 
 
+def _precision(p, bound):
+    """The least k >= 1 with p**k >= bound: the p-adic precision of a lift."""
+    k, pk = 1, p
+    while pk < bound:
+        pk *= p
+        k += 1
+    return k
+
+
 def _symmetric(c, m):
     c %= m
     return c - m if c > m // 2 else c
@@ -405,9 +415,7 @@ def _zassenhaus(F):
     modular = berlekamp(fbar, p)
     if len(modular) == 1:
         return [F]
-    l = 1
-    while p**l < 2 * B + 1:
-        l += 1
+    l = _precision(p, 2 * B + 1)
     lifted = _hensel_lift_univ(p, F, modular, l)
     pl = p**l
     indices = list(range(len(lifted)))
@@ -697,6 +705,43 @@ def _poly_to_series(f, v, w, K, m):
     return ser
 
 
+def _shift_series(ser, cv, cw, m):
+    """The v-series of packed (x, w) dicts ser(v + cv, w + cw) mod m: the
+    classical Taylor shift (von zur Gathen & Gerhard, ISSAC 1997), each term
+    expanded by binomials one variable at a time, w first.  Sums stay
+    unreduced until the end; a zero shift returns ser itself."""
+    if not cv and not cw:
+        return ser
+
+    def taylor(e, c):
+        """The coefficients of (z + c)^e, ascending."""
+        return [math.comb(e, j) * c ** (e - j) for j in range(e + 1)]
+
+    rows = ser
+    if cw:
+        table = {}
+        rows = []
+        for row in ser:
+            out = {}
+            for key, val in row.items():
+                ew = key % STRIDE
+                coeffs = table.get(ew)
+                if coeffs is None:
+                    coeffs = table[ew] = taylor(ew, cw)
+                low = key - ew
+                for j, b in enumerate(coeffs):
+                    out[low + j] = out.get(low + j, 0) + val * b
+            rows.append(out)
+    if cv:
+        out = [dict() for _ in rows]
+        for ev, row in enumerate(rows):
+            for target, b in zip(out, taylor(ev, cv)):
+                for key, val in row.items():
+                    target[key] = target.get(key, 0) + val * b
+        rows = out
+    return [cd_reduce(row, m) for row in rows]
+
+
 def _series_to_qpoly(ser, v, w, n, m):
     """z_v-series of (x, w) dicts back to an n-variable SparsePoly over Q."""
     terms = {}
@@ -783,26 +828,20 @@ def _attempt_lift(f, v, w, v0, base, k_boost):
             raise LiftFailure("no usable prime for multivariate lift")
     p, w0 = chosen
     # modulus size: coefficient-magnitude heuristic, doubled on reconstruction
-    # failure by the caller via k_boost; shift_bits covers the growth of the
-    # coefficients under the translation below
+    # failure by the caller via k_boost; candidates are reconstructed in the
+    # original coordinates, so the translation adds nothing to it
     hbits = 1
     for c in f.terms.values():
         hbits = max(hbits, int(c.numerator).bit_length() + int(c.denominator).bit_length())
     total_deg = dx + dv + dw
-    shift_bits = dv * (abs(v0).bit_length() + 1) + dw * (abs(w0).bit_length() + 1)
-    bits_needed = (2 * (hbits + total_deg + shift_bits + 16) + 8) << k_boost
-    k = max(2, (bits_needed + p.bit_length() - 1) // p.bit_length())
-    m = p**k
+    bits_needed = (2 * (hbits + total_deg + 16) + 8) << k_boost
+    m = p ** _precision(p, 1 << bits_needed)
 
-    # translate once so the lift and the reconstruction run at the origin
-    offsets = [0] * n
-    offsets[v - 1] = v0
-    if w is not None:
-        offsets[w - 1] = w0
-        groups = [(u.shift((0, w0)), mult) for u, mult in groups]
-    back = [-o for o in offsets]
-    Fser = _poly_to_series(f.shift(offsets), v, w, K, m)
-    group_cds = [_cd_from_qpoly(u**mult, m) for u, mult in groups]
+    # lift at the origin: translate the evaluation point there mod m
+    Fser = _shift_series(_poly_to_series(f, v, w, K, m), v0, w0, m)
+    group_cds = [
+        _shift_series([_cd_from_qpoly(u**mult, m)], 0, w0, m)[0] for u, mult in groups
+    ]
     # w-orders the Diophantine solves carry; a bivariate lift has only w^0
     wlen = 2 * dw + 3 if w is not None else 1
     leaves = _lift_tree(Fser, group_cds, K, wlen, p, m)
@@ -821,13 +860,13 @@ def _attempt_lift(f, v, w, v0, base, k_boost):
             Wser = leaves[S[0]]
             for i in S[1:]:
                 Wser = _series_mul(Wser, leaves[i], K, m)
-            Wq = _series_to_qpoly(Wser, v, w, n, m)
+            # back to the original coordinates, where the coefficients to
+            # reconstruct are small
+            Wq = _series_to_qpoly(_shift_series(Wser, -v0, -w0, m), v, w, n, m)
             if Wq is None:
                 need_bigger = True
                 continue
-            # back to the original coordinates before any division: the
-            # translated f is dense
-            Wq = Wq.shift(back).canonical()
+            Wq = Wq.canonical()
             P = Wq.integer_root(mult) if mult > 1 else Wq
             if P is None:
                 continue

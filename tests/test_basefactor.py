@@ -23,6 +23,8 @@ from polyfactor.basefactor import (
     _cd_to_tau_series,
     _factor_monic_sparse,
     _factor_univariate_pairs,
+    _poly_to_series,
+    _shift_series,
     _up_primitive_z,
     _zassenhaus,
     cd_pack,
@@ -211,6 +213,49 @@ def test_attempt_lift_with_a_nonzero_w_point():
     base = _factor_monic_sparse(f.eval_var(2, 0))
     assert [u.eval_var(2, 0) for u, _ in base] == [parse_poly("z1")] * 2
     assert _attempt_lift(f, 2, 3, 0, base, 0) == list(factor_monic(f).factors)
+
+
+def test_attempt_lift_reconstructs_in_the_original_coordinates():
+    # a square with a 62-bit constant term: the lift reconstructs after the
+    # shift back, where the coefficients are small, so its modulus needs no
+    # translation term, and at v0 = 0 that modulus must reach 2^bits_needed
+    u = parse_poly("z1^2 - 2441406248*z1 + z2 + 2980232236324936355/2", 2)
+    f = u**2
+    for v0 in (0, 1, -1):
+        base = _factor_monic_sparse(f.eval_var(2, v0))
+        assert _attempt_lift(f, 2, None, v0, base, 0) == [(u, 2)], v0
+    assert factor_monic(f).factors == ((u, 2),)
+
+
+@st.composite
+def translated_polys(draw):
+    """(f, v, w, offsets): f in x and one or two side variables z_v, z_w
+    with small rational coefficients, and a translation of the side
+    variables (w is None for a bivariate f)."""
+    n = draw(st.sampled_from([2, 3]))
+    v = draw(st.integers(2, n))
+    w = None if n == 2 else 5 - v
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    coeffs = st.builds(Q, st.integers(-9, 9).filter(bool), st.sampled_from([1, 2, 3, 4]))
+    terms = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=8))
+    offsets = [0] * n
+    offsets[v - 1] = draw(st.integers(-3, 3))
+    if w is not None:
+        offsets[w - 1] = draw(st.integers(-3, 3))
+    return SparsePoly(n, terms), v, w, offsets
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(translated_polys())
+def test_shift_series_is_the_translation_mod_m(case):
+    f, v, w, offsets = case
+    m = 7**12
+    K = (f.degree_in(v) or 0) + 1
+    cv, cw = offsets[v - 1], (offsets[w - 1] if w is not None else 0)
+    ser = _poly_to_series(f, v, w, K, m)
+    shifted = _shift_series(ser, cv, cw, m)
+    assert shifted == _poly_to_series(f.shift(offsets), v, w, K, m)
+    assert _shift_series(shifted, -cv, -cw, m) == ser
 
 
 @st.composite

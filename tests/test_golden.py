@@ -7,7 +7,8 @@ speed.  This re-runs the entries that cost under 0.1 s, through the same
 pipeline calls as perfbench/run.py, and only reads the corpus.
 
 Run as a script, it checks every entry of the named pools, whatever its
-cost, prints each entry whose output differs and exits 1 if there is one:
+cost, prints each entry whose output differs and each pool's entry count
+and process time, and exits 1 if an entry differs:
 
     python tests/test_golden.py [workload ...]    # default: every pool
 """
@@ -15,6 +16,7 @@ cost, prints each entry whose output differs and exits 1 if there is one:
 import json
 import os
 import sys
+import time
 
 import pytest
 
@@ -78,12 +80,16 @@ def main(workloads):
         return 2
     wrong = 0
     for workload in workloads or sorted(PIPELINES):
-        for i, item in enumerate(load_pool(workload)):
+        pool = load_pool(workload)
+        start = time.process_time()
+        for i, item in enumerate(pool):
             out = differing_output(workload, item)
             if out is not None:
                 wrong += 1
                 print("%s entry %d: got %s, expected %s"
                       % (workload, i, out, canonical(item["expected"])), flush=True)
+        print("%s: %d entries, %.1f s process time"
+              % (workload, len(pool), time.process_time() - start), flush=True)
     return 1 if wrong else 0
 
 
