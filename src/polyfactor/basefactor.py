@@ -4,19 +4,20 @@ polynomials over Q.
 Univariate: clear denominators once, take the primitive integer part, run
 Yun's squarefree decomposition over Z, then a deterministic Zassenhaus pass
 per squarefree part (smallest usable prime, Berlekamp modulo p, quadratic
-Hensel lifting to a Landau-Mignotte bound, subset recombination).  These
+Hensel lifting to the Mignotte factor bound, subset recombination).  These
 tools work on ascending integer coefficient lists.
 
 Two and three variables, monic in x: evaluate the largest-degree non-main
 variable at points 0, 1, -1, 2, ... scanned deterministically, factor the
 image recursively, group the image factorization into pairwise-coprime
-prime powers, translate the evaluation point to the origin mod p^k,
-Hensel-lift the groups there, and recombine subsets of lifted groups, each
-translated back mod p^k before its coefficients are reconstructed; repeated
-factors come back as exact m-th roots of reconstructed subset products.  A
-lifted factor is a series in the evaluated variable whose coefficients are
-packed (x, w) dicts mod p^k, w the remaining side variable; each lift step
-solves one Diophantine equation, w-adically from a Bezout pair at w = 0.
+prime powers, translate the evaluation point to the origin mod p^k >
+2B^2, B the same Mignotte bound, Hensel-lift the groups there, and
+recombine subsets of lifted groups, each translated back mod p^k before its
+coefficients are reconstructed; repeated factors come back as exact m-th
+roots of reconstructed subset products.  A lifted factor is a series in
+the evaluated variable whose coefficients are packed (x, w) dicts mod p^k,
+w the remaining side variable; each lift step solves one Diophantine
+equation, w-adically from a Bezout pair at w = 0.
 When the factorization at one point is already known (a trivariate slice
 whose t2 = 0 image was factored before), `lift_factorization` lifts from
 that point directly, after a degree sieve that can prove the slice
@@ -344,6 +345,15 @@ def _hensel_lift_univ(p, f, f_list, l):
     )
 
 
+def _factor_bound(ints, degree_sum):
+    """B >= |G|_inf for every factor G in Z[x1, ..., xn] of the integer F with
+    coefficients `ints` and partial degrees summing to `degree_sum`: by the
+    Mahler measure, |G|_inf <= 2^degree_sum * M(G) <= 2^degree_sum * M(F)
+    <= 2^degree_sum * ||F||_2 (Mignotte 1974; von zur Gathen & Gerhard,
+    Modern Computer Algebra, 6.6)."""
+    return (math.isqrt(sum(c * c for c in ints)) + 1) << degree_sum
+
+
 def _precision(p, bound):
     """The least k >= 1 with p**k >= bound: the p-adic precision of a lift."""
     k, pk = 1, p
@@ -399,8 +409,8 @@ def _zassenhaus(F):
     if n == 1:
         return [F]
     lc = F[-1]
-    A = max(abs(c) for c in F)
-    B = (math.isqrt(n + 1) + 1) * (2**n) * A * abs(lc)
+    # lc * (a monic lifted factor) is lc / lc(G) times an integer factor G
+    B = _factor_bound(F, n) * abs(lc)
     chosen = None
     for p in primes(3):
         if lc % p == 0:
@@ -769,9 +779,10 @@ def _cd_from_qpoly(f2, m):
     return out
 
 
-def _attempt_lift(f, v, w, v0, base, k_boost):
-    """One (v0, modulus) attempt; returns [(factor, mult)] or None to retry
-    with a larger modulus.  Raises _AttemptFailed on structural failure."""
+def _attempt_lift(f, v, w, v0, base):
+    """The complete [(factor, mult)] of f lifted from `base`, its factorization
+    at z_v = v0, mod p^k > 2B^2 (B = _factor_bound).  Raises _AttemptFailed
+    when the point cannot support the lift or merges distinct factors."""
     n = f.n
     dx = f.degree_in(1)
     dv = f.degree_in(v) or 0
@@ -827,15 +838,12 @@ def _attempt_lift(f, v, w, v0, base, k_boost):
         if p > 10000:  # pragma: no cover
             raise LiftFailure("no usable prime for multivariate lift")
     p, w0 = chosen
-    # modulus size: coefficient-magnitude heuristic, doubled on reconstruction
-    # failure by the caller via k_boost; candidates are reconstructed in the
-    # original coordinates, so the translation adds nothing to it
-    hbits = 1
-    for c in f.terms.values():
-        hbits = max(hbits, int(c.numerator).bit_length() + int(c.denominator).bit_length())
-    total_deg = dx + dv + dw
-    bits_needed = (2 * (hbits + total_deg + 16) + 8) << k_boost
-    m = p ** _precision(p, 1 << bits_needed)
+    # a monic factor of f is G / lc(G), G an integer factor of f's integer
+    # form, and lc(G) divides f's denominator, which p avoids, so a subset
+    # that does not reconstruct is no factor; candidates are reconstructed
+    # in the original coordinates, so B needs no term for the translation
+    B = _factor_bound(clear_denominators(f.terms.values())[0], dx + dv + dw)
+    m = p ** _precision(p, 2 * B * B + 1)
 
     # lift at the origin: translate the evaluation point there mod m
     Fser = _shift_series(_poly_to_series(f, v, w, K, m), v0, w0, m)
@@ -849,7 +857,6 @@ def _attempt_lift(f, v, w, v0, base, k_boost):
     indices = list(range(len(groups)))
     remaining = f
     results = []
-    need_bigger = False
     size = 1
     while size <= len(indices):
         for S in combinations(indices, size):
@@ -864,7 +871,6 @@ def _attempt_lift(f, v, w, v0, base, k_boost):
             # reconstruct are small
             Wq = _series_to_qpoly(_shift_series(Wser, -v0, -w0, m), v, w, n, m)
             if Wq is None:
-                need_bigger = True
                 continue
             Wq = Wq.canonical()
             P = Wq.integer_root(mult) if mult > 1 else Wq
@@ -880,8 +886,6 @@ def _attempt_lift(f, v, w, v0, base, k_boost):
         else:
             size += 1
     if indices or not remaining.is_constant():
-        if need_bigger:
-            return None
         raise _AttemptFailed("recombination incomplete")
     results.sort(key=lambda pm: factor_sort_key(pm[0]))
     return results
@@ -915,8 +919,6 @@ def _factor_monic_sparse(f):
     w = survivors[0] if survivors else None
     point_iter = _eval_points()
     consumed = 0
-    boost = 0
-    needk_points = 0
     probes = []  # [quality, arrival, v0, base]; quality = squarefree x-degree
 
     def refill(window):
@@ -953,17 +955,9 @@ def _factor_monic_sparse(f):
         probes.sort(key=lambda t: (-t[0], t[1]))
         _, _, v0, base = probes.pop(0)
         try:
-            result = _attempt_lift(f, v, w, v0, base, boost)
+            return _attempt_lift(f, v, w, v0, base)
         except _AttemptFailed:
             continue
-        if result is not None:
-            return result
-        # reconstruction failures at two distinct points suggest the modulus
-        # is genuinely too small rather than the point being degenerate
-        needk_points += 1
-        if needk_points >= 2 and boost < 3:
-            boost += 1
-            needk_points = 0
 
 
 # ---------------------------------------------------------------------------
@@ -1012,9 +1006,9 @@ def lift_factorization(f, base):
     evaluation point (Math. Comp. 1978).  A degree sieve runs first: every
     factor of f has an x-degree that is a subset sum both of the factor
     degrees of f(x, 1, 2) and of the base's, so when these share only 0 and
-    deg_x f, f is irreducible and nothing is lifted.  None when the lift
-    cannot decide (the t1-degree drops at t2 = 0, or the lift fails); the
-    caller then factors f with `factor_monic`."""
+    deg_x f, f is irreducible and nothing is lifted.  None when the t1-degree
+    drops at t2 = 0 or the lift raises _AttemptFailed (t2 = 0 merges distinct
+    factors); the caller then factors f with `factor_monic`."""
     _require_monic_in_x(f)
     image = f.eval_var(3, 2).eval_var(2, 1)
     common = _degree_sums(_factor_univariate_pairs(image)) & _degree_sums(base)
@@ -1023,10 +1017,9 @@ def lift_factorization(f, base):
     if sum((u.degree_in(2) or 0) * mult for u, mult in base) != (f.degree_in(2) or 0):
         return None
     try:
-        pairs = _attempt_lift(f, 3, 2, 0, base, 0)
+        return _verified(f, _attempt_lift(f, 3, 2, 0, base))
     except _AttemptFailed:
         return None
-    return None if pairs is None else _verified(f, pairs)
 
 
 def factor_lowvar(f):

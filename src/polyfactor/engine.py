@@ -27,6 +27,7 @@ from .errors import (
     PolyError,
     PromiseViolation,
     VerificationError,
+    ZeroPolynomialError,
 )
 from .pit import find_nonzero_point, interpolation_plan, sparse_interpolate
 from .isolation import compact_scheme, psi_map, psi_invert, scheme_ladder
@@ -182,6 +183,8 @@ def factor_multiplicity(f, g):
     dividing the e-th partial derivative along a variable g depends on."""
     if g.is_constant():
         raise PolyError("multiplicity of a constant is undefined")
+    if f.is_zero():
+        raise ZeroPolynomialError("every power of g divides the zero polynomial")
     support = g.var_support()
     z = min(support)
     e = 0

@@ -58,6 +58,8 @@ def constant_degree_oracle(delta, n, d, config=None):
     """Projection pairs along the weight curve a -> (a^w, a^w') of the
     compact scheme; d, the input's degree, does not enter the curve."""
     config = config or DEFAULT_CONFIG
+    if delta < 1:
+        raise ValueError("delta must be >= 1")
     if delta > config.max_delta:
         raise CapError("max_delta", delta, config.max_delta)
     scheme = compact_scheme(n, delta)

@@ -1,5 +1,6 @@
 """Base factorizer: univariate, bivariate, trivariate."""
 
+import math
 import os
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from polyfactor.basefactor import (
     _attempt_lift,
     _bezout_step,
     _cd_to_tau_series,
+    _factor_bound,
     _factor_monic_sparse,
     _factor_univariate_pairs,
     _poly_to_series,
@@ -37,7 +39,9 @@ from polyfactor.basefactor import (
     up_sub,
     up_xgcd_p,
 )
+from polyfactor.engine import monicize
 from polyfactor.errors import PolyError, ZeroPolynomialError
+from polyfactor.isolation import compact_scheme, psi_map
 
 from conftest import (
     lowvar_products,
@@ -197,12 +201,11 @@ def test_attempt_lift_away_from_the_origin(text, n, v, w):
     for v0 in (0, 1, -1, 2):
         base = _factor_monic_sparse(f.eval_var(v, v0))
         try:
-            result = _attempt_lift(f, v, w, v0, base, 0)
+            result = _attempt_lift(f, v, w, v0, base)
         except _AttemptFailed:
             continue
-        if result is not None:
-            assert result == want, (v0, result)
-            lifted.append(v0)
+        assert result == want, (v0, result)
+        lifted.append(v0)
     assert set(lifted) - {0}, "no lift away from the origin: %s" % lifted
 
 
@@ -212,18 +215,33 @@ def test_attempt_lift_with_a_nonzero_w_point():
     f = parse_product("(z1 + z3 + z2)*(z1 - z3 + 2*z2)", 3)
     base = _factor_monic_sparse(f.eval_var(2, 0))
     assert [u.eval_var(2, 0) for u, _ in base] == [parse_poly("z1")] * 2
-    assert _attempt_lift(f, 2, 3, 0, base, 0) == list(factor_monic(f).factors)
+    assert _attempt_lift(f, 2, 3, 0, base) == list(factor_monic(f).factors)
+
+
+def test_attempt_lift_fails_at_a_point_that_merges_factors():
+    # cd pool entry 31's trivariate image: at v0 = 1 distinct factors meet in
+    # one image factor, so no subset reconstructs a factor of f and the lift
+    # raises _AttemptFailed; factor_monic moves on to another point
+    f = parse_poly("-3*z2^3*z4^3 + z3^3*z4^3 - 3*z4^6 + 5*z4^3", 4)
+    f3 = psi_map(monicize(f)[1], compact_scheme(4, 2)).to_sparse()
+    with pytest.raises(_AttemptFailed):
+        _attempt_lift(f3, 2, 3, 1, _factor_monic_sparse(f3.eval_var(2, 1)))
+    # factor_monic checks recomposition, so the first factor fixes the second
+    fl = factor_monic(f3)
+    assert [m for _, m in fl.factors] == [3, 1]
+    assert fl.factors[0][0] == parse_poly("z2^12*z3 + z1 + z2", 3)
+    assert fl.factors[1][0].degree_in(1) == 3
 
 
 def test_attempt_lift_reconstructs_in_the_original_coordinates():
     # a square with a 62-bit constant term: the lift reconstructs after the
     # shift back, where the coefficients are small, so its modulus needs no
-    # translation term, and at v0 = 0 that modulus must reach 2^bits_needed
+    # translation term, and at v0 = 0 it must reach 2B^2 for f's factor bound
     u = parse_poly("z1^2 - 2441406248*z1 + z2 + 2980232236324936355/2", 2)
     f = u**2
     for v0 in (0, 1, -1):
         base = _factor_monic_sparse(f.eval_var(2, v0))
-        assert _attempt_lift(f, 2, None, v0, base, 0) == [(u, 2)], v0
+        assert _attempt_lift(f, 2, None, v0, base) == [(u, 2)], v0
     assert factor_monic(f).factors == ((u, 2),)
 
 
@@ -548,6 +566,33 @@ def test_univariate_squarefree_parts_match_fraction_yun():
         expected.sort(key=lambda pm: factor_sort_key(pm[0]))
         assert pairs == expected
     assert top >= 30
+
+
+def _sympy_factor_heights(f):
+    """The largest |coefficient| of each primitive integer factor G^e of f
+    that sympy finds, e the multiplicity of G."""
+    heights = []
+    for g, e in sympy_factorization(f)[1].items():
+        ints = clear_denominators((g ** int(e)).terms.values())[0]
+        heights.append(max(abs(c) for c in ints) // math.gcd(*ints))
+    return heights
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(lowvar_products())
+def test_factor_bound_bounds_every_sympy_factor(f):
+    ints, den = clear_denominators(f.terms.values())
+    bound = _factor_bound(ints, sum(f.degree_in(i) or 0 for i in range(1, f.n + 1)))
+    assert max(_sympy_factor_heights(f.scale(Q(den)))) <= bound
+
+
+def test_factor_bound_covers_a_factor_larger_than_its_product():
+    # the 105th cyclotomic polynomial has the coefficient -2, larger than
+    # any coefficient of x^105 - 1
+    f = parse_poly("z1^105 - 1")
+    heights = _sympy_factor_heights(f)
+    assert max(heights) == 2
+    assert max(heights) <= _factor_bound([-1] + [0] * 104 + [1], 105)
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)

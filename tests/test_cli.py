@@ -1,9 +1,13 @@
 """CLI surface: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import polyfactor
 from polyfactor.cli import main
 from polyfactor.config import Config
 
@@ -36,6 +40,19 @@ def test_multiplicity(capsys):
     )
     assert code == 0
     assert json.loads(out)["multiplicity"] == 2
+
+
+def test_multiplicity_in_zero_fails_fast():
+    # every power of g divides 0, and the derivative of 0 stays 0, so the
+    # search for the first power that does not divide never ends
+    src = os.path.dirname(os.path.dirname(os.path.abspath(polyfactor.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "polyfactor.cli", "multiplicity", "0", "z1"],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert out.returncode == 1, out.stderr
+    assert out.stderr.startswith("error: ")
 
 
 def test_expand_reads_both_operands(capsys):
@@ -143,6 +160,16 @@ def test_factor_sparse_oracle_spec(capsys):
     assert code == 0
     payload = json.loads(out)
     assert len(payload["factors"]) == 2
+
+
+def test_constant_degree_oracle_rejects_delta_zero(capsys):
+    code, out, err = run_cli(
+        capsys, "factor-sparse", "--sparsity", "3", "--oracle", "constant-degree:0",
+        "z1^2 - z2^2",
+    )
+    assert code == 1
+    assert out == ""
+    assert "delta must be >= 1" in err
 
 
 def test_output_deterministic(capsys):
