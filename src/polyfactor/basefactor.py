@@ -19,9 +19,8 @@ the evaluated variable whose coefficients are packed (x, w) dicts mod p^k,
 w the remaining side variable; each lift step solves one Diophantine
 equation, w-adically from a Bezout pair at w = 0.
 When the factorization at one point is already known (a trivariate slice
-whose t2 = 0 image was factored before), `lift_factorization` lifts from
-that point directly, after a degree sieve that can prove the slice
-irreducible without lifting.
+whose t2 = 0 image was factored before), `factor_monic(f, base)` lifts from
+that point first.
 Every accepted factor is verified by exact division over Q, and a final
 recomposition check guards the whole attempt, so a degenerate evaluation
 point can only cost time, never correctness.
@@ -782,7 +781,8 @@ def _cd_from_qpoly(f2, m):
 def _attempt_lift(f, v, w, v0, base):
     """The complete [(factor, mult)] of f lifted from `base`, its factorization
     at z_v = v0, mod p^k > 2B^2 (B = _factor_bound).  Raises _AttemptFailed
-    when the point cannot support the lift or merges distinct factors."""
+    when the point cannot support the lift: a factor's image is not
+    squarefree, or the images of distinct factors share a factor."""
     n = f.n
     dx = f.degree_in(1)
     dv = f.degree_in(v) or 0
@@ -867,6 +867,9 @@ def _attempt_lift(f, v, w, v0, base):
             Wser = leaves[S[0]]
             for i in S[1:]:
                 Wser = _series_mul(Wser, leaves[i], K, m)
+            # the leaves are exact only below w-order wlen, and a factor of f
+            # has w-degree at most dw: the rest is truncation noise
+            Wser = [{k: c for k, c in row.items() if k % STRIDE <= dw} for row in Wser]
             # back to the original coordinates, where the coefficients to
             # reconstruct are small
             Wq = _series_to_qpoly(_shift_series(Wser, -v0, -w0, m), v, w, n, m)
@@ -983,43 +986,21 @@ def _verified(f, pairs):
     return result
 
 
-def factor_monic(f):
-    """FactorList of a SparsePoly (<=3 vars) monic in variable 1."""
+def factor_monic(f, base=None):
+    """FactorList of a SparsePoly (<=3 vars) monic in variable 1.  `base`,
+    when given, is the complete factorization pairs of f(x, t1, 0), and f is
+    first lifted from it: Wang's lift from a known evaluation point (Math.
+    Comp. 1978).  When t2 = 0 drops f's t1-degree or the lift raises
+    _AttemptFailed, f is factored from scratch."""
     _require_monic_in_x(f)
+    if base is not None:
+        base_t1 = sum((u.degree_in(2) or 0) * mult for u, mult in base)
+        if base_t1 == (f.degree_in(2) or 0):
+            try:
+                return _verified(f, _attempt_lift(f, 3, 2, 0, base))
+            except _AttemptFailed:
+                pass
     return _verified(f, _factor_monic_sparse(f))
-
-
-def _degree_sums(pairs):
-    """Every x-degree a product of some of the factors can have, each factor
-    counted with its multiplicity."""
-    sums = {0}
-    for u, mult in pairs:
-        d = u.degree_in(1)
-        for _ in range(mult):
-            sums |= {s + d for s in sums}
-    return sums
-
-
-def lift_factorization(f, base):
-    """FactorList of f(x, t1, t2), monic in x, lifted from `base`, the
-    complete factorization pairs of f(x, t1, 0): Wang's lift from a known
-    evaluation point (Math. Comp. 1978).  A degree sieve runs first: every
-    factor of f has an x-degree that is a subset sum both of the factor
-    degrees of f(x, 1, 2) and of the base's, so when these share only 0 and
-    deg_x f, f is irreducible and nothing is lifted.  None when the t1-degree
-    drops at t2 = 0 or the lift raises _AttemptFailed (t2 = 0 merges distinct
-    factors); the caller then factors f with `factor_monic`."""
-    _require_monic_in_x(f)
-    image = f.eval_var(3, 2).eval_var(2, 1)
-    common = _degree_sums(_factor_univariate_pairs(image)) & _degree_sums(base)
-    if common == {0, f.degree_in(1)}:
-        return _verified(f, [(f.canonical(), 1)])
-    if sum((u.degree_in(2) or 0) * mult for u, mult in base) != (f.degree_in(2) or 0):
-        return None
-    try:
-        return _verified(f, _attempt_lift(f, 3, 2, 0, base))
-    except _AttemptFailed:
-        return None
 
 
 def factor_lowvar(f):

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .pit import find_nonzero_point, interpolation_plan, sparse_interpolate
 from .isolation import compact_scheme, psi_map, psi_invert, scheme_ladder
-from .basefactor import factor_monic, lift_factorization
+from .basefactor import factor_monic
 from .divisibility import constant_degree_divides
 from .config import DEFAULT as DEFAULT_CONFIG
 
@@ -237,10 +237,9 @@ def _pair_candidates(residual, alpha, pair, s, oracle):
     ceiling the class allows is matched at the t2 = 0 slice of the
     trivariate projections r_omega through the interpolation points, and
     the hidden factor's values there are collected and interpolated.  Each
-    r_omega is r_hat at t2 = 0, so its factorization is lifted from r_hat's
-    (`lift_factorization`, whose degree sieve can prove a slice irreducible
-    without lifting) and computed from scratch by `factor_monic` only when
-    the lift cannot decide.  An interpolated g is kept only when it has the
+    r_omega is r_hat at t2 = 0, so `factor_monic(r_omega, base)` lifts its
+    factorization from r_hat's and factors it from scratch only when the
+    lift fails.  An interpolated g is kept only when it has the
     degree of h2 and its own projection, normalized by Hom[g](alpha), is
     h2: a factorization of g would then factor h2, so g is irreducible.
     Canonical candidates, or [] at the first slice mismatch."""
@@ -269,7 +268,7 @@ def _pair_candidates(residual, alpha, pair, s, oracle):
         r_omega = _project(
             residual, alpha, [pair.beta, secondary], pair.gamma, normalizer
         )
-        fl = lift_factorization(r_omega, base) or factor_monic(r_omega)
+        fl = factor_monic(r_omega, base)
         slices = []
         for h3, e3 in fl.factors:
             raw = h3.eval_var(3, 0)

@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polyfactor.rational import Q, ONE, ZERO, clear_denominators
 from polyfactor.sparse import SparsePoly, _mul_into
@@ -16,7 +16,6 @@ from polyfactor.basefactor import (
     factor_monic,
     factor_lowvar,
     is_irreducible_lowvar,
-    lift_factorization,
     _AttemptFailed,
     _Dioph,
     _attempt_lift,
@@ -218,19 +217,38 @@ def test_attempt_lift_with_a_nonzero_w_point():
     assert _attempt_lift(f, 2, 3, 0, base) == list(factor_monic(f).factors)
 
 
-def test_attempt_lift_fails_at_a_point_that_merges_factors():
-    # cd pool entry 31's trivariate image: at v0 = 1 distinct factors meet in
-    # one image factor, so no subset reconstructs a factor of f and the lift
-    # raises _AttemptFailed; factor_monic moves on to another point
+def test_attempt_lift_recombines_the_pieces_of_a_split_factor():
+    # cd pool entry 31's trivariate image: at v0 = 1 its irreducible cubic
+    # factor splits into a linear and a quadratic factor whose lifts are
+    # power series in w; only their product, cut at f's w-degree, is the
+    # cubic
     f = parse_poly("-3*z2^3*z4^3 + z3^3*z4^3 - 3*z4^6 + 5*z4^3", 4)
     f3 = psi_map(monicize(f)[1], compact_scheme(4, 2)).to_sparse()
-    with pytest.raises(_AttemptFailed):
-        _attempt_lift(f3, 2, 3, 1, _factor_monic_sparse(f3.eval_var(2, 1)))
+    want = list(factor_monic(f3).factors)
+    for v0 in (0, 1, -1, 2):
+        base = _factor_monic_sparse(f3.eval_var(2, v0))
+        assert _attempt_lift(f3, 2, 3, v0, base) == want, v0
     # factor_monic checks recomposition, so the first factor fixes the second
-    fl = factor_monic(f3)
-    assert [m for _, m in fl.factors] == [3, 1]
-    assert fl.factors[0][0] == parse_poly("z2^12*z3 + z1 + z2", 3)
-    assert fl.factors[1][0].degree_in(1) == 3
+    assert [m for _, m in want] == [3, 1]
+    assert want[0][0] == parse_poly("z2^12*z3 + z1 + z2", 3)
+    assert want[1][0].degree_in(1) == 3
+    # at z2 = 0 the quadratic splits into (z1 - z3)(z1 + z3)
+    g = parse_product("(z1^2 - z2 - z3^2)*(z1 + z2 + 2*z3)", 3)
+    base = _factor_monic_sparse(g.eval_var(2, 0))
+    assert len(base) == 3
+    assert _attempt_lift(g, 2, 3, 0, base) == list(factor_monic(g).factors)
+
+
+def test_attempt_lift_fails_at_a_point_that_merges_factors():
+    # at z2 = 0 the first input's quadratic has the image z1^2, which is not
+    # squarefree, and both linear factors of the second have the image z1:
+    # no subset reconstructs a factor of f, so the lift raises and
+    # factor_monic moves on to another point
+    for text in ["(z1^2 - z2*z3 - z2)*(z1 + z3)", "(z1 + z2*z3)*(z1 - z2*z3 + z2)"]:
+        f = parse_product(text, 3)
+        with pytest.raises(_AttemptFailed):
+            _attempt_lift(f, 2, 3, 0, _factor_monic_sparse(f.eval_var(2, 0)))
+        assert len(factor_monic(f).factors) == 2
 
 
 def test_attempt_lift_reconstructs_in_the_original_coordinates():
@@ -278,10 +296,9 @@ def test_shift_series_is_the_translation_mod_m(case):
 
 @st.composite
 def trivariate_monic_products(draw):
-    """(f, t1-degree drops at t2 = 0): a product of 1-3 factors
-    x^d + lower x-terms in (x, t1, t2), d <= 2, one of them possibly
-    repeated; in some draws t2 is absent, in others the first factor gains
-    the term t1^3 t2, so the t1-degree drops at t2 = 0."""
+    """A product of 1-3 factors x^d + lower x-terms in (x, t1, t2), d <= 2,
+    one of them possibly repeated; in some draws t2 is absent, in others the
+    first factor gains the term t1^3 t2, so the t1-degree drops at t2 = 0."""
     no_t2 = draw(st.booleans())
     drop = not no_t2 and draw(st.booleans())
 
@@ -304,50 +321,65 @@ def trivariate_monic_products(draw):
         f = f * g
     if draw(st.booleans()):
         f = f * parts[-1]
-    return f, drop
+    return f
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)
 @given(trivariate_monic_products())
-def test_lift_factorization_matches_factor_monic(case):
-    f, drop = case
+def test_factor_monic_from_a_base_matches_factor_monic(f):
+    # lifted from the base, or factored from scratch where t2 = 0 drops the
+    # t1-degree or merges factors: the same factorization either way
     base = factor_monic(f.eval_var(3, 0)).factors
-    result = lift_factorization(f, base)
-    want = factor_monic(f)
-    if drop and want.factors != ((f.canonical(), 1),):
-        # reducible, so the sieve cannot decide, and no lift runs
-        assert result is None
-    if result is not None:
-        assert result == want
+    assert factor_monic(f, base) == factor_monic(f)
 
 
-def test_lift_factorization_lifts_from_the_base():
+def test_factor_monic_lifts_from_the_base(monkeypatch):
+    import polyfactor.basefactor as basefactor
+
+    def no_scratch(*args):
+        raise AssertionError("the slice should be lifted from its base")
+
     f = parse_product("(z1 - z2 - z3)*(z1 + z2 + z3^2)*(z1 + z3)^2", 3)
     base = factor_monic(f.eval_var(3, 0)).factors
-    assert lift_factorization(f, base) == factor_monic(f)
+    want = factor_monic(f)
+    monkeypatch.setattr(basefactor, "_factor_monic_sparse", no_scratch)
+    assert factor_monic(f, base) == want
 
 
 @pytest.mark.parametrize(
     "text, base_text",
     [
-        # base degrees 1, 1; f(x, 1, 2) = x^2 + 1 has degree 2 only
+        # base x - t1, x + t1: the lift proves f irreducible, as only the
+        # product of both lifted groups reconstructs
         ("z1^2 - z2^2 + z3", "z1^2 - z2^2"),
-        # base x with multiplicity 2; f(x, 1, 2) = x^2 + 2
+        # base x with multiplicity 2 and f no square: the lift raises, and
+        # f is factored from scratch
         ("z1^2 + z3", "z1^2"),
     ],
 )
-def test_lift_factorization_sieve_proves_irreducible(monkeypatch, text, base_text):
-    # the only subset sums the image's and the base's factor degrees share
-    # are 0 and 2, so f is irreducible without a lift
-    import polyfactor.basefactor as basefactor
-
-    def no_lift(*args):
-        raise AssertionError("the sieve should decide without lifting")
-
+def test_factor_monic_from_a_base_proves_irreducible(text, base_text):
     f = parse_poly(text, 3)
     base = factor_monic(parse_poly(base_text, 2)).factors
-    monkeypatch.setattr(basefactor, "_attempt_lift", no_lift)
-    assert lift_factorization(f, base).factors == ((f, 1),)
+    assert factor_monic(f, base).factors == ((f, 1),)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(trivariate_monic_products(), st.sampled_from([2, 3]))
+@example(parse_product("(z1^2 - z2 - z3^2)*(z1 + z2 + 2*z3)", 3), 2)
+def test_attempt_lift_succeeds_where_the_base_keeps_the_squarefree_degree(f, v):
+    # when the images of f's distinct factors are squarefree and pairwise
+    # coprime, the base's squarefree x-degree is f's, and the lift recovers
+    # f's factorization
+    w = 5 - v
+    want = list(factor_monic(f).factors)
+    squarefree_degree = sum(u.degree_in(1) for u, _ in want)
+    for v0 in (0, 1, -1):
+        image = f.eval_var(v, v0)
+        if (image.degree_in(2) or 0) != (f.degree_in(w) or 0):
+            continue
+        base = _factor_monic_sparse(image)
+        if sum(u.degree_in(1) for u, _ in base) == squarefree_degree:
+            assert _attempt_lift(f, v, w, v0, base) == want, v0
 
 
 def _random_monic_cd(rng, dx, dw, m):

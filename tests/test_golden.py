@@ -7,8 +7,9 @@ speed.  This re-runs the entries that cost under 0.1 s, through the same
 pipeline calls as perfbench/run.py, and only reads the corpus.
 
 Run as a script, it checks every entry of the named pools, whatever its
-cost, prints each entry whose output differs and each pool's entry count
-and process time, and exits 1 if an entry differs:
+cost, prints each entry whose output differs, each pool's entry count and
+process time and its three slowest entries, and exits 1 if an entry
+differs:
 
     python tests/test_golden.py [workload ...]    # default: every pool
 """
@@ -81,15 +82,18 @@ def main(workloads):
     wrong = 0
     for workload in workloads or sorted(PIPELINES):
         pool = load_pool(workload)
-        start = time.process_time()
+        times = []
         for i, item in enumerate(pool):
+            start = time.process_time()
             out = differing_output(workload, item)
+            times.append((time.process_time() - start, i))
             if out is not None:
                 wrong += 1
                 print("%s entry %d: got %s, expected %s"
                       % (workload, i, out, canonical(item["expected"])), flush=True)
-        print("%s: %d entries, %.1f s process time"
-              % (workload, len(pool), time.process_time() - start), flush=True)
+        slowest = ", ".join("%d (%.2f s)" % (i, t) for t, i in sorted(times)[:-4:-1])
+        print("%s: %d entries, %.1f s process time; slowest: %s"
+              % (workload, len(pool), sum(t for t, _ in times), slowest), flush=True)
     return 1 if wrong else 0
 
 
