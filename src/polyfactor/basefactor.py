@@ -804,18 +804,24 @@ def _attempt_lift(f, v, w, v0, base):
     _, denom = clear_denominators(
         c for poly in [f] + [u for u, _ in groups] for c in poly.terms.values()
     )
-    # prime: must avoid denominators and give pairwise-coprime base images
+    # prime: must avoid denominators and give pairwise-coprime base images;
+    # the images over Q at each w0 do not depend on p, so they are made once
+    w0_range = range(2 * dw * len(groups) ** 2 + 3) if w is not None else (0,)
+    images = {}
     chosen = None
     for p in primes(3):
         if denom % p == 0:
             continue
-        w0_range = range(2 * dw * len(groups) ** 2 + 3) if w is not None else (0,)
         for w0 in w0_range:
+            if w0 not in images:
+                images[w0] = [  # w is variable 2
+                    _coeff_list(u.eval_var(2, w0) if w is not None else u)
+                    for u, _ in groups
+                ]
             imgs = []
             ok = True
-            for u, _ in groups:
-                g1 = u.eval_var(2, w0) if w is not None else u  # w is variable 2
-                lst = up_trim(_reduce_mod(_coeff_list(g1), p))
+            for (u, _), coeffs in zip(groups, images[w0]):
+                lst = up_trim(_reduce_mod(coeffs, p))
                 if up_deg(lst) != u.degree_in(1):
                     ok = False
                     break

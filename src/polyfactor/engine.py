@@ -233,10 +233,12 @@ def _pair_candidates(residual, alpha, pair, s, oracle):
     The bivariate projection r_hat of the residual, normalized by
     Hom[residual](alpha) != 0, keeps the residual's degree, so a
     factorization of the residual would factor r_hat: an irreducible r_hat
-    gives None.  Otherwise each factor h2 of r_hat whose degree and sparsity
-    ceiling the class allows is matched at the t2 = 0 slice of the
-    trivariate projections r_omega through the interpolation points, and
-    the hidden factor's values there are collected and interpolated.  Each
+    gives None.  Otherwise each factor h2 of r_hat whose degree the class
+    allows is matched at the t2 = 0 slice of the trivariate projections
+    r_omega through the interpolation points, and the hidden factor's
+    values there are collected and interpolated.  When the class's support
+    at h2's degree has T <= s monomials, T values fix the factor on it;
+    otherwise Ben-Or-Tiwari takes 2s values.  Each
     r_omega is r_hat at t2 = 0, so `factor_monic(r_omega, base)` lifts its
     factorization from r_hat's and factors it from scratch only when the
     lift fails.  An interpolated g is kept only when it has the
@@ -254,15 +256,19 @@ def _pair_candidates(residual, alpha, pair, s, oracle):
         deg = h.degree_in(1)
         if oracle.class_degree_bound is not None and deg > oracle.class_degree_bound:
             continue  # no class member has this degree
-        ceiling = s
-        if oracle.sparsity_for_degree is not None:
-            ceiling = min(s, oracle.sparsity_for_degree(deg))
-        refs.append((h, e, deg, ceiling, []))
+        support = None
+        if oracle.support_for_degree is not None:
+            support = oracle.support_for_degree(deg)
+            if len(support) > s:
+                support = None  # wider than the bound: Ben-Or-Tiwari on 2s
+        need = 2 * s if support is None else len(support)
+        refs.append((h, e, deg, support, need, []))
     if not refs:
         return []
-    # one shared point sequence; each ref consumes the prefix its own
-    # sparsity ceiling requires (plans are nested by construction)
-    plan = interpolation_plan(max(ref[3] for ref in refs), n)
+    # one shared point sequence, cut to the most points any ref needs (a
+    # plan for bound k has 2k points); each ref consumes the prefix it needs
+    most = max(ref[4] for ref in refs)
+    plan = interpolation_plan((most + 1) // 2, n)[:most]
     for w_idx, omega in enumerate(plan):
         secondary = tuple(omega[i] - pair.gamma[i] for i in range(n))
         r_omega = _project(
@@ -276,8 +282,8 @@ def _pair_candidates(residual, alpha, pair, s, oracle):
                 continue
             unit = raw.leading_coefficient()
             slices.append((raw.scale(ONE / unit), unit, h3, e3))
-        for h2, e2, _, ceiling, values in refs:
-            if w_idx >= 2 * ceiling:
+        for h2, e2, _, _, need, values in refs:
+            if w_idx >= need:
                 continue
             matches = [entry for entry in slices if entry[0] == h2]
             if len(matches) > 1:
@@ -287,9 +293,9 @@ def _pair_candidates(residual, alpha, pair, s, oracle):
             _, unit, h3, _ = matches[0]
             values.append(h3.eval_point((0, 0, 1)) / unit)
     candidates = []
-    for h2, _, deg, ceiling, values in refs:
+    for h2, _, deg, support, _, values in refs:
         try:
-            g = sparse_interpolate(values, ceiling, n, deg)
+            g = sparse_interpolate(values, s, n, deg, support)
         except InterpolationFailure:
             continue
         if g.degree() != deg:

@@ -19,9 +19,8 @@ gate never admits a wrong factor; only completeness degrades), or raises
 CapError in strict mode.
 """
 
-import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 from .rational import Q, ZERO, ONE
 from .errors import CapError
@@ -41,7 +40,7 @@ class IrredProjOracle:
     generator: object  # alpha -> iterator of ProjectionPair
     decide_irreducible: object = None  # optional direct decision procedure
     class_degree_bound: object = None  # max degree of any class member
-    sparsity_for_degree: object = None  # degree -> sparsity ceiling in class
+    support_for_degree: object = None  # degree -> tuple of the class's exponent tuples
 
     def contains(self, f):
         return self.membership(f)
@@ -79,13 +78,18 @@ def constant_degree_oracle(delta, n, d, config=None):
             gamma = tuple(Q(a) ** wi for wi in scheme.w_prime)
             yield ProjectionPair(beta, gamma)
 
-    return IrredProjOracle(
-        membership,
-        generator,
-        None,
-        delta,
-        lambda deg: math.comb(n + deg, deg),
-    )
+    def support(deg):
+        # every monomial of degree <= deg, C(n + deg, deg) of them: a
+        # multiset of deg picks from z_1..z_n and a slack slot
+        out = []
+        for combo in combinations_with_replacement(range(n + 1), deg):
+            exps = [0] * (n + 1)
+            for i in combo:
+                exps[i] += 1
+            out.append(tuple(exps[:n]))
+        return tuple(out)
+
+    return IrredProjOracle(membership, generator, None, delta, support)
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +164,12 @@ def su_oracle(n, d, config=None):
             # a univariate g(alpha x + beta t + gamma) factors exactly as g
             yield ProjectionPair((ONE,), (ONE,))
 
-    return IrredProjOracle(
-        su_membership,
-        generator,
-        su_decide_irreducible,
-        d,
-        lambda deg: n * deg + 1,
-    )
+    def support(deg):
+        # {1} and the pure powers z_i^k, k <= deg: n * deg + 1 monomials
+        return ((0,) * n,) + tuple(
+            tuple(k if j == i else 0 for j in range(n))
+            for i in range(n)
+            for k in range(1, deg + 1)
+        )
+
+    return IrredProjOracle(su_membership, generator, su_decide_irreducible, d, support)

@@ -3,14 +3,16 @@ interpolation for the class of s-sparse n-variate degree-d polynomials.
 
 The interpolation scheme is deterministic Prony (prime-power evaluation
 points, a Berlekamp-Massey recurrence over Q, integer root extraction of the
-term locator, then a transposed Vandermonde solve).  It fulfils the same
+term locator, then a transposed Vandermonde solve); when the caller knows
+the monomial support, the solve alone runs on it.  It fulfils the same
 evaluate-then-solve contract as the Klivans-Spielman construction and reuses
 the univariate factorizer for the locator roots.
 """
 
-from itertools import islice, product
+import math
+from itertools import count, islice, product
 
-from .rational import Q, ONE, ZERO, primes
+from .rational import Q, ONE, ZERO, clear_denominators, primes
 from .sparse import SparsePoly
 from .basefactor import factor_lowvar
 from .errors import CapError, InterpolationFailure, ZeroPolynomialError
@@ -106,14 +108,21 @@ def sparse_pit(f):
     return f.is_zero()
 
 
+def _plan_points(n):
+    """The evaluation points (p_1^i, ..., p_n^i), i = 0, 1, ..., p_j the j-th
+    prime, without end."""
+    bases = list(islice(primes(), n))
+    for i in count():
+        yield tuple(Q(p**i) for p in bases)
+
+
 def interpolation_plan(s, n):
     """The plan: a tuple of 2s evaluation points (p_1^i, ..., p_n^i),
     i = 0..2s-1, p_j the j-th prime; plans for larger sparsity bounds
     extend smaller ones."""
     if s < 1:
         raise ValueError("sparsity bound must be >= 1")
-    bases = list(islice(primes(), n))
-    return tuple(tuple(Q(p**i) for p in bases) for i in range(2 * s))
+    return tuple(islice(_plan_points(n), 2 * s))
 
 
 def berlekamp_massey(values):
@@ -190,66 +199,83 @@ def _monomial_from_locator(value, primes, d):
     return tuple(exps)
 
 
-def sparse_interpolate(values, s, n, d):
+def _transposed_vandermonde(nodes, values):
+    """The c with sum_j c_j * nodes[j]^i == values[i] for i < T = len(nodes),
+    the nodes distinct integers, in O(T^2) (Zippel, J. Symb. Comp. 1990;
+    Kaltofen-Yagati, EUROSAM 1988).  With P(z) = prod_k (z - nodes[k]) and
+    P_j = P / (z - nodes[j]), which vanishes at every other node,
+    sum_i [z^i]P_j * values[i] = c_j * P_j(nodes[j]).  Runs on integers:
+    the values' denominators are cleared once."""
+    ints, den = clear_denominators(values[: len(nodes)])
+    master = [1]  # ascending coefficients of P
+    for node in nodes:
+        shifted = [0] + master
+        for i, c in enumerate(master):
+            shifted[i] -= node * c
+        master = shifted
+    coeffs = []
+    for node in nodes:
+        # synthetic division P / (z - node), highest coefficient first
+        quotient = [0] * len(nodes)
+        carry = 0
+        for i in range(len(nodes), 0, -1):
+            carry = master[i] + node * carry
+            quotient[i - 1] = carry
+        num = sum(q * v for q, v in zip(quotient, ints))
+        at_node = 0
+        for q in reversed(quotient):
+            at_node = at_node * node + q
+        if not at_node:
+            raise InterpolationFailure("repeated interpolation node")
+        coeffs.append(Q(num, den * at_node))
+    return coeffs
+
+
+def sparse_interpolate(values, s, n, d, support=None):
     """Recover the unique polynomial of sparsity <= s and degree <= d from its
-    evaluations on the points of interpolation_plan(s, n)."""
+    evaluations on the leading points of interpolation_plan(s, n).
+
+    With a known `support` (distinct exponent tuples, every monomial the
+    polynomial may have) of at most s monomials, exactly len(support)
+    values fix it: the value at the i-th point is sum_j c_j * m_j^i with
+    distinct nodes m_j = prod_k p_k^(e_jk), one transposed Vandermonde
+    system (Zippel's known-support step).  Otherwise Ben-Or-Tiwari reads
+    the monomials off 2s values: the Berlekamp-Massey recurrence's locator
+    roots are the nodes, each factored over the first n primes, and the
+    same solve gives the coefficients.  Either result must satisfy the
+    degree and sparsity bounds and reproduce every supplied value."""
     values = [Q(v) for v in values]
-    if len(values) != 2 * s:
-        raise InterpolationFailure("expected exactly 2s evaluation values")
+    known = support is not None and len(support) <= s
+    expected = len(support) if known else 2 * s
+    if len(values) != expected:
+        raise InterpolationFailure("expected exactly %d evaluation values" % expected)
     if all(not v for v in values):
         return SparsePoly.zero(n)
-    char, L = berlekamp_massey(values)
-    if L > s or L == 0:
-        raise InterpolationFailure("recovered sparsity exceeds the bound")
     bases = list(islice(primes(), n))
-    roots = _integer_roots(char)
-    if roots is None:
-        raise InterpolationFailure("locator polynomial does not split over Z")
-    monomials = []
-    for root in roots:
-        mono = _monomial_from_locator(root, bases, d)
-        if mono is None:
-            raise InterpolationFailure(
-                "locator root %d is not a bounded prime-power product" % root
-            )
-        monomials.append((root, mono))
-    # transposed Vandermonde: sum_j coeff_j * root_j^i = values[i]
-    r = len(monomials)
-    mat = [[Q(root) ** i for root, _ in monomials] for i in range(r)]
-    rhs = values[:r]
-    coeffs = _solve_linear(mat, rhs)
-    if coeffs is None:
-        raise InterpolationFailure("singular locator system")
-    result = SparsePoly(
-        n,
-        {mono: c for (root, mono), c in zip(monomials, coeffs) if c},
-    )
+    if known:
+        monomials = list(support)
+        nodes = [math.prod(p**e for p, e in zip(bases, mono)) for mono in monomials]
+    else:
+        char, L = berlekamp_massey(values)
+        if L > s or L == 0:
+            raise InterpolationFailure("recovered sparsity exceeds the bound")
+        nodes = _integer_roots(char)
+        if nodes is None:
+            raise InterpolationFailure("locator polynomial does not split over Z")
+        monomials = []
+        for root in nodes:
+            mono = _monomial_from_locator(root, bases, d)
+            if mono is None:
+                raise InterpolationFailure(
+                    "locator root %d is not a bounded prime-power product" % root
+                )
+            monomials.append(mono)
+    coeffs = _transposed_vandermonde(nodes, values)
+    result = SparsePoly(n, {mono: c for mono, c in zip(monomials, coeffs) if c})
     if result.sparsity() > s or (result.degree() or 0) > d:
         raise InterpolationFailure("result violates the promised class")
     # residual check over all supplied points
-    for point, expected in zip(interpolation_plan(s, n), values):
-        if result.eval_point(point) != expected:
+    for point, value in zip(_plan_points(n), values):
+        if result.eval_point(point) != value:
             raise InterpolationFailure("residual mismatch: input was off-promise")
     return result
-
-
-def _solve_linear(mat, rhs):
-    """Gaussian elimination over Q; None when singular."""
-    r = len(mat)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(r):
-        pivot = None
-        for row in range(col, r):
-            if aug[row][col]:
-                pivot = row
-                break
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = ONE / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for row in range(r):
-            if row != col and aug[row][col]:
-                factor = aug[row][col]
-                aug[row] = [a - factor * b for a, b in zip(aug[row], aug[col])]
-    return [aug[i][r] for i in range(r)]

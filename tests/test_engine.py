@@ -305,14 +305,14 @@ def test_reducible_candidate_fails_the_certificate(monkeypatch):
     original = engine.sparse_interpolate
     offered = False
 
-    def rigged(values, ceiling, n, deg):
+    def rigged(values, ceiling, n, deg, *rest):
         nonlocal offered
         if deg == 2:
             offered = True
             return product
         if not offered:
             raise InterpolationFailure("held back")
-        return original(values, ceiling, n, deg)
+        return original(values, ceiling, n, deg, *rest)
 
     monkeypatch.setattr(engine, "sparse_interpolate", rigged)
     fl = sparse_factors(f, 12, constant_degree_oracle(2, 2, f.degree()))
@@ -323,6 +323,28 @@ def test_reducible_candidate_fails_the_certificate(monkeypatch):
         assert sympy_irreducible(g), g
         assert mults[g] == e, g
     assert dict(fl.factors) == mults
+
+
+def test_sparse_factors_below_the_support_size_run_ben_or_tiwari(monkeypatch):
+    # at n = 3 the degree-2 support has C(5, 2) = 10 > s = 4 monomials, so
+    # the quadratic factor is read off 2s values by Ben-Or-Tiwari
+    import polyfactor.engine as engine
+
+    supports = []
+    original = engine.sparse_interpolate
+
+    def spy(values, s, n, d, support=None):
+        supports.append((d, support))
+        return original(values, s, n, d, support)
+
+    monkeypatch.setattr(engine, "sparse_interpolate", spy)
+    f = parse_product("(z1^2 + 2*z2*z3 + 3)*(z1 - z3 + 2)*(z1^3 + z2 + 5)")
+    fl = sparse_factors(f, 4, constant_degree_oracle(2, 3, f.degree()))
+    assert (2, None) in supports
+    _, mults = sympy_factorization(f)
+    expected = {g: e for g, e in mults.items() if g.degree() <= 2 and g.sparsity() <= 4}
+    assert parse_poly("z1^2 + 2*z2*z3 + 3") in expected
+    assert dict(fl.factors) == expected
 
 
 def test_sparse_factors_with_su_oracle():

@@ -7,9 +7,10 @@ speed.  This re-runs the entries that cost under 0.1 s, through the same
 pipeline calls as perfbench/run.py, and only reads the corpus.
 
 Run as a script, it checks every entry of the named pools, whatever its
-cost, prints each entry whose output differs, each pool's entry count and
-process time and its three slowest entries, and exits 1 if an entry
-differs:
+cost, prints each entry whose output differs, each pool's entry count,
+process time, three slowest entries and the number of trivariate slices
+the sparse search factored (calls of `factor_monic` with a known base),
+and exits 1 if an entry differs:
 
     python tests/test_golden.py [workload ...]    # default: every pool
 """
@@ -21,6 +22,7 @@ import time
 
 import pytest
 
+import polyfactor.engine as engine
 from polyfactor import (
     constant_degree_factors,
     constant_degree_oracle,
@@ -79,10 +81,19 @@ def main(workloads):
         print("unknown workload %s; choose from %s"
               % (", ".join(unknown), ", ".join(sorted(PIPELINES))), file=sys.stderr)
         return 2
+    factor_monic = engine.factor_monic
+
+    def counted(f, base=None):
+        nonlocal slices
+        slices += base is not None
+        return factor_monic(f, base)
+
+    engine.factor_monic = counted
     wrong = 0
     for workload in workloads or sorted(PIPELINES):
         pool = load_pool(workload)
         times = []
+        slices = 0
         for i, item in enumerate(pool):
             start = time.process_time()
             out = differing_output(workload, item)
@@ -92,8 +103,9 @@ def main(workloads):
                 print("%s entry %d: got %s, expected %s"
                       % (workload, i, out, canonical(item["expected"])), flush=True)
         slowest = ", ".join("%d (%.2f s)" % (i, t) for t, i in sorted(times)[:-4:-1])
-        print("%s: %d entries, %.1f s process time; slowest: %s"
-              % (workload, len(pool), sum(t for t, _ in times), slowest), flush=True)
+        print("%s: %d entries, %.1f s process time, %d slices; slowest: %s"
+              % (workload, len(pool), sum(t for t, _ in times), slices, slowest),
+              flush=True)
     return 1 if wrong else 0
 
 

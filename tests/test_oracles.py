@@ -1,6 +1,8 @@
 """Projection oracles: membership, support rules, and the preservation
 contract certified through the bivariate factorizer."""
 
+import math
+
 import pytest
 
 from polyfactor.rational import Q
@@ -17,7 +19,7 @@ from polyfactor.engine import monicize, _project
 from polyfactor.basefactor import factor_monic, is_irreducible_lowvar
 from polyfactor.config import Config
 
-from conftest import rng_for, random_su, random_irreducible_quadratic
+from conftest import rng_for, random_poly, random_su, random_irreducible_quadratic
 
 
 def test_su_membership():
@@ -139,3 +141,24 @@ def test_constant_degree_oracle_linear_exhaustive_small():
             },
         )
         assert preserving_pair_exists(g, oracle, limit=50)
+
+
+def test_support_for_degree_contract():
+    # each oracle's support at a degree is the class's whole monomial set
+    # there: n*deg + 1 monomials for SU, C(n + deg, deg) for constant degree,
+    # with no duplicates, holding every monomial of a class member
+    rng = rng_for("support-contract")
+    for n in range(1, 5):
+        for deg in range(1, 4):
+            su = su_oracle(n, deg).support_for_degree
+            cd = constant_degree_oracle(deg, n, deg).support_for_degree(deg)
+            assert len(su(deg)) == n * deg + 1
+            assert len(cd) == math.comb(n + deg, deg)
+            for support in (su(deg), cd):
+                assert len(set(support)) == len(support)
+                assert all(len(mono) == n for mono in support)
+            for _ in range(5):
+                member = random_su(rng, n, deg)
+                assert set(member.terms) <= set(su(member.degree()))
+                member = random_poly(rng, n, deg, rng.randint(1, 6))
+                assert set(member.terms) <= set(cd)

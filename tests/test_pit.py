@@ -1,6 +1,9 @@
 """Identity testing, nonzero points, and sparse interpolation."""
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyfactor.rational import Q
 from polyfactor.sparse import SparsePoly
@@ -14,6 +17,7 @@ from polyfactor.pit import (
     sparse_pit,
     trivial_hitting_set,
 )
+from polyfactor.oracles import constant_degree_oracle, su_oracle
 from polyfactor.errors import (
     CapError,
     InterpolationFailure,
@@ -166,3 +170,58 @@ def test_berlekamp_massey_recurrence():
     char, L = berlekamp_massey(values)
     assert L == 2
     assert [int(c) for c in char] == [54, -15, 1]
+
+
+@st.composite
+def class_members(draw):
+    """(support, f): the SU or constant-degree support of a random n and
+    degree, and a member of it with integer coefficients, some of them zero
+    (the member may miss part of the support), some negative."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        deg = draw(st.integers(1, 3))
+        support = su_oracle(n, deg).support_for_degree(deg)
+    else:
+        deg = draw(st.integers(1, 3 if n <= 2 else 2))
+        support = constant_degree_oracle(deg, n, deg).support_for_degree(deg)
+    coeffs = draw(st.lists(st.integers(-6, 6), min_size=len(support), max_size=len(support)))
+    f = SparsePoly(n, {mono: Q(c) for mono, c in zip(support, coeffs) if c})
+    return support, f
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(class_members())
+def test_known_support_solve_matches_ben_or_tiwari(member):
+    support, f = member
+    T = len(support)
+    d = max(sum(mono) for mono in support)
+    values = [f.eval_point(p) for p in interpolation_plan(T, f.n)]
+    known = sparse_interpolate(values[:T], T, f.n, d, support)
+    assert known == sparse_interpolate(values, T, f.n, d) == f
+
+
+def test_known_support_takes_exactly_T_values():
+    support = su_oracle(2, 2).support_for_degree(2)
+    f = parse_poly("z1^2 - 3*z2 + 1")
+    values = [f.eval_point(p) for p in interpolation_plan(len(support), 2)]
+    with pytest.raises(InterpolationFailure):
+        sparse_interpolate(values, len(support), 2, 2, support)
+    assert sparse_interpolate(values[: len(support)], len(support), 2, 2, support) == f
+
+
+def test_known_support_wider_than_the_bound_runs_ben_or_tiwari():
+    # C(4, 2) = 6 monomials exceed s = 2, so the support is not used and the
+    # solve reads the monomials off 2s values
+    support = constant_degree_oracle(2, 2, 2).support_for_degree(2)
+    assert len(support) == math.comb(4, 2)
+    f = parse_poly("3*z1*z2 + 5*z2^2")
+    values = [f.eval_point(p) for p in interpolation_plan(2, 2)]
+    assert sparse_interpolate(values, 2, 2, 2, support) == f
+
+
+def test_repeated_support_monomial_is_refused():
+    f = parse_poly("z1 + 2")
+    support = ((0,), (1,), (1,))
+    values = [f.eval_point(p) for p in interpolation_plan(3, 1)][:3]
+    with pytest.raises(InterpolationFailure):
+        sparse_interpolate(values, 3, 1, 1, support)
