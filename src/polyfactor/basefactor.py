@@ -782,7 +782,14 @@ def _attempt_lift(f, v, w, v0, base):
     """The complete [(factor, mult)] of f lifted from `base`, its factorization
     at z_v = v0, mod p^k > 2B^2 (B = _factor_bound).  Raises _AttemptFailed
     when the point cannot support the lift: a factor's image is not
-    squarefree, or the images of distinct factors share a factor."""
+    squarefree, or the images of distinct factors share a factor.
+
+    The lift runs mod w^(dw+1), dw = deg_w f (0 for a bivariate lift).  Base
+    images coprime mod (p, w - w0) make the lifted factors unique mod
+    (v^K, w^(dw+1), p^k), so a product of lifted factors is the truncation
+    of the factor of f it lifts.  A factor of f, like any product of f's
+    irreducible factors, has w-degree <= dw, so that truncation is the
+    whole factor."""
     n = f.n
     dx = f.degree_in(1)
     dv = f.degree_in(v) or 0
@@ -857,7 +864,7 @@ def _attempt_lift(f, v, w, v0, base):
         _shift_series([_cd_from_qpoly(u**mult, m)], 0, w0, m)[0] for u, mult in groups
     ]
     # w-orders the Diophantine solves carry; a bivariate lift has only w^0
-    wlen = 2 * dw + 3 if w is not None else 1
+    wlen = dw + 1
     leaves = _lift_tree(Fser, group_cds, K, wlen, p, m)
 
     indices = list(range(len(groups)))
@@ -873,8 +880,9 @@ def _attempt_lift(f, v, w, v0, base):
             Wser = leaves[S[0]]
             for i in S[1:]:
                 Wser = _series_mul(Wser, leaves[i], K, m)
-            # the leaves are exact only below w-order wlen, and a factor of f
-            # has w-degree at most dw: the rest is truncation noise
+            # the leaves are exact only below w-order wlen = dw + 1, and so
+            # is their product; a factor of f has w-degree at most dw, so
+            # the higher orders are truncation noise
             Wser = [{k: c for k, c in row.items() if k % STRIDE <= dw} for row in Wser]
             # back to the original coordinates, where the coefficients to
             # reconstruct are small

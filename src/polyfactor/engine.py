@@ -4,14 +4,12 @@ extraction.
 
 Every pipeline keeps one residual: the input with each accepted factor
 divided out, changed only by replacing it with an exact quotient.
-Projection schemes cannot be certified analytically at desk scale, so the
-constant-degree pipelines walk a deterministic scheme ladder on the
-residual: a factor one rung loses stays in the residual for the next rung,
-and under the promise a residual still nonconstant when the ladder stops is
-a violation.  Soundness never depends on the scheme: every emitted factor
-passed an exact divisibility gate, and inverted candidates whose inverse
-shift still involves x are discarded, which makes every survivor provably
-irreducible.
+The constant-degree pipelines project the input once, on the compact
+isolation scheme, and divide out every inverted candidate; under the
+promise a residual still nonconstant after that pass is a violation.
+Soundness never depends on the scheme: every emitted factor passed an
+exact divisibility gate, and inverted candidates whose inverse shift still
+involves x are discarded, which makes every survivor provably irreducible.
 """
 
 from dataclasses import dataclass
@@ -30,7 +28,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .pit import find_nonzero_point, interpolation_plan, sparse_interpolate
-from .isolation import compact_scheme, psi_map, psi_invert, scheme_ladder
+from .isolation import compact_scheme, psi_map, psi_invert
 from .basefactor import factor_monic
 from .divisibility import constant_degree_divides
 from .config import DEFAULT as DEFAULT_CONFIG
@@ -96,9 +94,10 @@ def unmonicize(g_hat, shift):
     return sheared.eval_var(1, 0), 1 in sheared.var_support()
 
 
-def projected_factoring(f, delta, scheme=None, config=None):
+def projected_factoring(f, delta, config=None):
     """All projected factors of f with x-degree <= delta, with multiplicities:
-    monicize, project to three variables, factor densely, filter."""
+    monicize, project to three variables on the compact scheme, factor,
+    filter."""
     config = config or DEFAULT_CONFIG
     if delta < 1:
         raise ValueError("delta must be >= 1")
@@ -107,8 +106,7 @@ def projected_factoring(f, delta, scheme=None, config=None):
     if f.is_constant():
         raise PolyError("cannot factor a constant")
     shift, f_alpha = monicize(f)
-    if scheme is None:
-        scheme = compact_scheme(f.n, delta)
+    scheme = compact_scheme(f.n, delta)
     grid = psi_map(f_alpha, scheme, max_cells=config.max_dense_cells)
     if grid.true_degrees()[0] != shift.degree:
         raise VerificationError("psi must preserve the x-degree")
@@ -135,38 +133,28 @@ def _invert_candidate(h, proj, delta):
 
 
 def _constant_degree_search(f, delta, config):
-    """(found, residual): walk the scheme ladder, projecting the residual and
-    dividing out every inverted candidate that divides it.  The residual
-    only ever changes by an exact quotient, and the found factors are
-    distinct irreducibles, so a candidate's count in the residual is its
-    multiplicity in f."""
+    """(found, residual): project f once and divide out of the residual every
+    inverted candidate that divides it.  The residual only ever changes by
+    an exact quotient, and the found factors are distinct irreducibles, so
+    a candidate's count in the residual is its multiplicity in f."""
     if f.is_constant():
         raise PolyError("cannot factor a constant")
+    proj = projected_factoring(f, delta, config)
     found = []
     residual = f
-    for passes, scheme in enumerate(scheme_ladder(f.n, delta, f.degree()), 1):
-        proj = projected_factoring(residual, delta, scheme, config)
-        progressed = False
-        for h, _ in proj.s_proj_fac_mult:
-            g = _invert_candidate(h, proj, delta)
-            if g is None:
-                continue
-            residual, e = divide_out(residual, g)
-            if e:
-                found.append((g, e))
-                progressed = True
-        # one rung may confirm another: stop after two passes in a row with
-        # nothing new; a factor invisible to two schemes is past the
-        # empirical design point (the divisibility gate keeps this sound);
-        # both stops come before the lazy ladder builds the next rung
-        if residual.is_constant() or (not progressed and passes >= 2):
-            break
+    for h, _ in proj.s_proj_fac_mult:
+        g = _invert_candidate(h, proj, delta)
+        if g is None:
+            continue
+        residual, e = divide_out(residual, g)
+        if e:
+            found.append((g, e))
     return found, residual
 
 
 def factor_constant_degree_promise(f, delta, config=None):
     """Complete factorization under the promise that every irreducible factor
-    has degree <= delta; PromiseViolation when the ladder search leaves a
+    has degree <= delta; PromiseViolation when the projection pass leaves a
     nonconstant residual."""
     found, residual = _constant_degree_search(f, delta, config or DEFAULT_CONFIG)
     if not residual.is_constant():

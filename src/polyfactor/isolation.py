@@ -6,16 +6,14 @@ z_i -> y^{w_i} t + y^{w'_i} and w' alone determines the t=0 slice used for
 inversion, so both must map the monomials of degree <= delta injectively.
 The prime p certifies the reduction step of the weight construction.
 
-Scheme construction comes in three flavors, tried in a deterministic ladder
-by the factoring engine:
-
-* compact: greedily chosen minimal weights (smallest dense grids; default),
-* reduced powers: w_i = (delta+1)^(i-1) mod p for the smallest prime p that
-  keeps the map injective, scanning upward (optionally from a degree bound),
-* split: one instance over 2n formal variables whose weight vector is cut
-  into (w, w'), sized by a capped degree bound for the certifying
-  polynomial; exact sizing is unreachable at desk scale, so preservation is
-  validated empirically by the trivariate factorizer either way.
+Two constructions are kept.  The factoring engine projects on the compact
+scheme: greedily chosen minimal weights, which keep the trivariate images'
+degrees as small as the separation floor allows.  The reduced-power scheme
+w_i = (delta+1)^(i-1) mod p, for the smallest prime p that keeps the map
+injective, serves CLI `isolate` and the `apply_phi` worked example.
+Neither is sized by the paper's analytic bound, which is far beyond desk
+scale: the engine keeps only candidates that divide its residual exactly,
+so a scheme can cost completeness, never correctness.
 """
 
 import json
@@ -24,7 +22,7 @@ from dataclasses import dataclass
 from .rational import ONE, primes
 from .sparse import SparsePoly
 from .dense import DensePoly3
-from .errors import CapError, NotInCodomain, PolyError
+from .errors import NotInCodomain, PolyError
 
 
 def monomials_up_to(n, delta):
@@ -133,54 +131,6 @@ def compact_scheme(n, delta):
     wp = (w[0] + 1,) if n == 1 else tuple(reversed(w))
     p = next(primes(w[-1] * delta + 1))
     return IsolationScheme(n, delta, p, w, wp)
-
-
-def offset_scheme(n, delta):
-    """Greedy weights with an offset copy w'_i = w_i + (delta*max(w) + 1)."""
-    base = compact_scheme(n, delta)
-    c = delta * max(base.w) + 1
-    wp = tuple(wi + c for wi in base.w)
-    return IsolationScheme(n, delta, base.p, base.w, wp)
-
-
-# the degree bound on the split scheme's hidden certifying polynomial; the
-# analytic 2*delta^5 is out of reach at desk scale
-_SPLIT_G_DEGREE = 2
-
-
-def split_scheme(n, delta, extra_capacity=1):
-    """One isolation instance over 2n formal variables, weight vector split
-    into (w, w'); the degree bound for the hidden certifying polynomial is
-    min(2*delta^5, _SPLIT_G_DEGREE)."""
-    g_degree = min(2 * delta**5, _SPLIT_G_DEGREE)
-    big = find_isolating_prime(2 * n, g_degree, extra_capacity)
-    w = big.w[:n]
-    wp = big.w[n:]
-    if not (weights_injective(w, delta) and weights_injective(wp, delta)):
-        raise CapError("split_scheme_injectivity", g_degree, _SPLIT_G_DEGREE)
-    return IsolationScheme(n, delta, big.p, w, wp)
-
-
-def scheme_ladder(n, delta, extra_capacity=1):
-    """Deterministic sequence of distinct schemes of increasing strength,
-    each built only when the consumer asks for it; consumers retry down the
-    ladder when a projection turns out to lose a factor."""
-
-    def rungs():
-        yield compact_scheme(n, delta)
-        yield find_isolating_prime(n, delta, extra_capacity)
-        yield offset_scheme(n, delta)
-        try:
-            split = split_scheme(n, delta, extra_capacity)
-        except (CapError, PolyError):
-            return
-        yield split
-
-    seen = []
-    for scheme in rungs():
-        if scheme not in seen:
-            seen.append(scheme)
-            yield scheme
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from polyfactor.isolation import (
     psi_invert,
     psi_map,
     recover_from_phi,
-    scheme_ladder,
 )
 from polyfactor.basefactor import (
     factor_lowvar,
@@ -185,7 +184,7 @@ def test_criterion_4_divisibility_equivalence():
 def test_criterion_5_isolation():
     # exhaustive pairwise injectivity on the bounded monomial sets
     for n, delta in [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (5, 1)]:
-        for scheme in scheme_ladder(n, delta):
+        for scheme in (compact_scheme(n, delta), find_isolating_prime(n, delta)):
             for weights in (scheme.w, scheme.w_prime):
                 values = [
                     sum(e * w for e, w in zip(mono, weights))

@@ -26,6 +26,7 @@ from conftest import (
     rng_for,
     random_irreducible,
     random_irreducible_cubic,
+    random_irreducible_quadratic,
     random_poly,
     random_su,
     sympy_factorization,
@@ -128,42 +129,63 @@ def test_promise_cube():
     assert [(render_poly(p), m) for p, m in fl.factors] == [("z1 + 1", 3)]
 
 
+def test_promise_delta_3_recovers_quadratics_and_cubics():
+    # delta = 3 on products of sympy-certified quadratics and cubics; the
+    # promise path must return exactly the construction
+    rng = rng_for("promise-delta-3")
+    for n in [2] * 6 + [3] * 4:
+        expected = {}
+        f = SparsePoly.const(n, 1)
+        shape = rng.choice([(2, 3), (3, 3), (2, 2, 3)])
+        for degree in shape:
+            if degree == 2:
+                g = random_irreducible_quadratic(rng, n).canonical()
+            else:
+                g = random_irreducible_cubic(rng, n).canonical()
+            if g in expected:
+                continue
+            e = rng.choice([1, 2]) if len(shape) == 2 and degree == 2 else 1
+            expected[g] = e
+            f = f * g**e
+        fl = factor_constant_degree_promise(f, 3)
+        assert set(fl.factors) == set(constant_degree_factors(f, 3).factors)
+        assert {g: e for g, e in fl.factors} == expected, render_poly(f)
+        assert fl.recompose() == f
+
+
 def test_promise_violation():
     f = parse_product("(z1^3 + z2 + 5)*(z1 + z2)")
     with pytest.raises(PromiseViolation):
         factor_constant_degree_promise(f, 2)
 
 
-def test_promise_violation_fails_fast(monkeypatch):
-    # the cubic survives the first pass and the second adds nothing, so the
-    # ladder stops there rather than trying every rung
+def count_projections(monkeypatch):
+    """A list that grows by one entry per projected_factoring call."""
     import polyfactor.engine as engine
 
-    calls = 0
+    calls = []
     original = engine.projected_factoring
 
     def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
+        calls.append(args)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(engine, "projected_factoring", counted)
+    return calls
+
+
+def test_promise_violation_fails_fast(monkeypatch):
+    # the cubic survives the one projection, which is the violation
+    calls = count_projections(monkeypatch)
     f = parse_product("(z1^3 + z2 + 5)*(z1 + z2)")
     with pytest.raises(PromiseViolation):
         factor_constant_degree_promise(f, 2)
-    assert calls <= 2
+    assert len(calls) == 1
 
 
-def test_ladder_builds_only_the_rungs_it_uses(monkeypatch):
-    # entry 9 of the cd benchmark pool: the first two rungs settle it, so
-    # the offset and split rungs must never be built
-    import polyfactor.isolation as isolation
-
-    def unused_rung(*args, **kwargs):
-        raise AssertionError("a rung past the second was built")
-
-    monkeypatch.setattr(isolation, "offset_scheme", unused_rung)
-    monkeypatch.setattr(isolation, "split_scheme", unused_rung)
+def test_constant_degree_factors_projects_once(monkeypatch):
+    # entry 9 of the cd benchmark pool
+    calls = count_projections(monkeypatch)
     f = parse_poly(
         "-3*z1^3*z2 + z2*z4^3 + 4*z1^3 - 4/3*z4^3 + 7*z2 - 28/3", 4
     )
@@ -171,6 +193,7 @@ def test_ladder_builds_only_the_rungs_it_uses(monkeypatch):
         "factors": [{"multiplicity": 1, "poly": "z2 - 4/3"}],
         "scalar": "1",
     }
+    assert len(calls) == 1
 
 
 def test_constant_degree_factors_worked_example():

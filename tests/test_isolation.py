@@ -11,16 +11,13 @@ from polyfactor.isolation import (
     compact_scheme,
     find_isolating_prime,
     monomials_up_to,
-    offset_scheme,
     psi_invert,
     psi_map,
     recover_from_phi,
-    scheme_ladder,
-    split_scheme,
     weights_injective,
 )
 from polyfactor.basefactor import factor_monic, is_irreducible_lowvar
-from polyfactor.errors import CapError, NotInCodomain, PolyError
+from polyfactor.errors import NotInCodomain
 from polyfactor.dense import to_dense
 
 from conftest import rng_for, random_poly, sympy_irreducible
@@ -61,7 +58,7 @@ def test_capacity_raises_scan_start():
 
 def test_scheme_injectivity_is_exhaustive():
     for n, delta in [(1, 1), (2, 2), (3, 2), (4, 2), (2, 3)]:
-        for scheme in scheme_ladder(n, delta):
+        for scheme in (compact_scheme(n, delta), find_isolating_prime(n, delta)):
             for weights in (scheme.w, scheme.w_prime):
                 seen = set()
                 for mono in monomials_up_to(n, delta):
@@ -186,39 +183,6 @@ def test_psi_preserves_irreducibility_empirically():
         image = psi_map(g, schemes[n])
         assert is_irreducible_lowvar(image.to_sparse())
         checked += 1
-
-
-def test_split_scheme_shape():
-    s = split_scheme(2, 2)
-    assert len(s.w) == 2 and len(s.w_prime) == 2
-
-
-def eager_ladder(n, delta, extra_capacity):
-    """Every rung built up front, duplicates dropped: the lazy ladder must
-    yield exactly these schemes, in this order."""
-    schemes = [compact_scheme(n, delta)]
-    for scheme in (
-        find_isolating_prime(n, delta, extra_capacity),
-        offset_scheme(n, delta),
-    ):
-        if scheme not in schemes:
-            schemes.append(scheme)
-    try:
-        split = split_scheme(n, delta, extra_capacity)
-    except (CapError, PolyError):
-        return schemes
-    if split not in schemes:
-        schemes.append(split)
-    return schemes
-
-
-def test_lazy_ladder_lists_the_eager_schemes():
-    for n in range(1, 6):
-        for delta in range(1, 4):
-            for capacity in (1, 7):
-                assert list(scheme_ladder(n, delta, capacity)) == eager_ladder(
-                    n, delta, capacity
-                )
 
 
 def test_scheme_json_round_trip():
