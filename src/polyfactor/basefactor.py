@@ -149,15 +149,6 @@ def up_divmod(f, g, m):
     return up_trim(quot), up_trim(up_mod(rem, m))
 
 
-def up_eval(f, a, m=None):
-    acc = 0
-    for c in reversed(f):
-        acc = acc * a + c
-        if m:
-            acc %= m
-    return acc
-
-
 def up_deriv(f):
     return up_trim([i * c for i, c in enumerate(f)][1:])
 

@@ -43,7 +43,7 @@ def _factor_text(fl):
 
 def _make_oracle(spec, n, d, config):
     if spec == "su":
-        return oracles.su_oracle(n, d, config)
+        return oracles.su_oracle(n, d)
     if spec.startswith("constant-degree:"):
         delta = int(spec.split(":", 1)[1])
         return oracles.constant_degree_oracle(delta, n, d, config)

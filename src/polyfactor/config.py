@@ -1,21 +1,13 @@
-"""Resource caps and knobs, loadable from a flat key=value file."""
+"""Resource caps and the oracle-search cut, loadable from a flat key=value
+file.  Every field is a non-negative integer."""
 
 from dataclasses import dataclass, fields
 
-_TRUE = ("1", "true", "yes", "on")
-_FALSE = ("0", "false", "no", "off")
 
-
-def _check_field(name, kind, value):
-    """ValueError unless value fits the field: a bool for a bool field, a
-    non-negative int (not a bool) for every other field."""
-    if kind in ("bool", bool):
-        ok, want = isinstance(value, bool), "a bool"
-    else:
-        ok = isinstance(value, int) and not isinstance(value, bool) and value >= 0
-        want = "a non-negative integer"
-    if not ok:
-        raise ValueError("%s expects %s, got %r" % (name, want, value))
+def _check_field(name, value):
+    """ValueError unless value is a non-negative int (not a bool)."""
+    if not (isinstance(value, int) and not isinstance(value, bool) and value >= 0):
+        raise ValueError("%s expects a non-negative integer, got %r" % (name, value))
 
 
 @dataclass
@@ -24,27 +16,22 @@ class Config:
     max_dense_cells: int = 4_000_000
     # Largest factor-degree bound delta accepted without an explicit override.
     max_delta: int = 3
-    # Budget on points drawn from the sum-of-univariates projection grids.
-    su_budget: int = 30_000
-    # Budget on pairs drawn from the constant-degree projection oracle.
-    oracle_points: int = 5_000
-    # Stop the sparse-factor search after this many consecutive projection
-    # pairs whose bivariate factors are all accounted for (desk-scale
-    # heuristic; soundness is unaffected, only completeness can degrade).
+    # Stop an oracle search after this many consecutive projection pairs
+    # that yield nothing: in sparse_factors, pairs whose bivariate factors
+    # are all accounted for; in sparse_irreducible_test, reducible
+    # projections (desk-scale heuristic; soundness is unaffected, only
+    # completeness can degrade).
     su_stall: int = 250
-    # Raise CapError instead of sampling a grid prefix when a budget binds.
-    strict_caps: bool = False
 
     def __post_init__(self):
-        # a negative cap would switch the search off without a word, and a
-        # non-bool strict_caps would be read by truthiness
+        # a negative cap would switch the search off without a word
         for field in fields(self):
-            _check_field(field.name, field.type, getattr(self, field.name))
+            _check_field(field.name, getattr(self, field.name))
 
     @classmethod
     def from_file(cls, path):
         values = {}
-        names = {f.name: f.type for f in fields(cls)}
+        names = {f.name for f in fields(cls)}
         with open(path) as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
@@ -55,24 +42,15 @@ class Config:
                 key, value = (part.strip() for part in line.split("=", 1))
                 if key not in names:
                     raise ValueError("%s:%d: unknown key %r" % (path, lineno, key))
-                if names[key] in ("bool", bool):
-                    flag = value.lower()
-                    if flag not in _TRUE + _FALSE:
-                        raise ValueError(
-                            "%s:%d: %s expects one of %s, got %r"
-                            % (path, lineno, key, "/".join(_TRUE + _FALSE), value)
-                        )
-                    values[key] = flag in _TRUE
-                else:
-                    try:
-                        values[key] = int(value)
-                    except ValueError:
-                        raise ValueError(
-                            "%s:%d: %s expects an integer, got %r"
-                            % (path, lineno, key, value)
-                        ) from None
                 try:
-                    _check_field(key, names[key], values[key])
+                    values[key] = int(value)
+                except ValueError:
+                    raise ValueError(
+                        "%s:%d: %s expects an integer, got %r"
+                        % (path, lineno, key, value)
+                    ) from None
+                try:
+                    _check_field(key, values[key])
                 except ValueError as exc:
                     raise ValueError("%s:%d: %s" % (path, lineno, exc)) from None
         return cls(**values)

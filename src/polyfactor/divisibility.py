@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 from .rational import Q, ONE, ZERO
 from .sparse import SparsePoly
-from .basefactor import _up_div_exact_z, up_eval, up_mul
 from .errors import VerificationError, ZeroDivisorError
-from .pit import find_nonzero_point
+from .pit import _transposed_vandermonde, find_nonzero_point
 
 
 @dataclass(frozen=True)
@@ -44,17 +43,12 @@ def divides_exact(f, g):
 
 def truncation_weights(d, D):
     """lambda_beta over beta = 1..D+1 with sum_beta lambda_beta q(beta)
-    = sum of q's coefficients of degree <= d, for every q of degree <= D."""
+    = sum of q's coefficients of degree <= d, for every q of degree <= D:
+    on q = z^i this reads sum_beta lambda_beta beta^i = [i <= d], one
+    transposed Vandermonde system on the nodes 1..D+1."""
     betas = range(1, D + 2)
-    master = [1]
-    for b in betas:
-        master = up_mul(master, [-b, 1])
-    weights = {}
-    for b in betas:
-        num = _up_div_exact_z(master, [-b, 1])
-        # num evaluated at b gives prod_{b' != b} (b - b')
-        weights[b] = Q(sum(num[: d + 1]), up_eval(num, b))
-    return weights
+    values = [1] * (d + 1) + [0] * (D - d)
+    return dict(zip(betas, _transposed_vandermonde(betas, values)))
 
 
 def divisibility_witness(f, g):

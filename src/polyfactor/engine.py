@@ -13,6 +13,7 @@ involves x are discarded, which makes every survivor provably irreducible.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .rational import ONE
 from .sparse import SparsePoly
@@ -198,7 +199,13 @@ def constant_degree_factors(f, delta, config=None):
 
 def sparse_irreducible_test(f, oracle, config=None):
     """Irreducibility for f in the oracle's class: f is reducible iff every
-    projection f(alpha x + beta t + gamma) is reducible."""
+    projection f(alpha x + beta t + gamma) is reducible.
+
+    True is proved by an irreducible degree-keeping projection.  The search
+    stops after `config.su_stall` reducible projections, the cut
+    `sparse_factors` uses, and then returns False: no preserving pair was
+    found within the cut, which is a proof only when the oracle's pair set
+    ran out first."""
     config = config or DEFAULT_CONFIG
     d = f.degree() or 0
     if d == 0:
@@ -206,7 +213,7 @@ def sparse_irreducible_test(f, oracle, config=None):
     if d == 1:
         return True
     shift, _ = monicize(f)
-    for pair in oracle.pairs(shift.alpha):
+    for pair in islice(oracle.pairs(shift.alpha), config.su_stall):
         image = _project(f, shift.alpha, [pair.beta], pair.gamma, shift.normalizer)
         fl = factor_monic(image)
         if len(fl.factors) == 1 and fl.factors[0][1] == 1:
@@ -370,8 +377,5 @@ def factor_su(f, config=None):
     pipeline instantiated with the support-grid oracle."""
     from .oracles import su_oracle
 
-    config = config or DEFAULT_CONFIG
-    n = f.n
     d = f.degree() or 0
-    oracle = su_oracle(n, d, config)
-    return sparse_factors(f, n * d + 1, oracle, config)
+    return sparse_factors(f, f.n * d + 1, su_oracle(f.n, d), config)

@@ -13,18 +13,19 @@ Two instantiations:
   supports, the remaining coordinates zeroed so those variables collapse
   onto alpha x (the pair encodes the support projection exactly).
 
-Grids at degree bounds above 1 explode; by default the generator yields a
-graded prefix within a configured budget (sound: the consumer's divisibility
-gate never admits a wrong factor; only completeness degrades), or raises
-CapError in strict mode.
+Both generators are lazy and walk their whole analytic pair set, in a
+graded order for the grids.  A consumer stops drawing after
+`Config.su_stall` consecutive pairs that yield nothing; that cut is sound
+(the consumer's divisibility gate never admits a wrong factor), and only
+completeness can degrade.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, product
 
 from .rational import Q, ZERO, ONE
 from .errors import CapError
-from .isolation import compact_scheme
+from .isolation import compact_scheme, monomials_up_to
 from .config import DEFAULT as DEFAULT_CONFIG
 
 
@@ -63,31 +64,19 @@ def constant_degree_oracle(delta, n, d, config=None):
         raise CapError("max_delta", delta, config.max_delta)
     scheme = compact_scheme(n, delta)
     curve_bound = 2 * delta**5 * max(max(scheme.w), max(scheme.w_prime))
-    points = curve_bound + 1
-    if points > config.oracle_points:
-        if config.strict_caps:
-            raise CapError("oracle_points", points, config.oracle_points)
-        points = config.oracle_points
 
     def membership(f):
         return (f.degree() or 0) <= delta
 
     def generator(alpha):
-        for a in range(1, points + 1):
+        for a in range(1, curve_bound + 2):
             beta = tuple(Q(a) ** wi for wi in scheme.w)
             gamma = tuple(Q(a) ** wi for wi in scheme.w_prime)
             yield ProjectionPair(beta, gamma)
 
     def support(deg):
-        # every monomial of degree <= deg, C(n + deg, deg) of them: a
-        # multiset of deg picks from z_1..z_n and a slack slot
-        out = []
-        for combo in combinations_with_replacement(range(n + 1), deg):
-            exps = [0] * (n + 1)
-            for i in combo:
-                exps[i] += 1
-            out.append(tuple(exps[:n]))
-        return tuple(out)
+        # every monomial of degree <= deg, C(n + deg, deg) of them
+        return tuple(monomials_up_to(n, deg))
 
     return IrredProjOracle(membership, generator, None, delta, support)
 
@@ -125,24 +114,18 @@ def su_decide_irreducible(f):
     return is_irreducible_lowvar(f)
 
 
-def su_oracle(n, d, config=None):
+def su_oracle(n, d):
     """Support-grid oracle for sum-of-univariate factors.
 
     Branches over variable pairs (grid width 4) and triples (grid width 6)
     with values from {1 .. 2d^5+1}; coordinates outside the support are zero,
     matching the proof's projection of the remaining variables onto x.
     """
-    config = config or DEFAULT_CONFIG
     radius = 2 * d**5 + 1
     pair_branches = list(combinations(range(1, n + 1), 2)) if n >= 2 else []
     triple_branches = list(combinations(range(1, n + 1), 3)) if n >= 3 else []
-    full_size = len(pair_branches) * radius**4 + len(triple_branches) * radius**6
-    budget = config.su_budget
-    if full_size > budget and config.strict_caps:
-        raise CapError("su_budget", full_size, budget)
 
     def generator(alpha):
-        emitted = 0
         for r in range(1, radius + 1):
             for support, width in [(b, 4) for b in pair_branches] + [
                 (b, 6) for b in triple_branches
@@ -151,14 +134,11 @@ def su_oracle(n, d, config=None):
                 for combo in product(range(1, r + 1), repeat=width):
                     if max(combo) != r:
                         continue
-                    if emitted >= budget:
-                        return
                     beta = [ZERO] * n
                     gamma = [ZERO] * n
                     for idx, var in enumerate(support):
                         beta[var - 1] = Q(combo[idx])
                         gamma[var - 1] = Q(combo[k + idx])
-                    emitted += 1
                     yield ProjectionPair(tuple(beta), tuple(gamma))
         if n == 1:
             # a univariate g(alpha x + beta t + gamma) factors exactly as g

@@ -295,25 +295,14 @@ class SparsePoly:
         return result
 
     def eval_point(self, point):
-        """Evaluate at a rational point (sequence of length n)."""
+        """Evaluate at a rational point (sequence of length n): eval_var
+        folded over the variables, last first."""
         if len(point) != self.n:
             raise VariableCountMismatch("point arity %d != %d" % (len(point), self.n))
-        powers = [{0: ONE} for _ in range(self.n)]
-        values = [Q(v) for v in point]
-        total = ZERO
-        for exps, coeff in self.terms.items():
-            acc = coeff
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
-                cache = powers[i]
-                p = cache.get(e)
-                if p is None:
-                    p = values[i] ** e
-                    cache[e] = p
-                acc = acc * p
-            total = total + acc
-        return total
+        poly = self
+        for value in reversed(point):
+            poly = poly.eval_var(poly.n, value)
+        return poly.constant_value()
 
     def substitute(self, assignment, m=None):
         """Compose with an assignment mapping each variable to a polynomial.

@@ -194,15 +194,17 @@ def test_zero_denominator_exit_code(capsys):
     assert err.startswith("error: ")
 
 
-def test_config_bad_bool_names_its_line(tmp_path, capsys):
+def test_config_removed_key_names_its_line(tmp_path, capsys):
+    # strict_caps, su_budget and oracle_points are gone: a file naming one
+    # fails as an unknown key rather than being read and ignored
     cfg = tmp_path / "caps.cfg"
-    cfg.write_text("max_delta = 3\nstrict_caps = ture\n")
-    code, _, err = run_cli(capsys, "--config", str(cfg), "pit", "z1")
-    assert code == 1
-    assert err.startswith("error: %s:2: strict_caps" % cfg)
-    for spelling, flag in (("Off", False), ("no", False), ("YES", True), ("1", True)):
-        cfg.write_text("strict_caps = %s\n" % spelling)
-        assert Config.from_file(str(cfg)).strict_caps is flag
+    for line in ("strict_caps = true", "su_budget = 30000", "oracle_points = 5000"):
+        cfg.write_text("max_delta = 3\n%s\n" % line)
+        code, out, err = run_cli(capsys, "--config", str(cfg), "pit", "z1")
+        assert code == 1
+        assert out == ""
+        key = line.split(" ", 1)[0]
+        assert err.startswith("error: %s:2: unknown key %r" % (cfg, key))
 
 
 def test_config_bad_int_names_its_line(tmp_path, capsys):
@@ -216,7 +218,7 @@ def test_config_bad_int_names_its_line(tmp_path, capsys):
 def test_config_negative_int_names_its_line(tmp_path, capsys):
     # a negative cap would switch the search off without a word
     cfg = tmp_path / "caps.cfg"
-    for key in ("su_stall", "oracle_points"):
+    for key in ("su_stall", "max_dense_cells"):
         cfg.write_text("max_delta = 3\n%s = -1\n" % key)
         code, out, err = run_cli(capsys, "--config", str(cfg), "factor-su", "z1^2 - z2^2")
         assert code == 1
@@ -228,20 +230,11 @@ def test_config_negative_int_names_its_line(tmp_path, capsys):
 
 def test_config_constructor_rejects_bad_caps():
     # Config(su_stall=-1) used to switch the su search off without a word
-    for key in ("max_dense_cells", "max_delta", "su_budget", "oracle_points", "su_stall"):
+    for key in ("max_dense_cells", "max_delta", "su_stall"):
         for bad in (-1, True, 2.0, "5", None):
             with pytest.raises(ValueError, match="%s expects a non-negative integer" % key):
                 Config(**{key: bad})
         assert getattr(Config(**{key: 0}), key) == 0
-
-
-def test_config_constructor_rejects_non_bool_strict_caps():
-    # Config(strict_caps="no") used to turn strict mode on by truthiness
-    for bad in ("no", "false", 0, 1, None):
-        with pytest.raises(ValueError, match="strict_caps expects a bool"):
-            Config(strict_caps=bad)
-    assert Config(strict_caps=True).strict_caps is True
-    assert Config().strict_caps is False
 
 
 def test_config_missing_file_exit_code(tmp_path, capsys):

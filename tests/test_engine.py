@@ -1,5 +1,7 @@
 """Factoring pipelines: monic transforms and the four algorithms."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 
@@ -18,6 +20,7 @@ from polyfactor.engine import (
     unmonicize,
 )
 from polyfactor.oracles import constant_degree_oracle, su_oracle
+from polyfactor.config import DEFAULT as DEFAULT_CONFIG, Config
 from polyfactor.factors import divide_out
 from polyfactor.errors import InterpolationFailure, PolyError, PromiseViolation
 
@@ -249,15 +252,54 @@ def test_multiplicity_constant_rejected():
 
 
 def test_sparse_irreducible_test():
-    from polyfactor.config import Config
-
-    tight = Config(su_budget=400)
     assert sparse_irreducible_test(parse_poly("z1^2+z2^2+z3^2"), su_oracle(3, 2))
-    # reducible inputs scan the whole (budgeted) pair set by design
-    assert not sparse_irreducible_test(
-        parse_product("(z1+1)*(z2+1)"), su_oracle(2, 2, tight)
-    )
+    # a reducible input draws pairs up to the su_stall cut
+    assert not sparse_irreducible_test(parse_product("(z1+1)*(z2+1)"), su_oracle(2, 2))
     assert sparse_irreducible_test(parse_poly("z1 + 5*z2"), su_oracle(2, 1))
+
+
+def counting_oracle(oracle):
+    """(oracle drawing the same pairs, a one-slot list of pairs drawn)."""
+    drawn = [0]
+
+    def generator(alpha):
+        for pair in oracle.pairs(alpha):
+            drawn[0] += 1
+            yield pair
+
+    return dataclasses.replace(oracle, generator=generator), drawn
+
+
+def test_sparse_irreducible_test_stops_at_the_stall_cut():
+    # every projection of a reducible input is reducible, so only the cut
+    # ends the search; the su grid alone holds far more pairs
+    f = parse_poly("z1^2 - z2^2")
+    for config in (DEFAULT_CONFIG, Config(su_stall=5)):
+        oracle, drawn = counting_oracle(su_oracle(2, 2))
+        assert sparse_irreducible_test(f, oracle, config) is False
+        assert drawn[0] == config.su_stall
+
+
+def test_sparse_irreducible_test_keeps_certified_irreducibles():
+    # sympy-certified irreducible inputs of both classes, degree >= 2, find
+    # a preserving pair well inside the su_stall cut
+    rng = rng_for("irreducible-within-stall")
+    cases = []
+    for n in (2, 3, 4):
+        for d in (2, 3):
+            for _ in range(3):
+                g = random_su(rng, n, d, certified_irreducible=True)
+                while g.degree() < 2:
+                    g = random_su(rng, n, d, certified_irreducible=True)
+                cases.append((g, su_oracle(n, g.degree())))
+        for _ in range(3):
+            g = random_irreducible_quadratic(rng, n)
+            cases.append((g, constant_degree_oracle(2, n, 2)))
+    assert len(cases) == 27
+    for g, oracle in cases:
+        oracle, drawn = counting_oracle(oracle)
+        assert sparse_irreducible_test(g, oracle), render_poly(g)
+        assert drawn[0] <= 3
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)

@@ -8,9 +8,10 @@ pipeline calls as perfbench/run.py, and only reads the corpus.
 
 Run as a script, it checks every entry of the named pools, whatever its
 cost, prints each entry whose output differs, each pool's entry count,
-process time, three slowest entries and the number of trivariate slices
-the sparse search factored (calls of `factor_monic` with a known base),
-and exits 1 if an entry differs:
+process time, three slowest entries, the number of trivariate slices
+the sparse search factored (calls of `factor_monic` with a known base)
+and the oracle pairs it drew (the pool's total and the most any one
+entry drew), and exits 1 if an entry differs:
 
     python tests/test_golden.py [workload ...]    # default: every pool
 """
@@ -23,6 +24,7 @@ import time
 import pytest
 
 import polyfactor.engine as engine
+from polyfactor.oracles import IrredProjOracle
 from polyfactor import (
     constant_degree_factors,
     constant_degree_oracle,
@@ -88,23 +90,37 @@ def main(workloads):
         slices += base is not None
         return factor_monic(f, base)
 
+    pairs = IrredProjOracle.pairs
+
+    def counted_pairs(oracle, alpha):
+        nonlocal drawn
+        for pair in pairs(oracle, alpha):
+            drawn += 1
+            yield pair
+
     engine.factor_monic = counted
+    IrredProjOracle.pairs = counted_pairs
     wrong = 0
     for workload in workloads or sorted(PIPELINES):
         pool = load_pool(workload)
         times = []
         slices = 0
+        drawn_per_entry = []
         for i, item in enumerate(pool):
             start = time.process_time()
+            drawn = 0
             out = differing_output(workload, item)
             times.append((time.process_time() - start, i))
+            drawn_per_entry.append(drawn)
             if out is not None:
                 wrong += 1
                 print("%s entry %d: got %s, expected %s"
                       % (workload, i, out, canonical(item["expected"])), flush=True)
         slowest = ", ".join("%d (%.2f s)" % (i, t) for t, i in sorted(times)[:-4:-1])
-        print("%s: %d entries, %.1f s process time, %d slices; slowest: %s"
-              % (workload, len(pool), sum(t for t, _ in times), slices, slowest),
+        print("%s: %d entries, %.1f s process time, %d slices, %d oracle pairs "
+              "(at most %d per entry); slowest: %s"
+              % (workload, len(pool), sum(t for t, _ in times), slices,
+                 sum(drawn_per_entry), max(drawn_per_entry), slowest),
               flush=True)
     return 1 if wrong else 0
 
