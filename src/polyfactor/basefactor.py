@@ -8,15 +8,29 @@ Hensel lifting to the Mignotte factor bound, subset recombination).  These
 tools work on ascending integer coefficient lists.
 
 Two and three variables, monic in x: evaluate the largest-degree non-main
-variable at points 0, 1, -1, 2, ... scanned deterministically, factor the
-image recursively, group the image factorization into pairwise-coprime
-prime powers, translate the evaluation point to the origin mod p^k >
-2B^2, B the same Mignotte bound, Hensel-lift the groups there, and
-recombine subsets of lifted groups, each translated back mod p^k before its
-coefficients are reconstructed; repeated factors come back as exact m-th
-roots of reconstructed subset products.  A lifted factor is a series in
-the evaluated variable whose coefficients are packed (x, w) dicts mod p^k,
-w the remaining side variable; each lift step solves one Diophantine
+variable at points 0, 1, -1, 2, ... scanned deterministically, skipping
+points that drop the other side variable's degree.  Each probe is ranked
+by one univariate image (any remaining side variable at a fixed nonzero
+value): first by its squarefree degree deg - deg gcd(image, image') mod a
+fixed prime P >= 2^20 that avoids f's denominators, largest first, which
+never exceeds the probe's squarefree x-degree over Q and equals it at
+generic points; then, for a squarefree image of full degree, by its
+number of distinct irreducible factors mod the least prime q that keeps
+it squarefree (the dimension of its Berlekamp nullspace), fewest first,
+an upper bound on the probe's factor count over Q; then earliest.  Only
+the popped probe is factored over Q, recursively.  Since f is monic in x
+and its monic factors have denominators dividing f's, a factorization of
+f maps to one of every image that keeps its degree, so an image with one
+factor mod q, or a popped probe irreducible over Q, proves f irreducible
+(von zur Gathen & Gerhard, Modern Computer Algebra, 15-16).  Otherwise
+group the probe's factorization into pairwise-coprime prime powers,
+translate the evaluation point to the origin mod p^k > 2B^2, B the same
+Mignotte bound, Hensel-lift the groups there, and recombine subsets of
+lifted groups, each translated back mod p^k before its coefficients are
+reconstructed; repeated factors come back as exact m-th roots of
+reconstructed subset products.  A lifted factor is a series in the
+evaluated variable whose coefficients are packed (x, w) dicts mod p^k, w
+the remaining side variable; each lift step solves one Diophantine
 equation, w-adically from a Bezout pair at w = 0.
 When the factorization at one point is already known (a trivariate slice
 whose t2 = 0 image was factored before), `factor_monic(f, base)` lifts from
@@ -234,11 +248,12 @@ def _nullspace_p(rows, p):
     return basis
 
 
-def berlekamp(f, p):
-    """Deterministic Berlekamp split of a monic squarefree f mod p."""
+def _berlekamp_matrix(f, p):
+    """(Q - I) transposed for the monic f of degree n mod p, row i of Q
+    holding x^(i p) mod f: v(x)^p = v(x) mod f exactly when v * Q = v, so
+    its right nullspace has one dimension per distinct irreducible factor
+    of a squarefree f."""
     n = up_deg(f)
-    if n <= 1:
-        return [f]
     xp = up_pow_mod_p([0, 1], p, f, p)
     rows = []
     cur = [1]
@@ -247,10 +262,23 @@ def berlekamp(f, p):
         rows.append(padded)
         if i + 1 < n:
             cur = up_divmod(up_mul(cur, xp, p), f, p)[1]
-    # v with v(x)^p = v(x) mod f: v * Q = v for row vectors, so nullspace of
-    # (Q - I) transposed.
-    mt = [[(rows[j][i] - (1 if i == j else 0)) % p for j in range(n)] for i in range(n)]
-    basis = _nullspace_p(mt, p)
+    return [[(rows[j][i] - (1 if i == j else 0)) % p for j in range(n)] for i in range(n)]
+
+
+def _factor_count_mod_p(f, p):
+    """The number of distinct irreducible factors of the monic squarefree f
+    mod p: the dimension of its Berlekamp nullspace.  Nothing is split, so p
+    may be large."""
+    if up_deg(f) <= 1:
+        return 1
+    return len(_nullspace_p(_berlekamp_matrix(f, p), p))
+
+
+def berlekamp(f, p):
+    """Deterministic Berlekamp split of a monic squarefree f mod p."""
+    if up_deg(f) <= 1:
+        return [f]
+    basis = _nullspace_p(_berlekamp_matrix(f, p), p)
     r = len(basis)
     if r == 1:
         return [f]
@@ -900,6 +928,48 @@ def _attempt_lift(f, v, w, v0, base):
 
 
 _MAX_EVAL_ATTEMPTS = 400
+# Probes are ranked by univariate images with the remaining side variable at
+# _RANK_SIDE.  Their squarefree degrees are taken mod the least prime
+# P >= _RANK_PRIME that avoids f's denominators: a prime far above any
+# x-degree keeps the images' derivatives nonzero and makes a spurious common
+# root unlikely.
+_RANK_PRIME = 1 << 20
+_RANK_SIDE = 1009
+
+
+def _probe_images(f, dx, v, w):
+    """(den, degraded, image) for the probes f(z_v = v0), read off f's terms
+    once; den is f's common denominator.  degraded(v0) is True when v0
+    drops f's degree in z_w: every x-row of f's top z_w terms, a polynomial
+    in z_v, vanishes there.  image(v0, q) is f(x, v0, _RANK_SIDE) mod a
+    prime q not dividing den, as an ascending list, monic of degree dx
+    since f is monic in x."""
+    ints, den = clear_denominators(f.terms.values())
+    dw = f.degree_in(w) if w is not None else None
+    rows = [[] for _ in range(dx + 1)]  # [(v-exponent, w-exponent, integer)]
+    top_w = {}  # x-exponent -> [(v-exponent, integer coefficient)]
+    for exps, c in zip(f.terms, ints):
+        ev = exps[v - 1]
+        ew = exps[w - 1] if w is not None else 0
+        rows[exps[0]].append((ev, ew, c))
+        if ew == dw:
+            top_w.setdefault(exps[0], []).append((ev, c))
+
+    def degraded(v0):
+        return bool(top_w) and not any(
+            sum(c * v0**ev for ev, c in row) for row in top_w.values()
+        )
+
+    def image(v0, q):
+        scale = pow(den, -1, q)
+        return [
+            sum(c * pow(v0, ev, q) * pow(_RANK_SIDE, ew, q) for ev, ew, c in row)
+            * scale
+            % q
+            for row in rows
+        ]
+
+    return den, degraded, image
 
 
 def _factor_monic_sparse(f):
@@ -925,32 +995,45 @@ def _factor_monic_sparse(f):
     v = max(side_degs, key=lambda i: (side_degs[i], -i))
     survivors = [i for i in side_degs if i != v]
     w = survivors[0] if survivors else None
+    den, degraded, image = _probe_images(f, dx, v, w)
+    P = next(q for q in primes(_RANK_PRIME) if den % q)
     point_iter = _eval_points()
     consumed = 0
-    probes = []  # [quality, arrival, v0, base]; quality = squarefree x-degree
+    probes = []  # [quality, count, arrival, v0]
 
     def refill(window):
-        """Top up the probe pool; True when a probe certifies irreducibility."""
+        """Top up the probe pool, ranking each probe by its images mod
+        primes; True when an image certifies irreducibility."""
         nonlocal consumed
         while len(probes) < window and consumed < _MAX_EVAL_ATTEMPTS:
             v0 = next(point_iter)
             consumed += 1
-            f0 = f.eval_var(v, v0)
             # points that drop a surviving variable's degree force a finer
-            # base split and a doomed lift; skip them before factoring
-            degraded = False
-            for i in survivors:
-                after = i if i < v else i - 1
-                if (f0.degree_in(after) or 0) != side_degs[i]:
-                    degraded = True
-                    break
-            if degraded:
+            # base split and a doomed lift; skip them
+            if degraded(v0):
                 continue
-            base = _factor_monic_sparse(f0)
-            if len(base) == 1 and base[0][1] == 1:
-                return True
-            quality = sum(u.degree_in(1) for u, _ in base)
-            probes.append([quality, consumed, v0, base])
+            img = image(v0, P)
+            # the squarefree x-degree mod P is at most the probe's over Q,
+            # and equal to it at generic points
+            quality = dx - up_deg(up_gcd_p(img, up_deriv(img), P))
+            count = 0
+            if quality == dx:
+                # the factor count mod any prime that keeps the image
+                # squarefree bounds the probe's count over Q; the least such
+                # prime (P at worst) makes x^q mod the image cheapest
+                for q in primes(3):
+                    if den % q:
+                        small = image(v0, q) if q < P else img
+                        if q == P or up_deg(up_gcd_p(small, up_deriv(small), q)) == 0:
+                            break
+                count = _factor_count_mod_p(small, q)
+                # f's monic factors have denominators dividing f's, which q
+                # avoids, so a factorization of f maps to one of the image
+                # that keeps its degree: one irreducible factor mod q
+                # proves f irreducible
+                if count == 1:
+                    return True
+            probes.append([quality, count, consumed, v0])
         return False
 
     while True:
@@ -959,9 +1042,13 @@ def _factor_monic_sparse(f):
         if not probes:  # pragma: no cover
             raise LiftFailure("no good evaluation point found")
         # prefer the point with the least factor merging (largest squarefree
-        # part of the base image), then earliest
-        probes.sort(key=lambda t: (-t[0], t[1]))
-        _, _, v0, base = probes.pop(0)
+        # part of the image), then the fewest factors mod q (Wang's choice,
+        # Math. Comp. 1978), then the earliest
+        probes.sort(key=lambda t: (-t[0], t[1], t[2]))
+        v0 = probes.pop(0)[3]
+        base = _factor_monic_sparse(f.eval_var(v, v0))
+        if len(base) == 1 and base[0][1] == 1:
+            return [(f.canonical(), 1)]
         try:
             return _attempt_lift(f, v, w, v0, base)
         except _AttemptFailed:

@@ -201,17 +201,20 @@ def sparse_irreducible_test(f, oracle, config=None):
     """Irreducibility for f in the oracle's class: f is reducible iff every
     projection f(alpha x + beta t + gamma) is reducible.
 
-    True is proved by an irreducible degree-keeping projection.  The search
-    stops after `config.su_stall` reducible projections, the cut
-    `sparse_factors` uses, and then returns False: no preserving pair was
-    found within the cut, which is a proof only when the oracle's pair set
-    ran out first."""
+    An in-class f goes to the oracle's decision procedure when it has one,
+    as in `sparse_factors`.  Otherwise True is proved by an irreducible
+    degree-keeping projection.  The search stops after `config.su_stall`
+    reducible projections, the cut `sparse_factors` uses, and then returns
+    False: no preserving pair was found within the cut, which is a proof
+    only when the oracle's pair set ran out first."""
     config = config or DEFAULT_CONFIG
     d = f.degree() or 0
     if d == 0:
         raise PolyError("irreducibility is for nonconstant polynomials")
     if d == 1:
         return True
+    if oracle.decide_irreducible is not None and oracle.contains(f):
+        return oracle.decide_irreducible(f)
     shift, _ = monicize(f)
     for pair in islice(oracle.pairs(shift.alpha), config.su_stall):
         image = _project(f, shift.alpha, [pair.beta], pair.gamma, shift.normalizer)
@@ -354,8 +357,11 @@ def sparse_factors(f, s, oracle, config=None):
 
     exhausted = settle()
     stall = 0
-    for pair in oracle.pairs(alpha):
-        if exhausted or stall >= config.su_stall:
+    pairs = oracle.pairs(alpha)
+    # test the stop rules before drawing, so no pair is drawn unused
+    while not exhausted and stall < config.su_stall:
+        pair = next(pairs, None)
+        if pair is None:
             break
         candidates = _pair_candidates(residual, alpha, pair, s, oracle)
         if candidates is None:

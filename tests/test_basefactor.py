@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from polyfactor.rational import Q, ONE, ZERO, clear_denominators
@@ -22,18 +23,22 @@ from polyfactor.basefactor import (
     _bezout_step,
     _cd_to_tau_series,
     _factor_bound,
+    _factor_count_mod_p,
     _factor_monic_sparse,
     _factor_univariate_pairs,
     _poly_to_series,
     _shift_series,
     _up_primitive_z,
     _zassenhaus,
+    berlekamp,
     cd_pack,
     cd_reduce,
     up_add,
     up_deg,
+    up_deriv,
     up_gcd_p,
     up_mod,
+    up_monic_p,
     up_mul,
     up_sub,
     up_xgcd_p,
@@ -634,3 +639,173 @@ def test_factor_lowvar_matches_sympy(f):
     scalar, mults = sympy_factorization(f)
     assert dict(fl.factors) == mults
     assert fl.scalar == scalar
+
+
+# ---------------------------------------------------------------------------
+# probe ranking by images mod primes, and the mod-q irreducibility certificate
+
+
+def test_factor_count_mod_p_matches_berlekamp():
+    # for small p the count is the length of Berlekamp's split; at p near
+    # 2^20, where the split would loop over p values, sympy's factor count
+    rng = rng_for("factor-count-mod-p")
+    x = sympy.Symbol("x")
+    checked = {3: 0, 7: 0, 1048583: 0}
+    while min(checked.values()) < 20:
+        p = rng.choice(sorted(checked))
+        f = up_monic_p([rng.randrange(p) for _ in range(rng.randint(2, 7))] + [1], p)
+        if up_deg(up_gcd_p(f, up_deriv(f), p)) != 0:
+            continue
+        if p < 100:
+            expected = len(berlekamp(f, p))
+        else:
+            poly = sympy.Poly(list(reversed(f)), x, modulus=p)
+            expected = len(poly.factor_list()[1])
+        assert _factor_count_mod_p(f, p) == expected, (f, p)
+        checked[p] += 1
+
+
+@st.composite
+def monic_products(draw):
+    """(f, factor count): a product of 1-3 factors x^d + lower terms, d <= 3,
+    in (x, t1) or (x, t1, t2) with small integer coefficients, the first
+    possibly repeated."""
+    n = draw(st.sampled_from([2, 3]))
+    exps = st.tuples(*[st.integers(0, 2)] * (n - 1))
+
+    @st.composite
+    def factor(draw):
+        d = draw(st.integers(1, 3))
+        lower = st.tuples(st.integers(0, d - 1), exps).map(lambda e: (e[0],) + e[1])
+        table = draw(st.dictionaries(lower, st.integers(-3, 3).filter(bool), max_size=3))
+        table[(d,) + (0,) * (n - 1)] = 1
+        return SparsePoly(n, {e: Q(c) for e, c in table.items()})
+
+    parts = draw(st.lists(factor(), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        parts.append(parts[0])
+    f = SparsePoly.const(n, 1)
+    for g in parts:
+        f = f * g
+    return f, len(parts)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(monic_products())
+def test_factor_monic_matches_sympy_on_monic_products(case):
+    f, _ = case
+    fl = factor_monic(f)
+    scalar, mults = sympy_factorization(f)
+    assert dict(fl.factors) == mults
+    assert fl.scalar == scalar
+
+
+def _count_probes_and_lifts(f):
+    """factor_monic(f) with, per _factor_monic_sparse call, [probes factored
+    over Q, lifts tried, lifts that succeeded]."""
+    import polyfactor.basefactor as basefactor
+
+    frames, stack = [], []
+    factor, lift = basefactor._factor_monic_sparse, basefactor._attempt_lift
+
+    def counted_factor(g):
+        if stack:
+            stack[-1][0] += 1
+        frame = [0, 0, 0]
+        frames.append(frame)
+        stack.append(frame)
+        try:
+            return factor(g)
+        finally:
+            stack.pop()
+
+    def counted_lift(*args):
+        stack[-1][1] += 1
+        result = lift(*args)
+        stack[-1][2] += 1
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(basefactor, "_factor_monic_sparse", counted_factor)
+        mp.setattr(basefactor, "_attempt_lift", counted_lift)
+        fl = factor_monic(f)
+    return fl, frames
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    monic_products().filter(
+        lambda case: case[1] >= 2
+        and all(case[0].degree_in(i) for i in range(2, case[0].n + 1))
+    )
+)
+def test_one_probe_is_factored_over_q_per_lift(case):
+    # f is reducible and uses every side variable, so each level's probes
+    # keep their variables: a level factors over Q only the probe it lifts
+    # from, one per lift tried, and ends with one successful lift; the
+    # univariate bottom level lifts nothing
+    f, _ = case
+    fl, frames = _count_probes_and_lifts(f)
+    assert fl.recompose() == f
+    assert len(frames) == f.n
+    for probes, tried, lifted in frames[:-1]:
+        assert probes == tried and lifted == 1
+    assert frames[-1] == [0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "text, n",
+    [
+        ("(z1 + z2)^4 + 1", 2),
+        ("(z1 + z2 + z3)^4 + 1", 3),
+        ("(z1 + z2*z3)^4 - 10*(z1 + z2*z3)^2 + 1", 3),
+    ],
+)
+def test_images_reducible_mod_every_prime_fall_back_to_q(text, n):
+    # x^4 + 1 and x^4 - 10x^2 + 1 are irreducible over Q but reducible mod
+    # every prime, and so is every univariate image of these translates:
+    # the certificate never fires, and factoring a probe over Q proves f
+    # irreducible
+    import polyfactor.basefactor as basefactor
+
+    f = parse_product(text, n)
+    counts = []
+
+    def spy(g, p):
+        counts.append(_factor_count_mod_p(g, p))
+        return counts[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(basefactor, "_factor_count_mod_p", spy)
+        fl, frames = _count_probes_and_lifts(f)
+    assert fl.factors == ((f, 1),)
+    assert counts and 1 not in counts
+    assert frames[0][0] == 1  # one probe factored over Q, no lift
+    assert all(tried == 0 for _, tried, _ in frames)
+
+
+@pytest.mark.parametrize("text", ["z1^2 + z2^2 + z3^2 + 1", "z1^4 + z2^2*z3 + z1 + 1"])
+def test_irreducible_image_mod_q_certifies_without_a_probe(text):
+    # a probe's image is squarefree of full degree and irreducible mod the
+    # least prime that keeps it squarefree, so f is irreducible with no
+    # probe factored and no lift
+    f = parse_poly(text, 3)
+    fl, frames = _count_probes_and_lifts(f)
+    assert fl.factors == ((f, 1),)
+    assert frames == [[0, 0, 0]]
+    assert sympy_irreducible(f)
+
+
+@pytest.mark.parametrize("extra, n", [("z2", 2), ("z2 + z3", 3)])
+def test_a_probe_that_splits_into_linears_is_not_lifted_from(extra, n):
+    # f = (x - 1)...(x - 12) + extra is irreducible, but its earliest probe,
+    # at 0, splits into 12 linear factors; lifting from it would try
+    # thousands of subsets before the whole set.  Its image has 12 factors
+    # mod every prime that keeps it squarefree, more than a generic probe's
+    # image, so the ranking passes it over and no lift is tried
+    linears = "*".join("(z1 - %d)" % i for i in range(1, 13))
+    f = parse_product(linears + " + " + extra, n)
+    fl, frames = _count_probes_and_lifts(f)
+    assert fl.factors == ((f, 1),)
+    assert all(tried == 0 for _, tried, _ in frames)
+    assert factor_lowvar(f).factors == ((f, 1),)

@@ -271,13 +271,28 @@ def counting_oracle(oracle):
 
 
 def test_sparse_irreducible_test_stops_at_the_stall_cut():
-    # every projection of a reducible input is reducible, so only the cut
-    # ends the search; the su grid alone holds far more pairs
+    # every projection of a reducible input is reducible, so without the
+    # oracle's decision procedure only the cut ends the search; the su grid
+    # alone holds far more pairs
     f = parse_poly("z1^2 - z2^2")
+    undecided = dataclasses.replace(su_oracle(2, 2), decide_irreducible=None)
     for config in (DEFAULT_CONFIG, Config(su_stall=5)):
-        oracle, drawn = counting_oracle(su_oracle(2, 2))
+        oracle, drawn = counting_oracle(undecided)
         assert sparse_irreducible_test(f, oracle, config) is False
         assert drawn[0] == config.su_stall
+
+
+def test_sparse_irreducible_test_asks_the_oracle_first():
+    # an in-class input goes to the oracle's decision procedure, which
+    # proves z1^2 - z2^2 reducible without drawing a pair; an input outside
+    # the class still searches the pairs
+    oracle, drawn = counting_oracle(su_oracle(2, 2))
+    assert sparse_irreducible_test(parse_poly("z1^2 - z2^2"), oracle) is False
+    assert drawn[0] == 0
+    assert sparse_irreducible_test(parse_poly("z1^2 + 3*z2^2 + 1"), oracle) is True
+    assert drawn[0] == 0
+    assert sparse_irreducible_test(parse_poly("z1*z2 + z1 + 1"), oracle) is True
+    assert drawn[0] >= 1
 
 
 def test_sparse_irreducible_test_keeps_certified_irreducibles():
@@ -410,6 +425,37 @@ def test_sparse_factors_below_the_support_size_run_ben_or_tiwari(monkeypatch):
     expected = {g: e for g, e in mults.items() if g.degree() <= 2 and g.sparsity() <= 4}
     assert parse_poly("z1^2 + 2*z2*z3 + 3") in expected
     assert dict(fl.factors) == expected
+
+
+@pytest.mark.parametrize(
+    "text, make_oracle",
+    [
+        # SU: a factor found, then the stall cut or the settled residual
+        ("(z1^2+z2^2+z3^2)*(z1+1)", lambda f: su_oracle(f.n, f.degree())),
+        ("(z1 + z2 + 1)^2*(z1*z2 + 5)", lambda f: su_oracle(f.n, f.degree())),
+        ("(z1*z2 + 1)*(z1*z2 - 2)", lambda f: su_oracle(f.n, f.degree())),
+        # constant degree: the residual is exhausted by divided-out factors
+        ("(z1+z2)*(z1^2+z2^2+1)", lambda f: constant_degree_oracle(2, f.n, f.degree())),
+        ("(z1^2 + 2*z2*z3 + 3)*(z1 - z3 + 2)*(z1^3 + z2 + 5)",
+         lambda f: constant_degree_oracle(2, f.n, f.degree())),
+    ],
+)
+def test_sparse_factors_draws_only_the_pairs_it_projects(monkeypatch, text, make_oracle):
+    import polyfactor.engine as engine
+
+    projected = 0
+    original = engine._pair_candidates
+
+    def counted(*args):
+        nonlocal projected
+        projected += 1
+        return original(*args)
+
+    monkeypatch.setattr(engine, "_pair_candidates", counted)
+    f = parse_product(text)
+    oracle, drawn = counting_oracle(make_oracle(f))
+    sparse_factors(f, 12, oracle, Config(su_stall=20))
+    assert drawn[0] == projected >= 1
 
 
 def test_sparse_factors_with_su_oracle():
