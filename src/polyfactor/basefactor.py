@@ -26,18 +26,24 @@ factor mod q, or a popped probe irreducible over Q, proves f irreducible
 group the probe's factorization into pairwise-coprime prime powers,
 translate the evaluation point to the origin mod p^k > 2B^2, B the same
 Mignotte bound, Hensel-lift the groups there, and recombine subsets of
-lifted groups, each translated back mod p^k before its coefficients are
-reconstructed; repeated factors come back as exact m-th roots of
-reconstructed subset products.  A lifted factor is a series in the
-evaluated variable whose coefficients are packed (x, w) dicts mod p^k, w
-the remaining side variable; each lift step solves one Diophantine
-equation, w-adically from a Bezout pair at w = 0.
+lifted groups, smallest first and up to half the groups left (the rest
+then make one factor).  A subset of groups u^e lifts U^e, so its product
+is rooted in the truncated series ring by Miller's power recurrence, then
+translated back mod p^k before its coefficients are reconstructed.  A
+lifted factor is a series in the evaluated variable whose coefficients
+are packed (x, w) dicts mod p^k, w the remaining side variable; each lift
+step solves one Diophantine equation, w-adically from a Bezout pair at
+w = 0.
 When the factorization at one point is already known (a trivariate slice
 whose t2 = 0 image was factored before), `factor_monic(f, base)` lifts from
-that point first.
-Every accepted factor is verified by exact division over Q, and a final
-recomposition check guards the whole attempt, so a degenerate evaluation
-point can only cost time, never correctness.
+that point first.  `factor_monic(f, bounds=...)` asks only for the factors
+within a degree bound per variable: the lift stops at the v- and w-orders
+such a factor reaches, and only subsets within the x-bound recombine
+(Wang's EEZ lift, Math. Comp. 1978, cut at the wanted degrees).
+Every accepted factor is verified by exact division over Q.  A complete
+factorization is also checked by recomposition, so a degenerate
+evaluation point can only cost time, never correctness; a bounded one
+holds only pairs whose multiplicity exact division proves.
 """
 
 import math
@@ -655,19 +661,74 @@ class _Dioph:
 # series lift
 
 
-def _series_mul(A, B, K, m):
+def _wcut(d, wlen):
+    """The entries of an (x, w) dict below w-order wlen."""
+    return {k: c for k, c in d.items() if k % STRIDE < wlen}
+
+
+def _series_mul(A, B, K, wlen, m):
+    """A * B mod (v^K, w^wlen, m) for v-series of (x, w) dicts."""
     out = [dict() for _ in range(K)]
     for i, ai in enumerate(A):
         for j, bj in enumerate(B[: K - i]):
             _mul_into(out[i + j], ai, bj)
-    return [cd_reduce(row, m) for row in out]
+    return [cd_reduce(_wcut(row, wlen), m) for row in out]
+
+
+def _series_root(W, e, wlen, m):
+    """U with U^e = W mod (v^K, w^wlen, m), K = len(W), for W a v-series of
+    (x, w) dicts monic in x; U is monic in x of degree deg_x(W) / e.
+
+    Read in z = 1/x, W is a power series P = sum p_k z^k over the ring R of
+    (v, w)-series with p_0 = 1, and its e-th root A = sum a_k z^k with
+    a_0 = 1 follows from A P' = e A' P (Miller's power recurrence):
+    a_k = sum_{i<k} (k - (e+1) i) a_i p_{k-i} / (e k).  Every e k is at most
+    deg_x W, which the caller's prime exceeds, so it is invertible mod m.
+    R's elements are dicts on packed (v, w) keys.  When W is U^e for a
+    polynomial U whose degrees fit the truncation, the result is U itself."""
+    K = len(W)
+    coeffs = {}  # x-exponent -> element of R
+    for ev, row in enumerate(W):
+        for key, c in row.items():
+            ex, ew = cd_unpack(key)
+            coeffs.setdefault(ex, {})[cd_pack(ev, ew)] = c
+    D = max(coeffs)
+    d = D // e
+    p = [coeffs.get(D - k, {}) for k in range(d + 1)]
+    a = [{0: 1}]
+    for k in range(1, d + 1):
+        acc = {key: k * c for key, c in p[k].items()}
+        for i in range(1, k):
+            scale = k - (e + 1) * i
+            if scale:
+                _mul_into(acc, {key: scale * c for key, c in a[i].items()}, p[k - i])
+        inv = pow(e * k, -1, m)
+        a.append(
+            cd_reduce(
+                {
+                    key: c * inv
+                    for key, c in acc.items()
+                    if key // STRIDE < K and key % STRIDE < wlen
+                },
+                m,
+            )
+        )
+    U = [dict() for _ in range(K)]
+    U[0][cd_pack(d, 0)] = 1
+    for k in range(1, d + 1):
+        for key, c in a[k].items():
+            ev, ew = cd_unpack(key)
+            U[ev][cd_pack(d - k, ew)] = c
+    return U
 
 
 def _lift_pair(Fser, A0, B0, K, m, dioph):
     A = [dict(A0)] + [dict() for _ in range(K - 1)]
     B = [dict(B0)] + [dict() for _ in range(K - 1)]
     AB = [dict() for _ in range(K)]  # unreduced; read through cd_sub
-    if cd_sub(_mul_into({}, A0, B0), Fser[0], m):
+    # Fser is cut at w-order dioph.length, so the base product is compared
+    # there too
+    if cd_sub(_wcut(_mul_into({}, A0, B0), dioph.length), Fser[0], m):
         raise _AttemptFailed("base product mismatch")
     for j in range(1, K):
         E = cd_sub(Fser[j], AB[j], m)
@@ -692,10 +753,10 @@ def _lift_tree(Fser, groups, K, wlen, p, m):
     h = len(groups) // 2
     A0 = groups[0]
     for g in groups[1:h]:
-        A0 = cd_reduce(_mul_into({}, A0, g), m)
+        A0 = cd_reduce(_wcut(_mul_into({}, A0, g), wlen), m)
     B0 = groups[h]
     for g in groups[h + 1 :]:
-        B0 = cd_reduce(_mul_into({}, B0, g), m)
+        B0 = cd_reduce(_wcut(_mul_into({}, B0, g), wlen), m)
     Aser, Bser = _lift_pair(Fser, A0, B0, K, m, _Dioph(A0, B0, wlen, p, m))
     return _lift_tree(Aser, groups[:h], K, wlen, p, m) + _lift_tree(
         Bser, groups[h:], K, wlen, p, m
@@ -733,12 +794,16 @@ def _poly_to_series(f, v, w, K, m):
     return ser
 
 
-def _shift_series(ser, cv, cw, m):
-    """The v-series of packed (x, w) dicts ser(v + cv, w + cw) mod m: the
+def _shift_series(ser, cv, cw, m, vlen=None, wlen=None):
+    """The v-series of packed (x, w) dicts ser(v + cv, w + cw) mod
+    (v^vlen, w^wlen, m), vlen = len(ser) and no w cut by default: the
     classical Taylor shift (von zur Gathen & Gerhard, ISSAC 1997), each term
-    expanded by binomials one variable at a time, w first.  Sums stay
-    unreduced until the end; a zero shift returns ser itself."""
-    if not cv and not cw:
+    expanded by binomials one variable at a time, w first, and only into
+    the orders kept.  Sums stay unreduced until the end; a zero shift with
+    no cut returns ser itself."""
+    if vlen is None:
+        vlen = len(ser)
+    if not cv and not cw and vlen == len(ser) and wlen is None:
         return ser
 
     def taylor(e, c):
@@ -755,19 +820,21 @@ def _shift_series(ser, cv, cw, m):
                 ew = key % STRIDE
                 coeffs = table.get(ew)
                 if coeffs is None:
-                    coeffs = table[ew] = taylor(ew, cw)
+                    coeffs = table[ew] = taylor(ew, cw)[:wlen]
                 low = key - ew
                 for j, b in enumerate(coeffs):
                     out[low + j] = out.get(low + j, 0) + val * b
             rows.append(out)
+    elif wlen is not None:
+        rows = [_wcut(row, wlen) for row in ser]
     if cv:
-        out = [dict() for _ in rows]
+        out = [dict() for _ in range(min(vlen, len(rows)))]
         for ev, row in enumerate(rows):
             for target, b in zip(out, taylor(ev, cv)):
                 for key, val in row.items():
                     target[key] = target.get(key, 0) + val * b
         rows = out
-    return [cd_reduce(row, m) for row in rows]
+    return [cd_reduce(row, m) for row in rows[:vlen]]
 
 
 def _series_to_qpoly(ser, v, w, n, m):
@@ -797,23 +864,40 @@ def _cd_from_qpoly(f2, m):
     return out
 
 
-def _attempt_lift(f, v, w, v0, base):
+def _attempt_lift(f, v, w, v0, base, bounds=None):
     """The complete [(factor, mult)] of f lifted from `base`, its factorization
     at z_v = v0, mod p^k > 2B^2 (B = _factor_bound).  Raises _AttemptFailed
     when the point cannot support the lift: a factor's image is not
     squarefree, or the images of distinct factors share a factor.
 
-    The lift runs mod w^(dw+1), dw = deg_w f (0 for a bivariate lift).  Base
-    images coprime mod (p, w - w0) make the lifted factors unique mod
-    (v^K, w^(dw+1), p^k), so a product of lifted factors is the truncation
-    of the factor of f it lifts.  A factor of f, like any product of f's
-    irreducible factors, has w-degree <= dw, so that truncation is the
-    whole factor."""
+    The lift runs mod (v^K, w^wlen), K = dv + 1 and wlen = dw + 1 (1 for a
+    bivariate lift).  Base images coprime mod (p, w - w0) make the lifted
+    factors unique mod (v^K, w^wlen, p^k), so a product of lifted factors
+    is the truncation of the factor of f it lifts.  A factor of f, like any
+    product of f's irreducible factors, has degrees <= (dv, dw), so that
+    truncation is the whole factor.  A group u^e lifts to U^e, so a subset
+    of groups of one multiplicity e is rooted in the truncated ring
+    (`_series_root`; the prime exceeds deg_x f, so its divisions are
+    invertible) and then reconstructed.  Subsets are tried smallest first,
+    up to half the groups left, as in Zassenhaus: once every factor found
+    took exactly its groups, the groups left lift one irreducible factor.
+
+    `bounds`, per variable (x first), asks only for the factors within
+    them: K = min(dv, bv) + 1, wlen = min(dw, bw) + 1, and only subsets of
+    x-degree <= bx are tried.  A factor within the bounds is whole in the
+    cut, and so is its root, though U^e runs past it.  The result is then
+    the [(factor, mult)] of those found, mult the count that exact
+    division proves, with no recomposition check."""
     n = f.n
     dx = f.degree_in(1)
     dv = f.degree_in(v) or 0
     dw = (f.degree_in(w) or 0) if w is not None else 0
-    K = dv + 1
+    bx, bv, bw = (dx, dv, dw) if bounds is None else (
+        bounds[0], bounds[v - 1], bounds[w - 1] if w is not None else 0
+    )
+    K = min(dv, bv) + 1
+    # w-orders the lift carries; a bivariate lift has only w^0
+    wlen = min(dw, bw) + 1
     # Renormalize the base factors monic in x so their product is exactly the
     # image of f.  Factors of a monic-in-x polynomial always have a constant
     # x-leading coefficient.
@@ -835,7 +919,7 @@ def _attempt_lift(f, v, w, v0, base):
     w0_range = range(2 * dw * len(groups) ** 2 + 3) if w is not None else (0,)
     images = {}
     chosen = None
-    for p in primes(3):
+    for p in primes(dx + 1):
         if denom % p == 0:
             continue
         for w0 in w0_range:
@@ -867,62 +951,91 @@ def _attempt_lift(f, v, w, v0, base):
                 break
         if chosen:
             break
-        if p > 10000:  # pragma: no cover
+        if p > 10000 + dx:  # pragma: no cover
             raise LiftFailure("no usable prime for multivariate lift")
     p, w0 = chosen
     # a monic factor of f is G / lc(G), G an integer factor of f's integer
     # form, and lc(G) divides f's denominator, which p avoids, so a subset
     # that does not reconstruct is no factor; candidates are reconstructed
-    # in the original coordinates, so B needs no term for the translation
-    B = _factor_bound(clear_denominators(f.terms.values())[0], dx + dv + dw)
+    # in the original coordinates, so B needs no term for the translation,
+    # and they have degrees within the cut, which B's degree sum is
+    B = _factor_bound(
+        clear_denominators(f.terms.values())[0], min(dx, bx) + (K - 1) + (wlen - 1)
+    )
     m = p ** _precision(p, 2 * B * B + 1)
 
-    # lift at the origin: translate the evaluation point there mod m
-    Fser = _shift_series(_poly_to_series(f, v, w, K, m), v0, w0, m)
+    # lift at the origin: translate the evaluation point there mod m, keeping
+    # only the orders the lift carries
+    Fser = _shift_series(_poly_to_series(f, v, w, dv + 1, m), v0, w0, m, K, wlen)
     group_cds = [
-        _shift_series([_cd_from_qpoly(u**mult, m)], 0, w0, m)[0] for u, mult in groups
+        _shift_series([_cd_from_qpoly(u**mult, m)], 0, w0, m, 1, wlen)[0]
+        for u, mult in groups
     ]
-    # w-orders the Diophantine solves carry; a bivariate lift has only w^0
-    wlen = dw + 1
     leaves = _lift_tree(Fser, group_cds, K, wlen, p, m)
+    degrees = [u.degree_in(1) for u, _ in groups]
+
+    def candidate(S):
+        """(P, e): e the common multiplicity of the groups S and P the monic
+        factor whose e-th power they lift, reconstructed over Q; None when
+        the groups' multiplicities differ or nothing reconstructs."""
+        mults = {groups[i][1] for i in S}
+        if len(mults) != 1:
+            return None
+        mult = mults.pop()
+        Wser = leaves[S[0]]
+        for i in S[1:]:
+            Wser = _series_mul(Wser, leaves[i], K, wlen, m)
+        if mult > 1:
+            Wser = _series_root(Wser, mult, wlen, m)
+        # back to the original coordinates, where the coefficients to
+        # reconstruct are small
+        Wq = _series_to_qpoly(_shift_series(Wser, -v0, -w0, m), v, w, n, m)
+        return None if Wq is None else (Wq.canonical(), mult)
 
     indices = list(range(len(groups)))
     remaining = f
     results = []
     size = 1
-    while size <= len(indices):
+    while size <= (len(indices) // 2 if bounds is None else len(indices)):
+        if sum(sorted(degrees[i] for i in indices)[:size]) > bx:
+            break
         for S in combinations(indices, size):
-            mults = {groups[i][1] for i in S}
-            if len(mults) != 1:
+            if sum(degrees[i] for i in S) > bx:
                 continue
-            mult = mults.pop()
-            Wser = leaves[S[0]]
-            for i in S[1:]:
-                Wser = _series_mul(Wser, leaves[i], K, m)
-            # the leaves are exact only below w-order wlen = dw + 1, and so
-            # is their product; a factor of f has w-degree at most dw, so
-            # the higher orders are truncation noise
-            Wser = [{k: c for k, c in row.items() if k % STRIDE <= dw} for row in Wser]
-            # back to the original coordinates, where the coefficients to
-            # reconstruct are small
-            Wq = _series_to_qpoly(_shift_series(Wser, -v0, -w0, m), v, w, n, m)
-            if Wq is None:
+            found = candidate(S)
+            if found is None:
                 continue
-            Wq = Wq.canonical()
-            P = Wq.integer_root(mult) if mult > 1 else Wq
-            if P is None:
-                continue
+            P, mult = found
             quotient, count = divide_out(remaining, P)
             if count == 0:
                 continue
-            results.append((P.canonical(), count))
+            # a complete lift divides out exactly the groups it used
+            if bounds is None and count != mult:
+                raise _AttemptFailed("multiplicity mismatch")
+            results.append((P, count))
             remaining = quotient
             indices = [i for i in indices if i not in S]
             break
         else:
             size += 1
-    if indices or not remaining.is_constant():
-        raise _AttemptFailed("recombination incomplete")
+    if bounds is None:
+        # Each factor divided out so far took exactly its groups, so by the
+        # lift's uniqueness the groups left lift what is left of f.  No
+        # subset of at most half of them is a factor, so they lift one
+        # irreducible factor to the power of their common multiplicity.
+        if indices:
+            if {groups[i][1] for i in indices} == {1}:
+                found = (remaining.canonical(), 1)
+            else:
+                found = candidate(indices)
+            if found is not None and not found[0].is_constant():
+                quotient, count = divide_out(remaining, found[0])
+                if count == found[1] and quotient.is_constant():
+                    results.append((found[0], count))
+                    remaining = quotient
+                    indices = []
+        if indices or not remaining.is_constant():
+            raise _AttemptFailed("recombination incomplete")
     results.sort(key=lambda pm: factor_sort_key(pm[0]))
     return results
 
@@ -972,8 +1085,10 @@ def _probe_images(f, dx, v, w):
     return den, degraded, image
 
 
-def _factor_monic_sparse(f):
-    """[(canonical irreducible, mult)] for f monic in variable 1, <=3 vars."""
+def _factor_monic_sparse(f, bounds=None):
+    """[(canonical irreducible, mult)] for f monic in variable 1, <=3 vars;
+    with per-variable degree `bounds`, the lift may stop short of the
+    factors that do not fit them (see _attempt_lift)."""
     n = f.n
     if n == 1:
         return _factor_univariate_pairs(f)
@@ -988,9 +1103,11 @@ def _factor_monic_sparse(f):
         for i in reversed(dead):
             low = low.eval_var(i, 0)
         slots = [i - 1 for i in range(1, n + 1) if i not in dead]
+        if bounds is not None:
+            bounds = [bounds[i - 1] for i in range(1, n + 1) if i not in dead]
         return [
             (g.map_variables(slots, n).canonical(), mult)
-            for g, mult in _factor_monic_sparse(low)
+            for g, mult in _factor_monic_sparse(low, bounds)
         ]
     v = max(side_degs, key=lambda i: (side_degs[i], -i))
     survivors = [i for i in side_degs if i != v]
@@ -1050,7 +1167,7 @@ def _factor_monic_sparse(f):
         if len(base) == 1 and base[0][1] == 1:
             return [(f.canonical(), 1)]
         try:
-            return _attempt_lift(f, v, w, v0, base)
+            return _attempt_lift(f, v, w, v0, base, bounds)
         except _AttemptFailed:
             continue
 
@@ -1078,21 +1195,35 @@ def _verified(f, pairs):
     return result
 
 
-def factor_monic(f, base=None):
+def factor_monic(f, base=None, bounds=None):
     """FactorList of a SparsePoly (<=3 vars) monic in variable 1.  `base`,
     when given, is the complete factorization pairs of f(x, t1, 0), and f is
     first lifted from it: Wang's lift from a known evaluation point (Math.
     Comp. 1978).  When t2 = 0 drops f's t1-degree or the lift raises
-    _AttemptFailed, f is factored from scratch."""
+    _AttemptFailed, f is factored from scratch.
+
+    `bounds`, when given, holds a degree bound per variable, x first, and
+    only the factors whose x-degree is at most bounds[0] are asked for; the
+    lift stops where factors within all the bounds end (Wang's EEZ lift cut
+    at the wanted degrees).  The result then holds f's irreducible factors
+    within the bounds, each with its multiplicity in f, and scalar 1.  It
+    is not checked by recomposition, which would need the whole lift:
+    every pair (g, e) it holds passed exact division, g^e dividing f with
+    the factors before g divided out, and g^(e+1) not."""
     _require_monic_in_x(f)
+    pairs = None
     if base is not None:
         base_t1 = sum((u.degree_in(2) or 0) * mult for u, mult in base)
         if base_t1 == (f.degree_in(2) or 0):
             try:
-                return _verified(f, _attempt_lift(f, 3, 2, 0, base))
+                pairs = _attempt_lift(f, 3, 2, 0, base, bounds)
             except _AttemptFailed:
                 pass
-    return _verified(f, _factor_monic_sparse(f))
+    if pairs is None:
+        pairs = _factor_monic_sparse(f, bounds)
+    if bounds is None:
+        return _verified(f, pairs)
+    return FactorList.build(ONE, [(g, e) for g, e in pairs if g.degree_in(1) <= bounds[0]])
 
 
 def factor_lowvar(f):

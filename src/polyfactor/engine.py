@@ -5,8 +5,10 @@ extraction.
 Every pipeline keeps one residual: the input with each accepted factor
 divided out, changed only by replacing it with an exact quotient.
 The constant-degree pipelines project the input once, on the compact
-isolation scheme, and divide out every inverted candidate; under the
-promise a residual still nonconstant after that pass is a violation.
+isolation scheme, factor the trivariate image only as far as a factor of
+degree <= delta reaches (the scheme's image degree bounds), and divide out
+every inverted candidate; under the promise a residual still nonconstant
+after that pass is a violation.
 Soundness never depends on the scheme: every emitted factor passed an
 exact divisibility gate, and inverted candidates whose inverse shift still
 involves x are discarded, which makes every survivor provably irreducible.
@@ -96,9 +98,10 @@ def unmonicize(g_hat, shift):
 
 
 def projected_factoring(f, delta, config=None):
-    """All projected factors of f with x-degree <= delta, with multiplicities:
-    monicize, project to three variables on the compact scheme, factor,
-    filter."""
+    """The projected factors of f within the scheme's image degree bounds
+    (x-degree <= delta), with multiplicities: monicize, project to three
+    variables on the compact scheme, and factor the image only as far as
+    those bounds reach."""
     config = config or DEFAULT_CONFIG
     if delta < 1:
         raise ValueError("delta must be >= 1")
@@ -111,11 +114,12 @@ def projected_factoring(f, delta, config=None):
     grid = psi_map(f_alpha, scheme, max_cells=config.max_dense_cells)
     if grid.true_degrees()[0] != shift.degree:
         raise VerificationError("psi must preserve the x-degree")
-    proj_mult = tuple(
-        (h, e)
-        for h, e in factor_monic(grid.to_sparse()).factors
-        if (h.degree_in(1) or 0) <= delta
-    )
+    # a factor of f of degree <= delta maps to a factor of the image within
+    # the scheme's degree bounds, and psi_invert rejects any factor outside
+    # them, so the image is factored only as far as those bounds reach
+    proj_mult = factor_monic(
+        grid.to_sparse(), bounds=scheme.image_degree_bounds()
+    ).factors
     return ProjectedFactorSet(proj_mult, shift, scheme)
 
 

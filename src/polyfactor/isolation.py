@@ -76,6 +76,13 @@ class IsolationScheme:
             table[sum(ei * wi for ei, wi in zip(e, weights))] = e
         return table
 
+    def image_degree_bounds(self):
+        """(x, y, t) degree bounds of psi_map's image of any polynomial of
+        total degree <= delta in (x, z): a term x^a z^e with a + |e| <= delta
+        maps into y-degree <= |e| W, W the largest weight of w and w', and
+        t-degree <= |e|."""
+        return (self.delta, self.delta * max(self.w + self.w_prime), self.delta)
+
     def to_json(self):
         return json.dumps(
             {

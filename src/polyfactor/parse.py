@@ -83,12 +83,21 @@ def _var_slot(name, n, pos):
     return index - 1
 
 
+def _number(value, pos):
+    num, _, den = value.partition("/")
+    if den and not int(den):
+        raise ParseError("zero denominator in %s" % value, pos)
+    return Q(int(num), int(den or 1))
+
+
 class _Parser:
-    def __init__(self, tokens, n, products):
+    """parse_terms reads the flat grammar; parse_sum the extended one, on
+    the SparsePoly kernel."""
+
+    def __init__(self, tokens, n):
         self.tokens = tokens
         self.i = 0
         self.n = n
-        self.products = products
 
     def peek(self):
         return self.tokens[self.i]
@@ -103,21 +112,74 @@ class _Parser:
         if kind != "op" or value != op:
             raise ParseError("expected %r" % op, pos)
 
-    def parse_sum(self):
-        sign = 1
+    def sign(self):
+        """-1 or 1 when a sign comes next, which is consumed; else None."""
         kind, value, _ = self.peek()
         if kind == "op" and value in "+-":
             self.next()
-            sign = -1 if value == "-" else 1
+            return -1 if value == "-" else 1
+        return None
+
+    def exponent(self):
+        """The power after a '^' when one comes next, else 1."""
+        kind, value, _ = self.peek()
+        if kind != "op" or value != "^":
+            return 1
+        self.next()
+        kind, value, pos = self.next()
+        if kind != "number" or "/" in value:
+            raise ParseError("exponent must be a non-negative integer", pos)
+        return int(value)
+
+    def parse_terms(self):
+        """The flat grammar straight to a term table: each term's exponent
+        list and coefficient are built directly, and like terms are summed
+        in one dict (a cancelled term leaves it, as under SparsePoly +)."""
+        n = self.n
+        terms = {}
+        sign = self.sign() or 1
+        while True:
+            exps = [0] * n
+            coeff = Q(sign)
+            while True:
+                kind, value, pos = self.next()
+                if kind == "number":
+                    coeff *= _number(value, pos) ** self.exponent()
+                elif kind == "var":
+                    slot = _var_slot(value, n, pos)
+                    exps[slot] += self.exponent()
+                else:
+                    raise ParseError(
+                        "unexpected token %r" % (value or "end of input"), pos
+                    )
+                kind, value, _ = self.peek()
+                if kind != "op" or value != "*":
+                    break
+                self.next()
+            if coeff:
+                key = tuple(exps)
+                acc = terms.get(key)
+                if acc is None:
+                    terms[key] = coeff
+                else:
+                    acc += coeff
+                    if acc:
+                        terms[key] = acc
+                    else:
+                        del terms[key]
+            sign = self.sign()
+            if sign is None:
+                return SparsePoly(n, terms)
+
+    def parse_sum(self):
+        sign = self.sign() or 1
         total = self.parse_term().scale(sign)
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.next()
-                term = self.parse_term()
-                total = total - term if value == "-" else total + term
-            else:
+            sign = self.sign()
+            if sign is None:
                 return total
+            term = self.parse_term()
+            total = total - term if sign < 0 else total + term
 
     def parse_term(self):
         factors = [self.parse_factor()]
@@ -126,10 +188,8 @@ class _Parser:
             if kind == "op" and value == "*":
                 self.next()
                 factors.append(self.parse_factor())
-            elif self.products and kind in ("var", "number"):
+            elif kind in ("var", "number") or (kind == "op" and value == "("):
                 # implicit product inside --expand expressions
-                factors.append(self.parse_factor())
-            elif self.products and kind == "op" and value == "(":
                 factors.append(self.parse_factor())
             else:
                 break
@@ -140,30 +200,21 @@ class _Parser:
 
     def parse_factor(self):
         base = self.parse_atom()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
-            self.next()
-            kind, value, pos = self.next()
-            if kind != "number" or "/" in value:
-                raise ParseError("exponent must be a non-negative integer", pos)
-            base = base ** int(value)
-        return base
+        k = self.exponent()
+        return base if k == 1 else base**k
 
     def parse_atom(self):
         kind, value, pos = self.next()
         if kind == "number":
-            num, _, den = value.partition("/")
-            if den and not int(den):
-                raise ParseError("zero denominator in %s" % value, pos)
-            return SparsePoly.const(self.n, Q(int(num), int(den or 1)))
+            return SparsePoly.const(self.n, _number(value, pos))
         if kind == "var":
             slot = _var_slot(value, self.n, pos)
             return SparsePoly.variable(self.n, slot + 1)
-        if kind == "op" and value == "(" and self.products:
+        if kind == "op" and value == "(":
             inner = self.parse_sum()
             self.expect_op(")")
             return inner
-        if kind == "op" and value == "-" and self.products:
+        if kind == "op" and value == "-":
             return -self.parse_atom()
         raise ParseError("unexpected token %r" % (value or "end of input"), pos)
 
@@ -172,8 +223,8 @@ def _parse(text, n, products):
     tokens = tokenize(text)
     if n is None:
         n = infer_arity(tokens)
-    parser = _Parser(tokens, n, products)
-    poly = parser.parse_sum()
+    parser = _Parser(tokens, n)
+    poly = parser.parse_sum() if products else parser.parse_terms()
     kind, value, pos = parser.peek()
     if kind != "end":
         raise ParseError("trailing input %r" % value, pos)

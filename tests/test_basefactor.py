@@ -27,6 +27,8 @@ from polyfactor.basefactor import (
     _factor_monic_sparse,
     _factor_univariate_pairs,
     _poly_to_series,
+    _series_root,
+    _series_to_qpoly,
     _shift_series,
     _up_primitive_z,
     _zassenhaus,
@@ -256,6 +258,27 @@ def test_attempt_lift_fails_at_a_point_that_merges_factors():
         assert len(factor_monic(f).factors) == 2
 
 
+def test_attempt_lift_stops_recombining_at_half_the_groups(monkeypatch):
+    # the probe at z2 = 0 splits this irreducible f into 4 linear groups:
+    # subsets of 1 and 2 groups are reconstructed (4 + 6), and the 4 groups
+    # left then make f itself, with no larger subset built
+    import polyfactor.basefactor as basefactor
+
+    f = parse_product("(z1 - 1)*(z1 - 2)*(z1 - 3)*(z1 - 4) + z2", 2)
+    base = _factor_monic_sparse(f.eval_var(2, 0))
+    assert len(base) == 4
+    calls = []
+    reconstruct = basefactor._series_to_qpoly
+
+    def counted(*args):
+        calls.append(args)
+        return reconstruct(*args)
+
+    monkeypatch.setattr(basefactor, "_series_to_qpoly", counted)
+    assert _attempt_lift(f, 2, None, 0, base) == [(f, 1)]
+    assert len(calls) == 10
+
+
 def test_attempt_lift_reconstructs_in_the_original_coordinates():
     # a square with a 62-bit constant term: the lift reconstructs after the
     # shift back, where the coefficients are small, so its modulus needs no
@@ -297,6 +320,78 @@ def test_shift_series_is_the_translation_mod_m(case):
     shifted = _shift_series(ser, cv, cw, m)
     assert shifted == _poly_to_series(f.shift(offsets), v, w, K, m)
     assert _shift_series(shifted, -cv, -cw, m) == ser
+
+
+@pytest.mark.parametrize("e", [2, 3])
+@pytest.mark.parametrize("offsets", [(0, 0), (2, -1), (-3, 2)])
+def test_series_root_is_the_integer_root(e, offsets):
+    """The e-th root taken in the truncated series ring, at the origin or
+    after a translation, is SparsePoly.integer_root of the monic power U^e,
+    whether the series is cut at U^e's degrees or only at U's."""
+    cv, cw = offsets
+    rng = rng_for("series-root-%d-%d-%d" % (e, cv, cw))
+    m = 10007**8
+    for _ in range(5):
+        d = rng.randint(1, 3)
+        # lower terms of total degree <= d keep x^d the graded-lex leading term
+        terms = {(d, 0, 0): ONE}
+        for _ in range(4):
+            a = rng.randint(0, d - 1)
+            b = rng.randint(0, d - a)
+            terms[(a, b, rng.randint(0, d - a - b))] = Q(
+                rng.randint(-5, 5), rng.choice([1, 2, 3])
+            )
+        U = SparsePoly(3, terms)
+        W = U**e
+        want = W.integer_root(e)
+        assert want == U
+        full = _poly_to_series(W, 2, 3, (W.degree_in(2) or 0) + 1, m)
+        for K, wlen in [
+            (len(full), (W.degree_in(3) or 0) + 1),
+            ((U.degree_in(2) or 0) + 1, (U.degree_in(3) or 0) + 1),
+        ]:
+            ser = _shift_series(full, cv, cw, m, K, wlen)
+            root = _shift_series(_series_root(ser, e, wlen, m), -cv, -cw, m)
+            assert _series_to_qpoly(root, 2, 3, 3, m) == want, (K, wlen)
+
+
+@st.composite
+def bounded_products(draw):
+    """(f, delta): 1-2 factors x^a + lower terms, a <= 3, of t1-degree <= 2a
+    and t2-degree <= a, each to a power 1-3, in some draws times a factor of
+    x-degree 4 whose side degrees may pass the bounds (delta, 2 delta, delta)."""
+
+    @st.composite
+    def factor(draw, a, d1, d2):
+        lower = st.tuples(st.integers(0, a - 1), st.integers(0, d1), st.integers(0, d2))
+        table = draw(
+            st.dictionaries(lower, st.integers(-3, 3).filter(bool), min_size=1, max_size=3)
+        )
+        table[(a, 0, 0)] = 1
+        return SparsePoly(3, {e: Q(c) for e, c in table.items()})
+
+    f = SparsePoly.const(3, 1)
+    for _ in range(draw(st.integers(1, 2))):
+        a = draw(st.integers(1, 3))
+        f = f * draw(factor(a, 2 * a, a)) ** draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        f = f * draw(factor(4, 6, 3))
+    return f, draw(st.integers(1, 3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(bounded_products())
+def test_bounded_factor_monic_is_the_complete_one_cut_at_the_bounds(case):
+    f, delta = case
+    bounds = (delta, 2 * delta, delta)
+    want = tuple(
+        (g, e)
+        for g, e in factor_monic(f).factors
+        if all((g.degree_in(i) or 0) <= b for i, b in enumerate(bounds, start=1))
+    )
+    got = factor_monic(f, bounds=bounds)
+    assert got.factors == want
+    assert got.scalar == 1
 
 
 @st.composite
@@ -462,7 +557,7 @@ def test_recomposition_gate_holds_under_optimize_flag():
         "from polyfactor.parse import parse_poly\n"
         "from polyfactor.errors import VerificationError\n"
         "assert False, 'asserts are on'\n"
-        "bf._factor_monic_sparse = lambda f: [(parse_poly('z1 + z2'), 2)]\n"
+        "bf._factor_monic_sparse = lambda f, bounds=None: [(parse_poly('z1 + z2'), 2)]\n"
         "try:\n"
         "    bf.factor_monic(parse_poly('z1^2 + z2'))\n"
         "except VerificationError:\n"
@@ -708,14 +803,14 @@ def _count_probes_and_lifts(f):
     frames, stack = [], []
     factor, lift = basefactor._factor_monic_sparse, basefactor._attempt_lift
 
-    def counted_factor(g):
+    def counted_factor(g, *args):
         if stack:
             stack[-1][0] += 1
         frame = [0, 0, 0]
         frames.append(frame)
         stack.append(frame)
         try:
-            return factor(g)
+            return factor(g, *args)
         finally:
             stack.pop()
 

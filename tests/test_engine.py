@@ -117,6 +117,36 @@ def test_projected_factoring_excludes_high_degree():
     assert proj.s_proj_fac_mult == ()
 
 
+def test_no_trivariate_lift_fails_on_the_first_cd_pool_entries(monkeypatch):
+    """The lift cut at the scheme's degree bounds compares its base product
+    with the image at the w-order it carries, so no lift on the first 20 cd
+    pool entries fails, and each entry gives its expected output."""
+    import json
+    import os
+    from itertools import islice
+
+    import polyfactor.basefactor as basefactor
+
+    lift = basefactor._attempt_lift
+    failures = []
+
+    def recorded(*args):
+        try:
+            return lift(*args)
+        except basefactor._AttemptFailed as exc:
+            failures.append(str(exc))
+            raise
+
+    monkeypatch.setattr(basefactor, "_attempt_lift", recorded)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "corpus", "cd.jsonl")) as fh:
+        pool = [json.loads(line) for line in islice(fh, 20)]
+    for item in pool:
+        fl = constant_degree_factors(parse_poly(item["poly"], item["n"]), 2)
+        assert fl.to_json_dict() == item["expected"]
+    assert failures == []
+
+
 def test_promise_two_factors():
     f = parse_product("(z1+z2+1)*(z1^2+z2^2+3)")
     fl = factor_constant_degree_promise(f, 2)

@@ -85,10 +85,10 @@ def main(workloads):
         return 2
     factor_monic = engine.factor_monic
 
-    def counted(f, base=None):
+    def counted(f, base=None, **kwargs):
         nonlocal slices
         slices += base is not None
-        return factor_monic(f, base)
+        return factor_monic(f, base, **kwargs)
 
     pairs = IrredProjOracle.pairs
 

@@ -162,6 +162,25 @@ def test_psi_invert_round_trip():
         assert psi_invert(image, scheme, 2) == g
 
 
+def test_image_degree_bounds_hold_and_are_reached():
+    """psi_map's image of a polynomial of total degree <= delta stays within
+    the scheme's (x, y, t) degree bounds, and z_j^delta, z_j of the largest
+    weight, reaches them."""
+    rng = rng_for("image-degree-bounds")
+    for n, delta in [(1, 1), (2, 2), (3, 2), (4, 3)]:
+        scheme = compact_scheme(n, delta)
+        bounds = scheme.image_degree_bounds()
+        for _ in range(20):
+            image = psi_map(bounded_random(rng, n + 1, delta), scheme).to_sparse()
+            assert all(
+                (image.degree_in(i) or 0) <= b for i, b in enumerate(bounds, start=1)
+            )
+        j = max(range(n), key=lambda i: max(scheme.w[i], scheme.w_prime[i]))
+        top = SparsePoly.monomial(n + 1, [0] * (j + 1) + [delta] + [0] * (n - j - 1))
+        image = psi_map(top, scheme).to_sparse()
+        assert (delta, image.degree_in(2), image.degree_in(3)) == bounds
+
+
 def test_psi_invert_rejects_perturbation():
     s = compact_scheme(1, 2)
     g = parse_poly("z1 - z2")  # x - z1
