@@ -40,19 +40,22 @@ that point first.  `factor_monic(f, bounds=...)` asks only for the factors
 within a degree bound per variable: the lift stops at the v- and w-orders
 such a factor reaches, and only subsets within the x-bound recombine
 (Wang's EEZ lift, Math. Comp. 1978, cut at the wanted degrees).
-Every accepted factor is verified by exact division over Q.  A complete
-factorization is also checked by recomposition, so a degenerate
-evaluation point can only cost time, never correctness; a bounded one
-holds only pairs whose multiplicity exact division proves.
+Every accepted factor is verified by exact division over Q, and those
+divisions are the whole proof of a complete factorization: Yun and
+Zassenhaus end on exact quotients in Z[x], and the lift divides each
+factor out of what is left of f as often as its multiplicity and requires
+a constant at the end.  A degenerate evaluation point fails the lift or a
+division and only costs another point, never correctness; a bounded
+factorization holds only pairs whose multiplicity exact division proves.
 """
 
 import math
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 from .rational import Q, ONE, clear_denominators, primes
 from .sparse import SparsePoly, _mul_into
 from .factors import FactorList, divide_out, factor_sort_key
-from .errors import LiftFailure, PolyError, VerificationError, ZeroPolynomialError
+from .errors import LiftFailure, PolyError, ZeroPolynomialError
 
 
 class _AttemptFailed(Exception):
@@ -427,6 +430,24 @@ def _up_div_exact_z(f, g):
     return quot if not rem else None
 
 
+def _recombine(count, limit, accept):
+    """Subset recombination of groups 0..count-1, smallest subsets first
+    and lexicographically, up to size limit(groups left) (von zur Gathen &
+    Gerhard, Modern Computer Algebra 15.6).  accept(S) returns True when an
+    exact division took S's candidate; S's groups are then dropped.
+    Returns the groups left."""
+    indices = list(range(count))
+    size = 1
+    while size <= limit(indices):
+        for S in combinations(indices, size):
+            if accept(S):
+                indices = [i for i in indices if i not in S]
+                break
+        else:
+            size += 1
+    return indices
+
+
 def _zassenhaus(F):
     """Irreducible factors of a primitive squarefree F in Z[x], lc(F) > 0."""
     n = up_deg(F)
@@ -435,16 +456,11 @@ def _zassenhaus(F):
     lc = F[-1]
     # lc * (a monic lifted factor) is lc / lc(G) times an integer factor G
     B = _factor_bound(F, n) * abs(lc)
-    chosen = None
     for p in primes(3):
-        if lc % p == 0:
-            continue
-        if up_sqf_p(F, p):
-            chosen = p
+        if lc % p and up_sqf_p(F, p):
             break
         if p > 200 * (B + n + 2):  # pragma: no cover - theory guarantees earlier
             raise LiftFailure("no usable prime for univariate factorization")
-    p = chosen
     fbar = up_monic_p(up_mod(F, p), p)
     modular = berlekamp(fbar, p)
     if len(modular) == 1:
@@ -452,28 +468,23 @@ def _zassenhaus(F):
     l = _precision(p, 2 * B + 1)
     lifted = _hensel_lift_univ(p, F, modular, l)
     pl = p**l
-    indices = list(range(len(lifted)))
     factors = []
     current = F
-    s = 1
-    while 2 * s <= len(indices):
-        for S in combinations(indices, s):
-            G = [current[-1] % pl]
-            for i in S:
-                G = up_mul(G, lifted[i], pl)
-            G = [_symmetric(c, pl) for c in G]
-            up_trim(G)
-            G = _up_primitive_z(G)
-            if not G or up_deg(G) < 1:
-                continue
-            quotient = _up_div_exact_z(current, G)
-            if quotient is not None:
-                factors.append(G)
-                current = quotient
-                indices = [i for i in indices if i not in S]
-                break
-        else:
-            s += 1
+
+    def accept(S):
+        nonlocal current
+        G = [current[-1] % pl]
+        for i in S:
+            G = up_mul(G, lifted[i], pl)
+        G = _up_primitive_z(up_trim([_symmetric(c, pl) for c in G]))
+        quotient = _up_div_exact_z(current, G) if up_deg(G) >= 1 else None
+        if quotient is None:
+            return False
+        factors.append(G)
+        current = quotient
+        return True
+
+    _recombine(len(lifted), lambda left: len(left) // 2, accept)
     if up_deg(current) >= 1:
         factors.append(_up_primitive_z(current))
     return factors
@@ -879,15 +890,17 @@ def _attempt_lift(f, v, w, v0, base, bounds=None):
     of groups of one multiplicity e is rooted in the truncated ring
     (`_series_root`; the prime exceeds deg_x f, so its divisions are
     invertible) and then reconstructed.  Subsets are tried smallest first,
-    up to half the groups left, as in Zassenhaus: once every factor found
-    took exactly its groups, the groups left lift one irreducible factor.
+    up to half the groups left, as in Zassenhaus (`_recombine`).  Each
+    factor found is divided out as often as its groups' multiplicity, so
+    it took exactly its groups, and the groups left lift the rest of f, one
+    irreducible factor, divided out only when its multiplicity exceeds 1.
 
     `bounds`, per variable (x first), asks only for the factors within
     them: K = min(dv, bv) + 1, wlen = min(dw, bw) + 1, and only subsets of
-    x-degree <= bx are tried.  A factor within the bounds is whole in the
-    cut, and so is its root, though U^e runs past it.  The result is then
-    the [(factor, mult)] of those found, mult the count that exact
-    division proves, with no recomposition check."""
+    x-degree <= bx are tried, up to the most groups that fit bx.  A factor
+    within the bounds is whole in the cut, and so is its root, though U^e
+    runs past it.  The result is then the [(factor, mult)] of those found,
+    mult the count that exact division proves; no product is claimed."""
     n = f.n
     dx = f.degree_in(1)
     dv = f.degree_in(v) or 0
@@ -919,6 +932,7 @@ def _attempt_lift(f, v, w, v0, base, bounds=None):
     w0_range = range(2 * dw * len(groups) ** 2 + 3) if w is not None else (0,)
     images = {}
     chosen = None
+    degrees = [u.degree_in(1) for u, _ in groups]
     for p in primes(dx + 1):
         if denom % p == 0:
             continue
@@ -928,25 +942,10 @@ def _attempt_lift(f, v, w, v0, base, bounds=None):
                     _coeff_list(u.eval_var(2, w0) if w is not None else u)
                     for u, _ in groups
                 ]
-            imgs = []
-            ok = True
-            for (u, _), coeffs in zip(groups, images[w0]):
-                lst = up_trim(_reduce_mod(coeffs, p))
-                if up_deg(lst) != u.degree_in(1):
-                    ok = False
-                    break
-                imgs.append(up_monic_p(lst, p))
-            if not ok:
-                continue
-            coprime = True
-            for i in range(len(imgs)):
-                for j in range(i + 1, len(imgs)):
-                    if up_deg(up_gcd_p(imgs[i], imgs[j], p)) != 0:
-                        coprime = False
-                        break
-                if not coprime:
-                    break
-            if coprime:
+            imgs = [up_trim(_reduce_mod(coeffs, p)) for coeffs in images[w0]]
+            if list(map(up_deg, imgs)) == degrees and all(
+                up_deg(up_gcd_p(a, b, p)) == 0 for a, b in combinations(imgs, 2)
+            ):
                 chosen = (p, w0)
                 break
         if chosen:
@@ -972,7 +971,6 @@ def _attempt_lift(f, v, w, v0, base, bounds=None):
         for u, mult in groups
     ]
     leaves = _lift_tree(Fser, group_cds, K, wlen, p, m)
-    degrees = [u.degree_in(1) for u, _ in groups]
 
     def candidate(S):
         """(P, e): e the common multiplicity of the groups S and P the monic
@@ -992,49 +990,41 @@ def _attempt_lift(f, v, w, v0, base, bounds=None):
         Wq = _series_to_qpoly(_shift_series(Wser, -v0, -w0, m), v, w, n, m)
         return None if Wq is None else (Wq.canonical(), mult)
 
-    indices = list(range(len(groups)))
     remaining = f
     results = []
-    size = 1
-    while size <= (len(indices) // 2 if bounds is None else len(indices)):
-        if sum(sorted(degrees[i] for i in indices)[:size]) > bx:
-            break
-        for S in combinations(indices, size):
-            if sum(degrees[i] for i in S) > bx:
-                continue
-            found = candidate(S)
-            if found is None:
-                continue
-            P, mult = found
-            quotient, count = divide_out(remaining, P)
-            if count == 0:
-                continue
-            # a complete lift divides out exactly the groups it used
-            if bounds is None and count != mult:
-                raise _AttemptFailed("multiplicity mismatch")
-            results.append((P, count))
-            remaining = quotient
-            indices = [i for i in indices if i not in S]
-            break
-        else:
-            size += 1
+
+    def accept(S):
+        nonlocal remaining
+        found = candidate(S) if sum(degrees[i] for i in S) <= bx else None
+        if found is None:
+            return False
+        P, mult = found
+        quotient, count = divide_out(remaining, P)
+        if count == 0:
+            return False
+        # a complete lift divides out exactly the groups it used
+        if bounds is None and count != mult:
+            raise _AttemptFailed("multiplicity mismatch")
+        results.append((P, count))
+        remaining = quotient
+        return True
+
+    def limit(left):
+        """Half the groups left, or the most whose x-degrees fit bx."""
+        if bounds is None:
+            return len(left) // 2
+        return sum(t <= bx for t in accumulate(sorted(degrees[i] for i in left)))
+
+    left = _recombine(len(groups), limit, accept)
     if bounds is None:
         # Each factor divided out so far took exactly its groups, so by the
-        # lift's uniqueness the groups left lift what is left of f.  No
-        # subset of at most half of them is a factor, so they lift one
-        # irreducible factor to the power of their common multiplicity.
-        if indices:
-            if {groups[i][1] for i in indices} == {1}:
-                found = (remaining.canonical(), 1)
-            else:
-                found = candidate(indices)
-            if found is not None and not found[0].is_constant():
-                quotient, count = divide_out(remaining, found[0])
-                if count == found[1] and quotient.is_constant():
-                    results.append((found[0], count))
-                    remaining = quotient
-                    indices = []
-        if indices or not remaining.is_constant():
+        # lift's uniqueness the groups left lift what is left of f: one
+        # irreducible factor, as no subset of at most half of them is one,
+        # to their common multiplicity.  It is `remaining` itself for
+        # multiplicity 1; otherwise accept() must divide it to a constant.
+        if left and {groups[i][1] for i in left} == {1}:
+            results.append((remaining.canonical(), 1))
+        elif (left and not accept(left)) or not remaining.is_constant():
             raise _AttemptFailed("recombination incomplete")
     results.sort(key=lambda pm: factor_sort_key(pm[0]))
     return results
@@ -1186,15 +1176,6 @@ def _require_monic_in_x(f):
                 raise PolyError("polynomial is not monic in x")
 
 
-def _verified(f, pairs):
-    """The FactorList of f from its (factor, multiplicity) pairs, checked by
-    recomposition."""
-    result = FactorList.build(f.leading_coefficient(), pairs)
-    if result.recompose() != f:
-        raise VerificationError("recomposition failed")
-    return result
-
-
 def factor_monic(f, base=None, bounds=None):
     """FactorList of a SparsePoly (<=3 vars) monic in variable 1.  `base`,
     when given, is the complete factorization pairs of f(x, t1, 0), and f is
@@ -1206,10 +1187,15 @@ def factor_monic(f, base=None, bounds=None):
     only the factors whose x-degree is at most bounds[0] are asked for; the
     lift stops where factors within all the bounds end (Wang's EEZ lift cut
     at the wanted degrees).  The result then holds f's irreducible factors
-    within the bounds, each with its multiplicity in f, and scalar 1.  It
-    is not checked by recomposition, which would need the whole lift:
+    within the bounds, each with its multiplicity in f, and scalar 1:
     every pair (g, e) it holds passed exact division, g^e dividing f with
-    the factors before g divided out, and g^(e+1) not."""
+    the factors before g divided out, and g^(e+1) not.
+
+    Without bounds the result is complete and not multiplied back out:
+    Yun and Zassenhaus end on exact quotients in Z[x], the lift divides
+    each factor out as often as its multiplicity down to a constant, an
+    irreducibility certificate returns f itself, and re-embedding dropped
+    variables is a ring automorphism."""
     _require_monic_in_x(f)
     pairs = None
     if base is not None:
@@ -1222,7 +1208,7 @@ def factor_monic(f, base=None, bounds=None):
     if pairs is None:
         pairs = _factor_monic_sparse(f, bounds)
     if bounds is None:
-        return _verified(f, pairs)
+        return FactorList.build(f.leading_coefficient(), pairs)
     return FactorList.build(ONE, [(g, e) for g, e in pairs if g.degree_in(1) <= bounds[0]])
 
 
@@ -1231,7 +1217,8 @@ def factor_lowvar(f):
 
     Univariate input goes straight to Yun and Zassenhaus.  Non-monic inputs
     are sheared (z_j += c_j * z_1) until the z1-leading coefficient is
-    constant, factored, and sheared back.
+    constant, factored, and sheared back; the shear is a ring automorphism,
+    so the product proved as in `factor_monic` carries over.
     """
     if f.n > 3:
         raise PolyError("dense factorization supports at most 3 variables")
@@ -1240,20 +1227,17 @@ def factor_lowvar(f):
     if f.is_constant():
         return FactorList.build(f.constant_value(), [])
     if f.n == 1:
-        return _verified(f, _factor_univariate_pairs(f))
+        return FactorList.build(f.leading_coefficient(), _factor_univariate_pairs(f))
     d = f.degree()
     top = f.hom_component(d)
-    shear = None
-    for total in range(0, d * f.n + 2):
-        for combo in product(range(total + 1), repeat=f.n - 1):
-            if sum(combo) != total:
-                continue
-            point = (ONE,) + tuple(Q(c) for c in combo)
-            if top.eval_point(point):
-                shear = combo
-                break
-        if shear is not None:
-            break
+    # top is a nonzero form, so it is nonzero at some (1, c) with c in
+    # {0..d}^(n-1); the shear takes the first c by total, then lexicographically
+    shear = next(
+        combo
+        for total in range(d * f.n + 2)
+        for combo in product(range(total + 1), repeat=f.n - 1)
+        if sum(combo) == total and top.eval_point((ONE,) + tuple(Q(c) for c in combo))
+    )
 
     def shear_map(sign):
         """z_1 -> z_1 and z_j -> z_j + sign * c_j z_1."""
@@ -1267,8 +1251,9 @@ def factor_lowvar(f):
     lc = sheared.terms[(d,) + (0,) * (f.n - 1)]
     pairs = _factor_monic_sparse(sheared.scale(ONE / lc))
     back = shear_map(-1)
-    return _verified(
-        f, [(g.substitute(back, m=f.n).canonical(), mult) for g, mult in pairs]
+    return FactorList.build(
+        f.leading_coefficient(),
+        [(g.substitute(back, m=f.n).canonical(), mult) for g, mult in pairs],
     )
 
 

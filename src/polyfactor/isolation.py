@@ -127,13 +127,27 @@ def find_isolating_prime(n, delta, extra_capacity=1):
 def compact_scheme(n, delta):
     """Greedy minimal weight vector injective on M_delta, paired with its
     reversal; keeps dense-grid degrees as small as the separation floor
-    allows."""
+    allows.  Each weight c is the least above the last that keeps the map
+    injective: with the sums so far kept per total degree d, every s + k c
+    (1 <= k <= delta - d) must miss them, which also rules out a clash
+    between two new monomials (subtract their common power of c)."""
     w = []
+    sums = [{0}] + [set() for _ in range(delta)]  # total degree -> weight sums
     for _ in range(n):
+        taken = set().union(*sums)
         c = (w[-1] + 1) if w else 1
-        while not weights_injective(w + [c], delta):
+        while any(
+            s + k * c in taken
+            for d, level in enumerate(sums)
+            for s in level
+            for k in range(1, delta - d + 1)
+        ):
             c += 1
         w.append(c)
+        sums = [
+            {s + k * c for k in range(d + 1) for s in sums[d - k]}
+            for d in range(delta + 1)
+        ]
     w = tuple(w)
     wp = (w[0] + 1,) if n == 1 else tuple(reversed(w))
     p = next(primes(w[-1] * delta + 1))

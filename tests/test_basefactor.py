@@ -1,9 +1,6 @@
 """Base factorizer: univariate, bivariate, trivariate."""
 
 import math
-import os
-import subprocess
-import sys
 
 import pytest
 import sympy
@@ -235,7 +232,8 @@ def test_attempt_lift_recombines_the_pieces_of_a_split_factor():
     for v0 in (0, 1, -1, 2):
         base = _factor_monic_sparse(f3.eval_var(2, v0))
         assert _attempt_lift(f3, 2, 3, v0, base) == want, v0
-    # factor_monic checks recomposition, so the first factor fixes the second
+    # the lift divides f down to a constant remainder, so the first factor
+    # fixes the second
     assert [m for _, m in want] == [3, 1]
     assert want[0][0] == parse_poly("z2^12*z3 + z1 + z2", 3)
     assert want[1][0].degree_in(1) == 3
@@ -277,6 +275,97 @@ def test_attempt_lift_stops_recombining_at_half_the_groups(monkeypatch):
     monkeypatch.setattr(basefactor, "_series_to_qpoly", counted)
     assert _attempt_lift(f, 2, None, 0, base) == [(f, 1)]
     assert len(calls) == 10
+
+
+def recombination_log(monkeypatch):
+    """A list of (subset, taken) per subset the shared recombination loop
+    offers its caller, in order."""
+    import polyfactor.basefactor as basefactor
+
+    log = []
+    recombine = basefactor._recombine
+
+    def recorded(count, limit, accept):
+        def logged(S):
+            taken = accept(S)
+            log.append((S, taken))
+            return taken
+
+        return recombine(count, limit, logged)
+
+    monkeypatch.setattr(basefactor, "_recombine", recorded)
+    return log
+
+
+def test_zassenhaus_and_the_lift_share_one_subset_order(monkeypatch):
+    log = recombination_log(monkeypatch)
+    # x^4 - 10x^2 + 1 splits into two quadratics mod 5, and neither lifts
+    # to a factor over Z
+    F = [1, 0, -10, 0, 1]
+    assert _zassenhaus(F) == [F]
+    assert log == [((0,), False), ((1,), False)]
+    # times x^2 - 2 it is first squarefree mod 7, as two linears and two
+    # quadratics: no single group is a factor, the first pair is x^2 - 2,
+    # and the two groups left are not split again
+    log.clear()
+    assert _zassenhaus(up_mul(F, [-2, 0, 1])) == [[-2, 0, 1], F]
+    singles = [((i,), False) for i in range(4)]
+    assert log == singles + [((0, 1), True)]
+    # times x^3 - 3x + 1, mod 5: the cubic is taken alone, and the size-1
+    # sweep then starts again on the groups left
+    log.clear()
+    assert _zassenhaus(up_mul(F, [1, -3, 0, 1])) == [[1, -3, 0, 1], F]
+    assert log == [((0,), False), ((1,), False), ((2,), True), ((0,), False), ((1,), False)]
+    # the lift offers the same order: the irreducible quartic's four linear
+    # groups are tried alone and in pairs, ten subsets, and no triple
+    f = parse_product("(z1 - 1)*(z1 - 2)*(z1 - 3)*(z1 - 4) + z2", 2)
+    base = _factor_monic_sparse(f.eval_var(2, 0))
+    log.clear()
+    assert _attempt_lift(f, 2, None, 0, base) == [(f, 1)]
+    assert log == singles + [(S, False) for S in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]]
+
+
+def test_complete_factorizations_are_not_multiplied_back_out(monkeypatch):
+    # the exact divisions inside recombination prove the product, so
+    # neither the lift nor the shear recomposes its result
+    from polyfactor.factors import FactorList
+
+    calls = []
+    recompose = FactorList.recompose
+
+    def counted(self):
+        calls.append(self)
+        return recompose(self)
+
+    monkeypatch.setattr(FactorList, "recompose", counted)
+    f = parse_product("(z1 + z2*z3 + 1)*(z1^2 - z2 + z3)^2*(z1 - z3 + 2*z2)", 3)
+    g = parse_product("(z1*z2 + 1)*(z1^2*z3 - z2 + 2)*3", 3)
+    results = [factor_monic(f), factor_lowvar(g)]
+    assert calls == []
+    assert [fl.recompose() for fl in results] == [f, g]
+    assert [[m for _, m in fl.factors] for fl in results] == [[1, 1, 2], [1, 1]]
+
+
+def test_the_lift_takes_what_is_left_without_dividing_it(monkeypatch):
+    # three groups at z2 = 0: two factors are found by subsets and
+    # divided out once each, and the group left, of multiplicity 1, is
+    # what is left of f, recorded with no division by itself
+    import polyfactor.basefactor as basefactor
+
+    divisors = []
+    divide = basefactor.divide_out
+
+    def counted(f, g):
+        divisors.append(g)
+        return divide(f, g)
+
+    f = parse_product("(z1 + z2*z3 + 1)*(z1^2 - z2 + z3)*(z1 - z3 + 2*z2)", 3)
+    want = list(factor_monic(f).factors)
+    base = _factor_monic_sparse(f.eval_var(2, 0))
+    monkeypatch.setattr(basefactor, "divide_out", counted)
+    assert _attempt_lift(f, 2, 3, 0, base) == want
+    rest = parse_poly("z1^2 - z2 + z3", 3)
+    assert sorted(divisors, key=factor_sort_key) == [g for g, _ in want if g != rest]
 
 
 def test_attempt_lift_reconstructs_in_the_original_coordinates():
@@ -546,31 +635,6 @@ def test_bezout_step_keeps_the_identity():
             s, t = _bezout_step(M, a, b, s, t)
             assert up_mod(up_sub(up_add(up_mul(s, a), up_mul(t, b)), [1]), M) == []
         checked += 1
-
-
-def test_recomposition_gate_holds_under_optimize_flag():
-    """The gate is an explicit check, so python -O keeps it."""
-    import polyfactor
-
-    script = (
-        "import polyfactor.basefactor as bf\n"
-        "from polyfactor.parse import parse_poly\n"
-        "from polyfactor.errors import VerificationError\n"
-        "assert False, 'asserts are on'\n"
-        "bf._factor_monic_sparse = lambda f, bounds=None: [(parse_poly('z1 + z2'), 2)]\n"
-        "try:\n"
-        "    bf.factor_monic(parse_poly('z1^2 + z2'))\n"
-        "except VerificationError:\n"
-        "    print('verification error')\n"
-    )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(polyfactor.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "verification error"
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Factoring pipelines: monic transforms and the four algorithms."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -190,6 +193,34 @@ def test_promise_violation():
     f = parse_product("(z1^3 + z2 + 5)*(z1 + z2)")
     with pytest.raises(PromiseViolation):
         factor_constant_degree_promise(f, 2)
+
+
+def test_promise_recomposition_gate_holds_under_optimize_flag():
+    """The promise gate is an explicit check, so python -O keeps it: a
+    search whose factors do not multiply back to f raises."""
+    import polyfactor
+
+    script = (
+        "import polyfactor.engine as engine\n"
+        "from polyfactor.parse import parse_poly\n"
+        "from polyfactor.sparse import SparsePoly\n"
+        "from polyfactor.errors import VerificationError\n"
+        "assert False, 'asserts are on'\n"
+        "engine._constant_degree_search = lambda f, delta, config: (\n"
+        "    [(parse_poly('z1 + z2'), 2)], SparsePoly.const(2, 1))\n"
+        "try:\n"
+        "    engine.factor_constant_degree_promise(parse_poly('z1^2 + z2'), 2)\n"
+        "except VerificationError:\n"
+        "    print('verification error')\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(polyfactor.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "verification error"
 
 
 def count_projections(monkeypatch):

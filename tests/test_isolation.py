@@ -67,6 +67,28 @@ def test_scheme_injectivity_is_exhaustive():
                     seen.add(v)
 
 
+def greedy_weights_by_full_check(n, delta):
+    """The compact scheme's weights as first built: each candidate checked
+    by weights_injective over every monomial.  Its weights for n are a
+    prefix of those for n + 1."""
+    w = []
+    for _ in range(n):
+        c = (w[-1] + 1) if w else 1
+        while not weights_injective(w + [c], delta):
+            c += 1
+        w.append(c)
+    return tuple(w)
+
+
+@pytest.mark.parametrize("delta, n_max", [(1, 10), (2, 10), (3, 10), (4, 6)])
+def test_compact_scheme_keeps_the_greedy_weights(delta, n_max):
+    # the weights fix the projection, so the incremental build must choose
+    # exactly the weights of the full check
+    reference = greedy_weights_by_full_check(n_max, delta)
+    for n in range(1, n_max + 1):
+        assert compact_scheme(n, delta).w == reference[:n], n
+
+
 def test_apply_phi_paper_example():
     s = find_isolating_prime(2, 2)
     g = parse_poly("z1^2 - z2*z3")  # x^2 - z1 z2, x in the first slot
