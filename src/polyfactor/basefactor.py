@@ -39,14 +39,13 @@ whose t2 = 0 image was factored before), `factor_monic(f, base)` lifts from
 that point first.  `factor_monic(f, bounds=...)` asks only for the factors
 within a degree bound per variable: the lift stops at the v- and w-orders
 such a factor reaches, and only subsets within the x-bound recombine
-(Wang's EEZ lift, Math. Comp. 1978, cut at the wanted degrees).
-Every accepted factor is verified by exact division over Q, and those
-divisions are the whole proof of a complete factorization: Yun and
-Zassenhaus end on exact quotients in Z[x], and the lift divides each
-factor out of what is left of f as often as its multiplicity and requires
-a constant at the end.  A degenerate evaluation point fails the lift or a
-division and only costs another point, never correctness; a bounded
-factorization holds only pairs whose multiplicity exact division proves.
+(Wang's EEZ lift, Math. Comp. 1978, cut at the wanted degrees); it returns
+unproved candidates, and the caller's division of its own input decides.
+Exact divisions over Q are the whole proof of a complete factorization:
+Yun and Zassenhaus end on exact quotients in Z[x], and the lift divides
+each factor out of what is left of f as often as its multiplicity and
+requires a constant at the end, so a degenerate evaluation point fails
+the lift or a division and costs another point, never correctness.
 """
 
 import math
@@ -787,18 +786,18 @@ def _eval_points():
         k += 1
 
 
-def _reduce_mod(coeffs, m):
-    """Rationals mod m: denominators cleared once, one modular inverse."""
-    ints, den = clear_denominators(coeffs)
+def _reduce_mod(cleared, m):
+    """Rationals mod m from their clear_denominators form: one inverse."""
+    ints, den = cleared
     inv = pow(den, -1, m)
     return [c * inv % m for c in ints]
 
 
-def _poly_to_series(f, v, w, K, m):
-    """f (n vars, slots x=0, v, w opt) -> series in z_v of (x, w) dicts."""
+def _poly_to_series(f, v, w, K, coeffs):
+    """f (slots x=0, v, w opt) -> z_v-series, coeffs f's coefficients mod m."""
     iw = None if w is None else w - 1
     ser = [dict() for _ in range(K)]
-    for exps, cm in zip(f.terms, _reduce_mod(f.terms.values(), m)):
+    for exps, cm in zip(f.terms, coeffs):
         if cm:
             ew = exps[iw] if iw is not None else 0
             ser[exps[v - 1]][cd_pack(exps[0], ew)] = cm
@@ -869,7 +868,8 @@ def _series_to_qpoly(ser, v, w, n, m):
 def _cd_from_qpoly(f2, m):
     """(x, w) SparsePoly (2 or 1 vars) -> coefficient dict mod m."""
     out = {}
-    for exps, cm in zip(f2.terms, _reduce_mod(f2.terms.values(), m)):
+    cleared = clear_denominators(f2.terms.values())
+    for exps, cm in zip(f2.terms, _reduce_mod(cleared, m)):
         if cm:
             out[cd_pack(exps[0], exps[1] if len(exps) > 1 else 0)] = cm
     return out
@@ -899,8 +899,9 @@ def _attempt_lift(f, v, w, v0, base, bounds=None):
     them: K = min(dv, bv) + 1, wlen = min(dw, bw) + 1, and only subsets of
     x-degree <= bx are tried, up to the most groups that fit bx.  A factor
     within the bounds is whole in the cut, and so is its root, though U^e
-    runs past it.  The result is then the [(factor, mult)] of those found,
-    mult the count that exact division proves; no product is claimed."""
+    runs past it.  The result is then every candidate (P, e) that
+    reconstructs, e its groups' multiplicity, unproved: junk reconstructs
+    too, so no candidate takes groups or divides f."""
     n = f.n
     dx = f.degree_in(1)
     dv = f.degree_in(v) or 0
@@ -924,25 +925,24 @@ def _attempt_lift(f, v, w, v0, base, bounds=None):
                     raise _AttemptFailed("non-constant x-leading coefficient")
                 lc = c
         groups.append((u.scale(ONE / lc), mult))
-    _, denom = clear_denominators(
-        c for poly in [f] + [u for u, _ in groups] for c in poly.terms.values()
-    )
-    # prime: must avoid denominators and give pairwise-coprime base images;
-    # the images over Q at each w0 do not depend on p, so they are made once
+    f_ints, f_den = clear_denominators(f.terms.values())  # f's integer form
+    # prime: must avoid f's denominators, which the base factors' divide
+    # (Gauss's lemma), and give pairwise-coprime base images; the images
+    # over Q at each w0 do not depend on p, so they are made once
     w0_range = range(2 * dw * len(groups) ** 2 + 3) if w is not None else (0,)
     images = {}
     chosen = None
     degrees = [u.degree_in(1) for u, _ in groups]
     for p in primes(dx + 1):
-        if denom % p == 0:
+        if f_den % p == 0:
             continue
         for w0 in w0_range:
             if w0 not in images:
                 images[w0] = [  # w is variable 2
-                    _coeff_list(u.eval_var(2, w0) if w is not None else u)
+                    clear_denominators(_coeff_list(u.eval_var(2, w0) if w else u))
                     for u, _ in groups
                 ]
-            imgs = [up_trim(_reduce_mod(coeffs, p)) for coeffs in images[w0]]
+            imgs = [up_trim(_reduce_mod(img, p)) for img in images[w0]]
             if list(map(up_deg, imgs)) == degrees and all(
                 up_deg(up_gcd_p(a, b, p)) == 0 for a, b in combinations(imgs, 2)
             ):
@@ -958,14 +958,13 @@ def _attempt_lift(f, v, w, v0, base, bounds=None):
     # that does not reconstruct is no factor; candidates are reconstructed
     # in the original coordinates, so B needs no term for the translation,
     # and they have degrees within the cut, which B's degree sum is
-    B = _factor_bound(
-        clear_denominators(f.terms.values())[0], min(dx, bx) + (K - 1) + (wlen - 1)
-    )
+    B = _factor_bound(f_ints, min(dx, bx) + (K - 1) + (wlen - 1))
     m = p ** _precision(p, 2 * B * B + 1)
 
     # lift at the origin: translate the evaluation point there mod m, keeping
     # only the orders the lift carries
-    Fser = _shift_series(_poly_to_series(f, v, w, dv + 1, m), v0, w0, m, K, wlen)
+    Fser = _poly_to_series(f, v, w, dv + 1, _reduce_mod((f_ints, f_den), m))
+    Fser = _shift_series(Fser, v0, w0, m, K, wlen)
     group_cds = [
         _shift_series([_cd_from_qpoly(u**mult, m)], 0, w0, m, 1, wlen)[0]
         for u, mult in groups
@@ -998,12 +997,15 @@ def _attempt_lift(f, v, w, v0, base, bounds=None):
         found = candidate(S) if sum(degrees[i] for i in S) <= bx else None
         if found is None:
             return False
+        if bounds is not None:
+            results.append(found)
+            return False
         P, mult = found
         quotient, count = divide_out(remaining, P)
         if count == 0:
             return False
         # a complete lift divides out exactly the groups it used
-        if bounds is None and count != mult:
+        if count != mult:
             raise _AttemptFailed("multiplicity mismatch")
         results.append((P, count))
         remaining = quotient
@@ -1077,8 +1079,7 @@ def _probe_images(f, dx, v, w):
 
 def _factor_monic_sparse(f, bounds=None):
     """[(canonical irreducible, mult)] for f monic in variable 1, <=3 vars;
-    with per-variable degree `bounds`, the lift may stop short of the
-    factors that do not fit them (see _attempt_lift)."""
+    with per-variable degree `bounds`, unproved candidates (_attempt_lift)."""
     n = f.n
     if n == 1:
         return _factor_univariate_pairs(f)
@@ -1186,10 +1187,10 @@ def factor_monic(f, base=None, bounds=None):
     `bounds`, when given, holds a degree bound per variable, x first, and
     only the factors whose x-degree is at most bounds[0] are asked for; the
     lift stops where factors within all the bounds end (Wang's EEZ lift cut
-    at the wanted degrees).  The result then holds f's irreducible factors
-    within the bounds, each with its multiplicity in f, and scalar 1:
-    every pair (g, e) it holds passed exact division, g^e dividing f with
-    the factors before g divided out, and g^(e+1) not.
+    at the wanted degrees).  The result then holds unproved candidates in
+    FactorList order (total degree first), scalar 1: each of f's
+    irreducible factors within the bounds with its multiplicity in f, and
+    possibly products of them or junk; the caller's division of f decides.
 
     Without bounds the result is complete and not multiplied back out:
     Yun and Zassenhaus end on exact quotients in Z[x], the lift divides

@@ -9,9 +9,8 @@ isolation scheme, factor the trivariate image only as far as a factor of
 degree <= delta reaches (the scheme's image degree bounds), and divide out
 every inverted candidate; under the promise a residual still nonconstant
 after that pass is a violation.
-Soundness never depends on the scheme: every emitted factor passed an
-exact divisibility gate, and inverted candidates whose inverse shift still
-involves x are discarded, which makes every survivor provably irreducible.
+Soundness never depends on the scheme: the exact division of the residual,
+smallest candidate first, proves each emitted factor and its irreducibility.
 """
 
 from dataclasses import dataclass
@@ -98,10 +97,11 @@ def unmonicize(g_hat, shift):
 
 
 def projected_factoring(f, delta, config=None):
-    """The projected factors of f within the scheme's image degree bounds
-    (x-degree <= delta), with multiplicities: monicize, project to three
-    variables on the compact scheme, and factor the image only as far as
-    those bounds reach."""
+    """The unproved candidate factors of f's projection, with their groups'
+    multiplicities: monicize, project to three variables on the compact
+    scheme, and factor the image only as far as its image degree bounds
+    reach (x-degree <= delta), since a factor of f of degree <= delta maps
+    within them and psi_invert rejects any factor outside them."""
     config = config or DEFAULT_CONFIG
     if delta < 1:
         raise ValueError("delta must be >= 1")
@@ -114,9 +114,6 @@ def projected_factoring(f, delta, config=None):
     grid = psi_map(f_alpha, scheme, max_cells=config.max_dense_cells)
     if grid.true_degrees()[0] != shift.degree:
         raise VerificationError("psi must preserve the x-degree")
-    # a factor of f of degree <= delta maps to a factor of the image within
-    # the scheme's degree bounds, and psi_invert rejects any factor outside
-    # them, so the image is factored only as far as those bounds reach
     proj_mult = factor_monic(
         grid.to_sparse(), bounds=scheme.image_degree_bounds()
     ).factors
@@ -139,9 +136,11 @@ def _invert_candidate(h, proj, delta):
 
 def _constant_degree_search(f, delta, config):
     """(found, residual): project f once and divide out of the residual every
-    inverted candidate that divides it.  The residual only ever changes by
-    an exact quotient, and the found factors are distinct irreducibles, so
-    a candidate's count in the residual is its multiplicity in f."""
+    inverted candidate that divides it, in order, the only proof.  A proper
+    factor of a candidate g is a factor of f of degree <= delta, whose image
+    is a candidate of smaller total degree that leaves the residual first,
+    so a g that divides is irreducible; the residual changes only by exact
+    quotients, so its count is its multiplicity in f."""
     if f.is_constant():
         raise PolyError("cannot factor a constant")
     proj = projected_factoring(f, delta, config)

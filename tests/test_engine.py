@@ -1,9 +1,11 @@
 """Factoring pipelines: monic transforms and the four algorithms."""
 
 import dataclasses
+import json
 import os
 import subprocess
 import sys
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -22,10 +24,16 @@ from polyfactor.engine import (
     sparse_irreducible_test,
     unmonicize,
 )
+from polyfactor.isolation import psi_invert
 from polyfactor.oracles import constant_degree_oracle, su_oracle
 from polyfactor.config import DEFAULT as DEFAULT_CONFIG, Config
 from polyfactor.factors import divide_out
-from polyfactor.errors import InterpolationFailure, PolyError, PromiseViolation
+from polyfactor.errors import (
+    InterpolationFailure,
+    NotInCodomain,
+    PolyError,
+    PromiseViolation,
+)
 
 from conftest import (
     lowvar_products,
@@ -42,6 +50,14 @@ from conftest import (
 
 def canonical_pairs(fl):
     return {(p, m) for p, m in fl.factors}
+
+
+def cd_pool_entry(i):
+    """(f, expected output) of entry i of the frozen cd benchmark pool."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "corpus", "cd.jsonl")) as fh:
+        item = json.loads(next(islice(fh, i, None)))
+    return parse_poly(item["poly"], item["n"]), item["expected"]
 
 
 def test_monicize_z1z2():
@@ -273,6 +289,47 @@ def test_constant_degree_factors_irreducible_input():
     f = parse_poly("z1^3 + z2^3 + 1")
     fl = constant_degree_factors(f, 2)
     assert fl.factors == ()
+
+
+def test_a_candidate_product_of_two_factors_fails_the_division(monkeypatch):
+    # entry 146 of the cd pool: the bounded lift returns the images of both
+    # linear factors and of their product, all unproved; the product sorts
+    # after both, which leave the residual first, so its division fails
+    import polyfactor.engine as engine
+
+    f, expected = cd_pool_entry(146)
+    divisions = []
+
+    def recorded(residual, g):
+        quotient, e = divide_out(residual, g)
+        divisions.append((g, e))
+        return quotient, e
+
+    monkeypatch.setattr(engine, "divide_out", recorded)
+    assert constant_degree_factors(f, 2).to_json_dict() == expected
+    product = parse_poly("z2 + 1/3", 2) * parse_poly("z1 - 2/3*z2", 2)
+    assert divisions[-1] == (product.canonical(), 0)
+
+
+def test_psi_invert_rejects_a_candidate_that_is_no_image(monkeypatch):
+    # entry 96 of the cd pool: subsets of lifted groups that reconstruct
+    # over Q without being the image of a factor of f are candidates too;
+    # psi_invert rejects them before any division
+    import polyfactor.engine as engine
+
+    f, expected = cd_pool_entry(96)
+    rejected = []
+
+    def recorded(*args):
+        try:
+            return psi_invert(*args)
+        except NotInCodomain:
+            rejected.append(args[0])
+            raise
+
+    monkeypatch.setattr(engine, "psi_invert", recorded)
+    assert constant_degree_factors(f, 2).to_json_dict() == expected
+    assert rejected
 
 
 def test_multiplicity_worked_example():
