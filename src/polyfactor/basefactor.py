@@ -35,8 +35,9 @@ are packed (x, w) dicts mod p^k, w the remaining side variable; each lift
 step solves one Diophantine equation, w-adically from a Bezout pair at
 w = 0.
 When the factorization at one point is already known (a trivariate slice
-whose t2 = 0 image was factored before), `factor_monic(f, base)` lifts from
-that point first.  `factor_monic(f, bounds=...)` asks only for the factors
+whose t2 = 0 image was factored before), `lift_slice(f, base)` returns the
+factor lifted from each group, unproved, in the groups' order.
+`factor_monic(f, bounds=...)` asks only for the factors
 within a degree bound per variable: the lift stops at the v- and w-orders
 such a factor reaches, and only subsets within the x-bound recombine
 (Wang's EEZ lift, Math. Comp. 1978, cut at the wanted degrees); it returns
@@ -875,34 +876,24 @@ def _cd_from_qpoly(f2, m):
     return out
 
 
-def _attempt_lift(f, v, w, v0, base, bounds=None):
-    """The complete [(factor, mult)] of f lifted from `base`, its factorization
-    at z_v = v0, mod p^k > 2B^2 (B = _factor_bound).  Raises _AttemptFailed
-    when the point cannot support the lift: a factor's image is not
-    squarefree, or the images of distinct factors share a factor.
+def _lift(f, v, w, v0, base, bounds=None):
+    """(groups, candidate): `base`, f's factorization at z_v = v0, as groups
+    (u, mult) monic in x, lifted mod p^k > 2B^2 (B = _factor_bound).
+    candidate(S) is (P, e), P monic in x and P^e the factor the groups S
+    lift, reconstructed over Q and unproved (junk reconstructs too); None
+    when their multiplicities differ or nothing reconstructs.  Raises
+    _AttemptFailed when the base images are not squarefree and coprime.
 
     The lift runs mod (v^K, w^wlen), K = dv + 1 and wlen = dw + 1 (1 for a
     bivariate lift).  Base images coprime mod (p, w - w0) make the lifted
     factors unique mod (v^K, w^wlen, p^k), so a product of lifted factors
-    is the truncation of the factor of f it lifts.  A factor of f, like any
-    product of f's irreducible factors, has degrees <= (dv, dw), so that
-    truncation is the whole factor.  A group u^e lifts to U^e, so a subset
-    of groups of one multiplicity e is rooted in the truncated ring
-    (`_series_root`; the prime exceeds deg_x f, so its divisions are
-    invertible) and then reconstructed.  Subsets are tried smallest first,
-    up to half the groups left, as in Zassenhaus (`_recombine`).  Each
-    factor found is divided out as often as its groups' multiplicity, so
-    it took exactly its groups, and the groups left lift the rest of f, one
-    irreducible factor, divided out only when its multiplicity exceeds 1.
-
-    `bounds`, per variable (x first), asks only for the factors within
-    them: K = min(dv, bv) + 1, wlen = min(dw, bw) + 1, and only subsets of
-    x-degree <= bx are tried, up to the most groups that fit bx.  A factor
-    within the bounds is whole in the cut, and so is its root, though U^e
-    runs past it.  The result is then every candidate (P, e) that
-    reconstructs, e its groups' multiplicity, unproved: junk reconstructs
-    too, so no candidate takes groups or divides f."""
-    n = f.n
+    truncates the factor of f it lifts, whose degrees <= (dv, dw) keep it
+    whole.  A group u^e lifts to U^e, so a subset of groups of one
+    multiplicity e is rooted (`_series_root`; the prime exceeds deg_x f)
+    before it is reconstructed.  `bounds`, per variable (x first), cut the
+    lift at K = min(dv, bv) + 1 and wlen = min(dw, bw) + 1, and B at
+    x-degree bx: a factor within them is whole in the cut, and so is its
+    root, though U^e runs past it."""
     dx = f.degree_in(1)
     dv = f.degree_in(v) or 0
     dw = (f.degree_in(w) or 0) if w is not None else 0
@@ -912,47 +903,44 @@ def _attempt_lift(f, v, w, v0, base, bounds=None):
     K = min(dv, bv) + 1
     # w-orders the lift carries; a bivariate lift has only w^0
     wlen = min(dw, bw) + 1
-    # Renormalize the base factors monic in x so their product is exactly the
-    # image of f.  Factors of a monic-in-x polynomial always have a constant
-    # x-leading coefficient.
+    # Renormalize the base factors monic in x (a factor of a monic-in-x
+    # polynomial has a constant x-leading coefficient), so their product is
+    # exactly the image of f.  Their images mod p are read off their integer
+    # terms, rows[ex] holding the (w-exponent, integer) pairs.
     groups = []
+    tables = []
     for u, mult in base:
         dxu = u.degree_in(1)
-        lc = None
-        for exps, c in u.terms.items():
-            if exps[0] == dxu:
-                if any(exps[1:]) or lc is not None:
-                    raise _AttemptFailed("non-constant x-leading coefficient")
-                lc = c
-        groups.append((u.scale(ONE / lc), mult))
+        top = [(exps, c) for exps, c in u.terms.items() if exps[0] == dxu]
+        if len(top) != 1 or any(top[0][0][1:]):
+            raise _AttemptFailed("non-constant x-leading coefficient")
+        u = u.scale(ONE / top[0][1])
+        groups.append((u, mult))
+        ints, den = clear_denominators(u.terms.values())
+        rows = [[] for _ in range(dxu + 1)]
+        for exps, c in zip(u.terms, ints):
+            rows[exps[0]].append((exps[1] if w else 0, c))  # w is variable 2
+        tables.append((rows, den))
+
+    def coprime(p, w0):
+        """True when the groups' images at w = w0 are pairwise coprime mod p."""
+        images = [
+            [sum(c * pow(w0, ew, p) for ew, c in row) * pow(den, -1, p) % p
+             for row in rows]
+            for rows, den in tables
+        ]
+        return all(up_deg(up_gcd_p(a, b, p)) == 0 for a, b in combinations(images, 2))
+
     f_ints, f_den = clear_denominators(f.terms.values())  # f's integer form
     # prime: must avoid f's denominators, which the base factors' divide
-    # (Gauss's lemma), and give pairwise-coprime base images; the images
-    # over Q at each w0 do not depend on p, so they are made once
+    # (Gauss's lemma), and give pairwise-coprime base images
     w0_range = range(2 * dw * len(groups) ** 2 + 3) if w is not None else (0,)
-    images = {}
-    chosen = None
-    degrees = [u.degree_in(1) for u, _ in groups]
     for p in primes(dx + 1):
-        if f_den % p == 0:
-            continue
-        for w0 in w0_range:
-            if w0 not in images:
-                images[w0] = [  # w is variable 2
-                    clear_denominators(_coeff_list(u.eval_var(2, w0) if w else u))
-                    for u, _ in groups
-                ]
-            imgs = [up_trim(_reduce_mod(img, p)) for img in images[w0]]
-            if list(map(up_deg, imgs)) == degrees and all(
-                up_deg(up_gcd_p(a, b, p)) == 0 for a, b in combinations(imgs, 2)
-            ):
-                chosen = (p, w0)
-                break
-        if chosen:
+        w0 = next((w0 for w0 in w0_range if f_den % p and coprime(p, w0)), None)
+        if w0 is not None:
             break
         if p > 10000 + dx:  # pragma: no cover
             raise LiftFailure("no usable prime for multivariate lift")
-    p, w0 = chosen
     # a monic factor of f is G / lc(G), G an integer factor of f's integer
     # form, and lc(G) divides f's denominator, which p avoids, so a subset
     # that does not reconstruct is no factor; candidates are reconstructed
@@ -972,9 +960,6 @@ def _attempt_lift(f, v, w, v0, base, bounds=None):
     leaves = _lift_tree(Fser, group_cds, K, wlen, p, m)
 
     def candidate(S):
-        """(P, e): e the common multiplicity of the groups S and P the monic
-        factor whose e-th power they lift, reconstructed over Q; None when
-        the groups' multiplicities differ or nothing reconstructs."""
         mults = {groups[i][1] for i in S}
         if len(mults) != 1:
             return None
@@ -986,50 +971,88 @@ def _attempt_lift(f, v, w, v0, base, bounds=None):
             Wser = _series_root(Wser, mult, wlen, m)
         # back to the original coordinates, where the coefficients to
         # reconstruct are small
-        Wq = _series_to_qpoly(_shift_series(Wser, -v0, -w0, m), v, w, n, m)
-        return None if Wq is None else (Wq.canonical(), mult)
+        Wq = _series_to_qpoly(_shift_series(Wser, -v0, -w0, m), v, w, f.n, m)
+        return None if Wq is None else (Wq, mult)
 
+    return groups, candidate
+
+
+def _attempt_lift(f, v, w, v0, base, bounds=None):
+    """The complete [(factor, mult)] of f lifted from `base`, its
+    factorization at z_v = v0, or with `bounds` the unproved candidates
+    within them (`_lift`), sorted as FactorList sorts."""
+    groups, candidate = _lift(f, v, w, v0, base, bounds)
+    if bounds is None:
+        found = _complete_recombination(f, groups, candidate)
+    else:
+        found = _bounded_recombination(groups, candidate, bounds[0])
+    return sorted(found, key=lambda pm: factor_sort_key(pm[0]))
+
+
+def _complete_recombination(f, groups, candidate):
+    """Every irreducible factor of f with its multiplicity.  Subsets are
+    tried smallest first, up to half the groups left, as in Zassenhaus
+    (`_recombine`).  Each factor found is divided out as often as its
+    groups' multiplicity, so it took exactly its groups."""
     remaining = f
     results = []
 
     def accept(S):
         nonlocal remaining
-        found = candidate(S) if sum(degrees[i] for i in S) <= bx else None
+        found = candidate(S)
         if found is None:
             return False
-        if bounds is not None:
-            results.append(found)
-            return False
-        P, mult = found
+        P = found[0].canonical()
         quotient, count = divide_out(remaining, P)
         if count == 0:
             return False
         # a complete lift divides out exactly the groups it used
-        if count != mult:
+        if count != found[1]:
             raise _AttemptFailed("multiplicity mismatch")
         results.append((P, count))
         remaining = quotient
         return True
 
-    def limit(left):
-        """Half the groups left, or the most whose x-degrees fit bx."""
-        if bounds is None:
-            return len(left) // 2
-        return sum(t <= bx for t in accumulate(sorted(degrees[i] for i in left)))
-
-    left = _recombine(len(groups), limit, accept)
-    if bounds is None:
-        # Each factor divided out so far took exactly its groups, so by the
-        # lift's uniqueness the groups left lift what is left of f: one
-        # irreducible factor, as no subset of at most half of them is one,
-        # to their common multiplicity.  It is `remaining` itself for
-        # multiplicity 1; otherwise accept() must divide it to a constant.
-        if left and {groups[i][1] for i in left} == {1}:
-            results.append((remaining.canonical(), 1))
-        elif (left and not accept(left)) or not remaining.is_constant():
-            raise _AttemptFailed("recombination incomplete")
-    results.sort(key=lambda pm: factor_sort_key(pm[0]))
+    left = _recombine(len(groups), lambda left: len(left) // 2, accept)
+    # By the lift's uniqueness the groups left lift one irreducible factor
+    # of what is left of f, to their common multiplicity: `remaining` itself
+    # for multiplicity 1, otherwise accept() must divide it to a constant.
+    if left and {groups[i][1] for i in left} == {1}:
+        results.append((remaining.canonical(), 1))
+    elif (left and not accept(left)) or not remaining.is_constant():
+        raise _AttemptFailed("recombination incomplete")
     return results
+
+
+def _bounded_recombination(groups, candidate, bx):
+    """Every candidate (P, e) of x-degree <= bx that reconstructs, up to the
+    most groups that fit bx: unproved, so none takes groups or divides f."""
+    degrees = [u.degree_in(1) for u, _ in groups]
+    most = sum(t <= bx for t in accumulate(sorted(degrees)))
+    results = []
+
+    def offer(S):
+        found = candidate(S) if sum(degrees[i] for i in S) <= bx else None
+        if found is not None:
+            results.append((found[0].canonical(), found[1]))
+        return False
+
+    _recombine(len(groups), lambda left: most, offer)
+    return results
+
+
+def lift_slice(f, base):
+    """The factor of the trivariate f, monic in x, lifted from each group of
+    `base`, the complete factorization of f(x, t1, 0), in base's order
+    (Wang's lift from a known point, Math. Comp. 1978); None where a group
+    does not reconstruct, and everywhere when the lift fails.  Unproved:
+    the caller decides."""
+    try:
+        _, candidate = _lift(f, 3, 2, 0, base)
+    except _AttemptFailed:
+        return [None] * len(base)
+    found = [candidate((i,)) for i in range(len(base))]
+    return [None if pair is None else pair[0] for pair in found]
 
 
 _MAX_EVAL_ATTEMPTS = 400
@@ -1177,12 +1200,8 @@ def _require_monic_in_x(f):
                 raise PolyError("polynomial is not monic in x")
 
 
-def factor_monic(f, base=None, bounds=None):
-    """FactorList of a SparsePoly (<=3 vars) monic in variable 1.  `base`,
-    when given, is the complete factorization pairs of f(x, t1, 0), and f is
-    first lifted from it: Wang's lift from a known evaluation point (Math.
-    Comp. 1978).  When t2 = 0 drops f's t1-degree or the lift raises
-    _AttemptFailed, f is factored from scratch.
+def factor_monic(f, bounds=None):
+    """FactorList of a SparsePoly (<=3 vars) monic in variable 1.
 
     `bounds`, when given, holds a degree bound per variable, x first, and
     only the factors whose x-degree is at most bounds[0] are asked for; the
@@ -1198,16 +1217,7 @@ def factor_monic(f, base=None, bounds=None):
     irreducibility certificate returns f itself, and re-embedding dropped
     variables is a ring automorphism."""
     _require_monic_in_x(f)
-    pairs = None
-    if base is not None:
-        base_t1 = sum((u.degree_in(2) or 0) * mult for u, mult in base)
-        if base_t1 == (f.degree_in(2) or 0):
-            try:
-                pairs = _attempt_lift(f, 3, 2, 0, base, bounds)
-            except _AttemptFailed:
-                pass
-    if pairs is None:
-        pairs = _factor_monic_sparse(f, bounds)
+    pairs = _factor_monic_sparse(f, bounds)
     if bounds is None:
         return FactorList.build(f.leading_coefficient(), pairs)
     return FactorList.build(ONE, [(g, e) for g, e in pairs if g.degree_in(1) <= bounds[0]])

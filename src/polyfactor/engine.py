@@ -31,7 +31,7 @@ from .errors import (
 )
 from .pit import find_nonzero_point, interpolation_plan, sparse_interpolate
 from .isolation import compact_scheme, psi_map, psi_invert
-from .basefactor import factor_monic
+from .basefactor import factor_monic, lift_slice
 from .divisibility import constant_degree_divides
 from .config import DEFAULT as DEFAULT_CONFIG
 
@@ -234,18 +234,18 @@ def _pair_candidates(residual, alpha, pair, s, oracle):
     The bivariate projection r_hat of the residual, normalized by
     Hom[residual](alpha) != 0, keeps the residual's degree, so a
     factorization of the residual would factor r_hat: an irreducible r_hat
-    gives None.  Otherwise each factor h2 of r_hat whose degree the class
-    allows is matched at the t2 = 0 slice of the trivariate projections
-    r_omega through the interpolation points, and the hidden factor's
-    values there are collected and interpolated.  When the class's support
-    at h2's degree has T <= s monomials, T values fix the factor on it;
-    otherwise Ben-Or-Tiwari takes 2s values.  Each
-    r_omega is r_hat at t2 = 0, so `factor_monic(r_omega, base)` lifts its
-    factorization from r_hat's and factors it from scratch only when the
-    lift fails.  An interpolated g is kept only when it has the
-    degree of h2 and its own projection, normalized by Hom[g](alpha), is
-    h2: a factorization of g would then factor h2, so g is irreducible.
-    Canonical candidates, or [] at the first slice mismatch."""
+    gives None.  Otherwise, for each factor h2 of r_hat whose degree the
+    class allows, the hidden factor's values are collected and
+    interpolated: T values on the class's support at h2's degree when it
+    has T <= s monomials, else 2s values for Ben-Or-Tiwari.  Each
+    trivariate projection r_omega through a point is r_hat at t2 = 0, so
+    `lift_slice(r_omega, base)` lifts a factor, monic in x, from each group
+    of r_hat's factorization, and the value is read off h2's at
+    (0, 0, 1).  An interpolated g is kept only when it has the degree of h2
+    and its own projection, normalized by Hom[g](alpha), is h2: a
+    factorization of g would then factor h2, so g is irreducible.
+    Canonical candidates, or [] when a lift fails or a group does not
+    reconstruct."""
     n = residual.n
     normalizer = residual.hom_component(residual.degree()).eval_point(alpha)
     r_hat = _project(residual, alpha, [pair.beta], pair.gamma, normalizer)
@@ -253,7 +253,7 @@ def _pair_candidates(residual, alpha, pair, s, oracle):
     if len(base) == 1 and base[0][1] == 1:
         return None
     refs = []
-    for h, e in base:
+    for i, (h, _) in enumerate(base):
         deg = h.degree_in(1)
         if oracle.class_degree_bound is not None and deg > oracle.class_degree_bound:
             continue  # no class member has this degree
@@ -263,7 +263,7 @@ def _pair_candidates(residual, alpha, pair, s, oracle):
             if len(support) > s:
                 support = None  # wider than the bound: Ben-Or-Tiwari on 2s
         need = 2 * s if support is None else len(support)
-        refs.append((h, e, deg, support, need, []))
+        refs.append((i, h, deg, support, need, []))
     if not refs:
         return []
     # one shared point sequence, cut to the most points any ref needs (a
@@ -275,26 +275,15 @@ def _pair_candidates(residual, alpha, pair, s, oracle):
         r_omega = _project(
             residual, alpha, [pair.beta, secondary], pair.gamma, normalizer
         )
-        fl = factor_monic(r_omega, base)
-        slices = []
-        for h3, e3 in fl.factors:
-            raw = h3.eval_var(3, 0)
-            if raw.is_zero():
-                continue
-            unit = raw.leading_coefficient()
-            slices.append((raw.scale(ONE / unit), unit, h3, e3))
-        for h2, e2, _, _, need, values in refs:
+        lifted = lift_slice(r_omega, base)
+        for i, _, _, _, need, values in refs:
             if w_idx >= need:
                 continue
-            matches = [entry for entry in slices if entry[0] == h2]
-            if len(matches) > 1:
-                matches = [entry for entry in matches if entry[3] == e2]
-            if len(matches) != 1:
+            if lifted[i] is None:
                 return []
-            _, unit, h3, _ = matches[0]
-            values.append(h3.eval_point((0, 0, 1)) / unit)
+            values.append(lifted[i].eval_point((0, 0, 1)))
     candidates = []
-    for h2, _, deg, support, _, values in refs:
+    for _, h2, deg, support, _, values in refs:
         try:
             g = sparse_interpolate(values, s, n, deg, support)
         except InterpolationFailure:
@@ -319,7 +308,7 @@ def sparse_factors(f, s, oracle, config=None):
     one of two ways: by the oracle's decision procedure on an in-class
     residual, or by a degree-keeping projection that is an irreducible
     factor of the pair's projection r_hat (all of r_hat for the residual
-    itself, the factor its slices were matched to for an interpolated
+    itself, the factor h2 its values were lifted from for an interpolated
     candidate).  A certified factor passes the sparsity and membership
     gates and is divided out of the residual; its count there is its
     multiplicity in f, since the accepted factors are distinct

@@ -8,12 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from polyfactor.rational import Q, ONE, ZERO, clear_denominators
 from polyfactor.sparse import SparsePoly, _mul_into
-from polyfactor.factors import factor_sort_key
+from polyfactor.factors import divide_out, factor_sort_key
 from polyfactor.parse import parse_poly, parse_product, render_poly
 from polyfactor.basefactor import (
     factor_monic,
     factor_lowvar,
     is_irreducible_lowvar,
+    lift_slice,
     _AttemptFailed,
     _Dioph,
     _attempt_lift,
@@ -524,43 +525,69 @@ def trivariate_monic_products(draw):
     return f
 
 
-@settings(derandomize=True, deadline=None, max_examples=80)
-@given(trivariate_monic_products())
-def test_factor_monic_from_a_base_matches_factor_monic(f):
-    # lifted from the base, or factored from scratch where t2 = 0 drops the
-    # t1-degree or merges factors: the same factorization either way
-    base = factor_monic(f.eval_var(3, 0)).factors
-    assert factor_monic(f, base) == factor_monic(f)
-
-
-def test_factor_monic_lifts_from_the_base(monkeypatch):
+def _lift_slice_from_scratch_free(f, base):
+    """lift_slice(f, base) with every factorization from scratch failing."""
     import polyfactor.basefactor as basefactor
 
     def no_scratch(*args):
         raise AssertionError("the slice should be lifted from its base")
 
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(basefactor, "_factor_monic_sparse", no_scratch)
+        return lift_slice(f, base)
+
+
+def _factors_by_image(f, base):
+    """The factor of f over each group of base, in base's order, when f's
+    factors keep base's pattern (their t2 = 0 images are base's groups,
+    one each, with the same multiplicities); None otherwise."""
+    by_image = {(g.eval_var(3, 0).canonical(), e): g for g, e in factor_monic(f).factors}
+    if len(by_image) != len(base) or set(by_image) != set(base):
+        return None
+    return [by_image[pair] for pair in base]
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(trivariate_monic_products())
+def test_lift_slice_matches_factor_monic(f):
+    # where f's factors keep the pattern of its t2 = 0 image, each group
+    # lifts to the factor of f over it, even where t2 = 0 drops the
+    # t1-degree; no draw is factored from scratch
+    base = factor_monic(f.eval_var(3, 0)).factors
+    want = _factors_by_image(f, base)
+    lifted = _lift_slice_from_scratch_free(f, base)
+    assert len(lifted) == len(base)
+    if want is not None:
+        assert [P.canonical() for P in lifted] == want
+        assert all(P.terms[(P.degree_in(1), 0, 0)] == ONE for P in lifted)
+
+
+def test_lift_slice_lifts_each_group_from_the_base():
     f = parse_product("(z1 - z2 - z3)*(z1 + z2 + z3^2)*(z1 + z3)^2", 3)
     base = factor_monic(f.eval_var(3, 0)).factors
-    want = factor_monic(f)
-    monkeypatch.setattr(basefactor, "_factor_monic_sparse", no_scratch)
-    assert factor_monic(f, base) == want
+    want = _factors_by_image(f, base)
+    assert want is not None and len(want) == 3
+    assert [P.canonical() for P in _lift_slice_from_scratch_free(f, base)] == want
 
 
 @pytest.mark.parametrize(
     "text, base_text",
     [
-        # base x - t1, x + t1: the lift proves f irreducible, as only the
-        # product of both lifted groups reconstructs
+        # base x - t1, x + t1 and f irreducible: each group alone lifts to
+        # no factor of f
         ("z1^2 - z2^2 + z3", "z1^2 - z2^2"),
-        # base x with multiplicity 2 and f no square: the lift raises, and
-        # f is factored from scratch
+        # base x with multiplicity 2 and f no square: the root of f's lift
+        # is x, which does not divide f
         ("z1^2 + z3", "z1^2"),
     ],
 )
-def test_factor_monic_from_a_base_proves_irreducible(text, base_text):
+def test_lift_slice_of_an_irreducible_slice_divides_nothing(text, base_text):
     f = parse_poly(text, 3)
     base = factor_monic(parse_poly(base_text, 2)).factors
-    assert factor_monic(f, base).factors == ((f, 1),)
+    lifted = _lift_slice_from_scratch_free(f, base)
+    assert len(lifted) == len(base)
+    for P in lifted:
+        assert P is None or divide_out(f, P)[1] == 0
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)

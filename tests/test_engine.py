@@ -576,6 +576,30 @@ def test_sparse_factors_draws_only_the_pairs_it_projects(monkeypatch, text, make
     assert drawn[0] == projected >= 1
 
 
+def test_slices_are_lifted_not_factored_from_scratch(monkeypatch):
+    # su pool entry 3: a pair's projection r_hat is a square, (x + t1 + 1)^2
+    # up to the pair's coordinates, while its slices are irreducible
+    # quadratics; the slice lift then offers junk, which the interpolation
+    # checks turn away, and no trivariate slice is factored from scratch
+    import polyfactor.basefactor as basefactor
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "corpus", "su.jsonl")) as fh:
+        item = json.loads(next(islice(fh, 3, None)))
+    factor = basefactor._factor_monic_sparse
+    trivariate = []
+
+    def recorded(f, *args):
+        if f.n == 3:
+            trivariate.append(f)
+        return factor(f, *args)
+
+    monkeypatch.setattr(basefactor, "_factor_monic_sparse", recorded)
+    fl = factor_su(parse_poly(item["poly"], item["n"]))
+    assert fl.to_json_dict() == item["expected"]
+    assert trivariate == []
+
+
 def test_sparse_factors_with_su_oracle():
     f = parse_product("(z1^2+z2^2+z3^2)*(z1+1)")
     fl = factor_su(f)

@@ -9,7 +9,7 @@ pipeline calls as perfbench/run.py, and only reads the corpus.
 Run as a script, it checks every entry of the named pools, whatever its
 cost, prints each entry whose output differs, each pool's entry count,
 process time, three slowest entries, the number of trivariate slices
-the sparse search factored (calls of `factor_monic` with a known base)
+the sparse search lifted (calls of `engine.lift_slice`)
 and the oracle pairs it drew (the pool's total and the most any one
 entry drew), and exits 1 if an entry differs:
 
@@ -83,12 +83,12 @@ def main(workloads):
         print("unknown workload %s; choose from %s"
               % (", ".join(unknown), ", ".join(sorted(PIPELINES))), file=sys.stderr)
         return 2
-    factor_monic = engine.factor_monic
+    lift_slice = engine.lift_slice
 
-    def counted(f, base=None, **kwargs):
+    def counted(f, base):
         nonlocal slices
-        slices += base is not None
-        return factor_monic(f, base, **kwargs)
+        slices += 1
+        return lift_slice(f, base)
 
     pairs = IrredProjOracle.pairs
 
@@ -98,7 +98,7 @@ def main(workloads):
             drawn += 1
             yield pair
 
-    engine.factor_monic = counted
+    engine.lift_slice = counted
     IrredProjOracle.pairs = counted_pairs
     wrong = 0
     for workload in workloads or sorted(PIPELINES):
