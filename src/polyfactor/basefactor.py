@@ -1,11 +1,13 @@
 """Exact factorization of univariate, bivariate and trivariate SparsePoly
 polynomials over Q.
 
-Univariate: clear denominators once, take the primitive integer part, run
-Yun's squarefree decomposition over Z, then a deterministic Zassenhaus pass
-per squarefree part (smallest usable prime, Berlekamp modulo p, quadratic
-Hensel lifting to the Mignotte factor bound, subset recombination).  These
-tools work on ascending integer coefficient lists.
+Every polynomial is read into integers once, by `_int_rows` (its terms
+over one denominator, by x-exponent), and stays on integers from there.
+Univariate: take the primitive integer part, run Yun's squarefree
+decomposition over Z, then a deterministic Zassenhaus pass per squarefree
+part (smallest usable prime, Berlekamp modulo p, quadratic Hensel lifting
+to the Mignotte factor bound, subset recombination).  These tools work on
+ascending integer coefficient lists.
 
 Two and three variables, monic in x: evaluate the largest-degree non-main
 variable at points 0, 1, -1, 2, ... scanned deterministically, skipping
@@ -33,7 +35,8 @@ translated back mod p^k before its coefficients are reconstructed.  A
 lifted factor is a series in the evaluated variable whose coefficients
 are packed (x, w) dicts mod p^k, w the remaining side variable; each lift
 step solves one Diophantine equation, w-adically from a Bezout pair at
-w = 0.
+w = 0.  A group u^e enters as u's primitive integer rows over their
+x-leading integer, a divisor of f's denominator, raised to e mod p^k.
 When the factorization at one point is already known (a trivariate slice
 whose t2 = 0 image was factored before), `lift_slice(f, base)` returns the
 factor lifted from each group, unproved, in the groups' order.
@@ -517,12 +520,15 @@ def _up_gcd_z(f, g):
     return a
 
 
-def _coeff_list(f):
-    """Ascending coefficients of a univariate SparsePoly, gaps as 0."""
-    out = [0] * ((f.degree() or 0) + 1)
-    for exps, c in f.terms.items():
-        out[exps[0]] = c
-    return out
+def _int_rows(f, v=None, w=None):
+    """(rows, den): f's terms as integers over their common denominator den,
+    rows[ex] holding (v-exponent, w-exponent, integer) for each term of
+    x-degree ex (x is variable 1; the exponent of a variable None is 0)."""
+    ints, den = clear_denominators(f.terms.values())
+    rows = [[] for _ in range((f.degree_in(1) or 0) + 1)]
+    for exps, c in zip(f.terms, ints):
+        rows[exps[0]].append((exps[v - 1] if v else 0, exps[w - 1] if w else 0, c))
+    return rows, den
 
 
 def _factor_univariate_pairs(f):
@@ -532,7 +538,7 @@ def _factor_univariate_pairs(f):
     By Gauss's lemma every quotient stays in Z[x], and every part comes out
     primitive with a positive leading coefficient, ready for Zassenhaus.
     """
-    F = _up_primitive_z(clear_denominators(_coeff_list(f))[0])
+    F = _up_primitive_z([sum(c for _, _, c in row) for row in _int_rows(f)[0]])
     if not F:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
     dF = up_deriv(F)
@@ -787,21 +793,14 @@ def _eval_points():
         k += 1
 
 
-def _reduce_mod(cleared, m):
-    """Rationals mod m from their clear_denominators form: one inverse."""
-    ints, den = cleared
+def _rows_to_series(rows, den, K, m):
+    """The z_v-series of packed (x, w) dicts mod m of rows / den, the
+    integer rows of `_int_rows`; den is invertible mod m."""
     inv = pow(den, -1, m)
-    return [c * inv % m for c in ints]
-
-
-def _poly_to_series(f, v, w, K, coeffs):
-    """f (slots x=0, v, w opt) -> z_v-series, coeffs f's coefficients mod m."""
-    iw = None if w is None else w - 1
     ser = [dict() for _ in range(K)]
-    for exps, cm in zip(f.terms, coeffs):
-        if cm:
-            ew = exps[iw] if iw is not None else 0
-            ser[exps[v - 1]][cd_pack(exps[0], ew)] = cm
+    for ex, row in enumerate(rows):
+        for ev, ew, c in row:
+            ser[ev][cd_pack(ex, ew)] = c * inv % m
     return ser
 
 
@@ -866,29 +865,21 @@ def _series_to_qpoly(ser, v, w, n, m):
     return SparsePoly(n, terms)
 
 
-def _cd_from_qpoly(f2, m):
-    """(x, w) SparsePoly (2 or 1 vars) -> coefficient dict mod m."""
-    out = {}
-    cleared = clear_denominators(f2.terms.values())
-    for exps, cm in zip(f2.terms, _reduce_mod(cleared, m)):
-        if cm:
-            out[cd_pack(exps[0], exps[1] if len(exps) > 1 else 0)] = cm
-    return out
-
-
 def _lift(f, v, w, v0, base, bounds=None):
-    """(groups, candidate): `base`, f's factorization at z_v = v0, as groups
-    (u, mult) monic in x, lifted mod p^k > 2B^2 (B = _factor_bound).
-    candidate(S) is (P, e), P monic in x and P^e the factor the groups S
-    lift, reconstructed over Q and unproved (junk reconstructs too); None
-    when their multiplicities differ or nothing reconstructs.  Raises
-    _AttemptFailed when the base images are not squarefree and coprime.
+    """(groups, candidate): `base`, f's factorization at z_v = v0, lifted
+    mod p^k > 2B^2 (B = _factor_bound); groups[i] is base[i]'s (x-degree,
+    multiplicity).  candidate(S) is (P, e), P monic in x and P^e the factor
+    the groups S lift, reconstructed over Q and unproved (junk reconstructs
+    too); None when their multiplicities differ or nothing reconstructs.
+    Raises _AttemptFailed when the base images are not squarefree and
+    coprime.
 
     The lift runs mod (v^K, w^wlen), K = dv + 1 and wlen = dw + 1 (1 for a
     bivariate lift).  Base images coprime mod (p, w - w0) make the lifted
     factors unique mod (v^K, w^wlen, p^k), so a product of lifted factors
     truncates the factor of f it lifts, whose degrees <= (dv, dw) keep it
-    whole.  A group u^e lifts to U^e, so a subset of groups of one
+    whole.  A group u^e, u read as its primitive integer rows over their
+    x-leading integer, lifts to U^e, so a subset of groups of one
     multiplicity e is rooted (`_series_root`; the prime exceeds deg_x f)
     before it is reconstructed.  `bounds`, per variable (x first), cut the
     lift at K = min(dv, bv) + 1 and wlen = min(dw, bw) + 1, and B at
@@ -903,36 +894,26 @@ def _lift(f, v, w, v0, base, bounds=None):
     K = min(dv, bv) + 1
     # w-orders the lift carries; a bivariate lift has only w^0
     wlen = min(dw, bw) + 1
-    # Renormalize the base factors monic in x (a factor of a monic-in-x
-    # polynomial has a constant x-leading coefficient), so their product is
-    # exactly the image of f.  Their images mod p are read off their integer
-    # terms, rows[ex] holding the (w-exponent, integer) pairs.
-    groups = []
-    tables = []
+    f_rows, f_den = _int_rows(f, v, w)  # f's integer form
+    # a factor of a monic-in-x polynomial has a constant x-leading
+    # coefficient, so the groups' monic images multiply to f's image exactly
+    groups, tables = [], []  # tables[i]: base[i]'s primitive rows and lc
     for u, mult in base:
-        dxu = u.degree_in(1)
-        top = [(exps, c) for exps, c in u.terms.items() if exps[0] == dxu]
-        if len(top) != 1 or any(top[0][0][1:]):
+        rows = _int_rows(u, None, 2 if w else None)[0]  # w is variable 2
+        content = math.gcd(*(c for row in rows for _, _, c in row))
+        rows = [[(ev, ew, c // content) for ev, ew, c in row] for row in rows]
+        if len(rows[-1]) != 1 or rows[-1][0][1]:
             raise _AttemptFailed("non-constant x-leading coefficient")
-        u = u.scale(ONE / top[0][1])
-        groups.append((u, mult))
-        ints, den = clear_denominators(u.terms.values())
-        rows = [[] for _ in range(dxu + 1)]
-        for exps, c in zip(u.terms, ints):
-            rows[exps[0]].append((exps[1] if w else 0, c))  # w is variable 2
-        tables.append((rows, den))
+        groups.append((len(rows) - 1, mult))
+        tables.append((rows, rows[-1][0][2]))
 
     def coprime(p, w0):
         """True when the groups' images at w = w0 are pairwise coprime mod p."""
-        images = [
-            [sum(c * pow(w0, ew, p) for ew, c in row) * pow(den, -1, p) % p
-             for row in rows]
-            for rows, den in tables
-        ]
+        images = [[sum(c * pow(w0, ew, p) for _, ew, c in row) * pow(lc, -1, p) % p
+                   for row in rows] for rows, lc in tables]
         return all(up_deg(up_gcd_p(a, b, p)) == 0 for a, b in combinations(images, 2))
 
-    f_ints, f_den = clear_denominators(f.terms.values())  # f's integer form
-    # prime: must avoid f's denominators, which the base factors' divide
+    # prime: must avoid f's denominators, which each group's lc divides
     # (Gauss's lemma), and give pairwise-coprime base images
     w0_range = range(2 * dw * len(groups) ** 2 + 3) if w is not None else (0,)
     for p in primes(dx + 1):
@@ -946,17 +927,19 @@ def _lift(f, v, w, v0, base, bounds=None):
     # that does not reconstruct is no factor; candidates are reconstructed
     # in the original coordinates, so B needs no term for the translation,
     # and they have degrees within the cut, which B's degree sum is
-    B = _factor_bound(f_ints, min(dx, bx) + (K - 1) + (wlen - 1))
+    B = _factor_bound([c for r in f_rows for *_, c in r], min(dx, bx) + K + wlen - 2)
     m = p ** _precision(p, 2 * B * B + 1)
 
     # lift at the origin: translate the evaluation point there mod m, keeping
-    # only the orders the lift carries
-    Fser = _poly_to_series(f, v, w, dv + 1, _reduce_mod((f_ints, f_den), m))
-    Fser = _shift_series(Fser, v0, w0, m, K, wlen)
-    group_cds = [
-        _shift_series([_cd_from_qpoly(u**mult, m)], 0, w0, m, 1, wlen)[0]
-        for u, mult in groups
-    ]
+    # only the orders the lift carries; a group's power is taken there
+    Fser = _shift_series(_rows_to_series(f_rows, f_den, dv + 1, m), v0, w0, m, K, wlen)
+    group_cds = []
+    for (rows, lc), (_, mult) in zip(tables, groups):
+        g = _shift_series(_rows_to_series(rows, lc, 1, m), 0, w0, m, 1, wlen)[0]
+        power = g
+        for _ in range(mult - 1):
+            power = cd_reduce(_wcut(_mul_into({}, power, g), wlen), m)
+        group_cds.append(power)
     leaves = _lift_tree(Fser, group_cds, K, wlen, p, m)
 
     def candidate(S):
@@ -1027,7 +1010,7 @@ def _complete_recombination(f, groups, candidate):
 def _bounded_recombination(groups, candidate, bx):
     """Every candidate (P, e) of x-degree <= bx that reconstructs, up to the
     most groups that fit bx: unproved, so none takes groups or divides f."""
-    degrees = [u.degree_in(1) for u, _ in groups]
+    degrees = [dxu for dxu, _ in groups]
     most = sum(t <= bx for t in accumulate(sorted(degrees)))
     results = []
 
@@ -1065,35 +1048,28 @@ _RANK_PRIME = 1 << 20
 _RANK_SIDE = 1009
 
 
-def _probe_images(f, dx, v, w):
-    """(den, degraded, image) for the probes f(z_v = v0), read off f's terms
-    once; den is f's common denominator.  degraded(v0) is True when v0
-    drops f's degree in z_w: every x-row of f's top z_w terms, a polynomial
-    in z_v, vanishes there.  image(v0, q) is f(x, v0, _RANK_SIDE) mod a
-    prime q not dividing den, as an ascending list, monic of degree dx
-    since f is monic in x."""
-    ints, den = clear_denominators(f.terms.values())
+def _probe_images(f, v, w):
+    """(den, degraded, image) for the probes f(z_v = v0), read off f's
+    integer rows (`_int_rows`) once; den is f's common denominator.
+    degraded(v0) is True when v0 drops f's degree in z_w: every x-row of
+    f's top z_w terms, a polynomial in z_v, vanishes there.  image(v0, q)
+    is f(x, v0, _RANK_SIDE) mod a prime q not dividing den, as an ascending
+    list, monic of degree deg_x f since f is monic in x."""
+    rows, den = _int_rows(f, v, w)
     dw = f.degree_in(w) if w is not None else None
-    rows = [[] for _ in range(dx + 1)]  # [(v-exponent, w-exponent, integer)]
-    top_w = {}  # x-exponent -> [(v-exponent, integer coefficient)]
-    for exps, c in zip(f.terms, ints):
-        ev = exps[v - 1]
-        ew = exps[w - 1] if w is not None else 0
-        rows[exps[0]].append((ev, ew, c))
-        if ew == dw:
-            top_w.setdefault(exps[0], []).append((ev, c))
+    # per x-row, the (v-exponent, integer) of f's top z_w terms
+    top_w = [[(ev, c) for ev, ew, c in row if ew == dw] for row in rows]
 
     def degraded(v0):
-        return bool(top_w) and not any(
-            sum(c * v0**ev for ev, c in row) for row in top_w.values()
+        return w is not None and not any(
+            sum(c * v0**ev for ev, c in row) for row in top_w
         )
 
     def image(v0, q):
         scale = pow(den, -1, q)
         return [
             sum(c * pow(v0, ev, q) * pow(_RANK_SIDE, ew, q) for ev, ew, c in row)
-            * scale
-            % q
+            * scale % q
             for row in rows
         ]
 
@@ -1126,7 +1102,7 @@ def _factor_monic_sparse(f, bounds=None):
     v = max(side_degs, key=lambda i: (side_degs[i], -i))
     survivors = [i for i in side_degs if i != v]
     w = survivors[0] if survivors else None
-    den, degraded, image = _probe_images(f, dx, v, w)
+    den, degraded, image = _probe_images(f, v, w)
     P = next(q for q in primes(_RANK_PRIME) if den % q)
     point_iter = _eval_points()
     consumed = 0

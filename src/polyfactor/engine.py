@@ -60,23 +60,30 @@ def _project(f, alpha, directions, gamma, normalizer):
         SparsePoly.linear((alpha[i],) + tuple(d[i] for d in directions), gamma[i])
         for i in range(f.n)
     ]
-    return f.substitute(assignment, m=1 + len(directions)).scale(ONE / normalizer)
+    # scaling the input, not its image, touches far fewer terms
+    return f.scale(ONE / normalizer).substitute(assignment, m=1 + len(directions))
 
 
-def monicize(f):
-    """(MonicShift, f_alpha) with f_alpha = f(alpha x + z)/Hom[f](alpha),
-    monic in the fresh variable x (slot 0 of the result)."""
+def _monic_point(f):
+    """(alpha, Hom[f](alpha) != 0): f(alpha x + z)/Hom[f](alpha) is monic in x."""
     d = f.degree()
     if d is None or d < 1:
         raise PolyError("cannot monicize a constant")
     top = f.hom_component(d)
     alpha = find_nonzero_point(top, f.n, d, mode="whitebox")
-    normalizer = top.eval_point(alpha)
+    return alpha, top.eval_point(alpha)
+
+
+def monicize(f):
+    """(MonicShift, f_alpha) with f_alpha = f(alpha x + z)/Hom[f](alpha),
+    monic in the fresh variable x (slot 0 of the result)."""
+    alpha, normalizer = _monic_point(f)
+    d = f.degree()
     units = [[int(i == j) for i in range(f.n)] for j in range(f.n)]
     f_alpha = _project(f, alpha, units, (0,) * f.n, normalizer)
     if f_alpha.degree_in(1) != d or f_alpha.terms.get((d,) + (0,) * f.n) != ONE:
         raise VerificationError("monic shift is not monic in x")
-    return MonicShift(tuple(alpha), normalizer, f.n, d), f_alpha
+    return MonicShift(alpha, normalizer, f.n, d), f_alpha
 
 
 def unmonicize(g_hat, shift):
@@ -218,9 +225,9 @@ def sparse_irreducible_test(f, oracle, config=None):
         return True
     if oracle.decide_irreducible is not None and oracle.contains(f):
         return oracle.decide_irreducible(f)
-    shift, _ = monicize(f)
-    for pair in islice(oracle.pairs(shift.alpha), config.su_stall):
-        image = _project(f, shift.alpha, [pair.beta], pair.gamma, shift.normalizer)
+    alpha, normalizer = _monic_point(f)
+    for pair in islice(oracle.pairs(alpha), config.su_stall):
+        image = _project(f, alpha, [pair.beta], pair.gamma, normalizer)
         fl = factor_monic(image)
         if len(fl.factors) == 1 and fl.factors[0][1] == 1:
             return True
@@ -319,7 +326,7 @@ def sparse_factors(f, s, oracle, config=None):
     config = config or DEFAULT_CONFIG
     if f.is_constant():
         raise PolyError("cannot factor a constant")
-    alpha = monicize(f)[0].alpha
+    alpha = _monic_point(f)[0]
     found = []
     residual = f
 

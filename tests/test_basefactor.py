@@ -24,8 +24,7 @@ from polyfactor.basefactor import (
     _factor_count_mod_p,
     _factor_monic_sparse,
     _factor_univariate_pairs,
-    _poly_to_series,
-    _reduce_mod,
+    _int_rows,
     _series_root,
     _series_to_qpoly,
     _shift_series,
@@ -62,8 +61,18 @@ def pairs(fl):
 
 
 def series(f, v, w, K, m):
-    """The z_v-series of f mod m, its denominators cleared as the lift does."""
-    return _poly_to_series(f, v, w, K, _reduce_mod(clear_denominators(f.terms.values()), m))
+    """The z_v-series of packed (x, w) dicts of f mod m, read off f's
+    Fraction coefficients: denominators cleared once, then one inverse mod
+    m (v or w None: exponent 0).  The reference for the lift's own
+    integer reading."""
+    ints, den = clear_denominators(f.terms.values())
+    inv = pow(den, -1, m)
+    ser = [dict() for _ in range(K)]
+    for exps, c in zip(f.terms, ints):
+        if c * inv % m:
+            ev = exps[v - 1] if v else 0
+            ser[ev][cd_pack(exps[0], exps[w - 1] if w else 0)] = c * inv % m
+    return ser
 
 
 def test_x2_minus_1():
@@ -588,6 +597,106 @@ def test_lift_slice_of_an_irreducible_slice_divides_nothing(text, base_text):
     assert len(lifted) == len(base)
     for P in lifted:
         assert P is None or divide_out(f, P)[1] == 0
+
+
+# f's images at the lift points hold a square, (z1 + z3)^2 up to the point,
+# and a group whose x-leading coefficient is not 1 once read as integers
+# (z2^2 + 2*z1 + 2 at z2 = 1, z1 + z2 + 1/2 at z3 = 1)
+SQUARE_AND_NON_MONIC = "(z1 - z2 - z3)*(z1 + z2 + 1/2*z3^2)*(z1 + z3)^2"
+
+
+def test_the_lift_rebuilds_no_group_over_q(monkeypatch):
+    # every group is read as integers once: no lift scales a group monic or
+    # raises it to its multiplicity as a SparsePoly
+    f = parse_product(SQUARE_AND_NON_MONIC, 3)
+    want = list(factor_monic(f).factors)
+    bases = {v: _factor_monic_sparse(f.eval_var(v, 1)) for v in (2, 3)}
+    assert all(any(e == 2 for _, e in base) for base in bases.values())
+    slice_base = factor_monic(f.eval_var(3, 0)).factors
+    slice_want = _factors_by_image(f, slice_base)
+    assert slice_want is not None
+
+    def rebuilt(*args):
+        raise AssertionError("a group was rebuilt over Q")
+
+    monkeypatch.setattr(SparsePoly, "scale", rebuilt)
+    monkeypatch.setattr(SparsePoly, "__pow__", rebuilt)
+    for v, base in bases.items():
+        assert _attempt_lift(f, v, 5 - v, 1, base) == want
+        # bounded: the z2-order is cut below f's z2-degree
+        assert set(want) <= set(_attempt_lift(f, v, 5 - v, 1, base, (1, 1, 2)))
+    assert [P.canonical() for P in lift_slice(f, slice_base)] == slice_want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_int_rows_rebuild_the_polynomial(n):
+    # random rational polynomials, some with integer content, some with a
+    # negative x-leading coefficient, and never a term of x-degree 1, so
+    # x-row 1 is always empty
+    rng = rng_for("int-rows-%d" % n)
+    slots = {1: [(None, None)], 2: [(2, None), (None, 2)], 3: [(2, 3), (3, 2)]}[n]
+    for trial in range(30):
+        terms = {}
+        for _ in range(rng.randint(1, 7)):
+            exps = (rng.choice([0, 2, 3]),) + tuple(rng.randint(0, 3) for _ in range(n - 1))
+            terms[exps] = Q(rng.choice([-9, -4, -1, 1, 3, 6]), rng.choice([1, 2, 3, 5]))
+        if trial % 3 == 0:
+            terms = {e: Q(6 * c.numerator) for e, c in terms.items()}
+        dx = max(e[0] for e in terms)
+        if trial % 2:
+            terms = {e: -abs(c) if e[0] == dx else c for e, c in terms.items()}
+        f = SparsePoly(n, terms)
+        for v, w in slots:
+            rows, den = _int_rows(f, v, w)
+            assert len(rows) == dx + 1 and (dx < 1 or rows[1] == [])
+            assert den == math.lcm(*(c.denominator for c in terms.values()))
+            back = {}
+            for ex, row in enumerate(rows):
+                for ev, ew, c in row:
+                    assert type(c) is int
+                    exps = [ex] + [0] * (n - 1)
+                    for slot, e in ((v, ev), (w, ew)):
+                        if slot:
+                            exps[slot - 1] = e
+                    back[tuple(exps)] = Q(c, den)
+            assert SparsePoly(n, back) == f
+
+
+@pytest.mark.parametrize(
+    "text, n, v, w, v0",
+    [
+        ("(z1 - z2)*(z1 + z2^2 + 1/3)", 2, 2, None, 1),
+        (SQUARE_AND_NON_MONIC, 3, 2, 3, 1),
+        (SQUARE_AND_NON_MONIC, 3, 3, 2, -1),
+    ],
+)
+def test_the_lift_reads_the_series_the_fraction_path_gives(monkeypatch, text, n, v, w, v0):
+    # f's series and each group u^e at the origin, read from Fractions:
+    # u scaled monic in x and raised to e over Q, then taken mod m
+    import polyfactor.basefactor as basefactor
+
+    f = parse_product(text, n)
+    base = _factor_monic_sparse(f.eval_var(v, v0))
+    calls = []
+    tree = basefactor._lift_tree
+
+    def recorded(*args):
+        calls.append(args)
+        return tree(*args)
+
+    monkeypatch.setattr(basefactor, "_lift_tree", recorded)
+    assert _attempt_lift(f, v, w, v0, base) == list(factor_monic(f).factors)
+    Fser, groups, K, wlen, p, m = calls[0]
+
+    def reference(w0):
+        F = series(f, v, w, (f.degree_in(v) or 0) + 1, m)
+        G = []
+        for u, e in base:
+            U = u.scale(ONE / u.terms[(u.degree_in(1),) + (0,) * (u.n - 1)]) ** e
+            G.append(_shift_series(series(U, None, 2 if w else None, 1, m), 0, w0, m, 1, wlen)[0])
+        return _shift_series(F, v0, w0, m, K, wlen), G
+
+    assert any(reference(w0) == (Fser, groups) for w0 in range(40))
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)

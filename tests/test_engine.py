@@ -413,6 +413,38 @@ def test_sparse_irreducible_test_asks_the_oracle_first():
     assert drawn[0] >= 1
 
 
+def test_sparse_pipelines_take_only_the_shift_point(monkeypatch):
+    # the sparse pipelines read alpha and Hom[f](alpha), never the shifted
+    # polynomial f(alpha x + z), and give the results the full shift gave
+    import polyfactor.engine as engine
+
+    def shifted(f):
+        raise AssertionError("the sparse pipelines need no shifted polynomial")
+
+    monkeypatch.setattr(engine, "monicize", shifted)
+    f = parse_product("(z1^2 + z2^2 + 1)*(z1 + 2*z2 - 3)*(z1*z2 + 1)", 2)
+    assert factor_su(f).to_json_dict() == {
+        "scalar": "1",
+        "factors": [
+            {"poly": "z1 + 2*z2 - 3", "multiplicity": 1},
+            {"poly": "z1^2 + z2^2 + 1", "multiplicity": 1},
+        ],
+    }
+    g = parse_product("(z1*z2 + z3)*(z1 + z2 + z3 + 1)*(z1^3 + z2*z3^2 + 2)", 3)
+    assert sparse_factors(g, 12, constant_degree_oracle(2, 3, 6)).to_json_dict() == {
+        "scalar": "1",
+        "factors": [
+            {"poly": "z1 + z2 + z3 + 1", "multiplicity": 1},
+            {"poly": "z1*z2 + z3", "multiplicity": 1},
+        ],
+    }
+    assert sparse_irreducible_test(parse_poly("z1*z2 + z1 + 1"), su_oracle(2, 2))
+    assert sparse_irreducible_test(parse_poly("z1^2 + z2^3*z3 + z3 - 1"), su_oracle(3, 4))
+    undecided = dataclasses.replace(su_oracle(2, 2), decide_irreducible=None)
+    f = parse_poly("z1^2 - z2^2")
+    assert sparse_irreducible_test(f, undecided, Config(su_stall=5)) is False
+
+
 def test_sparse_irreducible_test_keeps_certified_irreducibles():
     # sympy-certified irreducible inputs of both classes, degree >= 2, find
     # a preserving pair well inside the su_stall cut

@@ -11,11 +11,14 @@ cost, prints each entry whose output differs, each pool's entry count,
 process time, three slowest entries, the number of trivariate slices
 the sparse search lifted (calls of `engine.lift_slice`)
 and the oracle pairs it drew (the pool's total and the most any one
-entry drew), and exits 1 if an entry differs:
+entry drew), then the line count of src/polyfactor (as
+`cat src/polyfactor/*.py | wc -l` counts it), and exits 1 if an entry
+differs:
 
     python tests/test_golden.py [workload ...]    # default: every pool
 """
 
+import glob
 import json
 import os
 import sys
@@ -33,7 +36,8 @@ from polyfactor import (
     sparse_factors,
 )
 
-CORPUS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "corpus")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CORPUS = os.path.join(ROOT, "perfbench", "corpus")
 FAST_S = 0.1
 
 PIPELINES = {
@@ -122,6 +126,11 @@ def main(workloads):
               % (workload, len(pool), sum(t for t, _ in times), slices,
                  sum(drawn_per_entry), max(drawn_per_entry), slowest),
               flush=True)
+    lines = 0
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "polyfactor", "*.py"))):
+        with open(path) as fh:
+            lines += fh.read().count("\n")
+    print("src/polyfactor: %d lines" % lines)
     return 1 if wrong else 0
 
 
