@@ -1,8 +1,8 @@
 """Exact factorization of univariate, bivariate and trivariate SparsePoly
 polynomials over Q.
 
-Every polynomial is read into integers once, by `_int_rows` (its terms
-over one denominator, by x-exponent), and stays on integers from there.
+Every polynomial is read into integers once, by `_int_rows` (sparse's one
+reader `_int_table`, grouped by x-exponent), and stays on integers.
 Univariate: take the primitive integer part, run Yun's squarefree
 decomposition over Z, then a deterministic Zassenhaus pass per squarefree
 part (smallest usable prime, Berlekamp modulo p, quadratic Hensel lifting
@@ -55,8 +55,8 @@ the lift or a division and costs another point, never correctness.
 import math
 from itertools import accumulate, combinations, product
 
-from .rational import Q, ONE, clear_denominators, primes
-from .sparse import SparsePoly, _mul_into
+from .rational import Q, ONE, primes
+from .sparse import SparsePoly, _int_table, _mul_into
 from .factors import FactorList, divide_out, factor_sort_key
 from .errors import LiftFailure, PolyError, ZeroPolynomialError
 
@@ -524,9 +524,9 @@ def _int_rows(f, v=None, w=None):
     """(rows, den): f's terms as integers over their common denominator den,
     rows[ex] holding (v-exponent, w-exponent, integer) for each term of
     x-degree ex (x is variable 1; the exponent of a variable None is 0)."""
-    ints, den = clear_denominators(f.terms.values())
+    table, den = _int_table(f)
     rows = [[] for _ in range((f.degree_in(1) or 0) + 1)]
-    for exps, c in zip(f.terms, ints):
+    for exps, c in table.items():
         rows[exps[0]].append((exps[v - 1] if v else 0, exps[w - 1] if w else 0, c))
     return rows, den
 
@@ -1089,9 +1089,7 @@ def _factor_monic_sparse(f, bounds=None):
     dead = [i for i, d in side_degs.items() if d == 0]
     if dead:
         # drop the side variables f does not use, recurse and re-embed
-        low = f
-        for i in reversed(dead):
-            low = low.eval_var(i, 0)
+        low = f.eval_vars(dict.fromkeys(dead, 0))
         slots = [i - 1 for i in range(1, n + 1) if i not in dead]
         if bounds is not None:
             bounds = [bounds[i - 1] for i in range(1, n + 1) if i not in dead]

@@ -51,17 +51,16 @@ class ProjectedFactorSet:
     scheme: object
 
 
-def _project(f, alpha, directions, gamma, normalizer):
-    """f(alpha x + sum_k directions[k] t_k + gamma) / normalizer over the
-    variables (x, t_1, ..): with one direction the bivariate projection,
-    with two the trivariate slice family, with the unit vectors the monic
-    shift."""
+def _project(f, alpha, directions, gamma):
+    """f(alpha x + sum_k directions[k] t_k + gamma) over (x, t_1, ..), f
+    already divided by its normalizer (far fewer terms than its image): with
+    one direction the bivariate projection, with two the trivariate slice
+    family, with the unit vectors the monic shift."""
     assignment = [
         SparsePoly.linear((alpha[i],) + tuple(d[i] for d in directions), gamma[i])
         for i in range(f.n)
     ]
-    # scaling the input, not its image, touches far fewer terms
-    return f.scale(ONE / normalizer).substitute(assignment, m=1 + len(directions))
+    return f.substitute(assignment, m=1 + len(directions))
 
 
 def _monic_point(f):
@@ -80,7 +79,7 @@ def monicize(f):
     alpha, normalizer = _monic_point(f)
     d = f.degree()
     units = [[int(i == j) for i in range(f.n)] for j in range(f.n)]
-    f_alpha = _project(f, alpha, units, (0,) * f.n, normalizer)
+    f_alpha = _project(f.scale(ONE / normalizer), alpha, units, (0,) * f.n)
     if f_alpha.degree_in(1) != d or f_alpha.terms.get((d,) + (0,) * f.n) != ONE:
         raise VerificationError("monic shift is not monic in x")
     return MonicShift(alpha, normalizer, f.n, d), f_alpha
@@ -226,8 +225,9 @@ def sparse_irreducible_test(f, oracle, config=None):
     if oracle.decide_irreducible is not None and oracle.contains(f):
         return oracle.decide_irreducible(f)
     alpha, normalizer = _monic_point(f)
+    f = f.scale(ONE / normalizer)
     for pair in islice(oracle.pairs(alpha), config.su_stall):
-        image = _project(f, alpha, [pair.beta], pair.gamma, normalizer)
+        image = _project(f, alpha, [pair.beta], pair.gamma)
         fl = factor_monic(image)
         if len(fl.factors) == 1 and fl.factors[0][1] == 1:
             return True
@@ -255,7 +255,8 @@ def _pair_candidates(residual, alpha, pair, s, oracle):
     reconstruct."""
     n = residual.n
     normalizer = residual.hom_component(residual.degree()).eval_point(alpha)
-    r_hat = _project(residual, alpha, [pair.beta], pair.gamma, normalizer)
+    scaled = residual.scale(ONE / normalizer)
+    r_hat = _project(scaled, alpha, [pair.beta], pair.gamma)
     base = factor_monic(r_hat).factors
     if len(base) == 1 and base[0][1] == 1:
         return None
@@ -279,9 +280,7 @@ def _pair_candidates(residual, alpha, pair, s, oracle):
     plan = interpolation_plan((most + 1) // 2, n)[:most]
     for w_idx, omega in enumerate(plan):
         secondary = tuple(omega[i] - pair.gamma[i] for i in range(n))
-        r_omega = _project(
-            residual, alpha, [pair.beta, secondary], pair.gamma, normalizer
-        )
+        r_omega = _project(scaled, alpha, [pair.beta, secondary], pair.gamma)
         lifted = lift_slice(r_omega, base)
         for i, _, _, _, need, values in refs:
             if w_idx >= need:
@@ -298,7 +297,7 @@ def _pair_candidates(residual, alpha, pair, s, oracle):
         if g.degree() != deg:
             continue
         top = g.hom_component(deg).eval_point(alpha)
-        if top and _project(g, alpha, [pair.beta], pair.gamma, top) == h2:
+        if top and _project(g.scale(ONE / top), alpha, [pair.beta], pair.gamma) == h2:
             candidates.append(g.canonical())
     return candidates
 

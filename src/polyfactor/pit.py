@@ -16,6 +16,7 @@ from .rational import Q, ONE, ZERO, clear_denominators, primes
 from .sparse import SparsePoly
 from .basefactor import factor_lowvar
 from .errors import CapError, InterpolationFailure, ZeroPolynomialError
+from .errors import VariableCountMismatch
 
 
 def trivial_hitting_set(n, d, max_size=None):
@@ -51,6 +52,8 @@ def find_nonzero_point(f, n, d, mode="whitebox", hitting_set=None, counter=None)
     if mode == "whitebox":
         if not isinstance(f, SparsePoly):
             raise TypeError("whitebox mode needs a SparsePoly")
+        if n != f.n:
+            raise VariableCountMismatch("point arity %d != %d" % (n, f.n))
         if f.is_zero():
             raise ZeroPolynomialError("no nonzero point: polynomial is zero")
         # the variable being assigned is always slot 1 of what is left

@@ -10,6 +10,7 @@ graded lexicographic: compare total degree first, then the exponent tuple.
 
 import math
 from heapq import heapify, heappop, heappush
+from operator import itemgetter
 
 from .rational import Q, ZERO, ONE, clear_denominators
 from .errors import VariableCountMismatch, ZeroDivisorError
@@ -53,11 +54,18 @@ def _mul_into(acc, a, b):
     return acc
 
 
-def _int_table(poly, pack):
-    """({pack(exps): int}, den) with poly == table / den: the denominators
-    are cleared once and every exponent tuple is packed."""
+def _int_table(poly, pack=None):
+    """({key: int}, den) with poly == table / den, keyed by pack(exps) or,
+    without pack, by the exponent tuples: the one reader from Q to Z."""
     ints, den = clear_denominators(poly.terms.values())
-    return {pack(e): c for e, c in zip(poly.terms, ints)}, den
+    return dict(zip(poly.terms if pack is None else map(pack, poly.terms), ints)), den
+
+
+def _from_table(n, table, den, unpack=None):
+    """The SparsePoly table / den in n variables, keys unpacked by unpack or
+    already exponent tuples: the one builder from Z to Q."""
+    keys = table if unpack is None else map(unpack, table)
+    return SparsePoly(n, {e: Q(c, den) for e, c in zip(keys, table.values()) if c})
 
 
 class SparsePoly:
@@ -232,11 +240,7 @@ class SparsePoly:
         _, pack, unpack = _packing(self.n, self.degree() + other.degree())
         a, a_den = _int_table(self, pack)
         b, b_den = _int_table(other, pack)
-        den = a_den * b_den
-        return SparsePoly(
-            self.n,
-            {unpack(key): Q(c, den) for key, c in _mul_into({}, a, b).items() if c},
-        )
+        return _from_table(self.n, _mul_into({}, a, b), a_den * b_den, unpack)
 
     def scale(self, c):
         c = Q(c)
@@ -258,9 +262,7 @@ class SparsePoly:
             k >>= 1
             if k:
                 base = _mul_into({}, base, base)
-        return SparsePoly(
-            self.n, {unpack(key): Q(c, den) for key, c in result.items() if c}
-        )
+        return _from_table(self.n, result, den, unpack)
 
     # -- calculus and structure ---------------------------------------------
 
@@ -295,14 +297,10 @@ class SparsePoly:
         return result
 
     def eval_point(self, point):
-        """Evaluate at a rational point (sequence of length n): eval_var
-        folded over the variables, last first."""
+        """Evaluate at a rational point (sequence of length n) in one pass."""
         if len(point) != self.n:
             raise VariableCountMismatch("point arity %d != %d" % (len(point), self.n))
-        poly = self
-        for value in reversed(point):
-            poly = poly.eval_var(poly.n, value)
-        return poly.constant_value()
+        return self.eval_vars(dict(enumerate(point, 1))).constant_value()
 
     def substitute(self, assignment, m=None):
         """Compose with an assignment mapping each variable to a polynomial.
@@ -341,7 +339,7 @@ class SparsePoly:
             default=0,
         )
         _, pack, unpack = _packing(m, deg)
-        f_ints, den = clear_denominators(self.terms.values())
+        f_table, den = _int_table(self)
         # powers[i][e] = (img_den_i * image_i)^e; a term with z_i^e is scaled
         # by img_den_i^(top_i - e), so every term shares the denominator
         # den = f_den * prod img_den_i^top_i
@@ -362,7 +360,7 @@ class SparsePoly:
             )
             den *= img_den**top
         total = {}
-        for exps, c in zip(self.terms, f_ints):
+        for exps, c in f_table.items():
             factors = []
             for i, e in enumerate(exps):
                 if scales[i] is not None:
@@ -373,9 +371,7 @@ class SparsePoly:
             for table in factors[:-1]:
                 part = _mul_into({}, part, table)
             _mul_into(total, part, factors[-1] if factors else {0: 1})
-        return SparsePoly(
-            m, {unpack(key): Q(c, den) for key, c in total.items() if c}
-        )
+        return _from_table(m, total, den, unpack)
 
     def shift(self, offsets, scale=1):
         """Translate z_i -> scale * z_i + offsets[i]."""
@@ -391,33 +387,39 @@ class SparsePoly:
         )
 
     def eval_var(self, var, value):
-        """Substitute z_var := value (1-based) and drop the slot.
+        """Substitute z_var := value (1-based) and drop the slot."""
+        return self.eval_vars({var: value})
 
-        Runs on integers: with self = F / den and value = a / b, a term
-        c z_var^e of F contributes c * a^e * b^(top - e) over the shared
-        denominator den * b^top, top the largest exponent of z_var, and
-        each output coefficient becomes a rational once.
-        """
-        i = var - 1
-        value = Q(value)
-        a, b = int(value.numerator), int(value.denominator)
-        ints, den = clear_denominators(self.terms.values())
-        top = max((exps[i] for exps in self.terms), default=0)
-        scales = {}
+    def eval_vars(self, values):
+        """Substitute z_var := value (1-based) for each var of the map and
+        drop those slots, in one pass on integers: with self = F / den and
+        value = a / b, z_var^e becomes a^e * b^(top - e) over den * b^top,
+        top the largest exponent of z_var; each output becomes Q once."""
+        table, den = _int_table(self)
+        powers = []  # (slot, {exponent e: a^e * b^(top - e)})
+        for var, value in values.items():
+            if not 1 <= var <= self.n:
+                raise IndexError("variable index %d out of range 1..%d" % (var, self.n))
+            value = Q(value)
+            a, b = int(value.numerator), int(value.denominator)
+            col = {exps[var - 1] for exps in table}
+            top = max(col, default=0)
+            powers.append((var - 1, {e: a**e * b ** (top - e) for e in col}))
+            den *= b**top
+        keep = [i for i in range(self.n) if i + 1 not in values]
+        if len(keep) > 1:
+            rest = itemgetter(*keep)
+        else:  # itemgetter would return a lone slot bare; a slice keeps a tuple
+            rest = itemgetter(slice(keep[0], keep[0] + 1) if keep else slice(0))
         total = {}
         get = total.get
-        for exps, c in zip(self.terms, ints):
-            e = exps[i]
-            scale = scales.get(e)
-            if scale is None:
-                scale = scales[e] = a**e * b ** (top - e)
-            if scale:
-                reduced = exps[:i] + exps[i + 1 :]
-                total[reduced] = get(reduced, 0) + c * scale
-        den *= b**top
-        return SparsePoly(
-            self.n - 1, {e: Q(c, den) for e, c in total.items() if c}
-        )
+        for exps, c in table.items():
+            for i, power in powers:
+                c *= power[exps[i]]
+            if c:
+                key = rest(exps)
+                total[key] = get(key, 0) + c
+        return _from_table(len(keep), total, den)
 
     def map_variables(self, positions, m):
         """Re-embed into m variables, sending slot i to slot positions[i]."""
@@ -485,7 +487,7 @@ class SparsePoly:
             if r:
                 return None
             q_key = key - lt_key
-            quot[q_key] = q_coeff
+            quot[q_key] = g_den * q_coeff
             for key2, c2 in tail:
                 key = q_key + key2
                 acc = rem.get(key)
@@ -498,11 +500,8 @@ class SparsePoly:
                         rem[key] = acc
                     else:
                         del rem[key]
-        # h = (g_den / (f_den * content)) * quot
-        den = f_den * content
-        return SparsePoly(
-            n, {unpack(key): Q(g_den * c, den) for key, c in quot.items()}
-        )
+        # h = quot / (f_den * content), quot's entries scaled by g_den
+        return _from_table(n, quot, f_den * content, unpack)
 
     # -- normalization -------------------------------------------------------
 

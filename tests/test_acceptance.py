@@ -360,11 +360,10 @@ def test_criterion_9_su_pipeline():
                     if (g.degree() or 0) != 1:
                         continue
                     shift, _ = monicize(g)
+                    scaled = g.scale(1 / shift.normalizer)
                     preserved = False
                     for pair in oracle.pairs(shift.alpha):
-                        image = _project(
-                            g, shift.alpha, [pair.beta], pair.gamma, shift.normalizer
-                        )
+                        image = _project(scaled, shift.alpha, [pair.beta], pair.gamma)
                         fl = factor_monic(image)
                         if len(fl.factors) == 1 and fl.factors[0][1] == 1:
                             preserved = True

@@ -11,7 +11,9 @@ cost, prints each entry whose output differs, each pool's entry count,
 process time, three slowest entries, the number of trivariate slices
 the sparse search lifted (calls of `engine.lift_slice`)
 and the oracle pairs it drew (the pool's total and the most any one
-entry drew), then the line count of src/polyfactor (as
+entry drew), the traffic across the integer boundary (integer reads,
+calls of `sparse._int_table`, and `SparsePoly` constructions), then the
+line count of src/polyfactor (as
 `cat src/polyfactor/*.py | wc -l` counts it), and exits 1 if an entry
 differs:
 
@@ -27,6 +29,7 @@ import time
 import pytest
 
 import polyfactor.engine as engine
+import polyfactor.sparse as sparse
 from polyfactor.oracles import IrredProjOracle
 from polyfactor import (
     constant_degree_factors,
@@ -102,13 +105,31 @@ def main(workloads):
             drawn += 1
             yield pair
 
+    read = sparse._int_table
+
+    def counted_read(poly, pack=None):
+        nonlocal reads
+        reads += 1
+        return read(poly, pack)
+
+    init = sparse.SparsePoly.__init__
+
+    def counted_init(self, n, terms):
+        nonlocal built
+        built += 1
+        init(self, n, terms)
+
     engine.lift_slice = counted
     IrredProjOracle.pairs = counted_pairs
+    for module in list(sys.modules.values()):  # every importer of the reader
+        if getattr(module, "_int_table", None) is read:
+            module._int_table = counted_read
+    sparse.SparsePoly.__init__ = counted_init
     wrong = 0
     for workload in workloads or sorted(PIPELINES):
         pool = load_pool(workload)
         times = []
-        slices = 0
+        slices = reads = built = 0
         drawn_per_entry = []
         for i, item in enumerate(pool):
             start = time.process_time()
@@ -122,9 +143,11 @@ def main(workloads):
                       % (workload, i, out, canonical(item["expected"])), flush=True)
         slowest = ", ".join("%d (%.2f s)" % (i, t) for t, i in sorted(times)[:-4:-1])
         print("%s: %d entries, %.1f s process time, %d slices, %d oracle pairs "
-              "(at most %d per entry); slowest: %s"
+              "(at most %d per entry), %d integer reads, %d SparsePoly "
+              "constructions; slowest: %s"
               % (workload, len(pool), sum(t for t, _ in times), slices,
-                 sum(drawn_per_entry), max(drawn_per_entry), slowest),
+                 sum(drawn_per_entry), max(drawn_per_entry), reads, built,
+                 slowest),
               flush=True)
     lines = 0
     for path in sorted(glob.glob(os.path.join(ROOT, "src", "polyfactor", "*.py"))):

@@ -63,10 +63,11 @@ def test_su_theorem_cross_check():
 
 def preserving_pair_exists(g, oracle, limit=None):
     shift, _ = monicize(g)
+    scaled = g.scale(1 / shift.normalizer)
     for idx, pair in enumerate(oracle.pairs(shift.alpha)):
         if limit is not None and idx >= limit:
             return False
-        image = _project(g, shift.alpha, [pair.beta], pair.gamma, shift.normalizer)
+        image = _project(scaled, shift.alpha, [pair.beta], pair.gamma)
         fl = factor_monic(image)
         if len(fl.factors) == 1 and fl.factors[0][1] == 1:
             return True

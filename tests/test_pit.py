@@ -21,6 +21,7 @@ from polyfactor.oracles import constant_degree_oracle, su_oracle
 from polyfactor.errors import (
     CapError,
     InterpolationFailure,
+    VariableCountMismatch,
     ZeroPolynomialError,
 )
 
@@ -80,6 +81,14 @@ def test_whitebox_budget():
         assert f.eval_point(point) != 0
         assert all(c != 0 for c in point)
         assert counter.count <= n * (d + 1)
+
+
+def test_whitebox_point_has_one_coordinate_per_variable():
+    f = parse_poly("z1^2 + 3*z2 + 1")
+    assert len(find_nonzero_point(f, 2, 2)) == 2
+    for n in (1, 3):
+        with pytest.raises(VariableCountMismatch):
+            find_nonzero_point(f, n, 2)
 
 
 def test_whitebox_zero_poly():

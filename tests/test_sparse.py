@@ -1,10 +1,13 @@
 """Core sparse arithmetic: ring axioms, division, calculus, structure."""
 
+import ast
 import math
+import pathlib
 from fractions import Fraction
 
 import pytest
 
+import polyfactor
 from polyfactor.rational import Q
 from polyfactor.sparse import SparsePoly
 from polyfactor.parse import parse_poly, parse_product
@@ -219,7 +222,55 @@ def test_successive_eval_var_equals_eval_point():
             del slots[k]
             assert current.n == len(slots)
             assert current.eval_point([point[j] for j in slots]) == value
+            # the same variables set in one pass
+            done = {j + 1: point[j] for j in range(n) if j not in slots}
+            assert f.eval_vars(done) == current
         assert current == SparsePoly.const(0, value)
+
+
+def test_eval_point_evaluates_in_one_pass(monkeypatch):
+    def folded(self, var, value):
+        raise AssertionError("eval_point folded eval_var")
+
+    monkeypatch.setattr(SparsePoly, "eval_var", folded)
+    rng = rng_for("eval-point-one-pass")
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        f = random_rational_poly(rng, n, rng.randint(0, 5), rng.randint(1, 8))
+        point = [rng.choice([0, 1, -2, Q(3, 5), Q(-7, 2)]) for _ in range(n)]
+        expected = sum(
+            c * math.prod(Fraction(v) ** e for v, e in zip(point, exps))
+            for exps, c in f.terms.items()
+        )
+        assert f.eval_point(point) == expected
+
+
+def test_eval_var_rejects_a_variable_out_of_range():
+    f = parse_poly("z1^2 + 3*z2 + 1")
+    for var in (-1, 0, 3):
+        with pytest.raises(IndexError):
+            f.eval_var(var, 2)
+        with pytest.raises(IndexError):
+            f.eval_vars({1: 1, var: 2})
+
+
+def test_one_integer_boundary():
+    """Polynomials are read into integers only by sparse._int_table (the
+    interpolation solve clears its values, which are no polynomial), and
+    every kernel result over Q comes from sparse._from_table."""
+    clears, builds = set(), set()
+    for path in sorted(pathlib.Path(polyfactor.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    if node.func.id == "clear_denominators":
+                        clears.add((path.stem, func.name))
+                    elif node.func.id == "Q" and len(node.args) == 2:
+                        builds.add((path.stem, func.name))
+    assert clears == {("sparse", "_int_table"), ("pit", "_transposed_vandermonde")}
+    assert {name for mod, name in builds if mod == "sparse"} == {"_from_table"}
 
 
 def reference_eval_var(f, var, value):
