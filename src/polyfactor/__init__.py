@@ -28,7 +28,7 @@ from .pit import (
 from .isolation import (
     IsolationScheme,
     apply_phi,
-    find_isolating_prime,
+    compact_scheme,
     psi_invert,
     psi_map,
     recover_from_phi,
@@ -84,7 +84,7 @@ __all__ = [
     "trivial_hitting_set",
     "IsolationScheme",
     "apply_phi",
-    "find_isolating_prime",
+    "compact_scheme",
     "psi_invert",
     "psi_map",
     "recover_from_phi",

@@ -99,10 +99,9 @@ def build_parser():
     p.add_argument("--oracle", required=True)
     p.add_argument("poly")
 
-    p = sub.add_parser("isolate", help="print an isolation scheme")
+    p = sub.add_parser("isolate", help="print the scheme factor-cd projects on")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--capacity", type=int, default=1)
 
     return parser
 
@@ -184,7 +183,7 @@ def run(argv=None):
         return 0
 
     if args.command == "isolate":
-        scheme = isolation.find_isolating_prime(args.n, args.delta, args.capacity)
+        scheme = isolation.compact_scheme(args.n, args.delta)
         _emit(
             args,
             json.loads(scheme.to_json()),

@@ -117,12 +117,10 @@ def projected_factoring(f, delta, config=None):
         raise PolyError("cannot factor a constant")
     shift, f_alpha = monicize(f)
     scheme = compact_scheme(f.n, delta)
-    grid = psi_map(f_alpha, scheme, max_cells=config.max_dense_cells)
-    if grid.true_degrees()[0] != shift.degree:
+    image = psi_map(f_alpha, scheme, max_cells=config.max_dense_cells).to_sparse()
+    if image.degree_in(1) != shift.degree:
         raise VerificationError("psi must preserve the x-degree")
-    proj_mult = factor_monic(
-        grid.to_sparse(), bounds=scheme.image_degree_bounds()
-    ).factors
+    proj_mult = factor_monic(image, bounds=scheme.image_degree_bounds()).factors
     return ProjectedFactorSet(proj_mult, shift, scheme)
 
 

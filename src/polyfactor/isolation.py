@@ -1,28 +1,27 @@
-"""Isolating primes, Kronecker-style weight maps, and the three-variable
-projection that preserves low-degree factors.
+"""Kronecker-style weight maps and the three-variable projection that
+preserves low-degree factors.
 
 A scheme carries two weight vectors: w drives the substitution
 z_i -> y^{w_i} t + y^{w'_i} and w' alone determines the t=0 slice used for
 inversion, so both must map the monomials of degree <= delta injectively.
-The prime p certifies the reduction step of the weight construction.
 
-Two constructions are kept.  The factoring engine projects on the compact
-scheme: greedily chosen minimal weights, which keep the trivariate images'
-degrees as small as the separation floor allows.  The reduced-power scheme
-w_i = (delta+1)^(i-1) mod p, for the smallest prime p that keeps the map
-injective, serves CLI `isolate` and the `apply_phi` worked example.
-Neither is sized by the paper's analytic bound, which is far beyond desk
-scale: the engine keeps only candidates that divide its residual exactly,
-so a scheme can cost completeness, never correctness.
+One construction is kept, `compact_scheme`: greedily chosen minimal
+weights, which keep the trivariate images' degrees as small as the
+separation floor allows, paired with their reversal.  The factoring engine,
+the constant-degree oracle, CLI `isolate` and the `apply_phi` worked
+example all use it.  It is not sized by the paper's analytic bound, which
+is far beyond desk scale: the engine keeps only candidates that divide its
+residual exactly, so a scheme can cost completeness, never correctness.
 """
 
 import json
 from dataclasses import dataclass
+from math import prod
 
-from .rational import ONE, primes
+from .rational import ONE
 from .sparse import SparsePoly
 from .dense import DensePoly3
-from .errors import NotInCodomain, PolyError
+from .errors import CapError, NotInCodomain, PolyError
 
 
 def monomials_up_to(n, delta):
@@ -40,25 +39,20 @@ def monomials_up_to(n, delta):
     return out
 
 
-def weights_injective(weights, delta, modulus=None):
-    """Whether e -> sum(e_i w_i) (mod modulus) separates M_delta."""
-    monos = monomials_up_to(len(weights), delta)
-    seen = set()
-    for e in monos:
-        v = sum(ei * wi for ei, wi in zip(e, weights))
-        if modulus is not None:
-            v %= modulus
-        if v in seen:
-            return False
-        seen.add(v)
-    return True
+def _weight(e, weights):
+    return sum(ei * wi for ei, wi in zip(e, weights))
+
+
+def weights_injective(weights, delta):
+    """Whether e -> sum(e_i w_i) separates M_delta."""
+    sums = [_weight(e, weights) for e in monomials_up_to(len(weights), delta)]
+    return len(set(sums)) == len(sums)
 
 
 @dataclass(frozen=True)
 class IsolationScheme:
     n: int
     delta: int
-    p: int
     w: tuple
     w_prime: tuple
 
@@ -67,14 +61,6 @@ class IsolationScheme:
             raise PolyError("w is not injective on the bounded monomials")
         if not weights_injective(self.w_prime, self.delta):
             raise PolyError("w' is not injective on the bounded monomials")
-
-    def monomial_table(self, primary=True):
-        """Invertible map sum(e*w) -> e over M_delta (w' when primary=False)."""
-        weights = self.w if primary else self.w_prime
-        table = {}
-        for e in monomials_up_to(self.n, self.delta):
-            table[sum(ei * wi for ei, wi in zip(e, weights))] = e
-        return table
 
     def image_degree_bounds(self):
         """(x, y, t) degree bounds of psi_map's image of any polynomial of
@@ -88,7 +74,6 @@ class IsolationScheme:
             {
                 "n": self.n,
                 "delta": self.delta,
-                "p": self.p,
                 "w": list(self.w),
                 "w_prime": list(self.w_prime),
             }
@@ -98,30 +83,8 @@ class IsolationScheme:
     def from_json(cls, text):
         data = json.loads(text)
         return cls(
-            data["n"],
-            data["delta"],
-            data["p"],
-            tuple(data["w"]),
-            tuple(data["w_prime"]),
+            data["n"], data["delta"], tuple(data["w"]), tuple(data["w_prime"])
         )
-
-
-def find_isolating_prime(n, delta, extra_capacity=1):
-    """Smallest prime p making w_i = (delta+1)^(i-1) mod p injective on the
-    degree-<=delta monomials, scanning upward; extra_capacity > 1 starts the
-    scan there so all bounded-degree factors of a degree-d polynomial stay
-    separated simultaneously."""
-    if n < 1 or delta < 1:
-        raise ValueError("need n >= 1 and delta >= 1")
-    for p in primes(extra_capacity):
-        w = tuple(pow(delta + 1, i, p) for i in range(n))
-        if weights_injective(w, delta, modulus=p):
-            if n == 1:
-                wp = (w[0] + 1,)
-            else:
-                wp = tuple(reversed(w))
-            return IsolationScheme(n, delta, p, w, wp)
-    raise AssertionError("unreachable: a valid prime always exists")
 
 
 def compact_scheme(n, delta):
@@ -131,6 +94,8 @@ def compact_scheme(n, delta):
     injective: with the sums so far kept per total degree d, every s + k c
     (1 <= k <= delta - d) must miss them, which also rules out a clash
     between two new monomials (subtract their common power of c)."""
+    if n < 1 or delta < 1:
+        raise ValueError("need n >= 1 and delta >= 1")
     w = []
     sums = [{0}] + [set() for _ in range(delta)]  # total degree -> weight sums
     for _ in range(n):
@@ -150,8 +115,7 @@ def compact_scheme(n, delta):
         ]
     w = tuple(w)
     wp = (w[0] + 1,) if n == 1 else tuple(reversed(w))
-    p = next(primes(w[-1] * delta + 1))
-    return IsolationScheme(n, delta, p, w, wp)
+    return IsolationScheme(n, delta, w, wp)
 
 
 # ---------------------------------------------------------------------------
@@ -169,33 +133,54 @@ def apply_phi(f, scheme, x_vars=0):
     return f.substitute(assignment, m=m)
 
 
+def _read_back(terms, scheme, weights, y_slot):
+    """The polynomial whose image under z_i -> y^{weights_i} has the given
+    (exponents, coefficient) terms: the slots before y_slot pass through and
+    the y-exponent is read back to its monomial of degree <= scheme.delta;
+    NotInCodomain when it has none."""
+    table = {_weight(e, weights): e for e in monomials_up_to(scheme.n, scheme.delta)}
+    out = {}
+    for exps, c in terms:
+        e = table.get(exps[y_slot])
+        if e is None:
+            raise NotInCodomain("y^%d has no bounded-degree preimage" % exps[y_slot])
+        out[exps[:y_slot] + e] = c
+    return SparsePoly(y_slot + scheme.n, out)
+
+
 def recover_from_phi(h, scheme, x_vars=0):
     """Unique preimage of degree <= scheme.delta under apply_phi;
     NotInCodomain on a y-exponent outside the scheme's monomial table."""
     if h.n != x_vars + 1:
         raise PolyError("image must have exactly one y variable")
-    table = scheme.monomial_table(primary=True)
-    terms = {}
-    for exps, c in h.terms.items():
-        yexp = exps[x_vars]
-        e = table.get(yexp)
-        if e is None:
-            raise NotInCodomain("y-exponent %d not in the bounded table" % yexp)
-        terms[exps[:x_vars] + e] = c
-    return SparsePoly(x_vars + scheme.n, terms)
+    return _read_back(h.terms.items(), scheme, scheme.w, x_vars)
 
 
-def psi_map(f, scheme, max_cells=None):
-    """g(x, z) -> g(x, y^{w_i} t + y^{w'_i}) as a dense (x, y, t) grid."""
-    if f.n != scheme.n + 1:
-        raise PolyError("expected variables (x, z_1..z_n)")
+def _psi_image(f, scheme):
+    """g(x, z) -> g(x, y^{w_i} t + y^{w'_i}) as a SparsePoly in (x, y, t)."""
     assignment = [SparsePoly.variable(3, 1)] + [
         SparsePoly(3, {(0, wi, 1): ONE, (0, wpi, 0): ONE})
         for wi, wpi in zip(scheme.w, scheme.w_prime)
     ]
-    image = f.substitute(assignment, m=3)
+    return f.substitute(assignment, m=3)
+
+
+def psi_map(f, scheme, max_cells=None):
+    """g(x, z) -> g(x, y^{w_i} t + y^{w'_i}) as a dense (x, y, t) grid.
+
+    A term x^a z^e maps within x-degree a, y-degree sum(e_i max(w_i, w'_i))
+    and t-degree |e|, so the image's box is bounded before substituting, and
+    a box beyond max_cells raises CapError at once."""
+    if f.n != scheme.n + 1:
+        raise PolyError("expected variables (x, z_1..z_n)")
+    top = [max(pair) for pair in zip(scheme.w, scheme.w_prime)]
+    reach = [(e[0], _weight(e[1:], top), sum(e[1:])) for e in f.terms]
+    cells = prod(max(col) + 1 for col in zip(*reach)) if reach else 1
+    if max_cells is not None and cells > max_cells:
+        raise CapError("max_dense_cells", cells, max_cells)
+    image = _psi_image(f, scheme)
     bounds = [max(col) for col in zip(*image.terms)] or [0, 0, 0]
-    grid = DensePoly3.zeros(tuple(bounds), max_cells=max_cells)
+    grid = DensePoly3.zeros(tuple(bounds))
     for (i, j, k), c in image.terms.items():
         grid.coeffs[i][j][k] = c
     return grid
@@ -204,28 +189,17 @@ def psi_map(f, scheme, max_cells=None):
 def psi_invert(h, scheme, delta):
     """Invert psi_map on a monic-in-x grid with deg_x <= delta.
 
-    Sets t = 0, reads each x^k y^j monomial back through the w' table, and
-    verifies the candidate maps exactly onto h; anything else raises
-    NotInCodomain.
+    Converts h to sparse terms once, sets t = 0, reads each x^k y^j monomial
+    back through the w' table, and verifies that the candidate's image is
+    exactly those terms; anything else raises NotInCodomain.
     """
-    degs = h.true_degrees()
-    if degs is None:
+    image = h.to_sparse()
+    if image.is_zero():
         raise NotInCodomain("zero grid")
-    dx = degs[0]
-    if dx > delta:
+    if image.degree_in(1) > delta:
         raise NotInCodomain("x-degree exceeds the bound")
-    table = scheme.monomial_table(primary=False)
-    terms = {}
-    for i in range(dx + 1):
-        for j, row in enumerate(h.coeffs[i]):
-            c = row[0]
-            if not c:
-                continue
-            e = table.get(j)
-            if e is None:
-                raise NotInCodomain("slice monomial y^%d has no preimage" % j)
-            terms[(i,) + e] = c
-    candidate = SparsePoly(scheme.n + 1, terms)
-    if psi_map(candidate, scheme) != h:
+    slice0 = ((exps, c) for exps, c in image.terms.items() if not exps[2])
+    candidate = _read_back(slice0, scheme, scheme.w_prime, 1)
+    if _psi_image(candidate, scheme) != image:
         raise NotInCodomain("verification against the full image failed")
     return candidate

@@ -142,6 +142,8 @@ class SparsePoly:
 
     def degree_in(self, var):
         """Degree in variable var (1-based); None for the zero polynomial."""
+        if not 1 <= var <= self.n:
+            raise IndexError("variable index %d out of range 1..%d" % (var, self.n))
         if not self.terms:
             return None
         return max(e[var - 1] for e in self.terms)

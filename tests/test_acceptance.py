@@ -21,7 +21,6 @@ from polyfactor.oracles import constant_degree_oracle, su_oracle
 from polyfactor.isolation import (
     apply_phi,
     compact_scheme,
-    find_isolating_prime,
     monomials_up_to,
     psi_invert,
     psi_map,
@@ -184,15 +183,15 @@ def test_criterion_4_divisibility_equivalence():
 def test_criterion_5_isolation():
     # exhaustive pairwise injectivity on the bounded monomial sets
     for n, delta in [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (5, 1)]:
-        for scheme in (compact_scheme(n, delta), find_isolating_prime(n, delta)):
-            for weights in (scheme.w, scheme.w_prime):
-                values = [
-                    sum(e * w for e, w in zip(mono, weights))
-                    for mono in monomials_up_to(n, delta)
-                ]
-                assert len(values) == len(set(values))
+        scheme = compact_scheme(n, delta)
+        for weights in (scheme.w, scheme.w_prime):
+            values = [
+                sum(e * w for e, w in zip(mono, weights))
+                for mono in monomials_up_to(n, delta)
+            ]
+            assert len(values) == len(set(values))
     rng = rng_for("acceptance-5")
-    scheme = find_isolating_prime(3, 2)
+    scheme = compact_scheme(3, 2)
     monos = monomials_up_to(3, 2)
 
     def bounded(rng):
@@ -210,8 +209,8 @@ def test_criterion_5_isolation():
         )
         assert recover_from_phi(apply_phi(f, scheme), scheme) == f
     # the worked example: weights (1,3), x^2 - z1 z2 -> x^2 - y^4 -> split
-    s22 = find_isolating_prime(2, 2)
-    assert (s22.p, s22.w) == (7, (1, 3))
+    s22 = compact_scheme(2, 2)
+    assert (s22.w, s22.w_prime) == ((1, 3), (3, 1))
     g = parse_poly("z1^2 - z2*z3")
     image = apply_phi(g, s22, x_vars=1)
     assert image == parse_poly("z1^2 - z2^4", n=2)

@@ -123,8 +123,20 @@ def test_isolate(capsys):
     code, out, _ = run_cli(capsys, "isolate", "--n", "2", "--delta", "2")
     assert code == 0
     payload = json.loads(out)
-    assert payload["p"] == 7
-    assert payload["w"] == [1, 3]
+    assert payload == {"n": 2, "delta": 2, "w": [1, 3], "w_prime": [3, 1]}
+    for n, delta in (("0", "2"), ("2", "0")):
+        code, _, err = run_cli(capsys, "isolate", "--n", n, "--delta", delta)
+        assert (code, err) == (1, "error: need n >= 1 and delta >= 1\n")
+
+
+@pytest.mark.parametrize("n, delta", [(3, 2), (4, 2), (5, 1)])
+def test_isolate_prints_the_scheme_factor_cd_projects_on(capsys, n, delta):
+    f = polyfactor.parse_poly(" + ".join("z%d" % i for i in range(1, n + 1)) + " + 1")
+    scheme = polyfactor.projected_factoring(f, delta).scheme
+    code, out, _ = run_cli(capsys, "isolate", "--n", str(n), "--delta", str(delta))
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["w"], payload["w_prime"]) == (list(scheme.w), list(scheme.w_prime))
 
 
 def test_factor_su(capsys):

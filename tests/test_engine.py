@@ -332,6 +332,48 @@ def test_psi_invert_rejects_a_candidate_that_is_no_image(monkeypatch):
     assert rejected
 
 
+def test_psi_is_read_back_on_sparse_terms(monkeypatch):
+    # psi_invert converts its grid once and allocates none of its own, and
+    # projected_factoring reads the x-degree off the sparse image, so no grid
+    # is scanned for its degrees
+    import polyfactor.engine as engine
+    from polyfactor.dense import DensePoly3
+
+    f, expected = cd_pool_entry(96)
+    init, to_sparse = DensePoly3.__init__, DensePoly3.to_sparse
+    scans = None  # grids converted by the running psi_invert, None outside it
+    per_call = []
+
+    def guarded_init(grid, *args):
+        if scans is not None:
+            raise AssertionError("psi_invert allocated a grid")
+        init(grid, *args)
+
+    def counted_to_sparse(grid):
+        if scans is not None:
+            scans.append(grid)
+        return to_sparse(grid)
+
+    def no_scan(grid):
+        raise AssertionError("a grid was scanned for its degrees")
+
+    def recorded(*args):
+        nonlocal scans
+        scans = []
+        try:
+            return psi_invert(*args)
+        finally:
+            per_call.append(len(scans))
+            scans = None
+
+    monkeypatch.setattr(DensePoly3, "__init__", guarded_init)
+    monkeypatch.setattr(DensePoly3, "to_sparse", counted_to_sparse)
+    monkeypatch.setattr(DensePoly3, "true_degrees", no_scan)
+    monkeypatch.setattr(engine, "psi_invert", recorded)
+    assert constant_degree_factors(f, 2).to_json_dict() == expected
+    assert per_call and set(per_call) == {1}
+
+
 def test_multiplicity_worked_example():
     f = parse_product("(z1+z2)^2*z1")
     g = parse_poly("z1+z2")

@@ -1,4 +1,5 @@
-"""Isolating primes, the weight maps, and the three-variable projection."""
+"""The compact isolation scheme, the weight maps, and the three-variable
+projection."""
 
 import pytest
 
@@ -9,7 +10,6 @@ from polyfactor.isolation import (
     IsolationScheme,
     apply_phi,
     compact_scheme,
-    find_isolating_prime,
     monomials_up_to,
     psi_invert,
     psi_map,
@@ -17,7 +17,7 @@ from polyfactor.isolation import (
     weights_injective,
 )
 from polyfactor.basefactor import factor_monic, is_irreducible_lowvar
-from polyfactor.errors import NotInCodomain
+from polyfactor.errors import CapError, NotInCodomain
 from polyfactor.dense import to_dense
 
 from conftest import rng_for, random_poly, sympy_irreducible
@@ -33,38 +33,15 @@ def bounded_random(rng, n, delta, max_terms=5):
     return SparsePoly(n, table)
 
 
-def test_smallest_prime_n2_d2():
-    # enumeration oracle: weights (1, 3); p = 5 collides (1+3*... 6 = 1 mod 5),
-    # p = 7 separates {0,1,2,3,4,6}
-    s = find_isolating_prime(2, 2)
-    assert s.p == 7
-    assert s.w == (1, 3)
-    values = sorted(
-        sum(e * w for e, w in zip(mono, s.w)) % s.p
-        for mono in monomials_up_to(2, 2)
-    )
-    assert values == [0, 1, 2, 3, 4, 6]
-    assert not weights_injective((1, 3), 2, modulus=5)
-
-
-def test_smallest_prime_n1_d3():
-    assert find_isolating_prime(1, 3).p == 5
-
-
-def test_capacity_raises_scan_start():
-    s = find_isolating_prime(2, 2, extra_capacity=8)
-    assert s.p >= 11
-
-
 def test_scheme_injectivity_is_exhaustive():
     for n, delta in [(1, 1), (2, 2), (3, 2), (4, 2), (2, 3)]:
-        for scheme in (compact_scheme(n, delta), find_isolating_prime(n, delta)):
-            for weights in (scheme.w, scheme.w_prime):
-                seen = set()
-                for mono in monomials_up_to(n, delta):
-                    v = sum(e * w for e, w in zip(mono, weights))
-                    assert v not in seen
-                    seen.add(v)
+        scheme = compact_scheme(n, delta)
+        for weights in (scheme.w, scheme.w_prime):
+            seen = set()
+            for mono in monomials_up_to(n, delta):
+                v = sum(e * w for e, w in zip(mono, weights))
+                assert v not in seen
+                seen.add(v)
 
 
 def greedy_weights_by_full_check(n, delta):
@@ -90,7 +67,7 @@ def test_compact_scheme_keeps_the_greedy_weights(delta, n_max):
 
 
 def test_apply_phi_paper_example():
-    s = find_isolating_prime(2, 2)
+    s = compact_scheme(2, 2)
     g = parse_poly("z1^2 - z2*z3")  # x^2 - z1 z2, x in the first slot
     image = apply_phi(g, s, x_vars=1)
     assert image == parse_poly("z1^2 - z2^4", n=2)
@@ -99,14 +76,14 @@ def test_apply_phi_paper_example():
 
 
 def test_apply_phi_constant():
-    s = find_isolating_prime(2, 2)
+    s = compact_scheme(2, 2)
     one = SparsePoly.const(2, 1)
     assert apply_phi(one, s) == SparsePoly.const(1, 1)
 
 
 def test_phi_multiplicative():
     rng = rng_for("phi-hom")
-    s = find_isolating_prime(3, 2)
+    s = compact_scheme(3, 2)
     for _ in range(50):
         f = bounded_random(rng, 3, 2)
         g = bounded_random(rng, 3, 2)
@@ -115,7 +92,7 @@ def test_phi_multiplicative():
 
 def test_recover_round_trip():
     rng = rng_for("phi-recover")
-    s = find_isolating_prime(3, 2)
+    s = compact_scheme(3, 2)
     y4 = apply_phi(parse_poly("z1*z2", n=3), s)
     assert recover_from_phi(y4, s) == parse_poly("z1*z2", n=3)
     assert recover_from_phi(SparsePoly.const(1, 1), s) == SparsePoly.const(3, 1)
@@ -125,7 +102,7 @@ def test_recover_round_trip():
 
 
 def test_recover_rejects_out_of_table():
-    s = find_isolating_prime(2, 2)
+    s = compact_scheme(2, 2)
     bad = SparsePoly(1, {(97,): Q(1)})
     with pytest.raises(NotInCodomain):
         recover_from_phi(bad, s)
@@ -201,6 +178,29 @@ def test_image_degree_bounds_hold_and_are_reached():
         top = SparsePoly.monomial(n + 1, [0] * (j + 1) + [delta] + [0] * (n - j - 1))
         image = psi_map(top, scheme).to_sparse()
         assert (delta, image.degree_in(2), image.degree_in(3)) == bounds
+
+
+def test_psi_map_checks_its_cap_before_substituting(monkeypatch):
+    # x^1000 + z1^1000 + z2^1000 maps onto a 1001 x 3001 x 1001 box, bounded
+    # from its exponents with weights max(w_i, w'_i) = 3
+    s = compact_scheme(2, 2)
+    huge = parse_poly("z1^1000 + z2^1000 + z3^1000 + 1")
+    small = parse_poly("z1^2 + z2*z3 - 1")
+    cells = (2 + 1) * (3 * 2 + 1) * (2 + 1)
+    assert psi_map(small, s, max_cells=cells).bounds == (2, 3 * 2, 2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("substituted before the cap check")
+
+    monkeypatch.setattr(SparsePoly, "substitute", refuse)
+    with pytest.raises(CapError) as info:
+        psi_map(huge, s, max_cells=4_000_000)
+    assert (info.value.cap_name, info.value.requested) == (
+        "max_dense_cells",
+        1001 * 3001 * 1001,
+    )
+    with pytest.raises(CapError):
+        psi_map(small, s, max_cells=cells - 1)
 
 
 def test_psi_invert_rejects_perturbation():

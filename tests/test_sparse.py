@@ -254,6 +254,16 @@ def test_eval_var_rejects_a_variable_out_of_range():
             f.eval_vars({1: 1, var: 2})
 
 
+def test_degree_in_rejects_a_variable_out_of_range():
+    # a slot from the end must not stand in for variable 0 or -1
+    f = parse_poly("z1^2 + 3*z2 + 1")
+    assert (f.degree_in(1), f.degree_in(2)) == (2, 1)
+    for poly in (f, SparsePoly.zero(2)):
+        for var in (-1, 0, 3):
+            with pytest.raises(IndexError, match="out of range 1..2"):
+                poly.degree_in(var)
+
+
 def test_one_integer_boundary():
     """Polynomials are read into integers only by sparse._int_table (the
     interpolation solve clears its values, which are no polynomial), and
