@@ -9,50 +9,53 @@ part (smallest usable prime, Berlekamp modulo p, quadratic Hensel lifting
 to the Mignotte factor bound, subset recombination).  These tools work on
 ascending integer coefficient lists.
 
-Two and three variables, monic in x: evaluate the largest-degree non-main
-variable at points 0, 1, -1, 2, ... scanned deterministically, skipping
-points that drop the other side variable's degree.  Each probe is ranked
-by one univariate image (any remaining side variable at a fixed nonzero
-value): first by its squarefree degree deg - deg gcd(image, image') mod a
-fixed prime P >= 2^20 that avoids f's denominators, largest first, which
-never exceeds the probe's squarefree x-degree over Q and equals it at
-generic points; then, for a squarefree image of full degree, by its
-number of distinct irreducible factors mod the least prime q that keeps
-it squarefree (the dimension of its Berlekamp nullspace), fewest first,
-an upper bound on the probe's factor count over Q; then earliest.  Only
-the popped probe is factored over Q, recursively.  Since f is monic in x
-and its monic factors have denominators dividing f's, a factorization of
-f maps to one of every image that keeps its degree, so an image with one
-factor mod q, or a popped probe irreducible over Q, proves f irreducible
-(von zur Gathen & Gerhard, Modern Computer Algebra, 15-16).  Otherwise
-group the probe's factorization into pairwise-coprime prime powers,
-translate the evaluation point to the origin mod p^k > 2B^2, B the same
-Mignotte bound, Hensel-lift the groups there, and recombine subsets of
-lifted groups, smallest first and up to half the groups left (the rest
-then make one factor).  A subset of groups u^e lifts U^e, so its product
-is rooted in the truncated series ring by Miller's power recurrence, then
-translated back mod p^k before its coefficients are reconstructed.  A
-lifted factor is a series in the evaluated variable whose coefficients
-are packed (x, w) dicts mod p^k, w the remaining side variable; each lift
-step solves one Diophantine equation, w-adically from a Bezout pair at
-w = 0.  A group u^e enters as u's primitive integer rows over their
-x-leading integer, a divisor of f's denominator, raised to e mod p^k.
-When the factorization at one point is already known (a trivariate slice
-whose t2 = 0 image was factored before), `lift_slice(f, base)` returns the
-factor lifted from each group, unproved, in the groups' order.
-`factor_monic(f, bounds=...)` asks only for the factors
-within a degree bound per variable: the lift stops at the v- and w-orders
-such a factor reaches, and only subsets within the x-bound recombine
-(Wang's EEZ lift, Math. Comp. 1978, cut at the wanted degrees); it returns
-unproved candidates, and the caller's division of its own input decides.
-Exact divisions over Q are the whole proof of a complete factorization:
-Yun and Zassenhaus end on exact quotients in Z[x], and the lift divides
-each factor out of what is left of f as often as its multiplicity and
-requires a constant at the end, so a degenerate evaluation point fails
-the lift or a division and costs another point, never correctness.
+Two and three variables, monic in x: f is read once (`_read`), with its
+degrees (dx, dv, dw) and the least prime P >= 2^20 that avoids its
+denominators, for its probes and every lift; a bivariate f, or a dead side
+variable, reads as dw = 0.  Evaluate the largest-degree side variable v at
+points 0, 1, -1, 2, ..., skipping points that drop the other side
+variable's degree.  Each probe is ranked by one univariate image (w at a
+fixed nonzero value): first by its squarefree degree deg - deg gcd(image,
+image') mod P, largest first, which never exceeds the probe's squarefree
+x-degree over Q and equals it at generic points; then, for a squarefree
+image of full degree, by its number of distinct irreducible factors mod
+the least prime q that keeps it squarefree (the dimension of its Berlekamp
+nullspace), fewest first, an upper bound on the probe's factor count over
+Q; then earliest.  Only the popped probe is factored over Q, recursively.
+Since f is monic in x and its monic factors have denominators dividing
+f's, a factorization of f maps to one of every image that keeps its
+degree, so an image with one factor mod q, or a popped probe irreducible
+over Q, proves f irreducible (von zur Gathen & Gerhard, Modern Computer
+Algebra, 15-16).  Otherwise group the probe's factorization into prime
+powers, find a point w0 of w where their images are pairwise coprime mod P
+(else try the next probe), translate the evaluation point to the origin
+mod P^k > 2B^2, B the Mignotte bound, Hensel-lift the groups there, and
+recombine subsets of lifted groups, smallest first and up to half the
+groups left (the rest then make one factor).  A subset of groups u^e lifts
+U^e, so its product is rooted in the truncated series ring by Miller's
+power recurrence, then translated back mod P^k before its coefficients are
+reconstructed.  A lifted factor is a series in the evaluated variable
+whose coefficients are packed (x, w) dicts mod P^k, w the remaining side
+variable; each lift step solves one Diophantine equation, w-adically from
+a Bezout pair at w = 0.  A group u^e enters as u's primitive integer rows
+over their x-leading integer, a divisor of f's denominator, raised to e
+mod P^k.  When the factorization at one point is already known (a
+trivariate slice whose t2 = 0 image was factored before), `lift_slice(f,
+base)` returns the factor lifted from each group, unproved, in the groups'
+order.  `factor_monic(f, bounds=...)` asks only for the factors within a
+degree bound per variable: the lift stops at the v- and w-orders such a
+factor reaches, and only subsets within the x-bound recombine (Wang's EEZ
+lift, Math. Comp. 1978, cut at the wanted degrees); it returns unproved
+candidates, and the caller's division of its own input decides.  Exact
+divisions over Q are the whole proof of a complete factorization: Yun and
+Zassenhaus end on exact quotients in Z[x], and the lift divides each
+factor out of what is left of f as often as its multiplicity and requires
+a constant at the end, so a degenerate evaluation point fails the lift or
+a division and costs another point, never correctness.
 """
 
 import math
+from collections import namedtuple
 from itertools import accumulate, combinations, product
 
 from .rational import Q, ONE, primes
@@ -523,16 +526,28 @@ def _up_gcd_z(f, g):
 def _int_rows(f, v=None, w=None):
     """(rows, den): f's terms as integers over their common denominator den,
     rows[ex] holding (v-exponent, w-exponent, integer) for each term of
-    x-degree ex (x is variable 1; the exponent of a variable None is 0)."""
+    x-degree ex (x is variable 1; a variable None, or past f's n, has
+    exponent 0: it reads the 0 appended to each exponent tuple)."""
     table, den = _int_table(f)
+    iv, iw = (i - 1 if i and i <= f.n else f.n for i in (v, w))
     rows = [[] for _ in range((f.degree_in(1) or 0) + 1)]
     for exps, c in table.items():
-        rows[exps[0]].append((exps[v - 1] if v else 0, exps[w - 1] if w else 0, c))
+        exps += (0,)
+        rows[exps[0]].append((exps[iv], exps[iw], c))
     return rows, den
 
 
+def _eval_rows(rows, den, v0, w0, p):
+    """rows / den at z_v = v0, z_w = w0 mod the prime p (`_int_rows`' rows,
+    p not dividing den), as an ascending list of x-coefficients."""
+    scale = pow(den, -1, p)
+    return [sum(c * pow(v0, ev, p) * pow(w0, ew, p) for ev, ew, c in row) * scale % p
+            for row in rows]
+
+
 def _factor_univariate_pairs(f):
-    """[(canonical irreducible, multiplicity)] for a univariate SparsePoly.
+    """[(canonical irreducible, multiplicity)] for a SparsePoly in x alone
+    (any other variable of f unused).
 
     Yun's squarefree decomposition runs on the primitive integer part F of f.
     By Gauss's lemma every quotient stays in Z[x], and every part comes out
@@ -848,7 +863,8 @@ def _shift_series(ser, cv, cw, m, vlen=None, wlen=None):
 
 
 def _series_to_qpoly(ser, v, w, n, m):
-    """z_v-series of (x, w) dicts back to an n-variable SparsePoly over Q."""
+    """z_v-series of (x, w) dicts back to an n-variable SparsePoly over Q
+    (a z_w past n, as for a bivariate f, has only w-order 0)."""
     terms = {}
     for ev, d in enumerate(ser):
         for packed, val in d.items():
@@ -856,50 +872,63 @@ def _series_to_qpoly(ser, v, w, n, m):
             if q is None:
                 return None
             ex, ew = cd_unpack(packed)
-            exps = [0] * n
-            exps[0] = ex
-            exps[v - 1] = ev
-            if w is not None:
-                exps[w - 1] = ew
-            terms[tuple(exps)] = q
+            exps = [ex, 0, 0]
+            exps[v - 1], exps[w - 1] = ev, ew
+            terms[tuple(exps[:n])] = q
     return SparsePoly(n, terms)
 
 
-def _lift(f, v, w, v0, base, bounds=None):
-    """(groups, candidate): `base`, f's factorization at z_v = v0, lifted
-    mod p^k > 2B^2 (B = _factor_bound); groups[i] is base[i]'s (x-degree,
-    multiplicity).  candidate(S) is (P, e), P monic in x and P^e the factor
-    the groups S lift, reconstructed over Q and unproved (junk reconstructs
-    too); None when their multiplicities differ or nothing reconstructs.
-    Raises _AttemptFailed when the base images are not squarefree and
-    coprime.
+# The probes and the lift work modulo the least prime P >= _RANK_PRIME that
+# avoids f's denominators: a prime far above any x-degree keeps the images'
+# derivatives nonzero, makes a spurious common root unlikely, and exceeds
+# every e k `_series_root` inverts.
+_RANK_PRIME = 1 << 20
 
-    The lift runs mod (v^K, w^wlen), K = dv + 1 and wlen = dw + 1 (1 for a
-    bivariate lift).  Base images coprime mod (p, w - w0) make the lifted
-    factors unique mod (v^K, w^wlen, p^k), so a product of lifted factors
-    truncates the factor of f it lifts, whose degrees <= (dv, dw) keep it
-    whole.  A group u^e, u read as its primitive integer rows over their
-    x-leading integer, lifts to U^e, so a subset of groups of one
-    multiplicity e is rooted (`_series_root`; the prime exceeds deg_x f)
-    before it is reconstructed.  `bounds`, per variable (x first), cut the
-    lift at K = min(dv, bv) + 1 and wlen = min(dw, bw) + 1, and B at
-    x-degree bx: a factor within them is whole in the cut, and so is its
-    root, though U^e runs past it."""
-    dx = f.degree_in(1)
-    dv = f.degree_in(v) or 0
-    dw = (f.degree_in(w) or 0) if w is not None else 0
+_Reading = namedtuple("_Reading", "f v w rows den degrees prime")
+
+
+def _read(f, v, w):
+    """f read once for its probes and lifts in z_v, keeping z_w: its integer
+    rows over den (`_int_rows`), its degrees (dx, dv, dw) and the prime P.
+    A bivariate f is read with w = 3, a variable it lacks, so dw = 0."""
+    rows, den = _int_rows(f, v, w)
+    exps = [(ev, ew) for row in rows for ev, ew, _ in row]
+    degrees = (len(rows) - 1,) + tuple(max(col) for col in zip(*exps))
+    P = next(q for q in primes(_RANK_PRIME) if den % q)
+    return _Reading(f, v, w, rows, den, degrees, P)
+
+
+def _lift(reading, v0, base, bounds=None):
+    """(groups, candidate): `base`, f's factorization at z_v = v0, lifted
+    mod P^k > 2B^2 (P the reading's prime, B = _factor_bound); groups[i] is
+    base[i]'s (x-degree, multiplicity).  candidate(S) is (G, e), G monic in
+    x and G^e the factor the groups S lift, reconstructed over Q and
+    unproved (junk reconstructs too); None when their multiplicities differ
+    or nothing reconstructs.  Raises _AttemptFailed when the base images are
+    not squarefree and coprime mod P at any w0 scanned.
+
+    The lift runs mod (v^K, w^wlen), K = dv + 1 and wlen = dw + 1.  Base
+    images coprime mod (P, w - w0) make the lifted factors unique mod
+    (v^K, w^wlen, P^k), so a product of lifted factors truncates the factor
+    of f it lifts, whose degrees <= (dv, dw) keep it whole.  A group u^e,
+    u read as its primitive integer rows over their x-leading integer,
+    lifts to U^e, so a subset of groups of one multiplicity e is rooted
+    (`_series_root`) before it is reconstructed.  `bounds`, per variable
+    (x first), cut the lift at K = min(dv, bv) + 1 and wlen = min(dw, bw) + 1,
+    and B at x-degree bx: a factor within them is whole in the cut, and so
+    is its root, though U^e runs past it."""
+    f, v, w, f_rows, f_den, (dx, dv, dw), P = reading
+    # a variable past f's n, as z_w of a bivariate f, is bounded by 0
     bx, bv, bw = (dx, dv, dw) if bounds is None else (
-        bounds[0], bounds[v - 1], bounds[w - 1] if w is not None else 0
+        bounds[0], bounds[v - 1], (*bounds, 0)[w - 1]
     )
     K = min(dv, bv) + 1
-    # w-orders the lift carries; a bivariate lift has only w^0
-    wlen = min(dw, bw) + 1
-    f_rows, f_den = _int_rows(f, v, w)  # f's integer form
+    wlen = min(dw, bw) + 1  # the w-orders the lift carries
     # a factor of a monic-in-x polynomial has a constant x-leading
     # coefficient, so the groups' monic images multiply to f's image exactly
     groups, tables = [], []  # tables[i]: base[i]'s primitive rows and lc
     for u, mult in base:
-        rows = _int_rows(u, None, 2 if w else None)[0]  # w is variable 2
+        rows = _int_rows(u, None, 2)[0]  # z_w is u's variable 2
         content = math.gcd(*(c for row in rows for _, _, c in row))
         rows = [[(ev, ew, c // content) for ev, ew, c in row] for row in rows]
         if len(rows[-1]) != 1 or rows[-1][0][1]:
@@ -907,28 +936,22 @@ def _lift(f, v, w, v0, base, bounds=None):
         groups.append((len(rows) - 1, mult))
         tables.append((rows, rows[-1][0][2]))
 
-    def coprime(p, w0):
-        """True when the groups' images at w = w0 are pairwise coprime mod p."""
-        images = [[sum(c * pow(w0, ew, p) for _, ew, c in row) * pow(lc, -1, p) % p
-                   for row in rows] for rows, lc in tables]
-        return all(up_deg(up_gcd_p(a, b, p)) == 0 for a, b in combinations(images, 2))
+    def coprime(w0):
+        """True when the groups' images at w = w0 are pairwise coprime mod P."""
+        images = [_eval_rows(rows, lc, 0, w0, P) for rows, lc in tables]
+        return all(up_deg(up_gcd_p(a, b, P)) == 0 for a, b in combinations(images, 2))
 
-    # prime: must avoid f's denominators, which each group's lc divides
-    # (Gauss's lemma), and give pairwise-coprime base images
-    w0_range = range(2 * dw * len(groups) ** 2 + 3) if w is not None else (0,)
-    for p in primes(dx + 1):
-        w0 = next((w0 for w0 in w0_range if f_den % p and coprime(p, w0)), None)
-        if w0 is not None:
-            break
-        if p > 10000 + dx:  # pragma: no cover
-            raise LiftFailure("no usable prime for multivariate lift")
+    # P avoids f's denominators, which each group's lc divides (Gauss's lemma)
+    w0 = next((w0 for w0 in range(2 * dw * len(groups) ** 2 + 3) if coprime(w0)), None)
+    if w0 is None:
+        raise _AttemptFailed("no w0 gives coprime base images")
     # a monic factor of f is G / lc(G), G an integer factor of f's integer
-    # form, and lc(G) divides f's denominator, which p avoids, so a subset
+    # form, and lc(G) divides f's denominator, which P avoids, so a subset
     # that does not reconstruct is no factor; candidates are reconstructed
     # in the original coordinates, so B needs no term for the translation,
     # and they have degrees within the cut, which B's degree sum is
     B = _factor_bound([c for r in f_rows for *_, c in r], min(dx, bx) + K + wlen - 2)
-    m = p ** _precision(p, 2 * B * B + 1)
+    m = P ** _precision(P, 2 * B * B + 1)
 
     # lift at the origin: translate the evaluation point there mod m, keeping
     # only the orders the lift carries; a group's power is taken there
@@ -940,7 +963,7 @@ def _lift(f, v, w, v0, base, bounds=None):
         for _ in range(mult - 1):
             power = cd_reduce(_wcut(_mul_into({}, power, g), wlen), m)
         group_cds.append(power)
-    leaves = _lift_tree(Fser, group_cds, K, wlen, p, m)
+    leaves = _lift_tree(Fser, group_cds, K, wlen, P, m)
 
     def candidate(S):
         mults = {groups[i][1] for i in S}
@@ -960,13 +983,13 @@ def _lift(f, v, w, v0, base, bounds=None):
     return groups, candidate
 
 
-def _attempt_lift(f, v, w, v0, base, bounds=None):
-    """The complete [(factor, mult)] of f lifted from `base`, its
+def _attempt_lift(reading, v0, base, bounds=None):
+    """The complete [(factor, mult)] of the read f lifted from `base`, its
     factorization at z_v = v0, or with `bounds` the unproved candidates
     within them (`_lift`), sorted as FactorList sorts."""
-    groups, candidate = _lift(f, v, w, v0, base, bounds)
+    groups, candidate = _lift(reading, v0, base, bounds)
     if bounds is None:
-        found = _complete_recombination(f, groups, candidate)
+        found = _complete_recombination(reading.f, groups, candidate)
     else:
         found = _bounded_recombination(groups, candidate, bounds[0])
     return sorted(found, key=lambda pm: factor_sort_key(pm[0]))
@@ -1031,7 +1054,7 @@ def lift_slice(f, base):
     does not reconstruct, and everywhere when the lift fails.  Unproved:
     the caller decides."""
     try:
-        _, candidate = _lift(f, 3, 2, 0, base)
+        _, candidate = _lift(_read(f, 3, 2), 0, base)
     except _AttemptFailed:
         return [None] * len(base)
     found = [candidate((i,)) for i in range(len(base))]
@@ -1039,69 +1062,43 @@ def lift_slice(f, base):
 
 
 _MAX_EVAL_ATTEMPTS = 400
-# Probes are ranked by univariate images with the remaining side variable at
-# _RANK_SIDE.  Their squarefree degrees are taken mod the least prime
-# P >= _RANK_PRIME that avoids f's denominators: a prime far above any
-# x-degree keeps the images' derivatives nonzero and makes a spurious common
-# root unlikely.
-_RANK_PRIME = 1 << 20
-_RANK_SIDE = 1009
+_RANK_SIDE = 1009  # probes are ranked by their images at z_w = _RANK_SIDE
 
 
-def _probe_images(f, v, w):
-    """(den, degraded, image) for the probes f(z_v = v0), read off f's
-    integer rows (`_int_rows`) once; den is f's common denominator.
+def _probe_images(reading):
+    """(degraded, image) for the probes f(z_v = v0), off f's reading.
     degraded(v0) is True when v0 drops f's degree in z_w: every x-row of
-    f's top z_w terms, a polynomial in z_v, vanishes there.  image(v0, q)
-    is f(x, v0, _RANK_SIDE) mod a prime q not dividing den, as an ascending
-    list, monic of degree deg_x f since f is monic in x."""
-    rows, den = _int_rows(f, v, w)
-    dw = f.degree_in(w) if w is not None else None
-    # per x-row, the (v-exponent, integer) of f's top z_w terms
-    top_w = [[(ev, c) for ev, ew, c in row if ew == dw] for row in rows]
+    f's top z_w terms, a polynomial in z_v, vanishes there (never for
+    dw = 0, where the x^dx row, read first, is f's leading term).
+    image(v0, q) is f(x, v0, _RANK_SIDE) mod a prime q not dividing den, as
+    an ascending list, monic of degree deg_x f since f is monic in x."""
+    rows, den, dw = reading.rows, reading.den, reading.degrees[2]
+    # per x-row, top first, the (v-exponent, integer) of f's top z_w terms
+    top_w = [[(ev, c) for ev, ew, c in row if ew == dw] for row in reversed(rows)]
 
     def degraded(v0):
-        return w is not None and not any(
-            sum(c * v0**ev for ev, c in row) for row in top_w
-        )
+        return not any(sum(c * v0**ev for ev, c in row) for row in top_w)
 
     def image(v0, q):
-        scale = pow(den, -1, q)
-        return [
-            sum(c * pow(v0, ev, q) * pow(_RANK_SIDE, ew, q) for ev, ew, c in row)
-            * scale % q
-            for row in rows
-        ]
+        return _eval_rows(rows, den, v0, _RANK_SIDE, q)
 
-    return den, degraded, image
+    return degraded, image
 
 
 def _factor_monic_sparse(f, bounds=None):
     """[(canonical irreducible, mult)] for f monic in variable 1, <=3 vars;
     with per-variable degree `bounds`, unproved candidates (_attempt_lift)."""
-    n = f.n
-    if n == 1:
+    side_degs = {i: (f.degree_in(i) or 0) for i in range(2, f.n + 1)}
+    if not any(side_degs.values()):  # f is a polynomial in x alone
         return _factor_univariate_pairs(f)
-    dx = f.degree_in(1)
-    if dx is None or dx == 0:
+    if not f.degree_in(1):
         raise PolyError("input not monic in its main variable")
-    side_degs = {i: (f.degree_in(i) or 0) for i in range(2, n + 1)}
-    dead = [i for i, d in side_degs.items() if d == 0]
-    if dead:
-        # drop the side variables f does not use, recurse and re-embed
-        low = f.eval_vars(dict.fromkeys(dead, 0))
-        slots = [i - 1 for i in range(1, n + 1) if i not in dead]
-        if bounds is not None:
-            bounds = [bounds[i - 1] for i in range(1, n + 1) if i not in dead]
-        return [
-            (g.map_variables(slots, n).canonical(), mult)
-            for g, mult in _factor_monic_sparse(low, bounds)
-        ]
     v = max(side_degs, key=lambda i: (side_degs[i], -i))
-    survivors = [i for i in side_degs if i != v]
-    w = survivors[0] if survivors else None
-    den, degraded, image = _probe_images(f, v, w)
-    P = next(q for q in primes(_RANK_PRIME) if den % q)
+    # w = 5 - v is the other side variable: for a bivariate f, z3, which it
+    # lacks, so dw = 0, as for a dead w
+    reading = _read(f, v, 5 - v)
+    degraded, image = _probe_images(reading)
+    dx, den, P = reading.degrees[0], reading.den, reading.prime
     point_iter = _eval_points()
     consumed = 0
     probes = []  # [quality, count, arrival, v0]
@@ -1155,7 +1152,7 @@ def _factor_monic_sparse(f, bounds=None):
         if len(base) == 1 and base[0][1] == 1:
             return [(f.canonical(), 1)]
         try:
-            return _attempt_lift(f, v, w, v0, base, bounds)
+            return _attempt_lift(reading, v0, base, bounds)
         except _AttemptFailed:
             continue
 

@@ -30,7 +30,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .pit import find_nonzero_point, interpolation_plan, sparse_interpolate
-from .isolation import compact_scheme, psi_map, psi_invert
+from .isolation import check_image_cells, compact_scheme, psi_map, psi_invert
 from .basefactor import factor_monic, lift_slice
 from .divisibility import constant_degree_divides
 from .config import DEFAULT as DEFAULT_CONFIG
@@ -115,9 +115,13 @@ def projected_factoring(f, delta, config=None):
         raise CapError("max_delta", delta, config.max_delta)
     if f.is_constant():
         raise PolyError("cannot factor a constant")
-    shift, f_alpha = monicize(f)
     scheme = compact_scheme(f.n, delta)
-    image = psi_map(f_alpha, scheme, max_cells=config.max_dense_cells).to_sparse()
+    # f_alpha(0, z) = f(z), and each term x^a z^e of f_alpha comes from a
+    # term z^E of f with e <= E, so f's own terms give psi's image box of
+    # f_alpha before the monic shift, d = deg f reaching in x and in t
+    check_image_cells(f.degree(), f.terms, scheme, config.max_dense_cells)
+    shift, f_alpha = monicize(f)
+    image = psi_map(f_alpha, scheme).to_sparse()
     if image.degree_in(1) != shift.degree:
         raise VerificationError("psi must preserve the x-degree")
     proj_mult = factor_monic(image, bounds=scheme.image_degree_bounds()).factors

@@ -165,19 +165,28 @@ def _psi_image(f, scheme):
     return f.substitute(assignment, m=3)
 
 
+def check_image_cells(x_degree, z_exponents, scheme, max_cells):
+    """CapError when psi's image of a polynomial of x-degree x_degree whose
+    terms have the z-exponent vectors z_exponents would fill a box of more
+    than max_cells (x, y, t) cells; None means no cap.  A term x^a z^e maps
+    within x-degree a, y-degree sum(e_i max(w_i, w'_i)) and t-degree |e|."""
+    if max_cells is None:
+        return
+    top = [max(pair) for pair in zip(scheme.w, scheme.w_prime)]
+    reach = [(_weight(e, top), sum(e)) for e in z_exponents]
+    cells = (x_degree + 1) * prod(max(col) + 1 for col in zip(*reach)) if reach else 1
+    if cells > max_cells:
+        raise CapError("max_dense_cells", cells, max_cells)
+
+
 def psi_map(f, scheme, max_cells=None):
     """g(x, z) -> g(x, y^{w_i} t + y^{w'_i}) as a dense (x, y, t) grid.
 
-    A term x^a z^e maps within x-degree a, y-degree sum(e_i max(w_i, w'_i))
-    and t-degree |e|, so the image's box is bounded before substituting, and
-    a box beyond max_cells raises CapError at once."""
+    The image's box is bounded before substituting (`check_image_cells`),
+    and a box beyond max_cells raises CapError at once."""
     if f.n != scheme.n + 1:
         raise PolyError("expected variables (x, z_1..z_n)")
-    top = [max(pair) for pair in zip(scheme.w, scheme.w_prime)]
-    reach = [(e[0], _weight(e[1:], top), sum(e[1:])) for e in f.terms]
-    cells = prod(max(col) + 1 for col in zip(*reach)) if reach else 1
-    if max_cells is not None and cells > max_cells:
-        raise CapError("max_dense_cells", cells, max_cells)
+    check_image_cells(f.degree_in(1) or 0, [e[1:] for e in f.terms], scheme, max_cells)
     image = _psi_image(f, scheme)
     bounds = [max(col) for col in zip(*image.terms)] or [0, 0, 0]
     grid = DensePoly3.zeros(tuple(bounds))

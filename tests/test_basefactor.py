@@ -25,6 +25,7 @@ from polyfactor.basefactor import (
     _factor_monic_sparse,
     _factor_univariate_pairs,
     _int_rows,
+    _read,
     _series_root,
     _series_to_qpoly,
     _shift_series,
@@ -63,15 +64,15 @@ def pairs(fl):
 def series(f, v, w, K, m):
     """The z_v-series of packed (x, w) dicts of f mod m, read off f's
     Fraction coefficients: denominators cleared once, then one inverse mod
-    m (v or w None: exponent 0).  The reference for the lift's own
-    integer reading."""
+    m (v or w None, or past f's n: exponent 0).  The reference for the
+    lift's own integer reading."""
     ints, den = clear_denominators(f.terms.values())
     inv = pow(den, -1, m)
     ser = [dict() for _ in range(K)]
     for exps, c in zip(f.terms, ints):
         if c * inv % m:
-            ev = exps[v - 1] if v else 0
-            ser[ev][cd_pack(exps[0], exps[w - 1] if w else 0)] = c * inv % m
+            ev, ew = (exps[i - 1] if i and i <= f.n else 0 for i in (v, w))
+            ser[ev][cd_pack(exps[0], ew)] = c * inv % m
     return ser
 
 
@@ -200,9 +201,10 @@ def test_shift_preserves_irreducibility():
 
 
 # (product, variable count, v, w): lifted in z_v, with z_w kept in the base
+# (a bivariate f lacks z3, read as dw = 0)
 LIFT_CASES = [
-    ("(z1 + z2^2 + 1)*(z1 - 3*z2 + 2)", 2, 2, None),
-    ("(z1 + z2)^2*(z1^2 - z2 + 1/2)", 2, 2, None),
+    ("(z1 + z2^2 + 1)*(z1 - 3*z2 + 2)", 2, 2, 3),
+    ("(z1 + z2)^2*(z1^2 - z2 + 1/2)", 2, 2, 3),
     ("(z1 + z2 + z3)*(z1 - z2 + 2*z3)", 3, 3, 2),
     ("(z1 + z3 + z2)*(z1 - z3 + 2*z2)", 3, 2, 3),
     ("(z1^2 + z2*z3 + z2^2 - 1)*(z1 + z2^2 - 2*z3)^2", 3, 2, 3),
@@ -220,7 +222,7 @@ def test_attempt_lift_away_from_the_origin(text, n, v, w):
     for v0 in (0, 1, -1, 2):
         base = _factor_monic_sparse(f.eval_var(v, v0))
         try:
-            result = _attempt_lift(f, v, w, v0, base)
+            result = _attempt_lift(_read(f, v, w), v0, base)
         except _AttemptFailed:
             continue
         assert result == want, (v0, result)
@@ -234,7 +236,7 @@ def test_attempt_lift_with_a_nonzero_w_point():
     f = parse_product("(z1 + z3 + z2)*(z1 - z3 + 2*z2)", 3)
     base = _factor_monic_sparse(f.eval_var(2, 0))
     assert [u.eval_var(2, 0) for u, _ in base] == [parse_poly("z1")] * 2
-    assert _attempt_lift(f, 2, 3, 0, base) == list(factor_monic(f).factors)
+    assert _attempt_lift(_read(f, 2, 3), 0, base) == list(factor_monic(f).factors)
 
 
 def test_attempt_lift_recombines_the_pieces_of_a_split_factor():
@@ -247,7 +249,7 @@ def test_attempt_lift_recombines_the_pieces_of_a_split_factor():
     want = list(factor_monic(f3).factors)
     for v0 in (0, 1, -1, 2):
         base = _factor_monic_sparse(f3.eval_var(2, v0))
-        assert _attempt_lift(f3, 2, 3, v0, base) == want, v0
+        assert _attempt_lift(_read(f3, 2, 3), v0, base) == want, v0
     # the lift divides f down to a constant remainder, so the first factor
     # fixes the second
     assert [m for _, m in want] == [3, 1]
@@ -257,7 +259,7 @@ def test_attempt_lift_recombines_the_pieces_of_a_split_factor():
     g = parse_product("(z1^2 - z2 - z3^2)*(z1 + z2 + 2*z3)", 3)
     base = _factor_monic_sparse(g.eval_var(2, 0))
     assert len(base) == 3
-    assert _attempt_lift(g, 2, 3, 0, base) == list(factor_monic(g).factors)
+    assert _attempt_lift(_read(g, 2, 3), 0, base) == list(factor_monic(g).factors)
 
 
 def test_attempt_lift_fails_at_a_point_that_merges_factors():
@@ -268,7 +270,7 @@ def test_attempt_lift_fails_at_a_point_that_merges_factors():
     for text in ["(z1^2 - z2*z3 - z2)*(z1 + z3)", "(z1 + z2*z3)*(z1 - z2*z3 + z2)"]:
         f = parse_product(text, 3)
         with pytest.raises(_AttemptFailed):
-            _attempt_lift(f, 2, 3, 0, _factor_monic_sparse(f.eval_var(2, 0)))
+            _attempt_lift(_read(f, 2, 3), 0, _factor_monic_sparse(f.eval_var(2, 0)))
         assert len(factor_monic(f).factors) == 2
 
 
@@ -289,7 +291,7 @@ def test_attempt_lift_stops_recombining_at_half_the_groups(monkeypatch):
         return reconstruct(*args)
 
     monkeypatch.setattr(basefactor, "_series_to_qpoly", counted)
-    assert _attempt_lift(f, 2, None, 0, base) == [(f, 1)]
+    assert _attempt_lift(_read(f, 2, 3), 0, base) == [(f, 1)]
     assert len(calls) == 10
 
 
@@ -337,7 +339,7 @@ def test_zassenhaus_and_the_lift_share_one_subset_order(monkeypatch):
     f = parse_product("(z1 - 1)*(z1 - 2)*(z1 - 3)*(z1 - 4) + z2", 2)
     base = _factor_monic_sparse(f.eval_var(2, 0))
     log.clear()
-    assert _attempt_lift(f, 2, None, 0, base) == [(f, 1)]
+    assert _attempt_lift(_read(f, 2, 3), 0, base) == [(f, 1)]
     assert log == singles + [(S, False) for S in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]]
 
 
@@ -379,7 +381,7 @@ def test_the_lift_takes_what_is_left_without_dividing_it(monkeypatch):
     want = list(factor_monic(f).factors)
     base = _factor_monic_sparse(f.eval_var(2, 0))
     monkeypatch.setattr(basefactor, "divide_out", counted)
-    assert _attempt_lift(f, 2, 3, 0, base) == want
+    assert _attempt_lift(_read(f, 2, 3), 0, base) == want
     rest = parse_poly("z1^2 - z2 + z3", 3)
     assert sorted(divisors, key=factor_sort_key) == [g for g, _ in want if g != rest]
 
@@ -392,7 +394,7 @@ def test_attempt_lift_reconstructs_in_the_original_coordinates():
     f = u**2
     for v0 in (0, 1, -1):
         base = _factor_monic_sparse(f.eval_var(2, v0))
-        assert _attempt_lift(f, 2, None, v0, base) == [(u, 2)], v0
+        assert _attempt_lift(_read(f, 2, 3), v0, base) == [(u, 2)], v0
     assert factor_monic(f).factors == ((u, 2),)
 
 
@@ -622,10 +624,97 @@ def test_the_lift_rebuilds_no_group_over_q(monkeypatch):
     monkeypatch.setattr(SparsePoly, "scale", rebuilt)
     monkeypatch.setattr(SparsePoly, "__pow__", rebuilt)
     for v, base in bases.items():
-        assert _attempt_lift(f, v, 5 - v, 1, base) == want
+        assert _attempt_lift(_read(f, v, 5 - v), 1, base) == want
         # bounded: the z2-order is cut below f's z2-degree
-        assert set(want) <= set(_attempt_lift(f, v, 5 - v, 1, base, (1, 1, 2)))
+        assert set(want) <= set(_attempt_lift(_read(f, v, 5 - v), 1, base, (1, 1, 2)))
     assert [P.canonical() for P in lift_slice(f, slice_base)] == slice_want
+
+
+@pytest.mark.parametrize(
+    "text, live",
+    [
+        ("(z1 + z2^2 + 1)*(z1 - 3*z2 + 2)^2", [1, 2]),  # z3 dead
+        ("(z1 + z3^2 + 1)*(z1 - 3*z3 + 2)^2", [1, 3]),  # z2 dead
+        ("(z1^2 - 2)*(z1 + 1)^2", [1]),  # both side variables dead
+    ],
+)
+@pytest.mark.parametrize("bounds", [None, (2, 2, 2)])
+def test_dead_side_variables_give_the_compacted_factorization(text, live, bounds):
+    # a dead side variable is read as degree 0: the lift runs on f itself
+    # and gives the factorization of f with its dead variables dropped,
+    # re-embedded, with or without bounds
+    f = parse_product(text, 3)
+    low = f.map_variables({i - 1: slot for slot, i in enumerate(live)}, len(live))
+    low_bounds = None if bounds is None else [bounds[i - 1] for i in live]
+    back = [i - 1 for i in live]
+    want = [(g.map_variables(back, 3).canonical(), e) for g, e in factor_monic(low, low_bounds).factors]
+    assert list(factor_monic(f, bounds).factors) == want
+    assert len(want) == 2
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_lift_prime_avoids_a_denominator_at_2_to_the_20(n):
+    # 1048583 is the least prime >= 2^20; f's denominator is 1048583, so
+    # the probes and the lift work mod the next prime, 1048589
+    import polyfactor.basefactor as basefactor
+
+    factors = {
+        2: ["z1 + 1/1048583*z2 + 1", "z1 - z2^2 + 2"],
+        3: ["z1 + 1/1048583*z2*z3 + 1", "z1 - z2^2 + z3"],
+    }[n]
+    f = parse_poly(factors[0], n) * parse_poly(factors[1], n)
+    want = sorted((parse_poly(t, n).canonical() for t in factors), key=factor_sort_key)
+    assert math.lcm(*(c.denominator for c in f.terms.values())) == 1048583
+    primes_used = []
+    tree = basefactor._lift_tree
+
+    def recorded(Fser, groups, K, wlen, p, m):
+        primes_used.append(p)
+        return tree(Fser, groups, K, wlen, p, m)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(basefactor, "_lift_tree", recorded)
+        assert factor_monic(f).factors == tuple((g, 1) for g in want)
+    assert primes_used and set(primes_used) == {1048589}
+
+
+@pytest.mark.parametrize(
+    "text, n",
+    [
+        ("(z1 + z2^2 + 1)*(z1 - 3*z2 + 2)", 2),
+        ("(z1 + z2*z3 + 1)*(z1^2 - z2 + z3)^2*(z1 - z3 + 2*z2)", 3),
+        ("(z1 + z2)^4 + 1", 2),
+    ],
+)
+def test_each_factor_monic_sparse_call_reads_its_input_once(text, n):
+    # the probes and every lift attempt share one reading of f; its base
+    # groups are read on their own
+    import polyfactor.basefactor as basefactor
+
+    frames, stack = [], []
+    factor, read = basefactor._factor_monic_sparse, basefactor._int_rows
+
+    def counted_factor(g, *args):
+        frame = [g, 0]
+        frames.append(frame)
+        stack.append(frame)
+        try:
+            return factor(g, *args)
+        finally:
+            stack.pop()
+
+    def counted_read(g, *args):
+        if stack and g is stack[-1][0]:
+            stack[-1][1] += 1
+        return read(g, *args)
+
+    f = parse_product(text, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(basefactor, "_factor_monic_sparse", counted_factor)
+        mp.setattr(basefactor, "_int_rows", counted_read)
+        assert factor_monic(f).recompose() == f
+    assert len(frames) >= n
+    assert [reads for _, reads in frames] == [1] * len(frames)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -634,7 +723,8 @@ def test_int_rows_rebuild_the_polynomial(n):
     # negative x-leading coefficient, and never a term of x-degree 1, so
     # x-row 1 is always empty
     rng = rng_for("int-rows-%d" % n)
-    slots = {1: [(None, None)], 2: [(2, None), (None, 2)], 3: [(2, 3), (3, 2)]}[n]
+    # a slot past n, like None, reads exponent 0
+    slots = {1: [(None, None), (3, 2)], 2: [(2, None), (None, 2), (2, 3)], 3: [(2, 3), (3, 2)]}[n]
     for trial in range(30):
         terms = {}
         for _ in range(rng.randint(1, 7)):
@@ -656,8 +746,10 @@ def test_int_rows_rebuild_the_polynomial(n):
                     assert type(c) is int
                     exps = [ex] + [0] * (n - 1)
                     for slot, e in ((v, ev), (w, ew)):
-                        if slot:
+                        if slot and slot <= n:
                             exps[slot - 1] = e
+                        else:
+                            assert e == 0
                     back[tuple(exps)] = Q(c, den)
             assert SparsePoly(n, back) == f
 
@@ -665,7 +757,7 @@ def test_int_rows_rebuild_the_polynomial(n):
 @pytest.mark.parametrize(
     "text, n, v, w, v0",
     [
-        ("(z1 - z2)*(z1 + z2^2 + 1/3)", 2, 2, None, 1),
+        ("(z1 - z2)*(z1 + z2^2 + 1/3)", 2, 2, 3, 1),
         (SQUARE_AND_NON_MONIC, 3, 2, 3, 1),
         (SQUARE_AND_NON_MONIC, 3, 3, 2, -1),
     ],
@@ -685,7 +777,7 @@ def test_the_lift_reads_the_series_the_fraction_path_gives(monkeypatch, text, n,
         return tree(*args)
 
     monkeypatch.setattr(basefactor, "_lift_tree", recorded)
-    assert _attempt_lift(f, v, w, v0, base) == list(factor_monic(f).factors)
+    assert _attempt_lift(_read(f, v, w), v0, base) == list(factor_monic(f).factors)
     Fser, groups, K, wlen, p, m = calls[0]
 
     def reference(w0):
@@ -693,7 +785,7 @@ def test_the_lift_reads_the_series_the_fraction_path_gives(monkeypatch, text, n,
         G = []
         for u, e in base:
             U = u.scale(ONE / u.terms[(u.degree_in(1),) + (0,) * (u.n - 1)]) ** e
-            G.append(_shift_series(series(U, None, 2 if w else None, 1, m), 0, w0, m, 1, wlen)[0])
+            G.append(_shift_series(series(U, None, 2, 1, m), 0, w0, m, 1, wlen)[0])
         return _shift_series(F, v0, w0, m, K, wlen), G
 
     assert any(reference(w0) == (Fser, groups) for w0 in range(40))
@@ -715,7 +807,7 @@ def test_attempt_lift_succeeds_where_the_base_keeps_the_squarefree_degree(f, v):
             continue
         base = _factor_monic_sparse(image)
         if sum(u.degree_in(1) for u, _ in base) == squarefree_degree:
-            assert _attempt_lift(f, v, w, v0, base) == want, v0
+            assert _attempt_lift(_read(f, v, w), v0, base) == want, v0
 
 
 def _random_monic_cd(rng, dx, dw, m):

@@ -24,11 +24,12 @@ from polyfactor.engine import (
     sparse_irreducible_test,
     unmonicize,
 )
-from polyfactor.isolation import psi_invert
+from polyfactor.isolation import compact_scheme, psi_invert, psi_map
 from polyfactor.oracles import constant_degree_oracle, su_oracle
 from polyfactor.config import DEFAULT as DEFAULT_CONFIG, Config
 from polyfactor.factors import divide_out
 from polyfactor.errors import (
+    CapError,
     InterpolationFailure,
     NotInCodomain,
     PolyError,
@@ -164,6 +165,41 @@ def test_no_trivariate_lift_fails_on_the_first_cd_pool_entries(monkeypatch):
         fl = constant_degree_factors(parse_poly(item["poly"], item["n"]), 2)
         assert fl.to_json_dict() == item["expected"]
     assert failures == []
+
+
+# psi's image box of each overflows max_dense_cells; the monic shift of the
+# first alone runs out of memory
+HUGE_DEGREE = ["z1^100000 + z2 + 1", "z1^1000 + z2^1000 + 1"]
+
+
+@pytest.mark.parametrize("text", HUGE_DEGREE)
+@pytest.mark.parametrize("pipeline", [constant_degree_factors, factor_constant_degree_promise])
+def test_a_huge_degree_meets_the_cell_cap_before_the_monic_shift(monkeypatch, text, pipeline):
+    import time
+
+    import polyfactor.engine as engine
+
+    def refuse(f):
+        raise AssertionError("shifted before the cap check")
+
+    monkeypatch.setattr(engine, "monicize", refuse)
+    f = parse_poly(text)
+    start = time.process_time()
+    with pytest.raises(CapError) as info:
+        pipeline(f, 2)
+    assert time.process_time() - start < 1
+    assert info.value.cap_name == "max_dense_cells"
+
+
+@pytest.mark.parametrize("i", [0, 7, 31, 90])
+def test_the_early_cell_count_is_psi_maps(i):
+    # f's own terms give the box psi_map computes from the shifted f_alpha
+    f, _ = cd_pool_entry(i)
+    with pytest.raises(CapError) as early:
+        projected_factoring(f, 2, Config(max_dense_cells=0))
+    with pytest.raises(CapError) as late:
+        psi_map(monicize(f)[1], compact_scheme(f.n, 2), max_cells=0)
+    assert early.value.requested == late.value.requested > 1
 
 
 def test_promise_two_factors():
