@@ -201,10 +201,10 @@ def test_shift_preserves_irreducibility():
 
 
 # (product, variable count, v, w): lifted in z_v, with z_w kept in the base
-# (a bivariate f lacks z3, read as dw = 0)
+# (w None: a bivariate f, read with w = 3, a variable it lacks, so dw = 0)
 LIFT_CASES = [
-    ("(z1 + z2^2 + 1)*(z1 - 3*z2 + 2)", 2, 2, 3),
-    ("(z1 + z2)^2*(z1^2 - z2 + 1/2)", 2, 2, 3),
+    ("(z1 + z2^2 + 1)*(z1 - 3*z2 + 2)", 2, 2, None),
+    ("(z1 + z2)^2*(z1^2 - z2 + 1/2)", 2, 2, None),
     ("(z1 + z2 + z3)*(z1 - z2 + 2*z3)", 3, 3, 2),
     ("(z1 + z3 + z2)*(z1 - z3 + 2*z2)", 3, 2, 3),
     ("(z1^2 + z2*z3 + z2^2 - 1)*(z1 + z2^2 - 2*z3)^2", 3, 2, 3),
@@ -222,7 +222,7 @@ def test_attempt_lift_away_from_the_origin(text, n, v, w):
     for v0 in (0, 1, -1, 2):
         base = _factor_monic_sparse(f.eval_var(v, v0))
         try:
-            result = _attempt_lift(_read(f, v, w), v0, base)
+            result = _attempt_lift(_read(f, v, w or 3), v0, base)
         except _AttemptFailed:
             continue
         assert result == want, (v0, result)
