@@ -39,10 +39,13 @@ whose coefficients are packed (x, w) dicts mod P^k, w the remaining side
 variable; each lift step solves one Diophantine equation, w-adically from
 a Bezout pair at w = 0.  A group u^e enters as u's primitive integer rows
 over their x-leading integer, a divisor of f's denominator, raised to e
-mod P^k.  When the factorization at one point is already known (a
-trivariate slice whose t2 = 0 image was factored before), `lift_slice(f,
-base)` returns the factor lifted from each group, unproved, in the groups'
-order.  `factor_monic(f, bounds=...)` asks only for the factors within a
+mod P^k.  When the factorization at one point is already known (a line
+slice f(x, t) whose t = 0 image was factored before), `lift_slice(f,
+base)` lifts in f's last variable and returns the factor lifted from each
+group, unproved, in the groups' order; `slice_point(base)` finds, once per
+factorization of a polynomial in (x, t1), the least t1 = w0 where its
+groups are pairwise coprime mod P, so every line from there lifts with
+dw = 0.  `factor_monic(f, bounds=...)` asks only for the factors within a
 degree bound per variable: the lift stops at the v- and w-orders such a
 factor reaches, and only subsets within the x-bound recombine (Wang's EEZ
 lift, Math. Comp. 1978, cut at the wanted degrees); it returns unproved
@@ -878,11 +881,19 @@ def _series_to_qpoly(ser, v, w, n, m):
     return SparsePoly(n, terms)
 
 
-# The probes and the lift work modulo the least prime P >= _RANK_PRIME that
-# avoids f's denominators: a prime far above any x-degree keeps the images'
+# The probes and the lift work modulo the least prime P >= 2^20 that avoids
+# f's denominators: a prime far above any x-degree keeps the images'
 # derivatives nonzero, makes a spurious common root unlikely, and exceeds
 # every e k `_series_root` inverts.
-_RANK_PRIME = 1 << 20
+_RANK_PRIME = next(primes(1 << 20))
+
+
+def _prime_avoiding(den):
+    """The least prime >= 2^20 that does not divide den."""
+    if den % _RANK_PRIME:
+        return _RANK_PRIME
+    return next(q for q in primes(_RANK_PRIME + 1) if den % q)
+
 
 _Reading = namedtuple("_Reading", "f v w rows den degrees prime")
 
@@ -894,8 +905,47 @@ def _read(f, v, w):
     rows, den = _int_rows(f, v, w)
     exps = [(ev, ew) for row in rows for ev, ew, _ in row]
     degrees = (len(rows) - 1,) + tuple(max(col) for col in zip(*exps))
-    P = next(q for q in primes(_RANK_PRIME) if den % q)
-    return _Reading(f, v, w, rows, den, degrees, P)
+    return _Reading(f, v, w, rows, den, degrees, _prime_avoiding(den))
+
+
+def _group_tables(base):
+    """(rows, lc) for each group u of `base`, a factorization of f at one
+    point: u's primitive integer rows, z_w its variable 2 (`_int_rows`),
+    and their x-leading integer.  A factor of a monic-in-x polynomial has a
+    constant x-leading coefficient, so the groups' monic images multiply to
+    f's image exactly; _AttemptFailed when one has not."""
+    tables = []
+    for u, _ in base:
+        rows = _int_rows(u, None, 2)[0]
+        content = math.gcd(*(c for row in rows for _, _, c in row))
+        rows = [[(ev, ew, c // content) for ev, ew, c in row] for row in rows]
+        if len(rows[-1]) != 1 or rows[-1][0][1]:
+            raise _AttemptFailed("non-constant x-leading coefficient")
+        tables.append((rows, rows[-1][0][2]))
+    return tables
+
+
+def _coprime_point(tables, dw, P):
+    """The least w0 in range(2 dw r^2 + 3), r the groups, at which the
+    groups' images (`_group_tables`) are pairwise coprime mod P, or None;
+    P divides no group's lc."""
+
+    def coprime(w0):
+        images = [_eval_rows(rows, lc, 0, w0, P) for rows, lc in tables]
+        return all(up_deg(up_gcd_p(a, b, P)) == 0 for a, b in combinations(images, 2))
+
+    return next((w0 for w0 in range(2 * dw * len(tables) ** 2 + 3) if coprime(w0)), None)
+
+
+def slice_point(base):
+    """The least t1 = w0 >= 0 at which the groups of `base`, the
+    factorization of a polynomial in (x, t1) monic in x, have images
+    h(x, w0) pairwise coprime mod the least prime >= 2^20 avoiding their
+    denominators, so each group lifts from t1 = w0 on any line through
+    that point; None when no w0 scanned gives them."""
+    tables = _group_tables(base)
+    dw = sum(e * (u.degree_in(2) or 0) for u, e in base)
+    return _coprime_point(tables, dw, _prime_avoiding(math.lcm(*(lc for _, lc in tables))))
 
 
 def _lift(reading, v0, base, bounds=None):
@@ -924,25 +974,10 @@ def _lift(reading, v0, base, bounds=None):
     )
     K = min(dv, bv) + 1
     wlen = min(dw, bw) + 1  # the w-orders the lift carries
-    # a factor of a monic-in-x polynomial has a constant x-leading
-    # coefficient, so the groups' monic images multiply to f's image exactly
-    groups, tables = [], []  # tables[i]: base[i]'s primitive rows and lc
-    for u, mult in base:
-        rows = _int_rows(u, None, 2)[0]  # z_w is u's variable 2
-        content = math.gcd(*(c for row in rows for _, _, c in row))
-        rows = [[(ev, ew, c // content) for ev, ew, c in row] for row in rows]
-        if len(rows[-1]) != 1 or rows[-1][0][1]:
-            raise _AttemptFailed("non-constant x-leading coefficient")
-        groups.append((len(rows) - 1, mult))
-        tables.append((rows, rows[-1][0][2]))
-
-    def coprime(w0):
-        """True when the groups' images at w = w0 are pairwise coprime mod P."""
-        images = [_eval_rows(rows, lc, 0, w0, P) for rows, lc in tables]
-        return all(up_deg(up_gcd_p(a, b, P)) == 0 for a, b in combinations(images, 2))
-
+    tables = _group_tables(base)
+    groups = [(len(rows) - 1, mult) for (rows, _), (_, mult) in zip(tables, base)]
     # P avoids f's denominators, which each group's lc divides (Gauss's lemma)
-    w0 = next((w0 for w0 in range(2 * dw * len(groups) ** 2 + 3) if coprime(w0)), None)
+    w0 = _coprime_point(tables, dw, P)
     if w0 is None:
         raise _AttemptFailed("no w0 gives coprime base images")
     # a monic factor of f is G / lc(G), G an integer factor of f's integer
@@ -1048,13 +1083,15 @@ def _bounded_recombination(groups, candidate, bx):
 
 
 def lift_slice(f, base):
-    """The factor of the trivariate f, monic in x, lifted from each group of
-    `base`, the complete factorization of f(x, t1, 0), in base's order
-    (Wang's lift from a known point, Math. Comp. 1978); None where a group
-    does not reconstruct, and everywhere when the lift fails.  Unproved:
-    the caller decides."""
+    """The factor of f, bivariate or trivariate and monic in x, lifted in
+    f's last variable from each group of `base`, the complete factorization
+    of f with that variable at 0, in base's order (Wang's lift from a known
+    point, Math. Comp. 1978): for a line slice f(x, t), base is in x alone
+    and the lift carries one w-order.  None where a group does not
+    reconstruct, and everywhere when the lift fails.  Unproved: the caller
+    decides."""
     try:
-        _, candidate = _lift(_read(f, 3, 2), 0, base)
+        _, candidate = _lift(_read(f, f.n, 5 - f.n), 0, base)
     except _AttemptFailed:
         return [None] * len(base)
     found = [candidate((i,)) for i in range(len(base))]

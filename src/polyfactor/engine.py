@@ -31,7 +31,7 @@ from .errors import (
 )
 from .pit import find_nonzero_point, interpolation_plan, sparse_interpolate
 from .isolation import check_image_cells, compact_scheme, psi_map, psi_invert
-from .basefactor import factor_monic, lift_slice
+from .basefactor import factor_monic, lift_slice, slice_point
 from .divisibility import constant_degree_divides
 from .config import DEFAULT as DEFAULT_CONFIG
 
@@ -54,8 +54,8 @@ class ProjectedFactorSet:
 def _project(f, alpha, directions, gamma):
     """f(alpha x + sum_k directions[k] t_k + gamma) over (x, t_1, ..), f
     already divided by its normalizer (far fewer terms than its image): with
-    one direction the bivariate projection, with two the trivariate slice
-    family, with the unit vectors the monic shift."""
+    one direction the bivariate projection or a line slice, with the unit
+    vectors the monic shift."""
     assignment = [
         SparsePoly.linear((alpha[i],) + tuple(d[i] for d in directions), gamma[i])
         for i in range(f.n)
@@ -246,15 +246,18 @@ def _pair_candidates(residual, alpha, pair, s, oracle):
     gives None.  Otherwise, for each factor h2 of r_hat whose degree the
     class allows, the hidden factor's values are collected and
     interpolated: T values on the class's support at h2's degree when it
-    has T <= s monomials, else 2s values for Ben-Or-Tiwari.  Each
-    trivariate projection r_omega through a point is r_hat at t2 = 0, so
-    `lift_slice(r_omega, base)` lifts a factor, monic in x, from each group
-    of r_hat's factorization, and the value is read off h2's at
-    (0, 0, 1).  An interpolated g is kept only when it has the degree of h2
-    and its own projection, normalized by Hom[g](alpha), is h2: a
-    factorization of g would then factor h2, so g is irreducible.
-    Canonical candidates, or [] when a lift fails or a group does not
-    reconstruct."""
+    has T <= s monomials, else 2s values for Ben-Or-Tiwari.  The groups
+    of r_hat's factorization are pairwise coprime at t1 = w0
+    (`slice_point`), and each point omega is read on the line slice
+    r_omega(x, t) = r(alpha x + (omega - gamma') t + gamma'), gamma' =
+    gamma + w0 beta, whose t = 0 image is r_hat(x, w0): `lift_slice`
+    lifts a factor, monic in x, from each group's image there, and the
+    value, g(omega) / Hom[g](alpha) when the group is a true factor's, is
+    read off h2's at (0, 1).  An interpolated g is kept only when it has
+    the degree of h2 and its own projection, normalized by Hom[g](alpha),
+    is h2: a factorization of g would then factor h2, so g is irreducible.
+    Canonical candidates, or [] when no w0 is found, a lift fails or a
+    group does not reconstruct."""
     n = residual.n
     normalizer = residual.hom_component(residual.degree()).eval_point(alpha)
     scaled = residual.scale(ONE / normalizer)
@@ -280,16 +283,22 @@ def _pair_candidates(residual, alpha, pair, s, oracle):
     # plan for bound k has 2k points); each ref consumes the prefix it needs
     most = max(ref[4] for ref in refs)
     plan = interpolation_plan((most + 1) // 2, n)[:most]
+    w0 = slice_point(base)
+    if w0 is None:
+        return []
+    # every slice is the line from gamma' = gamma + w0 beta to its point,
+    # whose t = 0 image is r_hat(x, w0)
+    origin = tuple(g + w0 * b for g, b in zip(pair.gamma, pair.beta))
+    line_base = [(h.eval_var(2, w0), e) for h, e in base]
     for w_idx, omega in enumerate(plan):
-        secondary = tuple(omega[i] - pair.gamma[i] for i in range(n))
-        r_omega = _project(scaled, alpha, [pair.beta, secondary], pair.gamma)
-        lifted = lift_slice(r_omega, base)
+        direction = tuple(omega[i] - origin[i] for i in range(n))
+        lifted = lift_slice(_project(scaled, alpha, [direction], origin), line_base)
         for i, _, _, _, need, values in refs:
             if w_idx >= need:
                 continue
             if lifted[i] is None:
                 return []
-            values.append(lifted[i].eval_point((0, 0, 1)))
+            values.append(lifted[i].eval_point((0, 1)))
     candidates = []
     for _, h2, deg, support, _, values in refs:
         try:

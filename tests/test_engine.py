@@ -24,6 +24,7 @@ from polyfactor.engine import (
     sparse_irreducible_test,
     unmonicize,
 )
+from polyfactor.basefactor import factor_monic
 from polyfactor.isolation import compact_scheme, psi_invert, psi_map
 from polyfactor.oracles import constant_degree_oracle, su_oracle
 from polyfactor.config import DEFAULT as DEFAULT_CONFIG, Config
@@ -53,10 +54,10 @@ def canonical_pairs(fl):
     return {(p, m) for p, m in fl.factors}
 
 
-def cd_pool_entry(i):
-    """(f, expected output) of entry i of the frozen cd benchmark pool."""
+def pool_entry(workload, i):
+    """(f, expected output) of entry i of a frozen benchmark pool."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    with open(os.path.join(root, "perfbench", "corpus", "cd.jsonl")) as fh:
+    with open(os.path.join(root, "perfbench", "corpus", workload + ".jsonl")) as fh:
         item = json.loads(next(islice(fh, i, None)))
     return parse_poly(item["poly"], item["n"]), item["expected"]
 
@@ -194,7 +195,7 @@ def test_a_huge_degree_meets_the_cell_cap_before_the_monic_shift(monkeypatch, te
 @pytest.mark.parametrize("i", [0, 7, 31, 90])
 def test_the_early_cell_count_is_psi_maps(i):
     # f's own terms give the box psi_map computes from the shifted f_alpha
-    f, _ = cd_pool_entry(i)
+    f, _ = pool_entry("cd", i)
     with pytest.raises(CapError) as early:
         projected_factoring(f, 2, Config(max_dense_cells=0))
     with pytest.raises(CapError) as late:
@@ -333,7 +334,7 @@ def test_a_candidate_product_of_two_factors_fails_the_division(monkeypatch):
     # after both, which leave the residual first, so its division fails
     import polyfactor.engine as engine
 
-    f, expected = cd_pool_entry(146)
+    f, expected = pool_entry("cd", 146)
     divisions = []
 
     def recorded(residual, g):
@@ -353,7 +354,7 @@ def test_psi_invert_rejects_a_candidate_that_is_no_image(monkeypatch):
     # psi_invert rejects them before any division
     import polyfactor.engine as engine
 
-    f, expected = cd_pool_entry(96)
+    f, expected = pool_entry("cd", 96)
     rejected = []
 
     def recorded(*args):
@@ -375,7 +376,7 @@ def test_psi_is_read_back_on_sparse_terms(monkeypatch):
     import polyfactor.engine as engine
     from polyfactor.dense import DensePoly3
 
-    f, expected = cd_pool_entry(96)
+    f, expected = pool_entry("cd", 96)
     init, to_sparse = DensePoly3.__init__, DensePoly3.to_sparse
     scans = None  # grids converted by the running psi_invert, None outside it
     per_call = []
@@ -690,24 +691,92 @@ def test_slices_are_lifted_not_factored_from_scratch(monkeypatch):
     # su pool entry 3: a pair's projection r_hat is a square, (x + t1 + 1)^2
     # up to the pair's coordinates, while its slices are irreducible
     # quadratics; the slice lift then offers junk, which the interpolation
-    # checks turn away, and no trivariate slice is factored from scratch
+    # checks turn away, and no slice is factored from scratch
     import polyfactor.basefactor as basefactor
+    import polyfactor.engine as engine
 
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    with open(os.path.join(root, "perfbench", "corpus", "su.jsonl")) as fh:
-        item = json.loads(next(islice(fh, 3, None)))
-    factor = basefactor._factor_monic_sparse
-    trivariate = []
+    f, expected = pool_entry("su", 3)
+    factor, lift = basefactor._factor_monic_sparse, engine.lift_slice
+    slices, factored = [], []
 
-    def recorded(f, *args):
-        if f.n == 3:
-            trivariate.append(f)
-        return factor(f, *args)
+    def recorded_lift(r, base):
+        slices.append(r)
+        return lift(r, base)
 
+    def recorded(g, *args):
+        factored.append(g)
+        return factor(g, *args)
+
+    monkeypatch.setattr(engine, "lift_slice", recorded_lift)
     monkeypatch.setattr(basefactor, "_factor_monic_sparse", recorded)
-    fl = factor_su(parse_poly(item["poly"], item["n"]))
-    assert fl.to_json_dict() == item["expected"]
-    assert trivariate == []
+    assert factor_su(f).to_json_dict() == expected
+    assert slices and {r.n for r in slices} == {2}
+    assert not any(g is r for g in factored for r in slices)
+
+
+@pytest.mark.parametrize(
+    "g_text, cofactor_text, n, alpha, beta, gamma, point",
+    [
+        # at t1 = 0 both factors' images vanish at x = 0, so the line
+        # starts at t1 = 1
+        ("z1 + z2^2 + 1", "z1 + z2 + 1", 2, (1, 1), (2, 3), (-1, 0), 1),
+        ("z1^2 + z2^2 + z3 + 1", "(z1 + z2*z3 + 2)^2", 3, (1, 2, 1), (1, 3, -2), (0, 1, 2), 0),
+        ("z1*z2 + z3^2 - 5", "(z1 - z3 + 3)*(z2^2 + 2)", 3, (2, 1, 1), (3, -1, 2), (1, 0, 1), 0),
+    ],
+)
+def test_the_line_slice_reads_what_the_trivariate_slice_reads(
+    g_text, cofactor_text, n, alpha, beta, gamma, point
+):
+    # a group that lifts a true factor g gives g(omega) / Hom[g](alpha) on
+    # the trivariate slice through gamma and on the line slice from
+    # gamma + w0 beta alike
+    from polyfactor.basefactor import lift_slice, slice_point
+    from polyfactor.engine import _project
+    from polyfactor.pit import interpolation_plan
+
+    g = parse_poly(g_text, n)
+    f = g * parse_product(cofactor_text, n)
+    scaled = f.scale(ONE / f.hom_component(f.degree()).eval_point(alpha))
+    base = factor_monic(_project(scaled, alpha, [beta], gamma)).factors
+    top = g.hom_component(g.degree()).eval_point(alpha)
+    i = [h for h, _ in base].index(_project(g.scale(ONE / top), alpha, [beta], gamma).canonical())
+    w0 = slice_point(base)
+    assert w0 == point
+    origin = tuple(c + w0 * b for c, b in zip(gamma, beta))
+    line_base = [(h.eval_var(2, w0), e) for h, e in base]
+    for omega in interpolation_plan(2, n):
+        secondary = tuple(o - c for o, c in zip(omega, gamma))
+        trivariate = lift_slice(_project(scaled, alpha, [beta, secondary], gamma), base)[i]
+        direction = tuple(o - c for o, c in zip(omega, origin))
+        line = lift_slice(_project(scaled, alpha, [direction], origin), line_base)[i]
+        want = g.eval_point(omega) / top
+        assert trivariate.eval_point((0, 0, 1)) == line.eval_point((0, 1)) == want, omega
+
+
+@pytest.mark.parametrize("i", [30, 72])
+def test_a_pair_whose_groups_collide_at_t1_0_slices_from_t1_1(monkeypatch, i):
+    # su pool entries 30 and 72 are the only ones with a pair whose groups'
+    # images share a root at t1 = 0; their lines start at t1 = 1, where
+    # every slice lifts every group
+    import polyfactor.engine as engine
+
+    points, lifts = [], []
+    point, lift = engine.slice_point, engine.lift_slice
+
+    def recorded_point(base):
+        points.append(point(base))
+        return points[-1]
+
+    def recorded_lift(r, base):
+        lifts.append(lift(r, base))
+        return lifts[-1]
+
+    monkeypatch.setattr(engine, "slice_point", recorded_point)
+    monkeypatch.setattr(engine, "lift_slice", recorded_lift)
+    f, expected = pool_entry("su", i)
+    assert factor_su(f).to_json_dict() == expected
+    assert points[0] == 1
+    assert lifts and all(P is not None for lifted in lifts for P in lifted)
 
 
 def test_sparse_factors_with_su_oracle():

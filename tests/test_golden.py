@@ -8,7 +8,7 @@ pipeline calls as perfbench/run.py, and only reads the corpus.
 
 Run as a script, it checks every entry of the named pools, whatever its
 cost, prints each entry whose output differs, each pool's entry count,
-process time, three slowest entries, the number of trivariate slices
+process time, three slowest entries, the number of line slices
 the sparse search lifted (calls of `engine.lift_slice`)
 and the oracle pairs it drew (the pool's total and the most any one
 entry drew), the traffic across the integer boundary (integer reads,
