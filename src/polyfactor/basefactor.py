@@ -39,13 +39,18 @@ whose coefficients are packed (x, w) dicts mod P^k, w the remaining side
 variable; each lift step solves one Diophantine equation, w-adically from
 a Bezout pair at w = 0.  A group u^e enters as u's primitive integer rows
 over their x-leading integer, a divisor of f's denominator, raised to e
-mod P^k.  When the factorization at one point is already known (a line
-slice f(x, t) whose t = 0 image was factored before), `lift_slice(f,
-base)` lifts in f's last variable and returns the factor lifted from each
-group, unproved, in the groups' order; `slice_point(base)` finds, once per
-factorization of a polynomial in (x, t1), the least t1 = w0 where its
-groups are pairwise coprime mod P, so every line from there lifts with
-dw = 0.  `factor_monic(f, bounds=...)` asks only for the factors within a
+mod P^k.  Every lift reads its base through a `PreparedBase`: the
+groups' tables, their coprime point per prime, and a memo of each lift
+tree node's Bezout pair at the largest modulus lifted to so far, which a
+later lift reduces or lifts on (the pair is unique).  When the
+factorization at one point is already known (a line slice f(x, t) whose
+t = 0 image was factored before), `lift_slice(f, prepared)` lifts in f's
+last variable and returns the factor lifted from each group, unproved,
+in the groups' order; `slice_point(base)` finds, once per factorization
+of a polynomial in (x, t1), the least t1 = w0 where its groups are
+pairwise coprime mod P, so every line from there lifts with dw = 0, and
+prepares their images there once for all those lines.
+`factor_monic(f, bounds=...)` asks only for the factors within a
 degree bound per variable: the lift stops at the v- and w-orders such a
 factor reaches, and only subsets within the x-bound recombine (Wang's EEZ
 lift, Math. Comp. 1978, cut at the wanted degrees); it returns unproved
@@ -542,10 +547,12 @@ def _int_rows(f, v=None, w=None):
 
 def _eval_rows(rows, den, v0, w0, p):
     """rows / den at z_v = v0, z_w = w0 mod the prime p (`_int_rows`' rows,
-    p not dividing den), as an ascending list of x-coefficients."""
+    p not dividing den), as an ascending list of x-coefficients; the power
+    of v0 or w0 at each exponent present is taken once."""
     scale = pow(den, -1, p)
-    return [sum(c * pow(v0, ev, p) * pow(w0, ew, p) for ev, ew, c in row) * scale % p
-            for row in rows]
+    vp = {ev: pow(v0, ev, p) for ev in {ev for row in rows for ev, _, _ in row}}
+    wp = {ew: pow(w0, ew, p) for ew in {ew for row in rows for _, ew, _ in row}}
+    return [sum(c * vp[ev] * wp[ew] for ev, ew, c in row) * scale % p for row in rows]
 
 
 def _factor_univariate_pairs(f):
@@ -643,24 +650,38 @@ def _tau_series_to_cd(series):
 
 class _Dioph:
     """Solve dA*B0 + dB*A0 = e mod m for (x, w) dicts, A0 and B0 monic in x,
-    deg_x dA < deg_x A0: a Bezout pair of the w = 0 rows, then w-adic
-    expansion over `length` w-orders."""
+    deg_x dA < deg_x A0: a Bezout pair of the w = 0 rows a0 and b0, then
+    w-adic expansion over `length` w-orders.
 
-    def __init__(self, A0, B0, length, p, m):
+    The pair s a0 + t b0 = 1 mod m with deg s < deg b0 is unique (von zur
+    Gathen & Gerhard, Modern Computer Algebra, 15.4), so `memo`, the tree
+    node's memo of the pair per prime p, serves every lift of the same a0
+    and b0: memo[p] holds (mu, s, t) at the largest modulus mu = p^k lifted
+    to so far.  A smaller m reduces it; a larger one continues its
+    `_bezout_step` squarings and stores the pair at m, not at the overshoot,
+    since a0 and b0 are known mod m only."""
+
+    def __init__(self, A0, B0, length, p, m, memo=None):
         self.m = m
         self.length = length
         self.A0tau = _cd_to_tau_series(A0, length)
         self.B0tau = _cd_to_tau_series(B0, length)
         a0, b0 = self.A0tau[0], self.B0tau[0]
-        s, t, g = up_xgcd_p(a0, b0, p)
-        if up_deg(g) != 0:
-            raise _AttemptFailed("base factors not coprime mod p")
-        mu = p
+        memo = {} if memo is None else memo
+        if p not in memo:
+            s, t, g = up_xgcd_p(a0, b0, p)
+            if up_deg(g) != 0:
+                raise _AttemptFailed("base factors not coprime mod p")
+            memo[p] = (p, s, t)
+        mu, s, t = memo[p]
+        grows = mu < m
         while mu < m:
             mu *= mu
             s, t = _bezout_step(mu, a0, b0, s, t)
         self.s = up_mod(s, m)
         self.t = up_mod(t, m)
+        if grows:
+            memo[p] = (m, self.s, self.t)
         # w-orders past both bases' w-degrees add nothing to the residual
         self.span = 1 + max(
             j for j in range(length) if self.A0tau[j] or self.B0tau[j]
@@ -780,9 +801,11 @@ def _lift_pair(Fser, A0, B0, K, m, dioph):
     return A, B
 
 
-def _lift_tree(Fser, groups, K, wlen, p, m):
-    """groups: list of (x, w) dicts at the base point; returns lifted series.
-    wlen: the w-orders each Diophantine solve carries."""
+def _lift_tree(Fser, groups, K, wlen, p, m, bezout, first=0):
+    """groups: list of (x, w) dicts at the base point, from index `first`
+    of the base; returns lifted series.  wlen: the w-orders each
+    Diophantine solve carries; bezout: the base's Bezout memos, one per
+    tree node (`_Dioph`), keyed by the node's first group and group count."""
     if len(groups) == 1:
         return [Fser]
     h = len(groups) // 2
@@ -792,9 +815,10 @@ def _lift_tree(Fser, groups, K, wlen, p, m):
     B0 = groups[h]
     for g in groups[h + 1 :]:
         B0 = cd_reduce(_wcut(_mul_into({}, B0, g), wlen), m)
-    Aser, Bser = _lift_pair(Fser, A0, B0, K, m, _Dioph(A0, B0, wlen, p, m))
-    return _lift_tree(Aser, groups[:h], K, wlen, p, m) + _lift_tree(
-        Bser, groups[h:], K, wlen, p, m
+    memo = bezout.setdefault((first, len(groups)), {})
+    Aser, Bser = _lift_pair(Fser, A0, B0, K, m, _Dioph(A0, B0, wlen, p, m, memo))
+    return _lift_tree(Aser, groups[:h], K, wlen, p, m, bezout, first) + _lift_tree(
+        Bser, groups[h:], K, wlen, p, m, bezout, first + h
     )
 
 
@@ -928,34 +952,63 @@ def _group_tables(base):
 def _coprime_point(tables, dw, P):
     """The least w0 in range(2 dw r^2 + 3), r the groups, at which the
     groups' images (`_group_tables`) are pairwise coprime mod P, or None;
-    P divides no group's lc."""
+    P divides no group's lc.  With dw = 0 the images do not depend on w,
+    so only w0 = 0 is scanned."""
 
     def coprime(w0):
         images = [_eval_rows(rows, lc, 0, w0, P) for rows, lc in tables]
         return all(up_deg(up_gcd_p(a, b, P)) == 0 for a, b in combinations(images, 2))
 
-    return next((w0 for w0 in range(2 * dw * len(tables) ** 2 + 3) if coprime(w0)), None)
+    scan = range(2 * dw * len(tables) ** 2 + 3 if dw else 1)
+    return next((w0 for w0 in scan if coprime(w0)), None)
+
+
+class PreparedBase:
+    """`base`, a factorization [(u, e)] of f at one point, prepared once for
+    every lift from it: its groups' tables (`_group_tables`), their
+    (x-degree, multiplicity), their coprime point per (dw, P)
+    (`_coprime_point`), and the Bezout memo of each node of the lift tree
+    (`_Dioph`).  For one P, every point found is the least coprime w0, so
+    each node's a0 and b0 are the same in every lift and its memo serves
+    them all."""
+
+    def __init__(self, base):
+        self.tables = _group_tables(base)
+        self.groups = [(len(rows) - 1, e) for (rows, _), (_, e) in zip(self.tables, base)]
+        self.points = {}
+        self.bezout = {}
+
+    def point(self, dw, P):
+        if (dw, P) not in self.points:
+            self.points[dw, P] = _coprime_point(self.tables, dw, P)
+        return self.points[dw, P]
 
 
 def slice_point(base):
-    """The least t1 = w0 >= 0 at which the groups of `base`, the
-    factorization of a polynomial in (x, t1) monic in x, have images
+    """(w0, line): the least t1 = w0 >= 0 at which the groups of `base`,
+    the factorization of a polynomial in (x, t1) monic in x, have images
     h(x, w0) pairwise coprime mod the least prime >= 2^20 avoiding their
     denominators, so each group lifts from t1 = w0 on any line through
-    that point; None when no w0 scanned gives them."""
+    that point, and `line`, those images prepared once for lifting every
+    line slice from there (`PreparedBase`); None when no w0 scanned gives
+    them."""
     tables = _group_tables(base)
     dw = sum(e * (u.degree_in(2) or 0) for u, e in base)
-    return _coprime_point(tables, dw, _prime_avoiding(math.lcm(*(lc for _, lc in tables))))
+    w0 = _coprime_point(tables, dw, _prime_avoiding(math.lcm(*(lc for _, lc in tables))))
+    if w0 is None:
+        return None
+    return w0, PreparedBase([(u.eval_var(2, w0), e) for u, e in base])
 
 
-def _lift(reading, v0, base, bounds=None):
-    """(groups, candidate): `base`, f's factorization at z_v = v0, lifted
-    mod P^k > 2B^2 (P the reading's prime, B = _factor_bound); groups[i] is
-    base[i]'s (x-degree, multiplicity).  candidate(S) is (G, e), G monic in
-    x and G^e the factor the groups S lift, reconstructed over Q and
-    unproved (junk reconstructs too); None when their multiplicities differ
-    or nothing reconstructs.  Raises _AttemptFailed when the base images are
-    not squarefree and coprime mod P at any w0 scanned.
+def _lift(reading, v0, prepared, bounds=None):
+    """(groups, candidate): f's factorization at z_v = v0, prepared
+    (`PreparedBase`), lifted mod P^k > 2B^2 (P the reading's prime, B =
+    _factor_bound); groups[i] is group i's (x-degree, multiplicity).
+    candidate(S) is (G, e), G monic in x and G^e the factor the groups S
+    lift, reconstructed over Q and unproved (junk reconstructs too); None
+    when their multiplicities differ or nothing reconstructs.  Raises
+    _AttemptFailed when the base images are not squarefree and coprime mod
+    P at any w0 scanned.
 
     The lift runs mod (v^K, w^wlen), K = dv + 1 and wlen = dw + 1.  Base
     images coprime mod (P, w - w0) make the lifted factors unique mod
@@ -974,10 +1027,9 @@ def _lift(reading, v0, base, bounds=None):
     )
     K = min(dv, bv) + 1
     wlen = min(dw, bw) + 1  # the w-orders the lift carries
-    tables = _group_tables(base)
-    groups = [(len(rows) - 1, mult) for (rows, _), (_, mult) in zip(tables, base)]
+    tables, groups = prepared.tables, prepared.groups
     # P avoids f's denominators, which each group's lc divides (Gauss's lemma)
-    w0 = _coprime_point(tables, dw, P)
+    w0 = prepared.point(dw, P)
     if w0 is None:
         raise _AttemptFailed("no w0 gives coprime base images")
     # a monic factor of f is G / lc(G), G an integer factor of f's integer
@@ -998,7 +1050,7 @@ def _lift(reading, v0, base, bounds=None):
         for _ in range(mult - 1):
             power = cd_reduce(_wcut(_mul_into({}, power, g), wlen), m)
         group_cds.append(power)
-    leaves = _lift_tree(Fser, group_cds, K, wlen, P, m)
+    leaves = _lift_tree(Fser, group_cds, K, wlen, P, m, prepared.bezout)
 
     def candidate(S):
         mults = {groups[i][1] for i in S}
@@ -1022,7 +1074,7 @@ def _attempt_lift(reading, v0, base, bounds=None):
     """The complete [(factor, mult)] of the read f lifted from `base`, its
     factorization at z_v = v0, or with `bounds` the unproved candidates
     within them (`_lift`), sorted as FactorList sorts."""
-    groups, candidate = _lift(reading, v0, base, bounds)
+    groups, candidate = _lift(reading, v0, PreparedBase(base), bounds)
     if bounds is None:
         found = _complete_recombination(reading.f, groups, candidate)
     else:
@@ -1082,19 +1134,21 @@ def _bounded_recombination(groups, candidate, bx):
     return results
 
 
-def lift_slice(f, base):
+def lift_slice(f, prepared):
     """The factor of f, bivariate or trivariate and monic in x, lifted in
-    f's last variable from each group of `base`, the complete factorization
-    of f with that variable at 0, in base's order (Wang's lift from a known
-    point, Math. Comp. 1978): for a line slice f(x, t), base is in x alone
-    and the lift carries one w-order.  None where a group does not
+    f's last variable from each group of `prepared` (`PreparedBase`), the
+    complete factorization of f with that variable at 0, in its order
+    (Wang's lift from a known point, Math. Comp. 1978): for a line slice
+    f(x, t), the groups are in x alone (`slice_point`) and the lift carries
+    one w-order.  Every slice lifted from one preparation shares its tables,
+    coprime point and Bezout pairs.  None where a group does not
     reconstruct, and everywhere when the lift fails.  Unproved: the caller
     decides."""
     try:
-        _, candidate = _lift(_read(f, f.n, 5 - f.n), 0, base)
+        _, candidate = _lift(_read(f, f.n, 5 - f.n), 0, prepared)
     except _AttemptFailed:
-        return [None] * len(base)
-    found = [candidate((i,)) for i in range(len(base))]
+        return [None] * len(prepared.groups)
+    found = [candidate((i,)) for i in range(len(prepared.groups))]
     return [None if pair is None else pair[0] for pair in found]
 
 

@@ -16,7 +16,7 @@ smallest candidate first, proves each emitted factor and its irreducibility.
 from dataclasses import dataclass
 from itertools import islice
 
-from .rational import ONE
+from .rational import ONE, ZERO
 from .sparse import SparsePoly
 from .dense import to_dense
 from .factors import FactorList, divide_out
@@ -248,7 +248,8 @@ def _pair_candidates(residual, alpha, pair, s, oracle):
     interpolated: T values on the class's support at h2's degree when it
     has T <= s monomials, else 2s values for Ben-Or-Tiwari.  The groups
     of r_hat's factorization are pairwise coprime at t1 = w0
-    (`slice_point`), and each point omega is read on the line slice
+    (`slice_point`, which prepares the groups' images there once for every
+    slice of the pair), and each point omega is read on the line slice
     r_omega(x, t) = r(alpha x + (omega - gamma') t + gamma'), gamma' =
     gamma + w0 beta, whose t = 0 image is r_hat(x, w0): `lift_slice`
     lifts a factor, monic in x, from each group's image there, and the
@@ -283,22 +284,23 @@ def _pair_candidates(residual, alpha, pair, s, oracle):
     # plan for bound k has 2k points); each ref consumes the prefix it needs
     most = max(ref[4] for ref in refs)
     plan = interpolation_plan((most + 1) // 2, n)[:most]
-    w0 = slice_point(base)
-    if w0 is None:
+    found = slice_point(base)
+    if found is None:
         return []
     # every slice is the line from gamma' = gamma + w0 beta to its point,
-    # whose t = 0 image is r_hat(x, w0)
+    # whose t = 0 image is r_hat(x, w0), prepared once as `line`
+    w0, line = found
     origin = tuple(g + w0 * b for g, b in zip(pair.gamma, pair.beta))
-    line_base = [(h.eval_var(2, w0), e) for h, e in base]
     for w_idx, omega in enumerate(plan):
         direction = tuple(omega[i] - origin[i] for i in range(n))
-        lifted = lift_slice(_project(scaled, alpha, [direction], origin), line_base)
+        lifted = lift_slice(_project(scaled, alpha, [direction], origin), line)
         for i, _, _, _, need, values in refs:
             if w_idx >= need:
                 continue
             if lifted[i] is None:
                 return []
-            values.append(lifted[i].eval_point((0, 1)))
+            # the value at (x, t) = (0, 1): the sum of the x-free terms
+            values.append(sum((c for (ex, _), c in lifted[i].terms.items() if not ex), ZERO))
     candidates = []
     for _, h2, deg, support, _, values in refs:
         try:

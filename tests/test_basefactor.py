@@ -15,6 +15,7 @@ from polyfactor.basefactor import (
     factor_lowvar,
     is_irreducible_lowvar,
     lift_slice,
+    PreparedBase,
     _AttemptFailed,
     _Dioph,
     _attempt_lift,
@@ -537,7 +538,8 @@ def trivariate_monic_products(draw):
 
 
 def _lift_slice_from_scratch_free(f, base):
-    """lift_slice(f, base) with every factorization from scratch failing."""
+    """lift_slice of f from base, prepared, with every factorization from
+    scratch failing."""
     import polyfactor.basefactor as basefactor
 
     def no_scratch(*args):
@@ -545,7 +547,7 @@ def _lift_slice_from_scratch_free(f, base):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(basefactor, "_factor_monic_sparse", no_scratch)
-        return lift_slice(f, base)
+        return lift_slice(f, PreparedBase(base))
 
 
 def _factors_by_image(f, base):
@@ -627,7 +629,7 @@ def test_the_lift_rebuilds_no_group_over_q(monkeypatch):
         assert _attempt_lift(_read(f, v, 5 - v), 1, base) == want
         # bounded: the z2-order is cut below f's z2-degree
         assert set(want) <= set(_attempt_lift(_read(f, v, 5 - v), 1, base, (1, 1, 2)))
-    assert [P.canonical() for P in lift_slice(f, slice_base)] == slice_want
+    assert [P.canonical() for P in lift_slice(f, PreparedBase(slice_base))] == slice_want
 
 
 @pytest.mark.parametrize(
@@ -668,9 +670,9 @@ def test_the_lift_prime_avoids_a_denominator_at_2_to_the_20(n):
     primes_used = []
     tree = basefactor._lift_tree
 
-    def recorded(Fser, groups, K, wlen, p, m):
+    def recorded(Fser, groups, K, wlen, p, m, *memo):
         primes_used.append(p)
-        return tree(Fser, groups, K, wlen, p, m)
+        return tree(Fser, groups, K, wlen, p, m, *memo)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(basefactor, "_lift_tree", recorded)
@@ -778,7 +780,7 @@ def test_the_lift_reads_the_series_the_fraction_path_gives(monkeypatch, text, n,
 
     monkeypatch.setattr(basefactor, "_lift_tree", recorded)
     assert _attempt_lift(_read(f, v, w), v0, base) == list(factor_monic(f).factors)
-    Fser, groups, K, wlen, p, m = calls[0]
+    Fser, groups, K, wlen, p, m, _ = calls[0]
 
     def reference(w0):
         F = series(f, v, w, (f.degree_in(v) or 0) + 1, m)
@@ -874,6 +876,26 @@ def test_bezout_step_keeps_the_identity():
             s, t = _bezout_step(M, a, b, s, t)
             assert up_mod(up_sub(up_add(up_mul(s, a), up_mul(t, b)), [1]), M) == []
         checked += 1
+
+
+@pytest.mark.parametrize("wdeg", [None, 2])
+def test_a_memoized_bezout_pair_is_the_fresh_one_at_every_precision(wdeg):
+    # one tree node's memo serves lifts to precisions that rise, fall and
+    # repeat; A0 and B0 are the same integers reduced mod each p^k, as a
+    # node's groups are for every slice of one preparation
+    rng = rng_for("bezout-memo-%s" % wdeg)
+    p = 7
+    dw = wdeg or 0
+    precisions = [1, 3, 4, 2, 5, 5, 9, 7, 9, 3, 12, 6, 12]
+    for _ in range(10):
+        A0, B0 = _coprime_monic_pair(rng, rng.randint(1, 3), rng.randint(1, 3), dw, p, p**12)
+        memo = {}
+        for k in precisions:
+            m = p**k
+            A, B = cd_reduce(A0, m), cd_reduce(B0, m)
+            shared, fresh = _Dioph(A, B, dw + 1, p, m, memo), _Dioph(A, B, dw + 1, p, m)
+            assert (shared.s, shared.t) == (fresh.s, fresh.t), k
+        assert memo[p][0] == p**12
 
 
 # ---------------------------------------------------------------------------

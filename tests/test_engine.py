@@ -699,9 +699,9 @@ def test_slices_are_lifted_not_factored_from_scratch(monkeypatch):
     factor, lift = basefactor._factor_monic_sparse, engine.lift_slice
     slices, factored = [], []
 
-    def recorded_lift(r, base):
+    def recorded_lift(r, prepared):
         slices.append(r)
-        return lift(r, base)
+        return lift(r, prepared)
 
     def recorded(g, *args):
         factored.append(g)
@@ -730,7 +730,7 @@ def test_the_line_slice_reads_what_the_trivariate_slice_reads(
     # a group that lifts a true factor g gives g(omega) / Hom[g](alpha) on
     # the trivariate slice through gamma and on the line slice from
     # gamma + w0 beta alike
-    from polyfactor.basefactor import lift_slice, slice_point
+    from polyfactor.basefactor import PreparedBase, lift_slice, slice_point
     from polyfactor.engine import _project
     from polyfactor.pit import interpolation_plan
 
@@ -740,13 +740,13 @@ def test_the_line_slice_reads_what_the_trivariate_slice_reads(
     base = factor_monic(_project(scaled, alpha, [beta], gamma)).factors
     top = g.hom_component(g.degree()).eval_point(alpha)
     i = [h for h, _ in base].index(_project(g.scale(ONE / top), alpha, [beta], gamma).canonical())
-    w0 = slice_point(base)
+    w0, line_base = slice_point(base)
     assert w0 == point
     origin = tuple(c + w0 * b for c, b in zip(gamma, beta))
-    line_base = [(h.eval_var(2, w0), e) for h, e in base]
+    prepared = PreparedBase(base)
     for omega in interpolation_plan(2, n):
         secondary = tuple(o - c for o, c in zip(omega, gamma))
-        trivariate = lift_slice(_project(scaled, alpha, [beta, secondary], gamma), base)[i]
+        trivariate = lift_slice(_project(scaled, alpha, [beta, secondary], gamma), prepared)[i]
         direction = tuple(o - c for o, c in zip(omega, origin))
         line = lift_slice(_project(scaled, alpha, [direction], origin), line_base)[i]
         want = g.eval_point(omega) / top
@@ -767,16 +767,53 @@ def test_a_pair_whose_groups_collide_at_t1_0_slices_from_t1_1(monkeypatch, i):
         points.append(point(base))
         return points[-1]
 
-    def recorded_lift(r, base):
-        lifts.append(lift(r, base))
+    def recorded_lift(r, prepared):
+        lifts.append(lift(r, prepared))
         return lifts[-1]
 
     monkeypatch.setattr(engine, "slice_point", recorded_point)
     monkeypatch.setattr(engine, "lift_slice", recorded_lift)
     f, expected = pool_entry("su", i)
     assert factor_su(f).to_json_dict() == expected
-    assert points[0] == 1
+    assert points[0][0] == 1
     assert lifts and all(P is not None for lifted in lifts for P in lifted)
+
+
+@pytest.mark.parametrize("i", [30, 55, 72])
+def test_slices_sharing_their_pair_preparation_lift_what_a_fresh_one_lifts(monkeypatch, i):
+    # every slice of a pair lifts from one preparation of the pair's line
+    # base, whose Bezout memo each slice may extend; each must lift what a
+    # preparation of the line base read anew gives.  su pool entries 30 and
+    # 72 have a pair with w0 = 1; entry 55 has junk groups that reconstruct
+    # under some moduli and not others
+    import polyfactor.engine as engine
+    from polyfactor.basefactor import PreparedBase
+
+    point, lift = engine.slice_point, engine.lift_slice
+    line_bases = []  # (preparation, line base)
+    shared_slices = []  # per slice, its preparation
+
+    def recorded_point(base):
+        found = point(base)
+        if found is not None:
+            w0, line = found
+            line_bases.append((line, [(h.eval_var(2, w0), e) for h, e in base]))
+        return found
+
+    def recorded_lift(r, prepared):
+        lifted = lift(r, prepared)
+        line_base = next(lb for line, lb in line_bases if line is prepared)
+        assert lifted == lift(r, PreparedBase(line_base))
+        shared_slices.append(prepared)
+        return lifted
+
+    monkeypatch.setattr(engine, "slice_point", recorded_point)
+    monkeypatch.setattr(engine, "lift_slice", recorded_lift)
+    f, expected = pool_entry("su", i)
+    assert factor_su(f).to_json_dict() == expected
+    # the check is not vacuous: some preparation served several slices
+    # from its memo
+    assert any(shared_slices.count(line) > 1 and line.bezout for line, _ in line_bases)
 
 
 def test_sparse_factors_with_su_oracle():

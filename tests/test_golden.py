@@ -12,8 +12,9 @@ process time, three slowest entries, the number of line slices
 the sparse search lifted (calls of `engine.lift_slice`)
 and the oracle pairs it drew (the pool's total and the most any one
 entry drew), the traffic across the integer boundary (integer reads,
-calls of `sparse._int_table`, and `SparsePoly` constructions), then the
-line count of src/polyfactor (as
+calls of `sparse._int_table`, and `SparsePoly` constructions), the
+Bezout lift steps (calls of `basefactor._bezout_step`), then the line
+count of src/polyfactor (as
 `cat src/polyfactor/*.py | wc -l` counts it), and exits 1 if an entry
 differs:
 
@@ -28,6 +29,7 @@ import time
 
 import pytest
 
+import polyfactor.basefactor as basefactor
 import polyfactor.engine as engine
 import polyfactor.sparse as sparse
 from polyfactor.oracles import IrredProjOracle
@@ -92,10 +94,10 @@ def main(workloads):
         return 2
     lift_slice = engine.lift_slice
 
-    def counted(f, base):
+    def counted(f, prepared):
         nonlocal slices
         slices += 1
-        return lift_slice(f, base)
+        return lift_slice(f, prepared)
 
     pairs = IrredProjOracle.pairs
 
@@ -112,6 +114,13 @@ def main(workloads):
         reads += 1
         return read(poly, pack)
 
+    bezout_step = basefactor._bezout_step
+
+    def counted_step(*args):
+        nonlocal steps
+        steps += 1
+        return bezout_step(*args)
+
     init = sparse.SparsePoly.__init__
 
     def counted_init(self, n, terms):
@@ -124,12 +133,13 @@ def main(workloads):
     for module in list(sys.modules.values()):  # every importer of the reader
         if getattr(module, "_int_table", None) is read:
             module._int_table = counted_read
+    basefactor._bezout_step = counted_step
     sparse.SparsePoly.__init__ = counted_init
     wrong = 0
     for workload in workloads or sorted(PIPELINES):
         pool = load_pool(workload)
         times = []
-        slices = reads = built = 0
+        slices = reads = built = steps = 0
         drawn_per_entry = []
         for i, item in enumerate(pool):
             start = time.process_time()
@@ -144,10 +154,10 @@ def main(workloads):
         slowest = ", ".join("%d (%.2f s)" % (i, t) for t, i in sorted(times)[:-4:-1])
         print("%s: %d entries, %.1f s process time, %d slices, %d oracle pairs "
               "(at most %d per entry), %d integer reads, %d SparsePoly "
-              "constructions; slowest: %s"
+              "constructions, %d Bezout lift steps; slowest: %s"
               % (workload, len(pool), sum(t for t, _ in times), slices,
                  sum(drawn_per_entry), max(drawn_per_entry), reads, built,
-                 slowest),
+                 steps, slowest),
               flush=True)
     lines = 0
     for path in sorted(glob.glob(os.path.join(ROOT, "src", "polyfactor", "*.py"))):
