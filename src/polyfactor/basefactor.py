@@ -36,8 +36,9 @@ U^e, so its product is rooted in the truncated series ring by Miller's
 power recurrence, then translated back mod P^k before its coefficients are
 reconstructed.  A lifted factor is a series in the evaluated variable
 whose coefficients are packed (x, w) dicts mod P^k, w the remaining side
-variable; each lift step solves one Diophantine equation, w-adically from
-a Bezout pair at w = 0.  A group u^e enters as u's primitive integer rows
+variable; each lift step solves one Diophantine equation by dot products
+with the precomputed solutions for x^i, the one for 1 expanded w-adically
+from a Bezout pair at w = 0.  A group u^e enters as u's primitive integer rows
 over their x-leading integer, a divisor of f's denominator, raised to e
 mod P^k.  Every lift reads its base through a `PreparedBase`: the
 groups' tables, their coprime point per prime, and a memo of each lift
@@ -50,11 +51,13 @@ in the groups' order; `slice_point(base)` finds, once per factorization
 of a polynomial in (x, t1), the least t1 = w0 where its groups are
 pairwise coprime mod P, so every line from there lifts with dw = 0, and
 prepares their images there once for all those lines.
-`factor_monic(f, bounds=...)` asks only for the factors within a
-degree bound per variable: the lift stops at the v- and w-orders such a
-factor reaches, and only subsets within the x-bound recombine (Wang's EEZ
-lift, Math. Comp. 1978, cut at the wanted degrees); it returns unproved
-candidates, and the caller's division of its own input decides.  Exact
+`factor_monic(f, bounds=...)` asks only for the factors within
+proportional degree bounds (bx, bv, bw), a factor of x-degree a lying
+within (a, a bv / bx, a bw / bx): only subsets within the x-bound
+recombine, and the lift stops at the v- and w-orders the largest x-degree
+such a subset reaches allows (Wang's EEZ lift, Math. Comp. 1978, cut at
+the wanted degrees); it returns unproved candidates, and the caller's
+division of its own input decides.  Exact
 divisions over Q are the whole proof of a complete factorization: Yun and
 Zassenhaus end on exact quotients in Z[x], and the lift divides each
 factor out of what is left of f as often as its multiplicity and requires
@@ -65,6 +68,7 @@ a division and costs another point, never correctness.
 import math
 from collections import namedtuple
 from itertools import accumulate, combinations, product
+from operator import mul
 
 from .rational import Q, ONE, primes
 from .sparse import SparsePoly, _int_table, _mul_into
@@ -619,7 +623,7 @@ def cd_sub(a, b, m):
 
 
 # ---------------------------------------------------------------------------
-# diophantine solvers
+# diophantine solver
 
 
 def _cd_to_tau_series(d, length):
@@ -638,35 +642,32 @@ def _cd_to_tau_series(d, length):
     return out
 
 
-def _tau_series_to_cd(series):
-    """Inverse of _cd_to_tau_series."""
-    return {
-        cd_pack(ex, ordv): v
-        for ordv, coeffs in enumerate(series)
-        for ex, v in enumerate(coeffs)
-        if v
-    }
-
-
 class _Dioph:
-    """Solve dA*B0 + dB*A0 = e mod m for (x, w) dicts, A0 and B0 monic in x,
-    deg_x dA < deg_x A0: a Bezout pair of the w = 0 rows a0 and b0, then
-    w-adic expansion over `length` w-orders.
+    """Solve dA*B0 + dB*A0 = e mod (w^length, m) for (x, w) dicts, A0 and
+    B0 monic in x, deg_x e < D = deg_x A0 + deg_x B0, with deg_x dA <
+    deg_x A0 and deg_x dB < deg_x B0: the solution is unique, and linear in
+    e, so it is read off precomputed solutions (sigma_i, tau_i) for each
+    x^i, i < D (Geddes, Czapor & Labahn, Algorithms for Computer Algebra,
+    6.5).  Column 0, for 1, is expanded w-adically from a Bezout pair
+    s a0 + t b0 = 1 of the w = 0 rows; each next column is x times the last,
+    minus q A0 and plus q B0, q its x^(deg A0) coefficient, a series in w.
+    `solve` then takes one dot product per coefficient of dA and dB with
+    e's (w-order, x) coefficients.
 
-    The pair s a0 + t b0 = 1 mod m with deg s < deg b0 is unique (von zur
-    Gathen & Gerhard, Modern Computer Algebra, 15.4), so `memo`, the tree
-    node's memo of the pair per prime p, serves every lift of the same a0
-    and b0: memo[p] holds (mu, s, t) at the largest modulus mu = p^k lifted
-    to so far.  A smaller m reduces it; a larger one continues its
-    `_bezout_step` squarings and stores the pair at m, not at the overshoot,
-    since a0 and b0 are known mod m only."""
+    The pair with deg s < deg b0 is unique too (von zur Gathen & Gerhard,
+    Modern Computer Algebra, 15.4), so `memo`, the tree node's memo of the
+    pair per prime p, serves every lift of the same a0 and b0: memo[p]
+    holds (mu, s, t) at the largest modulus mu = p^k lifted to so far.  A
+    smaller m reduces it; a larger one continues its `_bezout_step`
+    squarings and stores the pair at m, not at the overshoot, since a0 and
+    b0 are known mod m only."""
 
     def __init__(self, A0, B0, length, p, m, memo=None):
         self.m = m
         self.length = length
-        self.A0tau = _cd_to_tau_series(A0, length)
-        self.B0tau = _cd_to_tau_series(B0, length)
-        a0, b0 = self.A0tau[0], self.B0tau[0]
+        A0tau = _cd_to_tau_series(A0, length)
+        B0tau = _cd_to_tau_series(B0, length)
+        a0, b0 = A0tau[0], B0tau[0]
         memo = {} if memo is None else memo
         if p not in memo:
             s, t, g = up_xgcd_p(a0, b0, p)
@@ -678,39 +679,74 @@ class _Dioph:
         while mu < m:
             mu *= mu
             s, t = _bezout_step(mu, a0, b0, s, t)
-        self.s = up_mod(s, m)
-        self.t = up_mod(t, m)
+        self.s = s = up_mod(s, m)
+        self.t = t = up_mod(t, m)
         if grows:
-            memo[p] = (m, self.s, self.t)
-        # w-orders past both bases' w-degrees add nothing to the residual
-        self.span = 1 + max(
-            j for j in range(length) if self.A0tau[j] or self.B0tau[j]
-        )
-
-    def solve(self, e):
-        m = self.m
-        L = self.length
-        a0, b0 = self.A0tau[0], self.B0tau[0]
-        residual = _cd_to_tau_series(e, L)
-        dA = [[] for _ in range(L)]
-        dB = [[] for _ in range(L)]
-        for ordv in range(L):
-            c = residual[ordv]
+            memo[p] = (m, s, t)
+        na, nb = up_deg(a0), up_deg(b0)
+        self.D = D = na + nb
+        # column 0: sigma B0 + tau A0 = 1, one w-order at a time; w-orders
+        # past both bases' w-degrees add nothing to the residual
+        span = 1 + max(j for j in range(length) if A0tau[j] or B0tau[j])
+        sigma, tau = [[] for _ in range(length)], [[] for _ in range(length)]
+        residual = [[1]] + [[] for _ in range(length - 1)]
+        for k, c in enumerate(residual):
             if not c:
                 continue
-            q, da = up_divmod(up_mul(self.t, c, m), a0, m)
-            db = up_add(up_mul(self.s, c, m), up_mul(q, b0, m), m)
-            dA[ordv] = da
-            dB[ordv] = db
-            for jj in range(min(L - ordv, self.span)):
-                upd = up_add(
-                    up_mul(da, self.B0tau[jj], m), up_mul(db, self.A0tau[jj], m), m
-                )
-                if upd:
-                    residual[ordv + jj] = up_sub(residual[ordv + jj], upd, m)
-        if any(residual):
-            raise _AttemptFailed("diophantine residual nonzero")
-        return _tau_series_to_cd(dA), _tau_series_to_cd(dB)
+            q, sigma[k] = up_divmod(up_mul(t, c, m), a0, m)
+            tau[k] = up_add(up_mul(s, c, m), up_mul(q, b0, m), m)
+            for j in range(1, min(length - k, span)):
+                upd = up_add(up_mul(sigma[k], B0tau[j], m), up_mul(tau[k], A0tau[j], m), m)
+                residual[k + j] = up_sub(residual[k + j], upd, m)
+
+        def padded(series, n):
+            return [row[:n] + [0] * (n - len(row)) for row in series]
+
+        # columns[i] = (sigma_i, tau_i), each w-order an x-list of full length.
+        # The next column is x times the last, minus q A0 and plus q B0, q
+        # the last sigma's top coefficient: x sigma's top term cancels
+        # against A0's monic x-leading term, and x tau's against B0's, so
+        # only their lower terms (`low`) enter
+        A_low, B_low = padded(A0tau, na), padded(B0tau, nb)
+
+        def step(rows, low, q, sign):
+            return [
+                [
+                    (c + sign * sum(q[j] * low[k - j][i] for j in range(k + 1))) % m
+                    for i, c in enumerate([0] + row[:-1])
+                ]
+                for k, row in enumerate(rows)
+            ]
+
+        columns = [(padded(sigma, na), padded(tau, nb))]
+        for _ in range(1, D):
+            sig, ta = columns[-1]
+            q = [row[-1] for row in sig]
+            columns.append((step(sig, A_low, q, -1), step(ta, B_low, q, 1)))
+        # the coefficient of x^i w^k in dA (or dB) is the dot product of its
+        # row with e flattened as E[j D + ex] = coefficient of x^ex w^j
+        self.rows = [
+            [
+                (cd_pack(i, k), [col[side][k - j][i] for j in range(k + 1) for col in columns])
+                for k in range(length)
+                for i in range(n)
+            ]
+            for side, n in ((0, na), (1, nb))
+        ]
+
+    def solve(self, e):
+        D, m = self.D, self.m
+        E = [0] * (D * self.length)
+        for key, c in e.items():
+            ex, ew = cd_unpack(key)
+            if ex >= D:
+                raise _AttemptFailed("diophantine right side of x-degree >= D")
+            if ew < self.length:
+                E[ew * D + ex] = c
+        return tuple(
+            {key: c for key, row in rows if (c := sum(map(mul, row, E)) % m)}
+            for rows in self.rows
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -858,9 +894,10 @@ def _shift_series(ser, cv, cw, m, vlen=None, wlen=None):
     if not cv and not cw and vlen == len(ser) and wlen is None:
         return ser
 
-    def taylor(e, c):
-        """The coefficients of (z + c)^e, ascending."""
-        return [math.comb(e, j) * c ** (e - j) for j in range(e + 1)]
+    def taylor(e, c, n):
+        """The coefficients of (z + c)^e below z^n (all for n None), ascending."""
+        top = e + 1 if n is None else min(e + 1, n)
+        return [math.comb(e, j) * c ** (e - j) for j in range(top)]
 
     rows = ser
     if cw:
@@ -872,7 +909,7 @@ def _shift_series(ser, cv, cw, m, vlen=None, wlen=None):
                 ew = key % STRIDE
                 coeffs = table.get(ew)
                 if coeffs is None:
-                    coeffs = table[ew] = taylor(ew, cw)[:wlen]
+                    coeffs = table[ew] = taylor(ew, cw, wlen)
                 low = key - ew
                 for j, b in enumerate(coeffs):
                     out[low + j] = out.get(low + j, 0) + val * b
@@ -882,7 +919,9 @@ def _shift_series(ser, cv, cw, m, vlen=None, wlen=None):
     if cv:
         out = [dict() for _ in range(min(vlen, len(rows)))]
         for ev, row in enumerate(rows):
-            for target, b in zip(out, taylor(ev, cv)):
+            if not row:
+                continue
+            for target, b in zip(out, taylor(ev, cv, vlen)):
                 for key, val in row.items():
                     target[key] = target.get(key, 0) + val * b
         rows = out
@@ -1016,18 +1055,25 @@ def _lift(reading, v0, prepared, bounds=None):
     of f it lifts, whose degrees <= (dv, dw) keep it whole.  A group u^e,
     u read as its primitive integer rows over their x-leading integer,
     lifts to U^e, so a subset of groups of one multiplicity e is rooted
-    (`_series_root`) before it is reconstructed.  `bounds`, per variable
-    (x first), cut the lift at K = min(dv, bv) + 1 and wlen = min(dw, bw) + 1,
-    and B at x-degree bx: a factor within them is whole in the cut, and so
-    is its root, though U^e runs past it."""
+    (`_series_root`) before it is reconstructed.  `bounds` (bx, bv, bw),
+    per variable (x first), are proportional: a wanted factor of x-degree a
+    lies within (a, a bv / bx, a bw / bx).  No subset recombined with
+    x-degree <= bx passes a = min(bx, the sum of the group x-degrees <= bx),
+    so the lift is cut at K = min(dv, a bv // bx) + 1 and wlen =
+    min(dw, a bw // bx) + 1, and B is taken at degree sum a + K + wlen - 2:
+    a wanted factor is whole in the cut, and so is its root, though U^e
+    runs past it."""
     f, v, w, f_rows, f_den, (dx, dv, dw), P = reading
-    # a variable past f's n, as z_w of a bivariate f, is bounded by 0
-    bx, bv, bw = (dx, dv, dw) if bounds is None else (
-        bounds[0], bounds[v - 1], (*bounds, 0)[w - 1]
-    )
-    K = min(dv, bv) + 1
-    wlen = min(dw, bw) + 1  # the w-orders the lift carries
     tables, groups = prepared.tables, prepared.groups
+    if bounds is None:
+        a, K, wlen = dx, dv + 1, dw + 1
+    else:
+        # a variable past f's n, as z_w of a bivariate f, is bounded by 0
+        bx, bv, bw = bounds[0], bounds[v - 1], (*bounds, 0)[w - 1]
+        # the largest x-degree a recombined subset reaches
+        a = min(bx, sum(d for d, _ in groups if d <= bx))
+        K = min(dv, a * bv // bx) + 1
+        wlen = min(dw, a * bw // bx) + 1  # the w-orders the lift carries
     # P avoids f's denominators, which each group's lc divides (Gauss's lemma)
     w0 = prepared.point(dw, P)
     if w0 is None:
@@ -1037,7 +1083,7 @@ def _lift(reading, v0, prepared, bounds=None):
     # that does not reconstruct is no factor; candidates are reconstructed
     # in the original coordinates, so B needs no term for the translation,
     # and they have degrees within the cut, which B's degree sum is
-    B = _factor_bound([c for r in f_rows for *_, c in r], min(dx, bx) + K + wlen - 2)
+    B = _factor_bound([c for r in f_rows for *_, c in r], a + K + wlen - 2)
     m = P ** _precision(P, 2 * B * B + 1)
 
     # lift at the origin: translate the evaluation point there mod m, keeping
@@ -1266,12 +1312,17 @@ def factor_monic(f, bounds=None):
     """FactorList of a SparsePoly (<=3 vars) monic in variable 1.
 
     `bounds`, when given, holds a degree bound per variable, x first, and
-    only the factors whose x-degree is at most bounds[0] are asked for; the
-    lift stops where factors within all the bounds end (Wang's EEZ lift cut
-    at the wanted degrees).  The result then holds unproved candidates in
+    only the factors whose x-degree is at most bounds[0] are asked for.  The
+    bounds are proportional: a wanted factor of x-degree a lies within
+    bounds[i] * a / bounds[0] in each side variable i, as psi's image of a
+    factor of total degree a lies within (a, a W, a) of the scheme's
+    (delta, delta W, delta).  The lift stops where such factors end at the
+    largest x-degree a recombined subset reaches (Wang's EEZ lift cut at
+    the wanted degrees).  The result then holds unproved candidates in
     FactorList order (total degree first), scalar 1: each of f's
-    irreducible factors within the bounds with its multiplicity in f, and
-    possibly products of them or junk; the caller's division of f decides.
+    irreducible factors within the proportional bounds with its
+    multiplicity in f, and possibly products of them or junk; the caller's
+    division of f decides.
 
     Without bounds the result is complete and not multiplied back out:
     Yun and Zassenhaus end on exact quotients in Z[x], the lift divides

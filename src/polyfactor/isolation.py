@@ -66,7 +66,9 @@ class IsolationScheme:
         """(x, y, t) degree bounds of psi_map's image of any polynomial of
         total degree <= delta in (x, z): a term x^a z^e with a + |e| <= delta
         maps into y-degree <= |e| W, W the largest weight of w and w', and
-        t-degree <= |e|."""
+        t-degree <= |e|.  They are proportional, as `factor_monic(f,
+        bounds=...)` requires: a polynomial of total degree a <= delta maps
+        within (a, a W, a)."""
         return (self.delta, self.delta * max(self.w + self.w_prime), self.delta)
 
     def to_json(self):

@@ -31,10 +31,12 @@ from polyfactor.basefactor import (
     _series_to_qpoly,
     _shift_series,
     _up_primitive_z,
+    _wcut,
     _zassenhaus,
     berlekamp,
     cd_pack,
     cd_reduce,
+    cd_unpack,
     up_add,
     up_deg,
     up_deriv,
@@ -507,6 +509,30 @@ def test_bounded_factor_monic_lists_every_factor_within_the_bounds(case):
     assert got.scalar == 1
 
 
+def test_a_bounded_lift_stops_at_the_largest_subset_x_degree(monkeypatch):
+    # the only group of x-degree <= bx = 2 is linear, so no candidate passes
+    # x-degree 1: the lift runs mod z2^(floor(bv / bx) + 1) and z3^2 instead
+    # of z2^(bv + 1) and z3^3, and still lists the linear factor, which lies
+    # within the proportional bounds (1, bv / bx, bw / bx)
+    import polyfactor.basefactor as basefactor
+
+    linear = parse_poly("z1 + z2 + 2*z3 - 1", 3)
+    f = linear * parse_poly("z1^3 + z1*z2 + z2^5*z3 + 2", 3)
+    bounds = (2, 6, 2)
+    orders = []
+    lift_pair = basefactor._lift_pair
+
+    def recorded(Fser, A0, B0, K, m, dioph):
+        orders.append((K, dioph.length))
+        return lift_pair(Fser, A0, B0, K, m, dioph)
+
+    monkeypatch.setattr(basefactor, "_lift_pair", recorded)
+    assert (linear.canonical(), 1) in factor_monic(f, bounds=bounds).factors
+    # the lifts before f's own factor its bivariate base, with no bounds
+    assert orders[-1] == (6 // 2 + 1, 2)
+    assert all(length == 1 for _, length in orders[:-1])
+
+
 @st.composite
 def trivariate_monic_products(draw):
     """A product of 1-3 factors x^d + lower x-terms in (x, t1, t2), d <= 2,
@@ -858,6 +884,30 @@ def test_diophantine_solver_returns_the_known_corrections(wdeg):
         dB = _random_cd(rng, dxb, length - 1 - dw, m)
         e = cd_reduce(_mul_into(_mul_into({}, dA, B0), dB, A0), m)
         assert _Dioph(A0, B0, length, p, m).solve(e) == (dA, dB)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_diophantine_solutions_meet_their_degree_bounds(length):
+    # any e of x-degree < D = deg A0 + deg B0, whatever its w-orders, has
+    # its solution mod (w^length, m) within deg dA < deg A0 and deg dB <
+    # deg B0, read from the solutions for x^i, i < D; an e of x-degree D
+    # has none within them and is refused
+    rng = rng_for("diophantine-columns-%d" % length)
+    p = 11
+    m = p**6
+    for _ in range(20):
+        dxa, dxb = rng.randint(1, 4), rng.randint(1, 4)
+        A0, B0 = _coprime_monic_pair(rng, dxa, dxb, rng.randint(0, length), p, m)
+        dioph = _Dioph(A0, B0, length, p, m)
+        e = _random_cd(rng, dxa + dxb, length, m)
+        dA, dB = dioph.solve(e)
+        got = _mul_into(_mul_into({}, dA, B0), dB, A0)
+        assert cd_reduce(_wcut(got, length), m) == _wcut(e, length)
+        assert all(cd_unpack(key)[0] < dxa for key in dA)
+        assert all(cd_unpack(key)[0] < dxb for key in dB)
+        assert all(cd_unpack(key)[1] < length for key in (*dA, *dB))
+        with pytest.raises(_AttemptFailed):
+            dioph.solve({**e, cd_pack(dxa + dxb, 0): 1})
 
 
 def test_bezout_step_keeps_the_identity():

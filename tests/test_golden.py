@@ -13,7 +13,9 @@ the sparse search lifted (calls of `engine.lift_slice`)
 and the oracle pairs it drew (the pool's total and the most any one
 entry drew), the traffic across the integer boundary (integer reads,
 calls of `sparse._int_table`, and `SparsePoly` constructions), the
-Bezout lift steps (calls of `basefactor._bezout_step`), then the line
+Bezout lift steps (calls of `basefactor._bezout_step`), the lift's
+v-orders (the sum of K over `basefactor._lift_pair` calls) and its
+Diophantine solves (calls of `basefactor._Dioph.solve`), then the line
 count of src/polyfactor (as
 `cat src/polyfactor/*.py | wc -l` counts it), and exits 1 if an entry
 differs:
@@ -121,6 +123,20 @@ def main(workloads):
         steps += 1
         return bezout_step(*args)
 
+    lift_pair = basefactor._lift_pair
+
+    def counted_pair(Fser, A0, B0, K, *args):
+        nonlocal orders
+        orders += K
+        return lift_pair(Fser, A0, B0, K, *args)
+
+    solve = basefactor._Dioph.solve
+
+    def counted_solve(dioph, e):
+        nonlocal solves
+        solves += 1
+        return solve(dioph, e)
+
     init = sparse.SparsePoly.__init__
 
     def counted_init(self, n, terms):
@@ -134,12 +150,14 @@ def main(workloads):
         if getattr(module, "_int_table", None) is read:
             module._int_table = counted_read
     basefactor._bezout_step = counted_step
+    basefactor._lift_pair = counted_pair
+    basefactor._Dioph.solve = counted_solve
     sparse.SparsePoly.__init__ = counted_init
     wrong = 0
     for workload in workloads or sorted(PIPELINES):
         pool = load_pool(workload)
         times = []
-        slices = reads = built = steps = 0
+        slices = reads = built = steps = orders = solves = 0
         drawn_per_entry = []
         for i, item in enumerate(pool):
             start = time.process_time()
@@ -154,10 +172,11 @@ def main(workloads):
         slowest = ", ".join("%d (%.2f s)" % (i, t) for t, i in sorted(times)[:-4:-1])
         print("%s: %d entries, %.1f s process time, %d slices, %d oracle pairs "
               "(at most %d per entry), %d integer reads, %d SparsePoly "
-              "constructions, %d Bezout lift steps; slowest: %s"
+              "constructions, %d Bezout lift steps, %d lift v-orders, %d "
+              "Diophantine solves; slowest: %s"
               % (workload, len(pool), sum(t for t, _ in times), slices,
                  sum(drawn_per_entry), max(drawn_per_entry), reads, built,
-                 steps, slowest),
+                 steps, orders, solves, slowest),
               flush=True)
     lines = 0
     for path in sorted(glob.glob(os.path.join(ROOT, "src", "polyfactor", "*.py"))):

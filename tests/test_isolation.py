@@ -162,22 +162,33 @@ def test_psi_invert_round_trip():
 
 
 def test_image_degree_bounds_hold_and_are_reached():
-    """psi_map's image of a polynomial of total degree <= delta stays within
-    the scheme's (x, y, t) degree bounds, and z_j^delta, z_j of the largest
-    weight, reaches them."""
+    """psi_map's image of a polynomial of total degree <= a stays within
+    the scheme's (x, y, t) degree bounds scaled by a / delta, (a, a W, a)
+    with W the largest weight, for every a <= delta (the proportional bounds
+    that `factor_monic(f, bounds=...)` relies on), and z_j^a, z_j of the
+    largest weight, reaches them."""
     rng = rng_for("image-degree-bounds")
     for n, delta in [(1, 1), (2, 2), (3, 2), (4, 3)]:
         scheme = compact_scheme(n, delta)
         bounds = scheme.image_degree_bounds()
+        W = max(scheme.w + scheme.w_prime)
+        assert bounds == (delta, delta * W, delta)
         for _ in range(20):
             image = psi_map(bounded_random(rng, n + 1, delta), scheme).to_sparse()
             assert all(
                 (image.degree_in(i) or 0) <= b for i, b in enumerate(bounds, start=1)
             )
         j = max(range(n), key=lambda i: max(scheme.w[i], scheme.w_prime[i]))
-        top = SparsePoly.monomial(n + 1, [0] * (j + 1) + [delta] + [0] * (n - j - 1))
-        image = psi_map(top, scheme).to_sparse()
-        assert (delta, image.degree_in(2), image.degree_in(3)) == bounds
+        for a in range(1, delta + 1):
+            scaled = (a, a * W, a)
+            for _ in range(20):
+                image = psi_map(bounded_random(rng, n + 1, a), scheme).to_sparse()
+                assert all(
+                    (image.degree_in(i) or 0) <= b for i, b in enumerate(scaled, start=1)
+                )
+            top = SparsePoly.monomial(n + 1, [0] * (j + 1) + [a] + [0] * (n - j - 1))
+            image = psi_map(top, scheme).to_sparse()
+            assert (a, image.degree_in(2), image.degree_in(3)) == scaled
 
 
 def test_psi_map_checks_its_cap_before_substituting(monkeypatch):
