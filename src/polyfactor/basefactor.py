@@ -2,7 +2,9 @@
 polynomials over Q.
 
 Every polynomial is read into integers once, by `_int_rows` (sparse's one
-reader `_int_table`, grouped by x-exponent), and stays on integers.
+reader `_int_table`, grouped by x-exponent), and stays on integers; a line
+slice comes as integers already, from the substitution kernel's integer
+core, and `read_line` reads it the same way.
 Univariate: take the primitive integer part, run Yun's squarefree
 decomposition over Z, then a deterministic Zassenhaus pass per squarefree
 part (smallest usable prime, Berlekamp modulo p, quadratic Hensel lifting
@@ -41,16 +43,18 @@ with the precomputed solutions for x^i, the one for 1 expanded w-adically
 from a Bezout pair at w = 0.  A group u^e enters as u's primitive integer rows
 over their x-leading integer, a divisor of f's denominator, raised to e
 mod P^k.  Every lift reads its base through a `PreparedBase`: the
-groups' tables, their coprime point per prime, and a memo of each lift
-tree node's Bezout pair at the largest modulus lifted to so far, which a
-later lift reduces or lifts on (the pair is unique).  When the
+groups' tables, their coprime point per prime, and the lift tree's nodes
+(each node's A0, B0 and `_Dioph`) kept at one modulus M, a power of P,
+which a later lift at a modulus dividing M reads reduced (the images are
+exact and the solutions unique) and any other lift rebuilds at
+max(m, M^2), continuing each node's Bezout pair.  When the
 factorization at one point is already known (a line slice f(x, t) whose
-t = 0 image was factored before), `lift_slice(f, prepared)` lifts in f's
-last variable and returns the factor lifted from each group, unproved,
-in the groups' order; `slice_point(base)` finds, once per factorization
-of a polynomial in (x, t1), the least t1 = w0 where its groups are
-pairwise coprime mod P, so every line from there lifts with dw = 0, and
-prepares their images there once for all those lines.
+t = 0 image was factored before), `lift_slice(reading, prepared, wanted)`
+lifts in f's last variable and returns the factor lifted from each wanted
+group, unproved, reconstructing no other; `slice_point(base)` finds, once
+per factorization of a polynomial in (x, t1), the least t1 = w0 where its
+groups are pairwise coprime mod P, so every line from there lifts with
+dw = 0, and prepares their images there once for all those lines.
 `factor_monic(f, bounds=...)` asks only for the factors within
 proportional degree bounds (bx, bv, bw), a factor of x-degree a lying
 within (a, a bv / bx, a bw / bx): only subsets within the x-bound
@@ -67,6 +71,8 @@ a division and costs another point, never correctness.
 
 import math
 from collections import namedtuple
+from copy import copy
+from functools import partial
 from itertools import accumulate, combinations, product
 from operator import mul
 
@@ -734,6 +740,15 @@ class _Dioph:
             for side, n in ((0, na), (1, nb))
         ]
 
+    def reduced(self, m):
+        """This solver mod m, m dividing self.m: the solutions with the
+        degree bounds are unique, so the ones mod m are these reduced."""
+        out = copy(self)
+        out.m = m
+        out.s, out.t = up_mod(self.s, m), up_mod(self.t, m)
+        out.rows = [[(key, [c % m for c in row]) for key, row in rows] for rows in self.rows]
+        return out
+
     def solve(self, e):
         D, m = self.D, self.m
         E = [0] * (D * self.length)
@@ -837,24 +852,17 @@ def _lift_pair(Fser, A0, B0, K, m, dioph):
     return A, B
 
 
-def _lift_tree(Fser, groups, K, wlen, p, m, bezout, first=0):
-    """groups: list of (x, w) dicts at the base point, from index `first`
-    of the base; returns lifted series.  wlen: the w-orders each
-    Diophantine solve carries; bezout: the base's Bezout memos, one per
-    tree node (`_Dioph`), keyed by the node's first group and group count."""
-    if len(groups) == 1:
+def _lift_tree(Fser, K, m, node, first, count):
+    """The lifted series of groups first, ..., first + count - 1 of a base
+    whose product Fser lifts; node(first, count) gives the tree node's
+    (A0, B0, `_Dioph`) mod m (`PreparedBase.node`)."""
+    if count == 1:
         return [Fser]
-    h = len(groups) // 2
-    A0 = groups[0]
-    for g in groups[1:h]:
-        A0 = cd_reduce(_wcut(_mul_into({}, A0, g), wlen), m)
-    B0 = groups[h]
-    for g in groups[h + 1 :]:
-        B0 = cd_reduce(_wcut(_mul_into({}, B0, g), wlen), m)
-    memo = bezout.setdefault((first, len(groups)), {})
-    Aser, Bser = _lift_pair(Fser, A0, B0, K, m, _Dioph(A0, B0, wlen, p, m, memo))
-    return _lift_tree(Aser, groups[:h], K, wlen, p, m, bezout, first) + _lift_tree(
-        Bser, groups[h:], K, wlen, p, m, bezout, first + h
+    h = count // 2
+    A0, B0, dioph = node(first, count)
+    Aser, Bser = _lift_pair(Fser, A0, B0, K, m, dioph)
+    return _lift_tree(Aser, K, m, node, first, h) + _lift_tree(
+        Bser, K, m, node, first + h, count - h
     )
 
 
@@ -958,17 +966,38 @@ def _prime_avoiding(den):
     return next(q for q in primes(_RANK_PRIME + 1) if den % q)
 
 
-_Reading = namedtuple("_Reading", "f v w rows den degrees prime")
+_Reading = namedtuple("_Reading", "f n v w rows den degrees prime")
+
+
+def _reading(f, n, v, w, rows, den):
+    """The `_Reading` of integer rows over den (`_int_rows`) of a polynomial
+    f in n variables, read for lifts in z_v, keeping z_w."""
+    exps = [(ev, ew) for row in rows for ev, ew, _ in row]
+    degrees = (len(rows) - 1,) + tuple(max(col) for col in zip(*exps))
+    return _Reading(f, n, v, w, rows, den, degrees, _prime_avoiding(den))
 
 
 def _read(f, v, w):
     """f read once for its probes and lifts in z_v, keeping z_w: its integer
     rows over den (`_int_rows`), its degrees (dx, dv, dw) and the prime P.
     A bivariate f is read with w = 3, a variable it lacks, so dw = 0."""
-    rows, den = _int_rows(f, v, w)
-    exps = [(ev, ew) for row in rows for ev, ew, _ in row]
-    degrees = (len(rows) - 1,) + tuple(max(col) for col in zip(*exps))
-    return _Reading(f, v, w, rows, den, degrees, _prime_avoiding(den))
+    return _reading(f, f.n, v, w, *_int_rows(f, v, w))
+
+
+def read_line(table, den, unpack):
+    """The reading of a line slice f(x, t) for `lift_slice`, as
+    `_read(f, 2, 3)` reads it (the same rows up to their order, den,
+    degrees and prime), from f = table / den on packed keys that unpack
+    turns into (x, t)-exponents, as the substitution kernel's integer core
+    leaves it (`sparse._compose`), with no SparsePoly made (its f is None).
+    Dividing table and den by their gcd makes den the least common
+    denominator of f's coefficients, the den `_int_table` reads."""
+    g = math.gcd(den, *table.values())
+    terms = [(unpack(key), c // g) for key, c in table.items() if c]
+    rows = [[] for _ in range(1 + max((ex for (ex, _), _ in terms), default=0))]
+    for (ex, et), c in terms:
+        rows[ex].append((et, 0, c))
+    return _reading(None, 2, 2, 3, rows, den // g)
 
 
 def _group_tables(base):
@@ -1002,25 +1031,71 @@ def _coprime_point(tables, dw, P):
     return next((w0 for w0 in scan if coprime(w0)), None)
 
 
+def _cd_product(factors, wlen, m):
+    """The product of (x, w) dicts mod (w^wlen, m)."""
+    out = factors[0]
+    for g in factors[1:]:
+        out = cd_reduce(_wcut(_mul_into({}, out, g), wlen), m)
+    return out
+
+
 class PreparedBase:
     """`base`, a factorization [(u, e)] of f at one point, prepared once for
     every lift from it: its groups' tables (`_group_tables`), their
     (x-degree, multiplicity), their coprime point per (dw, P)
-    (`_coprime_point`), and the Bezout memo of each node of the lift tree
-    (`_Dioph`).  For one P, every point found is the least coprime w0, so
-    each node's a0 and b0 are the same in every lift and its memo serves
-    them all."""
+    (`_coprime_point`), and the nodes of the lift tree (`node`).  For one P,
+    every point found is the least coprime w0, so each node's a0 and b0 are
+    the same in every lift and one memo serves them all."""
 
     def __init__(self, base):
         self.tables = _group_tables(base)
         self.groups = [(len(rows) - 1, e) for (rows, _), (_, e) in zip(self.tables, base)]
         self.points = {}
-        self.bezout = {}
+        self.trees = {}  # (P, w0, wlen) -> (M, images mod M, {node: (A0, B0, _Dioph)})
+        self.bezout = {}  # node -> its Bezout memo (`_Dioph`)
 
     def point(self, dw, P):
         if (dw, P) not in self.points:
             self.points[dw, P] = _coprime_point(self.tables, dw, P)
         return self.points[dw, P]
+
+    def images(self, w0, wlen, m):
+        """Each group u^e at (x, w + w0) mod (w^wlen, m): u's integer rows
+        over their x-leading integer, raised to e."""
+        out = []
+        for (rows, lc), (_, mult) in zip(self.tables, self.groups):
+            g = _shift_series(_rows_to_series(rows, lc, 1, m), 0, w0, m, 1, wlen)[0]
+            out.append(_cd_product([g] * mult, wlen, m))
+        return out
+
+    def node(self, P, w0, wlen, m, first, count):
+        """(A0, B0, dioph) mod m of the lift tree node over the groups
+        first, ..., first + count - 1: A0 the product of the first count // 2
+        groups' images at w0 mod (w^wlen, m), B0 of the rest, and their
+        `_Dioph`.  The tree of each (P, w0, wlen) keeps its nodes at one
+        modulus M, a power of P.  An m dividing M reads them mod m: the
+        images are exact over Q with denominators P avoids, so A0 and B0
+        mod M reduce to A0 and B0 mod m, and the unique solutions mod M to
+        the unique ones mod m, the numbers a fresh build gives.  Any other m
+        rebuilds the tree at max(m, M^2), so a precision that keeps rising
+        rebuilds it rarely; each node's Bezout pair is memoized across
+        rebuilds (`_Dioph`)."""
+        key = (P, w0, wlen)
+        tree = self.trees.get(key)
+        if tree is None or tree[0] % m:
+            M = m if tree is None else max(m, tree[0] ** 2)
+            tree = self.trees[key] = (M, self.images(w0, wlen, M), {})
+        M, images, nodes = tree
+        if (first, count) not in nodes:
+            h = count // 2
+            A0 = _cd_product(images[first : first + h], wlen, M)
+            B0 = _cd_product(images[first + h : first + count], wlen, M)
+            memo = self.bezout.setdefault((first, count), {})
+            nodes[first, count] = (A0, B0, _Dioph(A0, B0, wlen, P, M, memo))
+        A0, B0, dioph = nodes[first, count]
+        if M == m:
+            return A0, B0, dioph
+        return cd_reduce(A0, m), cd_reduce(B0, m), dioph.reduced(m)
 
 
 def slice_point(base):
@@ -1063,8 +1138,8 @@ def _lift(reading, v0, prepared, bounds=None):
     min(dw, a bw // bx) + 1, and B is taken at degree sum a + K + wlen - 2:
     a wanted factor is whole in the cut, and so is its root, though U^e
     runs past it."""
-    f, v, w, f_rows, f_den, (dx, dv, dw), P = reading
-    tables, groups = prepared.tables, prepared.groups
+    _, n, v, w, f_rows, f_den, (dx, dv, dw), P = reading
+    groups = prepared.groups
     if bounds is None:
         a, K, wlen = dx, dv + 1, dw + 1
     else:
@@ -1087,16 +1162,11 @@ def _lift(reading, v0, prepared, bounds=None):
     m = P ** _precision(P, 2 * B * B + 1)
 
     # lift at the origin: translate the evaluation point there mod m, keeping
-    # only the orders the lift carries; a group's power is taken there
+    # only the orders the lift carries; the groups' powers there are the
+    # prepared tree's
     Fser = _shift_series(_rows_to_series(f_rows, f_den, dv + 1, m), v0, w0, m, K, wlen)
-    group_cds = []
-    for (rows, lc), (_, mult) in zip(tables, groups):
-        g = _shift_series(_rows_to_series(rows, lc, 1, m), 0, w0, m, 1, wlen)[0]
-        power = g
-        for _ in range(mult - 1):
-            power = cd_reduce(_wcut(_mul_into({}, power, g), wlen), m)
-        group_cds.append(power)
-    leaves = _lift_tree(Fser, group_cds, K, wlen, P, m, prepared.bezout)
+    node = partial(prepared.node, P, w0, wlen, m)
+    leaves = _lift_tree(Fser, K, m, node, 0, len(groups))
 
     def candidate(S):
         mults = {groups[i][1] for i in S}
@@ -1110,7 +1180,7 @@ def _lift(reading, v0, prepared, bounds=None):
             Wser = _series_root(Wser, mult, wlen, m)
         # back to the original coordinates, where the coefficients to
         # reconstruct are small
-        Wq = _series_to_qpoly(_shift_series(Wser, -v0, -w0, m), v, w, f.n, m)
+        Wq = _series_to_qpoly(_shift_series(Wser, -v0, -w0, m), v, w, n, m)
         return None if Wq is None else (Wq, mult)
 
     return groups, candidate
@@ -1180,21 +1250,23 @@ def _bounded_recombination(groups, candidate, bx):
     return results
 
 
-def lift_slice(f, prepared):
-    """The factor of f, bivariate or trivariate and monic in x, lifted in
-    f's last variable from each group of `prepared` (`PreparedBase`), the
-    complete factorization of f with that variable at 0, in its order
-    (Wang's lift from a known point, Math. Comp. 1978): for a line slice
-    f(x, t), the groups are in x alone (`slice_point`) and the lift carries
-    one w-order.  Every slice lifted from one preparation shares its tables,
-    coprime point and Bezout pairs.  None where a group does not
-    reconstruct, and everywhere when the lift fails.  Unproved: the caller
-    decides."""
+def lift_slice(reading, prepared, wanted):
+    """The factor lifted from each group of `prepared` (`PreparedBase`),
+    the complete factorization of the read f with its last variable at 0,
+    whose index is in `wanted`, in that order (only these are
+    reconstructed), by Wang's lift from a known point (Math. Comp. 1978).
+    f is bivariate or trivariate and monic in x, read for a lift in its
+    last variable: `_read(f, f.n, 5 - f.n)`, or `read_line` for a line
+    slice f(x, t), whose groups are in x alone (`slice_point`) and whose
+    lift carries one w-order.  Every slice lifted from one preparation
+    shares its tables, coprime point and tree nodes.  None where a group
+    does not reconstruct, and everywhere when the lift fails.  Unproved:
+    the caller decides."""
     try:
-        _, candidate = _lift(_read(f, f.n, 5 - f.n), 0, prepared)
+        _, candidate = _lift(reading, 0, prepared)
     except _AttemptFailed:
-        return [None] * len(prepared.groups)
-    found = [candidate((i,)) for i in range(len(prepared.groups))]
+        return [None] * len(wanted)
+    found = [candidate((i,)) for i in wanted]
     return [None if pair is None else pair[0] for pair in found]
 
 

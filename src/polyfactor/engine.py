@@ -13,11 +13,12 @@ Soundness never depends on the scheme: the exact division of the residual,
 smallest candidate first, proves each emitted factor and its irreducibility.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import islice
 
 from .rational import ONE, ZERO
-from .sparse import SparsePoly
+from .sparse import SparsePoly, _compose, _int_table, _tops
 from .dense import to_dense
 from .factors import FactorList, divide_out
 from .errors import (
@@ -31,7 +32,7 @@ from .errors import (
 )
 from .pit import find_nonzero_point, interpolation_plan, sparse_interpolate
 from .isolation import check_image_cells, compact_scheme, psi_map, psi_invert
-from .basefactor import factor_monic, lift_slice, slice_point
+from .basefactor import factor_monic, lift_slice, read_line, slice_point
 from .divisibility import constant_degree_divides
 from .config import DEFAULT as DEFAULT_CONFIG
 
@@ -61,6 +62,29 @@ def _project(f, alpha, directions, gamma):
         for i in range(f.n)
     ]
     return f.substitute(assignment, m=1 + len(directions))
+
+
+def _line_slices(scaled, alpha, origin):
+    """read(omega): the line slice scaled(alpha x + (omega - origin) t +
+    origin) read for `lift_slice` (`read_line`).  scaled is read into
+    integers once, and each slice is expanded from that table by the
+    substitution kernel's integer core (`sparse._compose`), so no
+    SparsePoly or rational is made per slice."""
+    table, den = _int_table(scaled)
+    tops = _tops(table, scaled.n)
+
+    def read(omega):
+        images = []
+        for coords in zip(alpha, origin, omega):
+            # z_i -> (a x + (p - o) t + o) / d: the coordinates over one
+            # denominator d, read as integers as eval_vars reads its values
+            d = math.prod(int(c.denominator) for c in coords)
+            a, o, p = (int(c.numerator) * (d // int(c.denominator)) for c in coords)
+            terms = (((1, 0), a), ((0, 1), p - o), ((0, 0), o))
+            images.append(({e: c for e, c in terms if c}, d))
+        return read_line(*_compose(table, den, tops, images, 2))
+
+    return read
 
 
 def _monic_point(f):
@@ -251,12 +275,15 @@ def _pair_candidates(residual, alpha, pair, s, oracle):
     (`slice_point`, which prepares the groups' images there once for every
     slice of the pair), and each point omega is read on the line slice
     r_omega(x, t) = r(alpha x + (omega - gamma') t + gamma'), gamma' =
-    gamma + w0 beta, whose t = 0 image is r_hat(x, w0): `lift_slice`
-    lifts a factor, monic in x, from each group's image there, and the
-    value, g(omega) / Hom[g](alpha) when the group is a true factor's, is
-    read off h2's at (0, 1).  An interpolated g is kept only when it has
-    the degree of h2 and its own projection, normalized by Hom[g](alpha),
-    is h2: a factorization of g would then factor h2, so g is irreducible.
+    gamma + w0 beta, whose t = 0 image is r_hat(x, w0), expanded on
+    integers from the residual's table, read once per pair
+    (`_line_slices`): `lift_slice` lifts a factor, monic in x, from each
+    group's image there, reconstructing only the groups whose values are
+    still wanted, and the value, g(omega) / Hom[g](alpha) when the group
+    is a true factor's, is read off h2's at (0, 1).  An interpolated g is
+    kept only when it has the degree of h2 and its own projection,
+    normalized by Hom[g](alpha), is h2: a factorization of g would then
+    factor h2, so g is irreducible.
     Canonical candidates, or [] when no w0 is found, a lift fails or a
     group does not reconstruct."""
     n = residual.n
@@ -291,16 +318,15 @@ def _pair_candidates(residual, alpha, pair, s, oracle):
     # whose t = 0 image is r_hat(x, w0), prepared once as `line`
     w0, line = found
     origin = tuple(g + w0 * b for g, b in zip(pair.gamma, pair.beta))
+    read = _line_slices(scaled, alpha, origin)
     for w_idx, omega in enumerate(plan):
-        direction = tuple(omega[i] - origin[i] for i in range(n))
-        lifted = lift_slice(_project(scaled, alpha, [direction], origin), line)
-        for i, _, _, _, need, values in refs:
-            if w_idx >= need:
-                continue
-            if lifted[i] is None:
+        active = [(i, values) for i, _, _, _, need, values in refs if w_idx < need]
+        lifted = lift_slice(read(omega), line, [i for i, _ in active])
+        for (_, values), P in zip(active, lifted):
+            if P is None:
                 return []
             # the value at (x, t) = (0, 1): the sum of the x-free terms
-            values.append(sum((c for (ex, _), c in lifted[i].terms.items() if not ex), ZERO))
+            values.append(sum((c for (ex, _), c in P.terms.items() if not ex), ZERO))
     candidates = []
     for _, h2, deg, support, _, values in refs:
         try:

@@ -68,6 +68,57 @@ def _from_table(n, table, den, unpack=None):
     return SparsePoly(n, {e: Q(c, den) for e, c in zip(keys, table.values()) if c})
 
 
+def _tops(table, n):
+    """The largest exponent of each of the n variables in table's keys."""
+    return [max(col) for col in zip(*table)] if table else [0] * n
+
+
+def _compose(table, den, tops, images, m):
+    """(total, den, unpack): table / den, a polynomial read as integers on
+    exponent tuples (`_int_table`), with tops = `_tops(table, n)`, composed
+    with images[i] = (table_i, den_i), the image of variable i as integers
+    over den_i on exponent tuples in m variables (None where tops[i] is 0).
+    total / den is the composition on packed monomial keys, which unpack
+    turns back into exponent tuples; entries may be 0 and den is not
+    reduced.  Each image's powers are tabulated once, up to top_i, as
+    (den_i * image_i)^e; a term with exponent e of variable i is scaled by
+    den_i^(top_i - e), so every term shares den * prod den_i^top_i, and
+    each term's expansion lands in one table."""
+    img_degs = [
+        max(map(sum, image[0]), default=0) if top else 0 for image, top in zip(images, tops)
+    ]
+    deg = max((sum(e * d for e, d in zip(exps, img_degs)) for exps in table), default=0)
+    _, pack, unpack = _packing(m, deg)
+    powers = []
+    scales = []
+    for image, top in zip(images, tops):
+        if not top:
+            powers.append(None)
+            scales.append(None)
+            continue
+        img, img_den = image
+        packed = {pack(e): c for e, c in img.items()}
+        power = [{0: 1}, packed]
+        while len(power) <= top:
+            power.append(_mul_into({}, power[-1], packed))
+        powers.append(power)
+        scales.append(None if img_den == 1 else [img_den ** (top - e) for e in range(top + 1)])
+        den *= img_den**top
+    total = {}
+    for exps, c in table.items():
+        factors = []
+        for i, e in enumerate(exps):
+            if scales[i] is not None:
+                c *= scales[i][e]
+            if e:
+                factors.append(powers[i][e])
+        part = {0: c}
+        for power in factors[:-1]:
+            part = _mul_into({}, part, power)
+        _mul_into(total, part, factors[-1] if factors else {0: 1})
+    return total, den, unpack
+
+
 class SparsePoly:
     __slots__ = ("n", "terms", "_hash")
 
@@ -309,11 +360,10 @@ class SparsePoly:
 
         assignment: sequence of length n of SparsePoly over a common variable
         count m (taken from the first entry when m is None).  Constants are
-        also accepted.  This is the one change-of-variables kernel: the
-        denominators of self and of every image are cleared once, each
-        image's powers are tabulated as integer polynomials on packed
-        monomial keys, every term's expansion lands in one table, and each
-        output coefficient becomes a rational once.
+        also accepted.  This is the one change-of-variables kernel: self and
+        every image are read into integers once (`_int_table`), the integer
+        core `_compose` expands them, and each output coefficient becomes a
+        rational once (`_from_table`).
         """
         if len(assignment) != self.n:
             raise VariableCountMismatch(
@@ -334,46 +384,10 @@ class SparsePoly:
                 images.append(img)
             else:
                 images.append(SparsePoly.const(m, img))
-        tops = [max(col) for col in zip(*self.terms)] if self.terms else [0] * self.n
-        img_degs = [img.degree() or 0 for img in images]
-        deg = max(
-            (sum(e * d for e, d in zip(exps, img_degs)) for exps in self.terms),
-            default=0,
-        )
-        _, pack, unpack = _packing(m, deg)
-        f_table, den = _int_table(self)
-        # powers[i][e] = (img_den_i * image_i)^e; a term with z_i^e is scaled
-        # by img_den_i^(top_i - e), so every term shares the denominator
-        # den = f_den * prod img_den_i^top_i
-        powers = []
-        scales = []
-        for img, top in zip(images, tops):
-            if not top:
-                powers.append(None)
-                scales.append(None)
-                continue
-            packed, img_den = _int_table(img, pack)
-            table = [{0: 1}, packed]
-            while len(table) <= top:
-                table.append(_mul_into({}, table[-1], table[1]))
-            powers.append(table)
-            scales.append(
-                None if img_den == 1 else [img_den ** (top - e) for e in range(top + 1)]
-            )
-            den *= img_den**top
-        total = {}
-        for exps, c in f_table.items():
-            factors = []
-            for i, e in enumerate(exps):
-                if scales[i] is not None:
-                    c *= scales[i][e]
-                if e:
-                    factors.append(powers[i][e])
-            part = {0: c}
-            for table in factors[:-1]:
-                part = _mul_into({}, part, table)
-            _mul_into(total, part, factors[-1] if factors else {0: 1})
-        return _from_table(m, total, den, unpack)
+        table, den = _int_table(self)
+        tops = _tops(table, self.n)
+        images = [_int_table(img) if top else None for img, top in zip(images, tops)]
+        return _from_table(m, *_compose(table, den, tops, images, m))
 
     def shift(self, offsets, scale=1):
         """Translate z_i -> scale * z_i + offsets[i]."""

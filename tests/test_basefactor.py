@@ -467,9 +467,12 @@ def test_series_root_is_the_integer_root(e, offsets):
 
 @st.composite
 def bounded_products(draw):
-    """(f, delta): 1-2 factors x^a + lower terms, a <= 3, of t1-degree <= 2a
-    and t2-degree <= a, each to a power 1-3, in some draws times a factor of
-    x-degree 4 whose side degrees may pass the bounds (delta, 2 delta, delta)."""
+    """(f, delta): a factor x + lower terms of t1-degree <= 2 and t2-degree
+    <= 1, then 0-2 factors x^a + lower terms, a <= 3, of t1-degree <= 2a and
+    t2-degree <= a, each to a power 1-3, in some draws times a factor of
+    x-degree 4 whose side degrees may pass the bounds (delta, 2 delta,
+    delta).  The linear factor is irreducible and lies within the
+    proportional bounds (1, 2, 1) of every delta."""
 
     @st.composite
     def factor(draw, a, d1, d2):
@@ -480,8 +483,8 @@ def bounded_products(draw):
         table[(a, 0, 0)] = 1
         return SparsePoly(3, {e: Q(c) for e, c in table.items()})
 
-    f = SparsePoly.const(3, 1)
-    for _ in range(draw(st.integers(1, 2))):
+    f = draw(factor(1, 2, 1)) ** draw(st.integers(1, 2))
+    for _ in range(draw(st.integers(0, 2))):
         a = draw(st.integers(1, 3))
         f = f * draw(factor(a, 2 * a, a)) ** draw(st.integers(1, 3))
     if draw(st.booleans()):
@@ -489,24 +492,46 @@ def bounded_products(draw):
     return f, draw(st.integers(1, 3))
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
-@given(bounded_products())
-def test_bounded_factor_monic_lists_every_factor_within_the_bounds(case):
-    # bounded results are unproved candidates: they hold every factor of the
-    # complete factorization within the bounds, with its multiplicity, and
-    # may hold junk or products beside them, sorted as FactorList sorts
-    f, delta = case
+def _check_bounded_factor_monic(f, delta):
+    """Check factor_monic(f, bounds) for bounds (delta, 2 delta, delta):
+    the unproved candidates hold every factor of the complete factorization
+    within the proportional bounds, (a, 2a, a) for a factor of x-degree
+    a <= delta, with its multiplicity, and may hold junk or products beside
+    them, sorted as FactorList sorts.  Returns those factors."""
     bounds = (delta, 2 * delta, delta)
     want = [
         (g, e)
         for g, e in factor_monic(f).factors
-        if all((g.degree_in(i) or 0) <= b for i, b in enumerate(bounds, start=1))
+        if g.degree_in(1) <= delta
+        and all(
+            (g.degree_in(i) or 0) * delta <= b * g.degree_in(1)
+            for i, b in enumerate(bounds[1:], start=2)
+        )
     ]
     got = factor_monic(f, bounds=bounds)
     assert all(pair in got.factors for pair in want)
     keys = [factor_sort_key(g) for g, _ in got.factors]
     assert keys == sorted(keys)
     assert got.scalar == 1
+    return want
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(bounded_products())
+def test_bounded_factor_monic_lists_every_factor_within_the_bounds(case):
+    # every draw has a factor within the proportional bounds to list
+    assert _check_bounded_factor_monic(*case)
+
+
+def test_bounded_factor_monic_asks_only_for_the_proportional_bounds():
+    # z2^3 + z1 + 1 lies within the box (2, 4, 2) but not within the
+    # proportional bounds (1, 2, 1) of its x-degree, so the cut lift need
+    # not list it: the only group of x-degree <= 2 is linear, so the lift
+    # cuts the z2-order at 3
+    g = parse_poly("z1 + z2^3 + 1", 3)
+    f = g * parse_poly("z1^3 + z2 + z3 + 5", 3)
+    assert (g, 1) in factor_monic(f).factors
+    assert (g, 1) not in _check_bounded_factor_monic(f, 2)
 
 
 def test_a_bounded_lift_stops_at_the_largest_subset_x_degree(monkeypatch):
@@ -573,7 +598,7 @@ def _lift_slice_from_scratch_free(f, base):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(basefactor, "_factor_monic_sparse", no_scratch)
-        return lift_slice(f, PreparedBase(base))
+        return lift_slice(_read(f, f.n, 5 - f.n), PreparedBase(base), range(len(base)))
 
 
 def _factors_by_image(f, base):
@@ -655,7 +680,8 @@ def test_the_lift_rebuilds_no_group_over_q(monkeypatch):
         assert _attempt_lift(_read(f, v, 5 - v), 1, base) == want
         # bounded: the z2-order is cut below f's z2-degree
         assert set(want) <= set(_attempt_lift(_read(f, v, 5 - v), 1, base, (1, 1, 2)))
-    assert [P.canonical() for P in lift_slice(f, PreparedBase(slice_base))] == slice_want
+    lifted = lift_slice(_read(f, 3, 2), PreparedBase(slice_base), range(len(slice_base)))
+    assert [P.canonical() for P in lifted] == slice_want
 
 
 @pytest.mark.parametrize(
@@ -694,14 +720,14 @@ def test_the_lift_prime_avoids_a_denominator_at_2_to_the_20(n):
     want = sorted((parse_poly(t, n).canonical() for t in factors), key=factor_sort_key)
     assert math.lcm(*(c.denominator for c in f.terms.values())) == 1048583
     primes_used = []
-    tree = basefactor._lift_tree
+    node = basefactor.PreparedBase.node
 
-    def recorded(Fser, groups, K, wlen, p, m, *memo):
+    def recorded(prepared, p, *args):
         primes_used.append(p)
-        return tree(Fser, groups, K, wlen, p, m, *memo)
+        return node(prepared, p, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(basefactor, "_lift_tree", recorded)
+        mp.setattr(basefactor.PreparedBase, "node", recorded)
         assert factor_monic(f).factors == tuple((g, 1) for g in want)
     assert primes_used and set(primes_used) == {1048589}
 
@@ -797,16 +823,24 @@ def test_the_lift_reads_the_series_the_fraction_path_gives(monkeypatch, text, n,
 
     f = parse_product(text, n)
     base = _factor_monic_sparse(f.eval_var(v, v0))
-    calls = []
-    tree = basefactor._lift_tree
+    calls, images = [], []
+    tree, read_images = basefactor._lift_tree, basefactor.PreparedBase.images
 
     def recorded(*args):
         calls.append(args)
         return tree(*args)
 
+    def recorded_images(prepared, *args):
+        images.append((args, read_images(prepared, *args)))
+        return images[-1][1]
+
     monkeypatch.setattr(basefactor, "_lift_tree", recorded)
+    monkeypatch.setattr(basefactor.PreparedBase, "images", recorded_images)
     assert _attempt_lift(_read(f, v, w), v0, base) == list(factor_monic(f).factors)
-    Fser, groups, K, wlen, p, m, _ = calls[0]
+    Fser, K, m = calls[0][:3]
+    # the lift's preparation reads the groups at the lift's modulus
+    (_, wlen, images_m), groups = images[0]
+    assert images_m == m
 
     def reference(w0):
         F = series(f, v, w, (f.degree_in(v) or 0) + 1, m)
@@ -946,6 +980,53 @@ def test_a_memoized_bezout_pair_is_the_fresh_one_at_every_precision(wdeg):
             shared, fresh = _Dioph(A, B, dw + 1, p, m, memo), _Dioph(A, B, dw + 1, p, m)
             assert (shared.s, shared.t) == (fresh.s, fresh.t), k
         assert memo[p][0] == p**12
+
+
+def _tree_nodes(first, count):
+    """The (first, count) of every inner node of a lift tree over count
+    groups from index first, as `_lift_tree` visits them."""
+    if count == 1:
+        return []
+    h = count // 2
+    return [(first, count)] + _tree_nodes(first, h) + _tree_nodes(first + h, count - h)
+
+
+@pytest.mark.parametrize(
+    "text, n, w0, wlen",
+    [
+        # a line base: groups in x alone, one w-order
+        ("(z1^2 + 3)*(z1 - 2)^2*(z1 + 5)*(z1^3 - z1 + 1)", 1, 0, 1),
+        ("(z1 + 1/2)*(z1^2 - 7)", 1, 0, 1),
+        # groups in (x, w), read at w0 = 1 with three w-orders
+        ("(z1 + z2 + 1)*(z1^2 - z2^2 + 3)^2*(z1 - 2*z2)", 2, 1, 3),
+    ],
+)
+def test_a_memoized_lift_tree_node_is_the_fresh_one_at_every_precision(text, n, w0, wlen):
+    # one preparation serves lifts to precisions that rise, fall and repeat;
+    # every node it returns mod m has the A0, B0 and Diophantine solutions
+    # of a node built fresh mod m, though the tree may be kept at a larger
+    # modulus and grows past the precision asked for
+    base = factor_monic(parse_product(text, n)).factors
+    p = 1048583
+    prepared = PreparedBase(base)
+    nodes = _tree_nodes(0, len(base))
+    assert len(nodes) >= 1
+    precisions = [1, 3, 4, 2, 5, 5, 9, 7, 9, 3, 12, 6, 12]
+    moduli = set()
+    for k in precisions:
+        m = p**k
+        fresh = PreparedBase(base)
+        for first, count in nodes:
+            A0, B0, dioph = prepared.node(p, w0, wlen, m, first, count)
+            FA0, FB0, fdioph = fresh.node(p, w0, wlen, m, first, count)
+            assert (A0, B0) == (FA0, FB0), (k, first, count)
+            assert dioph.m == m and dioph.length == wlen
+            assert (dioph.s, dioph.t, dioph.rows) == (fdioph.s, fdioph.t, fdioph.rows), k
+        moduli.add(prepared.trees[p, w0, wlen][0])
+    # the tree grew by squaring: one build and three rebuilds for seven
+    # rises in precision
+    assert sorted(moduli) == [p, p**3, p**6, p**12]
+    assert prepared.trees[p, w0, wlen][0] == p**12
 
 
 # ---------------------------------------------------------------------------

@@ -691,27 +691,34 @@ def test_slices_are_lifted_not_factored_from_scratch(monkeypatch):
     # su pool entry 3: a pair's projection r_hat is a square, (x + t1 + 1)^2
     # up to the pair's coordinates, while its slices are irreducible
     # quadratics; the slice lift then offers junk, which the interpolation
-    # checks turn away, and no slice is factored from scratch
+    # checks turn away, and no slice is factored from scratch: each is read
+    # as a bivariate line slice, and nothing is factored while it is lifted
     import polyfactor.basefactor as basefactor
     import polyfactor.engine as engine
 
     f, expected = pool_entry("su", 3)
     factor, lift = basefactor._factor_monic_sparse, engine.lift_slice
     slices, factored = [], []
+    lifting = False
 
-    def recorded_lift(r, prepared):
-        slices.append(r)
-        return lift(r, prepared)
+    def recorded_lift(reading, *args):
+        nonlocal lifting
+        slices.append(reading)
+        lifting = True
+        try:
+            return lift(reading, *args)
+        finally:
+            lifting = False
 
     def recorded(g, *args):
-        factored.append(g)
+        factored.append(lifting)
         return factor(g, *args)
 
     monkeypatch.setattr(engine, "lift_slice", recorded_lift)
     monkeypatch.setattr(basefactor, "_factor_monic_sparse", recorded)
     assert factor_su(f).to_json_dict() == expected
-    assert slices and {r.n for r in slices} == {2}
-    assert not any(g is r for g in factored for r in slices)
+    assert slices and {(r.n, r.v, r.w, r.degrees[2]) for r in slices} == {(2, 2, 3, 0)}
+    assert factored and not any(factored)
 
 
 @pytest.mark.parametrize(
@@ -730,8 +737,8 @@ def test_the_line_slice_reads_what_the_trivariate_slice_reads(
     # a group that lifts a true factor g gives g(omega) / Hom[g](alpha) on
     # the trivariate slice through gamma and on the line slice from
     # gamma + w0 beta alike
-    from polyfactor.basefactor import PreparedBase, lift_slice, slice_point
-    from polyfactor.engine import _project
+    from polyfactor.basefactor import PreparedBase, _read, lift_slice, slice_point
+    from polyfactor.engine import _line_slices, _project
     from polyfactor.pit import interpolation_plan
 
     g = parse_poly(g_text, n)
@@ -744,11 +751,12 @@ def test_the_line_slice_reads_what_the_trivariate_slice_reads(
     assert w0 == point
     origin = tuple(c + w0 * b for c, b in zip(gamma, beta))
     prepared = PreparedBase(base)
+    read_line = _line_slices(scaled, alpha, origin)
     for omega in interpolation_plan(2, n):
         secondary = tuple(o - c for o, c in zip(omega, gamma))
-        trivariate = lift_slice(_project(scaled, alpha, [beta, secondary], gamma), prepared)[i]
-        direction = tuple(o - c for o, c in zip(omega, origin))
-        line = lift_slice(_project(scaled, alpha, [direction], origin), line_base)[i]
+        T = _project(scaled, alpha, [beta, secondary], gamma)
+        trivariate = lift_slice(_read(T, 3, 2), prepared, [i])[0]
+        line = lift_slice(read_line(omega), line_base, [i])[0]
         want = g.eval_point(omega) / top
         assert trivariate.eval_point((0, 0, 1)) == line.eval_point((0, 1)) == want, omega
 
@@ -767,8 +775,8 @@ def test_a_pair_whose_groups_collide_at_t1_0_slices_from_t1_1(monkeypatch, i):
         points.append(point(base))
         return points[-1]
 
-    def recorded_lift(r, prepared):
-        lifts.append(lift(r, prepared))
+    def recorded_lift(*args):
+        lifts.append(lift(*args))
         return lifts[-1]
 
     monkeypatch.setattr(engine, "slice_point", recorded_point)
@@ -782,16 +790,24 @@ def test_a_pair_whose_groups_collide_at_t1_0_slices_from_t1_1(monkeypatch, i):
 @pytest.mark.parametrize("i", [30, 55, 72])
 def test_slices_sharing_their_pair_preparation_lift_what_a_fresh_one_lifts(monkeypatch, i):
     # every slice of a pair lifts from one preparation of the pair's line
-    # base, whose Bezout memo each slice may extend; each must lift what a
-    # preparation of the line base read anew gives.  su pool entries 30 and
-    # 72 have a pair with w0 = 1; entry 55 has junk groups that reconstruct
+    # base, whose lift tree nodes each slice may rebuild at a larger modulus
+    # or read mod its own; each must lift what a preparation of the line
+    # base read anew gives, for every group.  su pool entries 30 and 72
+    # have a pair with w0 = 1; entry 55 has junk groups that reconstruct
     # under some moduli and not others
+    import polyfactor.basefactor as basefactor
     import polyfactor.engine as engine
     from polyfactor.basefactor import PreparedBase
 
     point, lift = engine.slice_point, engine.lift_slice
     line_bases = []  # (preparation, line base)
     shared_slices = []  # per slice, its preparation
+    reductions = []  # per slice, the tree nodes it read mod its own modulus
+    reduced = basefactor._Dioph.reduced
+
+    def recorded_reduced(dioph, m):
+        reductions[-1] += 1
+        return reduced(dioph, m)
 
     def recorded_point(base):
         found = point(base)
@@ -800,20 +816,98 @@ def test_slices_sharing_their_pair_preparation_lift_what_a_fresh_one_lifts(monke
             line_bases.append((line, [(h.eval_var(2, w0), e) for h, e in base]))
         return found
 
-    def recorded_lift(r, prepared):
-        lifted = lift(r, prepared)
+    def recorded_lift(reading, prepared, wanted):
+        reductions.append(0)
+        every = range(len(prepared.groups))
+        lifted = lift(reading, prepared, every)
         line_base = next(lb for line, lb in line_bases if line is prepared)
-        assert lifted == lift(r, PreparedBase(line_base))
+        assert lifted == lift(reading, PreparedBase(line_base), every)
         shared_slices.append(prepared)
-        return lifted
+        return [lifted[j] for j in wanted]
 
     monkeypatch.setattr(engine, "slice_point", recorded_point)
     monkeypatch.setattr(engine, "lift_slice", recorded_lift)
+    monkeypatch.setattr(basefactor._Dioph, "reduced", recorded_reduced)
     f, expected = pool_entry("su", i)
     assert factor_su(f).to_json_dict() == expected
-    # the check is not vacuous: some preparation served several slices
-    # from its memo
-    assert any(shared_slices.count(line) > 1 and line.bezout for line, _ in line_bases)
+    # the check is not vacuous: some preparation served several slices,
+    # and some slice read its nodes from a tree kept at a larger modulus
+    assert any(shared_slices.count(line) > 1 and line.trees for line, _ in line_bases)
+    assert any(reductions)
+
+
+def _same_reading(got, want):
+    """The same rows as multisets, den, degrees, prime and variables."""
+    rows = [sorted(row) for row in got.rows]
+    return (rows, got[1:4], got[5:]) == ([sorted(row) for row in want.rows], want[1:4], want[5:])
+
+
+@pytest.mark.parametrize("workload, i", [("su", 30), ("su", 55), ("su", 72), ("sparse-cd", 21)])
+def test_the_integer_line_slice_is_the_rational_one_read(monkeypatch, workload, i):
+    # every slice a pair reads from the residual's integer table has the
+    # rows, den, degrees and prime that reading its rational projection
+    # gives, the rows as multisets
+    import polyfactor.engine as engine
+    from polyfactor.basefactor import _read
+    from polyfactor.engine import _project
+
+    line_slices = engine._line_slices
+    checked = []
+
+    def recorded(scaled, alpha, origin):
+        read = line_slices(scaled, alpha, origin)
+
+        def checked_read(omega):
+            got = read(omega)
+            direction = tuple(o - c for o, c in zip(omega, origin))
+            want = _read(_project(scaled, alpha, [direction], origin), 2, 3)
+            assert _same_reading(got, want), omega
+            checked.append(omega)
+            return got
+
+        return checked_read
+
+    monkeypatch.setattr(engine, "_line_slices", recorded)
+    f, expected = pool_entry(workload, i)
+    if workload == "su":
+        got = factor_su(f)
+    else:
+        got = sparse_factors(f, 12, constant_degree_oracle(2, f.n, f.degree() or 1))
+    assert got.to_json_dict() == expected
+    assert len(checked) >= 5
+
+
+@pytest.mark.parametrize(
+    "text, alpha, origin, omega",
+    [
+        # rational images: every coordinate, and the residual, has a
+        # denominator
+        (
+            "z1^2*z2 + 1/3*z2^3 - 2/5*z1 + 7",
+            (Q(1, 2), Q(2, 3)),
+            (Q(-1, 4), Q(5, 6)),
+            (Q(3, 7), Q(1, 3)),
+        ),
+        (
+            "1/6*z1^3 + z1*z2*z3 - z3^2 + 1/4",
+            (Q(1), Q(0), Q(3, 2)),
+            (Q(0), Q(1, 3), Q(2)),
+            (Q(2), Q(5), Q(-1, 2)),
+        ),
+        # a dead image: z2 -> 0
+        ("z1^2 + z2^2*z1 + 1/3", (Q(1), Q(0)), (Q(2, 5), Q(0)), (Q(3), Q(0))),
+    ],
+)
+def test_the_integer_line_slice_reads_rational_images(text, alpha, origin, omega):
+    from polyfactor.basefactor import _read
+    from polyfactor.engine import _line_slices, _project
+
+    f = parse_poly(text)
+    direction = tuple(o - c for o, c in zip(omega, origin))
+    want = _read(_project(f, alpha, [direction], origin), 2, 3)
+    got = _line_slices(f, alpha, origin)(omega)
+    assert want.den > 1
+    assert _same_reading(got, want)
 
 
 def test_sparse_factors_with_su_oracle():

@@ -13,12 +13,12 @@ the sparse search lifted (calls of `engine.lift_slice`)
 and the oracle pairs it drew (the pool's total and the most any one
 entry drew), the traffic across the integer boundary (integer reads,
 calls of `sparse._int_table`, and `SparsePoly` constructions), the
-Bezout lift steps (calls of `basefactor._bezout_step`), the lift's
-v-orders (the sum of K over `basefactor._lift_pair` calls) and its
-Diophantine solves (calls of `basefactor._Dioph.solve`), then the line
-count of src/polyfactor (as
-`cat src/polyfactor/*.py | wc -l` counts it), and exits 1 if an entry
-differs:
+Diophantine builds (`basefactor._Dioph` constructions, one per lift tree
+node built), the Bezout lift steps (calls of `basefactor._bezout_step`),
+the lift's v-orders (the sum of K over `basefactor._lift_pair` calls) and
+its Diophantine solves (calls of `basefactor._Dioph.solve`), then the
+line count of src/polyfactor (as `cat src/polyfactor/*.py | wc -l`
+counts it), and exits 1 if an entry differs:
 
     python tests/test_golden.py [workload ...]    # default: every pool
 """
@@ -96,10 +96,10 @@ def main(workloads):
         return 2
     lift_slice = engine.lift_slice
 
-    def counted(f, prepared):
+    def counted(reading, prepared, wanted):
         nonlocal slices
         slices += 1
-        return lift_slice(f, prepared)
+        return lift_slice(reading, prepared, wanted)
 
     pairs = IrredProjOracle.pairs
 
@@ -130,6 +130,13 @@ def main(workloads):
         orders += K
         return lift_pair(Fser, A0, B0, K, *args)
 
+    dioph_init = basefactor._Dioph.__init__
+
+    def counted_dioph(dioph, *args):
+        nonlocal builds
+        builds += 1
+        dioph_init(dioph, *args)
+
     solve = basefactor._Dioph.solve
 
     def counted_solve(dioph, e):
@@ -151,13 +158,14 @@ def main(workloads):
             module._int_table = counted_read
     basefactor._bezout_step = counted_step
     basefactor._lift_pair = counted_pair
+    basefactor._Dioph.__init__ = counted_dioph
     basefactor._Dioph.solve = counted_solve
     sparse.SparsePoly.__init__ = counted_init
     wrong = 0
     for workload in workloads or sorted(PIPELINES):
         pool = load_pool(workload)
         times = []
-        slices = reads = built = steps = orders = solves = 0
+        slices = reads = built = builds = steps = orders = solves = 0
         drawn_per_entry = []
         for i, item in enumerate(pool):
             start = time.process_time()
@@ -172,11 +180,11 @@ def main(workloads):
         slowest = ", ".join("%d (%.2f s)" % (i, t) for t, i in sorted(times)[:-4:-1])
         print("%s: %d entries, %.1f s process time, %d slices, %d oracle pairs "
               "(at most %d per entry), %d integer reads, %d SparsePoly "
-              "constructions, %d Bezout lift steps, %d lift v-orders, %d "
-              "Diophantine solves; slowest: %s"
+              "constructions, %d Diophantine builds, %d Bezout lift steps, "
+              "%d lift v-orders, %d Diophantine solves; slowest: %s"
               % (workload, len(pool), sum(t for t, _ in times), slices,
                  sum(drawn_per_entry), max(drawn_per_entry), reads, built,
-                 steps, orders, solves, slowest),
+                 builds, steps, orders, solves, slowest),
               flush=True)
     lines = 0
     for path in sorted(glob.glob(os.path.join(ROOT, "src", "polyfactor", "*.py"))):
