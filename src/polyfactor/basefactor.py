@@ -1,29 +1,30 @@
 """Exact factorization of univariate, bivariate and trivariate SparsePoly
 polynomials over Q.
 
-Every polynomial is read into integers once, by `_int_rows` (sparse's one
-reader `_int_table`, grouped by x-exponent), and stays on integers; a line
-slice comes as integers already, from the substitution kernel's integer
-core, and `read_line` reads it the same way.
+Every polynomial is read into integers once, by `read_table` (sparse's
+one reader `_int_table`, grouped by x-exponent), and stays on integers; a
+line slice or a projected image comes as integers already, from the
+substitution kernel's integer core, and `read_table` reads it the same way.
 Univariate: take the primitive integer part, run Yun's squarefree
 decomposition over Z, then a deterministic Zassenhaus pass per squarefree
 part (smallest usable prime, Berlekamp modulo p, quadratic Hensel lifting
 to the Mignotte factor bound, subset recombination).  These tools work on
 ascending integer coefficient lists.
 
-Two and three variables, monic in x: f is read once (`_read`), with its
-degrees (dx, dv, dw) and the least prime P >= 2^20 that avoids its
+Two and three variables, monic in x: f is read once (`read_table`), with
+its degrees (dx, dv, dw) and the least prime P >= 2^20 that avoids its
 denominators, for its probes and every lift; a bivariate f, or a dead side
 variable, reads as dw = 0.  Evaluate the largest-degree side variable v at
 points 0, 1, -1, 2, ..., skipping points that drop the other side
-variable's degree.  Each probe is ranked by one univariate image (w at a
-fixed nonzero value): first by its squarefree degree deg - deg gcd(image,
-image') mod P, largest first, which never exceeds the probe's squarefree
-x-degree over Q and equals it at generic points; then, for a squarefree
-image of full degree, by its number of distinct irreducible factors mod
-the least prime q that keeps it squarefree (the dimension of its Berlekamp
-nullspace), fewest first, an upper bound on the probe's factor count over
-Q; then earliest.  Only the popped probe is factored over Q, recursively.
+variable's degree; each probe's image, and the base factored at the popped
+probe, come from f's integer rows.  Each probe is ranked by one univariate
+image (w at a fixed nonzero value): first by its squarefree degree deg -
+deg gcd(image, image') mod P, largest first, which never exceeds the
+probe's squarefree x-degree over Q and equals it at generic points; then,
+for a squarefree image of full degree, by its number of distinct
+irreducible factors mod the least prime q that keeps it squarefree (the
+dimension of its Berlekamp nullspace), fewest first, an upper bound on the
+probe's factor count over Q; then earliest.  Only the popped probe is factored over Q, recursively.
 Since f is monic in x and its monic factors have denominators dividing
 f's, a factorization of f maps to one of every image that keeps its
 degree, so an image with one factor mod q, or a popped probe irreducible
@@ -77,7 +78,7 @@ from itertools import accumulate, combinations, product
 from operator import mul
 
 from .rational import Q, ONE, primes
-from .sparse import SparsePoly, _int_table, _mul_into
+from .sparse import SparsePoly, _from_table, _int_table, _mul_into
 from .factors import FactorList, divide_out, factor_sort_key
 from .errors import LiftFailure, PolyError, ZeroPolynomialError
 
@@ -565,15 +566,15 @@ def _eval_rows(rows, den, v0, w0, p):
     return [sum(c * vp[ev] * wp[ew] for ev, ew, c in row) * scale % p for row in rows]
 
 
-def _factor_univariate_pairs(f):
-    """[(canonical irreducible, multiplicity)] for a SparsePoly in x alone
-    (any other variable of f unused).
+def _factor_univariate_pairs(rows, n):
+    """[(canonical irreducible, multiplicity)] for a polynomial in x alone,
+    read as integer rows (`_int_rows`), in n variables (the others unused).
 
     Yun's squarefree decomposition runs on the primitive integer part F of f.
     By Gauss's lemma every quotient stays in Z[x], and every part comes out
     primitive with a positive leading coefficient, ready for Zassenhaus.
     """
-    F = _up_primitive_z([sum(c for _, _, c in row) for row in _int_rows(f)[0]])
+    F = _up_primitive_z([sum(c for _, _, c in row) for row in rows])
     if not F:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
     dF = up_deriv(F)
@@ -586,8 +587,8 @@ def _factor_univariate_pairs(f):
         h = _up_gcd_z(v, z) if z else _up_primitive_z(v)
         if len(h) > 1:
             for fac in _zassenhaus(h):
-                terms = {(i,) + (0,) * (f.n - 1): Q(c) for i, c in enumerate(fac) if c}
-                pairs.append((SparsePoly(f.n, terms).canonical(), mult))
+                terms = {(i,) + (0,) * (n - 1): Q(c) for i, c in enumerate(fac) if c}
+                pairs.append((SparsePoly(n, terms).canonical(), mult))
         v, w = _up_div_exact_z(v, h), _up_div_exact_z(z, h)
         mult += 1
     pairs.sort(key=lambda pm: factor_sort_key(pm[0]))
@@ -969,35 +970,65 @@ def _prime_avoiding(den):
 _Reading = namedtuple("_Reading", "f n v w rows den degrees prime")
 
 
-def _reading(f, n, v, w, rows, den):
-    """The `_Reading` of integer rows over den (`_int_rows`) of a polynomial
-    f in n variables, read for lifts in z_v, keeping z_w."""
-    exps = [(ev, ew) for row in rows for ev, ew, _ in row]
-    degrees = (len(rows) - 1,) + tuple(max(col) for col in zip(*exps))
-    return _Reading(f, n, v, w, rows, den, degrees, _prime_avoiding(den))
-
-
 def _read(f, v, w):
     """f read once for its probes and lifts in z_v, keeping z_w: its integer
     rows over den (`_int_rows`), its degrees (dx, dv, dw) and the prime P.
     A bivariate f is read with w = 3, a variable it lacks, so dw = 0."""
-    return _reading(f, f.n, v, w, *_int_rows(f, v, w))
+    rows, den = _int_rows(f, v, w)
+    exps = [(ev, ew) for row in rows for ev, ew, _ in row]
+    degrees = (len(rows) - 1,) + tuple(max(col) for col in zip(*exps))
+    return _Reading(f, f.n, v, w, rows, den, degrees, _prime_avoiding(den))
 
 
-def read_line(table, den, unpack):
-    """The reading of a line slice f(x, t) for `lift_slice`, as
-    `_read(f, 2, 3)` reads it (the same rows up to their order, den,
-    degrees and prime), from f = table / den on packed keys that unpack
-    turns into (x, t)-exponents, as the substitution kernel's integer core
-    leaves it (`sparse._compose`), with no SparsePoly made (its f is None).
-    Dividing table and den by their gcd makes den the least common
-    denominator of f's coefficients, the den `_int_table` reads."""
+def read_table(n, table, den, unpack=None, f=None):
+    """The reading of f = table / den, a polynomial in n <= 3 variables with
+    x first, as `_read(f, v, 5 - v)` reads it (the same rows up to their
+    order, den, degrees and prime), for z_v the side variable of largest
+    degree, the first on a tie (z2 for a bivariate f).  table holds
+    integers on exponent tuples (`_int_table`), or on packed keys that
+    unpack turns into them, as the substitution kernel's integer core
+    leaves them (`sparse._compose`); then no SparsePoly is made, and the
+    reading's f is None.  Dividing table and den by their gcd makes den
+    the least common denominator of f's coefficients, the den
+    `_int_table` reads."""
     g = math.gcd(den, *table.values())
-    terms = [(unpack(key), c // g) for key, c in table.items() if c]
-    rows = [[] for _ in range(1 + max((ex for (ex, _), _ in terms), default=0))]
-    for (ex, et), c in terms:
-        rows[ex].append((et, 0, c))
-    return _reading(None, 2, 2, 3, rows, den // g)
+    keys = table if unpack is None else map(unpack, table)
+    terms = [(e + (0,) * (3 - n), c // g) for e, c in zip(keys, table.values()) if c]
+    tops = [max(col) for col in zip(*(e for e, _ in terms))] or [0, 0, 0]
+    v = 3 if tops[2] > tops[1] else 2
+    w = 5 - v
+    rows = [[] for _ in range(tops[0] + 1)]
+    for e, c in terms:
+        rows[e[0]].append((e[v - 1], e[w - 1], c))
+    den //= g
+    degrees = (tops[0], tops[v - 1], tops[w - 1])
+    return _Reading(f, n, v, w, rows, den, degrees, _prime_avoiding(den))
+
+
+def _from_rows(reading, v0=None):
+    """The read f rebuilt from its integer rows, or with v0, f at z_v = v0
+    as `f.eval_var(v, v0)` gives it (z_v's slot dropped), summed on
+    integers: one rational per term of the result."""
+    n, v, w = reading.n, reading.v, reading.w
+    table = {}
+    if v0 is None:
+        for ex, row in enumerate(reading.rows):
+            for ev, ew, c in row:
+                exps = [ex, 0, 0]
+                exps[v - 1], exps[w - 1] = ev, ew
+                table[tuple(exps[:n])] = c
+        return _from_table(n, table, reading.den)
+    power = [v0**k for k in range(reading.degrees[1] + 1)]
+    for ex, row in enumerate(reading.rows):
+        for ev, ew, c in row:
+            key = (ex, ew)[: n - 1]
+            table[key] = table.get(key, 0) + c * power[ev]
+    return _from_table(n - 1, table, reading.den)
+
+
+def _poly(reading):
+    """The read f: the reading's own, or one rebuilt from its rows."""
+    return reading.f if reading.f is not None else _from_rows(reading)
 
 
 def _group_tables(base):
@@ -1192,7 +1223,7 @@ def _attempt_lift(reading, v0, base, bounds=None):
     within them (`_lift`), sorted as FactorList sorts."""
     groups, candidate = _lift(reading, v0, PreparedBase(base), bounds)
     if bounds is None:
-        found = _complete_recombination(reading.f, groups, candidate)
+        found = _complete_recombination(_poly(reading), groups, candidate)
     else:
         found = _bounded_recombination(groups, candidate, bounds[0])
     return sorted(found, key=lambda pm: factor_sort_key(pm[0]))
@@ -1256,7 +1287,7 @@ def lift_slice(reading, prepared, wanted):
     whose index is in `wanted`, in that order (only these are
     reconstructed), by Wang's lift from a known point (Math. Comp. 1978).
     f is bivariate or trivariate and monic in x, read for a lift in its
-    last variable: `_read(f, f.n, 5 - f.n)`, or `read_line` for a line
+    last variable: `_read(f, f.n, 5 - f.n)`, or `read_table` for a line
     slice f(x, t), whose groups are in x alone (`slice_point`) and whose
     lift carries one w-order.  Every slice lifted from one preparation
     shares its tables, coprime point and tree nodes.  None where a group
@@ -1296,18 +1327,17 @@ def _probe_images(reading):
 
 def _factor_monic_sparse(f, bounds=None):
     """[(canonical irreducible, mult)] for f monic in variable 1, <=3 vars;
-    with per-variable degree `bounds`, unproved candidates (_attempt_lift)."""
-    side_degs = {i: (f.degree_in(i) or 0) for i in range(2, f.n + 1)}
-    if not any(side_degs.values()):  # f is a polynomial in x alone
-        return _factor_univariate_pairs(f)
-    if not f.degree_in(1):
+    with per-variable degree `bounds`, unproved candidates (_attempt_lift).
+    f is a SparsePoly, read here, or its reading (`read_table`), which may
+    hold no SparsePoly: each probe's base at z_v = v0 is built from the
+    reading's rows, and f itself only when it comes back whole."""
+    reading = f if isinstance(f, _Reading) else read_table(f.n, *_int_table(f), f=f)
+    (dx, dv, _), v, den, P = reading.degrees, reading.v, reading.den, reading.prime
+    if not dv:  # f is a polynomial in x alone: z_v has the larger side degree
+        return _factor_univariate_pairs(reading.rows, reading.n)
+    if not dx:
         raise PolyError("input not monic in its main variable")
-    v = max(side_degs, key=lambda i: (side_degs[i], -i))
-    # w = 5 - v is the other side variable: for a bivariate f, z3, which it
-    # lacks, so dw = 0, as for a dead w
-    reading = _read(f, v, 5 - v)
     degraded, image = _probe_images(reading)
-    dx, den, P = reading.degrees[0], reading.den, reading.prime
     point_iter = _eval_points()
     consumed = 0
     probes = []  # [quality, count, arrival, v0]
@@ -1347,9 +1377,7 @@ def _factor_monic_sparse(f, bounds=None):
             probes.append([quality, count, consumed, v0])
         return False
 
-    while True:
-        if refill(4):
-            return [(f.canonical(), 1)]
+    while not refill(4):
         if not probes:  # pragma: no cover
             raise LiftFailure("no good evaluation point found")
         # prefer the point with the least factor merging (largest squarefree
@@ -1357,13 +1385,15 @@ def _factor_monic_sparse(f, bounds=None):
         # Math. Comp. 1978), then the earliest
         probes.sort(key=lambda t: (-t[0], t[1], t[2]))
         v0 = probes.pop(0)[3]
-        base = _factor_monic_sparse(f.eval_var(v, v0))
+        base = _factor_monic_sparse(_from_rows(reading, v0))
         if len(base) == 1 and base[0][1] == 1:
-            return [(f.canonical(), 1)]
+            break
         try:
             return _attempt_lift(reading, v0, base, bounds)
         except _AttemptFailed:
             continue
+    # an irreducibility certificate: f comes back whole
+    return [(_poly(reading).canonical(), 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -1402,9 +1432,16 @@ def factor_monic(f, bounds=None):
     irreducibility certificate returns f itself, and re-embedding dropped
     variables is a ring automorphism."""
     _require_monic_in_x(f)
-    pairs = _factor_monic_sparse(f, bounds)
     if bounds is None:
-        return FactorList.build(f.leading_coefficient(), pairs)
+        return FactorList.build(f.leading_coefficient(), _factor_monic_sparse(f))
+    return factor_candidates(f, bounds)
+
+
+def factor_candidates(f, bounds):
+    """`factor_monic(f, bounds=bounds)`'s unproved candidates, for f monic
+    in x: a SparsePoly, or its reading (`read_table`), checked monic by its
+    reader, as `engine._psi_reading` checks the projected image."""
+    pairs = _factor_monic_sparse(f, bounds)
     return FactorList.build(ONE, [(g, e) for g, e in pairs if g.degree_in(1) <= bounds[0]])
 
 
@@ -1423,7 +1460,8 @@ def factor_lowvar(f):
     if f.is_constant():
         return FactorList.build(f.constant_value(), [])
     if f.n == 1:
-        return FactorList.build(f.leading_coefficient(), _factor_univariate_pairs(f))
+        rows = _int_rows(f)[0]
+        return FactorList.build(f.leading_coefficient(), _factor_univariate_pairs(rows, 1))
     d = f.degree()
     top = f.hom_component(d)
     # top is a nonzero form, so it is nonzero at some (1, c) with c in

@@ -31,8 +31,10 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .pit import find_nonzero_point, interpolation_plan, sparse_interpolate
+# no pipeline calls psi_map; it stays importable from here because
+# perfbench/tracer.py hooks engine.psi_map by name
 from .isolation import check_image_cells, compact_scheme, psi_map, psi_invert
-from .basefactor import factor_monic, lift_slice, read_line, slice_point
+from .basefactor import factor_candidates, factor_monic, lift_slice, read_table, slice_point
 from .divisibility import constant_degree_divides
 from .config import DEFAULT as DEFAULT_CONFIG
 
@@ -66,7 +68,7 @@ def _project(f, alpha, directions, gamma):
 
 def _line_slices(scaled, alpha, origin):
     """read(omega): the line slice scaled(alpha x + (omega - origin) t +
-    origin) read for `lift_slice` (`read_line`).  scaled is read into
+    origin) read for `lift_slice` (`read_table`).  scaled is read into
     integers once, and each slice is expanded from that table by the
     substitution kernel's integer core (`sparse._compose`), so no
     SparsePoly or rational is made per slice."""
@@ -82,7 +84,7 @@ def _line_slices(scaled, alpha, origin):
             a, o, p = (int(c.numerator) * (d // int(c.denominator)) for c in coords)
             terms = (((1, 0), a), ((0, 1), p - o), ((0, 0), o))
             images.append(({e: c for e, c in terms if c}, d))
-        return read_line(*_compose(table, den, tops, images, 2))
+        return read_table(2, *_compose(table, den, tops, images, 2))
 
     return read
 
@@ -99,7 +101,9 @@ def _monic_point(f):
 
 def monicize(f):
     """(MonicShift, f_alpha) with f_alpha = f(alpha x + z)/Hom[f](alpha),
-    monic in the fresh variable x (slot 0 of the result)."""
+    monic in the fresh variable x (slot 0 of the result).  Public API that
+    no pipeline calls: `projected_factoring` composes the shift with psi
+    in one substitution (`_psi_reading`)."""
     alpha, normalizer = _monic_point(f)
     d = f.degree()
     units = [[int(i == j) for i in range(f.n)] for j in range(f.n)]
@@ -126,12 +130,41 @@ def unmonicize(g_hat, shift):
     return sheared.eval_var(1, 0), 1 in sheared.var_support()
 
 
+def _psi_reading(f, alpha, normalizer, scheme):
+    """The reading (`read_table`) of psi's image of the monic shift,
+    f(alpha_i x + y^{w_i} t + y^{w'_i}) / normalizer in (x, y, t), since
+    psi(f_alpha)(x, y, t) = f_alpha(x, psi(z)): one substitution on f's
+    integer table (`sparse._compose`), 1 / normalizer folded into its
+    denominator, and no rational or SparsePoly made.  VerificationError
+    unless the image is monic in x of f's degree: its x^(deg f) row is the
+    single term den."""
+    table, den = _int_table(f)
+    # f / (p / q) = (q table) / (p den), signs moved so that den stays positive
+    p, q = int(normalizer.numerator), int(normalizer.denominator)
+    if p < 0:
+        p, q = -p, -q
+    table = {e: c * q for e, c in table.items()}
+    images = []
+    for a, wi, wpi in zip(alpha, scheme.w, scheme.w_prime):
+        # z_i -> (a x + d y^{w_i} t + d y^{w'_i}) / d, alpha_i = a / d
+        d = int(a.denominator)
+        terms = (((1, 0, 0), int(a.numerator)), ((0, wi, 1), d), ((0, wpi, 0), d))
+        images.append(({e: c for e, c in terms if c}, d))
+    reading = read_table(3, *_compose(table, den * p, _tops(table, f.n), images, 3))
+    d = f.degree()
+    if reading.degrees[0] != d or reading.rows[d] != [(0, 0, reading.den)]:
+        raise VerificationError("the projected image is not monic in x")
+    return reading
+
+
 def projected_factoring(f, delta, config=None):
     """The unproved candidate factors of f's projection, with their groups'
-    multiplicities: monicize, project to three variables on the compact
-    scheme, and factor the image only as far as its image degree bounds
-    reach (x-degree <= delta), since a factor of f of degree <= delta maps
-    within them and psi_invert rejects any factor outside them."""
+    multiplicities: find the monic shift's point alpha (`_monic_point`),
+    map f to three variables on the compact scheme, the shift and psi in
+    one substitution read straight into integers (`_psi_reading`), and
+    factor the image only as far as its image degree bounds reach
+    (x-degree <= delta), since a factor of f of degree <= delta maps within
+    them and psi_invert rejects any factor outside them."""
     config = config or DEFAULT_CONFIG
     if delta < 1:
         raise ValueError("delta must be >= 1")
@@ -144,12 +177,10 @@ def projected_factoring(f, delta, config=None):
     # term z^E of f with e <= E, so f's own terms give psi's image box of
     # f_alpha before the monic shift, d = deg f reaching in x and in t
     check_image_cells(f.degree(), f.terms, scheme, config.max_dense_cells)
-    shift, f_alpha = monicize(f)
-    image = psi_map(f_alpha, scheme).to_sparse()
-    if image.degree_in(1) != shift.degree:
-        raise VerificationError("psi must preserve the x-degree")
-    proj_mult = factor_monic(image, bounds=scheme.image_degree_bounds()).factors
-    return ProjectedFactorSet(proj_mult, shift, scheme)
+    alpha, normalizer = _monic_point(f)
+    reading = _psi_reading(f, alpha, normalizer, scheme)
+    proj_mult = factor_candidates(reading, scheme.image_degree_bounds()).factors
+    return ProjectedFactorSet(proj_mult, MonicShift(alpha, normalizer, f.n, f.degree()), scheme)
 
 
 def _invert_candidate(h, proj, delta):

@@ -185,7 +185,10 @@ def psi_map(f, scheme, max_cells=None):
     """g(x, z) -> g(x, y^{w_i} t + y^{w'_i}) as a dense (x, y, t) grid.
 
     The image's box is bounded before substituting (`check_image_cells`),
-    and a box beyond max_cells raises CapError at once."""
+    and a box beyond max_cells raises CapError at once.  Public API that no
+    pipeline calls: the constant-degree pipeline composes the monic shift
+    with this map in one substitution read into integers
+    (`engine._psi_reading`)."""
     if f.n != scheme.n + 1:
         raise PolyError("expected variables (x, z_1..z_n)")
     check_image_cells(f.degree_in(1) or 0, [e[1:] for e in f.terms], scheme, max_cells)

@@ -746,7 +746,7 @@ def test_each_factor_monic_sparse_call_reads_its_input_once(text, n):
     import polyfactor.basefactor as basefactor
 
     frames, stack = [], []
-    factor, read = basefactor._factor_monic_sparse, basefactor._int_rows
+    factor, read = basefactor._factor_monic_sparse, basefactor._int_table
 
     def counted_factor(g, *args):
         frame = [g, 0]
@@ -765,7 +765,7 @@ def test_each_factor_monic_sparse_call_reads_its_input_once(text, n):
     f = parse_product(text, n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(basefactor, "_factor_monic_sparse", counted_factor)
-        mp.setattr(basefactor, "_int_rows", counted_read)
+        mp.setattr(basefactor, "_int_table", counted_read)
         assert factor_monic(f).recompose() == f
     assert len(frames) >= n
     assert [reads for _, reads in frames] == [1] * len(frames)
@@ -1129,7 +1129,7 @@ def test_univariate_squarefree_parts_match_fraction_yun():
     for _ in range(40):
         f = _random_repeated_product(rng)
         top = max(top, f.degree() or 0)
-        pairs = _factor_univariate_pairs(f)
+        pairs = _factor_univariate_pairs(_int_rows(f)[0], 1)
         # the product of the factors of each multiplicity, made monic, is
         # Yun's part of that multiplicity over Q
         parts = {}

@@ -35,6 +35,7 @@ from polyfactor.errors import (
     NotInCodomain,
     PolyError,
     PromiseViolation,
+    VerificationError,
 )
 
 from conftest import (
@@ -201,6 +202,131 @@ def test_the_early_cell_count_is_psi_maps(i):
     with pytest.raises(CapError) as late:
         psi_map(monicize(f)[1], compact_scheme(f.n, 2), max_cells=0)
     assert early.value.requested == late.value.requested > 1
+
+
+def _check_psi_reading(f):
+    """The reading of f's image made in one substitution (`_psi_reading`)
+    is the one `_read` gives of the two-step image, monicize then psi_map:
+    the same rows as multisets, den, degrees and prime, with v and w as
+    the old `_factor_monic_sparse` chose them from the image's degrees.
+    Each base at z_v = v0 built from its rows is the image's eval_var, and
+    the rows rebuild the image.  Returns the normalizer Hom[f](alpha)."""
+    from polyfactor.basefactor import _from_rows, _read
+    from polyfactor.engine import _monic_point, _psi_reading
+
+    scheme = compact_scheme(f.n, 2)
+    alpha, normalizer = _monic_point(f)
+    got = _psi_reading(f, alpha, normalizer, scheme)
+    image = psi_map(monicize(f)[1], scheme).to_sparse()
+    side = {i: image.degree_in(i) or 0 for i in (2, 3)}
+    v = max(side, key=lambda i: (side[i], -i))
+    assert got.f is None
+    assert _same_reading(got, _read(image, v, 5 - v))
+    for v0 in (0, 1, -1, 2):
+        assert _from_rows(got, v0) == image.eval_var(v, v0), v0
+    assert _from_rows(got) == image
+    return normalizer
+
+
+def test_the_composed_image_reading_is_the_two_step_one_on_the_cd_pool():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "corpus", "cd.jsonl")) as fh:
+        pool = [json.loads(line) for line in fh]
+    assert len(pool) == 160
+    for i, item in enumerate(pool):
+        try:
+            _check_psi_reading(parse_poly(item["poly"], item["n"]))
+        except AssertionError as err:
+            raise AssertionError("cd entry %d: %s" % (i, err)) from err
+
+
+@pytest.mark.parametrize(
+    "text, negative",
+    [
+        # rational coefficients, with Hom[f](alpha) > 0 and < 0
+        ("1/3*z1^2*z2 + 2/5*z1*z2 - 7/2*z2^2 + 1/6", False),
+        ("-2*z1^2 + 1/3*z1*z2 - z2^2 + 5/7", True),
+        ("-3/4*z1*z2*z3 + z1^2 - 1/9*z3 + 2", True),
+        ("-(z1 + 2*z2)^2*(z1 - 1/2*z3 + 3)", True),
+    ],
+)
+def test_the_composed_image_reading_folds_a_rational_or_negative_normalizer(text, negative):
+    f = parse_product(text)
+    normalizer = _check_psi_reading(f)
+    assert (normalizer < 0) == negative
+    assert normalizer.denominator > 1 or any(c.denominator > 1 for c in f.terms.values())
+
+
+IRREDUCIBLE_LOW_DEGREE = ["z1 + z2 + 1", "z1^2 + z2^2 + 1", "z1^2 + z2*z3 - 3*z3 + 2"]
+
+
+@pytest.mark.parametrize("text", IRREDUCIBLE_LOW_DEGREE)
+@pytest.mark.parametrize("pipeline", [constant_degree_factors, factor_constant_degree_promise])
+def test_an_irreducible_input_comes_back_whole_from_its_reading(monkeypatch, text, pipeline):
+    # the image is read with no SparsePoly; an irreducibility certificate
+    # builds it from the rows, and psi_invert returns f itself
+    import polyfactor.basefactor as basefactor
+
+    from_rows = basefactor._from_rows
+    rebuilt = []
+
+    def recorded(reading, v0=None):
+        if v0 is None:
+            rebuilt.append(reading.f)
+        return from_rows(reading, v0)
+
+    monkeypatch.setattr(basefactor, "_from_rows", recorded)
+    f = parse_poly(text)
+    fl = pipeline(f, 2)
+    assert fl.factors == ((f.canonical(), 1),)
+    assert fl.recompose() == f
+    assert rebuilt == [None]
+
+
+@pytest.mark.parametrize("pipeline", [constant_degree_factors, factor_constant_degree_promise])
+def test_a_non_monic_image_is_a_verification_error(monkeypatch, pipeline):
+    # a normalizer other than Hom[f](alpha) leaves the image's x^(deg f)
+    # coefficient other than 1
+    import polyfactor.engine as engine
+
+    monic_point = engine._monic_point
+
+    def doubled(f):
+        alpha, normalizer = monic_point(f)
+        return alpha, 2 * normalizer
+
+    monkeypatch.setattr(engine, "_monic_point", doubled)
+    with pytest.raises(VerificationError):
+        pipeline(parse_product("(z1 + z2 + 1)*(z1^2 - z2)"), 2)
+
+
+def test_a_non_monic_image_is_a_verification_error_under_optimize_flag():
+    """The image's monicity check is a raise, so python -O keeps it."""
+    import polyfactor
+
+    script = (
+        "import polyfactor.engine as engine\n"
+        "from polyfactor.parse import parse_product\n"
+        "from polyfactor.errors import VerificationError\n"
+        "assert False, 'asserts are on'\n"
+        "monic_point = engine._monic_point\n"
+        "def doubled(f):\n"
+        "    alpha, normalizer = monic_point(f)\n"
+        "    return alpha, 2 * normalizer\n"
+        "engine._monic_point = doubled\n"
+        "try:\n"
+        "    engine.constant_degree_factors(parse_product('(z1 + z2 + 1)*(z1^2 - z2)'), 2)\n"
+        "except VerificationError:\n"
+        "    print('verification error')\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(polyfactor.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "verification error"
 
 
 def test_promise_two_factors():
@@ -371,19 +497,25 @@ def test_psi_invert_rejects_a_candidate_that_is_no_image(monkeypatch):
 
 def test_psi_is_read_back_on_sparse_terms(monkeypatch):
     # psi_invert converts its grid once and allocates none of its own, and
-    # projected_factoring reads the x-degree off the sparse image, so no grid
-    # is scanned for its degrees
+    # projected_factoring reads f's image straight into integers, so it
+    # allocates no grid at all and none is scanned for its degrees
     import polyfactor.engine as engine
     from polyfactor.dense import DensePoly3
 
     f, expected = pool_entry("cd", 96)
     init, to_sparse = DensePoly3.__init__, DensePoly3.to_sparse
+    project = engine.projected_factoring
     scans = None  # grids converted by the running psi_invert, None outside it
+    projecting = False
     per_call = []
+    allocated = []
 
     def guarded_init(grid, *args):
         if scans is not None:
             raise AssertionError("psi_invert allocated a grid")
+        if projecting:
+            raise AssertionError("projected_factoring allocated a grid")
+        allocated.append(grid)
         init(grid, *args)
 
     def counted_to_sparse(grid):
@@ -403,12 +535,23 @@ def test_psi_is_read_back_on_sparse_terms(monkeypatch):
             per_call.append(len(scans))
             scans = None
 
+    def recorded_projection(*args):
+        nonlocal projecting
+        projecting = True
+        try:
+            return project(*args)
+        finally:
+            projecting = False
+
     monkeypatch.setattr(DensePoly3, "__init__", guarded_init)
     monkeypatch.setattr(DensePoly3, "to_sparse", counted_to_sparse)
     monkeypatch.setattr(DensePoly3, "true_degrees", no_scan)
     monkeypatch.setattr(engine, "psi_invert", recorded)
+    monkeypatch.setattr(engine, "projected_factoring", recorded_projection)
     assert constant_degree_factors(f, 2).to_json_dict() == expected
     assert per_call and set(per_call) == {1}
+    # the guards ran: each candidate's grid was allocated, outside both
+    assert len(allocated) == len(per_call)
 
 
 def test_multiplicity_worked_example():

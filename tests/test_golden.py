@@ -13,12 +13,14 @@ the sparse search lifted (calls of `engine.lift_slice`)
 and the oracle pairs it drew (the pool's total and the most any one
 entry drew), the traffic across the integer boundary (integer reads,
 calls of `sparse._int_table`, and `SparsePoly` constructions), the
-Diophantine builds (`basefactor._Dioph` constructions, one per lift tree
-node built), the Bezout lift steps (calls of `basefactor._bezout_step`),
-the lift's v-orders (the sum of K over `basefactor._lift_pair` calls) and
-its Diophantine solves (calls of `basefactor._Dioph.solve`), then the
-line count of src/polyfactor (as `cat src/polyfactor/*.py | wc -l`
-counts it), and exits 1 if an entry differs:
+substitutions (calls of `sparse._compose`, the substitution kernel's
+integer core), the Diophantine builds (`basefactor._Dioph`
+constructions, one per lift tree node built), the Bezout lift steps
+(calls of `basefactor._bezout_step`), the lift's v-orders (the sum of
+K over `basefactor._lift_pair` calls) and its Diophantine solves (calls
+of `basefactor._Dioph.solve`), then the line count of src/polyfactor
+(as `cat src/polyfactor/*.py | wc -l` counts it), and exits 1 if an
+entry differs:
 
     python tests/test_golden.py [workload ...]    # default: every pool
 """
@@ -116,6 +118,13 @@ def main(workloads):
         reads += 1
         return read(poly, pack)
 
+    compose = sparse._compose
+
+    def counted_compose(*args):
+        nonlocal substitutions
+        substitutions += 1
+        return compose(*args)
+
     bezout_step = basefactor._bezout_step
 
     def counted_step(*args):
@@ -153,9 +162,11 @@ def main(workloads):
 
     engine.lift_slice = counted
     IrredProjOracle.pairs = counted_pairs
-    for module in list(sys.modules.values()):  # every importer of the reader
+    for module in list(sys.modules.values()):  # every importer of the kernels
         if getattr(module, "_int_table", None) is read:
             module._int_table = counted_read
+        if getattr(module, "_compose", None) is compose:
+            module._compose = counted_compose
     basefactor._bezout_step = counted_step
     basefactor._lift_pair = counted_pair
     basefactor._Dioph.__init__ = counted_dioph
@@ -165,7 +176,7 @@ def main(workloads):
     for workload in workloads or sorted(PIPELINES):
         pool = load_pool(workload)
         times = []
-        slices = reads = built = builds = steps = orders = solves = 0
+        slices = reads = built = substitutions = builds = steps = orders = solves = 0
         drawn_per_entry = []
         for i, item in enumerate(pool):
             start = time.process_time()
@@ -180,11 +191,11 @@ def main(workloads):
         slowest = ", ".join("%d (%.2f s)" % (i, t) for t, i in sorted(times)[:-4:-1])
         print("%s: %d entries, %.1f s process time, %d slices, %d oracle pairs "
               "(at most %d per entry), %d integer reads, %d SparsePoly "
-              "constructions, %d Diophantine builds, %d Bezout lift steps, "
-              "%d lift v-orders, %d Diophantine solves; slowest: %s"
+              "constructions, %d substitutions, %d Diophantine builds, %d Bezout "
+              "lift steps, %d lift v-orders, %d Diophantine solves; slowest: %s"
               % (workload, len(pool), sum(t for t, _ in times), slices,
                  sum(drawn_per_entry), max(drawn_per_entry), reads, built,
-                 builds, steps, orders, solves, slowest),
+                 substitutions, builds, steps, orders, solves, slowest),
               flush=True)
     lines = 0
     for path in sorted(glob.glob(os.path.join(ROOT, "src", "polyfactor", "*.py"))):
