@@ -843,7 +843,9 @@ def _lift_pair(Fser, A0, B0, K, m, dioph):
         if not E:
             continue
         dA, dB = dioph.solve(E)
-        for i in range(min(j, K - j)):  # A[i], B[i] are still zero for i >= j
+        # i = 0 would add dB A0 + dA B0 to AB[j], already read for E;
+        # A[i], B[i] are still zero for i >= j
+        for i in range(1, min(j, K - j)):
             _mul_into(AB[i + j], dB, A[i])
             _mul_into(AB[i + j], dA, B[i])
         if 2 * j < K:

@@ -30,7 +30,13 @@ from .errors import (
     VerificationError,
     ZeroPolynomialError,
 )
-from .pit import find_nonzero_point, interpolation_plan, sparse_interpolate
+from .pit import (
+    find_nonzero_point,
+    interpolate_lines,
+    interpolation_plan,
+    line_count,
+    sparse_interpolate,
+)
 # no pipeline calls psi_map; it stays importable from here because
 # perfbench/tracer.py hooks engine.psi_map by name
 from .isolation import check_image_cells, compact_scheme, psi_map, psi_invert
@@ -299,19 +305,21 @@ def _pair_candidates(residual, alpha, pair, s, oracle):
     Hom[residual](alpha) != 0, keeps the residual's degree, so a
     factorization of the residual would factor r_hat: an irreducible r_hat
     gives None.  Otherwise, for each factor h2 of r_hat whose degree the
-    class allows, the hidden factor's values are collected and
-    interpolated: T values on the class's support at h2's degree when it
-    has T <= s monomials, else 2s values for Ben-Or-Tiwari.  The groups
+    class allows, the hidden factor g is read off line slices.  The groups
     of r_hat's factorization are pairwise coprime at t1 = w0
-    (`slice_point`, which prepares the groups' images there once for every
-    slice of the pair), and each point omega is read on the line slice
-    r_omega(x, t) = r(alpha x + (omega - gamma') t + gamma'), gamma' =
-    gamma + w0 beta, whose t = 0 image is r_hat(x, w0), expanded on
-    integers from the residual's table, read once per pair
-    (`_line_slices`): `lift_slice` lifts a factor, monic in x, from each
-    group's image there, reconstructing only the groups whose values are
-    still wanted, and the value, g(omega) / Hom[g](alpha) when the group
-    is a true factor's, is read off h2's at (0, 1).  An interpolated g is
+    (`slice_point`, which prepares the groups' images there once for
+    every slice of the pair), and each slice is the line
+    r(alpha x + (p - o) t + o) through o = gamma + w0 beta and a point p,
+    whose t = 0 image is r_hat(x, w0), expanded on integers from the
+    residual's table, read once per pair (`_line_slices`): `lift_slice`
+    lifts a factor, monic in x, from each group's image there,
+    reconstructing only the groups still wanted, and for a true factor's
+    group its x-free row is g(o + t (p - o)) / Hom[g](alpha).  When the
+    class's support S at h2's degree has at most s monomials, p = o +
+    omega_L for the plan's points omega_L, and the rows of N = max_k |S_k|
+    lines give g one degree at a time (`interpolate_lines`); otherwise p
+    runs over the plan's 2s points, and Ben-Or-Tiwari interpolates the
+    rows' values at t = 1, g(p) / Hom[g](alpha).  An interpolated g is
     kept only when it has the degree of h2 and its own projection,
     normalized by Hom[g](alpha), is h2: a factorization of g would then
     factor h2, so g is irreducible.
@@ -334,7 +342,7 @@ def _pair_candidates(residual, alpha, pair, s, oracle):
             support = oracle.support_for_degree(deg)
             if len(support) > s:
                 support = None  # wider than the bound: Ben-Or-Tiwari on 2s
-        need = 2 * s if support is None else len(support)
+        need = 2 * s if support is None else line_count(support)
         refs.append((i, h, deg, support, need, []))
     if not refs:
         return []
@@ -345,23 +353,37 @@ def _pair_candidates(residual, alpha, pair, s, oracle):
     found = slice_point(base)
     if found is None:
         return []
-    # every slice is the line from gamma' = gamma + w0 beta to its point,
-    # whose t = 0 image is r_hat(x, w0), prepared once as `line`
+    # every slice is a line through o = gamma + w0 beta, whose t = 0 image
+    # is r_hat(x, w0), prepared once as `line`: the line o + t omega_L for
+    # a ref on a known support, the line from o to omega for Ben-Or-Tiwari
     w0, line = found
     origin = tuple(g + w0 * b for g, b in zip(pair.gamma, pair.beta))
     read = _line_slices(scaled, alpha, origin)
-    for w_idx, omega in enumerate(plan):
-        active = [(i, values) for i, _, _, _, need, values in refs if w_idx < need]
-        lifted = lift_slice(read(omega), line, [i for i, _ in active])
-        for (_, values), P in zip(active, lifted):
-            if P is None:
-                return []
-            # the value at (x, t) = (0, 1): the sum of the x-free terms
-            values.append(sum((c for (ex, _), c in P.terms.items() if not ex), ZERO))
+    for on_lines in (True, False):
+        for w_idx, omega in enumerate(plan):
+            active = [
+                (i, values)
+                for i, _, _, support, need, values in refs
+                if (support is not None) == on_lines and w_idx < need
+            ]
+            if not active:
+                break
+            point = tuple(o + p for o, p in zip(origin, omega)) if on_lines else omega
+            lifted = lift_slice(read(point), line, [i for i, _ in active])
+            for (_, values), P in zip(active, lifted):
+                if P is None:
+                    return []
+                # the x-free row, g(o + t (point - o)) / Hom[g](alpha) for
+                # a true factor's group
+                row = {et: c for (ex, et), c in P.terms.items() if not ex}
+                values.append(row if on_lines else sum(row.values(), ZERO))
     candidates = []
     for _, h2, deg, support, _, values in refs:
         try:
-            g = sparse_interpolate(values, s, n, deg, support)
+            if support is None:
+                g = sparse_interpolate(values, s, n, deg)
+            else:
+                g = interpolate_lines(values, support, origin)
         except InterpolationFailure:
             continue
         if g.degree() != deg:

@@ -4,9 +4,10 @@ interpolation for the class of s-sparse n-variate degree-d polynomials.
 The interpolation scheme is deterministic Prony (prime-power evaluation
 points, a Berlekamp-Massey recurrence over Q, integer root extraction of the
 term locator, then a transposed Vandermonde solve); when the caller knows
-the monomial support, the solve alone runs on it.  It fulfils the same
-evaluate-then-solve contract as the Klivans-Spielman construction and reuses
-the univariate factorizer for the locator roots.
+the monomial support, the solve alone runs on it, on point values or one
+degree at a time on restrictions to lines (`interpolate_lines`).  It
+fulfils the same evaluate-then-solve contract as the Klivans-Spielman
+construction and reuses the univariate factorizer for the locator roots.
 """
 
 import math
@@ -232,6 +233,52 @@ def _transposed_vandermonde(nodes, values):
             raise InterpolationFailure("repeated interpolation node")
         coeffs.append(Q(num, den * at_node))
     return coeffs
+
+
+def _graded_closure(support):
+    """{k: the degree-k monomials of support's downward closure, sorted}:
+    every exponent tuple componentwise below one of support's."""
+    closure = {e for mono in support for e in product(*(range(k + 1) for k in mono))}
+    graded = {}
+    for e in sorted(closure):
+        graded.setdefault(sum(e), []).append(e)
+    return graded
+
+
+def line_count(support):
+    """N = max_k |S_k|, the lines `interpolate_lines` needs for `support`."""
+    return max(len(monos) for monos in _graded_closure(support).values())
+
+
+def interpolate_lines(rows, support, origin):
+    """The g with monomials in `support` whose restrictions to the lines
+    t -> origin + t omega_L, omega_L the L-th point of interpolation_plan,
+    are the rows: rows[L] maps k to the t^k coefficient of g(origin +
+    t omega_L).  With G(z) = g(origin + z), whose monomials lie in the
+    downward closure of the support, that coefficient is sum_{|e| = k}
+    G_e m_e^L, m_e = prod_i p_i^(e_i) over the plan's primes, so the
+    degree-k monomials S_k of the closure and N_k = |S_k| lines fix G's
+    degree-k part, one transposed Vandermonde system each (Zippel's
+    known-support step).  Every further line must agree with the solution,
+    and a nonzero t^k coefficient with S_k empty rejects the rows; both
+    raise InterpolationFailure, as do fewer than `line_count` rows.
+    Returns G shifted back by -origin."""
+    graded = _graded_closure(support)
+    if len(rows) < max(len(monos) for monos in graded.values()):
+        raise InterpolationFailure("too few lines for the support")
+    if any(c and k not in graded for row in rows for k, c in row.items()):
+        raise InterpolationFailure("a line has a degree the support lacks")
+    bases = list(islice(primes(), len(origin)))
+    terms = {}
+    for k, monos in graded.items():
+        nodes = [math.prod(p**e for p, e in zip(bases, mono)) for mono in monos]
+        values = [row.get(k, ZERO) for row in rows]
+        coeffs = _transposed_vandermonde(nodes, values)
+        for L in range(len(nodes), len(rows)):
+            if sum(c * node**L for c, node in zip(coeffs, nodes)) != values[L]:
+                raise InterpolationFailure("a further line disagrees")
+        terms.update((mono, c) for mono, c in zip(monos, coeffs) if c)
+    return SparsePoly(len(origin), terms).shift(tuple(-o for o in origin))
 
 
 def sparse_interpolate(values, s, n, d, support=None):

@@ -754,19 +754,19 @@ def test_reducible_candidate_fails_the_certificate(monkeypatch):
     l1, l2, q = (parse_poly(t) for t in ("z1 + 2*z2 + 1", "z1 - z2 + 3", "z1^2 + z2^2 + 3"))
     f = l1 * l2 * q
     product = l1 * l2
-    original = engine.sparse_interpolate
+    original = engine.interpolate_lines
     offered = False
 
-    def rigged(values, ceiling, n, deg, *rest):
+    def rigged(rows, support, origin):
         nonlocal offered
-        if deg == 2:
+        if max(sum(e) for e in support) == 2:
             offered = True
             return product
         if not offered:
             raise InterpolationFailure("held back")
-        return original(values, ceiling, n, deg, *rest)
+        return original(rows, support, origin)
 
-    monkeypatch.setattr(engine, "sparse_interpolate", rigged)
+    monkeypatch.setattr(engine, "interpolate_lines", rigged)
     fl = sparse_factors(f, 12, constant_degree_oracle(2, 2, f.degree()))
     assert offered
     assert product.canonical() not in dict(fl.factors)
@@ -904,6 +904,66 @@ def test_the_line_slice_reads_what_the_trivariate_slice_reads(
         assert trivariate.eval_point((0, 0, 1)) == line.eval_point((0, 1)) == want, omega
 
 
+@pytest.mark.parametrize("workload, i", [("su", 30), ("su", 55), ("su", 72), ("sparse-cd", 21)])
+def test_each_line_slice_lifts_the_hidden_factor_along_its_whole_line(monkeypatch, workload, i):
+    # slice L of a pair follows omega_L, the L-th point of
+    # interpolation_plan, from the pair's origin o = gamma + w0 beta: for
+    # every group that is a true factor g's projection, the x-free row of
+    # the factor lifted from it is g(o + t omega_L) / Hom[g](alpha),
+    # coefficient by coefficient
+    import polyfactor.engine as engine
+    from polyfactor.engine import _project
+    from polyfactor.pit import interpolation_plan
+
+    pair_candidates, point, lift = engine._pair_candidates, engine.slice_point, engine.lift_slice
+    pairs = []  # per pair drawn: [alpha, pair, base, w0, every slice's lifts]
+
+    def recorded_pair(residual, alpha, pair, *rest):
+        pairs.append([alpha, pair, None, None, []])
+        return pair_candidates(residual, alpha, pair, *rest)
+
+    def recorded_point(base):
+        found = point(base)
+        if found is not None:
+            pairs[-1][2:4] = base, found[0]
+        return found
+
+    def recorded_lift(reading, prepared, wanted):
+        every = lift(reading, prepared, range(len(prepared.groups)))
+        pairs[-1][4].append(every)
+        return [every[j] for j in wanted]
+
+    monkeypatch.setattr(engine, "_pair_candidates", recorded_pair)
+    monkeypatch.setattr(engine, "slice_point", recorded_point)
+    monkeypatch.setattr(engine, "lift_slice", recorded_lift)
+    f, expected = pool_entry(workload, i)
+    if workload == "su":
+        got = factor_su(f)
+    else:
+        got = sparse_factors(f, 12, constant_degree_oracle(2, f.n, f.degree() or 1))
+    assert got.to_json_dict() == expected
+    _, mults = sympy_factorization(f)
+    checked = 0
+    for alpha, pair, base, w0, lifts in pairs:
+        if not lifts:
+            continue
+        origin = tuple(c + w0 * b for c, b in zip(pair.gamma, pair.beta))
+        groups = [h for h, _ in base]
+        for g in mults:
+            top = g.hom_component(g.degree()).eval_point(alpha)
+            h2 = _project(g.scale(ONE / top), alpha, [pair.beta], pair.gamma)
+            if h2.canonical() not in groups:
+                continue
+            j = groups.index(h2.canonical())
+            for omega, lifted in zip(interpolation_plan(len(lifts), f.n), lifts):
+                line = [SparsePoly.linear((w,), o) for w, o in zip(omega, origin)]
+                want = g.substitute(line, m=1).scale(ONE / top)
+                row = {(et,): c for (ex, et), c in lifted[j].terms.items() if not ex}
+                assert row == want.terms, (g, omega)
+                checked += 1
+    assert checked >= 4
+
+
 @pytest.mark.parametrize("i", [30, 72])
 def test_a_pair_whose_groups_collide_at_t1_0_slices_from_t1_1(monkeypatch, i):
     # su pool entries 30 and 72 are the only ones with a pair whose groups'
@@ -930,14 +990,14 @@ def test_a_pair_whose_groups_collide_at_t1_0_slices_from_t1_1(monkeypatch, i):
     assert lifts and all(P is not None for lifted in lifts for P in lifted)
 
 
-@pytest.mark.parametrize("i", [30, 55, 72])
+@pytest.mark.parametrize("i", [30, 55, 76])
 def test_slices_sharing_their_pair_preparation_lift_what_a_fresh_one_lifts(monkeypatch, i):
     # every slice of a pair lifts from one preparation of the pair's line
     # base, whose lift tree nodes each slice may rebuild at a larger modulus
     # or read mod its own; each must lift what a preparation of the line
-    # base read anew gives, for every group.  su pool entries 30 and 72
-    # have a pair with w0 = 1; entry 55 has junk groups that reconstruct
-    # under some moduli and not others
+    # base read anew gives, for every group.  su pool entry 30 has a pair
+    # with w0 = 1; entry 55 has junk groups that reconstruct under some
+    # moduli and not others; entry 76 has a pair of four slices
     import polyfactor.basefactor as basefactor
     import polyfactor.engine as engine
     from polyfactor.basefactor import PreparedBase
@@ -985,7 +1045,7 @@ def _same_reading(got, want):
     return (rows, got[1:4], got[5:]) == ([sorted(row) for row in want.rows], want[1:4], want[5:])
 
 
-@pytest.mark.parametrize("workload, i", [("su", 30), ("su", 55), ("su", 72), ("sparse-cd", 21)])
+@pytest.mark.parametrize("workload, i", [("su", 30), ("su", 55), ("su", 76), ("sparse-cd", 21)])
 def test_the_integer_line_slice_is_the_rational_one_read(monkeypatch, workload, i):
     # every slice a pair reads from the residual's integer table has the
     # rows, den, degrees and prime that reading its rational projection

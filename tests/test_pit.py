@@ -12,7 +12,9 @@ from polyfactor.pit import (
     ProbeCounter,
     berlekamp_massey,
     find_nonzero_point,
+    interpolate_lines,
     interpolation_plan,
+    line_count,
     sparse_interpolate,
     sparse_pit,
     trivial_hitting_set,
@@ -234,3 +236,73 @@ def test_repeated_support_monomial_is_refused():
     values = [f.eval_point(p) for p in interpolation_plan(3, 1)][:3]
     with pytest.raises(InterpolationFailure):
         sparse_interpolate(values, 3, 1, 1, support)
+
+
+@st.composite
+def members_on_lines(draw):
+    """(support, f, origin): a class member (`class_members`) and an
+    origin with integer or rational coordinates."""
+    support, f = draw(class_members())
+    if draw(st.booleans()):
+        coordinate = st.integers(-4, 4).map(Q)
+    else:
+        coordinate = st.builds(Q, st.integers(-9, 9), st.integers(2, 5))
+    return support, f, tuple(draw(st.lists(coordinate, min_size=f.n, max_size=f.n)))
+
+
+def _line_rows(f, origin, count):
+    """rows[L]: {k: the t^k coefficient of f(origin + t omega_L)}, omega_L
+    the L-th plan point, for L < count."""
+    rows = []
+    for omega in interpolation_plan(count, f.n)[:count]:
+        line = [SparsePoly.linear((w,), o) for w, o in zip(omega, origin)]
+        rows.append({e[0]: c for e, c in f.substitute(line, m=1).terms.items()})
+    return rows
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(members_on_lines())
+def test_line_restrictions_give_back_the_member(member):
+    # N = max_k |S_k| lines fix the member; one line fewer does not
+    support, f, origin = member
+    N = line_count(support)
+    rows = _line_rows(f, origin, N + 2)
+    assert interpolate_lines(rows[:N], support, origin) == f
+    assert interpolate_lines(rows, support, origin) == f
+    with pytest.raises(InterpolationFailure):
+        interpolate_lines(rows[: N - 1], support, origin)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(members_on_lines(), st.integers(0, 3), st.integers(1, 5))
+def test_a_line_coefficient_above_the_degree_is_refused(member, line, c):
+    support, f, origin = member
+    deg = max(sum(mono) for mono in support)
+    rows = _line_rows(f, origin, line_count(support) + line)
+    rows[line][deg + 1] = Q(c)
+    with pytest.raises(InterpolationFailure):
+        interpolate_lines(rows, support, origin)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(members_on_lines(), st.data())
+def test_a_disagreeing_further_line_is_refused(member, data):
+    # the line past the N the support needs is further for every degree
+    support, f, origin = member
+    deg = max(sum(mono) for mono in support)
+    N = line_count(support)
+    rows = _line_rows(f, origin, N + 1)
+    k = data.draw(st.integers(0, deg))
+    rows[N][k] = rows[N].get(k, Q(0)) + data.draw(st.sampled_from([Q(1), Q(-1, 3)]))
+    with pytest.raises(InterpolationFailure):
+        interpolate_lines(rows, support, origin)
+
+
+def test_su_supports_take_n_lines():
+    # SU: S_0 = {1} and S_k = {z_1^k, ..., z_n^k}, so n lines, not n deg + 1
+    # points; the constant-degree support needs its top degree's monomials
+    for n in range(1, 5):
+        for deg in range(1, 4):
+            assert line_count(su_oracle(n, deg).support_for_degree(deg)) == n
+            cd = constant_degree_oracle(deg, n, deg).support_for_degree(deg)
+            assert line_count(cd) == math.comb(n + deg - 1, deg)
