@@ -51,7 +51,6 @@ from .engine import (
     projected_factoring,
     sparse_factors,
     sparse_irreducible_test,
-    unmonicize,
 )
 from .oracles import (
     IrredProjOracle,
@@ -101,7 +100,6 @@ __all__ = [
     "projected_factoring",
     "sparse_factors",
     "sparse_irreducible_test",
-    "unmonicize",
     "IrredProjOracle",
     "constant_degree_oracle",
     "su_is_irreducible_by_support",

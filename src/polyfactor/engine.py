@@ -7,7 +7,9 @@ divided out, changed only by replacing it with an exact quotient.
 The constant-degree pipelines project the input once, on the compact
 isolation scheme, factor the trivariate image only as far as a factor of
 degree <= delta reaches (the scheme's image degree bounds), and divide out
-every inverted candidate; under the promise a residual still nonconstant
+every candidate inverted through the map that made it: a trivariate factor
+is read back on its x- and t-free terms and kept only when the forward map
+gives it back exactly.  Under the promise a residual still nonconstant
 after that pass is a violation.
 Soundness never depends on the scheme: the exact division of the residual,
 smallest candidate first, proves each emitted factor and its irreducibility.
@@ -18,8 +20,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .rational import ONE, ZERO
-from .sparse import SparsePoly, _compose, _int_table, _tops
-from .dense import to_dense
+from .sparse import SparsePoly, _compose, _from_table, _int_table, _tops
 from .factors import FactorList, divide_out
 from .errors import (
     CapError,
@@ -37,9 +38,11 @@ from .pit import (
     line_count,
     sparse_interpolate,
 )
-# no pipeline calls psi_map; it stays importable from here because
-# perfbench/tracer.py hooks engine.psi_map by name
-from .isolation import check_image_cells, compact_scheme, psi_map, psi_invert
+from .isolation import check_image_cells, compact_scheme, psi_images, psi_read_back
+# no pipeline calls monicize, psi_invert, psi_map or to_dense; they stay
+# importable from here because perfbench/tracer.py hooks them by name
+from .isolation import psi_invert, psi_map
+from .dense import to_dense
 from .basefactor import factor_candidates, factor_monic, lift_slice, read_table, slice_point
 from .divisibility import constant_degree_divides
 from .config import DEFAULT as DEFAULT_CONFIG
@@ -119,23 +122,6 @@ def monicize(f):
     return MonicShift(alpha, normalizer, f.n, d), f_alpha
 
 
-def unmonicize(g_hat, shift):
-    """Inverse of the monic shift: z_i -> z_i - alpha_i x, then x -> 0.
-
-    For images of the shift the result is exact up to scalar; for junk
-    candidates the x -> 0 projection simply yields another junk polynomial
-    for the divisibility gate to reject.
-    """
-    m = shift.n + 1
-    x = SparsePoly.variable(m, 1)
-    assignment = [x] + [
-        SparsePoly.variable(m, i) - x.scale(a)
-        for i, a in enumerate(shift.alpha, start=2)
-    ]
-    sheared = g_hat.substitute(assignment, m=m)
-    return sheared.eval_var(1, 0), 1 in sheared.var_support()
-
-
 def _psi_reading(f, alpha, normalizer, scheme):
     """The reading (`read_table`) of psi's image of the monic shift,
     f(alpha_i x + y^{w_i} t + y^{w'_i}) / normalizer in (x, y, t), since
@@ -150,12 +136,7 @@ def _psi_reading(f, alpha, normalizer, scheme):
     if p < 0:
         p, q = -p, -q
     table = {e: c * q for e, c in table.items()}
-    images = []
-    for a, wi, wpi in zip(alpha, scheme.w, scheme.w_prime):
-        # z_i -> (a x + d y^{w_i} t + d y^{w'_i}) / d, alpha_i = a / d
-        d = int(a.denominator)
-        terms = (((1, 0, 0), int(a.numerator)), ((0, wi, 1), d), ((0, wpi, 0), d))
-        images.append(({e: c for e, c in terms if c}, d))
+    images = psi_images(scheme, alpha)
     reading = read_table(3, *_compose(table, den * p, _tops(table, f.n), images, 3))
     d = f.degree()
     if reading.degrees[0] != d or reading.rows[d] != [(0, 0, reading.den)]:
@@ -170,7 +151,8 @@ def projected_factoring(f, delta, config=None):
     one substitution read straight into integers (`_psi_reading`), and
     factor the image only as far as its image degree bounds reach
     (x-degree <= delta), since a factor of f of degree <= delta maps within
-    them and psi_invert rejects any factor outside them."""
+    them and its inversion (`_invert_candidate`) rejects any factor
+    outside them."""
     config = config or DEFAULT_CONFIG
     if delta < 1:
         raise ValueError("delta must be >= 1")
@@ -189,16 +171,21 @@ def projected_factoring(f, delta, config=None):
     return ProjectedFactorSet(proj_mult, MonicShift(alpha, normalizer, f.n, f.degree()), scheme)
 
 
-def _invert_candidate(h, proj, delta):
-    """Trivariate factor -> candidate factor of f, or None."""
+def _invert_candidate(h, proj):
+    """The canonical g whose image is the trivariate factor h, or None: g is
+    read back on h's x- and t-free terms (`psi_read_back`, degree <= delta)
+    and kept when nonconstant and its image under the map that made h
+    (`psi_images`) is h itself, unscaled, as g was read at h's scale.  The
+    smallest-first argument of `_constant_degree_search` needs that."""
     try:
-        g_hat = psi_invert(to_dense(h), proj.scheme, delta)
+        g = psi_read_back(h, proj.scheme)
     except NotInCodomain:
         return None
-    g, has_x = unmonicize(g_hat, proj.shift)
-    if has_x or g.is_constant():
+    if g.is_constant():
         return None
-    if (g.degree() or 0) > delta:
+    table, den = _int_table(g)
+    images = psi_images(proj.scheme, proj.shift.alpha)
+    if _from_table(3, *_compose(table, den, _tops(table, g.n), images, 3)) != h:
         return None
     return g.canonical()
 
@@ -216,7 +203,7 @@ def _constant_degree_search(f, delta, config):
     found = []
     residual = f
     for h, _ in proj.s_proj_fac_mult:
-        g = _invert_candidate(h, proj, delta)
+        g = _invert_candidate(h, proj)
         if g is None:
             continue
         residual, e = divide_out(residual, g)
@@ -415,6 +402,8 @@ def sparse_factors(f, s, oracle, config=None):
     irreducible ends the search without exhausting the grid.
     """
     config = config or DEFAULT_CONFIG
+    if s < 1:
+        raise ValueError("sparsity bound must be >= 1")
     if f.is_constant():
         raise PolyError("cannot factor a constant")
     alpha = _monic_point(f)[0]

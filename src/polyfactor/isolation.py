@@ -18,8 +18,7 @@ import json
 from dataclasses import dataclass
 from math import prod
 
-from .rational import ONE
-from .sparse import SparsePoly
+from .sparse import SparsePoly, _compose, _from_table, _int_table, _tops
 from .dense import DensePoly3
 from .errors import CapError, NotInCodomain, PolyError
 
@@ -158,13 +157,33 @@ def recover_from_phi(h, scheme, x_vars=0):
     return _read_back(h.terms.items(), scheme, scheme.w, x_vars)
 
 
+def psi_images(scheme, alpha):
+    """The images z_i -> alpha_i x + y^{w_i} t + y^{w'_i} in (x, y, t), as
+    integers over one denominator each (`sparse._compose`), alpha_i = a / d
+    giving (a x + d y^{w_i} t + d y^{w'_i}) / d: the one psi formula, with
+    alpha = 0 for psi itself and the monic shift's alpha for its image."""
+    images = []
+    for a, wi, wpi in zip(alpha, scheme.w, scheme.w_prime):
+        d = int(a.denominator)
+        terms = (((1, 0, 0), int(a.numerator)), ((0, wi, 1), d), ((0, wpi, 0), d))
+        images.append(({e: c for e, c in terms if c}, d))
+    return images
+
+
+def psi_read_back(h, scheme):
+    """The g(z) with g(y^{w'}) = h's x- and t-free terms, read back through
+    the w' table; NotInCodomain on a y-exponent with no preimage of degree
+    <= scheme.delta.  For the image h of g(alpha x + z) these terms are
+    g(y^{w'}), since x = t = 0 leaves z_i -> y^{w'_i}."""
+    free = (((j,), c) for (i, j, k), c in h.terms.items() if not i and not k)
+    return _read_back(free, scheme, scheme.w_prime, 0)
+
+
 def _psi_image(f, scheme):
     """g(x, z) -> g(x, y^{w_i} t + y^{w'_i}) as a SparsePoly in (x, y, t)."""
-    assignment = [SparsePoly.variable(3, 1)] + [
-        SparsePoly(3, {(0, wi, 1): ONE, (0, wpi, 0): ONE})
-        for wi, wpi in zip(scheme.w, scheme.w_prime)
-    ]
-    return f.substitute(assignment, m=3)
+    table, den = _int_table(f)
+    images = [({(1, 0, 0): 1}, 1)] + psi_images(scheme, (0,) * scheme.n)
+    return _from_table(3, *_compose(table, den, _tops(table, f.n), images, 3))
 
 
 def check_image_cells(x_degree, z_exponents, scheme, max_cells):

@@ -4,8 +4,8 @@ interpolation for the class of s-sparse n-variate degree-d polynomials.
 The interpolation scheme is deterministic Prony (prime-power evaluation
 points, a Berlekamp-Massey recurrence over Q, integer root extraction of the
 term locator, then a transposed Vandermonde solve); when the caller knows
-the monomial support, the solve alone runs on it, on point values or one
-degree at a time on restrictions to lines (`interpolate_lines`).  It
+the monomial support, the solve alone runs on it, one degree at a time on
+restrictions to lines (`interpolate_lines`).  It
 fulfils the same evaluate-then-solve contract as the Klivans-Spielman
 construction and reuses the univariate factorizer for the locator roots.
 """
@@ -281,45 +281,33 @@ def interpolate_lines(rows, support, origin):
     return SparsePoly(len(origin), terms).shift(tuple(-o for o in origin))
 
 
-def sparse_interpolate(values, s, n, d, support=None):
+def sparse_interpolate(values, s, n, d):
     """Recover the unique polynomial of sparsity <= s and degree <= d from its
-    evaluations on the leading points of interpolation_plan(s, n).
-
-    With a known `support` (distinct exponent tuples, every monomial the
-    polynomial may have) of at most s monomials, exactly len(support)
-    values fix it: the value at the i-th point is sum_j c_j * m_j^i with
-    distinct nodes m_j = prod_k p_k^(e_jk), one transposed Vandermonde
-    system (Zippel's known-support step).  Otherwise Ben-Or-Tiwari reads
-    the monomials off 2s values: the Berlekamp-Massey recurrence's locator
-    roots are the nodes, each factored over the first n primes, and the
-    same solve gives the coefficients.  Either result must satisfy the
-    degree and sparsity bounds and reproduce every supplied value."""
+    2s evaluations on interpolation_plan(s, n) by Ben-Or-Tiwari: the
+    Berlekamp-Massey recurrence's locator roots are the nodes m_j =
+    prod_k p_k^(e_jk), each factored over the first n primes, and one
+    transposed Vandermonde solve gives the coefficients.  The result must
+    satisfy the degree and sparsity bounds and reproduce every value."""
     values = [Q(v) for v in values]
-    known = support is not None and len(support) <= s
-    expected = len(support) if known else 2 * s
-    if len(values) != expected:
-        raise InterpolationFailure("expected exactly %d evaluation values" % expected)
+    if len(values) != 2 * s:
+        raise InterpolationFailure("expected exactly %d evaluation values" % (2 * s))
     if all(not v for v in values):
         return SparsePoly.zero(n)
     bases = list(islice(primes(), n))
-    if known:
-        monomials = list(support)
-        nodes = [math.prod(p**e for p, e in zip(bases, mono)) for mono in monomials]
-    else:
-        char, L = berlekamp_massey(values)
-        if L > s or L == 0:
-            raise InterpolationFailure("recovered sparsity exceeds the bound")
-        nodes = _integer_roots(char)
-        if nodes is None:
-            raise InterpolationFailure("locator polynomial does not split over Z")
-        monomials = []
-        for root in nodes:
-            mono = _monomial_from_locator(root, bases, d)
-            if mono is None:
-                raise InterpolationFailure(
-                    "locator root %d is not a bounded prime-power product" % root
-                )
-            monomials.append(mono)
+    char, L = berlekamp_massey(values)
+    if L > s or L == 0:
+        raise InterpolationFailure("recovered sparsity exceeds the bound")
+    nodes = _integer_roots(char)
+    if nodes is None:
+        raise InterpolationFailure("locator polynomial does not split over Z")
+    monomials = []
+    for root in nodes:
+        mono = _monomial_from_locator(root, bases, d)
+        if mono is None:
+            raise InterpolationFailure(
+                "locator root %d is not a bounded prime-power product" % root
+            )
+        monomials.append(mono)
     coeffs = _transposed_vandermonde(nodes, values)
     result = SparsePoly(n, {mono: c for mono, c in zip(monomials, coeffs) if c})
     if result.sparsity() > s or (result.degree() or 0) > d:

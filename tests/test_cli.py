@@ -184,6 +184,17 @@ def test_constant_degree_oracle_rejects_delta_zero(capsys):
     assert "delta must be >= 1" in err
 
 
+@pytest.mark.parametrize("sparsity", ["0", "-3"])
+@pytest.mark.parametrize("text", ["z1^2 - z2", "(z1*z2+1)*(z1+z2^2+3)"])
+def test_a_sparsity_bound_below_one_exits_1(capsys, sparsity, text):
+    code, out, err = run_cli(
+        capsys, "--expand", "factor-sparse", "--sparsity", sparsity, "--oracle", "su", text
+    )
+    assert code == 1
+    assert out == ""
+    assert "sparsity bound must be >= 1" in err
+
+
 def test_output_deterministic(capsys):
     args = ("--expand", "factor-cd", "--delta", "2", "(z1+z2)*(z1^2+z2^2+1)")
     _, out1, _ = run_cli(capsys, *args)

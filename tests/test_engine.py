@@ -22,7 +22,6 @@ from polyfactor.engine import (
     projected_factoring,
     sparse_factors,
     sparse_irreducible_test,
-    unmonicize,
 )
 from polyfactor.basefactor import factor_monic
 from polyfactor.isolation import compact_scheme, psi_invert, psi_map
@@ -91,32 +90,61 @@ def test_monicize_random():
         assert fa.terms[(d,) + (0,) * n] == ONE
 
 
-def test_unmonicize_round_trip():
-    rng = rng_for("unmonicize")
+def _inverter(n, alpha):
+    """(proj, forward): a projection on the compact scheme with the monic
+    shift's point alpha, as `_invert_candidate` reads it, and the forward
+    map g(z) -> g(alpha_i x + y^{w_i} t + y^{w'_i}) built from SparsePoly
+    images, independently of `isolation.psi_images`."""
+    from polyfactor.engine import MonicShift, ProjectedFactorSet
+
+    scheme = compact_scheme(n, 2)
+    proj = ProjectedFactorSet((), MonicShift(tuple(alpha), ONE, n, 2), scheme)
+    x, y, t = (SparsePoly.variable(3, i) for i in (1, 2, 3))
+    images = [
+        x.scale(a) + y**wi * t + y**wpi
+        for a, wi, wpi in zip(alpha, scheme.w, scheme.w_prime)
+    ]
+    return proj, lambda g: g.substitute(images, m=3)
+
+
+def test_the_forward_image_inverts_to_the_canonical_polynomial():
+    from polyfactor.engine import _invert_candidate
+
+    rng = rng_for("invert forward image")
+    checked = 0
     for _ in range(100):
-        n = rng.randint(1, 3)
-        g = random_poly(rng, n, 3, 4)
+        n = rng.randint(1, 4)
+        g = random_poly(rng, n, 2, 5)
         if g.is_constant():
             continue
-        shift, _ = monicize(g)
-        m = n + 1
-        assignment = [
-            SparsePoly.variable(m, i + 1)
-            + SparsePoly.variable(m, 1).scale(shift.alpha[i - 1])
-            for i in range(1, n + 1)
-        ]
-        tau_g = g.substitute(assignment, m=m)
-        back, has_x = unmonicize(tau_g, shift)
-        assert not has_x
-        assert back == g
+        alpha = [Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+        proj, forward = _inverter(n, alpha)
+        h = forward(g)
+        assert _invert_candidate(h, proj) == g.canonical()
+        # read at h's own scale: a scalar multiple of the image inverts too
+        assert _invert_candidate(h.scale(Q(-3, 7)), proj) == g.canonical()
+        checked += 1
+    assert checked > 50
 
 
-def test_unmonicize_flags_junk():
-    f = parse_poly("z1*z2")
-    shift, _ = monicize(f)
-    junk = parse_poly("z1^2 + z2", n=3)  # x^2 + z1: not a shift image
-    _, has_x = unmonicize(junk, shift)
-    assert has_x
+def test_a_candidate_that_is_no_forward_image_is_rejected():
+    from polyfactor.engine import _invert_candidate
+    from polyfactor.isolation import _psi_image
+
+    proj, _ = _inverter(2, (ONE, ONE))
+    assert proj.scheme.w_prime == (3, 1)  # y-exponents 0..4 and 6 read back
+    x, y, t = (SparsePoly.variable(3, i) for i in (1, 2, 3))
+    rejected = [
+        # psi's image x^2 + y t + y^3 of x^2 + z1, which is no shift image:
+        # its free terms read back to z1, whose forward image is x + y t + y^3
+        _psi_image(parse_poly("z1^2 + z2", 3), proj.scheme),
+        # y^5 has no preimage of degree <= 2 under w'
+        x * x + y**5 + SparsePoly.const(3, 1),
+        # no x- and t-free term: the read back is 0, a constant
+        x * x + y * t + x * y,
+    ]
+    for h in rejected:
+        assert _invert_candidate(h, proj) is None, h
 
 
 def test_projected_factoring_splits():
@@ -474,84 +502,94 @@ def test_a_candidate_product_of_two_factors_fails_the_division(monkeypatch):
     assert divisions[-1] == (product.canonical(), 0)
 
 
-def test_psi_invert_rejects_a_candidate_that_is_no_image(monkeypatch):
+def test_a_candidate_that_is_no_image_is_rejected_before_any_division(monkeypatch):
     # entry 96 of the cd pool: subsets of lifted groups that reconstruct
     # over Q without being the image of a factor of f are candidates too;
-    # psi_invert rejects them before any division
+    # the inversion rejects them before any division
     import polyfactor.engine as engine
 
     f, expected = pool_entry("cd", 96)
+    invert = engine._invert_candidate
     rejected = []
 
-    def recorded(*args):
-        try:
-            return psi_invert(*args)
-        except NotInCodomain:
-            rejected.append(args[0])
-            raise
+    def recorded(h, proj):
+        g = invert(h, proj)
+        if g is None:
+            rejected.append(h)
+        return g
 
-    monkeypatch.setattr(engine, "psi_invert", recorded)
+    monkeypatch.setattr(engine, "_invert_candidate", recorded)
     assert constant_degree_factors(f, 2).to_json_dict() == expected
     assert rejected
 
 
 def test_psi_is_read_back_on_sparse_terms(monkeypatch):
-    # psi_invert converts its grid once and allocates none of its own, and
-    # projected_factoring reads f's image straight into integers, so it
-    # allocates no grid at all and none is scanned for its degrees
+    # the image is read straight into integers and each candidate is read
+    # back on its sparse terms, so no DensePoly3 is built and neither
+    # psi_invert nor to_dense runs
     import polyfactor.engine as engine
+    import polyfactor.isolation as isolation
     from polyfactor.dense import DensePoly3
 
-    f, expected = pool_entry("cd", 96)
-    init, to_sparse = DensePoly3.__init__, DensePoly3.to_sparse
-    project = engine.projected_factoring
-    scans = None  # grids converted by the running psi_invert, None outside it
-    projecting = False
-    per_call = []
-    allocated = []
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the cd pipeline reached the dense grid")
 
-    def guarded_init(grid, *args):
-        if scans is not None:
-            raise AssertionError("psi_invert allocated a grid")
-        if projecting:
-            raise AssertionError("projected_factoring allocated a grid")
-        allocated.append(grid)
-        init(grid, *args)
+    monkeypatch.setattr(DensePoly3, "__init__", forbidden)
+    for owner, name in ((engine, "psi_invert"), (isolation, "psi_invert"), (engine, "to_dense")):
+        monkeypatch.setattr(owner, name, forbidden)
+    for i in (0, 96, 131):
+        f, expected = pool_entry("cd", i)
+        assert constant_degree_factors(f, 2).to_json_dict() == expected
+        with pytest.raises(PromiseViolation):  # the cubic cofactor stays
+            factor_constant_degree_promise(f, 2)
 
-    def counted_to_sparse(grid):
-        if scans is not None:
-            scans.append(grid)
-        return to_sparse(grid)
 
-    def no_scan(grid):
-        raise AssertionError("a grid was scanned for its degrees")
+def _old_inversion(h, proj, delta):
+    """The inversion as it was: psi_invert on h's dense grid, which reads
+    the t = 0 slice through w' and checks it by psi's image, then the shear
+    z_i -> z_i - alpha_i x, which must remove x, and x -> 0."""
+    from polyfactor.dense import to_dense
 
-    def recorded(*args):
-        nonlocal scans
-        scans = []
-        try:
-            return psi_invert(*args)
-        finally:
-            per_call.append(len(scans))
-            scans = None
+    try:
+        g_hat = psi_invert(to_dense(h), proj.scheme, delta)
+    except NotInCodomain:
+        return None
+    m = proj.scheme.n + 1
+    x = SparsePoly.variable(m, 1)
+    assignment = [x] + [
+        SparsePoly.variable(m, i) - x.scale(a) for i, a in enumerate(proj.shift.alpha, start=2)
+    ]
+    sheared = g_hat.substitute(assignment, m=m)
+    g = sheared.eval_var(1, 0)
+    if 1 in sheared.var_support() or g.is_constant() or g.degree() > delta:
+        return None
+    return g.canonical()
 
-    def recorded_projection(*args):
-        nonlocal projecting
-        projecting = True
-        try:
-            return project(*args)
-        finally:
-            projecting = False
 
-    monkeypatch.setattr(DensePoly3, "__init__", guarded_init)
-    monkeypatch.setattr(DensePoly3, "to_sparse", counted_to_sparse)
-    monkeypatch.setattr(DensePoly3, "true_degrees", no_scan)
-    monkeypatch.setattr(engine, "psi_invert", recorded)
-    monkeypatch.setattr(engine, "projected_factoring", recorded_projection)
-    assert constant_degree_factors(f, 2).to_json_dict() == expected
-    assert per_call and set(per_call) == {1}
-    # the guards ran: each candidate's grid was allocated, outside both
-    assert len(allocated) == len(per_call)
+def test_the_inversion_accepts_exactly_the_old_candidates_on_the_fast_cd_entries(monkeypatch):
+    # every fast entry's candidates invert; entry 96 adds rejected ones
+    import polyfactor.engine as engine
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "corpus", "cd.costs.json")) as fh:
+        costs = json.load(fh)
+    invert = engine._invert_candidate
+    outcomes = []
+
+    def compared(h, proj):
+        g = invert(h, proj)
+        assert g == _old_inversion(h, proj, 2), h
+        outcomes.append(g is not None)
+        return g
+
+    monkeypatch.setattr(engine, "_invert_candidate", compared)
+    fast = [i for i, cost in enumerate(costs) if cost < 0.1]
+    assert len(fast) == 59
+    for i in fast + [96]:
+        f, expected = pool_entry("cd", i)
+        assert constant_degree_factors(f, 2).to_json_dict() == expected, i
+    # both ways back accept and reject candidates
+    assert sum(outcomes) > 60 and not all(outcomes)
 
 
 def test_multiplicity_worked_example():
@@ -782,21 +820,35 @@ def test_sparse_factors_below_the_support_size_run_ben_or_tiwari(monkeypatch):
     # the quadratic factor is read off 2s values by Ben-Or-Tiwari
     import polyfactor.engine as engine
 
-    supports = []
+    degrees = []
     original = engine.sparse_interpolate
 
-    def spy(values, s, n, d, support=None):
-        supports.append((d, support))
-        return original(values, s, n, d, support)
+    def spy(values, s, n, d):
+        degrees.append(d)
+        return original(values, s, n, d)
 
     monkeypatch.setattr(engine, "sparse_interpolate", spy)
     f = parse_product("(z1^2 + 2*z2*z3 + 3)*(z1 - z3 + 2)*(z1^3 + z2 + 5)")
     fl = sparse_factors(f, 4, constant_degree_oracle(2, 3, f.degree()))
-    assert (2, None) in supports
+    assert 2 in degrees
     _, mults = sympy_factorization(f)
     expected = {g: e for g, e in mults.items() if g.degree() <= 2 and g.sparsity() <= 4}
     assert parse_poly("z1^2 + 2*z2*z3 + 3") in expected
     assert dict(fl.factors) == expected
+
+
+@pytest.mark.parametrize("s", [0, -3])
+@pytest.mark.parametrize("text", ["z1^2 - z2", "(z1*z2+1)*(z1+z2^2+3)"])
+def test_a_sparsity_bound_below_one_is_refused_before_any_work(monkeypatch, s, text):
+    import polyfactor.engine as engine
+
+    def no_work(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(engine, "_monic_point", no_work)
+    f = parse_product(text)
+    with pytest.raises(ValueError, match="sparsity bound must be >= 1"):
+        sparse_factors(f, s, su_oracle(f.n, f.degree()))
 
 
 @pytest.mark.parametrize(

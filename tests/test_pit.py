@@ -10,6 +10,7 @@ from polyfactor.sparse import SparsePoly
 from polyfactor.parse import parse_poly, parse_product
 from polyfactor.pit import (
     ProbeCounter,
+    _transposed_vandermonde,
     berlekamp_massey,
     find_nonzero_point,
     interpolate_lines,
@@ -200,44 +201,6 @@ def class_members(draw):
     return support, f
 
 
-@settings(derandomize=True, deadline=None, max_examples=80)
-@given(class_members())
-def test_known_support_solve_matches_ben_or_tiwari(member):
-    support, f = member
-    T = len(support)
-    d = max(sum(mono) for mono in support)
-    values = [f.eval_point(p) for p in interpolation_plan(T, f.n)]
-    known = sparse_interpolate(values[:T], T, f.n, d, support)
-    assert known == sparse_interpolate(values, T, f.n, d) == f
-
-
-def test_known_support_takes_exactly_T_values():
-    support = su_oracle(2, 2).support_for_degree(2)
-    f = parse_poly("z1^2 - 3*z2 + 1")
-    values = [f.eval_point(p) for p in interpolation_plan(len(support), 2)]
-    with pytest.raises(InterpolationFailure):
-        sparse_interpolate(values, len(support), 2, 2, support)
-    assert sparse_interpolate(values[: len(support)], len(support), 2, 2, support) == f
-
-
-def test_known_support_wider_than_the_bound_runs_ben_or_tiwari():
-    # C(4, 2) = 6 monomials exceed s = 2, so the support is not used and the
-    # solve reads the monomials off 2s values
-    support = constant_degree_oracle(2, 2, 2).support_for_degree(2)
-    assert len(support) == math.comb(4, 2)
-    f = parse_poly("3*z1*z2 + 5*z2^2")
-    values = [f.eval_point(p) for p in interpolation_plan(2, 2)]
-    assert sparse_interpolate(values, 2, 2, 2, support) == f
-
-
-def test_repeated_support_monomial_is_refused():
-    f = parse_poly("z1 + 2")
-    support = ((0,), (1,), (1,))
-    values = [f.eval_point(p) for p in interpolation_plan(3, 1)][:3]
-    with pytest.raises(InterpolationFailure):
-        sparse_interpolate(values, 3, 1, 1, support)
-
-
 @st.composite
 def members_on_lines(draw):
     """(support, f, origin): a class member (`class_members`) and an
@@ -296,6 +259,30 @@ def test_a_disagreeing_further_line_is_refused(member, data):
     rows[N][k] = rows[N].get(k, Q(0)) + data.draw(st.sampled_from([Q(1), Q(-1, 3)]))
     with pytest.raises(InterpolationFailure):
         interpolate_lines(rows, support, origin)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(class_members())
+def test_known_support_solve_matches_ben_or_tiwari(member):
+    # the plan's points are the lines' t = 1 points from the origin, so the
+    # known-support solve of N lines and Ben-Or-Tiwari of 2T values agree
+    support, f = member
+    T = len(support)
+    d = max(sum(mono) for mono in support)
+    values = [f.eval_point(p) for p in interpolation_plan(T, f.n)]
+    rows = _line_rows(f, (Q(0),) * f.n, 2 * T)
+    assert [sum(row.values(), Q(0)) for row in rows] == values
+    known = interpolate_lines(rows[: line_count(support)], support, (Q(0),) * f.n)
+    assert known == sparse_interpolate(values, T, f.n, d) == f
+
+
+def test_repeated_support_monomial_is_refused():
+    # two equal nodes, as a repeated monomial of a support gives, leave
+    # the transposed Vandermonde system singular
+    values = [Q(3), Q(5), Q(7)]
+    with pytest.raises(InterpolationFailure):
+        _transposed_vandermonde([1, 2, 2], values)
+    assert _transposed_vandermonde([1, 2, 3], [Q(3), Q(6), Q(14)]) == [Q(1), Q(1), Q(1)]
 
 
 def test_su_supports_take_n_lines():
