@@ -56,7 +56,7 @@ group, unproved, reconstructing no other; `slice_point(base)` finds, once
 per factorization of a polynomial in (x, t1), the least t1 = w0 where its
 groups are pairwise coprime mod P, so every line from there lifts with
 dw = 0, and prepares their images there once for all those lines.
-`factor_monic(f, bounds=...)` asks only for the factors within
+`factor_candidates(f, bounds)` asks only for the factors within
 proportional degree bounds (bx, bv, bw), a factor of x-degree a lying
 within (a, a bv / bx, a bw / bx): only subsets within the x-bound
 recombine, and the lift stops at the v- and w-orders the largest x-degree
@@ -542,24 +542,11 @@ def _up_gcd_z(f, g):
     return a
 
 
-def _int_rows(f, v=None, w=None):
-    """(rows, den): f's terms as integers over their common denominator den,
-    rows[ex] holding (v-exponent, w-exponent, integer) for each term of
-    x-degree ex (x is variable 1; a variable None, or past f's n, has
-    exponent 0: it reads the 0 appended to each exponent tuple)."""
-    table, den = _int_table(f)
-    iv, iw = (i - 1 if i and i <= f.n else f.n for i in (v, w))
-    rows = [[] for _ in range((f.degree_in(1) or 0) + 1)]
-    for exps, c in table.items():
-        exps += (0,)
-        rows[exps[0]].append((exps[iv], exps[iw], c))
-    return rows, den
-
-
 def _eval_rows(rows, den, v0, w0, p):
-    """rows / den at z_v = v0, z_w = w0 mod the prime p (`_int_rows`' rows,
-    p not dividing den), as an ascending list of x-coefficients; the power
-    of v0 or w0 at each exponent present is taken once."""
+    """rows / den at z_v = v0, z_w = w0 mod the prime p (integer rows as a
+    reading holds them, `read_table`; p not dividing den), as an ascending
+    list of x-coefficients; the power of v0 or w0 at each exponent present
+    is taken once."""
     scale = pow(den, -1, p)
     vp = {ev: pow(v0, ev, p) for ev in {ev for row in rows for ev, _, _ in row}}
     wp = {ew: pow(w0, ew, p) for ew in {ew for row in rows for _, ew, _ in row}}
@@ -568,7 +555,7 @@ def _eval_rows(rows, den, v0, w0, p):
 
 def _factor_univariate_pairs(rows, n):
     """[(canonical irreducible, multiplicity)] for a polynomial in x alone,
-    read as integer rows (`_int_rows`), in n variables (the others unused).
+    read as integer rows (`read_table`), in n variables (the others unused).
 
     Yun's squarefree decomposition runs on the primitive integer part F of f.
     By Gauss's lemma every quotient stays in Z[x], and every part comes out
@@ -883,8 +870,8 @@ def _eval_points():
 
 
 def _rows_to_series(rows, den, K, m):
-    """The z_v-series of packed (x, w) dicts mod m of rows / den, the
-    integer rows of `_int_rows`; den is invertible mod m."""
+    """The z_v-series of packed (x, w) dicts mod m of rows / den, integer
+    rows as a reading holds them (`read_table`); den is invertible mod m."""
     inv = pow(den, -1, m)
     ser = [dict() for _ in range(K)]
     for ex, row in enumerate(rows):
@@ -972,21 +959,14 @@ def _prime_avoiding(den):
 _Reading = namedtuple("_Reading", "f n v w rows den degrees prime")
 
 
-def _read(f, v, w):
-    """f read once for its probes and lifts in z_v, keeping z_w: its integer
-    rows over den (`_int_rows`), its degrees (dx, dv, dw) and the prime P.
-    A bivariate f is read with w = 3, a variable it lacks, so dw = 0."""
-    rows, den = _int_rows(f, v, w)
-    exps = [(ev, ew) for row in rows for ev, ew, _ in row]
-    degrees = (len(rows) - 1,) + tuple(max(col) for col in zip(*exps))
-    return _Reading(f, f.n, v, w, rows, den, degrees, _prime_avoiding(den))
-
-
 def read_table(n, table, den, unpack=None, f=None):
     """The reading of f = table / den, a polynomial in n <= 3 variables with
-    x first, as `_read(f, v, 5 - v)` reads it (the same rows up to their
-    order, den, degrees and prime), for z_v the side variable of largest
-    degree, the first on a tie (z2 for a bivariate f).  table holds
+    x first, for its probes and lifts in z_v, keeping z_w = z_(5 - v):
+    rows[ex] holds (v-exponent, w-exponent, integer) for each term of
+    x-degree ex, over den, with f's degrees (dx, dv, dw) and the least
+    prime P >= 2^20 that avoids den.  z_v is the side variable of largest
+    degree, the first on a tie; a bivariate f reads w = 3, a variable it
+    lacks, so dw = 0, and a univariate f reads dv = dw = 0.  table holds
     integers on exponent tuples (`_int_table`), or on packed keys that
     unpack turns into them, as the substitution kernel's integer core
     leaves them (`sparse._compose`); then no SparsePoly is made, and the
@@ -1035,15 +1015,18 @@ def _poly(reading):
 
 def _group_tables(base):
     """(rows, lc) for each group u of `base`, a factorization of f at one
-    point: u's primitive integer rows, z_w its variable 2 (`_int_rows`),
-    and their x-leading integer.  A factor of a monic-in-x polynomial has a
-    constant x-leading coefficient, so the groups' monic images multiply to
-    f's image exactly; _AttemptFailed when one has not."""
+    point: u's primitive integer rows (`read_table`'s layout, with z_w its
+    variable 2 and no z_v), and their x-leading integer.  A factor of a
+    monic-in-x polynomial has a constant x-leading coefficient, so the
+    groups' monic images multiply to f's image exactly; _AttemptFailed when
+    one has not."""
     tables = []
     for u, _ in base:
-        rows = _int_rows(u, None, 2)[0]
-        content = math.gcd(*(c for row in rows for _, _, c in row))
-        rows = [[(ev, ew, c // content) for ev, ew, c in row] for row in rows]
+        table, _ = _int_table(u)
+        content = math.gcd(*table.values())
+        rows = [[] for _ in range((u.degree_in(1) or 0) + 1)]
+        for exps, c in table.items():
+            rows[exps[0]].append((0, (*exps, 0)[1], c // content))
         if len(rows[-1]) != 1 or rows[-1][0][1]:
             raise _AttemptFailed("non-constant x-leading coefficient")
         tables.append((rows, rows[-1][0][2]))
@@ -1289,10 +1272,10 @@ def lift_slice(reading, prepared, wanted):
     whose index is in `wanted`, in that order (only these are
     reconstructed), by Wang's lift from a known point (Math. Comp. 1978).
     f is bivariate or trivariate and monic in x, read for a lift in its
-    last variable: `_read(f, f.n, 5 - f.n)`, or `read_table` for a line
-    slice f(x, t), whose groups are in x alone (`slice_point`) and whose
-    lift carries one w-order.  Every slice lifted from one preparation
-    shares its tables, coprime point and tree nodes.  None where a group
+    last variable, as `read_table` reads a line slice f(x, t), whose
+    groups are in x alone (`slice_point`) and whose lift carries one
+    w-order.  Every slice lifted from one preparation shares its tables,
+    coprime point and tree nodes.  None where a group
     does not reconstruct, and everywhere when the lift fails.  Unproved:
     the caller decides."""
     try:
@@ -1412,37 +1395,28 @@ def _require_monic_in_x(f):
                 raise PolyError("polynomial is not monic in x")
 
 
-def factor_monic(f, bounds=None):
-    """FactorList of a SparsePoly (<=3 vars) monic in variable 1.
-
-    `bounds`, when given, holds a degree bound per variable, x first, and
-    only the factors whose x-degree is at most bounds[0] are asked for.  The
-    bounds are proportional: a wanted factor of x-degree a lies within
-    bounds[i] * a / bounds[0] in each side variable i, as psi's image of a
-    factor of total degree a lies within (a, a W, a) of the scheme's
-    (delta, delta W, delta).  The lift stops where such factors end at the
-    largest x-degree a recombined subset reaches (Wang's EEZ lift cut at
-    the wanted degrees).  The result then holds unproved candidates in
-    FactorList order (total degree first), scalar 1: each of f's
-    irreducible factors within the proportional bounds with its
-    multiplicity in f, and possibly products of them or junk; the caller's
-    division of f decides.
-
-    Without bounds the result is complete and not multiplied back out:
-    Yun and Zassenhaus end on exact quotients in Z[x], the lift divides
-    each factor out as often as its multiplicity down to a constant, an
-    irreducibility certificate returns f itself, and re-embedding dropped
-    variables is a ring automorphism."""
+def factor_monic(f):
+    """FactorList of a SparsePoly (<=3 vars) monic in variable 1: complete
+    and not multiplied back out.  Yun and Zassenhaus end on exact quotients
+    in Z[x], the lift divides each factor out as often as its multiplicity
+    down to a constant, an irreducibility certificate returns f itself, and
+    re-embedding dropped variables is a ring automorphism."""
     _require_monic_in_x(f)
-    if bounds is None:
-        return FactorList.build(f.leading_coefficient(), _factor_monic_sparse(f))
-    return factor_candidates(f, bounds)
+    return FactorList.build(f.leading_coefficient(), _factor_monic_sparse(f))
 
 
 def factor_candidates(f, bounds):
-    """`factor_monic(f, bounds=bounds)`'s unproved candidates, for f monic
-    in x: a SparsePoly, or its reading (`read_table`), checked monic by its
-    reader, as `engine._psi_reading` checks the projected image."""
+    """Unproved candidates for the factors of f within per-variable degree
+    `bounds`, x first: f is a SparsePoly (<=3 vars) or its reading
+    (`read_table`), monic in x, which the caller checks, as
+    `engine._psi_reading` checks the projected image.  The bounds are
+    proportional: a wanted factor of x-degree a <= bounds[0] lies within
+    bounds[i] * a / bounds[0] in each side variable i, as psi's image of a
+    factor of total degree a lies within (a, a W, a) of the scheme's
+    (delta, delta W, delta), and the lift stops where such factors end.
+    The result, in FactorList order with scalar 1, holds each of f's
+    irreducible factors within the bounds with its multiplicity in f, and
+    possibly products of them or junk; the caller's division of f decides."""
     pairs = _factor_monic_sparse(f, bounds)
     return FactorList.build(ONE, [(g, e) for g, e in pairs if g.degree_in(1) <= bounds[0]])
 
@@ -1462,8 +1436,7 @@ def factor_lowvar(f):
     if f.is_constant():
         return FactorList.build(f.constant_value(), [])
     if f.n == 1:
-        rows = _int_rows(f)[0]
-        return FactorList.build(f.leading_coefficient(), _factor_univariate_pairs(rows, 1))
+        return FactorList.build(f.leading_coefficient(), _factor_monic_sparse(f))
     d = f.degree()
     top = f.hom_component(d)
     # top is a nonzero form, so it is nonzero at some (1, c) with c in

@@ -19,7 +19,7 @@ c_{beta,i} = lambda_beta * a_i.
 import math
 from dataclasses import dataclass
 
-from .rational import Q, ONE, ZERO
+from .rational import Q, ZERO
 from .sparse import SparsePoly
 from .errors import VerificationError, ZeroDivisorError
 from .pit import _transposed_vandermonde, find_nonzero_point
@@ -97,29 +97,6 @@ def quotient_from_witness(witness):
     """h~(z - alpha): equals the exact quotient when the identity holds."""
     neg = [-a for a in witness.alpha]
     return witness.h_tilde.shift(neg)
-
-
-def truncated_series_quotient(f, g, alpha, d):
-    """Brute-force oracle: degree-<=d truncation of f(z+alpha)/g(z+alpha)
-    computed by term-by-term power series division; ValueError when
-    g(alpha) = 0."""
-    F = f.shift(alpha)
-    G = g.shift(alpha)
-    g0 = G.constant_value()
-    if g0 == 0:
-        raise ValueError("g vanishes at alpha: the series f/g does not exist")
-    u = SparsePoly.const(f.n, 1) - G.scale(ONE / g0)  # no constant term
-    inv = SparsePoly.zero(f.n)
-    upow = SparsePoly.const(f.n, 1)
-    for _ in range(d + 1):
-        inv = inv + upow
-        upow = _truncate(upow * u, d)
-    inv = _truncate(inv, d).scale(ONE / g0)
-    return _truncate(F * inv, d)
-
-
-def _truncate(f, d):
-    return SparsePoly(f.n, {e: c for e, c in f.terms.items() if sum(e) <= d})
 
 
 def constant_degree_divides(f, g):

@@ -52,8 +52,6 @@ from .config import DEFAULT as DEFAULT_CONFIG
 class MonicShift:
     alpha: tuple
     normalizer: object
-    n: int
-    degree: int
 
 
 @dataclass(frozen=True)
@@ -119,7 +117,7 @@ def monicize(f):
     f_alpha = _project(f.scale(ONE / normalizer), alpha, units, (0,) * f.n)
     if f_alpha.degree_in(1) != d or f_alpha.terms.get((d,) + (0,) * f.n) != ONE:
         raise VerificationError("monic shift is not monic in x")
-    return MonicShift(alpha, normalizer, f.n, d), f_alpha
+    return MonicShift(alpha, normalizer), f_alpha
 
 
 def _psi_reading(f, alpha, normalizer, scheme):
@@ -168,7 +166,7 @@ def projected_factoring(f, delta, config=None):
     alpha, normalizer = _monic_point(f)
     reading = _psi_reading(f, alpha, normalizer, scheme)
     proj_mult = factor_candidates(reading, scheme.image_degree_bounds()).factors
-    return ProjectedFactorSet(proj_mult, MonicShift(alpha, normalizer, f.n, f.degree()), scheme)
+    return ProjectedFactorSet(proj_mult, MonicShift(alpha, normalizer), scheme)
 
 
 def _invert_candidate(h, proj):

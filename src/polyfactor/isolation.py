@@ -65,8 +65,8 @@ class IsolationScheme:
         """(x, y, t) degree bounds of psi_map's image of any polynomial of
         total degree <= delta in (x, z): a term x^a z^e with a + |e| <= delta
         maps into y-degree <= |e| W, W the largest weight of w and w', and
-        t-degree <= |e|.  They are proportional, as `factor_monic(f,
-        bounds=...)` requires: a polynomial of total degree a <= delta maps
+        t-degree <= |e|.  They are proportional, as `factor_candidates(f,
+        bounds)` requires: a polynomial of total degree a <= delta maps
         within (a, a W, a)."""
         return (self.delta, self.delta * max(self.w + self.w_prime), self.delta)
 
@@ -78,13 +78,6 @@ class IsolationScheme:
                 "w": list(self.w),
                 "w_prime": list(self.w_prime),
             }
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        return cls(
-            data["n"], data["delta"], tuple(data["w"]), tuple(data["w_prime"])
         )
 
 

@@ -33,14 +33,7 @@ def trivial_hitting_set(n, d, max_size=None):
     )
 
 
-class ProbeCounter:
-    """Tallies identity-test probes for the self-reduction budget assertion."""
-
-    def __init__(self):
-        self.count = 0
-
-
-def find_nonzero_point(f, n, d, mode="whitebox", hitting_set=None, counter=None):
+def find_nonzero_point(f, n, d, mode="whitebox", hitting_set=None):
     """A point a with all coordinates nonzero and f(a) != 0.
 
     Whitebox mode takes a SparsePoly and assigns variables one at a time,
@@ -67,8 +60,6 @@ def find_nonzero_point(f, n, d, mode="whitebox", hitting_set=None, counter=None)
                 continue
             chosen = None
             for v in range(1, d + 2):
-                if counter is not None:
-                    counter.count += 1
                 candidate = current.eval_var(1, v)
                 if not candidate.is_zero():
                     chosen = (Q(v), candidate)
@@ -85,8 +76,6 @@ def find_nonzero_point(f, n, d, mode="whitebox", hitting_set=None, counter=None)
         evaluate = f if callable(f) else f.eval_point
         hit = None
         for a in hitting_set:
-            if counter is not None:
-                counter.count += 1
             if evaluate(a):
                 hit = a
                 break
@@ -98,8 +87,6 @@ def find_nonzero_point(f, n, d, mode="whitebox", hitting_set=None, counter=None)
         for j in range(d + 1):
             shift = m_val + 1 + j
             candidate = tuple(c + shift for c in hit)
-            if counter is not None:
-                counter.count += 1
             if evaluate(candidate):
                 return candidate
         raise ZeroPolynomialError("shift search failed on a nonzero polynomial")

@@ -11,12 +11,45 @@ import pytest
 import sympy
 from hypothesis import assume, strategies as st
 
+from polyfactor.basefactor import _Reading, _prime_avoiding
 from polyfactor.rational import Q
-from polyfactor.sparse import SparsePoly
+from polyfactor.sparse import SparsePoly, _int_table
 
 
 def rng_for(name):
     return random.Random("polyfactor::" + name)
+
+
+# ---------------------------------------------------------------------------
+# reference reader (tests only): reads f into the lift's integer rows with
+# the variables chosen by the caller, where `basefactor.read_table` chooses
+# them from f's degrees
+
+
+def int_rows(f, v=None, w=None):
+    """(rows, den): f's terms as integers over their common denominator den,
+    rows[ex] holding (v-exponent, w-exponent, integer) for each term of
+    x-degree ex (x is variable 1; a variable None, or past f's n, has
+    exponent 0: it reads the 0 appended to each exponent tuple)."""
+    table, den = _int_table(f)
+    iv, iw = (i - 1 if i and i <= f.n else f.n for i in (v, w))
+    rows = [[] for _ in range((f.degree_in(1) or 0) + 1)]
+    for exps, c in table.items():
+        exps += (0,)
+        rows[exps[0]].append((exps[iv], exps[iw], c))
+    return rows, den
+
+
+def read_rows(f, v, w):
+    """f read for its probes and lifts in z_v, keeping z_w, as
+    `read_table` reads it when z_v is f's side variable of largest degree:
+    its integer rows over den (`int_rows`), its degrees (dx, dv, dw) and
+    the prime P.  A bivariate f is read with w = 3, a variable it lacks,
+    so dw = 0."""
+    rows, den = int_rows(f, v, w)
+    exps = [(ev, ew) for row in rows for ev, ew, _ in row]
+    degrees = (len(rows) - 1,) + tuple(max(col) for col in zip(*exps))
+    return _Reading(f, f.n, v, w, rows, den, degrees, _prime_avoiding(den))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from polyfactor.sparse import SparsePoly, _mul_into
 from polyfactor.factors import divide_out, factor_sort_key
 from polyfactor.parse import parse_poly, parse_product, render_poly
 from polyfactor.basefactor import (
+    factor_candidates,
     factor_monic,
     factor_lowvar,
     is_irreducible_lowvar,
@@ -25,8 +26,6 @@ from polyfactor.basefactor import (
     _factor_count_mod_p,
     _factor_monic_sparse,
     _factor_univariate_pairs,
-    _int_rows,
-    _read,
     _series_root,
     _series_to_qpoly,
     _shift_series,
@@ -52,8 +51,10 @@ from polyfactor.errors import PolyError, ZeroPolynomialError
 from polyfactor.isolation import compact_scheme, psi_map
 
 from conftest import (
+    int_rows,
     lowvar_products,
     random_poly,
+    read_rows,
     rng_for,
     sympy_factorization,
     sympy_irreducible,
@@ -225,7 +226,7 @@ def test_attempt_lift_away_from_the_origin(text, n, v, w):
     for v0 in (0, 1, -1, 2):
         base = _factor_monic_sparse(f.eval_var(v, v0))
         try:
-            result = _attempt_lift(_read(f, v, w or 3), v0, base)
+            result = _attempt_lift(read_rows(f, v, w or 3), v0, base)
         except _AttemptFailed:
             continue
         assert result == want, (v0, result)
@@ -239,7 +240,7 @@ def test_attempt_lift_with_a_nonzero_w_point():
     f = parse_product("(z1 + z3 + z2)*(z1 - z3 + 2*z2)", 3)
     base = _factor_monic_sparse(f.eval_var(2, 0))
     assert [u.eval_var(2, 0) for u, _ in base] == [parse_poly("z1")] * 2
-    assert _attempt_lift(_read(f, 2, 3), 0, base) == list(factor_monic(f).factors)
+    assert _attempt_lift(read_rows(f, 2, 3), 0, base) == list(factor_monic(f).factors)
 
 
 def test_attempt_lift_recombines_the_pieces_of_a_split_factor():
@@ -252,7 +253,7 @@ def test_attempt_lift_recombines_the_pieces_of_a_split_factor():
     want = list(factor_monic(f3).factors)
     for v0 in (0, 1, -1, 2):
         base = _factor_monic_sparse(f3.eval_var(2, v0))
-        assert _attempt_lift(_read(f3, 2, 3), v0, base) == want, v0
+        assert _attempt_lift(read_rows(f3, 2, 3), v0, base) == want, v0
     # the lift divides f down to a constant remainder, so the first factor
     # fixes the second
     assert [m for _, m in want] == [3, 1]
@@ -262,7 +263,7 @@ def test_attempt_lift_recombines_the_pieces_of_a_split_factor():
     g = parse_product("(z1^2 - z2 - z3^2)*(z1 + z2 + 2*z3)", 3)
     base = _factor_monic_sparse(g.eval_var(2, 0))
     assert len(base) == 3
-    assert _attempt_lift(_read(g, 2, 3), 0, base) == list(factor_monic(g).factors)
+    assert _attempt_lift(read_rows(g, 2, 3), 0, base) == list(factor_monic(g).factors)
 
 
 def test_attempt_lift_fails_at_a_point_that_merges_factors():
@@ -273,7 +274,7 @@ def test_attempt_lift_fails_at_a_point_that_merges_factors():
     for text in ["(z1^2 - z2*z3 - z2)*(z1 + z3)", "(z1 + z2*z3)*(z1 - z2*z3 + z2)"]:
         f = parse_product(text, 3)
         with pytest.raises(_AttemptFailed):
-            _attempt_lift(_read(f, 2, 3), 0, _factor_monic_sparse(f.eval_var(2, 0)))
+            _attempt_lift(read_rows(f, 2, 3), 0, _factor_monic_sparse(f.eval_var(2, 0)))
         assert len(factor_monic(f).factors) == 2
 
 
@@ -294,7 +295,7 @@ def test_attempt_lift_stops_recombining_at_half_the_groups(monkeypatch):
         return reconstruct(*args)
 
     monkeypatch.setattr(basefactor, "_series_to_qpoly", counted)
-    assert _attempt_lift(_read(f, 2, 3), 0, base) == [(f, 1)]
+    assert _attempt_lift(read_rows(f, 2, 3), 0, base) == [(f, 1)]
     assert len(calls) == 10
 
 
@@ -342,7 +343,7 @@ def test_zassenhaus_and_the_lift_share_one_subset_order(monkeypatch):
     f = parse_product("(z1 - 1)*(z1 - 2)*(z1 - 3)*(z1 - 4) + z2", 2)
     base = _factor_monic_sparse(f.eval_var(2, 0))
     log.clear()
-    assert _attempt_lift(_read(f, 2, 3), 0, base) == [(f, 1)]
+    assert _attempt_lift(read_rows(f, 2, 3), 0, base) == [(f, 1)]
     assert log == singles + [(S, False) for S in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]]
 
 
@@ -384,7 +385,7 @@ def test_the_lift_takes_what_is_left_without_dividing_it(monkeypatch):
     want = list(factor_monic(f).factors)
     base = _factor_monic_sparse(f.eval_var(2, 0))
     monkeypatch.setattr(basefactor, "divide_out", counted)
-    assert _attempt_lift(_read(f, 2, 3), 0, base) == want
+    assert _attempt_lift(read_rows(f, 2, 3), 0, base) == want
     rest = parse_poly("z1^2 - z2 + z3", 3)
     assert sorted(divisors, key=factor_sort_key) == [g for g, _ in want if g != rest]
 
@@ -397,7 +398,7 @@ def test_attempt_lift_reconstructs_in_the_original_coordinates():
     f = u**2
     for v0 in (0, 1, -1):
         base = _factor_monic_sparse(f.eval_var(2, v0))
-        assert _attempt_lift(_read(f, 2, 3), v0, base) == [(u, 2)], v0
+        assert _attempt_lift(read_rows(f, 2, 3), v0, base) == [(u, 2)], v0
     assert factor_monic(f).factors == ((u, 2),)
 
 
@@ -493,7 +494,7 @@ def bounded_products(draw):
 
 
 def _check_bounded_factor_monic(f, delta):
-    """Check factor_monic(f, bounds) for bounds (delta, 2 delta, delta):
+    """Check factor_candidates(f, bounds) for bounds (delta, 2 delta, delta):
     the unproved candidates hold every factor of the complete factorization
     within the proportional bounds, (a, 2a, a) for a factor of x-degree
     a <= delta, with its multiplicity, and may hold junk or products beside
@@ -508,7 +509,7 @@ def _check_bounded_factor_monic(f, delta):
             for i, b in enumerate(bounds[1:], start=2)
         )
     ]
-    got = factor_monic(f, bounds=bounds)
+    got = factor_candidates(f, bounds)
     assert all(pair in got.factors for pair in want)
     keys = [factor_sort_key(g) for g, _ in got.factors]
     assert keys == sorted(keys)
@@ -552,7 +553,7 @@ def test_a_bounded_lift_stops_at_the_largest_subset_x_degree(monkeypatch):
         return lift_pair(Fser, A0, B0, K, m, dioph)
 
     monkeypatch.setattr(basefactor, "_lift_pair", recorded)
-    assert (linear.canonical(), 1) in factor_monic(f, bounds=bounds).factors
+    assert (linear.canonical(), 1) in factor_candidates(f, bounds).factors
     # the lifts before f's own factor its bivariate base, with no bounds
     assert orders[-1] == (6 // 2 + 1, 2)
     assert all(length == 1 for _, length in orders[:-1])
@@ -598,7 +599,7 @@ def _lift_slice_from_scratch_free(f, base):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(basefactor, "_factor_monic_sparse", no_scratch)
-        return lift_slice(_read(f, f.n, 5 - f.n), PreparedBase(base), range(len(base)))
+        return lift_slice(read_rows(f, f.n, 5 - f.n), PreparedBase(base), range(len(base)))
 
 
 def _factors_by_image(f, base):
@@ -677,10 +678,10 @@ def test_the_lift_rebuilds_no_group_over_q(monkeypatch):
     monkeypatch.setattr(SparsePoly, "scale", rebuilt)
     monkeypatch.setattr(SparsePoly, "__pow__", rebuilt)
     for v, base in bases.items():
-        assert _attempt_lift(_read(f, v, 5 - v), 1, base) == want
+        assert _attempt_lift(read_rows(f, v, 5 - v), 1, base) == want
         # bounded: the z2-order is cut below f's z2-degree
-        assert set(want) <= set(_attempt_lift(_read(f, v, 5 - v), 1, base, (1, 1, 2)))
-    lifted = lift_slice(_read(f, 3, 2), PreparedBase(slice_base), range(len(slice_base)))
+        assert set(want) <= set(_attempt_lift(read_rows(f, v, 5 - v), 1, base, (1, 1, 2)))
+    lifted = lift_slice(read_rows(f, 3, 2), PreparedBase(slice_base), range(len(slice_base)))
     assert [P.canonical() for P in lifted] == slice_want
 
 
@@ -701,8 +702,12 @@ def test_dead_side_variables_give_the_compacted_factorization(text, live, bounds
     low = f.map_variables({i - 1: slot for slot, i in enumerate(live)}, len(live))
     low_bounds = None if bounds is None else [bounds[i - 1] for i in live]
     back = [i - 1 for i in live]
-    want = [(g.map_variables(back, 3).canonical(), e) for g, e in factor_monic(low, low_bounds).factors]
-    assert list(factor_monic(f, bounds).factors) == want
+
+    def factored(g, b):
+        return factor_monic(g) if b is None else factor_candidates(g, b)
+
+    want = [(g.map_variables(back, 3).canonical(), e) for g, e in factored(low, low_bounds).factors]
+    assert list(factored(f, bounds).factors) == want
     assert len(want) == 2
 
 
@@ -791,7 +796,7 @@ def test_int_rows_rebuild_the_polynomial(n):
             terms = {e: -abs(c) if e[0] == dx else c for e, c in terms.items()}
         f = SparsePoly(n, terms)
         for v, w in slots:
-            rows, den = _int_rows(f, v, w)
+            rows, den = int_rows(f, v, w)
             assert len(rows) == dx + 1 and (dx < 1 or rows[1] == [])
             assert den == math.lcm(*(c.denominator for c in terms.values()))
             back = {}
@@ -836,7 +841,7 @@ def test_the_lift_reads_the_series_the_fraction_path_gives(monkeypatch, text, n,
 
     monkeypatch.setattr(basefactor, "_lift_tree", recorded)
     monkeypatch.setattr(basefactor.PreparedBase, "images", recorded_images)
-    assert _attempt_lift(_read(f, v, w), v0, base) == list(factor_monic(f).factors)
+    assert _attempt_lift(read_rows(f, v, w), v0, base) == list(factor_monic(f).factors)
     Fser, K, m = calls[0][:3]
     # the lift's preparation reads the groups at the lift's modulus
     (_, wlen, images_m), groups = images[0]
@@ -869,7 +874,7 @@ def test_attempt_lift_succeeds_where_the_base_keeps_the_squarefree_degree(f, v):
             continue
         base = _factor_monic_sparse(image)
         if sum(u.degree_in(1) for u, _ in base) == squarefree_degree:
-            assert _attempt_lift(_read(f, v, w), v0, base) == want, v0
+            assert _attempt_lift(read_rows(f, v, w), v0, base) == want, v0
 
 
 def _random_monic_cd(rng, dx, dw, m):
@@ -1129,7 +1134,7 @@ def test_univariate_squarefree_parts_match_fraction_yun():
     for _ in range(40):
         f = _random_repeated_product(rng)
         top = max(top, f.degree() or 0)
-        pairs = _factor_univariate_pairs(_int_rows(f)[0], 1)
+        pairs = _factor_univariate_pairs(int_rows(f)[0], 1)
         # the product of the factors of each multiplicity, made monic, is
         # Yun's part of that multiplicity over Q
         parts = {}

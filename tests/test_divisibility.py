@@ -2,7 +2,7 @@
 
 import pytest
 
-from polyfactor.rational import Q
+from polyfactor.rational import Q, ONE
 from polyfactor.sparse import SparsePoly
 from polyfactor.parse import parse_poly, parse_product
 from polyfactor.divisibility import (
@@ -10,12 +10,34 @@ from polyfactor.divisibility import (
     divides_exact,
     divisibility_witness,
     quotient_from_witness,
-    truncated_series_quotient,
     truncation_weights,
 )
 from polyfactor.errors import ZeroDivisorError
 
 from conftest import rng_for, random_poly
+
+
+def truncated_series_quotient(f, g, alpha, d):
+    """Brute-force reference: degree-<=d truncation of f(z+alpha)/g(z+alpha)
+    computed by term-by-term power series division; ValueError when
+    g(alpha) = 0."""
+    F = f.shift(alpha)
+    G = g.shift(alpha)
+    g0 = G.constant_value()
+    if g0 == 0:
+        raise ValueError("g vanishes at alpha: the series f/g does not exist")
+    u = SparsePoly.const(f.n, 1) - G.scale(ONE / g0)  # no constant term
+    inv = SparsePoly.zero(f.n)
+    upow = SparsePoly.const(f.n, 1)
+    for _ in range(d + 1):
+        inv = inv + upow
+        upow = _truncate(upow * u, d)
+    inv = _truncate(inv, d).scale(ONE / g0)
+    return _truncate(F * inv, d)
+
+
+def _truncate(f, d):
+    return SparsePoly(f.n, {e: c for e, c in f.terms.items() if sum(e) <= d})
 
 
 def test_divides_exact_basic():

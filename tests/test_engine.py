@@ -45,6 +45,7 @@ from conftest import (
     random_irreducible_quadratic,
     random_poly,
     random_su,
+    read_rows,
     sympy_factorization,
     sympy_irreducible,
 )
@@ -98,7 +99,7 @@ def _inverter(n, alpha):
     from polyfactor.engine import MonicShift, ProjectedFactorSet
 
     scheme = compact_scheme(n, 2)
-    proj = ProjectedFactorSet((), MonicShift(tuple(alpha), ONE, n, 2), scheme)
+    proj = ProjectedFactorSet((), MonicShift(tuple(alpha), ONE), scheme)
     x, y, t = (SparsePoly.variable(3, i) for i in (1, 2, 3))
     images = [
         x.scale(a) + y**wi * t + y**wpi
@@ -234,12 +235,12 @@ def test_the_early_cell_count_is_psi_maps(i):
 
 def _check_psi_reading(f):
     """The reading of f's image made in one substitution (`_psi_reading`)
-    is the one `_read` gives of the two-step image, monicize then psi_map:
-    the same rows as multisets, den, degrees and prime, with v and w as
-    the old `_factor_monic_sparse` chose them from the image's degrees.
-    Each base at z_v = v0 built from its rows is the image's eval_var, and
-    the rows rebuild the image.  Returns the normalizer Hom[f](alpha)."""
-    from polyfactor.basefactor import _from_rows, _read
+    is the one the reference reader `read_rows` gives of the two-step
+    image, monicize then psi_map: the same rows as multisets, den, degrees
+    and prime, with v and w as the old `_factor_monic_sparse` chose them
+    from the image's degrees.  Each base at z_v = v0 built from its rows is
+    the image's eval_var, and the rows rebuild the image.  Returns the normalizer Hom[f](alpha)."""
+    from polyfactor.basefactor import _from_rows
     from polyfactor.engine import _monic_point, _psi_reading
 
     scheme = compact_scheme(f.n, 2)
@@ -249,7 +250,7 @@ def _check_psi_reading(f):
     side = {i: image.degree_in(i) or 0 for i in (2, 3)}
     v = max(side, key=lambda i: (side[i], -i))
     assert got.f is None
-    assert _same_reading(got, _read(image, v, 5 - v))
+    assert _same_reading(got, read_rows(image, v, 5 - v))
     for v0 in (0, 1, -1, 2):
         assert _from_rows(got, v0) == image.eval_var(v, v0), v0
     assert _from_rows(got) == image
@@ -932,7 +933,7 @@ def test_the_line_slice_reads_what_the_trivariate_slice_reads(
     # a group that lifts a true factor g gives g(omega) / Hom[g](alpha) on
     # the trivariate slice through gamma and on the line slice from
     # gamma + w0 beta alike
-    from polyfactor.basefactor import PreparedBase, _read, lift_slice, slice_point
+    from polyfactor.basefactor import PreparedBase, lift_slice, slice_point
     from polyfactor.engine import _line_slices, _project
     from polyfactor.pit import interpolation_plan
 
@@ -950,7 +951,7 @@ def test_the_line_slice_reads_what_the_trivariate_slice_reads(
     for omega in interpolation_plan(2, n):
         secondary = tuple(o - c for o, c in zip(omega, gamma))
         T = _project(scaled, alpha, [beta, secondary], gamma)
-        trivariate = lift_slice(_read(T, 3, 2), prepared, [i])[0]
+        trivariate = lift_slice(read_rows(T, 3, 2), prepared, [i])[0]
         line = lift_slice(read_line(omega), line_base, [i])[0]
         want = g.eval_point(omega) / top
         assert trivariate.eval_point((0, 0, 1)) == line.eval_point((0, 1)) == want, omega
@@ -1103,7 +1104,6 @@ def test_the_integer_line_slice_is_the_rational_one_read(monkeypatch, workload, 
     # rows, den, degrees and prime that reading its rational projection
     # gives, the rows as multisets
     import polyfactor.engine as engine
-    from polyfactor.basefactor import _read
     from polyfactor.engine import _project
 
     line_slices = engine._line_slices
@@ -1115,7 +1115,7 @@ def test_the_integer_line_slice_is_the_rational_one_read(monkeypatch, workload, 
         def checked_read(omega):
             got = read(omega)
             direction = tuple(o - c for o, c in zip(omega, origin))
-            want = _read(_project(scaled, alpha, [direction], origin), 2, 3)
+            want = read_rows(_project(scaled, alpha, [direction], origin), 2, 3)
             assert _same_reading(got, want), omega
             checked.append(omega)
             return got
@@ -1154,15 +1154,25 @@ def test_the_integer_line_slice_is_the_rational_one_read(monkeypatch, workload, 
     ],
 )
 def test_the_integer_line_slice_reads_rational_images(text, alpha, origin, omega):
-    from polyfactor.basefactor import _read
     from polyfactor.engine import _line_slices, _project
 
     f = parse_poly(text)
     direction = tuple(o - c for o, c in zip(omega, origin))
-    want = _read(_project(f, alpha, [direction], origin), 2, 3)
+    want = read_rows(_project(f, alpha, [direction], origin), 2, 3)
     got = _line_slices(f, alpha, origin)(omega)
     assert want.den > 1
     assert _same_reading(got, want)
+
+
+def test_sparse_factors_admits_only_class_members_within_the_sparsity_bound():
+    # g is irreducible with 5 terms and total degree 2: a bound s < 5, or a
+    # class of degree 1, refuses it; nothing else divides it
+    g = parse_poly("z1^2 + z2^2 + z1 + z2 + 1", 2)
+    assert sparse_factors(g, 2, constant_degree_oracle(2, 2, 2)).factors == ()
+    assert sparse_factors(g, 5, constant_degree_oracle(2, 2, 2)).factors == ((g, 1),)
+    assert sparse_factors(g, 5, constant_degree_oracle(1, 2, 2)).factors == ()
+    # irreducible, but not a sum of univariates
+    assert factor_su(parse_poly("z1*z2 + z1 + 1", 2)).factors == ()
 
 
 def test_sparse_factors_with_su_oracle():

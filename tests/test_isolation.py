@@ -1,6 +1,8 @@
 """The compact isolation scheme, the weight maps, and the three-variable
 projection."""
 
+import json
+
 import pytest
 
 from polyfactor.rational import Q
@@ -17,7 +19,7 @@ from polyfactor.isolation import (
     weights_injective,
 )
 from polyfactor.basefactor import factor_monic, is_irreducible_lowvar
-from polyfactor.errors import CapError, NotInCodomain
+from polyfactor.errors import CapError, NotInCodomain, PolyError
 from polyfactor.dense import to_dense
 
 from conftest import rng_for, random_poly, sympy_irreducible
@@ -165,7 +167,7 @@ def test_image_degree_bounds_hold_and_are_reached():
     """psi_map's image of a polynomial of total degree <= a stays within
     the scheme's (x, y, t) degree bounds scaled by a / delta, (a, a W, a)
     with W the largest weight, for every a <= delta (the proportional bounds
-    that `factor_monic(f, bounds=...)` relies on), and z_j^a, z_j of the
+    that `factor_candidates(f, bounds)` relies on), and z_j^a, z_j of the
     largest weight, reaches them."""
     rng = rng_for("image-degree-bounds")
     for n, delta in [(1, 1), (2, 2), (3, 2), (4, 3)]:
@@ -238,5 +240,17 @@ def test_psi_preserves_irreducibility_empirically():
 
 
 def test_scheme_json_round_trip():
+    # to_json carries every field: the scheme rebuilt from it is the same
     s = compact_scheme(3, 2)
-    assert IsolationScheme.from_json(s.to_json()) == s
+    data = json.loads(s.to_json())
+    assert IsolationScheme(data["n"], data["delta"], tuple(data["w"]), tuple(data["w_prime"])) == s
+
+
+def test_scheme_rejects_weights_not_injective_on_the_bounded_monomials():
+    # (1, 2) weighs z1^2 and z2 alike, so it cannot stand for w or for w'
+    good = compact_scheme(2, 2)
+    assert IsolationScheme(2, 2, good.w, good.w_prime) == good
+    with pytest.raises(PolyError, match="^w is not injective"):
+        IsolationScheme(2, 2, (1, 2), good.w_prime)
+    with pytest.raises(PolyError, match="^w' is not injective"):
+        IsolationScheme(2, 2, good.w, (1, 2))

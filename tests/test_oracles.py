@@ -16,8 +16,8 @@ from polyfactor.oracles import (
     su_membership,
     su_oracle,
 )
-from polyfactor.engine import monicize, _project
-from polyfactor.basefactor import factor_monic, is_irreducible_lowvar
+from polyfactor.engine import factor_su, monicize, _project
+from polyfactor.basefactor import factor_lowvar, factor_monic, is_irreducible_lowvar
 
 from conftest import rng_for, random_poly, random_su, random_irreducible_quadratic
 
@@ -163,3 +163,22 @@ def test_support_for_degree_contract():
                 assert set(member.terms) <= set(su(member.degree()))
                 member = random_poly(rng, n, deg, rng.randint(1, 6))
                 assert set(member.terms) <= set(cd)
+
+
+def test_su_factors_of_univariate_products_are_the_complete_ones():
+    # every univariate polynomial is a sum of univariates, so the SU search
+    # on one variable, through its single projection pair, finds every
+    # factor the complete factorization has
+    rng = rng_for("su-univariate")
+    checked = 0
+    for _ in range(40):
+        f = SparsePoly.const(1, rng.choice([1, -2, 3]))
+        for _ in range(rng.randint(1, 3)):
+            h = random_poly(rng, 1, 3, 3)
+            if not h.is_constant():
+                f = f * h ** rng.randint(1, 2)
+        if f.is_constant():
+            continue
+        assert factor_su(f).factors == factor_lowvar(f).factors, f
+        checked += 1
+    assert checked >= 30

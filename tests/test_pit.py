@@ -9,7 +9,6 @@ from polyfactor.rational import Q
 from polyfactor.sparse import SparsePoly
 from polyfactor.parse import parse_poly, parse_product
 from polyfactor.pit import (
-    ProbeCounter,
     _transposed_vandermonde,
     berlekamp_massey,
     find_nonzero_point,
@@ -73,17 +72,28 @@ def test_whitebox_skips_roots():
     assert f.eval_point(point) != 0
 
 
+def counted(method, calls):
+    def wrapper(*args):
+        calls.append(args)
+        return method(*args)
+
+    return wrapper
+
+
 def test_whitebox_budget():
     rng = rng_for("probe-budget")
     for _ in range(30):
         n = rng.randint(1, 4)
         f = random_poly(rng, n, 4, 5)
         d = f.degree() or 0
-        counter = ProbeCounter()
-        point = find_nonzero_point(f, n, d, counter=counter)
+        probes = []
+        with pytest.MonkeyPatch.context() as mp:
+            # every probe, a dead variable's included, is one eval_var
+            mp.setattr(SparsePoly, "eval_var", counted(SparsePoly.eval_var, probes))
+            point = find_nonzero_point(f, n, d)
         assert f.eval_point(point) != 0
         assert all(c != 0 for c in point)
-        assert counter.count <= n * (d + 1)
+        assert len(probes) <= n * (d + 1)
 
 
 def test_whitebox_point_has_one_coordinate_per_variable():
@@ -100,11 +110,14 @@ def test_whitebox_zero_poly():
 
 
 def test_blackbox_shift_repair():
+    # the first nonzero hit, (0, 1), has a zero coordinate; the diagonal
+    # shift by M + 1 = 1 repairs it to (1, 2)
     f = parse_poly("z1 - z2")
-    grid = trivial_hitting_set(2, 1)
+    hits = tuple((Q(a), Q(b)) for a, b in [(0, 0), (0, 1), (1, 1), (1, 2)])
     point = find_nonzero_point(
-        f.eval_point, 2, 1, mode="blackbox", hitting_set=grid
+        f.eval_point, 2, 1, mode="blackbox", hitting_set=hits
     )
+    assert point == (Q(1), Q(2))
     assert all(c != 0 for c in point)
     assert f.eval_point(point) != 0
 
