@@ -23,7 +23,6 @@ from .pit import (
     interpolation_plan,
     sparse_interpolate,
     sparse_pit,
-    trivial_hitting_set,
 )
 from .isolation import (
     IsolationScheme,
@@ -80,7 +79,6 @@ __all__ = [
     "interpolation_plan",
     "sparse_interpolate",
     "sparse_pit",
-    "trivial_hitting_set",
     "IsolationScheme",
     "apply_phi",
     "compact_scheme",

@@ -41,21 +41,28 @@ reconstructed.  A lifted factor is a series in the evaluated variable
 whose coefficients are packed (x, w) dicts mod P^k, w the remaining side
 variable; each lift step solves one Diophantine equation by dot products
 with the precomputed solutions for x^i, the one for 1 expanded w-adically
-from a Bezout pair at w = 0.  A group u^e enters as u's primitive integer rows
-over their x-leading integer, a divisor of f's denominator, raised to e
-mod P^k.  Every lift reads its base through a `PreparedBase`: the
-groups' tables, their coprime point per prime, and the lift tree's nodes
-(each node's A0, B0 and `_Dioph`) kept at one modulus M, a power of P,
-which a later lift at a modulus dividing M reads reduced (the images are
-exact and the solutions unique) and any other lift rebuilds at
-max(m, M^2), continuing each node's Bezout pair.  When the
-factorization at one point is already known (a line slice f(x, t) whose
-t = 0 image was factored before), `lift_slice(reading, prepared, wanted)`
-lifts in f's last variable and returns the factor lifted from each wanted
-group, unproved, reconstructing no other; `slice_point(base)` finds, once
-per factorization of a polynomial in (x, t1), the least t1 = w0 where its
-groups are pairwise coprime mod P, so every line from there lifts with
-dw = 0, and prepares their images there once for all those lines.
+from a Bezout pair at w = 0.  The Taylor shift in v and the lift's
+products carry each (x, w) key's v-series as one integer, digit i at bit
+b i (Kronecker substitution along v alone; von zur Gathen & Gerhard,
+Modern Computer Algebra, 8.4), b wide enough that no digit carries: 2
+bits(m) + bits(K D L) + 1 for products mod m of a lift over K v-orders,
+L w-orders and x-degree D, and for a shift by cv about dv log2(|cv| + 1)
+bits above the values', dv the series' v-degree (on `cd`,
+`isolation.check_image_cells` bounds it).  A group u^e enters as u's
+primitive integer rows over their x-leading integer, a divisor of f's
+denominator, raised to e mod P^k.  Every lift reads its base through a
+`PreparedBase`: the groups' tables, their coprime point per prime, and
+the lift tree's nodes (each node's A0, B0 and `_Dioph`) kept at one
+modulus M, a power of P, which a later lift at a modulus dividing M
+reads reduced (the images are exact and the solutions unique) and any
+other lift rebuilds at max(m, M^2), continuing each node's Bezout pair.
+When the factorization at one point is already known (a line slice
+f(x, t) whose t = 0 image was factored before), `lift_slice(reading,
+prepared, wanted)` lifts in f's last variable and returns the factor
+lifted from each wanted group, unproved, reconstructing no other;
+`slice_point(base)` finds, once per factorization of a polynomial in
+(x, t1), the least t1 = w0 where its groups are pairwise coprime mod P,
+so every line from there lifts with dw = 0, and prepares their images there once for all those lines.
 `factor_candidates(f, bounds)` asks only for the factors within
 proportional degree bounds (bx, bv, bw), a factor of x-degree a lying
 within (a, a bv / bx, a bw / bx): only subsets within the x-bound
@@ -817,26 +824,64 @@ def _series_root(W, e, wlen, m):
     return U
 
 
+def _pack_into(rows, d, at):
+    """Add the (x, w) dict d at bit `at` of the packed series in rows, a
+    list of dicts by w-order."""
+    for key, c in d.items():
+        row = rows[key % STRIDE]
+        row[key] = row.get(key, 0) + (c << at)
+
+
 def _lift_pair(Fser, A0, B0, K, m, dioph):
+    """(A, B), the v-series lifting A0 B0 = Fser[0] to A B = Fser mod (v^K,
+    w^L, m), L = dioph.length, one v-order j at a time: the residual
+    Fser[j] - sum_{i+l=j} A_i B_l (i, l >= 1) goes to `dioph`, whose
+    solution (dA, dB) is (A_j, B_j).
+
+    The products run on packed v-series: each (x, w) key keeps A_i and B_i
+    for i >= 1, and the running sums of A_i B_l, as one nonnegative integer
+    whose digit i, b bits wide, sits at bit b i.  A new coefficient of dA
+    or dB multiplies a whole packed partner series once, at digit j, and
+    step j reads digit j of each sum.  Every coefficient is below m, and a
+    digit read at j < K sums at most K D L products, D = dioph.D (x-degree
+    splits) and L the w-order splits, so b = 2 bits(m) + bits(K D L) + 1
+    never carries into the next digit; the digits from K on, which no step
+    reads, carry only upward.  Key pairs whose w-orders reach L are
+    skipped: `dioph` never reads them."""
+    L = dioph.length
+    # Fser is cut at w-order L, so the base product is compared there too
+    if cd_sub(_wcut(_mul_into({}, A0, B0), L), Fser[0], m):
+        raise _AttemptFailed("base product mismatch")
+    b = 2 * m.bit_length() + (K * dioph.D * L).bit_length() + 1
+    digit = (1 << b) - 1
     A = [dict(A0)] + [dict() for _ in range(K - 1)]
     B = [dict(B0)] + [dict() for _ in range(K - 1)]
-    AB = [dict() for _ in range(K)]  # unreduced; read through cd_sub
-    # Fser is cut at w-order dioph.length, so the base product is compared
-    # there too
-    if cd_sub(_wcut(_mul_into({}, A0, B0), dioph.length), Fser[0], m):
-        raise _AttemptFailed("base product mismatch")
+    # packed[0][ew] holds A_i, i >= 1, of the keys of w-order ew; packed[1] B_i
+    packed = ([dict() for _ in range(L)], [dict() for _ in range(L)])
+    sums = {}  # key -> sum of A_i B_l at digit i + l, unreduced
     for j in range(1, K):
-        E = cd_sub(Fser[j], AB[j], m)
+        at = b * j
+        E = dict(Fser[j])
+        for key, s in sums.items():
+            c = (s >> at) & digit
+            if c:
+                E[key] = E.get(key, 0) - c
+        E = cd_reduce(E, m)
         if not E:
             continue
         dA, dB = dioph.solve(E)
-        # i = 0 would add dB A0 + dA B0 to AB[j], already read for E;
-        # A[i], B[i] are still zero for i >= j
-        for i in range(1, min(j, K - j)):
-            _mul_into(AB[i + j], dB, A[i])
-            _mul_into(AB[i + j], dA, B[i])
-        if 2 * j < K:
-            _mul_into(AB[2 * j], dA, dB)
+        # with B_j packed, dA's products take in dA dB at digit 2 j too
+        _pack_into(packed[1], dB, at)
+        if j + 1 < K:
+            acc = {}
+            for new, partner in ((dA, packed[1]), (dB, packed[0])):
+                for k1, c1 in new.items():
+                    for row in partner[: L - k1 % STRIDE]:
+                        for k2, s in row.items():
+                            acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * s
+            for key, s in acc.items():
+                sums[key] = sums.get(key, 0) + (s << at)
+        _pack_into(packed[0], dA, at)
         A[j] = dA
         B[j] = dB
     return A, B
@@ -883,20 +928,23 @@ def _rows_to_series(rows, den, K, m):
 def _shift_series(ser, cv, cw, m, vlen=None, wlen=None):
     """The v-series of packed (x, w) dicts ser(v + cv, w + cw) mod
     (v^vlen, w^wlen, m), vlen = len(ser) and no w cut by default: the
-    classical Taylor shift (von zur Gathen & Gerhard, ISSAC 1997), each term
-    expanded by binomials one variable at a time, w first, and only into
-    the orders kept.  Sums stay unreduced until the end; a zero shift with
-    no cut returns ser itself."""
+    classical Taylor shift (von zur Gathen & Gerhard, ISSAC 1997), w first,
+    each term expanded by binomials into the w-orders kept, then v on
+    packed rows.  Sums stay unreduced until the end; a zero shift with no
+    cut returns ser itself.
+
+    The v-shift carries each (x, w) key's series as one integer whose digit
+    j, b bits wide, sits at bit b j.  Row ev's digits comb(ev, j) c^(ev-j),
+    c = |cv| and j < vlen, follow from row ev - 1 by Pascal's rule, and each
+    key adds its value times its row's digits; a negative cv shifts
+    ser(-v) by c and negates the odd orders back.  A digit is a signed sum
+    of at most len(ser) terms, each below max |value| (c + 1)^dv in
+    magnitude, dv = len(ser) - 1, so its width grows as dv log2(c + 1), and
+    each key is unpacked once, digit by digit with a borrow."""
     if vlen is None:
         vlen = len(ser)
     if not cv and not cw and vlen == len(ser) and wlen is None:
         return ser
-
-    def taylor(e, c, n):
-        """The coefficients of (z + c)^e below z^n (all for n None), ascending."""
-        top = e + 1 if n is None else min(e + 1, n)
-        return [math.comb(e, j) * c ** (e - j) for j in range(top)]
-
     rows = ser
     if cw:
         table = {}
@@ -907,23 +955,41 @@ def _shift_series(ser, cv, cw, m, vlen=None, wlen=None):
                 ew = key % STRIDE
                 coeffs = table.get(ew)
                 if coeffs is None:
-                    coeffs = table[ew] = taylor(ew, cw, wlen)
+                    top = ew + 1 if wlen is None else min(ew + 1, wlen)
+                    coeffs = table[ew] = [math.comb(ew, j) * cw ** (ew - j) for j in range(top)]
                 low = key - ew
                 for j, b in enumerate(coeffs):
                     out[low + j] = out.get(low + j, 0) + val * b
             rows.append(out)
     elif wlen is not None:
         rows = [_wcut(row, wlen) for row in ser]
-    if cv:
-        out = [dict() for _ in range(min(vlen, len(rows)))]
-        for ev, row in enumerate(rows):
-            if not row:
-                continue
-            for target, b in zip(out, taylor(ev, cv, vlen)):
-                for key, val in row.items():
-                    target[key] = target.get(key, 0) + val * b
-        rows = out
-    return [cd_reduce(row, m) for row in rows[:vlen]]
+    if not cv:
+        return [cd_reduce(row, m) for row in rows[:vlen]]
+    c, n = abs(cv), min(vlen, len(rows))
+    most = max((abs(val) for row in rows for val in row.values()), default=0)
+    b = (len(rows) * most * (c + 1) ** (len(rows) - 1)).bit_length() + 1
+    mask = (1 << b * n) - 1
+    packed = {}
+    T = 1  # row ev's digits comb(ev, j) c^(ev - j), j < n
+    for ev, row in enumerate(rows):
+        if ev:
+            T = (c * T + (T << b)) & mask
+        t = -T if cv < 0 and ev % 2 else T
+        for key, val in row.items():
+            packed[key] = packed.get(key, 0) + val * t
+    # adding half to every digit makes each one nonnegative, so a digit is
+    # read by a mask and the half taken back: the borrow of a negative digit
+    digit, half = (1 << b) - 1, 1 << (b - 1)
+    bias = half * (mask // digit)
+    out = [dict() for _ in range(n)]
+    for key, s in packed.items():
+        s += bias
+        for j, target in enumerate(out):
+            d = ((s & digit) - half) % m
+            s >>= b
+            if d:
+                target[key] = m - d if cv < 0 and j % 2 else d
+    return out
 
 
 def _series_to_qpoly(ser, v, w, n, m):

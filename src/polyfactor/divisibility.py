@@ -57,7 +57,7 @@ def divisibility_witness(f, g):
         raise ZeroDivisorError("zero divisor")
     n = f.n
     d = max(f.degree() or 0, g.degree() or 0, 1)
-    alpha = find_nonzero_point(g, n, g.degree() or 0, mode="whitebox")
+    alpha = find_nonzero_point(g, n, g.degree() or 0)
     g_alpha = g.eval_point(alpha)
     if g_alpha == 0:
         raise VerificationError("nonzero-point search returned a root of g")

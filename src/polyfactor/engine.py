@@ -102,7 +102,7 @@ def _monic_point(f):
     if d is None or d < 1:
         raise PolyError("cannot monicize a constant")
     top = f.hom_component(d)
-    alpha = find_nonzero_point(top, f.n, d, mode="whitebox")
+    alpha = find_nonzero_point(top, f.n, d)
     return alpha, top.eval_point(alpha)
 
 

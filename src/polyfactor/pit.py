@@ -16,82 +16,40 @@ from itertools import count, islice, product
 from .rational import Q, ONE, ZERO, clear_denominators, primes
 from .sparse import SparsePoly
 from .basefactor import factor_lowvar
-from .errors import CapError, InterpolationFailure, ZeroPolynomialError
+from .errors import InterpolationFailure, ZeroPolynomialError
 from .errors import VariableCountMismatch
 
 
-def trivial_hitting_set(n, d, max_size=None):
-    """The grid {1..d+1}^n as a tuple of points; exponential in n, usable
-    for constant n."""
-    if n < 1 or d < 0:
-        raise ValueError("need n >= 1 and d >= 0")
-    size = (d + 1) ** n
-    if max_size is not None and size > max_size:
-        raise CapError("hitting_set_size", size, max_size)
-    return tuple(
-        tuple(Q(v) for v in combo) for combo in product(range(1, d + 2), repeat=n)
-    )
-
-
-def find_nonzero_point(f, n, d, mode="whitebox", hitting_set=None):
-    """A point a with all coordinates nonzero and f(a) != 0.
-
-    Whitebox mode takes a SparsePoly and assigns variables one at a time,
-    scanning candidate values 1..d+1 (at most n*(d+1) probes).  Blackbox mode
-    takes an evaluation callable plus a hitting set for f's class (a tuple
-    of points, e.g. trivial_hitting_set(n, d)); a hit with
-    zero coordinates is repaired by scanning the diagonal shifts
-    a + (M+1+j), j = 0..d, with M the magnitude of the smallest coordinate.
-    """
-    if mode == "whitebox":
-        if not isinstance(f, SparsePoly):
-            raise TypeError("whitebox mode needs a SparsePoly")
-        if n != f.n:
-            raise VariableCountMismatch("point arity %d != %d" % (n, f.n))
-        if f.is_zero():
-            raise ZeroPolynomialError("no nonzero point: polynomial is zero")
-        # the variable being assigned is always slot 1 of what is left
-        current = f
-        point = []
-        for _ in range(n):
-            if not current.degree_in(1):
-                point.append(ONE)
-                current = current.eval_var(1, ONE)
-                continue
-            chosen = None
-            for v in range(1, d + 2):
-                candidate = current.eval_var(1, v)
-                if not candidate.is_zero():
-                    chosen = (Q(v), candidate)
-                    break
-            if chosen is None:  # pragma: no cover - impossible for nonzero f
-                raise ZeroPolynomialError("self-reduction exhausted d+1 values")
-            point.append(chosen[0])
-            current = chosen[1]
-        return tuple(point)
-
-    if mode == "blackbox":
-        if hitting_set is None:
-            raise ValueError("blackbox mode needs a hitting set")
-        evaluate = f if callable(f) else f.eval_point
-        hit = None
-        for a in hitting_set:
-            if evaluate(a):
-                hit = a
+def find_nonzero_point(f, n, d):
+    """A point a with all coordinates nonzero and f(a) != 0, for a nonzero
+    SparsePoly f in n variables and of degree <= d: a whitebox search that
+    assigns the variables one at a time, scanning candidate values 1..d+1
+    (at most n*(d+1) probes)."""
+    if not isinstance(f, SparsePoly):
+        raise TypeError("find_nonzero_point needs a SparsePoly")
+    if n != f.n:
+        raise VariableCountMismatch("point arity %d != %d" % (n, f.n))
+    if f.is_zero():
+        raise ZeroPolynomialError("no nonzero point: polynomial is zero")
+    # the variable being assigned is always slot 1 of what is left
+    current = f
+    point = []
+    for _ in range(n):
+        if not current.degree_in(1):
+            point.append(ONE)
+            current = current.eval_var(1, ONE)
+            continue
+        chosen = None
+        for v in range(1, d + 2):
+            candidate = current.eval_var(1, v)
+            if not candidate.is_zero():
+                chosen = (Q(v), candidate)
                 break
-        if hit is None:
-            raise ZeroPolynomialError("no nonzero point: polynomial is zero")
-        if all(coord != 0 for coord in hit):
-            return tuple(hit)
-        m_val = abs(min(hit))
-        for j in range(d + 1):
-            shift = m_val + 1 + j
-            candidate = tuple(c + shift for c in hit)
-            if evaluate(candidate):
-                return candidate
-        raise ZeroPolynomialError("shift search failed on a nonzero polynomial")
-
-    raise ValueError("mode must be whitebox or blackbox")
+        if chosen is None:  # pragma: no cover - impossible for nonzero f
+            raise ZeroPolynomialError("self-reduction exhausted d+1 values")
+        point.append(chosen[0])
+        current = chosen[1]
+    return tuple(point)
 
 
 def sparse_pit(f):

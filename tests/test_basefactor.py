@@ -26,6 +26,7 @@ from polyfactor.basefactor import (
     _factor_count_mod_p,
     _factor_monic_sparse,
     _factor_univariate_pairs,
+    _lift_pair,
     _series_root,
     _series_to_qpoly,
     _shift_series,
@@ -33,8 +34,10 @@ from polyfactor.basefactor import (
     _wcut,
     _zassenhaus,
     berlekamp,
+    STRIDE,
     cd_pack,
     cd_reduce,
+    cd_sub,
     cd_unpack,
     up_add,
     up_deg,
@@ -431,6 +434,69 @@ def test_shift_series_is_the_translation_mod_m(case):
     shifted = _shift_series(ser, cv, cw, m)
     assert shifted == series(f.shift(offsets), v, w, K, m)
     assert _shift_series(shifted, -cv, -cw, m) == ser
+
+
+def shift_series_dicts(ser, cv, cw, m, vlen=None, wlen=None):
+    """The reference for `_shift_series`: the same Taylor shift, each term
+    expanded by binomials into one dict per v-order, v as well as w."""
+    if vlen is None:
+        vlen = len(ser)
+    if not cv and not cw and vlen == len(ser) and wlen is None:
+        return ser
+
+    def taylor(e, c, n):
+        """The coefficients of (z + c)^e below z^n (all for n None), ascending."""
+        top = e + 1 if n is None else min(e + 1, n)
+        return [math.comb(e, j) * c ** (e - j) for j in range(top)]
+
+    rows = ser
+    if cw:
+        rows = []
+        for row in ser:
+            out = {}
+            for key, val in row.items():
+                ew = key % STRIDE
+                for j, b in enumerate(taylor(ew, cw, wlen)):
+                    out[key - ew + j] = out.get(key - ew + j, 0) + val * b
+            rows.append(out)
+    elif wlen is not None:
+        rows = [_wcut(row, wlen) for row in ser]
+    if cv:
+        out = [dict() for _ in range(min(vlen, len(rows)))]
+        for ev, row in enumerate(rows):
+            for target, b in zip(out, taylor(ev, cv, vlen)):
+                for key, val in row.items():
+                    target[key] = target.get(key, 0) + val * b
+        rows = out
+    return [cd_reduce(row, m) for row in rows[:vlen]]
+
+
+def _random_series(rng, K, dx, dw, low, high):
+    """A v-series of K (x, w) dicts with x-degree <= dx and w-degree <= dw,
+    about half the keys present, values drawn from [low, high]."""
+    return [
+        {
+            cd_pack(ex, ew): rng.randint(low, high)
+            for ex in range(dx + 1)
+            for ew in range(dw + 1)
+            if rng.random() < 0.5
+        }
+        for _ in range(K)
+    ]
+
+
+@pytest.mark.parametrize("K", [1, 2, 5, 13, 41])
+def test_packed_shift_is_the_dict_shift(K):
+    # reduced, unreduced and negative values; a negative, zero and positive
+    # v-shift, with and without a w-shift, and cuts in v and w
+    rng = rng_for("packed-shift-%d" % K)
+    m = 1000003**3
+    for low, high in [(0, m - 1), (-5 * m, 5 * m), (-9, 9)]:
+        for cv in (-3, -1, 0, 1, 2, 7):
+            for cw, vlen, wlen in [(0, None, None), (-2, None, 3), (3, (K + 1) // 2, 2), (0, 1, 1)]:
+                ser = _random_series(rng, K, 3, 3, low, high)
+                want = shift_series_dicts(ser, cv, cw, m, vlen, wlen)
+                assert _shift_series(ser, cv, cw, m, vlen, wlen) == want, (low, cv, cw, vlen)
 
 
 @pytest.mark.parametrize("e", [2, 3])
@@ -947,6 +1013,87 @@ def test_diophantine_solutions_meet_their_degree_bounds(length):
         assert all(cd_unpack(key)[1] < length for key in (*dA, *dB))
         with pytest.raises(_AttemptFailed):
             dioph.solve({**e, cd_pack(dxa + dxb, 0): 1})
+
+
+def lift_pair_dicts(Fser, A0, B0, K, m, dioph):
+    """The reference for `_lift_pair`: one dict of unreduced products per
+    v-order, every product formed in full."""
+    A = [dict(A0)] + [dict() for _ in range(K - 1)]
+    B = [dict(B0)] + [dict() for _ in range(K - 1)]
+    AB = [dict() for _ in range(K)]
+    if cd_sub(_wcut(_mul_into({}, A0, B0), dioph.length), Fser[0], m):
+        raise _AttemptFailed("base product mismatch")
+    for j in range(1, K):
+        E = cd_sub(Fser[j], AB[j], m)
+        if not E:
+            continue
+        dA, dB = dioph.solve(E)
+        for i in range(1, min(j, K - j)):
+            _mul_into(AB[i + j], dB, A[i])
+            _mul_into(AB[i + j], dA, B[i])
+        if 2 * j < K:
+            _mul_into(AB[2 * j], dA, dB)
+        A[j] = dA
+        B[j] = dB
+    return A, B
+
+
+def _lift_case(rng, K, L, p, m):
+    """(Fser, A0, B0, dioph): coprime monic A0, B0 of w-degree < L and a
+    v-series of K orders over their product, random past order 0."""
+    dxa, dxb = rng.randint(1, 3), rng.randint(1, 3)
+    A0, B0 = _coprime_monic_pair(rng, dxa, dxb, L - 1, p, m)
+    F0 = cd_reduce(_wcut(_mul_into({}, A0, B0), L), m)
+    Fser = [F0] + [_random_cd(rng, dxa + dxb, L - 1, m) for _ in range(K - 1)]
+    return Fser, A0, B0, _Dioph(A0, B0, L, p, m)
+
+
+@pytest.mark.parametrize("K", [2, 3, 6, 9, 25, 41])
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_packed_lift_is_the_dict_lift(K, L):
+    rng = rng_for("packed-lift-%d-%d" % (K, L))
+    p = 1048583
+    m = p**7
+    for _ in range(3):
+        Fser, A0, B0, dioph = _lift_case(rng, K, L, p, m)
+        assert _lift_pair(Fser, A0, B0, K, m, dioph) == lift_pair_dicts(Fser, A0, B0, K, m, dioph)
+        # residuals only at w-orders >= L, which the solver drops, and a
+        # base product that does not match
+        Fser[1] = {cd_pack(0, L): 1}
+        assert _lift_pair(Fser, A0, B0, K, m, dioph) == lift_pair_dicts(Fser, A0, B0, K, m, dioph)
+        Fser[0] = {**Fser[0], cd_pack(0, 0): (Fser[0].get(0, 0) + 1) % m}
+        with pytest.raises(_AttemptFailed):
+            _lift_pair(Fser, A0, B0, K, m, dioph)
+
+
+class _FullSolver:
+    """A stand-in for `_Dioph` whose every correction has all its
+    coefficients at m - 1, the largest a lift coefficient takes; it records
+    each residual it is given at the w-orders a solver reads."""
+
+    def __init__(self, na, nb, length, m):
+        self.D, self.length = na + nb, length
+        self.full = [
+            {cd_pack(ex, ew): m - 1 for ex in range(n) for ew in range(length)} for n in (na, nb)
+        ]
+        self.residuals = []
+
+    def solve(self, e):
+        self.residuals.append(_wcut(e, self.length))
+        return tuple(map(dict, self.full))
+
+
+def test_packed_lift_digits_reach_their_bound():
+    # with every coefficient at m - 1 each digit the lift reads is as large
+    # as a lift's digit can be; any carry between digits changes a residual
+    m = (1 << 61) - 1
+    for K, na, nb, L in [(41, 2, 2, 3), (41, 1, 3, 3), (9, 3, 3, 1), (25, 2, 2, 2)]:
+        A0 = {cd_pack(na, 0): 1}
+        B0 = {cd_pack(nb, 0): 1}
+        Fser = [{cd_pack(na + nb, 0): 1}] + [{0: 1} for _ in range(K - 1)]
+        got, want = _FullSolver(na, nb, L, m), _FullSolver(na, nb, L, m)
+        assert _lift_pair(Fser, A0, B0, K, m, got) == lift_pair_dicts(Fser, A0, B0, K, m, want)
+        assert got.residuals == want.residuals
 
 
 def test_bezout_step_keeps_the_identity():

@@ -17,47 +17,15 @@ from polyfactor.pit import (
     line_count,
     sparse_interpolate,
     sparse_pit,
-    trivial_hitting_set,
 )
 from polyfactor.oracles import constant_degree_oracle, su_oracle
 from polyfactor.errors import (
-    CapError,
     InterpolationFailure,
     VariableCountMismatch,
     ZeroPolynomialError,
 )
 
 from conftest import rng_for, random_poly
-
-
-def test_grid_univariate():
-    h = trivial_hitting_set(1, 2)
-    assert [tuple(map(int, p)) for p in h] == [(1,), (2,), (3,)]
-
-
-def test_grid_two_vars():
-    h = trivial_hitting_set(2, 1)
-    assert sorted(tuple(map(int, p)) for p in h) == [
-        (1, 1),
-        (1, 2),
-        (2, 1),
-        (2, 2),
-    ]
-
-
-def test_grid_hits_every_nonzero():
-    rng = rng_for("grid-hits")
-    for _ in range(100):
-        n = rng.randint(1, 3)
-        d = rng.randint(1, 3)
-        f = random_poly(rng, n, d, 4)
-        grid = trivial_hitting_set(n, f.degree() or 0)
-        assert any(f.eval_point(p) for p in grid)
-
-
-def test_grid_cap():
-    with pytest.raises(CapError):
-        trivial_hitting_set(10, 9, max_size=100)
 
 
 def test_whitebox_first_probe():
@@ -107,19 +75,6 @@ def test_whitebox_point_has_one_coordinate_per_variable():
 def test_whitebox_zero_poly():
     with pytest.raises(ZeroPolynomialError):
         find_nonzero_point(SparsePoly.zero(2), 2, 1)
-
-
-def test_blackbox_shift_repair():
-    # the first nonzero hit, (0, 1), has a zero coordinate; the diagonal
-    # shift by M + 1 = 1 repairs it to (1, 2)
-    f = parse_poly("z1 - z2")
-    hits = tuple((Q(a), Q(b)) for a, b in [(0, 0), (0, 1), (1, 1), (1, 2)])
-    point = find_nonzero_point(
-        f.eval_point, 2, 1, mode="blackbox", hitting_set=hits
-    )
-    assert point == (Q(1), Q(2))
-    assert all(c != 0 for c in point)
-    assert f.eval_point(point) != 0
 
 
 def test_sparse_pit():
