@@ -14,67 +14,51 @@ ascending integer coefficient lists.
 Two and three variables, monic in x: f is read once (`read_table`), with
 its degrees (dx, dv, dw) and the least prime P >= 2^20 that avoids its
 denominators, for its probes and every lift; a bivariate f, or a dead side
-variable, reads as dw = 0.  Evaluate the largest-degree side variable v at
-points 0, 1, -1, 2, ..., skipping points that drop the other side
-variable's degree; each probe's image, and the base factored at the popped
-probe, come from f's integer rows.  Each probe is ranked by one univariate
-image (w at a fixed nonzero value): first by its squarefree degree deg -
-deg gcd(image, image') mod P, largest first, which never exceeds the
-probe's squarefree x-degree over Q and equals it at generic points; then,
-for a squarefree image of full degree, by its number of distinct
-irreducible factors mod the least prime q that keeps it squarefree (the
-dimension of its Berlekamp nullspace), fewest first, an upper bound on the
-probe's factor count over Q; then earliest.  Only the popped probe is factored over Q, recursively.
-Since f is monic in x and its monic factors have denominators dividing
-f's, a factorization of f maps to one of every image that keeps its
-degree, so an image with one factor mod q, or a popped probe irreducible
-over Q, proves f irreducible (von zur Gathen & Gerhard, Modern Computer
-Algebra, 15-16).  Otherwise group the probe's factorization into prime
-powers, find a point w0 of w where their images are pairwise coprime mod P
-(else try the next probe), translate the evaluation point to the origin
-mod P^k > 2B^2, B the Mignotte bound, Hensel-lift the groups there, and
-recombine subsets of lifted groups, smallest first and up to half the
-groups left (the rest then make one factor).  A subset of groups u^e lifts
-U^e, so its product is rooted in the truncated series ring by Miller's
-power recurrence, then translated back mod P^k before its coefficients are
-reconstructed.  A lifted factor is a series in the evaluated variable
-whose coefficients are packed (x, w) dicts mod P^k, w the remaining side
-variable; each lift step solves one Diophantine equation by dot products
-with the precomputed solutions for x^i, the one for 1 expanded w-adically
-from a Bezout pair at w = 0.  The Taylor shift in v and the lift's
-products carry each (x, w) key's v-series as one integer, digit i at bit
-b i (Kronecker substitution along v alone; von zur Gathen & Gerhard,
-Modern Computer Algebra, 8.4), b wide enough that no digit carries: 2
-bits(m) + bits(K D L) + 1 for products mod m of a lift over K v-orders,
-L w-orders and x-degree D, and for a shift by cv about dv log2(|cv| + 1)
-bits above the values', dv the series' v-degree (on `cd`,
-`isolation.check_image_cells` bounds it).  A group u^e enters as u's
-primitive integer rows over their x-leading integer, a divisor of f's
-denominator, raised to e mod P^k.  Every lift reads its base through a
-`PreparedBase`: the groups' tables, their coprime point per prime, and
-the lift tree's nodes (each node's A0, B0 and `_Dioph`) kept at one
-modulus M, a power of P, which a later lift at a modulus dividing M
-reads reduced (the images are exact and the solutions unique) and any
-other lift rebuilds at max(m, M^2), continuing each node's Bezout pair.
-When the factorization at one point is already known (a line slice
-f(x, t) whose t = 0 image was factored before), `lift_slice(reading,
-prepared, wanted)` lifts in f's last variable and returns the factor
-lifted from each wanted group, unproved, reconstructing no other;
-`slice_point(base)` finds, once per factorization of a polynomial in
-(x, t1), the least t1 = w0 where its groups are pairwise coprime mod P,
-so every line from there lifts with dw = 0, and prepares their images there once for all those lines.
+variable, reads as dw = 0.  One helper (`_probes`) ranks the points
+v0 = 0, 1, -1, 2, ... of the largest-degree side variable v by one
+univariate image each, mod P and mod a small prime q: largest squarefree
+degree, then fewest factors mod q, then earliest.  For a trivariate f the
+popped v0 gives the slice F(x, v0, w), read from f's integer rows, whose
+w-probes the same helper ranks.  Only the univariate image at the popped
+point, F(x, v0) or F(x, v0, w0), is factored over Q; no bivariate
+factorization is made (Wang's EEZ lift, Math. Comp. 1978, lifts one
+variable at a time from a univariate base).  Since f is monic in x and
+its monic factors have denominators dividing f's, a factorization of f
+maps to one of every image that keeps its degree, so an image with one
+factor mod q, or one irreducible over Q, proves f irreducible (von zur
+Gathen & Gerhard, Modern Computer Algebra, 15-16).  Otherwise the image's
+prime-power groups are translated to the origin mod P^k > 2B^2, B the
+Mignotte bound, and Hensel-lifted there in two passes over one lift tree
+(`_lift`): for dw > 0 first in w, over the slice's series, to the w-orders
+the second pass carries, then in v from those lifted images.  A guard
+stands in for a proof of the slice's factorization: a group u^e, e > 1,
+whose lift in w is no e-th power mod the w-orders carried shows that w0
+merged distinct factors of the slice (two that meet at w0, say), so
+(v0, w0) is degenerate and the next w-probe is tried; any other failed
+lift tries the next v-probe.  Subsets of lifted groups then recombine,
+smallest first and up to half the groups left (the rest make one factor);
+a subset of groups u^e lifts U^e, so its product is rooted by Miller's
+power recurrence and translated back before it is reconstructed.  Each
+lift step solves one Diophantine equation by dot products with
+precomputed solutions (`_Dioph`), and the shift and the lift's products
+carry each (x, w) key's v-series as one packed integer (`_shift_series`,
+`_lift_pair`).  Every lift reads its base through a `PreparedBase`, whose
+tree nodes and Bezout pairs later lifts from the same base reuse: when
+the factorization at one point is already known (a line slice f(x, t)
+whose t = 0 image was factored before), `lift_slice(reading, prepared,
+wanted)` lifts the wanted groups only, unproved, from the point
+`slice_point(base)` finds once per factorization in (x, t1).
 `factor_candidates(f, bounds)` asks only for the factors within
 proportional degree bounds (bx, bv, bw), a factor of x-degree a lying
 within (a, a bv / bx, a bw / bx): only subsets within the x-bound
 recombine, and the lift stops at the v- and w-orders the largest x-degree
-such a subset reaches allows (Wang's EEZ lift, Math. Comp. 1978, cut at
-the wanted degrees); it returns unproved candidates, and the caller's
-division of its own input decides.  Exact
-divisions over Q are the whole proof of a complete factorization: Yun and
-Zassenhaus end on exact quotients in Z[x], and the lift divides each
-factor out of what is left of f as often as its multiplicity and requires
-a constant at the end, so a degenerate evaluation point fails the lift or
-a division and costs another point, never correctness.
+such a subset reaches allows; it returns unproved candidates, and the
+caller's division of its own input decides.  Exact divisions over Q are
+the whole proof of a complete factorization: Yun and Zassenhaus end on
+exact quotients in Z[x], and the lift divides each factor out of what is
+left of f as often as its multiplicity and requires a constant at the
+end, so a degenerate evaluation point fails the lift or a division and
+costs another point, never correctness.
 """
 
 import math
@@ -92,6 +76,10 @@ from .errors import LiftFailure, PolyError, ZeroPolynomialError
 
 class _AttemptFailed(Exception):
     """Internal: current evaluation point cannot support a verified lift."""
+
+
+class _DegeneratePoint(_AttemptFailed):
+    """Internal: the base's point w0 merges distinct factors of f's slice."""
 
 
 # ---------------------------------------------------------------------------
@@ -1053,30 +1041,31 @@ def read_table(n, table, den, unpack=None, f=None):
     return _Reading(f, n, v, w, rows, den, degrees, _prime_avoiding(den))
 
 
-def _from_rows(reading, v0=None):
-    """The read f rebuilt from its integer rows, or with v0, f at z_v = v0
-    as `f.eval_var(v, v0)` gives it (z_v's slot dropped), summed on
-    integers: one rational per term of the result."""
-    n, v, w = reading.n, reading.v, reading.w
-    table = {}
-    if v0 is None:
-        for ex, row in enumerate(reading.rows):
-            for ev, ew, c in row:
-                exps = [ex, 0, 0]
-                exps[v - 1], exps[w - 1] = ev, ew
-                table[tuple(exps[:n])] = c
-        return _from_table(n, table, reading.den)
+def _slice(reading, v0):
+    """The reading (`read_table`) of the slice F(x, v0, z_w) of a
+    trivariate f, its rows summed on integers at z_v = v0, with z_w its
+    variable 2: the reading the slice's own SparsePoly would give."""
     power = [v0**k for k in range(reading.degrees[1] + 1)]
+    table = {}
     for ex, row in enumerate(reading.rows):
         for ev, ew, c in row:
-            key = (ex, ew)[: n - 1]
-            table[key] = table.get(key, 0) + c * power[ev]
-    return _from_table(n - 1, table, reading.den)
+            table[ex, ew] = table.get((ex, ew), 0) + c * power[ev]
+    return read_table(2, table, reading.den)
 
 
 def _poly(reading):
-    """The read f: the reading's own, or one rebuilt from its rows."""
-    return reading.f if reading.f is not None else _from_rows(reading)
+    """The read f: the reading's own, or one rebuilt from its integer rows,
+    one rational per term."""
+    if reading.f is not None:
+        return reading.f
+    n, v, w = reading.n, reading.v, reading.w
+    table = {}
+    for ex, row in enumerate(reading.rows):
+        for ev, ew, c in row:
+            exps = [ex, 0, 0]
+            exps[v - 1], exps[w - 1] = ev, ew
+            table[tuple(exps[:n])] = c
+    return _from_table(n, table, reading.den)
 
 
 def _group_tables(base):
@@ -1099,20 +1088,6 @@ def _group_tables(base):
     return tables
 
 
-def _coprime_point(tables, dw, P):
-    """The least w0 in range(2 dw r^2 + 3), r the groups, at which the
-    groups' images (`_group_tables`) are pairwise coprime mod P, or None;
-    P divides no group's lc.  With dw = 0 the images do not depend on w,
-    so only w0 = 0 is scanned."""
-
-    def coprime(w0):
-        images = [_eval_rows(rows, lc, 0, w0, P) for rows, lc in tables]
-        return all(up_deg(up_gcd_p(a, b, P)) == 0 for a, b in combinations(images, 2))
-
-    scan = range(2 * dw * len(tables) ** 2 + 3 if dw else 1)
-    return next((w0 for w0 in scan if coprime(w0)), None)
-
-
 def _cd_product(factors, wlen, m):
     """The product of (x, w) dicts mod (w^wlen, m)."""
     out = factors[0]
@@ -1121,59 +1096,55 @@ def _cd_product(factors, wlen, m):
     return out
 
 
+def _tree_node(images, wlen, P, m, bezout, first, count):
+    """(A0, B0, dioph) mod m of the lift tree node over the groups first,
+    ..., first + count - 1, whose images mod (w^wlen, m) are `images`: A0
+    the product of the first count // 2, B0 of the rest, and their
+    `_Dioph`, whose Bezout pair the node's memo bezout[first, count] keeps."""
+    h = count // 2
+    A0 = _cd_product(images[first : first + h], wlen, m)
+    B0 = _cd_product(images[first + h : first + count], wlen, m)
+    return A0, B0, _Dioph(A0, B0, wlen, P, m, bezout.setdefault((first, count), {}))
+
+
 class PreparedBase:
-    """`base`, a factorization [(u, e)] of f at one point, prepared once for
-    every lift from it: its groups' tables (`_group_tables`), their
-    (x-degree, multiplicity), their coprime point per (dw, P)
-    (`_coprime_point`), and the nodes of the lift tree (`node`).  For one P,
-    every point found is the least coprime w0, so each node's a0 and b0 are
-    the same in every lift and one memo serves them all."""
+    """`base`, a factorization [(u, e)] of f at one point into groups u in
+    x alone, prepared once for every lift from it: its groups' tables
+    (`_group_tables`), their (x-degree, multiplicity), and the nodes of the
+    lift tree (`node`).  A node's a0 and b0 are the same in every lift, so
+    one Bezout memo per node serves them all, and both passes of a
+    trivariate lift (`_lift`)."""
 
     def __init__(self, base):
         self.tables = _group_tables(base)
         self.groups = [(len(rows) - 1, e) for (rows, _), (_, e) in zip(self.tables, base)]
-        self.points = {}
-        self.trees = {}  # (P, w0, wlen) -> (M, images mod M, {node: (A0, B0, _Dioph)})
+        self.trees = {}  # P -> (M, images mod M, {node: (A0, B0, _Dioph)})
         self.bezout = {}  # node -> its Bezout memo (`_Dioph`)
 
-    def point(self, dw, P):
-        if (dw, P) not in self.points:
-            self.points[dw, P] = _coprime_point(self.tables, dw, P)
-        return self.points[dw, P]
+    def images(self, m):
+        """Each group u^e mod m: u's integer rows over their x-leading
+        integer, raised to e."""
+        return [
+            _cd_product([cd_reduce(_rows_to_series(rows, lc, 1, m)[0], m)] * e, 1, m)
+            for (rows, lc), (_, e) in zip(self.tables, self.groups)
+        ]
 
-    def images(self, w0, wlen, m):
-        """Each group u^e at (x, w + w0) mod (w^wlen, m): u's integer rows
-        over their x-leading integer, raised to e."""
-        out = []
-        for (rows, lc), (_, mult) in zip(self.tables, self.groups):
-            g = _shift_series(_rows_to_series(rows, lc, 1, m), 0, w0, m, 1, wlen)[0]
-            out.append(_cd_product([g] * mult, wlen, m))
-        return out
-
-    def node(self, P, w0, wlen, m, first, count):
+    def node(self, P, m, first, count):
         """(A0, B0, dioph) mod m of the lift tree node over the groups
-        first, ..., first + count - 1: A0 the product of the first count // 2
-        groups' images at w0 mod (w^wlen, m), B0 of the rest, and their
-        `_Dioph`.  The tree of each (P, w0, wlen) keeps its nodes at one
-        modulus M, a power of P.  An m dividing M reads them mod m: the
-        images are exact over Q with denominators P avoids, so A0 and B0
-        mod M reduce to A0 and B0 mod m, and the unique solutions mod M to
-        the unique ones mod m, the numbers a fresh build gives.  Any other m
-        rebuilds the tree at max(m, M^2), so a precision that keeps rising
+        first, ..., first + count - 1 (`_tree_node`), kept per P at one
+        modulus M, a power of P.  An m dividing M reads them reduced: the
+        images are exact over Q with denominators P avoids and the
+        solutions unique, so these are the numbers a fresh build gives.  Any
+        other m rebuilds the tree at max(m, M^2), so a rising precision
         rebuilds it rarely; each node's Bezout pair is memoized across
         rebuilds (`_Dioph`)."""
-        key = (P, w0, wlen)
-        tree = self.trees.get(key)
+        tree = self.trees.get(P)
         if tree is None or tree[0] % m:
             M = m if tree is None else max(m, tree[0] ** 2)
-            tree = self.trees[key] = (M, self.images(w0, wlen, M), {})
+            tree = self.trees[P] = (M, self.images(M), {})
         M, images, nodes = tree
         if (first, count) not in nodes:
-            h = count // 2
-            A0 = _cd_product(images[first : first + h], wlen, M)
-            B0 = _cd_product(images[first + h : first + count], wlen, M)
-            memo = self.bezout.setdefault((first, count), {})
-            nodes[first, count] = (A0, B0, _Dioph(A0, B0, wlen, P, M, memo))
+            nodes[first, count] = _tree_node(images, 1, P, M, self.bezout, first, count)
         A0, B0, dioph = nodes[first, count]
         if M == m:
             return A0, B0, dioph
@@ -1181,42 +1152,53 @@ class PreparedBase:
 
 
 def slice_point(base):
-    """(w0, line): the least t1 = w0 >= 0 at which the groups of `base`,
-    the factorization of a polynomial in (x, t1) monic in x, have images
-    h(x, w0) pairwise coprime mod the least prime >= 2^20 avoiding their
-    denominators, so each group lifts from t1 = w0 on any line through
-    that point, and `line`, those images prepared once for lifting every
-    line slice from there (`PreparedBase`); None when no w0 scanned gives
-    them."""
+    """(w0, line): the least t1 = w0 in range(2 d r^2 + 3), d the t1-degree
+    of the product of `base`'s r groups, the factorization of a polynomial
+    in (x, t1) monic in x, at which their images h(x, w0) are pairwise
+    coprime mod the least prime P >= 2^20 avoiding their denominators, so
+    each group lifts from t1 = w0 on any line through that point, and
+    `line`, those images prepared once for lifting every line slice from
+    there (`PreparedBase`); None when no w0 scanned gives them."""
     tables = _group_tables(base)
-    dw = sum(e * (u.degree_in(2) or 0) for u, e in base)
-    w0 = _coprime_point(tables, dw, _prime_avoiding(math.lcm(*(lc for _, lc in tables))))
+    d = sum(e * (u.degree_in(2) or 0) for u, e in base)
+    P = _prime_avoiding(math.lcm(*(lc for _, lc in tables)))
+
+    def coprime(w0):
+        images = [_eval_rows(rows, lc, 0, w0, P) for rows, lc in tables]
+        return all(up_deg(up_gcd_p(a, b, P)) == 0 for a, b in combinations(images, 2))
+
+    w0 = next((w0 for w0 in range(2 * d * len(tables) ** 2 + 3) if coprime(w0)), None)
     if w0 is None:
         return None
     return w0, PreparedBase([(u.eval_var(2, w0), e) for u, e in base])
 
 
-def _lift(reading, v0, prepared, bounds=None):
-    """(groups, candidate): f's factorization at z_v = v0, prepared
-    (`PreparedBase`), lifted mod P^k > 2B^2 (P the reading's prime, B =
-    _factor_bound); groups[i] is group i's (x-degree, multiplicity).
-    candidate(S) is (G, e), G monic in x and G^e the factor the groups S
-    lift, reconstructed over Q and unproved (junk reconstructs too); None
-    when their multiplicities differ or nothing reconstructs.  Raises
-    _AttemptFailed when the base images are not squarefree and coprime mod
-    P at any w0 scanned.
+def _lift(reading, v0, prepared, bounds=None, w0=0):
+    """(groups, candidate): f's factorization at (z_v, z_w) = (v0, w0)
+    into groups in x alone, prepared (`PreparedBase`), lifted mod P^k >
+    2B^2 (P the reading's prime, B = _factor_bound); groups[i] is group
+    i's (x-degree, multiplicity).  candidate(S) is (G, e), G monic in x and
+    G^e the factor the groups S lift, reconstructed over Q and unproved
+    (junk reconstructs too); None when their multiplicities differ or
+    nothing reconstructs.  _AttemptFailed when the groups' images are not
+    coprime mod P.
 
-    The lift runs mod (v^K, w^wlen), K = dv + 1 and wlen = dw + 1.  Base
-    images coprime mod (P, w - w0) make the lifted factors unique mod
-    (v^K, w^wlen, P^k), so a product of lifted factors truncates the factor
-    of f it lifts, whose degrees <= (dv, dw) keep it whole.  A group u^e,
-    u read as its primitive integer rows over their x-leading integer,
-    lifts to U^e, so a subset of groups of one multiplicity e is rooted
-    (`_series_root`) before it is reconstructed.  `bounds` (bx, bv, bw),
-    per variable (x first), are proportional: a wanted factor of x-degree a
+    The lift runs mod (v^K, w^wlen), K = dv + 1 and wlen = dw + 1, at the
+    origin, in two passes over one lift tree.  With wlen > 1, the slice
+    F(x, v0, w + w0) first lifts the groups' images in w; these are the
+    v-lift's node images, and both passes share each node's Bezout memo.
+    Images coprime mod P make the lifted factors unique mod (v^K, w^wlen,
+    P^k), so a product of lifted factors truncates the factor of f it
+    lifts, whose degrees <= (dv, dw) keep it whole.  A group u^e, u read as
+    its primitive integer rows over their x-leading integer, lifts to U^e
+    where (v0, w0) keeps f's factors apart, so a subset of groups of one
+    multiplicity e is rooted (`_series_root`) before it is reconstructed;
+    a lift in w that is no e-th power shows that w0 merged distinct
+    factors of the slice: _DegeneratePoint.  `bounds` (bx, bv, bw), per
+    variable (x first), are proportional: a wanted factor of x-degree a
     lies within (a, a bv / bx, a bw / bx).  No subset recombined with
-    x-degree <= bx passes a = min(bx, the sum of the group x-degrees <= bx),
-    so the lift is cut at K = min(dv, a bv // bx) + 1 and wlen =
+    x-degree <= bx passes a = min(bx, the sum of the group x-degrees <=
+    bx), so the lift is cut at K = min(dv, a bv // bx) + 1 and wlen =
     min(dw, a bw // bx) + 1, and B is taken at degree sum a + K + wlen - 2:
     a wanted factor is whole in the cut, and so is its root, though U^e
     runs past it."""
@@ -1231,10 +1213,6 @@ def _lift(reading, v0, prepared, bounds=None):
         a = min(bx, sum(d for d, _ in groups if d <= bx))
         K = min(dv, a * bv // bx) + 1
         wlen = min(dw, a * bw // bx) + 1  # the w-orders the lift carries
-    # P avoids f's denominators, which each group's lc divides (Gauss's lemma)
-    w0 = prepared.point(dw, P)
-    if w0 is None:
-        raise _AttemptFailed("no w0 gives coprime base images")
     # a monic factor of f is G / lc(G), G an integer factor of f's integer
     # form, and lc(G) divides f's denominator, which P avoids, so a subset
     # that does not reconstruct is no factor; candidates are reconstructed
@@ -1244,10 +1222,24 @@ def _lift(reading, v0, prepared, bounds=None):
     m = P ** _precision(P, 2 * B * B + 1)
 
     # lift at the origin: translate the evaluation point there mod m, keeping
-    # only the orders the lift carries; the groups' powers there are the
-    # prepared tree's
+    # only the orders the lift carries
     Fser = _shift_series(_rows_to_series(f_rows, f_den, dv + 1, m), v0, w0, m, K, wlen)
-    node = partial(prepared.node, P, w0, wlen, m)
+    node = partial(prepared.node, P, m)
+    if wlen > 1:
+        # the w-lift: the slice Fser[0], read as a w-series of x-dicts
+        Sser = [dict() for _ in range(wlen)]
+        for key, c in Fser[0].items():
+            Sser[key % STRIDE][key - key % STRIDE] = c
+        images = [
+            {key + j: c for j, row in enumerate(leaf) for key, c in row.items()}
+            for leaf in _lift_tree(Sser, wlen, m, node, 0, len(groups))
+        ]
+        for image, (_, e) in zip(images, groups):
+            if e > 1:
+                root = _series_root([image], e, wlen, m)[0]
+                if _cd_product([root] * e, wlen, m) != image:
+                    raise _DegeneratePoint("a group's lift in w is no power")
+        node = partial(_tree_node, images, wlen, P, m, prepared.bezout)
     leaves = _lift_tree(Fser, K, m, node, 0, len(groups))
 
     def candidate(S):
@@ -1268,11 +1260,11 @@ def _lift(reading, v0, prepared, bounds=None):
     return groups, candidate
 
 
-def _attempt_lift(reading, v0, base, bounds=None):
+def _attempt_lift(reading, v0, base, bounds=None, w0=0):
     """The complete [(factor, mult)] of the read f lifted from `base`, its
-    factorization at z_v = v0, or with `bounds` the unproved candidates
-    within them (`_lift`), sorted as FactorList sorts."""
-    groups, candidate = _lift(reading, v0, PreparedBase(base), bounds)
+    factorization at (z_v, z_w) = (v0, w0), or with `bounds` the unproved
+    candidates within them (`_lift`), sorted as FactorList sorts."""
+    groups, candidate = _lift(reading, v0, PreparedBase(base), bounds, w0)
     if bounds is None:
         found = _complete_recombination(_poly(reading), groups, candidate)
     else:
@@ -1334,16 +1326,14 @@ def _bounded_recombination(groups, candidate, bx):
 
 def lift_slice(reading, prepared, wanted):
     """The factor lifted from each group of `prepared` (`PreparedBase`),
-    the complete factorization of the read f with its last variable at 0,
-    whose index is in `wanted`, in that order (only these are
+    the complete factorization of the read f at the origin of its side
+    variables, whose index is in `wanted`, in that order (only these are
     reconstructed), by Wang's lift from a known point (Math. Comp. 1978).
-    f is bivariate or trivariate and monic in x, read for a lift in its
-    last variable, as `read_table` reads a line slice f(x, t), whose
-    groups are in x alone (`slice_point`) and whose lift carries one
-    w-order.  Every slice lifted from one preparation shares its tables,
-    coprime point and tree nodes.  None where a group
-    does not reconstruct, and everywhere when the lift fails.  Unproved:
-    the caller decides."""
+    f is monic in x, read as `read_table` reads a line slice f(x, t),
+    whose groups are in x alone (`slice_point`), or trivariate.  Every
+    slice lifted from one preparation shares its tables and tree nodes.
+    None where a group does not reconstruct, and everywhere when the lift
+    fails.  Unproved: the caller decides."""
     try:
         _, candidate = _lift(reading, 0, prepared)
     except _AttemptFailed:
@@ -1356,93 +1346,93 @@ _MAX_EVAL_ATTEMPTS = 400
 _RANK_SIDE = 1009  # probes are ranked by their images at z_w = _RANK_SIDE
 
 
-def _probe_images(reading):
-    """(degraded, image) for the probes f(z_v = v0), off f's reading.
-    degraded(v0) is True when v0 drops f's degree in z_w: every x-row of
-    f's top z_w terms, a polynomial in z_v, vanishes there (never for
-    dw = 0, where the x^dx row, read first, is f's leading term).
-    image(v0, q) is f(x, v0, _RANK_SIDE) mod a prime q not dividing den, as
-    an ascending list, monic of degree deg_x f since f is monic in x."""
-    rows, den, dw = reading.rows, reading.den, reading.degrees[2]
+def _probes(reading):
+    """The probe points z_v = v0 of the read f, best first, then None if
+    an image certifies f irreducible: the one ranking of a trivariate f's
+    v-probes and of its slice's w-probes.  Points 0, 1, -1, ... that drop
+    f's degree in z_w are skipped (they force a finer base split and a
+    doomed lift): every x-row of f's top z_w terms, a polynomial in z_v,
+    vanishes there (never for dw = 0).  Each probe is ranked by its image
+    f(x, v0, _RANK_SIDE), monic of degree dx, four probes at a time: first
+    by its squarefree degree mod P, largest first, which never exceeds the
+    probe's squarefree x-degree over Q and equals it at generic points;
+    then, for a squarefree image of full degree, by its number of distinct
+    irreducible factors mod the least prime q that keeps it squarefree (P
+    at worst), fewest first (Wang's choice, Math. Comp. 1978), which
+    bounds the probe's factor count over Q; then earliest.  f's monic
+    factors have denominators dividing f's, which q avoids, so one factor
+    mod q proves f irreducible."""
+    rows, den, (dx, _, dw), P = reading.rows, reading.den, reading.degrees, reading.prime
     # per x-row, top first, the (v-exponent, integer) of f's top z_w terms
     top_w = [[(ev, c) for ev, ew, c in row if ew == dw] for row in reversed(rows)]
+    points = _eval_points()
+    consumed = 0
+    pool = []  # [quality, count, arrival, v0]
+    while True:
+        while len(pool) < 4 and consumed < _MAX_EVAL_ATTEMPTS:
+            v0 = next(points)
+            consumed += 1
+            if not any(sum(c * v0**ev for ev, c in row) for row in top_w):
+                continue
+            img = _eval_rows(rows, den, v0, _RANK_SIDE, P)
+            quality = dx - up_deg(up_gcd_p(img, up_deriv(img), P))
+            count = 0
+            if quality == dx:
+                for q in primes(3):
+                    if den % q:
+                        small = _eval_rows(rows, den, v0, _RANK_SIDE, q) if q < P else img
+                        if q == P or up_deg(up_gcd_p(small, up_deriv(small), q)) == 0:
+                            break
+                count = _factor_count_mod_p(small, q)
+                if count == 1:
+                    yield None
+                    return
+            pool.append([quality, count, consumed, v0])
+        if not pool:  # pragma: no cover
+            raise LiftFailure("no good evaluation point found")
+        pool.sort(key=lambda t: (-t[0], t[1], t[2]))
+        yield pool.pop(0)[3]
 
-    def degraded(v0):
-        return not any(sum(c * v0**ev for ev, c in row) for row in top_w)
 
-    def image(v0, q):
-        return _eval_rows(rows, den, v0, _RANK_SIDE, q)
-
-    return degraded, image
+def _univariate_base(reading, t0):
+    """The factorization over Q of the read f, with dw = 0, at z_v = t0:
+    [(canonical irreducible in x alone, multiplicity)]."""
+    rows = [[(0, 0, sum(c * t0**ev for ev, _, c in row))] for row in reading.rows]
+    return _factor_univariate_pairs(rows, 1)
 
 
 def _factor_monic_sparse(f, bounds=None):
     """[(canonical irreducible, mult)] for f monic in variable 1, <=3 vars;
     with per-variable degree `bounds`, unproved candidates (_attempt_lift).
     f is a SparsePoly, read here, or its reading (`read_table`), which may
-    hold no SparsePoly: each probe's base at z_v = v0 is built from the
-    reading's rows, and f itself only when it comes back whole."""
+    hold no SparsePoly: f itself is built only when it comes back whole.
+    A popped v-probe v0 (`_probes`) of a trivariate f gives its slice
+    F(x, v0, z_w) (`_slice`), whose w-probes w0 are ranked the same way;
+    the univariate image at the popped point is factored over Q and lifted
+    from.  A degenerate (v0, w0) moves on to the next w-probe, any other
+    failed lift to the next v-probe."""
     reading = f if isinstance(f, _Reading) else read_table(f.n, *_int_table(f), f=f)
-    (dx, dv, _), v, den, P = reading.degrees, reading.v, reading.den, reading.prime
+    dx, dv, dw = reading.degrees
     if not dv:  # f is a polynomial in x alone: z_v has the larger side degree
         return _factor_univariate_pairs(reading.rows, reading.n)
     if not dx:
         raise PolyError("input not monic in its main variable")
-    degraded, image = _probe_images(reading)
-    point_iter = _eval_points()
-    consumed = 0
-    probes = []  # [quality, count, arrival, v0]
-
-    def refill(window):
-        """Top up the probe pool, ranking each probe by its images mod
-        primes; True when an image certifies irreducibility."""
-        nonlocal consumed
-        while len(probes) < window and consumed < _MAX_EVAL_ATTEMPTS:
-            v0 = next(point_iter)
-            consumed += 1
-            # points that drop a surviving variable's degree force a finer
-            # base split and a doomed lift; skip them
-            if degraded(v0):
-                continue
-            img = image(v0, P)
-            # the squarefree x-degree mod P is at most the probe's over Q,
-            # and equal to it at generic points
-            quality = dx - up_deg(up_gcd_p(img, up_deriv(img), P))
-            count = 0
-            if quality == dx:
-                # the factor count mod any prime that keeps the image
-                # squarefree bounds the probe's count over Q; the least such
-                # prime (P at worst) makes x^q mod the image cheapest
-                for q in primes(3):
-                    if den % q:
-                        small = image(v0, q) if q < P else img
-                        if q == P or up_deg(up_gcd_p(small, up_deriv(small), q)) == 0:
-                            break
-                count = _factor_count_mod_p(small, q)
-                # f's monic factors have denominators dividing f's, which q
-                # avoids, so a factorization of f maps to one of the image
-                # that keeps its degree: one irreducible factor mod q
-                # proves f irreducible
-                if count == 1:
-                    return True
-            probes.append([quality, count, consumed, v0])
-        return False
-
-    while not refill(4):
-        if not probes:  # pragma: no cover
-            raise LiftFailure("no good evaluation point found")
-        # prefer the point with the least factor merging (largest squarefree
-        # part of the image), then the fewest factors mod q (Wang's choice,
-        # Math. Comp. 1978), then the earliest
-        probes.sort(key=lambda t: (-t[0], t[1], t[2]))
-        v0 = probes.pop(0)[3]
-        base = _factor_monic_sparse(_from_rows(reading, v0))
-        if len(base) == 1 and base[0][1] == 1:
+    for v0 in _probes(reading):
+        if v0 is None:
             break
-        try:
-            return _attempt_lift(reading, v0, base, bounds)
-        except _AttemptFailed:
-            continue
+        # a bivariate f is its own slice, read at z_v = v0
+        plane = _slice(reading, v0) if dw else reading
+        for t0 in _probes(plane) if dw else [v0]:
+            # None, or an irreducible image, certifies f irreducible
+            base = t0 is not None and _univariate_base(plane, t0)
+            if not base or (len(base) == 1 and base[0][1] == 1):
+                return [(_poly(reading).canonical(), 1)]
+            try:
+                return _attempt_lift(reading, v0, base, bounds, t0 if dw else 0)
+            except _DegeneratePoint:
+                continue
+            except _AttemptFailed:
+                break
     # an irreducibility certificate: f comes back whole
     return [(_poly(reading).canonical(), 1)]
 

@@ -16,6 +16,7 @@ residual exactly, so a scheme can cost completeness, never correctness.
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from math import prod
 
 from .sparse import SparsePoly, _compose, _from_table, _int_table, _tops
@@ -81,13 +82,15 @@ class IsolationScheme:
         )
 
 
+@cache
 def compact_scheme(n, delta):
     """Greedy minimal weight vector injective on M_delta, paired with its
     reversal; keeps dense-grid degrees as small as the separation floor
-    allows.  Each weight c is the least above the last that keeps the map
-    injective: with the sums so far kept per total degree d, every s + k c
-    (1 <= k <= delta - d) must miss them, which also rules out a clash
-    between two new monomials (subtract their common power of c)."""
+    allows; built once per (n, delta) and shared, as a scheme is frozen.
+    Each weight c is the least above the last that keeps the map injective:
+    with the sums so far kept per total degree d, every s + k c (1 <= k <=
+    delta - d) must miss them, which also rules out a clash between two new
+    monomials (subtract their common power of c)."""
     if n < 1 or delta < 1:
         raise ValueError("need n >= 1 and delta >= 1")
     w = []
@@ -127,12 +130,18 @@ def apply_phi(f, scheme, x_vars=0):
     return f.substitute(assignment, m=m)
 
 
+@cache
+def _weight_table(weights, delta):
+    """y-exponent -> its monomial of degree <= delta under z_i -> y^{weights_i}."""
+    return {_weight(e, weights): e for e in monomials_up_to(len(weights), delta)}
+
+
 def _read_back(terms, scheme, weights, y_slot):
     """The polynomial whose image under z_i -> y^{weights_i} has the given
     (exponents, coefficient) terms: the slots before y_slot pass through and
-    the y-exponent is read back to its monomial of degree <= scheme.delta;
-    NotInCodomain when it has none."""
-    table = {_weight(e, weights): e for e in monomials_up_to(scheme.n, scheme.delta)}
+    the y-exponent is read back through `_weight_table`; NotInCodomain when
+    it has no monomial of degree <= scheme.delta there."""
+    table = _weight_table(weights, scheme.delta)
     out = {}
     for exps, c in terms:
         e = table.get(exps[y_slot])

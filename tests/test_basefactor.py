@@ -18,6 +18,7 @@ from polyfactor.basefactor import (
     lift_slice,
     PreparedBase,
     _AttemptFailed,
+    _DegeneratePoint,
     _Dioph,
     _attempt_lift,
     _bezout_step,
@@ -81,6 +82,13 @@ def series(f, v, w, K, m):
             ev, ew = (exps[i - 1] if i and i <= f.n else 0 for i in (v, w))
             ser[ev][cd_pack(exps[0], ew)] = c * inv % m
     return ser
+
+
+def univariate_base(f, v, v0, w0=0):
+    """f's factorization over Q with z_v at v0 and its other side variable,
+    if any, at w0: the univariate base a lift of f starts from."""
+    image = f.eval_var(v, v0)
+    return _factor_monic_sparse(image.eval_var(2, w0) if image.n > 1 else image)
 
 
 def test_x2_minus_1():
@@ -221,63 +229,76 @@ LIFT_CASES = [
 
 @pytest.mark.parametrize("text, n, v, w", LIFT_CASES)
 def test_attempt_lift_away_from_the_origin(text, n, v, w):
-    """The lift translates its evaluation point to the origin and back: at
-    every point that yields a result it is the complete factorization."""
+    """The lift translates its evaluation point (v0, w0) to the origin and
+    back: at every point that yields a result it is the complete
+    factorization."""
     f = parse_product(text, n)
     want = list(factor_monic(f).factors)
     lifted = []
     for v0 in (0, 1, -1, 2):
-        base = _factor_monic_sparse(f.eval_var(v, v0))
-        try:
-            result = _attempt_lift(read_rows(f, v, w or 3), v0, base)
-        except _AttemptFailed:
-            continue
-        assert result == want, (v0, result)
-        lifted.append(v0)
-    assert set(lifted) - {0}, "no lift away from the origin: %s" % lifted
+        for w0 in (0, 1, -1) if w else (0,):
+            base = univariate_base(f, v, v0, w0)
+            try:
+                result = _attempt_lift(read_rows(f, v, w or 3), v0, base, None, w0)
+            except _AttemptFailed:
+                continue
+            assert result == want, (v0, w0, result)
+            lifted.append((v0, w0))
+    assert set(lifted) - {(0, 0)}, "no lift away from the origin: %s" % lifted
 
 
 def test_attempt_lift_with_a_nonzero_w_point():
-    # at v0 = 0 the base images (x + w) and (x - w) meet at w = 0, so the
-    # lift must evaluate the base at some w0 != 0
+    # at v0 = 0 the slice's factors (x + w) and (x - w) meet at w = 0: the
+    # base there, x^2, lifts in w to x^2 - w^2, no square, so the point is
+    # degenerate, and the lift from w0 = 1 gives f's factorization
     f = parse_product("(z1 + z3 + z2)*(z1 - z3 + 2*z2)", 3)
-    base = _factor_monic_sparse(f.eval_var(2, 0))
-    assert [u.eval_var(2, 0) for u, _ in base] == [parse_poly("z1")] * 2
-    assert _attempt_lift(read_rows(f, 2, 3), 0, base) == list(factor_monic(f).factors)
+    reading = read_rows(f, 2, 3)
+    assert univariate_base(f, 2, 0, 0) == [(parse_poly("z1"), 2)]
+    with pytest.raises(_DegeneratePoint):
+        _attempt_lift(reading, 0, univariate_base(f, 2, 0, 0), None, 0)
+    base = univariate_base(f, 2, 0, 1)
+    assert _attempt_lift(reading, 0, base, None, 1) == list(factor_monic(f).factors)
 
 
 def test_attempt_lift_recombines_the_pieces_of_a_split_factor():
-    # cd pool entry 31's trivariate image: at v0 = 1 its irreducible cubic
-    # factor splits into a linear and a quadratic factor whose lifts are
-    # power series in w; only their product, cut at f's w-degree, is the
-    # cubic
+    # cd pool entry 31's trivariate image: its irreducible cubic factor
+    # splits at each point into groups whose lifts are power series in v
+    # and w; only their product, cut at f's degrees, is the cubic
     f = parse_poly("-3*z2^3*z4^3 + z3^3*z4^3 - 3*z4^6 + 5*z4^3", 4)
     f3 = psi_map(monicize(f)[1], compact_scheme(4, 2)).to_sparse()
     want = list(factor_monic(f3).factors)
     for v0 in (0, 1, -1, 2):
-        base = _factor_monic_sparse(f3.eval_var(2, v0))
-        assert _attempt_lift(read_rows(f3, 2, 3), v0, base) == want, v0
+        lifted = []
+        for w0 in (0, 1, -1, 2):
+            base = univariate_base(f3, 2, v0, w0)
+            try:
+                lifted.append(_attempt_lift(read_rows(f3, 2, 3), v0, base, None, w0))
+            except _AttemptFailed:
+                continue
+        assert lifted and all(result == want for result in lifted), v0
     # the lift divides f down to a constant remainder, so the first factor
     # fixes the second
     assert [m for _, m in want] == [3, 1]
     assert want[0][0] == parse_poly("z2^12*z3 + z1 + z2", 3)
     assert want[1][0].degree_in(1) == 3
-    # at z2 = 0 the quadratic splits into (z1 - z3)(z1 + z3)
+    # at z2 = 0 the quadratic splits into (z1 - z3)(z1 + z3), whose images
+    # at z3 = 1 are two of the three groups
     g = parse_product("(z1^2 - z2 - z3^2)*(z1 + z2 + 2*z3)", 3)
-    base = _factor_monic_sparse(g.eval_var(2, 0))
+    base = univariate_base(g, 2, 0, 1)
     assert len(base) == 3
-    assert _attempt_lift(read_rows(g, 2, 3), 0, base) == list(factor_monic(g).factors)
+    assert _attempt_lift(read_rows(g, 2, 3), 0, base, None, 1) == list(factor_monic(g).factors)
 
 
 def test_attempt_lift_fails_at_a_point_that_merges_factors():
     # at z2 = 0 the first input's quadratic has the image z1^2, which is not
     # squarefree, and both linear factors of the second have the image z1:
-    # no subset reconstructs a factor of f, so the lift raises and
-    # factor_monic moves on to another point
+    # at every w0 no subset reconstructs a factor of f, so the lift raises
+    # and factor_monic moves on to another point
     for text in ["(z1^2 - z2*z3 - z2)*(z1 + z3)", "(z1 + z2*z3)*(z1 - z2*z3 + z2)"]:
         f = parse_product(text, 3)
-        with pytest.raises(_AttemptFailed):
-            _attempt_lift(read_rows(f, 2, 3), 0, _factor_monic_sparse(f.eval_var(2, 0)))
+        for w0 in (0, 1, 2):
+            with pytest.raises(_AttemptFailed):
+                _attempt_lift(read_rows(f, 2, 3), 0, univariate_base(f, 2, 0, w0), None, w0)
         assert len(factor_monic(f).factors) == 2
 
 
@@ -372,7 +393,7 @@ def test_complete_factorizations_are_not_multiplied_back_out(monkeypatch):
 
 
 def test_the_lift_takes_what_is_left_without_dividing_it(monkeypatch):
-    # three groups at z2 = 0: two factors are found by subsets and
+    # three groups at (z2, z3) = (0, 1): two factors are found by subsets and
     # divided out once each, and the group left, of multiplicity 1, is
     # what is left of f, recorded with no division by itself
     import polyfactor.basefactor as basefactor
@@ -386,9 +407,10 @@ def test_the_lift_takes_what_is_left_without_dividing_it(monkeypatch):
 
     f = parse_product("(z1 + z2*z3 + 1)*(z1^2 - z2 + z3)*(z1 - z3 + 2*z2)", 3)
     want = list(factor_monic(f).factors)
-    base = _factor_monic_sparse(f.eval_var(2, 0))
+    base = univariate_base(f, 2, 0, 1)
+    assert len(base) == 3
     monkeypatch.setattr(basefactor, "divide_out", counted)
-    assert _attempt_lift(read_rows(f, 2, 3), 0, base) == want
+    assert _attempt_lift(read_rows(f, 2, 3), 0, base, None, 1) == want
     rest = parse_poly("z1^2 - z2 + z3", 3)
     assert sorted(divisors, key=factor_sort_key) == [g for g, _ in want if g != rest]
 
@@ -620,9 +642,9 @@ def test_a_bounded_lift_stops_at_the_largest_subset_x_degree(monkeypatch):
 
     monkeypatch.setattr(basefactor, "_lift_pair", recorded)
     assert (linear.canonical(), 1) in factor_candidates(f, bounds).factors
-    # the lifts before f's own factor its bivariate base, with no bounds
-    assert orders[-1] == (6 // 2 + 1, 2)
-    assert all(length == 1 for _, length in orders[:-1])
+    # the w-lift of the univariate base runs to the same 2 z3-orders, one
+    # x-dict each, before the z2-lift
+    assert orders == [(2, 1), (6 // 2 + 1, 2)]
 
 
 @st.composite
@@ -655,6 +677,43 @@ def trivariate_monic_products(draw):
     return f
 
 
+def test_a_point_that_merges_two_factors_is_passed_over(monkeypatch):
+    # f's slices hold (x + v0 + w)(x + v0 + 2w), whose images meet at
+    # w0 = 0, and the w-probes are forced to try w0 = 0 first: the base
+    # (x + v0)^2 lifts in w to no square, so the guard makes the point
+    # degenerate, the next w-probe is lifted from, and both the complete
+    # and the bounded factorization are whole
+    import polyfactor.basefactor as basefactor
+
+    f = parse_product("(z1 + z2 + z3)*(z1 + z2 + 2*z3)*(z1 - z2 + 3)", 3)
+    texts = ["z1 + z2 + z3", "z1 + z2 + 2*z3", "z1 - z2 + 3"]
+    want = {(parse_poly(t, 3).canonical(), 1) for t in texts}
+    assert set(sympy_factorization(f)[1].items()) == want
+    probes, lift = basefactor._probes, basefactor._attempt_lift
+    tried = []
+
+    def merging_first(reading):
+        if reading.n == 3:  # f's own v-probes keep their order
+            yield from probes(reading)
+            return
+        yield 0
+        yield from (t0 for t0 in probes(reading) if t0 != 0)
+
+    def recorded(reading, v0, base, bounds, w0):
+        try:
+            return lift(reading, v0, base, bounds, w0)
+        except _DegeneratePoint:
+            tried.append(w0)
+            raise
+
+    monkeypatch.setattr(basefactor, "_probes", merging_first)
+    monkeypatch.setattr(basefactor, "_attempt_lift", recorded)
+    assert set(factor_monic(f).factors) == want
+    assert tried == [0]
+    assert set(want) <= set(factor_candidates(f, (2, 2, 2)).factors)
+    assert tried == [0, 0]
+
+
 def _lift_slice_from_scratch_free(f, base):
     """lift_slice of f from base, prepared, with every factorization from
     scratch failing."""
@@ -668,11 +727,19 @@ def _lift_slice_from_scratch_free(f, base):
         return lift_slice(read_rows(f, f.n, 5 - f.n), PreparedBase(base), range(len(base)))
 
 
+def _origin_base(f):
+    """The factorization of f(x, 0, 0), f in (x, t1, t2): the univariate
+    base `lift_slice` lifts f from."""
+    return factor_monic(f.eval_var(3, 0).eval_var(2, 0)).factors
+
+
 def _factors_by_image(f, base):
     """The factor of f over each group of base, in base's order, when f's
-    factors keep base's pattern (their t2 = 0 images are base's groups,
-    one each, with the same multiplicities); None otherwise."""
-    by_image = {(g.eval_var(3, 0).canonical(), e): g for g, e in factor_monic(f).factors}
+    factors keep base's pattern (their images at t1 = t2 = 0 are base's
+    groups, one each, with the same multiplicities); None otherwise."""
+    by_image = {
+        (g.eval_var(3, 0).eval_var(2, 0).canonical(), e): g for g, e in factor_monic(f).factors
+    }
     if len(by_image) != len(base) or set(by_image) != set(base):
         return None
     return [by_image[pair] for pair in base]
@@ -681,10 +748,10 @@ def _factors_by_image(f, base):
 @settings(derandomize=True, deadline=None, max_examples=80)
 @given(trivariate_monic_products())
 def test_lift_slice_matches_factor_monic(f):
-    # where f's factors keep the pattern of its t2 = 0 image, each group
-    # lifts to the factor of f over it, even where t2 = 0 drops the
-    # t1-degree; no draw is factored from scratch
-    base = factor_monic(f.eval_var(3, 0)).factors
+    # where f's factors keep the pattern of its image at t1 = t2 = 0, each
+    # group lifts, in t1 and then in t2, to the factor of f over it, even
+    # where t2 = 0 drops the t1-degree; no draw is factored from scratch
+    base = _origin_base(f)
     want = _factors_by_image(f, base)
     lifted = _lift_slice_from_scratch_free(f, base)
     assert len(lifted) == len(base)
@@ -694,8 +761,8 @@ def test_lift_slice_matches_factor_monic(f):
 
 
 def test_lift_slice_lifts_each_group_from_the_base():
-    f = parse_product("(z1 - z2 - z3)*(z1 + z2 + z3^2)*(z1 + z3)^2", 3)
-    base = factor_monic(f.eval_var(3, 0)).factors
+    f = parse_product("(z1 - z2 - z3 + 1)*(z1 + z2 + z3^2 + 2)*(z1 + z3 - 3)^2", 3)
+    base = _origin_base(f)
     want = _factors_by_image(f, base)
     assert want is not None and len(want) == 3
     assert [P.canonical() for P in _lift_slice_from_scratch_free(f, base)] == want
@@ -704,9 +771,9 @@ def test_lift_slice_lifts_each_group_from_the_base():
 @pytest.mark.parametrize(
     "text, base_text",
     [
-        # base x - t1, x + t1 and f irreducible: each group alone lifts to
+        # base x - 1, x + 1 and f irreducible: each group alone lifts to
         # no factor of f
-        ("z1^2 - z2^2 + z3", "z1^2 - z2^2"),
+        ("z1^2 - z2^2 + z3 - 1", "z1^2 - 1"),
         # base x with multiplicity 2 and f no square: the root of f's lift
         # is x, which does not divide f
         ("z1^2 + z3", "z1^2"),
@@ -714,7 +781,8 @@ def test_lift_slice_lifts_each_group_from_the_base():
 )
 def test_lift_slice_of_an_irreducible_slice_divides_nothing(text, base_text):
     f = parse_poly(text, 3)
-    base = factor_monic(parse_poly(base_text, 2)).factors
+    base = factor_monic(parse_poly(base_text, 1)).factors
+    assert base == _origin_base(f)
     lifted = _lift_slice_from_scratch_free(f, base)
     assert len(lifted) == len(base)
     for P in lifted:
@@ -732,10 +800,13 @@ def test_the_lift_rebuilds_no_group_over_q(monkeypatch):
     # raises it to its multiplicity as a SparsePoly
     f = parse_product(SQUARE_AND_NON_MONIC, 3)
     want = list(factor_monic(f).factors)
-    bases = {v: _factor_monic_sparse(f.eval_var(v, 1)) for v in (2, 3)}
+    bases = {v: univariate_base(f, v, 1, 1) for v in (2, 3)}
     assert all(any(e == 2 for _, e in base) for base in bases.values())
-    slice_base = factor_monic(f.eval_var(3, 0)).factors
-    slice_want = _factors_by_image(f, slice_base)
+    # f moved by (1, 1), so that its images at the origin are apart
+    x, t1, t2 = (SparsePoly.variable(3, i) for i in (1, 2, 3))
+    moved = f.substitute([x, t1 + SparsePoly.const(3, 1), t2 + SparsePoly.const(3, 1)], m=3)
+    slice_base = _origin_base(moved)
+    slice_want = _factors_by_image(moved, slice_base)
     assert slice_want is not None
 
     def rebuilt(*args):
@@ -744,10 +815,10 @@ def test_the_lift_rebuilds_no_group_over_q(monkeypatch):
     monkeypatch.setattr(SparsePoly, "scale", rebuilt)
     monkeypatch.setattr(SparsePoly, "__pow__", rebuilt)
     for v, base in bases.items():
-        assert _attempt_lift(read_rows(f, v, 5 - v), 1, base) == want
+        assert _attempt_lift(read_rows(f, v, 5 - v), 1, base, None, 1) == want
         # bounded: the z2-order is cut below f's z2-degree
-        assert set(want) <= set(_attempt_lift(read_rows(f, v, 5 - v), 1, base, (1, 1, 2)))
-    lifted = lift_slice(read_rows(f, 3, 2), PreparedBase(slice_base), range(len(slice_base)))
+        assert set(want) <= set(_attempt_lift(read_rows(f, v, 5 - v), 1, base, (1, 1, 2), 1))
+    lifted = lift_slice(read_rows(moved, 3, 2), PreparedBase(slice_base), range(len(slice_base)))
     assert [P.canonical() for P in lifted] == slice_want
 
 
@@ -812,8 +883,9 @@ def test_the_lift_prime_avoids_a_denominator_at_2_to_the_20(n):
     ],
 )
 def test_each_factor_monic_sparse_call_reads_its_input_once(text, n):
-    # the probes and every lift attempt share one reading of f; its base
-    # groups are read on their own
+    # one call per factorization, since no probe is factored by a call of
+    # its own: the probes, the slices and every lift attempt share one
+    # reading of f; its base groups are read on their own
     import polyfactor.basefactor as basefactor
 
     frames, stack = [], []
@@ -838,8 +910,7 @@ def test_each_factor_monic_sparse_call_reads_its_input_once(text, n):
         mp.setattr(basefactor, "_factor_monic_sparse", counted_factor)
         mp.setattr(basefactor, "_int_table", counted_read)
         assert factor_monic(f).recompose() == f
-    assert len(frames) >= n
-    assert [reads for _, reads in frames] == [1] * len(frames)
+    assert [reads for _, reads in frames] == [1]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -880,20 +951,22 @@ def test_int_rows_rebuild_the_polynomial(n):
 
 
 @pytest.mark.parametrize(
-    "text, n, v, w, v0",
+    "text, n, v, w, v0, w0",
     [
-        ("(z1 - z2)*(z1 + z2^2 + 1/3)", 2, 2, 3, 1),
-        (SQUARE_AND_NON_MONIC, 3, 2, 3, 1),
-        (SQUARE_AND_NON_MONIC, 3, 3, 2, -1),
+        ("(z1 - z2)*(z1 + z2^2 + 1/3)", 2, 2, 3, 1, 0),
+        (SQUARE_AND_NON_MONIC, 3, 2, 3, 1, 1),
+        (SQUARE_AND_NON_MONIC, 3, 3, 2, -1, 1),
     ],
 )
-def test_the_lift_reads_the_series_the_fraction_path_gives(monkeypatch, text, n, v, w, v0):
-    # f's series and each group u^e at the origin, read from Fractions:
-    # u scaled monic in x and raised to e over Q, then taken mod m
+def test_the_lift_reads_the_series_the_fraction_path_gives(monkeypatch, text, n, v, w, v0, w0):
+    # f's series and each group u^e, read from Fractions: u scaled monic in
+    # x and raised to e over Q, then taken mod m; a trivariate f's w-lift
+    # lifts the groups over its slice at v0 first
     import polyfactor.basefactor as basefactor
 
     f = parse_product(text, n)
-    base = _factor_monic_sparse(f.eval_var(v, v0))
+    base = univariate_base(f, v, v0, w0)
+    want = list(factor_monic(f).factors)
     calls, images = [], []
     tree, read_images = basefactor._lift_tree, basefactor.PreparedBase.images
 
@@ -907,30 +980,39 @@ def test_the_lift_reads_the_series_the_fraction_path_gives(monkeypatch, text, n,
 
     monkeypatch.setattr(basefactor, "_lift_tree", recorded)
     monkeypatch.setattr(basefactor.PreparedBase, "images", recorded_images)
-    assert _attempt_lift(read_rows(f, v, w), v0, base) == list(factor_monic(f).factors)
-    Fser, K, m = calls[0][:3]
+    assert _attempt_lift(read_rows(f, v, w), v0, base, None, w0) == want
+    # each pass's top call lifts every group; the v-lift is the last pass
+    tops = [args for args in calls if args[4:] == (0, len(base))]
+    Fser, K, m = tops[-1][:3]
+    wlen = (f.degree_in(w) or 0) + 1 if w <= n else 1
+    F = series(f, v, w, (f.degree_in(v) or 0) + 1, m)
+    assert Fser == _shift_series(F, v0, w0, m, K, wlen)
     # the lift's preparation reads the groups at the lift's modulus
-    (_, wlen, images_m), groups = images[0]
+    ((images_m,), groups), = images
     assert images_m == m
-
-    def reference(w0):
-        F = series(f, v, w, (f.degree_in(v) or 0) + 1, m)
-        G = []
-        for u, e in base:
-            U = u.scale(ONE / u.terms[(u.degree_in(1),) + (0,) * (u.n - 1)]) ** e
-            G.append(_shift_series(series(U, None, 2, 1, m), 0, w0, m, 1, wlen)[0])
-        return _shift_series(F, v0, w0, m, K, wlen), G
-
-    assert any(reference(w0) == (Fser, groups) for w0 in range(40))
+    G = []
+    for u, e in base:
+        U = u.scale(ONE / u.terms[(u.degree_in(1),)]) ** e
+        G.append(series(U, None, None, 1, m)[0])
+    assert groups == G
+    if wlen > 1:
+        # the w-lift: f's slice at v0, moved by w0, one x-dict per w-order
+        Sser, wlen_w, m_w = tops[0][:3]
+        assert (len(tops), wlen_w, m_w) == (2, wlen, m)
+        assert Sser == [
+            {k - j: c for k, c in Fser[0].items() if k % STRIDE == j} for j in range(wlen)
+        ]
+    else:
+        assert len(tops) == 1
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(trivariate_monic_products(), st.sampled_from([2, 3]))
 @example(parse_product("(z1^2 - z2 - z3^2)*(z1 + z2 + 2*z3)", 3), 2)
 def test_attempt_lift_succeeds_where_the_base_keeps_the_squarefree_degree(f, v):
-    # when the images of f's distinct factors are squarefree and pairwise
-    # coprime, the base's squarefree x-degree is f's, and the lift recovers
-    # f's factorization
+    # when the images of f's distinct factors at (v0, w0) are squarefree
+    # and pairwise coprime, the base's squarefree x-degree is f's, and the
+    # lift recovers f's factorization
     w = 5 - v
     want = list(factor_monic(f).factors)
     squarefree_degree = sum(u.degree_in(1) for u, _ in want)
@@ -938,9 +1020,10 @@ def test_attempt_lift_succeeds_where_the_base_keeps_the_squarefree_degree(f, v):
         image = f.eval_var(v, v0)
         if (image.degree_in(2) or 0) != (f.degree_in(w) or 0):
             continue
-        base = _factor_monic_sparse(image)
-        if sum(u.degree_in(1) for u, _ in base) == squarefree_degree:
-            assert _attempt_lift(read_rows(f, v, w), v0, base) == want, v0
+        for w0 in (0, 1, -1):
+            base = _factor_monic_sparse(image.eval_var(2, w0))
+            if sum(u.degree_in(1) for u, _ in base) == squarefree_degree:
+                assert _attempt_lift(read_rows(f, v, w), v0, base, None, w0) == want, (v0, w0)
 
 
 def _random_monic_cd(rng, dx, dw, m):
@@ -1144,21 +1227,19 @@ def _tree_nodes(first, count):
 
 
 @pytest.mark.parametrize(
-    "text, n, w0, wlen",
+    "text",
     [
-        # a line base: groups in x alone, one w-order
-        ("(z1^2 + 3)*(z1 - 2)^2*(z1 + 5)*(z1^3 - z1 + 1)", 1, 0, 1),
-        ("(z1 + 1/2)*(z1^2 - 7)", 1, 0, 1),
-        # groups in (x, w), read at w0 = 1 with three w-orders
-        ("(z1 + z2 + 1)*(z1^2 - z2^2 + 3)^2*(z1 - 2*z2)", 2, 1, 3),
+        "(z1^2 + 3)*(z1 - 2)^2*(z1 + 5)*(z1^3 - z1 + 1)",
+        "(z1 + 1/2)*(z1^2 - 7)",
+        "(z1 + 1)*(z1^2 + 3)^2*(z1 - 2)",
     ],
 )
-def test_a_memoized_lift_tree_node_is_the_fresh_one_at_every_precision(text, n, w0, wlen):
+def test_a_memoized_lift_tree_node_is_the_fresh_one_at_every_precision(text):
     # one preparation serves lifts to precisions that rise, fall and repeat;
     # every node it returns mod m has the A0, B0 and Diophantine solutions
     # of a node built fresh mod m, though the tree may be kept at a larger
     # modulus and grows past the precision asked for
-    base = factor_monic(parse_product(text, n)).factors
+    base = factor_monic(parse_product(text, 1)).factors
     p = 1048583
     prepared = PreparedBase(base)
     nodes = _tree_nodes(0, len(base))
@@ -1169,16 +1250,16 @@ def test_a_memoized_lift_tree_node_is_the_fresh_one_at_every_precision(text, n, 
         m = p**k
         fresh = PreparedBase(base)
         for first, count in nodes:
-            A0, B0, dioph = prepared.node(p, w0, wlen, m, first, count)
-            FA0, FB0, fdioph = fresh.node(p, w0, wlen, m, first, count)
+            A0, B0, dioph = prepared.node(p, m, first, count)
+            FA0, FB0, fdioph = fresh.node(p, m, first, count)
             assert (A0, B0) == (FA0, FB0), (k, first, count)
-            assert dioph.m == m and dioph.length == wlen
+            assert dioph.m == m and dioph.length == 1
             assert (dioph.s, dioph.t, dioph.rows) == (fdioph.s, fdioph.t, fdioph.rows), k
-        moduli.add(prepared.trees[p, w0, wlen][0])
+        moduli.add(prepared.trees[p][0])
     # the tree grew by squaring: one build and three rebuilds for seven
     # rises in precision
     assert sorted(moduli) == [p, p**3, p**6, p**12]
-    assert prepared.trees[p, w0, wlen][0] == p**12
+    assert prepared.trees[p][0] == p**12
 
 
 # ---------------------------------------------------------------------------
@@ -1369,11 +1450,11 @@ def test_factor_count_mod_p_matches_berlekamp():
 
 
 @st.composite
-def monic_products(draw):
+def monic_products(draw, n=None):
     """(f, factor count): a product of 1-3 factors x^d + lower terms, d <= 3,
-    in (x, t1) or (x, t1, t2) with small integer coefficients, the first
-    possibly repeated."""
-    n = draw(st.sampled_from([2, 3]))
+    in (x, t1) or (x, t1, t2) (n, when given, picks one) with small integer
+    coefficients, the first possibly repeated."""
+    n = n or draw(st.sampled_from([2, 3]))
     exps = st.tuples(*[st.integers(0, 2)] * (n - 1))
 
     @st.composite
@@ -1403,17 +1484,39 @@ def test_factor_monic_matches_sympy_on_monic_products(case):
     assert fl.scalar == scalar
 
 
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(monic_products(3), st.sampled_from([(1, 2, 2), (2, 2, 2), (3, 6, 3)]))
+def test_bounded_candidates_hold_every_sympy_factor_within_the_bounds(case, bounds):
+    # the bounded path, which proves no factorization of a slice, still
+    # lists every factor sympy finds within the proportional bounds, of
+    # x-degree a <= bx and within (a, a bv / bx, a bw / bx), with its
+    # multiplicity
+    f, _ = case
+    bx = bounds[0]
+    want = [
+        (g, e)
+        for g, e in sympy_factorization(f)[1].items()
+        if g.degree_in(1) <= bx
+        and all(
+            (g.degree_in(i) or 0) * bx <= b * g.degree_in(1) for i, b in zip((2, 3), bounds[1:])
+        )
+    ]
+    got = factor_candidates(f, bounds).factors
+    assert all(pair in got for pair in want), (want, got)
+
+
 def _count_probes_and_lifts(f):
-    """factor_monic(f) with, per _factor_monic_sparse call, [probes factored
-    over Q, lifts tried, lifts that succeeded]."""
+    """factor_monic(f) with, per _factor_monic_sparse call, [univariate
+    images factored over Q, lifts tried, lifts that succeeded]; each lift
+    starts from the image factored last, f at its point (v0, w0)."""
     import polyfactor.basefactor as basefactor
 
     frames, stack = [], []
     factor, lift = basefactor._factor_monic_sparse, basefactor._attempt_lift
+    univariate = basefactor._factor_univariate_pairs
+    bases = []
 
     def counted_factor(g, *args):
-        if stack:
-            stack[-1][0] += 1
         frame = [0, 0, 0]
         frames.append(frame)
         stack.append(frame)
@@ -1422,7 +1525,19 @@ def _count_probes_and_lifts(f):
         finally:
             stack.pop()
 
+    def counted_univariate(*args):
+        stack[-1][0] += 1
+        bases.append(univariate(*args))
+        return bases[-1]
+
     def counted_lift(*args):
+        reading, v0, base, _, w0 = args
+        assert base is bases[-1]
+        image = reading.f.eval_var(reading.v, v0)
+        product = SparsePoly.const(1, 1)
+        for u, e in base:
+            product = product * u**e
+        assert product == (image.eval_var(2, w0) if image.n > 1 else image)
         stack[-1][1] += 1
         result = lift(*args)
         stack[-1][2] += 1
@@ -1430,6 +1545,7 @@ def _count_probes_and_lifts(f):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(basefactor, "_factor_monic_sparse", counted_factor)
+        mp.setattr(basefactor, "_factor_univariate_pairs", counted_univariate)
         mp.setattr(basefactor, "_attempt_lift", counted_lift)
         fl = factor_monic(f)
     return fl, frames
@@ -1443,17 +1559,15 @@ def _count_probes_and_lifts(f):
     )
 )
 def test_one_probe_is_factored_over_q_per_lift(case):
-    # f is reducible and uses every side variable, so each level's probes
-    # keep their variables: a level factors over Q only the probe it lifts
-    # from, one per lift tried, and ends with one successful lift; the
-    # univariate bottom level lifts nothing
+    # f is reducible and uses every side variable: the one call factors
+    # over Q only the univariate image each lift starts from, F(x, v0) or
+    # F(x, v0, w0), one per lift tried, ends with one successful lift, and
+    # factors no bivariate slice
     f, _ = case
     fl, frames = _count_probes_and_lifts(f)
     assert fl.recompose() == f
-    assert len(frames) == f.n
-    for probes, tried, lifted in frames[:-1]:
-        assert probes == tried and lifted == 1
-    assert frames[-1] == [0, 0, 0]
+    [[probes, tried, lifted]] = frames
+    assert probes == tried and lifted == 1
 
 
 @pytest.mark.parametrize(
@@ -1483,7 +1597,7 @@ def test_images_reducible_mod_every_prime_fall_back_to_q(text, n):
         fl, frames = _count_probes_and_lifts(f)
     assert fl.factors == ((f, 1),)
     assert counts and 1 not in counts
-    assert frames[0][0] == 1  # one probe factored over Q, no lift
+    assert frames == [[1, 0, 0]]  # one image factored over Q, no lift
     assert all(tried == 0 for _, tried, _ in frames)
 
 

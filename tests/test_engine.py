@@ -238,9 +238,9 @@ def _check_psi_reading(f):
     is the one the reference reader `read_rows` gives of the two-step
     image, monicize then psi_map: the same rows as multisets, den, degrees
     and prime, with v and w as the old `_factor_monic_sparse` chose them
-    from the image's degrees.  Each base at z_v = v0 built from its rows is
+    from the image's degrees.  Each slice at z_v = v0 read from its rows is
     the image's eval_var, and the rows rebuild the image.  Returns the normalizer Hom[f](alpha)."""
-    from polyfactor.basefactor import _from_rows
+    from polyfactor.basefactor import _poly, _slice
     from polyfactor.engine import _monic_point, _psi_reading
 
     scheme = compact_scheme(f.n, 2)
@@ -252,8 +252,8 @@ def _check_psi_reading(f):
     assert got.f is None
     assert _same_reading(got, read_rows(image, v, 5 - v))
     for v0 in (0, 1, -1, 2):
-        assert _from_rows(got, v0) == image.eval_var(v, v0), v0
-    assert _from_rows(got) == image
+        assert _poly(_slice(got, v0)) == image.eval_var(v, v0), v0
+    assert _poly(got) == image
     return normalizer
 
 
@@ -296,15 +296,14 @@ def test_an_irreducible_input_comes_back_whole_from_its_reading(monkeypatch, tex
     # builds it from the rows, and psi_invert returns f itself
     import polyfactor.basefactor as basefactor
 
-    from_rows = basefactor._from_rows
+    poly = basefactor._poly
     rebuilt = []
 
-    def recorded(reading, v0=None):
-        if v0 is None:
-            rebuilt.append(reading.f)
-        return from_rows(reading, v0)
+    def recorded(reading):
+        rebuilt.append(reading.f)
+        return poly(reading)
 
-    monkeypatch.setattr(basefactor, "_from_rows", recorded)
+    monkeypatch.setattr(basefactor, "_poly", recorded)
     f = parse_poly(text)
     fl = pipeline(f, 2)
     assert fl.factors == ((f.canonical(), 1),)
@@ -931,9 +930,9 @@ def test_the_line_slice_reads_what_the_trivariate_slice_reads(
     g_text, cofactor_text, n, alpha, beta, gamma, point
 ):
     # a group that lifts a true factor g gives g(omega) / Hom[g](alpha) on
-    # the trivariate slice through gamma and on the line slice from
-    # gamma + w0 beta alike
-    from polyfactor.basefactor import PreparedBase, lift_slice, slice_point
+    # the trivariate slice and on the line slice through o = gamma + w0 beta
+    # alike, both lifted from the one line base
+    from polyfactor.basefactor import lift_slice, slice_point
     from polyfactor.engine import _line_slices, _project
     from polyfactor.pit import interpolation_plan
 
@@ -946,12 +945,12 @@ def test_the_line_slice_reads_what_the_trivariate_slice_reads(
     w0, line_base = slice_point(base)
     assert w0 == point
     origin = tuple(c + w0 * b for c, b in zip(gamma, beta))
-    prepared = PreparedBase(base)
     read_line = _line_slices(scaled, alpha, origin)
     for omega in interpolation_plan(2, n):
-        secondary = tuple(o - c for o, c in zip(omega, gamma))
-        T = _project(scaled, alpha, [beta, secondary], gamma)
-        trivariate = lift_slice(read_rows(T, 3, 2), prepared, [i])[0]
+        secondary = tuple(p - o for p, o in zip(omega, origin))
+        # its image at t1 = t2 = 0 is r_hat(x, w0), the line base's
+        T = _project(scaled, alpha, [beta, secondary], origin)
+        trivariate = lift_slice(read_rows(T, 3, 2), line_base, [i])[0]
         line = lift_slice(read_line(omega), line_base, [i])[0]
         want = g.eval_point(omega) / top
         assert trivariate.eval_point((0, 0, 1)) == line.eval_point((0, 1)) == want, omega

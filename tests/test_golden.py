@@ -17,8 +17,11 @@ substitutions (calls of `sparse._compose`, the substitution kernel's
 integer core), the Diophantine builds (`basefactor._Dioph`
 constructions, one per lift tree node built), the Bezout lift steps
 (calls of `basefactor._bezout_step`), the lift's v-orders (the sum of
-K over `basefactor._lift_pair` calls) and its Diophantine solves (calls
-of `basefactor._Dioph.solve`), then the line count of src/polyfactor
+K over `basefactor._lift_pair` calls), its Diophantine solves (calls
+of `basefactor._Dioph.solve`), the univariate factorizations over Q
+(calls of `basefactor._factor_univariate_pairs`) and the complete
+recombinations (calls of `basefactor._complete_recombination`, one per
+complete lift that reached recombining), then the line count of src/polyfactor
 (as `cat src/polyfactor/*.py | wc -l` counts it), and exits 1 if an
 entry differs:
 
@@ -153,6 +156,20 @@ def main(workloads):
         solves += 1
         return solve(dioph, e)
 
+    univariate = basefactor._factor_univariate_pairs
+
+    def counted_univariate(*args):
+        nonlocal univariates
+        univariates += 1
+        return univariate(*args)
+
+    recombination = basefactor._complete_recombination
+
+    def counted_recombination(*args):
+        nonlocal recombinations
+        recombinations += 1
+        return recombination(*args)
+
     init = sparse.SparsePoly.__init__
 
     def counted_init(self, n, terms):
@@ -171,12 +188,15 @@ def main(workloads):
     basefactor._lift_pair = counted_pair
     basefactor._Dioph.__init__ = counted_dioph
     basefactor._Dioph.solve = counted_solve
+    basefactor._factor_univariate_pairs = counted_univariate
+    basefactor._complete_recombination = counted_recombination
     sparse.SparsePoly.__init__ = counted_init
     wrong = 0
     for workload in workloads or sorted(PIPELINES):
         pool = load_pool(workload)
         times = []
         slices = reads = built = substitutions = builds = steps = orders = solves = 0
+        univariates = recombinations = 0
         drawn_per_entry = []
         for i, item in enumerate(pool):
             start = time.process_time()
@@ -192,10 +212,12 @@ def main(workloads):
         print("%s: %d entries, %.1f s process time, %d slices, %d oracle pairs "
               "(at most %d per entry), %d integer reads, %d SparsePoly "
               "constructions, %d substitutions, %d Diophantine builds, %d Bezout "
-              "lift steps, %d lift v-orders, %d Diophantine solves; slowest: %s"
+              "lift steps, %d lift v-orders, %d Diophantine solves, %d univariate "
+              "factorizations over Q, %d complete recombinations; slowest: %s"
               % (workload, len(pool), sum(t for t, _ in times), slices,
                  sum(drawn_per_entry), max(drawn_per_entry), reads, built,
-                 substitutions, builds, steps, orders, solves, slowest),
+                 substitutions, builds, steps, orders, solves, univariates,
+                 recombinations, slowest),
               flush=True)
     lines = 0
     for path in sorted(glob.glob(os.path.join(ROOT, "src", "polyfactor", "*.py"))):
