@@ -537,17 +537,6 @@ def _up_gcd_z(f, g):
     return a
 
 
-def _eval_rows(rows, den, v0, w0, p):
-    """rows / den at z_v = v0, z_w = w0 mod the prime p (integer rows as a
-    reading holds them, `read_table`; p not dividing den), as an ascending
-    list of x-coefficients; the power of v0 or w0 at each exponent present
-    is taken once."""
-    scale = pow(den, -1, p)
-    vp = {ev: pow(v0, ev, p) for ev in {ev for row in rows for ev, _, _ in row}}
-    wp = {ew: pow(w0, ew, p) for ew in {ew for row in rows for _, ew, _ in row}}
-    return [sum(c * vp[ev] * wp[ew] for ev, ew, c in row) * scale % p for row in rows]
-
-
 def _factor_univariate_pairs(rows, n):
     """[(canonical irreducible, multiplicity)] for a polynomial in x alone,
     read as integer rows (`read_table`), in n variables (the others unused).
@@ -1013,7 +1002,7 @@ def _prime_avoiding(den):
 _Reading = namedtuple("_Reading", "f n v w rows den degrees prime")
 
 
-def read_table(n, table, den, unpack=None, f=None):
+def read_table(n, table, den, bits=None, f=None):
     """The reading of f = table / den, a polynomial in n <= 3 variables with
     x first, for its probes and lifts in z_v, keeping z_w = z_(5 - v):
     rows[ex] holds (v-exponent, w-exponent, integer) for each term of
@@ -1021,21 +1010,30 @@ def read_table(n, table, den, unpack=None, f=None):
     prime P >= 2^20 that avoids den.  z_v is the side variable of largest
     degree, the first on a tie; a bivariate f reads w = 3, a variable it
     lacks, so dw = 0, and a univariate f reads dv = dw = 0.  table holds
-    integers on exponent tuples (`_int_table`), or on packed keys that
-    unpack turns into them, as the substitution kernel's integer core
-    leaves them (`sparse._compose`); then no SparsePoly is made, and the
-    reading's f is None.  Dividing table and den by their gcd makes den
-    the least common denominator of f's coefficients, the den
-    `_int_table` reads."""
+    integers on exponent tuples (`_int_table`), or on keys packed with
+    fields of bits, as the substitution kernel's integer core leaves them
+    (`sparse._compose`): each is split by shifts, a key of fewer than 3
+    slots shifted up first so that its missing slots read 0; then no
+    SparsePoly is made, and the reading's f is None.  Dividing table and
+    den by their gcd makes den the least common denominator of f's
+    coefficients, the den `_int_table` reads."""
     g = math.gcd(den, *table.values())
-    keys = table if unpack is None else map(unpack, table)
-    terms = [(e + (0,) * (3 - n), c // g) for e, c in zip(keys, table.values()) if c]
-    tops = [max(col) for col in zip(*(e for e, _ in terms))] or [0, 0, 0]
+    if bits is None:
+        items = [e + (0,) * (3 - n) + (c // g,) for e, c in table.items() if c]
+    else:
+        field, pad = (1 << bits) - 1, bits * (3 - n)
+        keys = [k << pad for k in table] if pad else table
+        items = [
+            (k >> 2 * bits & field, k >> bits & field, k & field, c // g)
+            for k, c in zip(keys, table.values())
+            if c
+        ]
+    tops = [max(col) for col in list(zip(*items))[:3]] or [0, 0, 0]
     v = 3 if tops[2] > tops[1] else 2
     w = 5 - v
     rows = [[] for _ in range(tops[0] + 1)]
-    for e, c in terms:
-        rows[e[0]].append((e[v - 1], e[w - 1], c))
+    for ex, e1, e2, c in items:
+        rows[ex].append((e1, e2, c) if v == 2 else (e2, e1, c))
     den //= g
     degrees = (tops[0], tops[v - 1], tops[w - 1])
     return _Reading(f, n, v, w, rows, den, degrees, _prime_avoiding(den))
@@ -1164,7 +1162,8 @@ def slice_point(base):
     P = _prime_avoiding(math.lcm(*(lc for _, lc in tables)))
 
     def coprime(w0):
-        images = [_eval_rows(rows, lc, 0, w0, P) for rows, lc in tables]
+        # a group's rows hold z_v-exponent 0 alone: each folds to its value
+        images = [_images([r[0] for r in _fold(rows, w0, 0, d)], lc, P) for rows, lc in tables]
         return all(up_deg(up_gcd_p(a, b, P)) == 0 for a, b in combinations(images, 2))
 
     w0 = next((w0 for w0 in range(2 * d * len(tables) ** 2 + 3) if coprime(w0)), None)
@@ -1194,7 +1193,10 @@ def _lift(reading, v0, prepared, bounds=None, w0=0):
     where (v0, w0) keeps f's factors apart, so a subset of groups of one
     multiplicity e is rooted (`_series_root`) before it is reconstructed;
     a lift in w that is no e-th power shows that w0 merged distinct
-    factors of the slice: _DegeneratePoint.  `bounds` (bx, bv, bw), per
+    factors of the slice: _DegeneratePoint.  With such a group, the w-lift
+    and this guard run to at least min(dw, 2) + 1 w-orders, cut back to
+    wlen for the v-lift: two factors that meet at w0 can make a power mod
+    w^2, as (x + w)(x + 2w) = (x + 3w/2)^2 does.  `bounds` (bx, bv, bw), per
     variable (x first), are proportional: a wanted factor of x-degree a
     lies within (a, a bv / bx, a bw / bx).  No subset recombined with
     x-degree <= bx passes a = min(bx, the sum of the group x-degrees <=
@@ -1221,24 +1223,29 @@ def _lift(reading, v0, prepared, bounds=None, w0=0):
     B = _factor_bound([c for r in f_rows for *_, c in r], a + K + wlen - 2)
     m = P ** _precision(P, 2 * B * B + 1)
 
+    # the w-orders the w-lift and its guard carry
+    wg = max(wlen, min(dw, 2) + 1) if any(e > 1 for _, e in groups) else wlen
     # lift at the origin: translate the evaluation point there mod m, keeping
     # only the orders the lift carries
-    Fser = _shift_series(_rows_to_series(f_rows, f_den, dv + 1, m), v0, w0, m, K, wlen)
+    Fser = _shift_series(_rows_to_series(f_rows, f_den, dv + 1, m), v0, w0, m, K, wg)
     node = partial(prepared.node, P, m)
-    if wlen > 1:
+    if wg > 1:
         # the w-lift: the slice Fser[0], read as a w-series of x-dicts
-        Sser = [dict() for _ in range(wlen)]
+        Sser = [dict() for _ in range(wg)]
         for key, c in Fser[0].items():
             Sser[key % STRIDE][key - key % STRIDE] = c
         images = [
             {key + j: c for j, row in enumerate(leaf) for key, c in row.items()}
-            for leaf in _lift_tree(Sser, wlen, m, node, 0, len(groups))
+            for leaf in _lift_tree(Sser, wg, m, node, 0, len(groups))
         ]
         for image, (_, e) in zip(images, groups):
             if e > 1:
-                root = _series_root([image], e, wlen, m)[0]
-                if _cd_product([root] * e, wlen, m) != image:
+                root = _series_root([image], e, wg, m)[0]
+                if _cd_product([root] * e, wg, m) != image:
                     raise _DegeneratePoint("a group's lift in w is no power")
+        if wg > wlen:
+            Fser = [_wcut(row, wlen) for row in Fser]
+            images = [_wcut(image, wlen) for image in images]
         node = partial(_tree_node, images, wlen, P, m, prepared.bezout)
     leaves = _lift_tree(Fser, K, m, node, 0, len(groups))
 
@@ -1346,6 +1353,29 @@ _MAX_EVAL_ATTEMPTS = 400
 _RANK_SIDE = 1009  # probes are ranked by their images at z_w = _RANK_SIDE
 
 
+def _fold(rows, r, dv, dw):
+    """Integer rows (`read_table`) of degrees at most (dv, dw) in (z_v, z_w)
+    at z_w = r, exactly: per x-row, the list by v-exponent of sum c r^ew."""
+    power = [r**k for k in range(dw + 1)]
+    folded = [[0] * (dv + 1) for _ in rows]
+    for out, row in zip(folded, rows):
+        for ev, ew, c in row:
+            out[ev] += c * power[ew]
+    return folded
+
+
+def _row_values(folded, v0):
+    """The exact value at z_v = v0 of each x-row of folded rows (`_fold`)."""
+    power = [v0**k for k in range(max(map(len, folded)))]
+    return [sum(map(mul, row, power)) for row in folded]
+
+
+def _images(values, den, p):
+    """values / den mod the prime p, which does not divide den."""
+    scale = pow(den, -1, p)
+    return [c * scale % p for c in values]
+
+
 def _probes(reading):
     """The probe points z_v = v0 of the read f, best first, then None if
     an image certifies f irreducible: the one ranking of a trivariate f's
@@ -1361,10 +1391,13 @@ def _probes(reading):
     at worst), fewest first (Wang's choice, Math. Comp. 1978), which
     bounds the probe's factor count over Q; then earliest.  f's monic
     factors have denominators dividing f's, which q avoids, so one factor
-    mod q proves f irreducible."""
-    rows, den, (dx, _, dw), P = reading.rows, reading.den, reading.degrees, reading.prime
+    mod q proves f irreducible.  f's rows are folded at z_w = _RANK_SIDE
+    once (`_fold`), and each probe evaluates them once, exactly
+    (`_row_values`): its images mod P and mod q reduce those integers."""
+    rows, den, (dx, dv, dw), P = reading.rows, reading.den, reading.degrees, reading.prime
     # per x-row, top first, the (v-exponent, integer) of f's top z_w terms
     top_w = [[(ev, c) for ev, ew, c in row if ew == dw] for row in reversed(rows)]
+    folded = _fold(rows, _RANK_SIDE, dv, dw)
     points = _eval_points()
     consumed = 0
     pool = []  # [quality, count, arrival, v0]
@@ -1374,13 +1407,14 @@ def _probes(reading):
             consumed += 1
             if not any(sum(c * v0**ev for ev, c in row) for row in top_w):
                 continue
-            img = _eval_rows(rows, den, v0, _RANK_SIDE, P)
+            values = _row_values(folded, v0)
+            img = _images(values, den, P)
             quality = dx - up_deg(up_gcd_p(img, up_deriv(img), P))
             count = 0
             if quality == dx:
                 for q in primes(3):
                     if den % q:
-                        small = _eval_rows(rows, den, v0, _RANK_SIDE, q) if q < P else img
+                        small = _images(values, den, q) if q < P else img
                         if q == P or up_deg(up_gcd_p(small, up_deriv(small), q)) == 0:
                             break
                 count = _factor_count_mod_p(small, q)

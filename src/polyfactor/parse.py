@@ -6,8 +6,12 @@ x, y, t.  Whitespace is insignificant.  Example:
 
     3*z1^2*z2 - 5/7*z3 + 1
 
+parse_poly reads this flat grammar one term at a time, one regular
+expression match per term and one findall over its factors, straight to a
+term table; only text it refuses is tokenized, to report the error.
 parse_product additionally accepts parenthesized products and powers of the
-base grammar, e.g. "(z1+z2)^2*(z1-1)"; the CLI exposes it as --expand.
+base grammar, e.g. "(z1+z2)^2*(z1-1)", on the tokens; the CLI exposes it as
+--expand.
 """
 
 import re
@@ -52,35 +56,30 @@ def tokenize(text):
     return tokens
 
 
-def infer_arity(tokens):
-    """Variable count implied by the tokens' mention set: max z index, or
-    the reserved-name convention (x,y,t -> slots 0,1,2) when only those
+def infer_arity(names):
+    """Variable count implied by the variable names mentioned: max z index,
+    or the reserved-name convention (x,y,t -> slots 0,1,2) when only those
     occur."""
-    zmax = 0
-    reserved = False
-    for kind, value, _ in tokens:
-        if kind == "var":
-            if value in RESERVED:
-                reserved = True
-            else:
-                zmax = max(zmax, int(value[1:]))
-    if reserved:
-        if zmax:
-            raise ParseError("cannot mix reserved names with z-variables", 0)
-        return 3
-    return max(zmax, 1)
+    names = set(names)
+    zs = [int(name[1:]) for name in names - RESERVED.keys()]
+    if len(zs) == len(names):
+        return max(zs + [1])
+    if zs:
+        raise ParseError("cannot mix reserved names with z-variables", 0)
+    return 3
+
+
+def _slot(name):
+    return RESERVED[name] if name in RESERVED else int(name[1:]) - 1
 
 
 def _var_slot(name, n, pos):
-    if name in RESERVED:
-        slot = RESERVED[name]
-        if slot >= n:
-            raise ParseError("variable %s needs arity > %d" % (name, slot), pos)
-        return slot
-    index = int(name[1:])
-    if index < 1 or index > n:
+    slot = _slot(name)
+    if name in RESERVED and slot >= n:
+        raise ParseError("variable %s needs arity > %d" % (name, slot), pos)
+    if not 0 <= slot < n:
         raise ParseError("variable %s out of range 1..%d" % (name, n), pos)
-    return index - 1
+    return slot
 
 
 def _number(value, pos):
@@ -91,8 +90,8 @@ def _number(value, pos):
 
 
 class _Parser:
-    """parse_terms reads the flat grammar; parse_sum the extended one, on
-    the SparsePoly kernel."""
+    """parse_sum reads the extended grammar on the SparsePoly kernel;
+    flat_error reports why a text is not in the flat one."""
 
     def __init__(self, tokens, n):
         self.tokens = tokens
@@ -131,45 +130,27 @@ class _Parser:
             raise ParseError("exponent must be a non-negative integer", pos)
         return int(value)
 
-    def parse_terms(self):
-        """The flat grammar straight to a term table: each term's exponent
-        list and coefficient are built directly, and like terms are summed
-        in one dict (a cancelled term leaves it, as under SparsePoly +)."""
-        n = self.n
-        terms = {}
-        sign = self.sign() or 1
+    def flat_error(self):
+        """Raise the first error of the flat grammar in the tokens, where a
+        walk term by term meets it; only for text `_flat_terms` refuses."""
+        self.sign()
         while True:
-            exps = [0] * n
-            coeff = Q(sign)
-            while True:
-                kind, value, pos = self.next()
-                if kind == "number":
-                    coeff *= _number(value, pos) ** self.exponent()
-                elif kind == "var":
-                    slot = _var_slot(value, n, pos)
-                    exps[slot] += self.exponent()
-                else:
-                    raise ParseError(
-                        "unexpected token %r" % (value or "end of input"), pos
-                    )
-                kind, value, _ = self.peek()
-                if kind != "op" or value != "*":
-                    break
+            kind, value, pos = self.next()
+            if kind == "number":
+                _number(value, pos)
+            elif kind == "var":
+                _var_slot(value, self.n, pos)
+            else:
+                raise ParseError("unexpected token %r" % (value or "end of input"), pos)
+            self.exponent()
+            if self.peek()[:2] == ("op", "*"):
                 self.next()
-            if coeff:
-                key = tuple(exps)
-                acc = terms.get(key)
-                if acc is None:
-                    terms[key] = coeff
-                else:
-                    acc += coeff
-                    if acc:
-                        terms[key] = acc
-                    else:
-                        del terms[key]
-            sign = self.sign()
-            if sign is None:
-                return SparsePoly(n, terms)
+            elif self.sign() is None:
+                break
+        kind, value, pos = self.peek()
+        if kind == "end":
+            raise AssertionError("the flat reader refused valid text")
+        raise ParseError("trailing input %r" % value, pos)
 
     def parse_sum(self):
         sign = self.sign() or 1
@@ -219,26 +200,80 @@ class _Parser:
         raise ParseError("unexpected token %r" % (value or "end of input"), pos)
 
 
-def _parse(text, n, products):
-    tokens = tokenize(text)
+# one term of the flat grammar, its sign required after the first term, and
+# one of its factors, as the tokenizer splits them
+_FACTOR = r"(?:\d+(?:\s*/\s*\d+)?|z\d+|[xyt])(?:\s*\^\s*\d+)?"
+_TERM = re.compile(r"\s*([-+]?)\s*(%s(?:\s*\*\s*%s)*)\s*" % (_FACTOR, _FACTOR))
+_PART = re.compile(r"(?:(\d+)(?:\s*/\s*(\d+))?|(z\d+|[xyt]))(?:\s*\^\s*(\d+))?")
+
+
+def _flat_terms(text, n):
+    """(n, terms) for flat text, n inferred when None; None where the text
+    leaves the grammar or `flat_error` would raise.  Each term is one
+    `_TERM` match and one `_PART` findall over its factors, its coefficient
+    an integer numerator and denominator made one rational; like terms are
+    summed in one dict, and a cancelled term leaves it, as under +."""
+    names = set(re.findall(r"z\d+|[xyt]", text))
     if n is None:
-        n = infer_arity(tokens)
-    parser = _Parser(tokens, n)
-    poly = parser.parse_sum() if products else parser.parse_terms()
-    kind, value, pos = parser.peek()
-    if kind != "end":
-        raise ParseError("trailing input %r" % value, pos)
-    return poly
+        try:
+            n = infer_arity(names)
+        except ParseError:
+            return None
+    slots = {name: _slot(name) for name in names}
+    if not all(0 <= slot < n for slot in slots.values()):
+        return None
+    terms = {}
+    pos = 0
+    while True:
+        match = _TERM.match(text, pos)
+        if match is None or (pos and not match.group(1)):
+            return None
+        num, den = (-1 if match.group(1) == "-" else 1), 1
+        exps = [0] * n
+        for a, b, name, k in _PART.findall(match.group(2)):
+            k = int(k) if k else 1
+            if name:
+                exps[slots[name]] += k
+            elif b and not int(b):
+                return None
+            else:
+                num *= int(a) ** k
+                den *= int(b or 1) ** k
+        if num:
+            key = tuple(exps)
+            acc = terms.get(key)
+            acc = terms[key] = Q(num, den) if acc is None else acc + Q(num, den)
+            if not acc:
+                del terms[key]
+        pos = match.end()
+        if pos == len(text):
+            return n, terms
+
+
+def _parser(text, n):
+    tokens = tokenize(text)
+    names = (value for kind, value, _ in tokens if kind == "var")
+    return _Parser(tokens, infer_arity(names) if n is None else n)
 
 
 def parse_poly(text, n=None):
-    """Parse the flat term grammar into a canonical SparsePoly."""
-    return _parse(text, n, products=False)
+    """Parse the flat term grammar into a canonical SparsePoly.  Text the
+    flat reader refuses is tokenized to report the error
+    (`_Parser.flat_error`)."""
+    read = _flat_terms(text, n)
+    if read is None:
+        _parser(text, n).flat_error()
+    return SparsePoly(*read)
 
 
 def parse_product(text, n=None):
     """Parse the extended grammar with parentheses and products (--expand)."""
-    return _parse(text, n, products=True)
+    parser = _parser(text, n)
+    poly = parser.parse_sum()
+    kind, value, pos = parser.peek()
+    if kind != "end":
+        raise ParseError("trailing input %r" % value, pos)
+    return poly
 
 
 def _var_name(slot, reserved):

@@ -21,12 +21,11 @@ def grlex_key(exps):
 
 
 def _packing(n, deg):
-    """(bits, pack, unpack) for exponent tuples of n slots and total degree
-    at most deg.  A key holds one field per slot under a top field with the
-    total degree, so int order is graded lex and, while totals stay <= deg,
+    """(bits, pack) for exponent tuples of n slots and total degree at most
+    deg.  A key holds one field per slot under a top field with the total
+    degree, so int order is graded lex and, while totals stay <= deg,
     adding keys multiplies monomials.  Each field has a free top bit."""
     bits = deg.bit_length() + 1
-    field = (1 << bits) - 1
 
     def pack(exps):
         key = sum(exps)
@@ -34,14 +33,7 @@ def _packing(n, deg):
             key = (key << bits) | e
         return key
 
-    def unpack(key):
-        exps = [0] * n
-        for i in range(n - 1, -1, -1):
-            exps[i] = key & field
-            key >>= bits
-        return tuple(exps)
-
-    return bits, pack, unpack
+    return bits, pack
 
 
 def _mul_into(acc, a, b):
@@ -61,10 +53,13 @@ def _int_table(poly, pack=None):
     return dict(zip(poly.terms if pack is None else map(pack, poly.terms), ints)), den
 
 
-def _from_table(n, table, den, unpack=None):
-    """The SparsePoly table / den in n variables, keys unpacked by unpack or
-    already exponent tuples: the one builder from Z to Q."""
-    keys = table if unpack is None else map(unpack, table)
+def _from_table(n, table, den, bits=None):
+    """The SparsePoly table / den in n variables, keyed by exponent tuples or
+    packed with fields of bits (`_packing`): the one builder from Z to Q."""
+    keys = table
+    if bits is not None:  # each key split by shifts
+        field, shifts = (1 << bits) - 1, range(bits * (n - 1), -1, -bits)
+        keys = (tuple([k >> s & field for s in shifts]) for k in table)
     return SparsePoly(n, {e: Q(c, den) for e, c in zip(keys, table.values()) if c})
 
 
@@ -74,12 +69,12 @@ def _tops(table, n):
 
 
 def _compose(table, den, tops, images, m):
-    """(total, den, unpack): table / den, a polynomial read as integers on
+    """(total, den, bits): table / den, a polynomial read as integers on
     exponent tuples (`_int_table`), with tops = `_tops(table, n)`, composed
     with images[i] = (table_i, den_i), the image of variable i as integers
     over den_i on exponent tuples in m variables (None where tops[i] is 0).
-    total / den is the composition on packed monomial keys, which unpack
-    turns back into exponent tuples; entries may be 0 and den is not
+    total / den is the composition on keys packed with fields of bits
+    (`_packing`); entries may be 0 and den is not
     reduced.  Each image's powers are tabulated once, up to top_i, as
     (den_i * image_i)^e; a term with exponent e of variable i is scaled by
     den_i^(top_i - e), so every term shares den * prod den_i^top_i, and
@@ -88,7 +83,7 @@ def _compose(table, den, tops, images, m):
         max(map(sum, image[0]), default=0) if top else 0 for image, top in zip(images, tops)
     ]
     deg = max((sum(e * d for e, d in zip(exps, img_degs)) for exps in table), default=0)
-    _, pack, unpack = _packing(m, deg)
+    bits, pack = _packing(m, deg)
     powers = []
     scales = []
     for image, top in zip(images, tops):
@@ -116,7 +111,7 @@ def _compose(table, den, tops, images, m):
         for power in factors[:-1]:
             part = _mul_into({}, part, power)
         _mul_into(total, part, factors[-1] if factors else {0: 1})
-    return total, den, unpack
+    return total, den, bits
 
 
 class SparsePoly:
@@ -290,10 +285,10 @@ class SparsePoly:
         self._check(other)
         if not self.terms or not other.terms:
             return SparsePoly.zero(self.n)
-        _, pack, unpack = _packing(self.n, self.degree() + other.degree())
+        bits, pack = _packing(self.n, self.degree() + other.degree())
         a, a_den = _int_table(self, pack)
         b, b_den = _int_table(other, pack)
-        return _from_table(self.n, _mul_into({}, a, b), a_den * b_den, unpack)
+        return _from_table(self.n, _mul_into({}, a, b), a_den * b_den, bits)
 
     def scale(self, c):
         c = Q(c)
@@ -305,7 +300,7 @@ class SparsePoly:
         """Square-and-multiply on the packed-integer kernel."""
         if k < 0:
             raise ValueError("negative power")
-        _, pack, unpack = _packing(self.n, k * (self.degree() or 0))
+        bits, pack = _packing(self.n, k * (self.degree() or 0))
         base, den = _int_table(self, pack)
         den **= k
         result = {0: 1}
@@ -315,7 +310,7 @@ class SparsePoly:
             k >>= 1
             if k:
                 base = _mul_into({}, base, base)
-        return _from_table(self.n, result, den, unpack)
+        return _from_table(self.n, result, den, bits)
 
     # -- calculus and structure ---------------------------------------------
 
@@ -477,7 +472,7 @@ class SparsePoly:
         # field keeps its free top bit: a field-wise lt(g) | lt(r) test is
         # then one subtraction, borrowing into no neighbouring field.
         n = self.n
-        bits, pack, unpack = _packing(n, deg)
+        bits, pack = _packing(n, deg)
         guard = 0
         for _ in range(n + 1):
             guard = (guard << bits) | (1 << (bits - 1))
@@ -517,7 +512,7 @@ class SparsePoly:
                     else:
                         del rem[key]
         # h = quot / (f_den * content), quot's entries scaled by g_den
-        return _from_table(n, quot, f_den * content, unpack)
+        return _from_table(n, quot, f_den * content, bits)
 
     # -- normalization -------------------------------------------------------
 

@@ -1,13 +1,14 @@
 """Base factorizer: univariate, bivariate, trivariate."""
 
 import math
+from itertools import combinations
 
 import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from polyfactor.rational import Q, ONE, ZERO, clear_denominators
-from polyfactor.sparse import SparsePoly, _mul_into
+from polyfactor.sparse import SparsePoly, _int_table, _mul_into
 from polyfactor.factors import divide_out, factor_sort_key
 from polyfactor.parse import parse_poly, parse_product, render_poly
 from polyfactor.basefactor import (
@@ -712,6 +713,10 @@ def test_a_point_that_merges_two_factors_is_passed_over(monkeypatch):
     assert tried == [0]
     assert set(want) <= set(factor_candidates(f, (2, 2, 2)).factors)
     assert tried == [0, 0]
+    # the bounds (1, 1, 1) cut the v-lift at w^2, where (x + v0)^2 does lift
+    # to a square, (x + v0 + 3/2 w)^2; the guard's w-lift runs to w^3
+    assert set(want) <= set(factor_candidates(f, (1, 1, 1)).factors)
+    assert tried == [0, 0, 0]
 
 
 def _lift_slice_from_scratch_free(f, base):
@@ -1626,3 +1631,202 @@ def test_a_probe_that_splits_into_linears_is_not_lifted_from(extra, n):
     assert fl.factors == ((f, 1),)
     assert all(tried == 0 for _, tried, _ in frames)
     assert factor_lowvar(f).factors == ((f, 1),)
+
+
+# ---------------------------------------------------------------------------
+# the probe ranking against its per-term reference
+
+
+def eval_rows(rows, den, v0, w0, p):
+    """rows / den at z_v = v0, z_w = w0 mod the prime p, term by term, as
+    an ascending list of x-coefficients: the reference for `_fold`,
+    `_row_values` and `_images`."""
+    scale = pow(den, -1, p)
+    vp = {ev: pow(v0, ev, p) for ev in {ev for row in rows for ev, _, _ in row}}
+    wp = {ew: pow(w0, ew, p) for ew in {ew for row in rows for _, ew, _ in row}}
+    return [sum(c * vp[ev] * wp[ew] for ev, ew, c in row) * scale % p for row in rows]
+
+
+def probes_by_terms(reading, evaluate=eval_rows):
+    """`_probes` as it was before the fold: every probe's image evaluated
+    term by term mod P, and again mod each small prime q it tries."""
+    from polyfactor.basefactor import _RANK_SIDE, _MAX_EVAL_ATTEMPTS, _eval_points
+    from polyfactor.errors import LiftFailure
+    from polyfactor.rational import primes
+
+    rows, den, (dx, _, dw), P = reading.rows, reading.den, reading.degrees, reading.prime
+    top_w = [[(ev, c) for ev, ew, c in row if ew == dw] for row in reversed(rows)]
+    points = _eval_points()
+    consumed = 0
+    pool = []
+    while True:
+        while len(pool) < 4 and consumed < _MAX_EVAL_ATTEMPTS:
+            v0 = next(points)
+            consumed += 1
+            if not any(sum(c * v0**ev for ev, c in row) for row in top_w):
+                continue
+            img = evaluate(rows, den, v0, _RANK_SIDE, P)
+            quality = dx - up_deg(up_gcd_p(img, up_deriv(img), P))
+            count = 0
+            if quality == dx:
+                for q in primes(3):
+                    if den % q:
+                        small = evaluate(rows, den, v0, _RANK_SIDE, q) if q < P else img
+                        if q == P or up_deg(up_gcd_p(small, up_deriv(small), q)) == 0:
+                            break
+                count = _factor_count_mod_p(small, q)
+                if count == 1:
+                    yield None
+                    return
+            pool.append([quality, count, consumed, v0])
+        if not pool:
+            raise LiftFailure("no good evaluation point found")
+        pool.sort(key=lambda t: (-t[0], t[1], t[2]))
+        yield pool.pop(0)[3]
+
+
+def _ranked(probes, reading, most=None):
+    """The first `most` points probes(reading) yields (all by default),
+    ending with "no point" where it runs out."""
+    from polyfactor.errors import LiftFailure
+
+    out = []
+    try:
+        for v0 in probes(reading):
+            out.append(v0)
+            if len(out) == most:
+                break
+    except LiftFailure:
+        out.append("no point")
+    return out
+
+
+def _pool_readings():
+    """Every reading the three benchmark pools make: each one `_probes`
+    ranks (psi images, r_hat and the other bivariate images, their slices)
+    and each one the engine reads (psi images and line slices); and each
+    base `slice_point` scans, with the point it found."""
+    import polyfactor.basefactor as basefactor
+    import polyfactor.engine as engine
+    from test_golden import PIPELINES, load_pool
+
+    seen, points = {}, []
+    probes, read, slice_point = basefactor._probes, engine.read_table, engine.slice_point
+
+    def record(reading):
+        seen[id(reading)] = reading
+        return probes(reading)
+
+    def recorded_read(*args, **kwargs):
+        reading = read(*args, **kwargs)
+        seen[id(reading)] = reading
+        return reading
+
+    def recorded_point(base):
+        found = slice_point(base)
+        points.append((base, None if found is None else found[0]))
+        return found
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(basefactor, "_probes", record)
+        mp.setattr(engine, "read_table", recorded_read)
+        mp.setattr(engine, "slice_point", recorded_point)
+        for workload, call in sorted(PIPELINES.items()):
+            for item in load_pool(workload):
+                call(parse_poly(item["poly"], item["n"]))
+    return list(seen.values()), points
+
+
+def slice_point_by_terms(base):
+    """The w0 of `slice_point`, its images evaluated term by term."""
+    from polyfactor.basefactor import _group_tables, _prime_avoiding
+
+    tables = _group_tables(base)
+    d = sum(e * (u.degree_in(2) or 0) for u, e in base)
+    P = _prime_avoiding(math.lcm(*(lc for _, lc in tables)))
+
+    def coprime(w0):
+        images = [eval_rows(rows, lc, 0, w0, P) for rows, lc in tables]
+        return all(up_deg(up_gcd_p(a, b, P)) == 0 for a, b in combinations(images, 2))
+
+    return next((w0 for w0 in range(2 * d * len(tables) ** 2 + 3) if coprime(w0)), None)
+
+
+def test_probes_rank_every_pool_reading_as_the_terms_do():
+    # and every line base meets the point the term-by-term images find
+    import polyfactor.basefactor as basefactor
+
+    readings, points = _pool_readings()
+    assert len(readings) > 1000 and len(points) > 100
+    assert {r.n for r in readings} >= {2, 3}
+    for reading in readings:
+        want = _ranked(probes_by_terms, reading, 6)
+        assert _ranked(basefactor._probes, reading, 6) == want
+    for base, w0 in points:
+        assert slice_point_by_terms(base) == w0
+
+
+@st.composite
+def trivariates_over_3_or_5(draw):
+    """A product of two monic factors in (x, t1, t2) with coefficients over
+    3 or 5, so the product's denominator skips q = 3 or q = 5."""
+    den = draw(st.sampled_from([3, 5, 15, 9]))
+    parts = []
+    for d in draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)):
+        lower = st.tuples(st.integers(0, d - 1), st.integers(0, 2), st.integers(0, 2))
+        # numerators prime to den keep it in every factor, and by Gauss's
+        # lemma in the product
+        coeff = st.sampled_from([-7, -4, -2, -1, 1, 2, 4, 7]).map(lambda c: Q(c, den))
+        table = draw(st.dictionaries(lower, coeff, min_size=1, max_size=4))
+        table[(d, 0, 0)] = ONE
+        parts.append(SparsePoly(3, table))
+    f = parts[0]
+    for g in parts[1:]:
+        f = f * g
+    return f
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(trivariates_over_3_or_5())
+def test_probes_rank_trivariates_over_3_or_5_as_the_terms_do(f):
+    # the whole sequence, to the certificate or the end of the points
+    import polyfactor.basefactor as basefactor
+
+    reading = basefactor.read_table(3, *_int_table(f), f=f)
+    assert reading.den % 3 == 0 or reading.den % 5 == 0
+    assert _ranked(basefactor._probes, reading) == _ranked(probes_by_terms, reading)
+
+
+@pytest.mark.parametrize(
+    "text, n",
+    [
+        ("(z1 + 1/3*z2 + z3)*(z1^2 - 2/5*z2*z3 + 1)", 3),
+        ("(z1 + z2)^2*(z1 - z2 + 1)", 2),
+        ("z1^4 + z2^2*z3 + z1 + 1", 3),
+    ],
+)
+def test_each_probe_is_evaluated_once(monkeypatch, text, n):
+    # the reference evaluates a full-degree probe mod P and again mod q;
+    # the ranking now evaluates the folded rows once per probe
+    import polyfactor.basefactor as basefactor
+
+    f = parse_product(text, n)
+    reading = basefactor.read_table(n, *_int_table(f), f=f)
+    at_P = []
+
+    def counted(rows, den, v0, w0, p):
+        if p == reading.prime:
+            at_P.append(v0)
+        return eval_rows(rows, den, v0, w0, p)
+
+    evaluated = []
+    row_values = basefactor._row_values
+
+    def counted_values(folded, v0):
+        evaluated.append(v0)
+        return row_values(folded, v0)
+
+    want = _ranked(lambda r: probes_by_terms(r, counted), reading, 4)
+    monkeypatch.setattr(basefactor, "_row_values", counted_values)
+    assert _ranked(basefactor._probes, reading, 4) == want
+    assert evaluated == at_P and evaluated

@@ -19,11 +19,13 @@ constructions, one per lift tree node built), the Bezout lift steps
 (calls of `basefactor._bezout_step`), the lift's v-orders (the sum of
 K over `basefactor._lift_pair` calls), its Diophantine solves (calls
 of `basefactor._Dioph.solve`), the univariate factorizations over Q
-(calls of `basefactor._factor_univariate_pairs`) and the complete
+(calls of `basefactor._factor_univariate_pairs`), the complete
 recombinations (calls of `basefactor._complete_recombination`, one per
-complete lift that reached recombining), then the line count of src/polyfactor
-(as `cat src/polyfactor/*.py | wc -l` counts it), and exits 1 if an
-entry differs:
+complete lift that reached recombining) and the probe images evaluated
+(calls of `basefactor._row_values`: one per probe `basefactor._probes`
+ranks, whose images mod P and mod q reduce the same integers), then the
+line count of src/polyfactor (as `cat src/polyfactor/*.py | wc -l`
+counts it), and exits 1 if an entry differs:
 
     python tests/test_golden.py [workload ...]    # default: every pool
 """
@@ -170,6 +172,13 @@ def main(workloads):
         recombinations += 1
         return recombination(*args)
 
+    row_values = basefactor._row_values
+
+    def counted_values(*args):
+        nonlocal images
+        images += 1
+        return row_values(*args)
+
     init = sparse.SparsePoly.__init__
 
     def counted_init(self, n, terms):
@@ -190,13 +199,14 @@ def main(workloads):
     basefactor._Dioph.solve = counted_solve
     basefactor._factor_univariate_pairs = counted_univariate
     basefactor._complete_recombination = counted_recombination
+    basefactor._row_values = counted_values
     sparse.SparsePoly.__init__ = counted_init
     wrong = 0
     for workload in workloads or sorted(PIPELINES):
         pool = load_pool(workload)
         times = []
         slices = reads = built = substitutions = builds = steps = orders = solves = 0
-        univariates = recombinations = 0
+        univariates = recombinations = images = 0
         drawn_per_entry = []
         for i, item in enumerate(pool):
             start = time.process_time()
@@ -213,11 +223,12 @@ def main(workloads):
               "(at most %d per entry), %d integer reads, %d SparsePoly "
               "constructions, %d substitutions, %d Diophantine builds, %d Bezout "
               "lift steps, %d lift v-orders, %d Diophantine solves, %d univariate "
-              "factorizations over Q, %d complete recombinations; slowest: %s"
+              "factorizations over Q, %d complete recombinations, %d probe "
+              "images; slowest: %s"
               % (workload, len(pool), sum(t for t, _ in times), slices,
                  sum(drawn_per_entry), max(drawn_per_entry), reads, built,
                  substitutions, builds, steps, orders, solves, univariates,
-                 recombinations, slowest),
+                 recombinations, images, slowest),
               flush=True)
     lines = 0
     for path in sorted(glob.glob(os.path.join(ROOT, "src", "polyfactor", "*.py"))):

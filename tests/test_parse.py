@@ -6,7 +6,18 @@ import os
 
 import pytest
 
-from polyfactor.parse import ParseError, parse_poly, parse_product, render_poly
+from polyfactor.parse import (
+    ParseError,
+    RESERVED,
+    _Parser,
+    _number,
+    _var_slot,
+    infer_arity,
+    parse_poly,
+    parse_product,
+    render_poly,
+    tokenize,
+)
 from polyfactor.rational import Q
 from polyfactor.sparse import SparsePoly
 
@@ -133,3 +144,168 @@ def test_terms_match_the_kernel_on_every_pool_entry():
         got, want = parse_poly(text, n), parse_product(text, n)
         assert list(got.terms.items()) == list(want.terms.items()), text
         assert got.n == want.n
+
+
+def reference_terms(text, n=None):
+    """The flat grammar read token by token, as parse_poly read it before it
+    matched whole terms: (n, {exponents: coefficient}), the coefficient
+    built as a product of rationals, like terms summed in one dict."""
+    tokens = tokenize(text)
+    if n is None:
+        n = infer_arity(value for kind, value, _ in tokens if kind == "var")
+    p = _Parser(tokens, n)
+    terms = {}
+    sign = p.sign() or 1
+    while True:
+        exps = [0] * n
+        coeff = Q(sign)
+        while True:
+            kind, value, pos = p.next()
+            if kind == "number":
+                coeff *= _number(value, pos) ** p.exponent()
+            elif kind == "var":
+                exps[_var_slot(value, n, pos)] += p.exponent()
+            else:
+                raise ParseError("unexpected token %r" % (value or "end of input"), pos)
+            kind, value, _ = p.peek()
+            if kind != "op" or value != "*":
+                break
+            p.next()
+        if coeff:
+            key = tuple(exps)
+            acc = terms.get(key)
+            if acc is None:
+                terms[key] = coeff
+            else:
+                acc += coeff
+                if acc:
+                    terms[key] = acc
+                else:
+                    del terms[key]
+        sign = p.sign()
+        if sign is None:
+            break
+    kind, value, pos = p.peek()
+    if kind != "end":
+        raise ParseError("trailing input %r" % value, pos)
+    return n, terms
+
+
+def _outcome(read, text, n):
+    """What read(text, n) gives: its arity and term items in order, or its
+    error's type, message and position."""
+    try:
+        got_n, terms = read(text, n)
+    except ParseError as exc:
+        return ("error", str(exc), exc.position)
+    return ("ok", got_n, list(terms.items()))
+
+
+def _via_parse_poly(text, n):
+    f = parse_poly(text, n)
+    return f.n, f.terms
+
+
+_BLANKS = ["", "", "", " ", "  ", "\t", "\n", "\u00a0"]
+
+
+def _random_flat_text(rng):
+    """(text, n): a valid flat text with random spacing, fractions, powers
+    of numbers, repeated and reserved variables, zero and cancelling
+    terms; n is None or an arity that fits the names used."""
+    reserved = rng.random() < 0.25
+    top = rng.randint(1, 6)
+    names = list(RESERVED) if reserved else ["z%d" % i for i in range(1, top + 1)]
+
+    def blank():
+        return rng.choice(_BLANKS)
+
+    def number():
+        text = str(rng.choice([0, 1, 1, 2, 3, 7, 10, 12, 1009]))
+        if rng.random() < 0.3:
+            text += blank() + "/" + blank() + str(rng.randint(1, 30))
+        return text
+
+    def power():
+        return blank() + "^" + blank() + str(rng.randint(0, 4)) if rng.random() < 0.4 else ""
+
+    terms = []
+    for i in range(rng.randint(1, 6)):
+        factors = []
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.35:
+                factors.append(number() + power())
+            else:
+                factors.append(rng.choice(names) + power())
+        sign = rng.choice("+-") if i or rng.random() < 0.4 else ""
+        term = (blank() + "*" + blank()).join(factors)
+        terms.append(blank() + sign + blank() + term)
+        if rng.random() < 0.15:  # the same term again, to sum or cancel
+            terms.append(blank() + rng.choice("+-") + blank() + term)
+    text = "".join(terms) + blank()
+    used = [name for name in names if name in text]
+    if rng.random() < 0.5:
+        return text, None
+    if reserved:
+        return text, rng.randint(3, 5)
+    return text, max([int(name[1:]) for name in used] + [1]) + rng.randint(0, 2)
+
+
+_MUTANTS = "0123456789zxyt+-*^/() \t.q_\u00a0\u0663"
+
+
+def _mutations(rng, text):
+    """Single-character edits of text: one replaced, inserted or deleted."""
+    out = []
+    for _ in range(4):
+        i = rng.randrange(len(text) + 1)
+        c = rng.choice(_MUTANTS)
+        out += [text[:i] + c + text[i + 1 :], text[:i] + c + text[i:], text[:i] + text[i + 1 :]]
+    return out
+
+
+def test_flat_reader_is_the_token_walk():
+    """parse_poly gives the reference walk's term table in the same order,
+    or raises its ParseError with the same message and position, on valid
+    flat texts and on single-character mutations of them."""
+    rng = rng_for("flat-reader")
+    seen = {"ok": 0, "error": 0}
+    for _ in range(1500):
+        text, n = _random_flat_text(rng)
+        want = _outcome(reference_terms, text, n)
+        assert want[0] == "ok", (text, want)
+        assert _outcome(_via_parse_poly, text, n) == want, (text, n)
+        for mutant in _mutations(rng, text):
+            for arity in (n, None):
+                want = _outcome(reference_terms, mutant, arity)
+                seen[want[0]] += 1
+                assert _outcome(_via_parse_poly, mutant, arity) == want, (mutant, arity)
+    # the mutations reach both sides of the grammar
+    assert min(seen.values()) > 1000
+
+
+@pytest.mark.parametrize(
+    "text, n",
+    [
+        ("x + z1", 3),
+        ("x*z2 - z1*y + t^2", 3),
+        ("x + z1", None),
+        ("3/0^0", None),
+        ("0/0*z1", 2),
+        ("z1^0 - 1", None),
+        ("2 ^ 3 * z1 ^ 2 - 8*z1^2", None),
+        (" \t\n", None),
+        ("z12", None),
+        ("z1 +", 1),
+    ],
+)
+def test_flat_reader_is_the_token_walk_on_edge_texts(text, n):
+    want = _outcome(reference_terms, text, n)
+    assert _outcome(_via_parse_poly, text, n) == want
+
+
+@pytest.mark.parametrize("text, n, message, position", ERRORS)
+def test_reference_walk_reports_each_error(text, n, message, position):
+    with pytest.raises(ParseError) as info:
+        reference_terms(text, n)
+    assert str(info.value) == "%s (at position %d)" % (message, position)
