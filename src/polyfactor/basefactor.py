@@ -39,9 +39,10 @@ lift tries the next v-probe.  Subsets of lifted groups then recombine,
 smallest first and up to half the groups left (the rest make one factor);
 a subset of groups u^e lifts U^e, so its product is rooted by Miller's
 power recurrence and translated back before it is reconstructed.  Each
-lift step solves one Diophantine equation by dot products with
-precomputed solutions (`_Dioph`), and the shift and the lift's products
-carry each (x, w) key's v-series as one packed integer (`_shift_series`,
+tree node has one univariate Diophantine solver (`_Dioph`), which both
+passes share: the v-lift solves each v-order one w-order at a time on
+dense rows (`_lift_pair`).  The shift and the lift's products carry each
+coefficient's v-series as one packed integer (`_shift_series`,
 `_lift_pair`).  Every lift reads its base through a `PreparedBase`, whose
 tree nodes and Bezout pairs later lifts from the same base reuse: when
 the factorization at one point is already known (a line slice f(x, t)
@@ -64,8 +65,8 @@ costs another point, never correctness.
 import math
 from collections import namedtuple
 from copy import copy
-from functools import partial
-from itertools import accumulate, combinations, product
+from functools import partial, reduce
+from itertools import accumulate, combinations, product, zip_longest
 from operator import mul
 
 from .rational import Q, ONE, primes
@@ -593,44 +594,23 @@ def cd_reduce(a, m):
     return out
 
 
-def cd_sub(a, b, m):
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0) - v
-    return cd_reduce(out, m)
-
-
 # ---------------------------------------------------------------------------
 # diophantine solver
 
 
-def _cd_to_tau_series(d, length):
-    """(x, w) dict -> list over w-order of x coefficient lists."""
-    rows = [dict() for _ in range(length)]
-    for key, v in d.items():
-        ex, ew = cd_unpack(key)
-        if ew < length:
-            rows[ew][ex] = v
-    out = []
-    for row in rows:
-        lst = [0] * (max(row, default=-1) + 1)
-        for ex, v in row.items():
-            lst[ex] = v
-        out.append(up_trim(lst))
-    return out
-
-
 class _Dioph:
-    """Solve dA*B0 + dB*A0 = e mod (w^length, m) for (x, w) dicts, A0 and
-    B0 monic in x, deg_x e < D = deg_x A0 + deg_x B0, with deg_x dA <
-    deg_x A0 and deg_x dB < deg_x B0: the solution is unique, and linear in
-    e, so it is read off precomputed solutions (sigma_i, tau_i) for each
-    x^i, i < D (Geddes, Czapor & Labahn, Algorithms for Computer Algebra,
-    6.5).  Column 0, for 1, is expanded w-adically from a Bezout pair
-    s a0 + t b0 = 1 of the w = 0 rows; each next column is x times the last,
-    minus q A0 and plus q B0, q its x^(deg A0) coefficient, a series in w.
-    `solve` then takes one dot product per coefficient of dA and dB with
-    e's (w-order, x) coefficients.
+    """Solve dA b0 + dB a0 = e mod m for polynomials in x as ascending
+    lists, a0 and b0 monic and coprime mod p, deg e < D = deg a0 + deg b0,
+    with deg dA < deg a0 and deg dB < deg b0: the solution is unique, and
+    linear in e, so it is read off precomputed solutions (sigma_i, tau_i)
+    for each x^i, i < D (Geddes, Czapor & Labahn, Algorithms for Computer
+    Algebra, 6.5).  Column 0, for 1, comes from a Bezout pair s a0 + t b0 =
+    1; each next column is x times the last, minus q a0 and plus q b0, q
+    the last sigma's x^(deg a0 - 1) coefficient.  Column i is kept packed:
+    one integer whose digit k, `width` bits wide, is coefficient k of sigma_i
+    followed by tau_i.  `solve` multiplies each nonzero coefficient of e by
+    its column once and reads D digits mod m; with e reduced mod m, a digit
+    sums at most D products of two numbers below m, so none carries.
 
     The pair with deg s < deg b0 is unique too (von zur Gathen & Gerhard,
     Modern Computer Algebra, 15.4), so `memo`, the tree node's memo of the
@@ -640,12 +620,8 @@ class _Dioph:
     squarings and stores the pair at m, not at the overshoot, since a0 and
     b0 are known mod m only."""
 
-    def __init__(self, A0, B0, length, p, m, memo=None):
+    def __init__(self, a0, b0, p, m, memo=None):
         self.m = m
-        self.length = length
-        A0tau = _cd_to_tau_series(A0, length)
-        B0tau = _cd_to_tau_series(B0, length)
-        a0, b0 = A0tau[0], B0tau[0]
         memo = {} if memo is None else memo
         if p not in memo:
             s, t, g = up_xgcd_p(a0, b0, p)
@@ -661,79 +637,48 @@ class _Dioph:
         self.t = t = up_mod(t, m)
         if grows:
             memo[p] = (m, s, t)
-        na, nb = up_deg(a0), up_deg(b0)
-        self.D = D = na + nb
-        # column 0: sigma B0 + tau A0 = 1, one w-order at a time; w-orders
-        # past both bases' w-degrees add nothing to the residual
-        span = 1 + max(j for j in range(length) if A0tau[j] or B0tau[j])
-        sigma, tau = [[] for _ in range(length)], [[] for _ in range(length)]
-        residual = [[1]] + [[] for _ in range(length - 1)]
-        for k, c in enumerate(residual):
-            if not c:
-                continue
-            q, sigma[k] = up_divmod(up_mul(t, c, m), a0, m)
-            tau[k] = up_add(up_mul(s, c, m), up_mul(q, b0, m), m)
-            for j in range(1, min(length - k, span)):
-                upd = up_add(up_mul(sigma[k], B0tau[j], m), up_mul(tau[k], A0tau[j], m), m)
-                residual[k + j] = up_sub(residual[k + j], upd, m)
-
-        def padded(series, n):
-            return [row[:n] + [0] * (n - len(row)) for row in series]
-
-        # columns[i] = (sigma_i, tau_i), each w-order an x-list of full length.
-        # The next column is x times the last, minus q A0 and plus q B0, q
-        # the last sigma's top coefficient: x sigma's top term cancels
-        # against A0's monic x-leading term, and x tau's against B0's, so
-        # only their lower terms (`low`) enter
-        A_low, B_low = padded(A0tau, na), padded(B0tau, nb)
-
-        def step(rows, low, q, sign):
-            return [
-                [
-                    (c + sign * sum(q[j] * low[k - j][i] for j in range(k + 1))) % m
-                    for i, c in enumerate([0] + row[:-1])
-                ]
-                for k, row in enumerate(rows)
-            ]
-
-        columns = [(padded(sigma, na), padded(tau, nb))]
-        for _ in range(1, D):
-            sig, ta = columns[-1]
-            q = [row[-1] for row in sig]
-            columns.append((step(sig, A_low, q, -1), step(ta, B_low, q, 1)))
-        # the coefficient of x^i w^k in dA (or dB) is the dot product of its
-        # row with e flattened as E[j D + ex] = coefficient of x^ex w^j
-        self.rows = [
-            [
-                (cd_pack(i, k), [col[side][k - j][i] for j in range(k + 1) for col in columns])
-                for k in range(length)
-                for i in range(n)
-            ]
-            for side, n in ((0, na), (1, nb))
-        ]
+        self.na, nb = up_deg(a0), up_deg(b0)
+        self.D = D = self.na + nb
+        self.width = b = 2 * m.bit_length() + D.bit_length()
+        q, sigma = up_divmod(t, a0, m)
+        tau = up_add(s, up_mul(q, b0, m), m)
+        sigma += [0] * (self.na - len(sigma))
+        tau += [0] * (nb - len(tau))
+        self.columns = []
+        for i in range(D):
+            if i:
+                # x sigma's top term cancels against a0's monic one, and x
+                # tau's against b0's, so only their lower terms enter
+                q = sigma[-1]
+                sigma = [(c - q * a) % m for c, a in zip([0] + sigma[:-1], a0)]
+                tau = [(c + q * a) % m for c, a in zip([0] + tau[:-1], b0)]
+            self.columns.append(sum(c << b * k for k, c in enumerate(sigma + tau)))
 
     def reduced(self, m):
         """This solver mod m, m dividing self.m: the solutions with the
-        degree bounds are unique, so the ones mod m are these reduced."""
+        degree bounds are unique, so the ones mod m are these reduced, and
+        the columns mod self.m serve, their digits read mod m."""
         out = copy(self)
         out.m = m
         out.s, out.t = up_mod(self.s, m), up_mod(self.t, m)
-        out.rows = [[(key, [c % m for c in row]) for key, row in rows] for rows in self.rows]
         return out
 
     def solve(self, e):
-        D, m = self.D, self.m
-        E = [0] * (D * self.length)
-        for key, c in e.items():
-            ex, ew = cd_unpack(key)
-            if ex >= D:
-                raise _AttemptFailed("diophantine right side of x-degree >= D")
-            if ew < self.length:
-                E[ew * D + ex] = c
-        return tuple(
-            {key: c for key, row in rows if (c := sum(map(mul, row, E)) % m)}
-            for rows in self.rows
-        )
+        """(dA, dB), lists of deg a0 and deg b0 coefficients mod m, for the
+        list e reduced mod m; _AttemptFailed when deg e >= D."""
+        D, m, b = self.D, self.m, self.width
+        if any(e[D:]):
+            raise _AttemptFailed("diophantine right side of x-degree >= D")
+        acc = 0
+        for c, column in zip(e, self.columns):
+            if c:
+                acc += c * column
+        digit = (1 << b) - 1
+        out = []
+        for _ in range(D):
+            out.append((acc & digit) % m)
+            acc >>= b
+        return out[: self.na], out[self.na :]
 
 
 # ---------------------------------------------------------------------------
@@ -801,73 +746,107 @@ def _series_root(W, e, wlen, m):
     return U
 
 
-def _pack_into(rows, d, at):
-    """Add the (x, w) dict d at bit `at` of the packed series in rows, a
-    list of dicts by w-order."""
+def _rows_of(d, L):
+    """The (x, w) dict d as L rows by w-order, each a list of x
+    coefficients as long as d's x-degree allows; entries of w-order >= L
+    are dropped."""
+    rows = [[0] * (max(d, default=0) // STRIDE + 1) for _ in range(L)]
     for key, c in d.items():
-        row = rows[key % STRIDE]
-        row[key] = row.get(key, 0) + (c << at)
+        ex, ew = divmod(key, STRIDE)
+        if ew < L:
+            rows[ew][ex] = c
+    return rows
+
+
+def _dict_of(rows):
+    """Rows by w-order (`_rows_of`) back to an (x, w) dict of their nonzero
+    entries."""
+    return {cd_pack(ex, ew): c for ew, row in enumerate(rows) for ex, c in enumerate(row) if c}
+
+
+def _rows_mul(A, B, L, m):
+    """A B mod (w^L, m) for rows by w-order (`_rows_of`), L rows, each
+    trimmed."""
+    out = [[] for _ in range(L)]
+    for i, a in enumerate(A[:L]):
+        for j, b in enumerate(B[: L - i]):
+            out[i + j] = up_add(out[i + j], up_mul(a, b))
+    return [up_mod(row, m) for row in out]
 
 
 def _lift_pair(Fser, A0, B0, K, m, dioph):
     """(A, B), the v-series lifting A0 B0 = Fser[0] to A B = Fser mod (v^K,
-    w^L, m), L = dioph.length, one v-order j at a time: the residual
-    Fser[j] - sum_{i+l=j} A_i B_l (i, l >= 1) goes to `dioph`, whose
-    solution (dA, dB) is (A_j, B_j).
+    w^L, m), L = len(A0), one v-order j at a time.  Each element of a
+    series is L rows by w-order of x coefficients (`_rows_of`); A0 and B0
+    are monic in x at w-order 0, and `dioph` solves for those two rows.  At
+    v-order j the residual Fser[j] - sum_{i+l=j} A_i B_l (i, l >= 1) is
+    solved one w-order k at a time (Geddes, Czapor & Labahn, 6.5): its row
+    k, less the rows of A_j and B_j found so far times the rows of w-order
+    >= 1 of B0 and A0, goes to `dioph`, whose solution is row k of A_j and
+    B_j.
 
-    The products run on packed v-series: each (x, w) key keeps A_i and B_i
-    for i >= 1, and the running sums of A_i B_l, as one nonnegative integer
-    whose digit i, b bits wide, sits at bit b i.  A new coefficient of dA
-    or dB multiplies a whole packed partner series once, at digit j, and
-    step j reads digit j of each sum.  Every coefficient is below m, and a
-    digit read at j < K sums at most K D L products, D = dioph.D (x-degree
-    splits) and L the w-order splits, so b = 2 bits(m) + bits(K D L) + 1
-    never carries into the next digit; the digits from K on, which no step
-    reads, carry only upward.  Key pairs whose w-orders reach L are
-    skipped: `dioph` never reads them."""
-    L = dioph.length
-    # Fser is cut at w-order L, so the base product is compared there too
-    if cd_sub(_wcut(_mul_into({}, A0, B0), L), Fser[0], m):
+    The products run on packed v-series: each (w, x) entry keeps A_i and
+    B_i for i >= 1, and the running sums of A_i B_l, as one nonnegative
+    integer of digits b bits wide.  A new coefficient of A_j or B_j
+    multiplies a whole packed partner series once, and step j reads the
+    lowest digit of each sum, then drops it: A_i sits at digit i - 1 of its
+    partner series, and digit d of a sum holds v-order j + d at step j, so
+    a product needs no shift.  Every coefficient is below m, and a digit
+    sums at most K D L products, D = dioph.D (x-degree splits) and L the
+    w-order splits, so b = 2 bits(m) + bits(K D L) + 1 never carries into
+    the next digit.  Pairs whose w-orders reach L are skipped."""
+    L, D = len(A0), dioph.D
+    if _rows_mul(A0, B0, L, m) != [up_mod(row, m) for row in Fser[0]]:
         raise _AttemptFailed("base product mismatch")
-    b = 2 * m.bit_length() + (K * dioph.D * L).bit_length() + 1
+    b = 2 * m.bit_length() + (K * D * L).bit_length() + 1
     digit = (1 << b) - 1
-    A = [dict(A0)] + [dict() for _ in range(K - 1)]
-    B = [dict(B0)] + [dict() for _ in range(K - 1)]
-    # packed[0][ew] holds A_i, i >= 1, of the keys of w-order ew; packed[1] B_i
-    packed = ([dict() for _ in range(L)], [dict() for _ in range(L)])
-    sums = {}  # key -> sum of A_i B_l at digit i + l, unreduced
+    empty = [[] for _ in range(L)]
+    A, B = [A0] + [empty] * (K - 1), [B0] + [empty] * (K - 1)
+    # packed[0][k][x] holds A_i, i >= 1, at w^k x^x; packed[1] B_i
+    packed = tuple([[0] * (len(C[0]) - 1) for _ in range(L)] for C in (A0, B0))
+    sums = [[0] * D for _ in range(L)]
     for j in range(1, K):
-        at = b * j
-        E = dict(Fser[j])
-        for key, s in sums.items():
-            c = (s >> at) & digit
-            if c:
-                E[key] = E.get(key, 0) - c
-        E = cd_reduce(E, m)
-        if not E:
+        at = b * (j - 1)
+        dA, dB = [], []
+        for k, (row, srow) in enumerate(zip(Fser[j], sums)):
+            e = [c - (s & digit) for c, s in zip_longest(row, srow, fillvalue=0)]
+            srow[:] = [s >> b for s in srow]
+            for i in range(1, k + 1):
+                for new, base in ((dA[k - i], B0[i]), (dB[k - i], A0[i])):
+                    for x1, c1 in enumerate(new):
+                        if c1:
+                            for x2, c2 in enumerate(base, x1):
+                                e[x2] -= c1 * c2
+            e = [c % m for c in e]
+            da, db = dioph.solve(e) if any(e) else ((), ())
+            dA.append(da)
+            dB.append(db)
+        if not any(dA + dB):
             continue
-        dA, dB = dioph.solve(E)
-        # with B_j packed, dA's products take in dA dB at digit 2 j too
-        _pack_into(packed[1], dB, at)
+        # with B_j packed, A_j's products take in A_j B_j too
+        for prow, row in zip(packed[1], dB):
+            for x, c in enumerate(row):
+                prow[x] += c << at
         if j + 1 < K:
-            acc = {}
             for new, partner in ((dA, packed[1]), (dB, packed[0])):
-                for k1, c1 in new.items():
-                    for row in partner[: L - k1 % STRIDE]:
-                        for k2, s in row.items():
-                            acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * s
-            for key, s in acc.items():
-                sums[key] = sums.get(key, 0) + (s << at)
-        _pack_into(packed[0], dA, at)
-        A[j] = dA
-        B[j] = dB
+                for k1, row in enumerate(new):
+                    for x1, c1 in enumerate(row):
+                        if c1:
+                            for srow, prow in zip(sums[k1:], partner):
+                                for x2, s in enumerate(prow, x1):
+                                    srow[x2] += c1 * s
+        for prow, row in zip(packed[0], dA):
+            for x, c in enumerate(row):
+                prow[x] += c << at
+        A[j], B[j] = dA, dB
     return A, B
 
 
 def _lift_tree(Fser, K, m, node, first, count):
     """The lifted series of groups first, ..., first + count - 1 of a base
-    whose product Fser lifts; node(first, count) gives the tree node's
-    (A0, B0, `_Dioph`) mod m (`PreparedBase.node`)."""
+    whose product Fser lifts, each element rows by w-order (`_lift_pair`);
+    node(first, count) gives the tree node's (A0, B0, `_Dioph`) mod m
+    (`PreparedBase.node`, or the v-lift's nodes in `_lift`)."""
     if count == 1:
         return [Fser]
     h = count // 2
@@ -891,24 +870,25 @@ def _eval_points():
         k += 1
 
 
-def _rows_to_series(rows, den, K, m):
-    """The z_v-series of packed (x, w) dicts mod m of rows / den, integer
-    rows as a reading holds them (`read_table`); den is invertible mod m."""
-    inv = pow(den, -1, m)
+def _rows_to_series(rows, K):
+    """The z_v-series of packed (x, w) dicts of integer rows as a reading
+    holds them (`read_table`), unreduced."""
     ser = [dict() for _ in range(K)]
     for ex, row in enumerate(rows):
         for ev, ew, c in row:
-            ser[ev][cd_pack(ex, ew)] = c * inv % m
+            ser[ev][cd_pack(ex, ew)] = c
     return ser
 
 
-def _shift_series(ser, cv, cw, m, vlen=None, wlen=None):
-    """The v-series of packed (x, w) dicts ser(v + cv, w + cw) mod
-    (v^vlen, w^wlen, m), vlen = len(ser) and no w cut by default: the
-    classical Taylor shift (von zur Gathen & Gerhard, ISSAC 1997), w first,
-    each term expanded by binomials into the w-orders kept, then v on
-    packed rows.  Sums stay unreduced until the end; a zero shift with no
-    cut returns ser itself.
+def _shift_series(ser, cv, cw, m, vlen=None, wlen=None, den=1):
+    """The v-series of packed (x, w) dicts ser(v + cv, w + cw) / den mod
+    (v^vlen, w^wlen, m), vlen = len(ser) and no w cut by default, for ser's
+    values integers, reduced mod m or not (f's own integers, say), and den
+    invertible mod m: the classical Taylor shift (von zur Gathen & Gerhard,
+    ISSAC 1997), w first, each term expanded by binomials into the w-orders
+    kept, then v on packed rows.  Sums stay unreduced until the end, where
+    each output digit is multiplied by 1/den mod m once; a zero shift with
+    no cut and den 1 returns ser itself.
 
     The v-shift carries each (x, w) key's series as one integer whose digit
     j, b bits wide, sits at bit b j.  Row ev's digits comb(ev, j) c^(ev-j),
@@ -916,12 +896,14 @@ def _shift_series(ser, cv, cw, m, vlen=None, wlen=None):
     key adds its value times its row's digits; a negative cv shifts
     ser(-v) by c and negates the odd orders back.  A digit is a signed sum
     of at most len(ser) terms, each below max |value| (c + 1)^dv in
-    magnitude, dv = len(ser) - 1, so its width grows as dv log2(c + 1), and
-    each key is unpacked once, digit by digit with a borrow."""
+    magnitude, dv = len(ser) - 1, so its width follows ser's values (f's
+    integers, not m, for the lift) and grows as dv log2(c + 1), and each
+    key is unpacked once, digit by digit with a borrow."""
     if vlen is None:
         vlen = len(ser)
-    if not cv and not cw and vlen == len(ser) and wlen is None:
+    if not cv and not cw and vlen == len(ser) and wlen is None and den == 1:
         return ser
+    inv = pow(den, -1, m)
     rows = ser
     if cw:
         table = {}
@@ -941,7 +923,7 @@ def _shift_series(ser, cv, cw, m, vlen=None, wlen=None):
     elif wlen is not None:
         rows = [_wcut(row, wlen) for row in ser]
     if not cv:
-        return [cd_reduce(row, m) for row in rows[:vlen]]
+        return [cd_reduce({key: val * inv for key, val in row.items()}, m) for row in rows[:vlen]]
     c, n = abs(cv), min(vlen, len(rows))
     most = max((abs(val) for row in rows for val in row.values()), default=0)
     b = (len(rows) * most * (c + 1) ** (len(rows) - 1)).bit_length() + 1
@@ -962,7 +944,7 @@ def _shift_series(ser, cv, cw, m, vlen=None, wlen=None):
     for key, s in packed.items():
         s += bias
         for j, target in enumerate(out):
-            d = ((s & digit) - half) % m
+            d = ((s & digit) - half) * inv % m
             s >>= b
             if d:
                 target[key] = m - d if cv < 0 and j % 2 else d
@@ -1086,67 +1068,61 @@ def _group_tables(base):
     return tables
 
 
-def _cd_product(factors, wlen, m):
-    """The product of (x, w) dicts mod (w^wlen, m)."""
-    out = factors[0]
-    for g in factors[1:]:
-        out = cd_reduce(_wcut(_mul_into({}, out, g), wlen), m)
-    return out
-
-
-def _tree_node(images, wlen, P, m, bezout, first, count):
-    """(A0, B0, dioph) mod m of the lift tree node over the groups first,
-    ..., first + count - 1, whose images mod (w^wlen, m) are `images`: A0
-    the product of the first count // 2, B0 of the rest, and their
-    `_Dioph`, whose Bezout pair the node's memo bezout[first, count] keeps."""
-    h = count // 2
-    A0 = _cd_product(images[first : first + h], wlen, m)
-    B0 = _cd_product(images[first + h : first + count], wlen, m)
-    return A0, B0, _Dioph(A0, B0, wlen, P, m, bezout.setdefault((first, count), {}))
-
-
 class PreparedBase:
     """`base`, a factorization [(u, e)] of f at one point into groups u in
     x alone, prepared once for every lift from it: its groups' tables
     (`_group_tables`), their (x-degree, multiplicity), and the nodes of the
     lift tree (`node`).  A node's a0 and b0 are the same in every lift, so
-    one Bezout memo per node serves them all, and both passes of a
-    trivariate lift (`_lift`)."""
+    one Bezout memo per node serves them all; within a trivariate lift
+    (`_lift`), both passes solve with the node's one `_Dioph`."""
 
     def __init__(self, base):
         self.tables = _group_tables(base)
         self.groups = [(len(rows) - 1, e) for (rows, _), (_, e) in zip(self.tables, base)]
-        self.trees = {}  # P -> (M, images mod M, {node: (A0, B0, _Dioph)})
+        self.trees = {}  # P -> (M, images mod M, {node: (a0, b0, _Dioph)})
         self.bezout = {}  # node -> its Bezout memo (`_Dioph`)
 
     def images(self, m):
-        """Each group u^e mod m: u's integer rows over their x-leading
-        integer, raised to e."""
-        return [
-            _cd_product([cd_reduce(_rows_to_series(rows, lc, 1, m)[0], m)] * e, 1, m)
-            for (rows, lc), (_, e) in zip(self.tables, self.groups)
-        ]
+        """Each group u^e mod m as a list of x coefficients: u's integer
+        rows over their x-leading integer, raised to e."""
+        out = []
+        for (rows, lc), (_, e) in zip(self.tables, self.groups):
+            inv = pow(lc, -1, m)
+            u = [sum(c for *_, c in row) * inv % m for row in rows]
+            image = u
+            for _ in range(e - 1):
+                image = up_mul(image, u, m)
+            out.append(image)
+        return out
 
     def node(self, P, m, first, count):
-        """(A0, B0, dioph) mod m of the lift tree node over the groups
-        first, ..., first + count - 1 (`_tree_node`), kept per P at one
-        modulus M, a power of P.  An m dividing M reads them reduced: the
-        images are exact over Q with denominators P avoids and the
-        solutions unique, so these are the numbers a fresh build gives.  Any
-        other m rebuilds the tree at max(m, M^2), so a rising precision
-        rebuilds it rarely; each node's Bezout pair is memoized across
-        rebuilds (`_Dioph`)."""
+        """([a0], [b0], dioph) mod m of the lift tree node over the groups
+        first, ..., first + count - 1: a0 the product of the images of the
+        first count // 2, b0 of the rest, each one row by w-order
+        (`_lift_pair`), and their `_Dioph`, whose Bezout pair the node's
+        memo keeps.  Nodes are kept per P at one modulus M, a power of P.
+        An m dividing M reads them reduced: the images are exact over Q with
+        denominators P avoids and the solutions unique, so these are the
+        numbers a fresh build gives.  Any other m rebuilds the tree at
+        max(m, M^2), so a rising precision rebuilds it rarely; each node's
+        Bezout pair is memoized across rebuilds (`_Dioph`)."""
         tree = self.trees.get(P)
         if tree is None or tree[0] % m:
             M = m if tree is None else max(m, tree[0] ** 2)
             tree = self.trees[P] = (M, self.images(M), {})
         M, images, nodes = tree
         if (first, count) not in nodes:
-            nodes[first, count] = _tree_node(images, 1, P, M, self.bezout, first, count)
-        A0, B0, dioph = nodes[first, count]
+            h = count // 2
+            a0, b0 = (
+                reduce(partial(up_mul, m=M), images[lo:hi])
+                for lo, hi in ((first, first + h), (first + h, first + count))
+            )
+            memo = self.bezout.setdefault((first, count), {})
+            nodes[first, count] = a0, b0, _Dioph(a0, b0, P, M, memo)
+        a0, b0, dioph = nodes[first, count]
         if M == m:
-            return A0, B0, dioph
-        return cd_reduce(A0, m), cd_reduce(B0, m), dioph.reduced(m)
+            return [a0], [b0], dioph
+        return [up_mod(a0, m)], [up_mod(b0, m)], dioph.reduced(m)
 
 
 def slice_point(base):
@@ -1183,9 +1159,12 @@ def _lift(reading, v0, prepared, bounds=None, w0=0):
     coprime mod P.
 
     The lift runs mod (v^K, w^wlen), K = dv + 1 and wlen = dw + 1, at the
-    origin, in two passes over one lift tree.  With wlen > 1, the slice
-    F(x, v0, w + w0) first lifts the groups' images in w; these are the
-    v-lift's node images, and both passes share each node's Bezout memo.
+    origin, after one Taylor shift of f's integer rows (`_shift_series`),
+    in two passes over one lift tree.  With wlen > 1, the slice
+    F(x, v0, w + w0) first lifts the groups' images in w, a series of one
+    row per w-order; a v-lift node's A0 and B0 are the products of those
+    lifted images, and both passes solve with the node's one univariate
+    `_Dioph` (`PreparedBase.node`), the v-lift one w-order at a time.
     Images coprime mod P make the lifted factors unique mod (v^K, w^wlen,
     P^k), so a product of lifted factors truncates the factor of f it
     lifts, whose degrees <= (dv, dw) keep it whole.  A group u^e, u read as
@@ -1227,27 +1206,33 @@ def _lift(reading, v0, prepared, bounds=None, w0=0):
     wg = max(wlen, min(dw, 2) + 1) if any(e > 1 for _, e in groups) else wlen
     # lift at the origin: translate the evaluation point there mod m, keeping
     # only the orders the lift carries
-    Fser = _shift_series(_rows_to_series(f_rows, f_den, dv + 1, m), v0, w0, m, K, wg)
+    Fser = _shift_series(_rows_to_series(f_rows, dv + 1), v0, w0, m, K, wg, f_den)
+    Fser = [_rows_of(d, wg) for d in Fser]
     node = partial(prepared.node, P, m)
     if wg > 1:
-        # the w-lift: the slice Fser[0], read as a w-series of x-dicts
-        Sser = [dict() for _ in range(wg)]
-        for key, c in Fser[0].items():
-            Sser[key % STRIDE][key - key % STRIDE] = c
-        images = [
-            {key + j: c for j, row in enumerate(leaf) for key, c in row.items()}
-            for leaf in _lift_tree(Sser, wg, m, node, 0, len(groups))
-        ]
+        # the w-lift: the slice Fser[0], read as a w-series of one-row lists
+        leaves = _lift_tree([[row] for row in Fser[0]], wg, m, node, 0, len(groups))
+        images = [[rows[0] for rows in leaf] for leaf in leaves]
         for image, (_, e) in zip(images, groups):
             if e > 1:
-                root = _series_root([image], e, wg, m)[0]
-                if _cd_product([root] * e, wg, m) != image:
+                root = _rows_of(_series_root([_dict_of(image)], e, wg, m)[0], wg)
+                power = reduce(partial(_rows_mul, L=wg, m=m), [root] * e)
+                if power != [up_mod(row, m) for row in image]:
                     raise _DegeneratePoint("a group's lift in w is no power")
-        if wg > wlen:
-            Fser = [_wcut(row, wlen) for row in Fser]
-            images = [_wcut(image, wlen) for image in images]
-        node = partial(_tree_node, images, wlen, P, m, prepared.bezout)
+        Fser = [rows[:wlen] for rows in Fser]
+        images = [image[:wlen] for image in images]
+
+        def node(first, count):
+            # the node's w-lifted images, and its one solver
+            h = count // 2
+            A0, B0 = (
+                reduce(partial(_rows_mul, L=wlen, m=m), images[lo:hi])
+                for lo, hi in ((first, first + h), (first + h, first + count))
+            )
+            return A0, B0, prepared.node(P, m, first, count)[2]
+
     leaves = _lift_tree(Fser, K, m, node, 0, len(groups))
+    leaves = [[_dict_of(rows) for rows in leaf] for leaf in leaves]
 
     def candidate(S):
         mults = {groups[i][1] for i in S}

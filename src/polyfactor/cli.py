@@ -13,7 +13,7 @@ import sys
 
 from .config import Config, DEFAULT
 from .errors import CapError, PolyError, PromiseViolation
-from .parse import ParseError, parse_poly, parse_product
+from .parse import parse_poly, parse_product
 from . import engine, oracles, isolation
 from .divisibility import divides_exact, divisibility_witness, quotient_from_witness
 from .parse import render_poly
@@ -48,6 +48,19 @@ def _make_oracle(spec, n, d, config):
         delta = int(spec.split(":", 1)[1])
         return oracles.constant_degree_oracle(delta, n, d, config)
     raise ValueError("unknown oracle %r (use su or constant-degree:<delta>)" % spec)
+
+
+# the factor commands: each reads one polynomial and prints its FactorList
+_FACTOR_COMMANDS = {
+    "factor-cd": lambda f, args, config: engine.constant_degree_factors(f, args.delta, config),
+    "factor-cd-promise": lambda f, args, config: engine.factor_constant_degree_promise(
+        f, args.delta, config
+    ),
+    "factor-sparse": lambda f, args, config: engine.sparse_factors(
+        f, args.sparsity, _make_oracle(args.oracle, f.n, f.degree() or 0, config), config
+    ),
+    "factor-su": lambda f, args, config: engine.factor_su(f, config),
+}
 
 
 def build_parser():
@@ -116,28 +129,9 @@ def run(argv=None):
         except OSError as exc:
             raise ValueError("cannot read config %s: %s" % (args.config, exc.strerror))
 
-    if args.command == "factor-cd":
+    if args.command in _FACTOR_COMMANDS:
         f = _read_poly(args, args.poly)
-        fl = engine.constant_degree_factors(f, args.delta, config)
-        _emit(args, fl.to_json_dict(), _factor_text(fl))
-        return 0
-
-    if args.command == "factor-cd-promise":
-        f = _read_poly(args, args.poly)
-        fl = engine.factor_constant_degree_promise(f, args.delta, config)
-        _emit(args, fl.to_json_dict(), _factor_text(fl))
-        return 0
-
-    if args.command == "factor-sparse":
-        f = _read_poly(args, args.poly)
-        oracle = _make_oracle(args.oracle, f.n, f.degree() or 0, config)
-        fl = engine.sparse_factors(f, args.sparsity, oracle, config)
-        _emit(args, fl.to_json_dict(), _factor_text(fl))
-        return 0
-
-    if args.command == "factor-su":
-        f = _read_poly(args, args.poly)
-        fl = engine.factor_su(f, config)
+        fl = _FACTOR_COMMANDS[args.command](f, args, config)
         _emit(args, fl.to_json_dict(), _factor_text(fl))
         return 0
 
@@ -200,10 +194,7 @@ def main(argv=None):
     except (PromiseViolation, CapError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (ParseError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except PolyError as exc:
+    except (PolyError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

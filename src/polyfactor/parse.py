@@ -11,7 +11,8 @@ expression match per term and one findall over its factors, straight to a
 term table; only text it refuses is tokenized, to report the error.
 parse_product additionally accepts parenthesized products and powers of the
 base grammar, e.g. "(z1+z2)^2*(z1-1)", on the tokens; the CLI exposes it as
---expand.
+--expand.  Both refuse an arity past MAX_ARITY, given or inferred, before
+any exponent list is built.
 """
 
 import re
@@ -34,6 +35,11 @@ _TOKEN = re.compile(
 )
 
 RESERVED = {"x": 0, "y": 1, "t": 2}
+_VAR = re.compile(r"z\d+|[xyt]")
+
+# the most variables a polynomial may have, given or inferred: a text that
+# names z1234567890123 is refused before any exponent list that long is built
+MAX_ARITY = 1000
 
 
 def tokenize(text):
@@ -67,6 +73,22 @@ def infer_arity(names):
     if zs:
         raise ParseError("cannot mix reserved names with z-variables", 0)
     return 3
+
+
+def _arity(names, n, text):
+    """n, or when n is None the arity `infer_arity` reads from names, the
+    variables text mentions; a ParseError when it passes MAX_ARITY, naming
+    the first variable past the cap and its position, or the given n."""
+    if n is None:
+        n = infer_arity(names)
+        if n > MAX_ARITY:
+            var = next(v for v in _VAR.finditer(text) if _slot(v.group()) >= MAX_ARITY)
+            raise ParseError(
+                "variable %s is past the arity cap %d" % (var.group(), MAX_ARITY), var.start()
+            )
+    elif n > MAX_ARITY:
+        raise ParseError("arity %d is past the cap %d" % (n, MAX_ARITY), 0)
+    return n
 
 
 def _slot(name):
@@ -213,12 +235,11 @@ def _flat_terms(text, n):
     `_TERM` match and one `_PART` findall over its factors, its coefficient
     an integer numerator and denominator made one rational; like terms are
     summed in one dict, and a cancelled term leaves it, as under +."""
-    names = set(re.findall(r"z\d+|[xyt]", text))
-    if n is None:
-        try:
-            n = infer_arity(names)
-        except ParseError:
-            return None
+    names = set(_VAR.findall(text))
+    try:
+        n = _arity(names, n, text)
+    except ParseError:
+        return None
     slots = {name: _slot(name) for name in names}
     if not all(0 <= slot < n for slot in slots.values()):
         return None
@@ -253,7 +274,7 @@ def _flat_terms(text, n):
 def _parser(text, n):
     tokens = tokenize(text)
     names = (value for kind, value, _ in tokens if kind == "var")
-    return _Parser(tokens, infer_arity(names) if n is None else n)
+    return _Parser(tokens, _arity(names, n, text))
 
 
 def parse_poly(text, n=None):

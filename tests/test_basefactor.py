@@ -23,12 +23,13 @@ from polyfactor.basefactor import (
     _Dioph,
     _attempt_lift,
     _bezout_step,
-    _cd_to_tau_series,
     _factor_bound,
     _factor_count_mod_p,
     _factor_monic_sparse,
     _factor_univariate_pairs,
+    _dict_of,
     _lift_pair,
+    _rows_of,
     _series_root,
     _series_to_qpoly,
     _shift_series,
@@ -39,7 +40,6 @@ from polyfactor.basefactor import (
     STRIDE,
     cd_pack,
     cd_reduce,
-    cd_sub,
     cd_unpack,
     up_add,
     up_deg,
@@ -48,7 +48,9 @@ from polyfactor.basefactor import (
     up_mod,
     up_monic_p,
     up_mul,
+    up_divmod,
     up_sub,
+    up_trim,
     up_xgcd_p,
 )
 from polyfactor.engine import monicize
@@ -638,13 +640,13 @@ def test_a_bounded_lift_stops_at_the_largest_subset_x_degree(monkeypatch):
     lift_pair = basefactor._lift_pair
 
     def recorded(Fser, A0, B0, K, m, dioph):
-        orders.append((K, dioph.length))
+        orders.append((K, len(A0)))
         return lift_pair(Fser, A0, B0, K, m, dioph)
 
     monkeypatch.setattr(basefactor, "_lift_pair", recorded)
     assert (linear.canonical(), 1) in factor_candidates(f, bounds).factors
     # the w-lift of the univariate base runs to the same 2 z3-orders, one
-    # x-dict each, before the z2-lift
+    # row each, before the z2-lift
     assert orders == [(2, 1), (6 // 2 + 1, 2)]
 
 
@@ -986,12 +988,14 @@ def test_the_lift_reads_the_series_the_fraction_path_gives(monkeypatch, text, n,
     monkeypatch.setattr(basefactor, "_lift_tree", recorded)
     monkeypatch.setattr(basefactor.PreparedBase, "images", recorded_images)
     assert _attempt_lift(read_rows(f, v, w), v0, base, None, w0) == want
-    # each pass's top call lifts every group; the v-lift is the last pass
+    # each pass's top call lifts every group; the v-lift is the last pass,
+    # its series wlen rows by w-order per v-order
     tops = [args for args in calls if args[4:] == (0, len(base))]
     Fser, K, m = tops[-1][:3]
     wlen = (f.degree_in(w) or 0) + 1 if w <= n else 1
     F = series(f, v, w, (f.degree_in(v) or 0) + 1, m)
-    assert Fser == _shift_series(F, v0, w0, m, K, wlen)
+    assert all(len(rows) == wlen for rows in Fser)
+    assert [_dict_of(rows) for rows in Fser] == _shift_series(F, v0, w0, m, K, wlen)
     # the lift's preparation reads the groups at the lift's modulus
     ((images_m,), groups), = images
     assert images_m == m
@@ -999,13 +1003,15 @@ def test_the_lift_reads_the_series_the_fraction_path_gives(monkeypatch, text, n,
     for u, e in base:
         U = u.scale(ONE / u.terms[(u.degree_in(1),)]) ** e
         G.append(series(U, None, None, 1, m)[0])
-    assert groups == G
+    assert [_dict_of([g]) for g in groups] == G
     if wlen > 1:
-        # the w-lift: f's slice at v0, moved by w0, one x-dict per w-order
+        # the w-lift: f's slice at v0, moved by w0, one row per w-order
         Sser, wlen_w, m_w = tops[0][:3]
         assert (len(tops), wlen_w, m_w) == (2, wlen, m)
-        assert Sser == [
-            {k - j: c for k, c in Fser[0].items() if k % STRIDE == j} for j in range(wlen)
+        assert all(len(rows) == 1 for rows in Sser)
+        slice_ = _dict_of(Fser[0])
+        assert [_dict_of(rows) for rows in Sser] == [
+            {k - j: c for k, c in slice_.items() if k % STRIDE == j} for j in range(wlen)
         ]
     else:
         assert len(tops) == 1
@@ -1049,21 +1055,150 @@ def _random_cd(rng, dx, dw, m):
     return cd_reduce(d, m)
 
 
+# ---------------------------------------------------------------------------
+# reference: the w-series Diophantine solver the lift used before it solved
+# one w-order at a time with the univariate `_Dioph`, and its dict helpers
+
+
+def cd_sub(a, b, m):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) - v
+    return cd_reduce(out, m)
+
+
+def cd_to_tau_series(d, length):
+    """(x, w) dict -> list over w-order of x coefficient lists."""
+    rows = [dict() for _ in range(length)]
+    for key, v in d.items():
+        ex, ew = cd_unpack(key)
+        if ew < length:
+            rows[ew][ex] = v
+    out = []
+    for row in rows:
+        lst = [0] * (max(row, default=-1) + 1)
+        for ex, v in row.items():
+            lst[ex] = v
+        out.append(up_trim(lst))
+    return out
+
+
+class SeriesDioph:
+    """Solve dA*B0 + dB*A0 = e mod (w^length, m) for (x, w) dicts, A0 and
+    B0 monic in x, deg_x e < D = deg_x A0 + deg_x B0, with deg_x dA <
+    deg_x A0 and deg_x dB < deg_x B0, by dot products with precomputed
+    solutions (sigma_i, tau_i) for each x^i, i < D, each a series in w:
+    column 0, for 1, is expanded w-adically from a Bezout pair s a0 + t b0
+    = 1 of the w = 0 rows; each next column is x times the last, minus q A0
+    and plus q B0, q its x^(deg A0) coefficient, a series in w."""
+
+    def __init__(self, A0, B0, length, p, m):
+        self.m = m
+        self.length = length
+        A0tau = cd_to_tau_series(A0, length)
+        B0tau = cd_to_tau_series(B0, length)
+        a0, b0 = A0tau[0], B0tau[0]
+        s, t, g = up_xgcd_p(a0, b0, p)
+        assert up_deg(g) == 0
+        mu = p
+        while mu < m:
+            mu *= mu
+            s, t = _bezout_step(mu, a0, b0, s, t)
+        s, t = up_mod(s, m), up_mod(t, m)
+        na, nb = up_deg(a0), up_deg(b0)
+        self.D = D = na + nb
+        span = 1 + max(j for j in range(length) if A0tau[j] or B0tau[j])
+        sigma, tau = [[] for _ in range(length)], [[] for _ in range(length)]
+        residual = [[1]] + [[] for _ in range(length - 1)]
+        for k, c in enumerate(residual):
+            if not c:
+                continue
+            q, sigma[k] = up_divmod(up_mul(t, c, m), a0, m)
+            tau[k] = up_add(up_mul(s, c, m), up_mul(q, b0, m), m)
+            for j in range(1, min(length - k, span)):
+                upd = up_add(up_mul(sigma[k], B0tau[j], m), up_mul(tau[k], A0tau[j], m), m)
+                residual[k + j] = up_sub(residual[k + j], upd, m)
+
+        def padded(series, n):
+            return [row[:n] + [0] * (n - len(row)) for row in series]
+
+        A_low, B_low = padded(A0tau, na), padded(B0tau, nb)
+
+        def step(rows, low, q, sign):
+            return [
+                [
+                    (c + sign * sum(q[j] * low[k - j][i] for j in range(k + 1))) % m
+                    for i, c in enumerate([0] + row[:-1])
+                ]
+                for k, row in enumerate(rows)
+            ]
+
+        columns = [(padded(sigma, na), padded(tau, nb))]
+        for _ in range(1, D):
+            sig, ta = columns[-1]
+            q = [row[-1] for row in sig]
+            columns.append((step(sig, A_low, q, -1), step(ta, B_low, q, 1)))
+        self.rows = [
+            [
+                (cd_pack(i, k), [col[side][k - j][i] for j in range(k + 1) for col in columns])
+                for k in range(length)
+                for i in range(n)
+            ]
+            for side, n in ((0, na), (1, nb))
+        ]
+
+    def solve(self, e):
+        D, m = self.D, self.m
+        E = [0] * (D * self.length)
+        for key, c in e.items():
+            ex, ew = cd_unpack(key)
+            if ex >= D:
+                raise _AttemptFailed("diophantine right side of x-degree >= D")
+            if ew < self.length:
+                E[ew * D + ex] = c
+        return tuple(
+            {key: c for key, row in rows if (c := sum(a * b for a, b in zip(row, E)) % m)}
+            for rows in self.rows
+        )
+
+
 def _coprime_monic_pair(rng, dxa, dxb, dw, p, m):
     """(A0, B0) monic in x whose w = 0 rows are coprime mod p."""
     while True:
         A0 = _random_monic_cd(rng, dxa, dw, m)
         B0 = _random_monic_cd(rng, dxb, dw, m)
-        a0, b0 = (_cd_to_tau_series(d, 1)[0] for d in (A0, B0))
+        a0, b0 = (cd_to_tau_series(d, 1)[0] for d in (A0, B0))
         if up_deg(up_gcd_p(a0, b0, p)) == 0:
             return A0, B0
+
+
+def lift_pair_rows(Fser, A0, B0, K, L, p, m, dioph=None):
+    """`_lift_pair` on the rows (`_rows_of`) of these (x, w) dicts cut at
+    w-order L, by default with the univariate `_Dioph` of A0's and B0's
+    w = 0 rows, its series read back as dicts."""
+    A0, B0 = _rows_of(A0, L), _rows_of(B0, L)
+    if dioph is None:
+        dioph = _Dioph(A0[0], B0[0], p, m)
+    A, B = _lift_pair([_rows_of(d, L) for d in Fser], A0, B0, K, m, dioph)
+    return [_dict_of(rows) for rows in A], [_dict_of(rows) for rows in B]
+
+
+def solve_by_lift(A0, B0, e, L, p, m):
+    """(dA, dB) solving dA B0 + dB A0 = e mod (w^L, m) as the lift solves
+    it: one v-order of `_lift_pair` over A0 B0, e its residual, one w-order
+    at a time with the univariate `_Dioph` of the w = 0 rows."""
+    F0 = cd_reduce(_wcut(_mul_into({}, A0, B0), L), m)
+    A, B = lift_pair_rows([F0, e], A0, B0, 2, L, p, m)
+    return A[1], B[1]
 
 
 @pytest.mark.parametrize("wdeg", [None, 1, 2])
 def test_diophantine_solver_returns_the_known_corrections(wdeg):
     """e = dA*B0 + dB*A0 with deg_x dA < deg_x A0 and deg_x dB < deg_x B0
-    has exactly one solution mod m; the solver must return it.  wdeg None is
-    a bivariate lift: polynomials in x alone, one w-order."""
+    has exactly one solution mod (w^length, m); the univariate solver on
+    e's w = 0 row, the lift solving e one w-order at a time, and the series
+    reference must each return it.  wdeg None is a bivariate lift:
+    polynomials in x alone, one w-order."""
     rng = rng_for("diophantine-%s" % wdeg)
     p = 7
     m = p**9
@@ -1076,36 +1211,46 @@ def test_diophantine_solver_returns_the_known_corrections(wdeg):
         dA = _random_cd(rng, dxa, length - 1 - dw, m)
         dB = _random_cd(rng, dxb, length - 1 - dw, m)
         e = cd_reduce(_mul_into(_mul_into({}, dA, B0), dB, A0), m)
-        assert _Dioph(A0, B0, length, p, m).solve(e) == (dA, dB)
+        a0, b0 = (_rows_of(d, 1)[0] for d in (A0, B0))
+        da0, db0 = _Dioph(a0, b0, p, m).solve(_rows_of(e, 1)[0])
+        assert (len(da0), len(db0)) == (dxa, dxb)
+        assert (_dict_of([da0]), _dict_of([db0])) == (_wcut(dA, 1), _wcut(dB, 1))
+        assert solve_by_lift(A0, B0, e, length, p, m) == (dA, dB)
+        assert SeriesDioph(A0, B0, length, p, m).solve(e) == (dA, dB)
 
 
 @pytest.mark.parametrize("length", [1, 2, 3])
 def test_diophantine_solutions_meet_their_degree_bounds(length):
     # any e of x-degree < D = deg A0 + deg B0, whatever its w-orders, has
     # its solution mod (w^length, m) within deg dA < deg A0 and deg dB <
-    # deg B0, read from the solutions for x^i, i < D; an e of x-degree D
-    # has none within them and is refused
+    # deg B0, solved one w-order at a time from the solutions for x^i,
+    # i < D, as the series reference solves it; an e of x-degree D has
+    # none within them and is refused
     rng = rng_for("diophantine-columns-%d" % length)
     p = 11
     m = p**6
     for _ in range(20):
         dxa, dxb = rng.randint(1, 4), rng.randint(1, 4)
         A0, B0 = _coprime_monic_pair(rng, dxa, dxb, rng.randint(0, length), p, m)
-        dioph = _Dioph(A0, B0, length, p, m)
         e = _random_cd(rng, dxa + dxb, length, m)
-        dA, dB = dioph.solve(e)
+        dA, dB = solve_by_lift(A0, B0, e, length, p, m)
+        assert (dA, dB) == SeriesDioph(A0, B0, length, p, m).solve(e)
         got = _mul_into(_mul_into({}, dA, B0), dB, A0)
         assert cd_reduce(_wcut(got, length), m) == _wcut(e, length)
         assert all(cd_unpack(key)[0] < dxa for key in dA)
         assert all(cd_unpack(key)[0] < dxb for key in dB)
         assert all(cd_unpack(key)[1] < length for key in (*dA, *dB))
         with pytest.raises(_AttemptFailed):
-            dioph.solve({**e, cd_pack(dxa + dxb, 0): 1})
+            solve_by_lift(A0, B0, {**e, cd_pack(dxa + dxb, 0): 1}, length, p, m)
+        dioph = _Dioph(*(_rows_of(d, 1)[0] for d in (A0, B0)), p, m)
+        with pytest.raises(_AttemptFailed):
+            dioph.solve([0] * (dxa + dxb) + [1])
 
 
 def lift_pair_dicts(Fser, A0, B0, K, m, dioph):
     """The reference for `_lift_pair`: one dict of unreduced products per
-    v-order, every product formed in full."""
+    v-order, every product formed in full, each v-order solved at once by
+    the series reference `SeriesDioph`."""
     A = [dict(A0)] + [dict() for _ in range(K - 1)]
     B = [dict(B0)] + [dict() for _ in range(K - 1)]
     AB = [dict() for _ in range(K)]
@@ -1127,37 +1272,56 @@ def lift_pair_dicts(Fser, A0, B0, K, m, dioph):
 
 
 def _lift_case(rng, K, L, p, m):
-    """(Fser, A0, B0, dioph): coprime monic A0, B0 of w-degree < L and a
-    v-series of K orders over their product, random past order 0."""
+    """(Fser, A0, B0, dioph): coprime monic A0, B0 of w-degree < L, a
+    v-series of K orders over their product, random past order 0, and the
+    series reference solver."""
     dxa, dxb = rng.randint(1, 3), rng.randint(1, 3)
     A0, B0 = _coprime_monic_pair(rng, dxa, dxb, L - 1, p, m)
     F0 = cd_reduce(_wcut(_mul_into({}, A0, B0), L), m)
     Fser = [F0] + [_random_cd(rng, dxa + dxb, L - 1, m) for _ in range(K - 1)]
-    return Fser, A0, B0, _Dioph(A0, B0, L, p, m)
+    return Fser, A0, B0, SeriesDioph(A0, B0, L, p, m)
 
 
 @pytest.mark.parametrize("K", [2, 3, 6, 9, 25, 41])
 @pytest.mark.parametrize("L", [1, 2, 3])
 def test_packed_lift_is_the_dict_lift(K, L):
+    # the lift on rows, one w-order at a time with the univariate solver,
+    # is the dict lift with the series solver
     rng = rng_for("packed-lift-%d-%d" % (K, L))
     p = 1048583
     m = p**7
     for _ in range(3):
         Fser, A0, B0, dioph = _lift_case(rng, K, L, p, m)
-        assert _lift_pair(Fser, A0, B0, K, m, dioph) == lift_pair_dicts(Fser, A0, B0, K, m, dioph)
-        # residuals only at w-orders >= L, which the solver drops, and a
-        # base product that does not match
+        want = lift_pair_dicts(Fser, A0, B0, K, m, dioph)
+        assert lift_pair_rows(Fser, A0, B0, K, L, p, m) == want
+        # residuals only at w-orders >= L, which the rows drop, and a base
+        # product that does not match
         Fser[1] = {cd_pack(0, L): 1}
-        assert _lift_pair(Fser, A0, B0, K, m, dioph) == lift_pair_dicts(Fser, A0, B0, K, m, dioph)
+        want = lift_pair_dicts(Fser, A0, B0, K, m, dioph)
+        assert lift_pair_rows(Fser, A0, B0, K, L, p, m) == want
         Fser[0] = {**Fser[0], cd_pack(0, 0): (Fser[0].get(0, 0) + 1) % m}
         with pytest.raises(_AttemptFailed):
-            _lift_pair(Fser, A0, B0, K, m, dioph)
+            lift_pair_rows(Fser, A0, B0, K, L, p, m)
 
 
 class _FullSolver:
     """A stand-in for `_Dioph` whose every correction has all its
     coefficients at m - 1, the largest a lift coefficient takes; it records
-    each residual it is given at the w-orders a solver reads."""
+    each right side it is given, one w-order's row."""
+
+    def __init__(self, na, nb, m):
+        self.D = na + nb
+        self.full = ([m - 1] * na, [m - 1] * nb)
+        self.residuals = []
+
+    def solve(self, e):
+        self.residuals.append(list(e))
+        return tuple(map(list, self.full))
+
+
+class _FullSeriesSolver:
+    """`_FullSolver` for the series reference: every correction full at
+    every w-order below length, each residual recorded at those w-orders."""
 
     def __init__(self, na, nb, length, m):
         self.D, self.length = na + nb, length
@@ -1173,15 +1337,22 @@ class _FullSolver:
 
 def test_packed_lift_digits_reach_their_bound():
     # with every coefficient at m - 1 each digit the lift reads is as large
-    # as a lift's digit can be; any carry between digits changes a residual
+    # as a lift's digit can be; any carry between digits changes a residual.
+    # Every w-order's row is solved, so the rows' residuals, L per v-order,
+    # are the series reference's
     m = (1 << 61) - 1
     for K, na, nb, L in [(41, 2, 2, 3), (41, 1, 3, 3), (9, 3, 3, 1), (25, 2, 2, 2)]:
         A0 = {cd_pack(na, 0): 1}
         B0 = {cd_pack(nb, 0): 1}
-        Fser = [{cd_pack(na + nb, 0): 1}] + [{0: 1} for _ in range(K - 1)]
-        got, want = _FullSolver(na, nb, L, m), _FullSolver(na, nb, L, m)
-        assert _lift_pair(Fser, A0, B0, K, m, got) == lift_pair_dicts(Fser, A0, B0, K, m, want)
-        assert got.residuals == want.residuals
+        # a 1 at every w-order keeps each row's right side nonzero
+        ones = {cd_pack(0, ew): 1 for ew in range(L)}
+        Fser = [{cd_pack(na + nb, 0): 1}] + [dict(ones) for _ in range(K - 1)]
+        got, want = _FullSolver(na, nb, m), _FullSeriesSolver(na, nb, L, m)
+        lifted = lift_pair_rows(Fser, A0, B0, K, L, None, m, got)
+        assert lifted == lift_pair_dicts(Fser, A0, B0, K, m, want)
+        rows = got.residuals
+        assert len(rows) == L * (K - 1)
+        assert [_dict_of(rows[i : i + L]) for i in range(0, len(rows), L)] == want.residuals
 
 
 def test_bezout_step_keeps_the_identity():
@@ -1205,20 +1376,24 @@ def test_bezout_step_keeps_the_identity():
 @pytest.mark.parametrize("wdeg", [None, 2])
 def test_a_memoized_bezout_pair_is_the_fresh_one_at_every_precision(wdeg):
     # one tree node's memo serves lifts to precisions that rise, fall and
-    # repeat; A0 and B0 are the same integers reduced mod each p^k, as a
-    # node's groups are for every slice of one preparation
+    # repeat; a0 and b0, the w = 0 rows of A0 and B0, are the same integers
+    # reduced mod each p^k, as a node's groups are for every slice of one
+    # preparation, and the solver built on the memo solves as a fresh one
     rng = rng_for("bezout-memo-%s" % wdeg)
     p = 7
     dw = wdeg or 0
     precisions = [1, 3, 4, 2, 5, 5, 9, 7, 9, 3, 12, 6, 12]
     for _ in range(10):
         A0, B0 = _coprime_monic_pair(rng, rng.randint(1, 3), rng.randint(1, 3), dw, p, p**12)
+        a0, b0 = (_rows_of(d, 1)[0] for d in (A0, B0))
         memo = {}
         for k in precisions:
             m = p**k
-            A, B = cd_reduce(A0, m), cd_reduce(B0, m)
-            shared, fresh = _Dioph(A, B, dw + 1, p, m, memo), _Dioph(A, B, dw + 1, p, m)
+            a, b = up_mod(a0, m), up_mod(b0, m)
+            shared, fresh = _Dioph(a, b, p, m, memo), _Dioph(a, b, p, m)
             assert (shared.s, shared.t) == (fresh.s, fresh.t), k
+            e = [rng.randrange(m) for _ in range(shared.D)]
+            assert shared.solve(e) == fresh.solve(e), k
         assert memo[p][0] == p**12
 
 
@@ -1241,9 +1416,10 @@ def _tree_nodes(first, count):
 )
 def test_a_memoized_lift_tree_node_is_the_fresh_one_at_every_precision(text):
     # one preparation serves lifts to precisions that rise, fall and repeat;
-    # every node it returns mod m has the A0, B0 and Diophantine solutions
-    # of a node built fresh mod m, though the tree may be kept at a larger
-    # modulus and grows past the precision asked for
+    # every node it returns mod m has the a0, b0, Bezout pair and
+    # Diophantine solutions of a node built fresh mod m, though the tree may
+    # be kept at a larger modulus and grows past the precision asked for
+    rng = rng_for("tree-node-memo-" + text)
     base = factor_monic(parse_product(text, 1)).factors
     p = 1048583
     prepared = PreparedBase(base)
@@ -1258,8 +1434,11 @@ def test_a_memoized_lift_tree_node_is_the_fresh_one_at_every_precision(text):
             A0, B0, dioph = prepared.node(p, m, first, count)
             FA0, FB0, fdioph = fresh.node(p, m, first, count)
             assert (A0, B0) == (FA0, FB0), (k, first, count)
-            assert dioph.m == m and dioph.length == 1
-            assert (dioph.s, dioph.t, dioph.rows) == (fdioph.s, fdioph.t, fdioph.rows), k
+            assert dioph.m == m and len(A0) == len(B0) == 1
+            assert (dioph.s, dioph.t) == (fdioph.s, fdioph.t), k
+            for _ in range(3):
+                e = [rng.randrange(m) for _ in range(dioph.D)]
+                assert dioph.solve(e) == fdioph.solve(e), (k, e)
         moduli.add(prepared.trees[p][0])
     # the tree grew by squaring: one build and three rebuilds for seven
     # rises in precision

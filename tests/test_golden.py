@@ -15,10 +15,12 @@ entry drew), the traffic across the integer boundary (integer reads,
 calls of `sparse._int_table`, and `SparsePoly` constructions), the
 substitutions (calls of `sparse._compose`, the substitution kernel's
 integer core), the Diophantine builds (`basefactor._Dioph`
-constructions, one per lift tree node built), the Bezout lift steps
+constructions, one per lift tree node a `PreparedBase` builds: the
+w-lift and the v-lift solve with the same one), the Bezout lift steps
 (calls of `basefactor._bezout_step`), the lift's v-orders (the sum of
 K over `basefactor._lift_pair` calls), its Diophantine solves (calls
-of `basefactor._Dioph.solve`), the univariate factorizations over Q
+of `basefactor._Dioph.solve`, one univariate solve per v-order and
+w-order whose right side is nonzero), the univariate factorizations over Q
 (calls of `basefactor._factor_univariate_pairs`), the complete
 recombinations (calls of `basefactor._complete_recombination`, one per
 complete lift that reached recombining) and the probe images evaluated

@@ -7,12 +7,13 @@ import os
 import pytest
 
 from polyfactor.parse import (
+    MAX_ARITY,
     ParseError,
     RESERVED,
     _Parser,
+    _arity,
     _number,
     _var_slot,
-    infer_arity,
     parse_poly,
     parse_product,
     render_poly,
@@ -112,6 +113,9 @@ ERRORS = [
     ("-", None, "unexpected token 'end of input'", 1),
     ("z1 - 2/3*z2^2*z2 + 4 +", None, "unexpected token 'end of input'", 22),
     ("z1 ^ 2 ^ 2", None, "trailing input '^'", 6),
+    ("z1 + z1234567890123", None, "variable z1234567890123 is past the arity cap 1000", 5),
+    ("z1001*z3 + z1^2", None, "variable z1001 is past the arity cap 1000", 0),
+    ("z1", 1001, "arity 1001 is past the cap 1000", 0),
 ]
 
 
@@ -121,6 +125,23 @@ def test_error_message_and_position(text, n, message, position):
         parse_poly(text, n)
     assert str(info.value) == "%s (at position %d)" % (message, position)
     assert info.value.position == position
+
+
+@pytest.mark.parametrize("parse", [parse_poly, parse_product])
+def test_an_arity_past_the_cap_is_refused_before_any_exponent_list(parse):
+    # a ten-digit index, or a given arity, of 10^12 would ask for an
+    # exponent list of 10^12 slots per term; both readers refuse it at
+    # once, naming the variable and its position.  The cap itself parses
+    text = "(z1 - 3)^2 + z2*z1234567890123" if parse is parse_product else "z1 + z1234567890123"
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert "z1234567890123 is past the arity cap %d" % MAX_ARITY in str(info.value)
+    assert text[info.value.position :] == "z1234567890123"
+    with pytest.raises(ParseError) as info:
+        parse("z1 + 1", 10**12)
+    assert info.value.position == 0
+    assert parse("z1 + z%d" % MAX_ARITY).n == MAX_ARITY
+    assert parse("z1 + 1", MAX_ARITY).n == MAX_ARITY
 
 
 def test_terms_match_the_kernel_on_every_pool_entry():
@@ -151,8 +172,7 @@ def reference_terms(text, n=None):
     matched whole terms: (n, {exponents: coefficient}), the coefficient
     built as a product of rationals, like terms summed in one dict."""
     tokens = tokenize(text)
-    if n is None:
-        n = infer_arity(value for kind, value, _ in tokens if kind == "var")
+    n = _arity((value for kind, value, _ in tokens if kind == "var"), n, text)
     p = _Parser(tokens, n)
     terms = {}
     sign = p.sign() or 1
