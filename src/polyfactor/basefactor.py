@@ -53,13 +53,13 @@ wanted)` lifts the wanted groups only, unproved, from the point
 proportional degree bounds (bx, bv, bw), a factor of x-degree a lying
 within (a, a bv / bx, a bw / bx): only subsets within the x-bound
 recombine, and the lift stops at the v- and w-orders the largest x-degree
-such a subset reaches allows; it returns unproved candidates, and the
-caller's division of its own input decides.  Exact divisions over Q are
-the whole proof of a complete factorization: Yun and Zassenhaus end on
-exact quotients in Z[x], and the lift divides each factor out of what is
-left of f as often as its multiplicity and requires a constant at the
-end, so a degenerate evaluation point fails the lift or a division and
-costs another point, never correctness.
+such a subset reaches allows; it returns unproved candidates cut to
+z3 = 0, and the caller's division of its own input decides.  Exact
+divisions over Q are the whole proof of a complete factorization: Yun and
+Zassenhaus end on exact quotients in Z[x], and the lift divides each
+factor out of what is left of f as often as its multiplicity and requires
+a constant at the end, so a degenerate evaluation point fails the lift or
+a division and costs another point, never correctness.
 """
 
 import math
@@ -1154,56 +1154,62 @@ def _lift(reading, v0, prepared, bounds=None, w0=0):
     2B^2 (P the reading's prime, B = _factor_bound); groups[i] is group
     i's (x-degree, multiplicity).  candidate(S) is (G, e), G monic in x and
     G^e the factor the groups S lift, reconstructed over Q and unproved
-    (junk reconstructs too); None when their multiplicities differ or
-    nothing reconstructs.  _AttemptFailed when the groups' images are not
-    coprime mod P.
+    (junk reconstructs too), at z3 = 0 with `bounds`; None when their
+    multiplicities differ or nothing reconstructs.  _AttemptFailed when the
+    groups' images are not coprime mod P.
 
-    The lift runs mod (v^K, w^wlen), K = dv + 1 and wlen = dw + 1, at the
+    The lift runs mod (v^K, w^L), K = dv + 1 and L = wcut = dw + 1, at the
     origin, after one Taylor shift of f's integer rows (`_shift_series`),
-    in two passes over one lift tree.  With wlen > 1, the slice
-    F(x, v0, w + w0) first lifts the groups' images in w, a series of one
-    row per w-order; a v-lift node's A0 and B0 are the products of those
-    lifted images, and both passes solve with the node's one univariate
-    `_Dioph` (`PreparedBase.node`), the v-lift one w-order at a time.
-    Images coprime mod P make the lifted factors unique mod (v^K, w^wlen,
-    P^k), so a product of lifted factors truncates the factor of f it
+    in two passes over one lift tree.  With wg > 1 w-orders to carry, the
+    slice F(x, v0, w + w0) first lifts the groups' images in w, a series of
+    one row per w-order; a v-lift node's A0 and B0 are the products of
+    those lifted images, and both passes solve with the node's one
+    univariate `_Dioph` (`PreparedBase.node`), the v-lift one w-order at a
+    time.  Images coprime mod P make the lifted factors unique mod (v^K,
+    w^L, P^k), so a product of lifted factors truncates the factor of f it
     lifts, whose degrees <= (dv, dw) keep it whole.  A group u^e, u read as
     its primitive integer rows over their x-leading integer, lifts to U^e
     where (v0, w0) keeps f's factors apart, so a subset of groups of one
     multiplicity e is rooted (`_series_root`) before it is reconstructed;
     a lift in w that is no e-th power shows that w0 merged distinct
     factors of the slice: _DegeneratePoint.  With such a group, the w-lift
-    and this guard run to at least min(dw, 2) + 1 w-orders, cut back to
-    wlen for the v-lift: two factors that meet at w0 can make a power mod
+    and this guard run to wg = max(wcut, min(dw, 2) + 1) w-orders, cut back
+    to L for the v-lift: two factors that meet at w0 can make a power mod
     w^2, as (x + w)(x + 2w) = (x + 3w/2)^2 does.  `bounds` (bx, bv, bw), per
     variable (x first), are proportional: a wanted factor of x-degree a
     lies within (a, a bv / bx, a bw / bx).  No subset recombined with
     x-degree <= bx passes a = min(bx, the sum of the group x-degrees <=
-    bx), so the lift is cut at K = min(dv, a bv // bx) + 1 and wlen =
-    min(dw, a bw // bx) + 1, and B is taken at degree sum a + K + wlen - 2:
+    bx), so the lift is cut at K = min(dv, a bv // bx) + 1 and wcut =
+    min(dw, a bw // bx) + 1, and B is taken at degree sum a + K + wcut - 2:
     a wanted factor is whole in the cut, and so is its root, though U^e
-    runs past it."""
+    runs past it.  With `bounds`, each candidate is shifted back, then cut
+    to z3 = 0 (`factor_candidates`): where z3 is z_w and w0 = 0 the v-lift
+    carries L = 1 w-order, and without a repeated group no w-lift runs.  A
+    cut candidate is the uncut one at z3 = 0: row 0 of the L-row v-lift
+    takes no correction from the rows above (`_lift_pair`), K and m are
+    kept, and w -> 0 is a ring map, so products and roots commute with it."""
     _, n, v, w, f_rows, f_den, (dx, dv, dw), P = reading
     groups = prepared.groups
     if bounds is None:
-        a, K, wlen = dx, dv + 1, dw + 1
+        a, K, wcut = dx, dv + 1, dw + 1
     else:
         # a variable past f's n, as z_w of a bivariate f, is bounded by 0
         bx, bv, bw = bounds[0], bounds[v - 1], (*bounds, 0)[w - 1]
         # the largest x-degree a recombined subset reaches
         a = min(bx, sum(d for d, _ in groups if d <= bx))
         K = min(dv, a * bv // bx) + 1
-        wlen = min(dw, a * bw // bx) + 1  # the w-orders the lift carries
+        wcut = min(dw, a * bw // bx) + 1
     # a monic factor of f is G / lc(G), G an integer factor of f's integer
     # form, and lc(G) divides f's denominator, which P avoids, so a subset
     # that does not reconstruct is no factor; candidates are reconstructed
     # in the original coordinates, so B needs no term for the translation,
     # and they have degrees within the cut, which B's degree sum is
-    B = _factor_bound([c for r in f_rows for *_, c in r], a + K + wlen - 2)
+    B = _factor_bound([c for r in f_rows for *_, c in r], a + K + wcut - 2)
     m = P ** _precision(P, 2 * B * B + 1)
 
-    # the w-orders the w-lift and its guard carry
-    wg = max(wlen, min(dw, 2) + 1) if any(e > 1 for _, e in groups) else wlen
+    # the w-orders the v-lift carries, then those the w-lift and its guard do
+    L = 1 if bounds is not None and w == 3 and not w0 else wcut
+    wg = max(wcut, min(dw, 2) + 1) if any(e > 1 for _, e in groups) else L
     # lift at the origin: translate the evaluation point there mod m, keeping
     # only the orders the lift carries
     Fser = _shift_series(_rows_to_series(f_rows, dv + 1), v0, w0, m, K, wg, f_den)
@@ -1219,20 +1225,22 @@ def _lift(reading, v0, prepared, bounds=None, w0=0):
                 power = reduce(partial(_rows_mul, L=wg, m=m), [root] * e)
                 if power != [up_mod(row, m) for row in image]:
                     raise _DegeneratePoint("a group's lift in w is no power")
-        Fser = [rows[:wlen] for rows in Fser]
-        images = [image[:wlen] for image in images]
+        Fser = [rows[:L] for rows in Fser]
+        images = [image[:L] for image in images]
 
         def node(first, count):
             # the node's w-lifted images, and its one solver
             h = count // 2
             A0, B0 = (
-                reduce(partial(_rows_mul, L=wlen, m=m), images[lo:hi])
+                reduce(partial(_rows_mul, L=L, m=m), images[lo:hi])
                 for lo, hi in ((first, first + h), (first + h, first + count))
             )
             return A0, B0, prepared.node(P, m, first, count)[2]
 
     leaves = _lift_tree(Fser, K, m, node, 0, len(groups))
     leaves = [[_dict_of(rows) for rows in leaf] for leaf in leaves]
+    # a bounded candidate's cut to z3 = 0, after the shift back
+    cut = (None, None) if bounds is None else (1, None) if v == 3 else (None, 1)
 
     def candidate(S):
         mults = {groups[i][1] for i in S}
@@ -1241,12 +1249,12 @@ def _lift(reading, v0, prepared, bounds=None, w0=0):
         mult = mults.pop()
         Wser = leaves[S[0]]
         for i in S[1:]:
-            Wser = _series_mul(Wser, leaves[i], K, wlen, m)
+            Wser = _series_mul(Wser, leaves[i], K, L, m)
         if mult > 1:
-            Wser = _series_root(Wser, mult, wlen, m)
+            Wser = _series_root(Wser, mult, L, m)
         # back to the original coordinates, where the coefficients to
         # reconstruct are small
-        Wq = _series_to_qpoly(_shift_series(Wser, -v0, -w0, m), v, w, n, m)
+        Wq = _series_to_qpoly(_shift_series(Wser, -v0, -w0, m, *cut), v, w, n, m)
         return None if Wq is None else (Wq, mult)
 
     return groups, candidate
@@ -1445,7 +1453,7 @@ def _factor_monic_sparse(f, bounds=None):
             # None, or an irreducible image, certifies f irreducible
             base = t0 is not None and _univariate_base(plane, t0)
             if not base or (len(base) == 1 and base[0][1] == 1):
-                return [(_poly(reading).canonical(), 1)]
+                return _whole(reading, bounds)
             try:
                 return _attempt_lift(reading, v0, base, bounds, t0 if dw else 0)
             except _DegeneratePoint:
@@ -1453,7 +1461,15 @@ def _factor_monic_sparse(f, bounds=None):
             except _AttemptFailed:
                 break
     # an irreducibility certificate: f comes back whole
-    return [(_poly(reading).canonical(), 1)]
+    return _whole(reading, bounds)
+
+
+def _whole(reading, bounds):
+    """[(f, 1)], the read f certified irreducible: at z3 = 0 with `bounds`."""
+    f = _poly(reading)
+    if bounds is not None and f.n == 3:
+        f = SparsePoly(3, {e: c for e, c in f.terms.items() if not e[2]})
+    return [(f.canonical(), 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -1490,8 +1506,11 @@ def factor_candidates(f, bounds):
     factor of total degree a lies within (a, a W, a) of the scheme's
     (delta, delta W, delta), and the lift stops where such factors end.
     The result, in FactorList order with scalar 1, holds each of f's
-    irreducible factors within the bounds with its multiplicity in f, and
-    possibly products of them or junk; the caller's division of f decides."""
+    irreducible factors within the bounds at z3 = 0 (`_lift`), all psi's
+    read-back reads, with its multiplicity in f, and possibly products of
+    them or junk, those cut to one polynomial adding their multiplicities
+    (two factors can meet at z3 = 0, unlike psi's images of two factors of
+    degree <= delta); the caller's division of f decides."""
     pairs = _factor_monic_sparse(f, bounds)
     return FactorList.build(ONE, [(g, e) for g, e in pairs if g.degree_in(1) <= bounds[0]])
 

@@ -8,8 +8,8 @@ The constant-degree pipelines project the input once, on the compact
 isolation scheme, factor the trivariate image only as far as a factor of
 degree <= delta reaches (the scheme's image degree bounds), and divide out
 every candidate inverted through the map that made it: a trivariate factor
-is read back on its x- and t-free terms and kept only when the forward map
-gives it back exactly.  Under the promise a residual still nonconstant
+cut to t = 0 is read back on its x-free terms and kept only when the map
+at t = 0 gives it back exactly.  Under the promise a residual still nonconstant
 after that pass is a violation.
 Soundness never depends on the scheme: the exact division of the residual,
 smallest candidate first, proves each emitted factor and its irreducibility.
@@ -170,11 +170,12 @@ def projected_factoring(f, delta, config=None):
 
 
 def _invert_candidate(h, proj):
-    """The canonical g whose image is the trivariate factor h, or None: g is
-    read back on h's x- and t-free terms (`psi_read_back`, degree <= delta)
-    and kept when nonconstant and its image under the map that made h
-    (`psi_images`) is h itself, unscaled, as g was read at h's scale.  The
-    smallest-first argument of `_constant_degree_search` needs that."""
+    """The canonical g whose image at t = 0 under the map that made h is h,
+    or None: g is read back on h's x- and t-free terms (`psi_read_back`,
+    degree <= delta) and kept when nonconstant and g composed with the t-free
+    images z_i -> alpha_i x + y^{w'_i} (`psi_images`) is h itself, unscaled,
+    as g was read at h's scale.  The smallest-first argument of
+    `_constant_degree_search` needs that."""
     try:
         g = psi_read_back(h, proj.scheme)
     except NotInCodomain:
@@ -183,6 +184,7 @@ def _invert_candidate(h, proj):
         return None
     table, den = _int_table(g)
     images = psi_images(proj.scheme, proj.shift.alpha)
+    images = [({e: c for e, c in image.items() if not e[2]}, d) for image, d in images]
     if _from_table(3, *_compose(table, den, _tops(table, g.n), images, 3)) != h:
         return None
     return g.canonical()
@@ -192,8 +194,9 @@ def _constant_degree_search(f, delta, config):
     """(found, residual): project f once and divide out of the residual every
     inverted candidate that divides it, in order, the only proof.  A proper
     factor of a candidate g is a factor of f of degree <= delta, whose image
-    is a candidate of smaller total degree that leaves the residual first,
-    so a g that divides is irreducible; the residual changes only by exact
+    at t = 0 is a candidate of smaller total degree (psi and t -> 0 are ring
+    maps, and images are monic in x) that leaves the residual first, so a g
+    that divides is irreducible; the residual changes only by exact
     quotients, so its count is its multiplicity in f."""
     if f.is_constant():
         raise PolyError("cannot factor a constant")

@@ -12,7 +12,8 @@ term table; only text it refuses is tokenized, to report the error.
 parse_product additionally accepts parenthesized products and powers of the
 base grammar, e.g. "(z1+z2)^2*(z1-1)", on the tokens; the CLI exposes it as
 --expand.  Both refuse an arity past MAX_ARITY, given or inferred, before
-any exponent list is built.
+any exponent list is built, and a power of a number past MAX_POWER_BITS
+before it is computed.
 """
 
 import re
@@ -40,6 +41,8 @@ _VAR = re.compile(r"z\d+|[xyt]")
 # the most variables a polynomial may have, given or inferred: a text that
 # names z1234567890123 is refused before any exponent list that long is built
 MAX_ARITY = 1000
+# the cap on k floor(log2 c), c^k a power of a number's numerator or denominator
+MAX_POWER_BITS = 1 << 16
 
 
 def tokenize(text):
@@ -111,6 +114,15 @@ def _number(value, pos):
     return Q(int(num), int(den or 1))
 
 
+def _power(q, k, pos=None):
+    """q^k for a number q.  A power past the cap MAX_POWER_BITS is refused
+    before it is computed: a ParseError at pos, or None when pos is None."""
+    if k * (max(abs(q.numerator), q.denominator).bit_length() - 1) <= MAX_POWER_BITS:
+        return q**k
+    if pos is not None:
+        raise ParseError("power of %s is past the %d-bit cap" % (q, MAX_POWER_BITS), pos)
+
+
 class _Parser:
     """parse_sum reads the extended grammar on the SparsePoly kernel;
     flat_error reports why a text is not in the flat one."""
@@ -159,12 +171,12 @@ class _Parser:
         while True:
             kind, value, pos = self.next()
             if kind == "number":
-                _number(value, pos)
+                _power(_number(value, pos), self.exponent(), pos)
             elif kind == "var":
                 _var_slot(value, self.n, pos)
+                self.exponent()
             else:
                 raise ParseError("unexpected token %r" % (value or "end of input"), pos)
-            self.exponent()
             if self.peek()[:2] == ("op", "*"):
                 self.next()
             elif self.sign() is None:
@@ -202,8 +214,10 @@ class _Parser:
         return result
 
     def parse_factor(self):
-        base = self.parse_atom()
+        pos, base = self.peek()[2], self.parse_atom()
         k = self.exponent()
+        if k > 1 and base.is_constant():
+            return SparsePoly.const(self.n, _power(base.constant_value(), k, pos))
         return base if k == 1 else base**k
 
     def parse_atom(self):
@@ -255,7 +269,7 @@ def _flat_terms(text, n):
             k = int(k) if k else 1
             if name:
                 exps[slots[name]] += k
-            elif b and not int(b):
+            elif b and not int(b) or k > 1 and _power(Q(int(a), int(b or 1)), k) is None:
                 return None
             else:
                 num *= int(a) ** k

@@ -52,6 +52,22 @@ def read_rows(f, v, w):
     return _Reading(f, f.n, v, w, rows, den, degrees, _prime_avoiding(den))
 
 
+def at_z3_0(f):
+    """f at z3 = 0, a variable f may lack (then f itself): the restriction
+    every bounded candidate is (`factor_candidates`), and a projected
+    image's part at t = 0."""
+    return SparsePoly(f.n, {e: c for e, c in f.terms.items() if f.n < 3 or not e[2]})
+
+
+def restricted_pairs(pairs):
+    """(factor, multiplicity) pairs at z3 = 0 (`at_z3_0`), in FactorList
+    order, with the multiplicities of equal restrictions added, as
+    `factor_candidates` lists them."""
+    from polyfactor.factors import FactorList
+
+    return FactorList.build(1, [(at_z3_0(g), e) for g, e in pairs]).factors
+
+
 # ---------------------------------------------------------------------------
 # sympy bridge (tests only)
 

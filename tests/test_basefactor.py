@@ -1,6 +1,7 @@
 """Base factorizer: univariate, bivariate, trivariate."""
 
 import math
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -58,10 +59,12 @@ from polyfactor.errors import PolyError, ZeroPolynomialError
 from polyfactor.isolation import compact_scheme, psi_map
 
 from conftest import (
+    at_z3_0,
     int_rows,
     lowvar_products,
     random_poly,
     read_rows,
+    restricted_pairs,
     rng_for,
     sympy_factorization,
     sympy_irreducible,
@@ -584,12 +587,21 @@ def bounded_products(draw):
     return f, draw(st.integers(1, 3))
 
 
+def held(raw, want):
+    """Whether the bounded candidates raw, a list of (factor, multiplicity)
+    before FactorList adds the multiplicities of equal ones, hold each
+    wanted pair at z3 = 0 as often as want does: the restrictions of two
+    factors, or of a factor and junk, may be equal."""
+    return not Counter((at_z3_0(g).canonical(), e) for g, e in want) - Counter(raw)
+
+
 def _check_bounded_factor_monic(f, delta):
     """Check factor_candidates(f, bounds) for bounds (delta, 2 delta, delta):
-    the unproved candidates hold every factor of the complete factorization
-    within the proportional bounds, (a, 2a, a) for a factor of x-degree
-    a <= delta, with its multiplicity, and may hold junk or products beside
-    them, sorted as FactorList sorts.  Returns those factors."""
+    the unproved candidates, restrictions to z3 = 0, hold the restriction
+    of every factor of the complete factorization within the proportional
+    bounds, (a, 2a, a) for a factor of x-degree a <= delta, with its
+    multiplicity (`held`), and may hold junk or products beside them,
+    sorted as FactorList sorts.  Returns those factors, unrestricted."""
     bounds = (delta, 2 * delta, delta)
     want = [
         (g, e)
@@ -601,7 +613,8 @@ def _check_bounded_factor_monic(f, delta):
         )
     ]
     got = factor_candidates(f, bounds)
-    assert all(pair in got.factors for pair in want)
+    assert held(_factor_monic_sparse(f, bounds), want)
+    assert all(at_z3_0(g) == g for g, _ in got.factors)
     keys = [factor_sort_key(g) for g, _ in got.factors]
     assert keys == sorted(keys)
     assert got.scalar == 1
@@ -628,9 +641,9 @@ def test_bounded_factor_monic_asks_only_for_the_proportional_bounds():
 
 def test_a_bounded_lift_stops_at_the_largest_subset_x_degree(monkeypatch):
     # the only group of x-degree <= bx = 2 is linear, so no candidate passes
-    # x-degree 1: the lift runs mod z2^(floor(bv / bx) + 1) and z3^2 instead
-    # of z2^(bv + 1) and z3^3, and still lists the linear factor, which lies
-    # within the proportional bounds (1, bv / bx, bw / bx)
+    # x-degree 1: the lift runs mod z2^(floor(bv / bx) + 1) instead of
+    # z2^(bv + 1), and still lists the linear factor, which lies within the
+    # proportional bounds (1, bv / bx, bw / bx), at z3 = 0
     import polyfactor.basefactor as basefactor
 
     linear = parse_poly("z1 + z2 + 2*z3 - 1", 3)
@@ -644,10 +657,59 @@ def test_a_bounded_lift_stops_at_the_largest_subset_x_degree(monkeypatch):
         return lift_pair(Fser, A0, B0, K, m, dioph)
 
     monkeypatch.setattr(basefactor, "_lift_pair", recorded)
-    assert (linear.canonical(), 1) in factor_candidates(f, bounds).factors
-    # the w-lift of the univariate base runs to the same 2 z3-orders, one
-    # row each, before the z2-lift
+    assert (at_z3_0(linear).canonical(), 1) in factor_candidates(f, bounds).factors
+    # the popped point has w0 = 0 and no repeated group, so no w-lift runs,
+    # and the z2-lift carries one z3-order: the candidates are cut at z3 = 0
+    assert orders == [(6 // 2 + 1, 1)]
+
+
+def test_a_bounded_lift_from_w0_other_than_0_shifts_back_then_cuts(monkeypatch):
+    # the slice's w-probes are forced to pop w0 = 3 first: the lift carries
+    # the 2 z3-orders of its cut in both passes, and each candidate is
+    # shifted back to z3 = 0 before it is cut there, so the linear factor
+    # is listed at z3 = 0 and no candidate keeps a z3-term
+    import polyfactor.basefactor as basefactor
+
+    linear = parse_poly("z1 + z2 + 2*z3 - 1", 3)
+    f = linear * parse_poly("z1^3 + z1*z2 + z2^5*z3 + 2", 3)
+    probes, lift, lift_pair = basefactor._probes, basefactor._attempt_lift, basefactor._lift_pair
+    points, orders = [], []
+
+    def w0_3_first(reading):
+        if reading.n == 3:
+            yield from probes(reading)
+            return
+        yield 3
+        yield from (t0 for t0 in probes(reading) if t0 != 3)
+
+    def recorded_lift(reading, v0, base, bounds, w0):
+        points.append(w0)
+        return lift(reading, v0, base, bounds, w0)
+
+    def recorded(Fser, A0, B0, K, m, dioph):
+        orders.append((K, len(A0)))
+        return lift_pair(Fser, A0, B0, K, m, dioph)
+
+    monkeypatch.setattr(basefactor, "_probes", w0_3_first)
+    monkeypatch.setattr(basefactor, "_attempt_lift", recorded_lift)
+    monkeypatch.setattr(basefactor, "_lift_pair", recorded)
+    got = factor_candidates(f, (2, 6, 2)).factors
+    assert points == [3]
     assert orders == [(2, 1), (6 // 2 + 1, 2)]
+    assert (parse_poly("z1 + z2 - 1", 3), 1) in got
+    assert all(at_z3_0(g) == g for g, _ in got)
+
+
+def test_a_bounded_certificate_is_cut_at_z3_0():
+    # every image of f is x^2 + c with c > 0, irreducible over Q, so f is
+    # certified irreducible; with bounds it comes back at z3 = 0, as every
+    # bounded candidate does, and a bivariate f, which lacks z3, whole
+    f = parse_poly("z1^2 + z2^2 + z2*z3 + z3^2 + 1", 3)
+    assert factor_monic(f).factors == ((f, 1),)
+    assert factor_candidates(f, (2, 2, 2)).factors == ((parse_poly("z1^2 + z2^2 + 1", 3), 1),)
+    assert _factor_monic_sparse(read_rows(f, 2, 3), (2, 2, 2)) == [(at_z3_0(f), 1)]
+    g = parse_poly("z1^2 + z2^2 + 1", 2)
+    assert factor_candidates(g, (2, 2)).factors == ((g, 1),)
 
 
 @st.composite
@@ -713,11 +775,15 @@ def test_a_point_that_merges_two_factors_is_passed_over(monkeypatch):
     monkeypatch.setattr(basefactor, "_attempt_lift", recorded)
     assert set(factor_monic(f).factors) == want
     assert tried == [0]
-    assert set(want) <= set(factor_candidates(f, (2, 2, 2)).factors)
+    # the bounded candidates are cut at z3 = 0, where the first two factors
+    # meet: their restriction is listed once, with multiplicity 2
+    restricted = set(restricted_pairs(want))
+    assert (parse_poly("z1 + z2", 3), 2) in restricted
+    assert restricted <= set(factor_candidates(f, (2, 2, 2)).factors)
     assert tried == [0, 0]
-    # the bounds (1, 1, 1) cut the v-lift at w^2, where (x + v0)^2 does lift
+    # the bounds (1, 1, 1) cut the lift at w^2, where (x + v0)^2 does lift
     # to a square, (x + v0 + 3/2 w)^2; the guard's w-lift runs to w^3
-    assert set(want) <= set(factor_candidates(f, (1, 1, 1)).factors)
+    assert restricted <= set(factor_candidates(f, (1, 1, 1)).factors)
     assert tried == [0, 0, 0]
 
 
@@ -823,8 +889,9 @@ def test_the_lift_rebuilds_no_group_over_q(monkeypatch):
     monkeypatch.setattr(SparsePoly, "__pow__", rebuilt)
     for v, base in bases.items():
         assert _attempt_lift(read_rows(f, v, 5 - v), 1, base, None, 1) == want
-        # bounded: the z2-order is cut below f's z2-degree
-        assert set(want) <= set(_attempt_lift(read_rows(f, v, 5 - v), 1, base, (1, 1, 2), 1))
+        # bounded: the z2-order is cut below f's z2-degree, and the
+        # candidates at z3 = 0, z3 being z_w or z_v
+        assert held(_attempt_lift(read_rows(f, v, 5 - v), 1, base, (1, 1, 2), 1), want)
     lifted = lift_slice(read_rows(moved, 3, 2), PreparedBase(slice_base), range(len(slice_base)))
     assert [P.canonical() for P in lifted] == slice_want
 
@@ -851,6 +918,8 @@ def test_dead_side_variables_give_the_compacted_factorization(text, live, bounds
         return factor_monic(g) if b is None else factor_candidates(g, b)
 
     want = [(g.map_variables(back, 3).canonical(), e) for g, e in factored(low, low_bounds).factors]
+    if bounds is not None:  # bounded candidates are cut at z3 = 0
+        want = list(restricted_pairs(want))
     assert list(factored(f, bounds).factors) == want
     assert len(want) == 2
 
@@ -1673,8 +1742,8 @@ def test_factor_monic_matches_sympy_on_monic_products(case):
 def test_bounded_candidates_hold_every_sympy_factor_within_the_bounds(case, bounds):
     # the bounded path, which proves no factorization of a slice, still
     # lists every factor sympy finds within the proportional bounds, of
-    # x-degree a <= bx and within (a, a bv / bx, a bw / bx), with its
-    # multiplicity
+    # x-degree a <= bx and within (a, a bv / bx, a bw / bx), at z3 = 0 with
+    # its multiplicity (`held`)
     f, _ = case
     bx = bounds[0]
     want = [
@@ -1685,8 +1754,9 @@ def test_bounded_candidates_hold_every_sympy_factor_within_the_bounds(case, boun
             (g.degree_in(i) or 0) * bx <= b * g.degree_in(1) for i, b in zip((2, 3), bounds[1:])
         )
     ]
-    got = factor_candidates(f, bounds).factors
-    assert all(pair in got for pair in want), (want, got)
+    got = dict(factor_candidates(f, bounds).factors)
+    assert held(_factor_monic_sparse(f, bounds), want), (want, got)
+    assert all(at_z3_0(g).canonical() in got for g, _ in want)
 
 
 def _count_probes_and_lifts(f):

@@ -24,7 +24,7 @@ from polyfactor.engine import (
     sparse_irreducible_test,
 )
 from polyfactor.basefactor import factor_monic
-from polyfactor.isolation import compact_scheme, psi_invert, psi_map
+from polyfactor.isolation import compact_scheme, psi_map
 from polyfactor.oracles import constant_degree_oracle, su_oracle
 from polyfactor.config import DEFAULT as DEFAULT_CONFIG, Config
 from polyfactor.factors import divide_out
@@ -38,6 +38,7 @@ from polyfactor.errors import (
 )
 
 from conftest import (
+    at_z3_0,
     lowvar_products,
     rng_for,
     random_irreducible,
@@ -120,12 +121,29 @@ def test_the_forward_image_inverts_to_the_canonical_polynomial():
             continue
         alpha = [Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
         proj, forward = _inverter(n, alpha)
-        h = forward(g)
+        # a bounded candidate is an image at t = 0
+        h = at_z3_0(forward(g))
         assert _invert_candidate(h, proj) == g.canonical()
         # read at h's own scale: a scalar multiple of the image inverts too
         assert _invert_candidate(h.scale(Q(-3, 7)), proj) == g.canonical()
+        # the full image holds t-terms that g's image at t = 0 lacks
+        assert _invert_candidate(forward(g), proj) is None or h == forward(g)
         checked += 1
     assert checked > 50
+
+
+def test_a_candidate_whose_image_at_t_0_differs_is_rejected():
+    # h is g's image at t = 0 with one term changed: g still reads back
+    # from h's x- and t-free terms, but its image is not h
+    from polyfactor.engine import _invert_candidate
+
+    proj, forward = _inverter(2, (Q(1, 2), Q(-2)))
+    g = parse_poly("z1^2 - 3*z1*z2 + z2 + 5", 2)
+    h = at_z3_0(forward(g))
+    x, y = SparsePoly.variable(3, 1), SparsePoly.variable(3, 2)
+    assert _invert_candidate(h, proj) == g.canonical()
+    for changed in (h + x * y, h + x * x * y**2, h - x.scale(Q(1, 2))):
+        assert _invert_candidate(changed, proj) is None, changed
 
 
 def test_a_candidate_that_is_no_forward_image_is_rejected():
@@ -144,8 +162,9 @@ def test_a_candidate_that_is_no_forward_image_is_rejected():
         # no x- and t-free term: the read back is 0, a constant
         x * x + y * t + x * y,
     ]
-    for h in rejected:
+    for h in rejected:  # whole, and at t = 0 as a bounded candidate is
         assert _invert_candidate(h, proj) is None, h
+        assert _invert_candidate(at_z3_0(h), proj) is None, h
 
 
 def test_projected_factoring_splits():
@@ -293,7 +312,7 @@ IRREDUCIBLE_LOW_DEGREE = ["z1 + z2 + 1", "z1^2 + z2^2 + 1", "z1^2 + z2*z3 - 3*z3
 @pytest.mark.parametrize("pipeline", [constant_degree_factors, factor_constant_degree_promise])
 def test_an_irreducible_input_comes_back_whole_from_its_reading(monkeypatch, text, pipeline):
     # the image is read with no SparsePoly; an irreducibility certificate
-    # builds it from the rows, and psi_invert returns f itself
+    # builds it from the rows, at t = 0, and its inversion returns f itself
     import polyfactor.basefactor as basefactor
 
     poly = basefactor._poly
@@ -545,14 +564,20 @@ def test_psi_is_read_back_on_sparse_terms(monkeypatch):
 
 
 def _old_inversion(h, proj, delta):
-    """The inversion as it was: psi_invert on h's dense grid, which reads
-    the t = 0 slice through w' and checks it by psi's image, then the shear
-    z_i -> z_i - alpha_i x, which must remove x, and x -> 0."""
+    """The inversion as it was, at t = 0: psi_invert's reading of h's
+    dense grid through w', checked by psi's image at t = 0 instead of the
+    whole image, then the shear z_i -> z_i - alpha_i x, which must remove
+    x, and x -> 0."""
     from polyfactor.dense import to_dense
+    from polyfactor.isolation import _psi_image, _read_back
 
+    image = to_dense(h).to_sparse()
+    assert at_z3_0(image) == image  # a bounded candidate is at t = 0
     try:
-        g_hat = psi_invert(to_dense(h), proj.scheme, delta)
+        g_hat = _read_back(image.terms.items(), proj.scheme, proj.scheme.w_prime, 1)
     except NotInCodomain:
+        return None
+    if image.degree_in(1) > delta or at_z3_0(_psi_image(g_hat, proj.scheme)) != image:
         return None
     m = proj.scheme.n + 1
     x = SparsePoly.variable(m, 1)

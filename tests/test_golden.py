@@ -25,9 +25,12 @@ w-order whose right side is nonzero), the univariate factorizations over Q
 recombinations (calls of `basefactor._complete_recombination`, one per
 complete lift that reached recombining) and the probe images evaluated
 (calls of `basefactor._row_values`: one per probe `basefactor._probes`
-ranks, whose images mod P and mod q reduce the same integers), then the
-line count of src/polyfactor (as `cat src/polyfactor/*.py | wc -l`
-counts it), and exits 1 if an entry differs:
+ranks, whose images mod P and mod q reduce the same integers), the
+inversions tried and accepted (calls of `engine._invert_candidate`, and
+those that returned a polynomial) and the divisions of the residual
+(calls of `engine.divide_out`, and those that divided), then the line
+count of src/polyfactor (as `cat src/polyfactor/*.py | wc -l` counts
+it), and exits 1 if an entry differs:
 
     python tests/test_golden.py [workload ...]    # default: every pool
 """
@@ -181,6 +184,24 @@ def main(workloads):
         images += 1
         return row_values(*args)
 
+    invert = engine._invert_candidate
+
+    def counted_invert(h, proj):
+        nonlocal tried, accepted
+        tried += 1
+        g = invert(h, proj)
+        accepted += g is not None
+        return g
+
+    divide = engine.divide_out
+
+    def counted_divide(residual, g):
+        nonlocal divisions, divided
+        divisions += 1
+        quotient, e = divide(residual, g)
+        divided += e > 0
+        return quotient, e
+
     init = sparse.SparsePoly.__init__
 
     def counted_init(self, n, terms):
@@ -202,13 +223,15 @@ def main(workloads):
     basefactor._factor_univariate_pairs = counted_univariate
     basefactor._complete_recombination = counted_recombination
     basefactor._row_values = counted_values
+    engine._invert_candidate = counted_invert
+    engine.divide_out = counted_divide
     sparse.SparsePoly.__init__ = counted_init
     wrong = 0
     for workload in workloads or sorted(PIPELINES):
         pool = load_pool(workload)
         times = []
         slices = reads = built = substitutions = builds = steps = orders = solves = 0
-        univariates = recombinations = images = 0
+        univariates = recombinations = images = tried = accepted = divisions = divided = 0
         drawn_per_entry = []
         for i, item in enumerate(pool):
             start = time.process_time()
@@ -226,11 +249,13 @@ def main(workloads):
               "constructions, %d substitutions, %d Diophantine builds, %d Bezout "
               "lift steps, %d lift v-orders, %d Diophantine solves, %d univariate "
               "factorizations over Q, %d complete recombinations, %d probe "
-              "images; slowest: %s"
+              "images, %d inversions tried (%d accepted), %d divisions (%d "
+              "divided); slowest: %s"
               % (workload, len(pool), sum(t for t, _ in times), slices,
                  sum(drawn_per_entry), max(drawn_per_entry), reads, built,
                  substitutions, builds, steps, orders, solves, univariates,
-                 recombinations, images, slowest),
+                 recombinations, images, tried, accepted, divisions, divided,
+                 slowest),
               flush=True)
     lines = 0
     for path in sorted(glob.glob(os.path.join(ROOT, "src", "polyfactor", "*.py"))):

@@ -8,11 +8,13 @@ import pytest
 
 from polyfactor.parse import (
     MAX_ARITY,
+    MAX_POWER_BITS,
     ParseError,
     RESERVED,
     _Parser,
     _arity,
     _number,
+    _power,
     _var_slot,
     parse_poly,
     parse_product,
@@ -116,6 +118,10 @@ ERRORS = [
     ("z1 + z1234567890123", None, "variable z1234567890123 is past the arity cap 1000", 5),
     ("z1001*z3 + z1^2", None, "variable z1001 is past the arity cap 1000", 0),
     ("z1", 1001, "arity 1001 is past the cap 1000", 0),
+    ("3^999999999*z1 + 1", None, "power of 3 is past the 65536-bit cap", 0),
+    ("z1 - 2/3^65537", None, "power of 2/3 is past the 65536-bit cap", 4),
+    ("z1 + 6/4^65537*z2", None, "power of 3/2 is past the 65536-bit cap", 4),
+    ("z1*2^65537 + 3/0", None, "power of 2 is past the 65536-bit cap", 3),
 ]
 
 
@@ -125,6 +131,23 @@ def test_error_message_and_position(text, n, message, position):
         parse_poly(text, n)
     assert str(info.value) == "%s (at position %d)" % (message, position)
     assert info.value.position == position
+
+
+@pytest.mark.parametrize("parse", [parse_poly, parse_product])
+def test_a_power_of_a_number_past_the_cap_is_refused_before_it_is_computed(parse):
+    # 3^999999999 would take minutes and gigabytes; both readers refuse it
+    # at once, at the number's token, also as a parenthesized constant
+    # under --expand.  The cap itself parses
+    texts = ["z1 +3^999999999"]
+    if parse is parse_product:
+        texts += ["z1 +(3)^999999999", "z1 +(2 - 5)^999999999*z2"]
+    for text in texts:
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert "past the %d-bit cap" % MAX_POWER_BITS in str(info.value)
+        assert info.value.position == 4
+    assert parse("2^%d*z1" % MAX_POWER_BITS).terms == {(1,): Q(2**MAX_POWER_BITS)}
+    assert parse("1^999999999*z1 + 0^999999999").terms == {(1,): Q(1)}
 
 
 @pytest.mark.parametrize("parse", [parse_poly, parse_product])
@@ -182,7 +205,7 @@ def reference_terms(text, n=None):
         while True:
             kind, value, pos = p.next()
             if kind == "number":
-                coeff *= _number(value, pos) ** p.exponent()
+                coeff *= _power(_number(value, pos), p.exponent(), pos)
             elif kind == "var":
                 exps[_var_slot(value, n, pos)] += p.exponent()
             else:
