@@ -40,10 +40,14 @@ smallest first and up to half the groups left (the rest make one factor);
 a subset of groups u^e lifts U^e, so its product is rooted by Miller's
 power recurrence and translated back before it is reconstructed.  Each
 tree node has one univariate Diophantine solver (`_Dioph`), which both
-passes share: the v-lift solves each v-order one w-order at a time on
-dense rows (`_lift_pair`).  The shift and the lift's products carry each
-coefficient's v-series as one packed integer (`_shift_series`,
-`_lift_pair`).  Every lift reads its base through a `PreparedBase`, whose
+passes share: the v-lift solves each v-order one w-order at a time
+(`_lift_pair`).  Every series of the lift has one form, from the Taylor
+shift of f's terms (`_shift_series`) through the lift, the subset
+products (`_series_mul`) and roots (`_series_root`) to the
+reconstruction (`_series_to_qpoly`): a list by v-order, each element a
+list of rows by w-order, each row a list of x coefficients mod m.  The
+shift and the lift's products carry each coefficient's v-series as one
+packed integer.  Every lift reads its base through a `PreparedBase`, whose
 tree nodes and Bezout pairs later lifts from the same base reuse: when
 the factorization at one point is already known (a line slice f(x, t)
 whose t = 0 image was factored before), `lift_slice(reading, prepared,
@@ -70,7 +74,7 @@ from itertools import accumulate, combinations, product, zip_longest
 from operator import mul
 
 from .rational import Q, ONE, primes
-from .sparse import SparsePoly, _from_table, _int_table, _mul_into
+from .sparse import SparsePoly, _from_table, _int_table
 from .factors import FactorList, divide_out, factor_sort_key
 from .errors import LiftFailure, PolyError, ZeroPolynomialError
 
@@ -568,33 +572,6 @@ def _factor_univariate_pairs(rows, n):
 
 
 # ---------------------------------------------------------------------------
-# coefficient dictionaries for the multivariate lift: {ex*STRIDE + ew: int}
-# (packed keys add componentwise under integer addition, so products run on
-# the sparse kernel _mul_into; sums accumulate unreduced and each value is
-# reduced mod m once, where it is read)
-
-STRIDE = 1 << 20
-
-
-def cd_pack(ex, ew):
-    return ex * STRIDE + ew
-
-
-def cd_unpack(key):
-    return key // STRIDE, key % STRIDE
-
-
-def cd_reduce(a, m):
-    """The nonzero entries of a mod m."""
-    out = {}
-    for k, v in a.items():
-        v %= m
-        if v:
-            out[k] = v
-    return out
-
-
-# ---------------------------------------------------------------------------
 # diophantine solver
 
 
@@ -682,91 +659,13 @@ class _Dioph:
 
 
 # ---------------------------------------------------------------------------
-# series lift
-
-
-def _wcut(d, wlen):
-    """The entries of an (x, w) dict below w-order wlen."""
-    return {k: c for k, c in d.items() if k % STRIDE < wlen}
-
-
-def _series_mul(A, B, K, wlen, m):
-    """A * B mod (v^K, w^wlen, m) for v-series of (x, w) dicts."""
-    out = [dict() for _ in range(K)]
-    for i, ai in enumerate(A):
-        for j, bj in enumerate(B[: K - i]):
-            _mul_into(out[i + j], ai, bj)
-    return [cd_reduce(_wcut(row, wlen), m) for row in out]
-
-
-def _series_root(W, e, wlen, m):
-    """U with U^e = W mod (v^K, w^wlen, m), K = len(W), for W a v-series of
-    (x, w) dicts monic in x; U is monic in x of degree deg_x(W) / e.
-
-    Read in z = 1/x, W is a power series P = sum p_k z^k over the ring R of
-    (v, w)-series with p_0 = 1, and its e-th root A = sum a_k z^k with
-    a_0 = 1 follows from A P' = e A' P (Miller's power recurrence):
-    a_k = sum_{i<k} (k - (e+1) i) a_i p_{k-i} / (e k).  Every e k is at most
-    deg_x W, which the caller's prime exceeds, so it is invertible mod m.
-    R's elements are dicts on packed (v, w) keys.  When W is U^e for a
-    polynomial U whose degrees fit the truncation, the result is U itself."""
-    K = len(W)
-    coeffs = {}  # x-exponent -> element of R
-    for ev, row in enumerate(W):
-        for key, c in row.items():
-            ex, ew = cd_unpack(key)
-            coeffs.setdefault(ex, {})[cd_pack(ev, ew)] = c
-    D = max(coeffs)
-    d = D // e
-    p = [coeffs.get(D - k, {}) for k in range(d + 1)]
-    a = [{0: 1}]
-    for k in range(1, d + 1):
-        acc = {key: k * c for key, c in p[k].items()}
-        for i in range(1, k):
-            scale = k - (e + 1) * i
-            if scale:
-                _mul_into(acc, {key: scale * c for key, c in a[i].items()}, p[k - i])
-        inv = pow(e * k, -1, m)
-        a.append(
-            cd_reduce(
-                {
-                    key: c * inv
-                    for key, c in acc.items()
-                    if key // STRIDE < K and key % STRIDE < wlen
-                },
-                m,
-            )
-        )
-    U = [dict() for _ in range(K)]
-    U[0][cd_pack(d, 0)] = 1
-    for k in range(1, d + 1):
-        for key, c in a[k].items():
-            ev, ew = cd_unpack(key)
-            U[ev][cd_pack(d - k, ew)] = c
-    return U
-
-
-def _rows_of(d, L):
-    """The (x, w) dict d as L rows by w-order, each a list of x
-    coefficients as long as d's x-degree allows; entries of w-order >= L
-    are dropped."""
-    rows = [[0] * (max(d, default=0) // STRIDE + 1) for _ in range(L)]
-    for key, c in d.items():
-        ex, ew = divmod(key, STRIDE)
-        if ew < L:
-            rows[ew][ex] = c
-    return rows
-
-
-def _dict_of(rows):
-    """Rows by w-order (`_rows_of`) back to an (x, w) dict of their nonzero
-    entries."""
-    return {cd_pack(ex, ew): c for ew, row in enumerate(rows) for ex, c in enumerate(row) if c}
+# series lift: a v-series is a list by v-order, each element a list of rows
+# by w-order, each row a list of x coefficients (rows may be untrimmed, or
+# () where a lift solved nothing)
 
 
 def _rows_mul(A, B, L, m):
-    """A B mod (w^L, m) for rows by w-order (`_rows_of`), L rows, each
-    trimmed."""
+    """A B mod (w^L, m) for rows by w-order, L rows, each trimmed."""
     out = [[] for _ in range(L)]
     for i, a in enumerate(A[:L]):
         for j, b in enumerate(B[: L - i]):
@@ -774,11 +673,63 @@ def _rows_mul(A, B, L, m):
     return [up_mod(row, m) for row in out]
 
 
+def _series_mul(A, B, K, L, m):
+    """A B mod (v^K, w^L, m) for v-series: the v-convolution of
+    `_rows_mul`, each row trimmed."""
+    out = [[[] for _ in range(L)] for _ in range(K)]
+    for i, a in enumerate(A[:K]):
+        for j, b in enumerate(B[: K - i]):
+            out[i + j] = list(map(up_add, out[i + j], _rows_mul(a, b, L, m)))
+    return [[up_mod(row, m) for row in rows] for rows in out]
+
+
+def _series_root(W, e, L, m):
+    """U with U^e = W mod (v^K, w^L, m), K = len(W), for W a v-series monic
+    in x; U is monic in x of degree deg_x(W) / e, each of its K elements L
+    rows of deg_x(U) + 1 coefficients.
+
+    Read in z = 1/x, W is a power series P = sum p_k z^k over the ring R of
+    (v, w)-series with p_0 = 1, and its e-th root A = sum a_k z^k with
+    a_0 = 1 follows from A P' = e A' P (Miller's power recurrence):
+    a_k = sum_{i<k} (k - (e+1) i) a_i p_{k-i} / (e k).  Every e k is at most
+    deg_x W, which the caller's prime exceeds, so it is invertible mod m.
+    An element of R is stored as rows by w-order of v-coefficient lists, so
+    `_rows_mul` multiplies two, and a_k is cut at v^K.  When W is U^e for a
+    polynomial U whose degrees fit the truncation, the result is U itself."""
+    K = len(W)
+    D = max(ex for rows in W for row in rows for ex, c in enumerate(row) if c)
+    d = D // e
+    # p[k], the x^(D - k) coefficient of W, as an element of R
+    p = [[[0] * K for _ in range(L)] for _ in range(d + 1)]
+    for ev, rows in enumerate(W):
+        for ew, row in enumerate(rows[:L]):
+            for ex, c in enumerate(row):
+                if c and ex >= D - d:
+                    p[D - ex][ew][ev] = c
+    a = [None]
+    for k in range(1, d + 1):
+        acc = [[k * c for c in row] for row in p[k]]
+        for i in range(1, k):
+            scale = k - (e + 1) * i
+            if scale:
+                product = _rows_mul(a[i], p[k - i], L, m)
+                acc = [up_add(r, up_scale(s, scale)) for r, s in zip(acc, product)]
+        inv = pow(e * k, -1, m)
+        a.append([[c * inv % m for c in row[:K]] for row in acc])
+    U = [[[0] * (d + 1) for _ in range(L)] for _ in range(K)]
+    U[0][0][d] = 1
+    for k in range(1, d + 1):
+        for ew, row in enumerate(a[k]):
+            for ev, c in enumerate(row):
+                U[ev][ew][d - k] = c
+    return U
+
+
 def _lift_pair(Fser, A0, B0, K, m, dioph):
     """(A, B), the v-series lifting A0 B0 = Fser[0] to A B = Fser mod (v^K,
     w^L, m), L = len(A0), one v-order j at a time.  Each element of a
-    series is L rows by w-order of x coefficients (`_rows_of`); A0 and B0
-    are monic in x at w-order 0, and `dioph` solves for those two rows.  At
+    v-series is L rows by w-order of x coefficients; A0 and B0 are monic
+    in x at w-order 0, and `dioph` solves for those two rows.  At
     v-order j the residual Fser[j] - sum_{i+l=j} A_i B_l (i, l >= 1) is
     solved one w-order k at a time (Geddes, Czapor & Labahn, 6.5): its row
     k, less the rows of A_j and B_j found so far times the rows of w-order
@@ -870,100 +821,95 @@ def _eval_points():
         k += 1
 
 
-def _rows_to_series(rows, K):
-    """The z_v-series of packed (x, w) dicts of integer rows as a reading
-    holds them (`read_table`), unreduced."""
-    ser = [dict() for _ in range(K)]
-    for ex, row in enumerate(rows):
-        for ev, ew, c in row:
-            ser[ev][cd_pack(ex, ew)] = c
-    return ser
+def _shift_series(terms, cv, cw, m, vlen, wlen, den=1):
+    """The v-series (rows by w-order) of the polynomial with the terms
+    (ex, ev, ew, value), one per exponent, at (v + cv, w + cw), over den,
+    mod (v^vlen, w^wlen, m): each of its vlen elements holds wlen rows of
+    dx + 1 coefficients, dx the terms' x-degree.  The values are integers,
+    reduced mod m or not (f's own integers, say), and den is invertible mod
+    m.  This is the classical Taylor shift (von zur Gathen & Gerhard, ISSAC
+    1997), w first, each term expanded by binomials into the w-orders kept
+    and merged by exponent, then v on packed digits.  Sums stay unreduced
+    until the end, where each output digit is multiplied by 1/den mod m
+    once.
 
-
-def _shift_series(ser, cv, cw, m, vlen=None, wlen=None, den=1):
-    """The v-series of packed (x, w) dicts ser(v + cv, w + cw) / den mod
-    (v^vlen, w^wlen, m), vlen = len(ser) and no w cut by default, for ser's
-    values integers, reduced mod m or not (f's own integers, say), and den
-    invertible mod m: the classical Taylor shift (von zur Gathen & Gerhard,
-    ISSAC 1997), w first, each term expanded by binomials into the w-orders
-    kept, then v on packed rows.  Sums stay unreduced until the end, where
-    each output digit is multiplied by 1/den mod m once; a zero shift with
-    no cut and den 1 returns ser itself.
-
-    The v-shift carries each (x, w) key's series as one integer whose digit
-    j, b bits wide, sits at bit b j.  Row ev's digits comb(ev, j) c^(ev-j),
-    c = |cv| and j < vlen, follow from row ev - 1 by Pascal's rule, and each
-    key adds its value times its row's digits; a negative cv shifts
-    ser(-v) by c and negates the odd orders back.  A digit is a signed sum
-    of at most len(ser) terms, each below max |value| (c + 1)^dv in
-    magnitude, dv = len(ser) - 1, so its width follows ser's values (f's
-    integers, not m, for the lift) and grows as dv log2(c + 1), and each
-    key is unpacked once, digit by digit with a borrow."""
-    if vlen is None:
-        vlen = len(ser)
-    if not cv and not cw and vlen == len(ser) and wlen is None and den == 1:
-        return ser
+    The v-shift accumulates each (w, x) cell of the output as one integer
+    whose digit j, b bits wide, sits at bit b j.  The digits T_ev of Pascal
+    row ev, comb(ev, j) c^(ev-j) for c = |cv| and j < vlen, follow from
+    T_(ev-1) by Pascal's rule and are computed up front for every ev <= dv,
+    the terms' v-degree, so each term adds its value times its T_ev to its
+    cell; a negative cv shifts by c at -v and negates the odd orders back.
+    A digit is a signed sum of at most dv + 1 terms, each below max |value|
+    (c + 1)^dv in magnitude, so its width follows the terms' values (f's
+    integers, not m, for the lift) and grows as dv log2(c + 1); each cell
+    is unpacked once, digit by digit with a borrow.  The input stays
+    sparse: a projected image has a large dv."""
     inv = pow(den, -1, m)
-    rows = ser
     if cw:
-        table = {}
-        rows = []
-        for row in ser:
-            out = {}
-            for key, val in row.items():
-                ew = key % STRIDE
-                coeffs = table.get(ew)
-                if coeffs is None:
-                    top = ew + 1 if wlen is None else min(ew + 1, wlen)
-                    coeffs = table[ew] = [math.comb(ew, j) * cw ** (ew - j) for j in range(top)]
-                low = key - ew
-                for j, b in enumerate(coeffs):
-                    out[low + j] = out.get(low + j, 0) + val * b
-            rows.append(out)
-    elif wlen is not None:
-        rows = [_wcut(row, wlen) for row in ser]
+        table, merged = {}, {}
+        for ex, ev, ew, val in terms:
+            coeffs = table.get(ew)
+            if coeffs is None:
+                top = min(ew + 1, wlen)
+                coeffs = table[ew] = [math.comb(ew, j) * cw ** (ew - j) for j in range(top)]
+            for j, b in enumerate(coeffs):
+                key = ex, ev, j
+                merged[key] = merged.get(key, 0) + val * b
+        terms = [(*key, val) for key, val in merged.items()]
+    else:
+        terms = [term for term in terms if term[2] < wlen]
+    dx = max((ex for ex, *_ in terms), default=0)
+    out = [[[0] * (dx + 1) for _ in range(wlen)] for _ in range(vlen)]
     if not cv:
-        return [cd_reduce({key: val * inv for key, val in row.items()}, m) for row in rows[:vlen]]
-    c, n = abs(cv), min(vlen, len(rows))
-    most = max((abs(val) for row in rows for val in row.values()), default=0)
-    b = (len(rows) * most * (c + 1) ** (len(rows) - 1)).bit_length() + 1
-    mask = (1 << b * n) - 1
-    packed = {}
-    T = 1  # row ev's digits comb(ev, j) c^(ev - j), j < n
-    for ev, row in enumerate(rows):
+        for ex, ev, ew, val in terms:
+            if ev < vlen:
+                out[ev][ew][ex] = val * inv % m
+        return out
+    c = abs(cv)
+    dv = max((ev for _, ev, *_ in terms), default=0)
+    most = max((abs(val) for *_, val in terms), default=0)
+    b = ((dv + 1) * most * (c + 1) ** dv).bit_length() + 1
+    mask = (1 << b * vlen) - 1
+    T, digits = 1, []
+    for ev in range(dv + 1):
         if ev:
             T = (c * T + (T << b)) & mask
-        t = -T if cv < 0 and ev % 2 else T
-        for key, val in row.items():
-            packed[key] = packed.get(key, 0) + val * t
+        digits.append(-T if cv < 0 and ev % 2 else T)
+    grid = [[0] * (dx + 1) for _ in range(wlen)]
+    for ex, ev, ew, val in terms:
+        grid[ew][ex] += val * digits[ev]
     # adding half to every digit makes each one nonnegative, so a digit is
     # read by a mask and the half taken back: the borrow of a negative digit
     digit, half = (1 << b) - 1, 1 << (b - 1)
     bias = half * (mask // digit)
-    out = [dict() for _ in range(n)]
-    for key, s in packed.items():
-        s += bias
-        for j, target in enumerate(out):
-            d = ((s & digit) - half) * inv % m
-            s >>= b
-            if d:
-                target[key] = m - d if cv < 0 and j % 2 else d
+    for ew, cells in enumerate(grid):
+        for ex, s in enumerate(cells):
+            if not s:
+                continue
+            s += bias
+            for j, rows in enumerate(out):
+                d = ((s & digit) - half) * inv % m
+                s >>= b
+                if d:
+                    rows[ew][ex] = m - d if cv < 0 and j % 2 else d
     return out
 
 
 def _series_to_qpoly(ser, v, w, n, m):
-    """z_v-series of (x, w) dicts back to an n-variable SparsePoly over Q
-    (a z_w past n, as for a bivariate f, has only w-order 0)."""
+    """A v-series reduced mod m back to an n-variable SparsePoly over Q (a
+    z_w past n, as for a bivariate f, has only w-order 0); None when a
+    coefficient does not reconstruct."""
     terms = {}
-    for ev, d in enumerate(ser):
-        for packed, val in d.items():
-            q = _ratrec(val, m)
-            if q is None:
-                return None
-            ex, ew = cd_unpack(packed)
-            exps = [ex, 0, 0]
-            exps[v - 1], exps[w - 1] = ev, ew
-            terms[tuple(exps[:n])] = q
+    for ev, rows in enumerate(ser):
+        for ew, row in enumerate(rows):
+            for ex, val in enumerate(row):
+                if val:
+                    q = _ratrec(val, m)
+                    if q is None:
+                        return None
+                    exps = [ex, 0, 0]
+                    exps[v - 1], exps[w - 1] = ev, ew
+                    terms[tuple(exps[:n])] = q
     return SparsePoly(n, terms)
 
 
@@ -1159,15 +1105,18 @@ def _lift(reading, v0, prepared, bounds=None, w0=0):
     groups' images are not coprime mod P.
 
     The lift runs mod (v^K, w^L), K = dv + 1 and L = wcut = dw + 1, at the
-    origin, after one Taylor shift of f's integer rows (`_shift_series`),
-    in two passes over one lift tree.  With wg > 1 w-orders to carry, the
-    slice F(x, v0, w + w0) first lifts the groups' images in w, a series of
-    one row per w-order; a v-lift node's A0 and B0 are the products of
-    those lifted images, and both passes solve with the node's one
-    univariate `_Dioph` (`PreparedBase.node`), the v-lift one w-order at a
-    time.  Images coprime mod P make the lifted factors unique mod (v^K,
-    w^L, P^k), so a product of lifted factors truncates the factor of f it
-    lifts, whose degrees <= (dv, dw) keep it whole.  A group u^e, u read as
+    origin, after one Taylor shift of the terms in f's integer rows
+    (`_shift_series`), in two passes over one lift tree, every series in
+    the one form of rows by w-order per v-order, from the shift to the
+    reconstruction.  With wg > 1 w-orders to carry, the slice F(x, v0,
+    w + w0) first lifts the groups' images in w, read as a series in w
+    whose element k is one row, the shifted slice's row of w-order k; a
+    v-lift node's A0 and B0 are the products of those lifted images, and
+    both passes solve with the node's one univariate `_Dioph`
+    (`PreparedBase.node`), the v-lift one w-order at a time.  Images
+    coprime mod P make the lifted factors unique mod (v^K, w^L, P^k), so a
+    product of lifted factors truncates the factor of f it lifts, whose
+    degrees <= (dv, dw) keep it whole.  A group u^e, u read as
     its primitive integer rows over their x-leading integer, lifts to U^e
     where (v0, w0) keeps f's factors apart, so a subset of groups of one
     multiplicity e is rooted (`_series_root`) before it is reconstructed;
@@ -1212,8 +1161,8 @@ def _lift(reading, v0, prepared, bounds=None, w0=0):
     wg = max(wcut, min(dw, 2) + 1) if any(e > 1 for _, e in groups) else L
     # lift at the origin: translate the evaluation point there mod m, keeping
     # only the orders the lift carries
-    Fser = _shift_series(_rows_to_series(f_rows, dv + 1), v0, w0, m, K, wg, f_den)
-    Fser = [_rows_of(d, wg) for d in Fser]
+    terms = ((ex, ev, ew, c) for ex, row in enumerate(f_rows) for ev, ew, c in row)
+    Fser = _shift_series(terms, v0, w0, m, K, wg, f_den)
     node = partial(prepared.node, P, m)
     if wg > 1:
         # the w-lift: the slice Fser[0], read as a w-series of one-row lists
@@ -1221,7 +1170,7 @@ def _lift(reading, v0, prepared, bounds=None, w0=0):
         images = [[rows[0] for rows in leaf] for leaf in leaves]
         for image, (_, e) in zip(images, groups):
             if e > 1:
-                root = _rows_of(_series_root([_dict_of(image)], e, wg, m)[0], wg)
+                root = _series_root([image], e, wg, m)[0]
                 power = reduce(partial(_rows_mul, L=wg, m=m), [root] * e)
                 if power != [up_mod(row, m) for row in image]:
                     raise _DegeneratePoint("a group's lift in w is no power")
@@ -1238,9 +1187,8 @@ def _lift(reading, v0, prepared, bounds=None, w0=0):
             return A0, B0, prepared.node(P, m, first, count)[2]
 
     leaves = _lift_tree(Fser, K, m, node, 0, len(groups))
-    leaves = [[_dict_of(rows) for rows in leaf] for leaf in leaves]
     # a bounded candidate's cut to z3 = 0, after the shift back
-    cut = (None, None) if bounds is None else (1, None) if v == 3 else (None, 1)
+    cut = (K, L) if bounds is None else (1, L) if v == 3 else (K, 1)
 
     def candidate(S):
         mults = {groups[i][1] for i in S}
@@ -1254,7 +1202,14 @@ def _lift(reading, v0, prepared, bounds=None, w0=0):
             Wser = _series_root(Wser, mult, L, m)
         # back to the original coordinates, where the coefficients to
         # reconstruct are small
-        Wq = _series_to_qpoly(_shift_series(Wser, -v0, -w0, m, *cut), v, w, n, m)
+        terms = (
+            (ex, ev, ew, c)
+            for ev, rows in enumerate(Wser)
+            for ew, row in enumerate(rows)
+            for ex, c in enumerate(row)
+            if c
+        )
+        Wq = _series_to_qpoly(_shift_series(terms, -v0, -w0, m, *cut), v, w, n, m)
         return None if Wq is None else (Wq, mult)
 
     return groups, candidate

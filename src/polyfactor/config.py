@@ -12,7 +12,9 @@ def _check_field(name, value):
 
 @dataclass
 class Config:
-    # Hard ceiling on dense (x, y, t) grid cells allocated by the psi map.
+    # Ceiling on the cells of the (x, y, t) box that psi's image of f spans:
+    # no pipeline allocates a grid, but `isolation.check_image_cells` bounds
+    # the box from f's own terms before the monic shift and raises CapError.
     max_dense_cells: int = 4_000_000
     # Largest factor-degree bound delta accepted without an explicit override.
     max_delta: int = 3

@@ -13,13 +13,15 @@ parse_product additionally accepts parenthesized products and powers of the
 base grammar, e.g. "(z1+z2)^2*(z1-1)", on the tokens; the CLI exposes it as
 --expand.  Both refuse an arity past MAX_ARITY, given or inferred, before
 any exponent list is built, and a power of a number past MAX_POWER_BITS
-before it is computed.
+before it is computed; parse_product also refuses a power of a polynomial
+whose predicted size passes MAX_POWER_SIZE before it multiplies.
 """
 
+import math
 import re
 
 from .rational import Q
-from .sparse import SparsePoly
+from .sparse import SparsePoly, _int_table
 from .errors import PolyError
 
 
@@ -43,6 +45,10 @@ _VAR = re.compile(r"z\d+|[xyt]")
 MAX_ARITY = 1000
 # the cap on k floor(log2 c), c^k a power of a number's numerator or denominator
 MAX_POWER_BITS = 1 << 16
+# the cap on the predicted size of a power b^k of a polynomial b of t terms
+# (`_power_size`): (z1 + z2 + z3 + z4 + 1)^20 predicts 637,560 and expands;
+# (z1 + 1)^2000 predicts 8,004,000 and is refused
+MAX_POWER_SIZE = 1 << 20
 
 
 def tokenize(text):
@@ -121,6 +127,15 @@ def _power(q, k, pos=None):
         return q**k
     if pos is not None:
         raise ParseError("power of %s is past the %d-bit cap" % (q, MAX_POWER_BITS), pos)
+
+
+def _power_size(base, k):
+    """The predicted size of base^k: its term bound C(k + t - 1, t - 1), t
+    the base's term count, times k bit_length(|base|_1), the bits its
+    coefficients can reach, |base|_1 read from base's integer table."""
+    table, _ = _int_table(base)
+    t = len(table)
+    return math.comb(k + t - 1, t - 1) * k * sum(map(abs, table.values())).bit_length()
 
 
 class _Parser:
@@ -218,6 +233,9 @@ class _Parser:
         k = self.exponent()
         if k > 1 and base.is_constant():
             return SparsePoly.const(self.n, _power(base.constant_value(), k, pos))
+        if k > 1 and _power_size(base, k) > MAX_POWER_SIZE:
+            message = "power %d of %d terms is past the size cap %d"
+            raise ParseError(message % (k, len(base.terms), MAX_POWER_SIZE), pos)
         return base if k == 1 else base**k
 
     def parse_atom(self):

@@ -28,20 +28,14 @@ from polyfactor.basefactor import (
     _factor_count_mod_p,
     _factor_monic_sparse,
     _factor_univariate_pairs,
-    _dict_of,
     _lift_pair,
-    _rows_of,
+    _series_mul,
     _series_root,
     _series_to_qpoly,
     _shift_series,
     _up_primitive_z,
-    _wcut,
     _zassenhaus,
     berlekamp,
-    STRIDE,
-    cd_pack,
-    cd_reduce,
-    cd_unpack,
     up_add,
     up_deg,
     up_deriv,
@@ -73,6 +67,68 @@ from conftest import (
 
 def pairs(fl):
     return [(render_poly(p), m) for p, m in fl.factors]
+
+
+# ---------------------------------------------------------------------------
+# dict form (tests only): the references keep each element of a v-series as
+# an (x, w) dict on packed keys ex * STRIDE + ew, which add componentwise, so
+# the sparse kernel's _mul_into multiplies two; the lift's one form, rows by
+# w-order of x coefficients, is compared with them through rows_of and dict_of
+
+STRIDE = 1 << 20
+
+
+def cd_pack(ex, ew):
+    return ex * STRIDE + ew
+
+
+def cd_unpack(key):
+    return key // STRIDE, key % STRIDE
+
+
+def cd_reduce(a, m):
+    """The nonzero entries of a mod m."""
+    return {k: v % m for k, v in a.items() if v % m}
+
+
+def wcut(d, wlen):
+    """The entries of an (x, w) dict below w-order wlen."""
+    return {k: c for k, c in d.items() if k % STRIDE < wlen}
+
+
+def rows_of(d, L):
+    """The (x, w) dict d as L rows by w-order, each a list of x
+    coefficients as long as d's x-degree allows; entries of w-order >= L
+    are dropped."""
+    rows = [[0] * (max(d, default=0) // STRIDE + 1) for _ in range(L)]
+    for key, c in d.items():
+        ex, ew = divmod(key, STRIDE)
+        if ew < L:
+            rows[ew][ex] = c
+    return rows
+
+
+def dict_of(rows):
+    """Rows by w-order back to an (x, w) dict of their nonzero entries."""
+    return {cd_pack(ex, ew): c for ew, row in enumerate(rows) for ex, c in enumerate(row) if c}
+
+
+def terms_of(ser):
+    """The terms (ex, ev, ew, c) of a v-series of (x, w) dicts, as
+    `_shift_series` takes them."""
+    return [
+        (key // STRIDE, ev, key % STRIDE, c) for ev, d in enumerate(ser) for key, c in d.items()
+    ]
+
+
+def shift_series(ser, cv, cw, m, vlen=None, wlen=None):
+    """`_shift_series` on a v-series of (x, w) dicts, its rows read back as
+    dicts; vlen or wlen None cuts nothing."""
+    if vlen is None:
+        vlen = len(ser)
+    if wlen is None:
+        wlen = 1 + max((key % STRIDE for d in ser for key in d), default=0)
+    return [dict_of(rows) for rows in _shift_series(terms_of(ser), cv, cw, m, vlen, wlen)]
 
 
 def series(f, v, w, K, m):
@@ -459,18 +515,17 @@ def test_shift_series_is_the_translation_mod_m(case):
     K = (f.degree_in(v) or 0) + 1
     cv, cw = offsets[v - 1], (offsets[w - 1] if w is not None else 0)
     ser = series(f, v, w, K, m)
-    shifted = _shift_series(ser, cv, cw, m)
+    shifted = shift_series(ser, cv, cw, m)
     assert shifted == series(f.shift(offsets), v, w, K, m)
-    assert _shift_series(shifted, -cv, -cw, m) == ser
+    assert shift_series(shifted, -cv, -cw, m) == ser
 
 
 def shift_series_dicts(ser, cv, cw, m, vlen=None, wlen=None):
     """The reference for `_shift_series`: the same Taylor shift, each term
-    expanded by binomials into one dict per v-order, v as well as w."""
+    expanded by binomials into one dict per v-order, v as well as w, every
+    value reduced mod m, a zero shift's too."""
     if vlen is None:
         vlen = len(ser)
-    if not cv and not cw and vlen == len(ser) and wlen is None:
-        return ser
 
     def taylor(e, c, n):
         """The coefficients of (z + c)^e below z^n (all for n None), ascending."""
@@ -488,7 +543,7 @@ def shift_series_dicts(ser, cv, cw, m, vlen=None, wlen=None):
                     out[key - ew + j] = out.get(key - ew + j, 0) + val * b
             rows.append(out)
     elif wlen is not None:
-        rows = [_wcut(row, wlen) for row in ser]
+        rows = [wcut(row, wlen) for row in ser]
     if cv:
         out = [dict() for _ in range(min(vlen, len(rows)))]
         for ev, row in enumerate(rows):
@@ -524,7 +579,7 @@ def test_packed_shift_is_the_dict_shift(K):
             for cw, vlen, wlen in [(0, None, None), (-2, None, 3), (3, (K + 1) // 2, 2), (0, 1, 1)]:
                 ser = _random_series(rng, K, 3, 3, low, high)
                 want = shift_series_dicts(ser, cv, cw, m, vlen, wlen)
-                assert _shift_series(ser, cv, cw, m, vlen, wlen) == want, (low, cv, cw, vlen)
+                assert shift_series(ser, cv, cw, m, vlen, wlen) == want, (low, cv, cw, vlen)
 
 
 @pytest.mark.parametrize("e", [2, 3])
@@ -555,9 +610,54 @@ def test_series_root_is_the_integer_root(e, offsets):
             (len(full), (W.degree_in(3) or 0) + 1),
             ((U.degree_in(2) or 0) + 1, (U.degree_in(3) or 0) + 1),
         ]:
-            ser = _shift_series(full, cv, cw, m, K, wlen)
-            root = _shift_series(_series_root(ser, e, wlen, m), -cv, -cw, m)
+            ser = _shift_series(terms_of(full), cv, cw, m, K, wlen)
+            root = _series_root(ser, e, wlen, m)
+            assert len(root) == K and all(len(rows) == wlen for rows in root)
+            root = _shift_series(terms_of(map(dict_of, root)), -cv, -cw, m, K, wlen)
             assert _series_to_qpoly(root, 2, 3, 3, m) == want, (K, wlen)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_series_mul_is_the_sparse_product(K, L):
+    # v-series as `_lift_pair` leaves them: L rows by w-order per v-order,
+    # rows untrimmed, () where a solve was skipped, [] in a skipped v-order;
+    # their product is the sparse kernel's product of the same series on
+    # packed (v, x, w) keys, cut at (v^K, w^L) and reduced mod m
+    rng = rng_for("series-mul-%d-%d" % (K, L))
+    m = 1048583**3
+
+    def row():
+        kind = rng.random()
+        if kind < 0.2:
+            return ()
+        if kind < 0.3:
+            return []
+        return [rng.randrange(m) for _ in range(rng.randint(1, 4))] + [0] * rng.randint(0, 1)
+
+    def draw():
+        ser = [[row() for _ in range(L)] for _ in range(K)]
+        if K > 1 and rng.random() < 0.3:
+            ser[rng.randrange(1, K)] = [[] for _ in range(L)]
+        return ser
+
+    def packed(ser):
+        return {
+            (ev * STRIDE + ex) * STRIDE + ew: c
+            for ev, rows in enumerate(ser)
+            for ew, r in enumerate(rows)
+            for ex, c in enumerate(r)
+            if c
+        }
+
+    for _ in range(30):
+        A, B = draw(), draw()
+        want = cd_reduce(_mul_into({}, packed(A), packed(B)), m)
+        want = {key: c for key, c in want.items() if key // STRIDE**2 < K and key % STRIDE < L}
+        got = _series_mul(A, B, K, L, m)
+        assert len(got) == K and all(len(rows) == L for rows in got)
+        assert all(not r or r[-1] for rows in got for r in rows)
+        assert packed(got) == want
 
 
 @st.composite
@@ -1064,7 +1164,7 @@ def test_the_lift_reads_the_series_the_fraction_path_gives(monkeypatch, text, n,
     wlen = (f.degree_in(w) or 0) + 1 if w <= n else 1
     F = series(f, v, w, (f.degree_in(v) or 0) + 1, m)
     assert all(len(rows) == wlen for rows in Fser)
-    assert [_dict_of(rows) for rows in Fser] == _shift_series(F, v0, w0, m, K, wlen)
+    assert [dict_of(rows) for rows in Fser] == shift_series(F, v0, w0, m, K, wlen)
     # the lift's preparation reads the groups at the lift's modulus
     ((images_m,), groups), = images
     assert images_m == m
@@ -1072,14 +1172,14 @@ def test_the_lift_reads_the_series_the_fraction_path_gives(monkeypatch, text, n,
     for u, e in base:
         U = u.scale(ONE / u.terms[(u.degree_in(1),)]) ** e
         G.append(series(U, None, None, 1, m)[0])
-    assert [_dict_of([g]) for g in groups] == G
+    assert [dict_of([g]) for g in groups] == G
     if wlen > 1:
         # the w-lift: f's slice at v0, moved by w0, one row per w-order
         Sser, wlen_w, m_w = tops[0][:3]
         assert (len(tops), wlen_w, m_w) == (2, wlen, m)
         assert all(len(rows) == 1 for rows in Sser)
-        slice_ = _dict_of(Fser[0])
-        assert [_dict_of(rows) for rows in Sser] == [
+        slice_ = dict_of(Fser[0])
+        assert [dict_of(rows) for rows in Sser] == [
             {k - j: c for k, c in slice_.items() if k % STRIDE == j} for j in range(wlen)
         ]
     else:
@@ -1242,21 +1342,21 @@ def _coprime_monic_pair(rng, dxa, dxb, dw, p, m):
 
 
 def lift_pair_rows(Fser, A0, B0, K, L, p, m, dioph=None):
-    """`_lift_pair` on the rows (`_rows_of`) of these (x, w) dicts cut at
+    """`_lift_pair` on the rows (`rows_of`) of these (x, w) dicts cut at
     w-order L, by default with the univariate `_Dioph` of A0's and B0's
     w = 0 rows, its series read back as dicts."""
-    A0, B0 = _rows_of(A0, L), _rows_of(B0, L)
+    A0, B0 = rows_of(A0, L), rows_of(B0, L)
     if dioph is None:
         dioph = _Dioph(A0[0], B0[0], p, m)
-    A, B = _lift_pair([_rows_of(d, L) for d in Fser], A0, B0, K, m, dioph)
-    return [_dict_of(rows) for rows in A], [_dict_of(rows) for rows in B]
+    A, B = _lift_pair([rows_of(d, L) for d in Fser], A0, B0, K, m, dioph)
+    return [dict_of(rows) for rows in A], [dict_of(rows) for rows in B]
 
 
 def solve_by_lift(A0, B0, e, L, p, m):
     """(dA, dB) solving dA B0 + dB A0 = e mod (w^L, m) as the lift solves
     it: one v-order of `_lift_pair` over A0 B0, e its residual, one w-order
     at a time with the univariate `_Dioph` of the w = 0 rows."""
-    F0 = cd_reduce(_wcut(_mul_into({}, A0, B0), L), m)
+    F0 = cd_reduce(wcut(_mul_into({}, A0, B0), L), m)
     A, B = lift_pair_rows([F0, e], A0, B0, 2, L, p, m)
     return A[1], B[1]
 
@@ -1280,10 +1380,10 @@ def test_diophantine_solver_returns_the_known_corrections(wdeg):
         dA = _random_cd(rng, dxa, length - 1 - dw, m)
         dB = _random_cd(rng, dxb, length - 1 - dw, m)
         e = cd_reduce(_mul_into(_mul_into({}, dA, B0), dB, A0), m)
-        a0, b0 = (_rows_of(d, 1)[0] for d in (A0, B0))
-        da0, db0 = _Dioph(a0, b0, p, m).solve(_rows_of(e, 1)[0])
+        a0, b0 = (rows_of(d, 1)[0] for d in (A0, B0))
+        da0, db0 = _Dioph(a0, b0, p, m).solve(rows_of(e, 1)[0])
         assert (len(da0), len(db0)) == (dxa, dxb)
-        assert (_dict_of([da0]), _dict_of([db0])) == (_wcut(dA, 1), _wcut(dB, 1))
+        assert (dict_of([da0]), dict_of([db0])) == (wcut(dA, 1), wcut(dB, 1))
         assert solve_by_lift(A0, B0, e, length, p, m) == (dA, dB)
         assert SeriesDioph(A0, B0, length, p, m).solve(e) == (dA, dB)
 
@@ -1305,13 +1405,13 @@ def test_diophantine_solutions_meet_their_degree_bounds(length):
         dA, dB = solve_by_lift(A0, B0, e, length, p, m)
         assert (dA, dB) == SeriesDioph(A0, B0, length, p, m).solve(e)
         got = _mul_into(_mul_into({}, dA, B0), dB, A0)
-        assert cd_reduce(_wcut(got, length), m) == _wcut(e, length)
+        assert cd_reduce(wcut(got, length), m) == wcut(e, length)
         assert all(cd_unpack(key)[0] < dxa for key in dA)
         assert all(cd_unpack(key)[0] < dxb for key in dB)
         assert all(cd_unpack(key)[1] < length for key in (*dA, *dB))
         with pytest.raises(_AttemptFailed):
             solve_by_lift(A0, B0, {**e, cd_pack(dxa + dxb, 0): 1}, length, p, m)
-        dioph = _Dioph(*(_rows_of(d, 1)[0] for d in (A0, B0)), p, m)
+        dioph = _Dioph(*(rows_of(d, 1)[0] for d in (A0, B0)), p, m)
         with pytest.raises(_AttemptFailed):
             dioph.solve([0] * (dxa + dxb) + [1])
 
@@ -1323,7 +1423,7 @@ def lift_pair_dicts(Fser, A0, B0, K, m, dioph):
     A = [dict(A0)] + [dict() for _ in range(K - 1)]
     B = [dict(B0)] + [dict() for _ in range(K - 1)]
     AB = [dict() for _ in range(K)]
-    if cd_sub(_wcut(_mul_into({}, A0, B0), dioph.length), Fser[0], m):
+    if cd_sub(wcut(_mul_into({}, A0, B0), dioph.length), Fser[0], m):
         raise _AttemptFailed("base product mismatch")
     for j in range(1, K):
         E = cd_sub(Fser[j], AB[j], m)
@@ -1346,7 +1446,7 @@ def _lift_case(rng, K, L, p, m):
     series reference solver."""
     dxa, dxb = rng.randint(1, 3), rng.randint(1, 3)
     A0, B0 = _coprime_monic_pair(rng, dxa, dxb, L - 1, p, m)
-    F0 = cd_reduce(_wcut(_mul_into({}, A0, B0), L), m)
+    F0 = cd_reduce(wcut(_mul_into({}, A0, B0), L), m)
     Fser = [F0] + [_random_cd(rng, dxa + dxb, L - 1, m) for _ in range(K - 1)]
     return Fser, A0, B0, SeriesDioph(A0, B0, L, p, m)
 
@@ -1400,7 +1500,7 @@ class _FullSeriesSolver:
         self.residuals = []
 
     def solve(self, e):
-        self.residuals.append(_wcut(e, self.length))
+        self.residuals.append(wcut(e, self.length))
         return tuple(map(dict, self.full))
 
 
@@ -1421,7 +1521,7 @@ def test_packed_lift_digits_reach_their_bound():
         assert lifted == lift_pair_dicts(Fser, A0, B0, K, m, want)
         rows = got.residuals
         assert len(rows) == L * (K - 1)
-        assert [_dict_of(rows[i : i + L]) for i in range(0, len(rows), L)] == want.residuals
+        assert [dict_of(rows[i : i + L]) for i in range(0, len(rows), L)] == want.residuals
 
 
 def test_bezout_step_keeps_the_identity():
@@ -1454,7 +1554,7 @@ def test_a_memoized_bezout_pair_is_the_fresh_one_at_every_precision(wdeg):
     precisions = [1, 3, 4, 2, 5, 5, 9, 7, 9, 3, 12, 6, 12]
     for _ in range(10):
         A0, B0 = _coprime_monic_pair(rng, rng.randint(1, 3), rng.randint(1, 3), dw, p, p**12)
-        a0, b0 = (_rows_of(d, 1)[0] for d in (A0, B0))
+        a0, b0 = (rows_of(d, 1)[0] for d in (A0, B0))
         memo = {}
         for k in precisions:
             m = p**k

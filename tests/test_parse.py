@@ -9,6 +9,7 @@ import pytest
 from polyfactor.parse import (
     MAX_ARITY,
     MAX_POWER_BITS,
+    MAX_POWER_SIZE,
     ParseError,
     RESERVED,
     _Parser,
@@ -148,6 +149,47 @@ def test_a_power_of_a_number_past_the_cap_is_refused_before_it_is_computed(parse
         assert info.value.position == 4
     assert parse("2^%d*z1" % MAX_POWER_BITS).terms == {(1,): Q(2**MAX_POWER_BITS)}
     assert parse("1^999999999*z1 + 0^999999999").terms == {(1,): Q(1)}
+
+
+# errors of the extended grammar alone: a power of a polynomial whose
+# predicted size passes MAX_POWER_SIZE, refused at its base's position
+PRODUCT_ERRORS = [
+    ("(z1 + 1)^99999", None, "power 99999 of 2 terms is past the size cap 1048576", 0),
+    ("z2*(z1 + 1)^2000 + 1", None, "power 2000 of 2 terms is past the size cap 1048576", 3),
+    ("(z1+z2+z3+z4+z5+z6+1)^16", None, "power 16 of 7 terms is past the size cap 1048576", 0),
+    ("(z1 - 1/2)^724", 2, "power 724 of 2 terms is past the size cap 1048576", 0),
+    ("z1 - ((z1 + z2)^3 + 1)^30", None, "power 30 of 5 terms is past the size cap 1048576", 4),
+]
+
+
+@pytest.mark.parametrize("text, n, message, position", PRODUCT_ERRORS)
+def test_product_error_message_and_position(text, n, message, position):
+    with pytest.raises(ParseError) as info:
+        parse_product(text, n)
+    assert str(info.value) == "%s (at position %d)" % (message, position)
+    assert info.value.position == position
+
+
+def test_a_power_past_the_size_cap_is_refused_before_it_multiplies(monkeypatch):
+    # (z1 + 1)^99999 would expand for hours: it is refused before any
+    # product is formed.  The size is the term bound C(k + t - 1, t - 1)
+    # times the coefficient bits k bit_length(|base|_1), so (z1 + 1)^723
+    # (1,046,904) parses and (z1 + 1)^724 (1,049,800) does not, and the
+    # 10,626 terms of (z1 + z2 + z3 + z4 + 1)^20 (637,560) still expand
+    import polyfactor.sparse as sparse
+
+    def refused(*args):
+        raise AssertionError("multiplied before the size cap")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(sparse, "_mul_into", refused)
+        # the last row's inner power is within the cap and multiplies
+        for text, n, message, position in PRODUCT_ERRORS[:-1]:
+            with pytest.raises(ParseError):
+                parse_product(text, n)
+    assert 724 * 723 * 2 <= MAX_POWER_SIZE < 725 * 724 * 2
+    assert len(parse_product("(z1 + 1)^723").terms) == 724
+    assert len(parse_product("(z1 + z2 + z3 + z4 + 1)^20").terms) == 10626
 
 
 @pytest.mark.parametrize("parse", [parse_poly, parse_product])
