@@ -674,13 +674,31 @@ def _rows_mul(A, B, L, m):
 
 
 def _series_mul(A, B, K, L, m):
-    """A B mod (v^K, w^L, m) for v-series: the v-convolution of
-    `_rows_mul`, each row trimmed."""
+    """A B mod (v^K, w^L, m) for v-series reduced mod m, each row trimmed.
+    Each (w, x) entry of A and of B is packed as one integer whose digit j,
+    b bits wide, is its v-order j coefficient, so `_rows_mul` multiplies
+    the packed rows at one product per pair of entries, mod 2^(b K), which
+    keeps the digits below K.  A digit sums at most K X L products of two
+    numbers below m, X the shorter row length, so b = 2 bits(m) + bits(K X
+    L) + 1, `_lift_pair`'s rule, never carries into the next digit."""
+    X = min(max((len(row) for rows in C[:K] for row in rows), default=0) for C in (A, B))
+    b = 2 * m.bit_length() + (K * X * L).bit_length() + 1
+
+    def packed(C):
+        out = [[] for _ in range(L)]
+        for j, rows in enumerate(C[:K]):
+            for prow, row in zip(out, rows):
+                prow += [0] * (len(row) - len(prow))
+                for x, c in enumerate(row):
+                    prow[x] += c << b * j
+        return out
+
+    digit = (1 << b) - 1
     out = [[[] for _ in range(L)] for _ in range(K)]
-    for i, a in enumerate(A[:K]):
-        for j, b in enumerate(B[: K - i]):
-            out[i + j] = list(map(up_add, out[i + j], _rows_mul(a, b, L, m)))
-    return [[up_mod(row, m) for row in rows] for rows in out]
+    for k, prow in enumerate(_rows_mul(packed(A), packed(B), L, 1 << b * K)):
+        for j, rows in enumerate(out):
+            rows[k] = up_trim([(s >> b * j & digit) % m for s in prow])
+    return out
 
 
 def _series_root(W, e, L, m):
@@ -1094,7 +1112,7 @@ def slice_point(base):
     return w0, PreparedBase([(u.eval_var(2, w0), e) for u, e in base])
 
 
-def _lift(reading, v0, prepared, bounds=None, w0=0):
+def _lift(reading, v0, prepared, bounds=None, w0=0, plane=None):
     """(groups, candidate): f's factorization at (z_v, z_w) = (v0, w0)
     into groups in x alone, prepared (`PreparedBase`), lifted mod P^k >
     2B^2 (P the reading's prime, B = _factor_bound); groups[i] is group
@@ -1106,15 +1124,16 @@ def _lift(reading, v0, prepared, bounds=None, w0=0):
 
     The lift runs mod (v^K, w^L), K = dv + 1 and L = wcut = dw + 1, at the
     origin, after one Taylor shift of the terms in f's integer rows
-    (`_shift_series`), in two passes over one lift tree, every series in
-    the one form of rows by w-order per v-order, from the shift to the
-    reconstruction.  With wg > 1 w-orders to carry, the slice F(x, v0,
-    w + w0) first lifts the groups' images in w, read as a series in w
-    whose element k is one row, the shifted slice's row of w-order k; a
-    v-lift node's A0 and B0 are the products of those lifted images, and
-    both passes solve with the node's one univariate `_Dioph`
-    (`PreparedBase.node`), the v-lift one w-order at a time.  Images
-    coprime mod P make the lifted factors unique mod (v^K, w^L, P^k), so a
+    (`_shift_series`) to the L w-orders the v-lift reads, in two passes
+    over one lift tree, every series in the one form of rows by w-order per
+    v-order, from the shift to the reconstruction.  With wg > 1 w-orders to
+    carry, the slice F(x, v0, w + w0), shifted from `plane` (`_slice`'s
+    reading, built when None), first lifts the groups' images in w, read
+    as a series in w whose element k is one row, the shifted slice's row
+    of w-order k; a v-lift node's A0 and B0 are the products of those
+    lifted images, and both passes solve with the node's one univariate
+    `_Dioph` (`PreparedBase.node`), the v-lift one w-order at a time.
+    Images coprime mod P make the lifted factors unique mod (v^K, w^L, P^k), so a
     product of lifted factors truncates the factor of f it lifts, whose
     degrees <= (dv, dw) keep it whole.  A group u^e, u read as
     its primitive integer rows over their x-leading integer, lifts to U^e
@@ -1126,10 +1145,12 @@ def _lift(reading, v0, prepared, bounds=None, w0=0):
     to L for the v-lift: two factors that meet at w0 can make a power mod
     w^2, as (x + w)(x + 2w) = (x + 3w/2)^2 does.  `bounds` (bx, bv, bw), per
     variable (x first), are proportional: a wanted factor of x-degree a
-    lies within (a, a bv / bx, a bw / bx).  No subset recombined with
-    x-degree <= bx passes a = min(bx, the sum of the group x-degrees <=
-    bx), so the lift is cut at K = min(dv, a bv // bx) + 1 and wcut =
-    min(dw, a bw // bx) + 1, and B is taken at degree sum a + K + wcut - 2:
+    lies within (a, a bv / bx, a bw / bx).  A candidate of mixed
+    multiplicities is None, so no subset recombined with x-degree <= bx
+    passes a, the largest over the multiplicity classes of min(bx, the sum
+    of the class's group x-degrees <= bx), and the lift is cut at K =
+    min(dv, a bv // bx) + 1 and wcut = min(dw, a bw // bx) + 1, and B is
+    taken at degree sum a + K + wcut - 2:
     a wanted factor is whole in the cut, and so is its root, though U^e
     runs past it.  With `bounds`, each candidate is shifted back, then cut
     to z3 = 0 (`factor_candidates`): where z3 is z_w and w0 = 0 the v-lift
@@ -1144,8 +1165,11 @@ def _lift(reading, v0, prepared, bounds=None, w0=0):
     else:
         # a variable past f's n, as z_w of a bivariate f, is bounded by 0
         bx, bv, bw = bounds[0], bounds[v - 1], (*bounds, 0)[w - 1]
-        # the largest x-degree a recombined subset reaches
-        a = min(bx, sum(d for d, _ in groups if d <= bx))
+        # the largest x-degree a subset of one multiplicity reaches
+        a = max(
+            min(bx, sum(d for d, e in groups if d <= bx and e == mult))
+            for mult in {e for _, e in groups}
+        )
         K = min(dv, a * bv // bx) + 1
         wcut = min(dw, a * bw // bx) + 1
     # a monic factor of f is G / lc(G), G an integer factor of f's integer
@@ -1160,13 +1184,17 @@ def _lift(reading, v0, prepared, bounds=None, w0=0):
     L = 1 if bounds is not None and w == 3 and not w0 else wcut
     wg = max(wcut, min(dw, 2) + 1) if any(e > 1 for _, e in groups) else L
     # lift at the origin: translate the evaluation point there mod m, keeping
-    # only the orders the lift carries
+    # only the orders the v-lift carries
     terms = ((ex, ev, ew, c) for ex, row in enumerate(f_rows) for ev, ew, c in row)
-    Fser = _shift_series(terms, v0, w0, m, K, wg, f_den)
+    Fser = _shift_series(terms, v0, w0, m, K, L, f_den)
     node = partial(prepared.node, P, m)
     if wg > 1:
-        # the w-lift: the slice Fser[0], read as a w-series of one-row lists
-        leaves = _lift_tree([[row] for row in Fser[0]], wg, m, node, 0, len(groups))
+        # the w-lift: the slice, its z_w the plane's variable 2, at w + w0,
+        # read as a w-series of one-row lists
+        plane = _slice(reading, v0) if plane is None else plane
+        terms = ((ex, ew, 0, c) for ex, row in enumerate(plane.rows) for ew, _, c in row)
+        slice_ser = _shift_series(terms, w0, 0, m, wg, 1, plane.den)
+        leaves = _lift_tree(slice_ser, wg, m, node, 0, len(groups))
         images = [[rows[0] for rows in leaf] for leaf in leaves]
         for image, (_, e) in zip(images, groups):
             if e > 1:
@@ -1174,7 +1202,6 @@ def _lift(reading, v0, prepared, bounds=None, w0=0):
                 power = reduce(partial(_rows_mul, L=wg, m=m), [root] * e)
                 if power != [up_mod(row, m) for row in image]:
                     raise _DegeneratePoint("a group's lift in w is no power")
-        Fser = [rows[:L] for rows in Fser]
         images = [image[:L] for image in images]
 
         def node(first, count):
@@ -1215,11 +1242,12 @@ def _lift(reading, v0, prepared, bounds=None, w0=0):
     return groups, candidate
 
 
-def _attempt_lift(reading, v0, base, bounds=None, w0=0):
+def _attempt_lift(reading, v0, base, bounds=None, w0=0, plane=None):
     """The complete [(factor, mult)] of the read f lifted from `base`, its
     factorization at (z_v, z_w) = (v0, w0), or with `bounds` the unproved
-    candidates within them (`_lift`), sorted as FactorList sorts."""
-    groups, candidate = _lift(reading, v0, PreparedBase(base), bounds, w0)
+    candidates within them (`_lift`), sorted as FactorList sorts; `plane`,
+    if given, is `_slice(reading, v0)`."""
+    groups, candidate = _lift(reading, v0, PreparedBase(base), bounds, w0, plane)
     if bounds is None:
         found = _complete_recombination(_poly(reading), groups, candidate)
     else:
@@ -1402,15 +1430,15 @@ def _factor_monic_sparse(f, bounds=None):
     for v0 in _probes(reading):
         if v0 is None:
             break
-        # a bivariate f is its own slice, read at z_v = v0
-        plane = _slice(reading, v0) if dw else reading
+        plane = _slice(reading, v0) if dw else None
         for t0 in _probes(plane) if dw else [v0]:
-            # None, or an irreducible image, certifies f irreducible
-            base = t0 is not None and _univariate_base(plane, t0)
+            # None, or an irreducible image, certifies f irreducible; a
+            # bivariate f is its own slice, read at z_v = v0
+            base = t0 is not None and _univariate_base(plane or reading, t0)
             if not base or (len(base) == 1 and base[0][1] == 1):
                 return _whole(reading, bounds)
             try:
-                return _attempt_lift(reading, v0, base, bounds, t0 if dw else 0)
+                return _attempt_lift(reading, v0, base, bounds, t0 if dw else 0, plane)
             except _DegeneratePoint:
                 continue
             except _AttemptFailed:

@@ -13,8 +13,9 @@ parse_product additionally accepts parenthesized products and powers of the
 base grammar, e.g. "(z1+z2)^2*(z1-1)", on the tokens; the CLI exposes it as
 --expand.  Both refuse an arity past MAX_ARITY, given or inferred, before
 any exponent list is built, and a power of a number past MAX_POWER_BITS
-before it is computed; parse_product also refuses a power of a polynomial
-whose predicted size passes MAX_POWER_SIZE before it multiplies.
+before it is computed; parse_product also refuses a power of a polynomial,
+or a product of two, whose predicted size passes MAX_POWER_SIZE before it
+multiplies.
 """
 
 import math
@@ -46,8 +47,10 @@ MAX_ARITY = 1000
 # the cap on k floor(log2 c), c^k a power of a number's numerator or denominator
 MAX_POWER_BITS = 1 << 16
 # the cap on the predicted size of a power b^k of a polynomial b of t terms
-# (`_power_size`): (z1 + z2 + z3 + z4 + 1)^20 predicts 637,560 and expands;
-# (z1 + 1)^2000 predicts 8,004,000 and is refused
+# (`_power_size`), and of a product of two (`_product_size`): (z1 + z2 + z3
+# + z4 + 1)^20 predicts 637,560 and expands; (z1 + 1)^2000 predicts
+# 8,004,000 and is refused, and so is the 16th factor of (z1 + 1)(z2 + 1)
+# ... (z24 + 1), at 1,114,112
 MAX_POWER_SIZE = 1 << 20
 
 
@@ -129,13 +132,26 @@ def _power(q, k, pos=None):
         raise ParseError("power of %s is past the %d-bit cap" % (q, MAX_POWER_BITS), pos)
 
 
+def _size(poly):
+    """(t, |poly|_1): poly's term count and the sum of the magnitudes of
+    its integer table's values."""
+    table, _ = _int_table(poly)
+    return len(table), sum(map(abs, table.values()))
+
+
 def _power_size(base, k):
     """The predicted size of base^k: its term bound C(k + t - 1, t - 1), t
     the base's term count, times k bit_length(|base|_1), the bits its
     coefficients can reach, |base|_1 read from base's integer table."""
-    table, _ = _int_table(base)
-    t = len(table)
-    return math.comb(k + t - 1, t - 1) * k * sum(map(abs, table.values())).bit_length()
+    t, norm = _size(base)
+    return math.comb(k + t - 1, t - 1) * k * norm.bit_length()
+
+
+def _product_size(a, b):
+    """The predicted size of a b, as `_power_size` measures it: the term
+    bound t_a t_b times bit_length(|a|_1 |b|_1)."""
+    (ta, na), (tb, nb) = _size(a), _size(b)
+    return ta * tb * (na * nb).bit_length()
 
 
 class _Parser:
@@ -212,21 +228,20 @@ class _Parser:
             total = total - term if sign < 0 else total + term
 
     def parse_term(self):
-        factors = [self.parse_factor()]
+        result = self.parse_factor()
         while True:
             kind, value, pos = self.peek()
             if kind == "op" and value == "*":
                 self.next()
-                factors.append(self.parse_factor())
-            elif kind in ("var", "number") or (kind == "op" and value == "("):
-                # implicit product inside --expand expressions
-                factors.append(self.parse_factor())
-            else:
-                break
-        result = factors[0]
-        for f in factors[1:]:
-            result = result * f
-        return result
+                pos = self.peek()[2]
+            elif not (kind in ("var", "number") or (kind == "op" and value == "(")):
+                return result
+            # an implicit product inside --expand expressions falls through
+            factor = self.parse_factor()
+            if _product_size(result, factor) > MAX_POWER_SIZE:
+                sizes = len(result.terms), len(factor.terms), MAX_POWER_SIZE
+                raise ParseError("product of %d and %d terms is past the size cap %d" % sizes, pos)
+            result = result * factor
 
     def parse_factor(self):
         pos, base = self.peek()[2], self.parse_atom()

@@ -617,13 +617,33 @@ def test_series_root_is_the_integer_root(e, offsets):
             assert _series_to_qpoly(root, 2, 3, 3, m) == want, (K, wlen)
 
 
-@pytest.mark.parametrize("K", [1, 2, 3])
+def packed_vxw(ser):
+    """A v-series as one dict on packed (v, x, w) keys, which the sparse
+    kernel's _mul_into multiplies."""
+    return {
+        (ev * STRIDE + ex) * STRIDE + ew: c
+        for ev, rows in enumerate(ser)
+        for ew, r in enumerate(rows)
+        for ex, c in enumerate(r)
+        if c
+    }
+
+
+def sparse_series_product(A, B, K, L, m):
+    """The reference for `_series_mul`: A B on packed (v, x, w) keys, cut
+    at (v^K, w^L) and reduced mod m."""
+    want = cd_reduce(_mul_into({}, packed_vxw(A), packed_vxw(B)), m)
+    return {key: c for key, c in want.items() if key // STRIDE**2 < K and key % STRIDE < L}
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 17, 41])
 @pytest.mark.parametrize("L", [1, 2, 3])
 def test_series_mul_is_the_sparse_product(K, L):
     # v-series as `_lift_pair` leaves them: L rows by w-order per v-order,
-    # rows untrimmed, () where a solve was skipped, [] in a skipped v-order;
-    # their product is the sparse kernel's product of the same series on
-    # packed (v, x, w) keys, cut at (v^K, w^L) and reduced mod m
+    # rows untrimmed, () where a solve was skipped, [] in a skipped v-order,
+    # of x-degree up to 3; their product is the sparse kernel's product of
+    # the same series on packed (v, x, w) keys, cut at (v^K, w^L) and
+    # reduced mod m
     rng = rng_for("series-mul-%d-%d" % (K, L))
     m = 1048583**3
 
@@ -641,23 +661,25 @@ def test_series_mul_is_the_sparse_product(K, L):
             ser[rng.randrange(1, K)] = [[] for _ in range(L)]
         return ser
 
-    def packed(ser):
-        return {
-            (ev * STRIDE + ex) * STRIDE + ew: c
-            for ev, rows in enumerate(ser)
-            for ew, r in enumerate(rows)
-            for ex, c in enumerate(r)
-            if c
-        }
-
     for _ in range(30):
         A, B = draw(), draw()
-        want = cd_reduce(_mul_into({}, packed(A), packed(B)), m)
-        want = {key: c for key, c in want.items() if key // STRIDE**2 < K and key % STRIDE < L}
         got = _series_mul(A, B, K, L, m)
         assert len(got) == K and all(len(rows) == L for rows in got)
         assert all(not r or r[-1] for rows in got for r in rows)
-        assert packed(got) == want
+        assert packed_vxw(got) == sparse_series_product(A, B, K, L, m)
+
+
+@pytest.mark.parametrize("K, L", [(1, 1), (41, 1), (41, 3), (41, 4)])
+def test_packed_series_mul_digits_reach_their_bound(K, L):
+    # every coefficient m - 1, m just below 2^61, at every (v, w, x) of
+    # x-degree 3: digit K - 1 of entry (L - 1, 3) sums K X L products of
+    # (m - 1)^2, X = 4 the row length, the most the digit width admits, and
+    # no digit may carry into the next
+    m = (1 << 61) - 1
+    A = [[[m - 1] * 4 for _ in range(L)] for _ in range(K)]
+    got = _series_mul(A, A, K, L, m)
+    assert packed_vxw(got) == sparse_series_product(A, A, K, L, m)
+    assert got[K - 1][L - 1][3] == K * 4 * L % m
 
 
 @st.composite
@@ -782,9 +804,9 @@ def test_a_bounded_lift_from_w0_other_than_0_shifts_back_then_cuts(monkeypatch):
         yield 3
         yield from (t0 for t0 in probes(reading) if t0 != 3)
 
-    def recorded_lift(reading, v0, base, bounds, w0):
+    def recorded_lift(reading, v0, base, bounds, w0, plane):
         points.append(w0)
-        return lift(reading, v0, base, bounds, w0)
+        return lift(reading, v0, base, bounds, w0, plane)
 
     def recorded(Fser, A0, B0, K, m, dioph):
         orders.append((K, len(A0)))
@@ -798,6 +820,93 @@ def test_a_bounded_lift_from_w0_other_than_0_shifts_back_then_cuts(monkeypatch):
     assert orders == [(2, 1), (6 // 2 + 1, 2)]
     assert (parse_poly("z1 + z2 - 1", 3), 1) in got
     assert all(at_z3_0(g) == g for g, _ in got)
+
+
+@pytest.mark.parametrize("w0", [0, 3])
+def test_the_w_lift_reads_the_plane_and_the_forward_shift_the_v_lifts_w_orders(
+    monkeypatch, w0
+):
+    # f's linear factor is squared, so the w-lift and its power guard carry
+    # wg = 3 z3-orders, while the z2-lift carries L: 1 at w0 = 0, where the
+    # candidates are cut at z3 = 0, and wcut = 2 at w0 = 3; the probes are
+    # forced to pop v0 = 2, where the plane F(x, 2, z3) is integral while f
+    # has denominator 4, and w0 first.  The forward shift of f is asked for
+    # L z3-orders only, and the w-lift's rows, the plane shifted by w0, are
+    # v-order 0 of f's whole shift
+    import polyfactor.basefactor as basefactor
+
+    linear = parse_poly("z1 + 1/2*z2 + 2*z3 - 1", 3)
+    f = linear**2 * parse_poly("z1^3 + z1*z2 + z2^5*z3 + 2", 3)
+    probes, lift = basefactor._probes, basefactor._attempt_lift
+    shift, tree = basefactor._shift_series, basefactor._lift_tree
+    points, shifts, trees = [], [], []
+
+    def forced(reading):
+        first = 2 if reading.n == 3 else w0
+        yield first
+        yield from (t0 for t0 in probes(reading) if t0 != first)
+
+    def recorded_lift(reading, v0, base, bounds, w0, plane):
+        points.append((v0, w0))
+        return lift(reading, v0, base, bounds, w0, plane)
+
+    def recorded_shift(terms, cv, cw, m, vlen, wlen, den=1):
+        shifts.append((cv, cw, vlen, wlen))
+        return shift(terms, cv, cw, m, vlen, wlen, den)
+
+    def recorded_tree(Fser, K, m, node, first, count):
+        trees.append((Fser, K, m))
+        return tree(Fser, K, m, node, first, count)
+
+    monkeypatch.setattr(basefactor, "_probes", forced)
+    monkeypatch.setattr(basefactor, "_attempt_lift", recorded_lift)
+    monkeypatch.setattr(basefactor, "_shift_series", recorded_shift)
+    monkeypatch.setattr(basefactor, "_lift_tree", recorded_tree)
+    got = factor_candidates(f, (2, 6, 2)).factors
+    assert (at_z3_0(linear).canonical(), 2) in got
+    assert points == [(2, w0)]
+    v0, L = 2, 1 if w0 == 0 else 2
+    # the first tree is the w-lift's, over the plane's rows, the last the
+    # z2-lift's: f is shifted to its K z2-orders and L z3-orders, then the
+    # plane to wg z3-orders
+    wser, wg, m = trees[0]
+    assert shifts[:2] == [(v0, w0, trees[-1][1], L), (w0, 0, 3, 1)]
+    assert wg == 3 and all(len(rows) == 1 for rows in wser)
+    full = shift_series(series(f, 2, 3, f.degree_in(2) + 1, m), v0, w0, m, 1, wg)
+    assert dict_of([rows[0] for rows in wser]) == full[0]
+
+
+def test_a_bounded_lift_stops_at_the_largest_x_degree_of_one_multiplicity(monkeypatch):
+    # f = g1^3 g2 c, c a cubic: the groups of x-degree <= bx = 2 are g1's,
+    # of multiplicity 3, and g2's, of 1, and a candidate that mixes
+    # multiplicities is None, so no candidate passes x-degree 1: the
+    # z2-lift runs mod z2^(bv // bx + 1), not z2^(2 bv // bx + 1), and the
+    # raw candidates still hold every factor sympy finds within the bounds
+    import polyfactor.basefactor as basefactor
+
+    g1 = parse_poly("z1 + z2 + z3 - 1", 3)
+    g2 = parse_poly("z1 - z2 + 2*z3 + 1", 3)
+    f = g1**3 * g2 * parse_poly("z1^3 + z1*z2 + z2^5*z3 + 2", 3)
+    bx, bv, bw = bounds = (2, 6, 2)
+    orders = []
+    lift_pair = basefactor._lift_pair
+
+    def recorded(Fser, A0, B0, K, m, dioph):
+        orders.append(K)
+        return lift_pair(Fser, A0, B0, K, m, dioph)
+
+    monkeypatch.setattr(basefactor, "_lift_pair", recorded)
+    raw = _factor_monic_sparse(f, bounds)
+    want = [
+        (g, e)
+        for g, e in sympy_factorization(f)[1].items()
+        if g.degree_in(1) <= bx
+        and (g.degree_in(2) or 0) * bx <= bv * g.degree_in(1)
+        and (g.degree_in(3) or 0) * bx <= bw * g.degree_in(1)
+    ]
+    assert len(want) == 2 and held(raw, want)
+    # the w-lift's pairs, then the z2-lift's, over three groups
+    assert len(orders) == 4 and orders[2:] == [bv // bx + 1] * 2
 
 
 def test_a_bounded_certificate_is_cut_at_z3_0():
@@ -864,9 +973,9 @@ def test_a_point_that_merges_two_factors_is_passed_over(monkeypatch):
         yield 0
         yield from (t0 for t0 in probes(reading) if t0 != 0)
 
-    def recorded(reading, v0, base, bounds, w0):
+    def recorded(reading, v0, base, bounds, w0, plane):
         try:
-            return lift(reading, v0, base, bounds, w0)
+            return lift(reading, v0, base, bounds, w0, plane)
         except _DegeneratePoint:
             tried.append(w0)
             raise
@@ -1885,7 +1994,7 @@ def _count_probes_and_lifts(f):
         return bases[-1]
 
     def counted_lift(*args):
-        reading, v0, base, _, w0 = args
+        reading, v0, base, _, w0, _ = args
         assert base is bases[-1]
         image = reading.f.eval_var(reading.v, v0)
         product = SparsePoly.const(1, 1)

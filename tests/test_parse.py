@@ -153,16 +153,44 @@ def test_a_power_of_a_number_past_the_cap_is_refused_before_it_is_computed(parse
 
 # errors of the extended grammar alone: a power of a polynomial whose
 # predicted size passes MAX_POWER_SIZE, refused at its base's position
+# a sum of the first k variables, in parentheses
+SUM_256 = "(%s)" % "+".join("z%d" % i for i in range(1, 257))
+# three terms, one an integer of 63,399 bits
+BIG_3 = "(z1 + z2 + 3^40000)"
+
 PRODUCT_ERRORS = [
     ("(z1 + 1)^99999", None, "power 99999 of 2 terms is past the size cap 1048576", 0),
     ("z2*(z1 + 1)^2000 + 1", None, "power 2000 of 2 terms is past the size cap 1048576", 3),
     ("(z1+z2+z3+z4+z5+z6+1)^16", None, "power 16 of 7 terms is past the size cap 1048576", 0),
     ("(z1 - 1/2)^724", 2, "power 724 of 2 terms is past the size cap 1048576", 0),
+    (
+        SUM_256 + "*" + SUM_256,
+        None,
+        "product of 256 and 256 terms is past the size cap 1048576",
+        len(SUM_256) + 1,
+    ),
+    (
+        "1 - " + SUM_256 + SUM_256,
+        None,
+        "product of 256 and 256 terms is past the size cap 1048576",
+        len(SUM_256) + 4,
+    ),
+    (
+        BIG_3 + "*" + BIG_3.replace("z1", "z3"),
+        None,
+        "product of 3 and 3 terms is past the size cap 1048576",
+        len(BIG_3) + 1,
+    ),
     ("z1 - ((z1 + z2)^3 + 1)^30", None, "power 30 of 5 terms is past the size cap 1048576", 4),
 ]
 
 
-@pytest.mark.parametrize("text, n, message, position", PRODUCT_ERRORS)
+def _short_id(value):
+    """A test id for a text too long to read in one, else the default."""
+    return value[:24] + "..." if isinstance(value, str) and len(value) > 80 else None
+
+
+@pytest.mark.parametrize("text, n, message, position", PRODUCT_ERRORS, ids=_short_id)
 def test_product_error_message_and_position(text, n, message, position):
     with pytest.raises(ParseError) as info:
         parse_product(text, n)
@@ -190,6 +218,35 @@ def test_a_power_past_the_size_cap_is_refused_before_it_multiplies(monkeypatch):
     assert 724 * 723 * 2 <= MAX_POWER_SIZE < 725 * 724 * 2
     assert len(parse_product("(z1 + 1)^723").terms) == 724
     assert len(parse_product("(z1 + z2 + z3 + z4 + 1)^20").terms) == 10626
+
+
+def test_a_product_past_the_size_cap_is_refused_before_it_multiplies(monkeypatch):
+    # (z1 + 1)(z2 + 1) ... (z24 + 1) would expand to 2^24 terms: each factor
+    # is multiplied into the running product only while their predicted
+    # size, t_a t_b bit_length(|a|_1 |b|_1), is within the cap, so the 16th,
+    # 2 terms against 32,768 of 2^15 (1,114,112), is refused after 14
+    # products.  Two sums of 255 variables (1,040,400) still multiply; of
+    # 256 (1,114,112) they do not (PRODUCT_ERRORS)
+    import polyfactor.sparse as sparse
+
+    mul_into = sparse._mul_into
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return mul_into(*args)
+
+    binomials = "*".join("(z%d+1)" % i for i in range(1, 25))
+    with monkeypatch.context() as patched:
+        patched.setattr(sparse, "_mul_into", counted)
+        with pytest.raises(ParseError) as info:
+            parse_product(binomials)
+    assert binomials[info.value.position :].startswith("(z16+1)*")
+    assert "product of 32768 and 2 terms" in str(info.value)
+    assert calls == [2**k for k in range(1, 15)]
+    assert 255 * 255 * (255 * 255).bit_length() <= MAX_POWER_SIZE
+    sum_255 = "(%s)" % "+".join("z%d" % i for i in range(1, 256))
+    assert len(parse_product(sum_255 + "*" + sum_255).terms) == 255 * 256 // 2
 
 
 @pytest.mark.parametrize("parse", [parse_poly, parse_product])
